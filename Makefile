@@ -3,13 +3,19 @@
 
 GO ?= go
 
-.PHONY: build test race vet cover bench bench-workers benchcmp scale-smoke fuzz check
+.PHONY: build test test-bench race vet cover bench bench-workers benchcmp scale-smoke fuzz check
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The benchmark harness is a nested module (bench/go.mod), so ./... does
+# not reach it; compile and test it against every change to the surface
+# it drives.
+test-bench:
+	cd bench && $(GO) test .
 
 vet:
 	$(GO) vet ./...
@@ -64,4 +70,4 @@ NEW ?= BENCH_PR10.json
 benchcmp:
 	$(GO) run ./cmd/benchcmp $(OLD) $(NEW)
 
-check: build vet test race
+check: build vet test test-bench race

@@ -1,10 +1,10 @@
 package spinngo_test
 
-// Benchmark harness: one benchmark per experiment in DESIGN.md's
-// per-experiment index (E1-E14 plus the two ablations), each reporting
+// Benchmark harness: one benchmark per experiment in
+// internal/experiments (E1-E14 plus the two ablations), each reporting
 // the experiment's headline figure as a custom metric, plus micro
 // benchmarks of the simulator's hot paths. `cmd/spinnbench` prints the
-// full paper-style tables; EXPERIMENTS.md records paper-vs-measured.
+// full paper-style tables with their paper-vs-measured verdicts.
 
 import (
 	"fmt"
@@ -200,10 +200,10 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	fn = func() {
 		count++
 		if count < b.N {
-			eng.After(1, fn)
+			eng.AfterP(1, sim.Func(fn))
 		}
 	}
-	eng.After(1, fn)
+	eng.AfterP(1, sim.Func(fn))
 	eng.Run()
 }
 

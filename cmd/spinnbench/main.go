@@ -1,5 +1,5 @@
 // Command spinnbench runs the paper-reproduction experiment suite
-// (E1-E14 plus ablations A1-A2; see DESIGN.md and EXPERIMENTS.md) and
+// (E1-E14 plus ablations A1-A2; the runners live in internal/experiments) and
 // prints each result as a table with a verdict comparing the measured
 // shape against the paper's claim.
 //

@@ -10,7 +10,7 @@
 //	         [-faillink "1,1,E"] [-raster] [-seed 1] [-workers 0]
 //	         [-partition auto] [-boards WxH] [-boardlink slow]
 //	         [-cabinets WxH] [-cabinetlink slow] [-repartition]
-//	         [-queue wheel] [-snapshot ckpt.snap] [-restore ckpt.snap]
+//	         [-snapshot ckpt.snap] [-restore ckpt.snap]
 //	         [-workload storm-campaign] [-workloads]
 //	         [-cpuprofile run.cpu.pprof] [-memprofile run.mem.pprof]
 //
@@ -60,7 +60,6 @@ func main() {
 	cabinets := flag.String("cabinets", "", "cabinet tiling in boards, e.g. \"2x2\" ('' = no cabinet level); requires -boards; cabinet-crossing links use cabinet-to-cabinet PHY params")
 	cabinetlink := flag.String("cabinetlink", "", "cabinet-to-cabinet link preset: slow (default) or uniform; requires -cabinets")
 	repartition := flag.Bool("repartition", false, "re-partition at quiescence boundaries when the observed event density warrants it; any setting yields the same results")
-	queue := flag.String("queue", "", "event queue implementation: wheel (default) or heap (debug reference); any choice yields the same results; ignored with -restore")
 	soloThreshold := flag.Int("solothreshold", 0, "adaptive-mode solo bound in events/shard/window (0 = default 16); any value yields the same results")
 	workloadRef := flag.String("workload", "", "run a declared workload: a JSON file path or a registry name (see -workloads)")
 	listWorkloads := flag.Bool("workloads", false, "list the built-in workload registry and exit")
@@ -132,7 +131,7 @@ func main() {
 			Width: *w, Height: *h, Seed: *seed, Workers: *workers, Partition: *partition,
 			Boards: *boards, BoardLinkParams: *boardlink, Repartition: policy,
 			Cabinets: *cabinets, CabinetLinkParams: *cabinetlink,
-			EventQueue: *queue, SoloThresholdEvents: *soloThreshold,
+			SoloThresholdEvents: *soloThreshold,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -26,16 +26,8 @@ func detConfig(seed uint64, workers int, partition string) MachineConfig {
 // runFingerprint boots, loads and runs the reference workload and
 // renders everything the public API reports into one string.
 func runFingerprint(t *testing.T, seed uint64, workers int, partition string) string {
-	return runFingerprintQueue(t, seed, workers, partition, "")
-}
-
-// runFingerprintQueue is runFingerprint with an explicit event-queue
-// implementation ("" = the machine default).
-func runFingerprintQueue(t *testing.T, seed uint64, workers int, partition, queue string) string {
 	t.Helper()
-	cfg := detConfig(seed, workers, partition)
-	cfg.EventQueue = queue
-	m, err := NewMachine(cfg)
+	m, err := NewMachine(detConfig(seed, workers, partition))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,23 +79,6 @@ func runFingerprintQueue(t *testing.T, seed uint64, workers int, partition, queu
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// TestDeterminismQueueImplementations pins the calendar queue's
-// machine-level contract: the wheel (the default) and the reference
-// binary heap pop the identical canonical event order, so a full
-// boot-load-run-fault trajectory — report, stats and rasters — is
-// byte-identical under either implementation, sequentially and under
-// parallel windows.
-func TestDeterminismQueueImplementations(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		wheel := runFingerprintQueue(t, 17, workers, PartitionBands, EventQueueWheel)
-		heap := runFingerprintQueue(t, 17, workers, PartitionBands, EventQueueHeap)
-		if wheel != heap {
-			t.Errorf("workers=%d: wheel and heap trajectories diverged:\n--- wheel ---\n%s--- heap ---\n%s",
-				workers, wheel, heap)
-		}
-	}
 }
 
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"spinngo/internal/sim"
 	"spinngo/internal/topo"
 )
 
@@ -35,7 +36,7 @@ func TestHostTimeoutStopsAtDeadline(t *testing.T) {
 	start := m.pe.Now()
 	far := start + 50*hostOpTimeout
 	fired := false
-	m.domAt(topo.Coord{X: 2, Y: 2}).At(far, func() { fired = true })
+	m.domAt(topo.Coord{X: 2, Y: 2}).AtP(far, sim.Func(func() { fired = true }))
 
 	if _, err := hl.Ping(3, 3); err == nil {
 		t.Fatal("ping through a severed gateway should time out")

@@ -269,16 +269,16 @@ func (c *Controller) phaseProbeAndRescue() {
 		dom := n.Domain()
 		for d := topo.Dir(0); int(d) < topo.NumDirs; d++ {
 			d := d
-			dom.After(sim.Time(c.run.RNG().Intn(1000)), func() {
+			dom.AfterP(sim.Time(c.run.RNG().Intn(1000)), sim.Func(func() {
 				c.send(coord, d, cmdPing, 0)
-			})
+			}))
 			// If the neighbour stays silent, attempt the rescue: copy
 			// boot code (abstracted) and force a reboot.
-			dom.After(c.cfg.ProbeTimeout, func() {
+			dom.AfterP(c.cfg.ProbeTimeout, sim.Func(func() {
 				if !st.pongSeen[d] {
 					c.send(coord, d, cmdReboot, 0)
 				}
-			})
+			}))
 		}
 	}
 }
@@ -329,9 +329,9 @@ func (c *Controller) phaseLoad() {
 	c.loadStart = dom.Now()
 	for b := 0; b < c.cfg.ImageBlocks; b++ {
 		b := b
-		dom.After(sim.Time(b)*c.cfg.HostGap, func() {
+		dom.AfterP(sim.Time(b)*c.cfg.HostGap, sim.Func(func() {
 			c.receiveBlock(origin, uint32(b))
-		})
+		}))
 	}
 }
 

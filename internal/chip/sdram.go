@@ -50,19 +50,9 @@ func (s *SDRAM) TransferTime(size int) sim.Time {
 	return s.Latency + sim.Time(float64(size)/s.BytesPerUS*float64(sim.Microsecond))
 }
 
-// Transfer schedules a transfer of size bytes; done runs when it
+// Transfer schedules a transfer of size bytes; p runs when it
 // completes. Contention: transfers are serialised in arrival order.
-func (s *SDRAM) Transfer(size int, done func()) { s.TransferD(size, nil, done) }
-
-// TransferD is Transfer with a snapshot descriptor attached to the
-// completion event, making an in-flight transfer snapshot-safe.
-func (s *SDRAM) TransferD(size int, desc *sim.Desc, done func()) {
-	s.eng.AtD(s.admit(size), desc, done)
-}
-
-// TransferP is Transfer with a pre-allocated completion payload — the
-// zero-alloc form for steady-state hot paths (see sim.Payload).
-func (s *SDRAM) TransferP(size int, p sim.Payload) {
+func (s *SDRAM) Transfer(size int, p sim.Payload) {
 	s.eng.AtP(s.admit(size), p)
 }
 
@@ -182,12 +172,6 @@ type DMARequest struct {
 	Write bool
 	// Tag is opaque to the controller (e.g. which synaptic row).
 	Tag uint32
-	// Done runs at completion (the Fig-7 "DMA complete" interrupt).
-	Done func()
-	// Desc, when set, describes the completion for snapshots: the
-	// in-flight SDRAM event carries it, and a restore re-creates the
-	// completion closure from it (see DMAController.FinishTransfer).
-	Desc *sim.Desc
 }
 
 // DMAController is one processor subsystem's DMA engine: a FIFO of
@@ -195,11 +179,9 @@ type DMARequest struct {
 // kernel enqueues a synaptic-data fetch per incoming spike and processes
 // rows on the completion interrupt.
 //
-// The steady-state fetch path is allocation-free: install OnDone and
-// DescFor once and enqueue requests with only Size and Tag set — the
-// completion interrupt and the snapshot descriptor are produced from
-// the controller's own state instead of per-request closures. Requests
-// carrying explicit Done/Desc still work and take precedence.
+// The fetch path is allocation-free: install OnDone once and enqueue
+// plain requests — the completion interrupt and the snapshot descriptor
+// are produced from the controller's own state.
 type DMAController struct {
 	eng   sim.Scheduler
 	sdram *SDRAM
@@ -209,13 +191,15 @@ type DMAController struct {
 	cur   DMARequest // the in-flight request (valid while busy)
 	doneP dmaDoneEv  // cached completion payload (≤1 pending: FIFO server)
 
+	// tag, when set, prefixes the snapshot descriptor of the in-flight
+	// completion so a restore can route it back to this controller.
+	// Controllers without a tag cannot be snapshotted mid-transfer.
+	tag []uint64
+
 	// OnDone, when set, runs at each completed read (non-Write) request
-	// with its Tag — the closure-free completion interrupt. Write-backs
-	// complete silently, as with a nil Done.
+	// with its Tag — the Fig-7 "DMA complete" interrupt. Write-backs
+	// complete silently.
 	OnDone func(tag uint32)
-	// DescFor, when set, builds the snapshot descriptor for an
-	// in-flight request on demand (only when a snapshot asks).
-	DescFor func(req DMARequest) *sim.Desc
 
 	// Completed counts finished requests.
 	Completed uint64
@@ -230,28 +214,67 @@ func NewDMAController(eng sim.Scheduler, sdram *SDRAM) *DMAController {
 	return d
 }
 
-// dmaDoneEv is the in-flight transfer's completion event (sim.Payload).
+// SetSnapshotTag installs the descriptor prefix (the owning unit's
+// stable identity) stamped on the in-flight completion event.
+func (d *DMAController) SetSnapshotTag(tag ...uint64) { d.tag = tag }
+
+// Event kinds of the in-flight completion: a synaptic-row fetch and a
+// write-back. Args are the snapshot tag followed by the request Tag.
+const (
+	KindRowDone       = "dma.row"
+	KindWriteBackDone = "dma.wb"
+)
+
+// dmaDoneEv is the in-flight transfer's completion event.
 type dmaDoneEv struct{ d *DMAController }
 
 func (p *dmaDoneEv) Run() {
 	d := p.d
 	d.Completed++
-	if d.cur.Done != nil {
-		d.cur.Done()
-	} else if !d.cur.Write && d.OnDone != nil {
+	if !d.cur.Write && d.OnDone != nil {
 		d.OnDone(d.cur.Tag)
 	}
 	d.next()
 }
 
 func (p *dmaDoneEv) EventDesc() *sim.Desc {
-	if p.d.cur.Desc != nil {
-		return p.d.cur.Desc
+	d := p.d
+	if d.tag == nil {
+		return nil
 	}
-	if p.d.DescFor != nil {
-		return p.d.DescFor(p.d.cur)
+	kind := KindRowDone
+	if d.cur.Write {
+		kind = KindWriteBackDone
 	}
-	return nil
+	return &sim.Desc{Kind: kind, Args: append(append([]uint64(nil), d.tag...), uint64(d.cur.Tag))}
+}
+
+// Completion makes req the in-flight request and returns its completion
+// event — for the controller's own launch, and for a restore re-creating
+// the completion that was pending when the snapshot was taken (only
+// Write and Tag matter then: the transfer is already admitted).
+func (d *DMAController) Completion(req DMARequest) sim.Payload {
+	d.cur = req
+	return &d.doneP
+}
+
+// EventKinds returns the kind-table entries for DMA completions; dmaOf
+// resolves a descriptor's snapshot tag to its controller.
+func EventKinds(dmaOf func(tag []uint64) (*DMAController, error)) sim.Kinds {
+	entry := func(write bool) func(*sim.EventRecord) (sim.Payload, error) {
+		return func(rec *sim.EventRecord) (sim.Payload, error) {
+			args := rec.Desc.Args
+			if len(args) == 0 || args[len(args)-1] > 0xFFFF_FFFF {
+				return nil, fmt.Errorf("chip: %s needs a 32-bit request tag as its last arg, got %v", rec.Desc.Kind, args)
+			}
+			d, err := dmaOf(args[:len(args)-1])
+			if err != nil {
+				return nil, err
+			}
+			return d.Completion(DMARequest{Write: write, Tag: uint32(args[len(args)-1])}), nil
+		}
+	}
+	return sim.Kinds{KindRowDone: entry(false), KindWriteBackDone: entry(true)}
 }
 
 // Enqueue adds a request; it is served after all earlier ones.
@@ -288,27 +311,12 @@ func (d *DMAController) next() {
 		return
 	}
 	d.busy = true
-	d.cur = d.queue[d.head]
-	d.queue[d.head] = DMARequest{} // release closure references
+	req := d.queue[d.head]
 	d.head++
-	d.sdram.TransferP(d.cur.Size, &d.doneP)
+	d.sdram.Transfer(req.Size, d.Completion(req))
 }
 
-// FinishTransfer completes the in-flight request: it counts the
-// completion, runs the request's Done callback and serves the next
-// queued request. Snapshot restore calls it directly when re-creating a
-// pending SDRAM completion event from its descriptor.
-func (d *DMAController) FinishTransfer(done func()) {
-	d.Completed++
-	if done != nil {
-		done()
-	}
-	d.next()
-}
-
-// DMAState is the serialisable dynamic state of a DMA controller. Queued
-// requests carry no closures — the restorer rebuilds Done/Desc from the
-// request's Write flag and Tag, which is all the machine's kernel uses.
+// DMAState is the serialisable dynamic state of a DMA controller.
 type DMAState struct {
 	Queue     []DMARequest
 	Busy      bool
@@ -316,21 +324,19 @@ type DMAState struct {
 	MaxQueue  int
 }
 
-// ExportState captures the controller's dynamic state (queued requests
-// without their closures; the in-flight transfer, if any, lives in the
-// event heap as a described event).
+// ExportState captures the controller's dynamic state (the queued
+// requests; the in-flight transfer, if any, lives in the event queue as
+// a described event).
 func (d *DMAController) ExportState() DMAState {
-	st := DMAState{Busy: d.busy, Completed: d.Completed, MaxQueue: d.MaxQueue}
-	for _, req := range d.queue[d.head:] {
-		st.Queue = append(st.Queue, DMARequest{Size: req.Size, Write: req.Write, Tag: req.Tag})
+	return DMAState{
+		Queue: append([]DMARequest(nil), d.queue[d.head:]...),
+		Busy:  d.busy, Completed: d.Completed, MaxQueue: d.MaxQueue,
 	}
-	return st
 }
 
-// RestoreState overlays a captured state. The caller supplies queued
-// requests with their Done/Desc rebuilt; the busy flag is restored
+// RestoreState overlays a captured state. The busy flag is restored
 // as-is — when true, the matching completion event is re-injected
-// separately from the event heap.
+// separately from the event queue.
 func (d *DMAController) RestoreState(st DMAState) {
 	d.queue = append([]DMARequest(nil), st.Queue...)
 	d.head = 0

@@ -11,7 +11,7 @@ func TestSDRAMTransferTiming(t *testing.T) {
 	eng := sim.New(1)
 	s := NewSDRAM(eng)
 	var doneAt sim.Time
-	s.Transfer(1000, func() { doneAt = eng.Now() })
+	s.Transfer(1000, sim.Func(func() { doneAt = eng.Now() }))
 	eng.Run()
 	want := s.Latency + 1*sim.Microsecond // 1000 bytes at 1000 B/us
 	if doneAt != want {
@@ -26,7 +26,7 @@ func TestSDRAMContentionSerialises(t *testing.T) {
 	var times []sim.Time
 	for i := 0; i < 3; i++ {
 		i := i
-		s.Transfer(1000, func() { order = append(order, i); times = append(times, eng.Now()) })
+		s.Transfer(1000, sim.Func(func() { order = append(order, i); times = append(times, eng.Now()) }))
 	}
 	eng.Run()
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
@@ -86,9 +86,9 @@ func TestDMAFIFOOrder(t *testing.T) {
 	s := NewSDRAM(eng)
 	d := NewDMAController(eng, s)
 	var order []uint32
+	d.OnDone = func(tag uint32) { order = append(order, tag) }
 	for i := uint32(0); i < 5; i++ {
-		i := i
-		d.Enqueue(DMARequest{Size: 100, Tag: i, Done: func() { order = append(order, i) }})
+		d.Enqueue(DMARequest{Size: 100, Tag: i})
 	}
 	if d.QueueLen() != 5 {
 		t.Errorf("QueueLen = %d, want 5", d.QueueLen())
@@ -115,9 +115,10 @@ func TestTwoDMAControllersShareBandwidth(t *testing.T) {
 	a := NewDMAController(eng, s)
 	b := NewDMAController(eng, s)
 	var last sim.Time
-	done := func() { last = eng.Now() }
-	a.Enqueue(DMARequest{Size: 2000, Done: done})
-	b.Enqueue(DMARequest{Size: 2000, Done: done})
+	done := func(uint32) { last = eng.Now() }
+	a.OnDone, b.OnDone = done, done
+	a.Enqueue(DMARequest{Size: 2000})
+	b.Enqueue(DMARequest{Size: 2000})
 	eng.Run()
 	want := 2 * s.TransferTime(2000)
 	if last != want {
@@ -133,14 +134,13 @@ func TestDMAKeepsDraining(t *testing.T) {
 	s := NewSDRAM(eng)
 	d := NewDMAController(eng, s)
 	count := 0
-	var chain func()
-	chain = func() {
+	d.OnDone = func(uint32) {
 		count++
 		if count < 10 {
-			d.Enqueue(DMARequest{Size: 10, Done: chain})
+			d.Enqueue(DMARequest{Size: 10})
 		}
 	}
-	d.Enqueue(DMARequest{Size: 10, Done: chain})
+	d.Enqueue(DMARequest{Size: 10})
 	eng.Run()
 	if count != 10 {
 		t.Errorf("chained completions = %d, want 10", count)

@@ -78,9 +78,9 @@ func E5DeliveryLatency(sizes []int, pairsPerSize int, seed uint64) (*Table, erro
 				return nil, err
 			}
 			// Light load: spread injections out in time.
-			eng.At(sim.Time(i)*sim.Microsecond, func() {
+			eng.AtP(sim.Time(i)*sim.Microsecond, sim.Func(func() {
 				fab.InjectMC(src, packet.NewMC(key))
-			})
+			}))
 		}
 		eng.Run()
 		under := lat.Max() < 1000
@@ -129,7 +129,7 @@ func E6EmergencyRouting(seed uint64) (*Table, error) {
 		}
 		const n = 50
 		for i := 0; i < n; i++ {
-			eng.At(sim.Time(i)*10*sim.Microsecond, func() { fab.InjectMC(src, packet.NewMC(1)) })
+			eng.AtP(sim.Time(i)*10*sim.Microsecond, sim.Func(func() { fab.InjectMC(src, packet.NewMC(1)) }))
 		}
 		eng.Run()
 		var allNotices uint64
@@ -196,7 +196,7 @@ func E7DropPolicy(seed uint64) (*Table, error) {
 			key := uint32(i + 1)
 			src := src
 			for k := 0; k < perSrc; k++ {
-				eng.At(sim.Time(k)*100*sim.Nanosecond, func() { fab.InjectMC(src, packet.NewMC(key)) })
+				eng.AtP(sim.Time(k)*100*sim.Nanosecond, sim.Func(func() { fab.InjectMC(src, packet.NewMC(key)) }))
 			}
 		}
 		eng.RunUntil(sim.Second)

@@ -231,7 +231,7 @@ func E14BoundedAsynchrony() (*Table, error) {
 }
 
 // AblationTableMinimisation measures what default-route elision and CAM
-// minimisation buy (the design choice DESIGN.md calls out).
+// minimisation buy.
 func AblationTableMinimisation(seed uint64) (*Table, error) {
 	t := &Table{
 		ID:      "A1",

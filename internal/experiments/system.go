@@ -41,10 +41,9 @@ func E4EventKernel(seed uint64) *Table {
 		for i := range row {
 			row[i] = neural.MakeSynWord(64, 1+i%15, false, i%256)
 		}
+		dma.OnDone = core.PostDMADone
 		core.On(kernel.EvPacket, func(ev kernel.Event) uint64 {
-			key := ev.Pkt.Key
-			dma.Enqueue(chip.DMARequest{Size: row.SizeBytes(), Tag: key,
-				Done: func() { core.PostDMADone(key) }})
+			dma.Enqueue(chip.DMARequest{Size: row.SizeBytes(), Tag: ev.Pkt.Key})
 			return 80
 		})
 		core.On(kernel.EvDMADone, func(kernel.Event) uint64 { return pop.ProcessRow(row) })
@@ -56,9 +55,9 @@ func E4EventKernel(seed uint64) *Table {
 			var arrive func()
 			arrive = func() {
 				core.PostPacket(packet.NewMC(uint32(eng.RNG().Intn(1 << 16))))
-				eng.After(sim.Time(eng.RNG().Exp(perSec)*float64(sim.Second)), arrive)
+				eng.AfterP(sim.Time(eng.RNG().Exp(perSec)*float64(sim.Second)), sim.Func(arrive))
 			}
-			eng.After(sim.Time(eng.RNG().Exp(perSec)*float64(sim.Second)), arrive)
+			eng.AfterP(sim.Time(eng.RNG().Exp(perSec)*float64(sim.Second)), sim.Func(arrive))
 		}
 		const ticks = 200
 		eng.RunUntil(ticks * sim.Millisecond)

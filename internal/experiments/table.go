@@ -1,6 +1,6 @@
 // Package experiments contains the reproduction harness: one runner per
-// quantitative claim of the paper (see DESIGN.md's per-experiment
-// index). Each runner builds its workload, executes it on the simulated
+// quantitative claim of the paper (E1-E14 plus ablations A1-A2;
+// cmd/spinnbench lists them). Each runner builds its workload, executes it on the simulated
 // machine, and returns a Table whose rows mirror what the paper reports;
 // cmd/spinnbench prints them and bench_test.go benchmarks them.
 package experiments

@@ -489,16 +489,15 @@ func (h *Host) launch(cmd *command) {
 	cmd.launchAt = start
 	h.inflight++
 	// The deadline event outlives normal resolution (it fires as a no-op
-	// on a resolved command), so it carries a descriptor: it is the one
+	// on a resolved command), so it is a described event: it is the one
 	// piece of host work legally pending in a snapshot.
-	h.eng.AtD(start+cmd.timeout, &sim.Desc{Kind: "host.expire", Args: []uint64{uint64(cmd.seq)}},
-		func() { h.expire(cmd) })
+	h.eng.AtP(start+cmd.timeout, expireEv{h, cmd})
 	if cmd.op != OpFill {
-		h.eng.At(start+hdr, func() { h.injectBurst(cmd, -1) })
+		h.eng.AtP(start+hdr, sim.Func(func() { h.injectBurst(cmd, -1) }))
 	}
 	for c := 0; c < n; c++ {
 		c := c
-		h.eng.At(start+hdr+sim.Time(c+1)*per, func() { h.injectBurst(cmd, c) })
+		h.eng.AtP(start+hdr+sim.Time(c+1)*per, sim.Func(func() { h.injectBurst(cmd, c) }))
 	}
 }
 
@@ -574,7 +573,7 @@ func (h *Host) onP2P(n *router.Node, pkt packet.Packet, _ sim.Time) {
 			return
 		}
 		// Whole stream received: forward over Ethernet and complete.
-		h.eng.After(h.ethTime(len(cmd.result)+4), func() { h.complete(cmd) })
+		h.eng.AfterP(h.ethTime(len(cmd.result)+4), sim.Func(func() { h.complete(cmd) }))
 		return
 	}
 	if n.Coord != cmd.target {
@@ -595,7 +594,7 @@ func (h *Host) onP2P(n *router.Node, pkt packet.Packet, _ sim.Time) {
 		if cmd.resolved {
 			return
 		}
-		h.eng.After(h.ethTime(len(resp)+4), func() { h.complete(cmd) })
+		h.eng.AfterP(h.ethTime(len(resp)+4), sim.Func(func() { h.complete(cmd) }))
 		return
 	}
 	h.sendResponse(cmd)
@@ -607,23 +606,15 @@ func (h *Host) onP2P(n *router.Node, pkt packet.Packet, _ sim.Time) {
 // the pricing audit demanded — a ReadMem response used to collapse into
 // a single fabric packet regardless of size, making reads look free on
 // the return path. Target-shard context; the delayed chunk injections
-// carry descriptors because they can outlive the command (a read whose
-// deadline expires mid-stream leaves them pending).
+// are described events because they can outlive the command (a read
+// whose deadline expires mid-stream leaves them pending).
 func (h *Host) sendResponse(cmd *command) {
 	h.fab.InjectP2P(cmd.target, h.origin, cmd.seq)
 	per := h.ethChunkTime(cmd.chunk)
 	dom := h.fab.DomainAt(cmd.target)
 	for c := 0; c < cmd.respChunks(); c++ {
-		dom.AfterD(sim.Time(c+1)*per, &sim.Desc{Kind: "host.rchunk", Args: []uint64{uint64(cmd.seq)}},
-			func() { h.respChunk(cmd) })
+		dom.AfterP(sim.Time(c+1)*per, rchunkEv{h, cmd})
 	}
-}
-
-// respChunk injects one response-stream payload packet. Target-shard
-// context; a chunk of a long-resolved command still travels and dies at
-// the gateway like any straggler.
-func (h *Host) respChunk(cmd *command) {
-	h.fab.InjectP2P(cmd.target, h.origin, cmd.seq)
 }
 
 // execute performs the command on the chip and returns read data. Runs
@@ -740,7 +731,7 @@ func (h *Host) fillMaybeAck(n *router.Node, seq uint32, cmd *command, fa *fillAs
 			return
 		}
 		cmd.chips = count
-		h.eng.After(h.ethTime(4), func() { h.complete(cmd) })
+		h.eng.AfterP(h.ethTime(4), sim.Func(func() { h.complete(cmd) }))
 		return
 	}
 	h.fab.SendNN(n.Coord, h.fillParent[idx], packet.NewNN(fillAckKey(seq), uint32(count)))

@@ -13,28 +13,58 @@ import (
 // (Inflight() == 0), so the host's pending events reduce to two kinds of
 // debris: the deadline events of already-resolved commands, and the
 // response-chunk injections of commands that expired mid-stream. Both
-// carry descriptors ("host.expire", "host.rchunk") and resolve through
-// EventFn; both are no-ops or stragglers against the restored command
-// table. Callbacks (done/onResolve) restore as nil — resolved commands
-// never invoke them again.
+// are no-ops or stragglers against the restored command table.
+// Callbacks (done/onResolve) restore as nil — resolved commands never
+// invoke them again.
 
-// EventFn re-creates the closure of a recorded host event from its
-// descriptor.
-func (h *Host) EventFn(kind string, args []uint64) (func(), error) {
-	if len(args) != 1 {
-		return nil, fmt.Errorf("host: %s expects 1 arg, got %d", kind, len(args))
+// Event kinds of the host's snapshot-able events; args: command seq.
+const (
+	KindExpire = "host.expire"
+	KindRChunk = "host.rchunk"
+)
+
+// expireEv is a command's deadline, on the gateway's domain.
+type expireEv struct {
+	h   *Host
+	cmd *command
+}
+
+func (e expireEv) Run()                 { e.h.expire(e.cmd) }
+func (e expireEv) EventDesc() *sim.Desc { return cmdDesc(KindExpire, e.cmd) }
+
+// rchunkEv injects one response-stream payload packet, on the target's
+// domain; a chunk of a long-resolved command still travels and dies at
+// the gateway like any straggler.
+type rchunkEv struct {
+	h   *Host
+	cmd *command
+}
+
+func (e rchunkEv) Run()                 { e.h.fab.InjectP2P(e.cmd.target, e.h.origin, e.cmd.seq) }
+func (e rchunkEv) EventDesc() *sim.Desc { return cmdDesc(KindRChunk, e.cmd) }
+
+func cmdDesc(kind string, cmd *command) *sim.Desc {
+	return &sim.Desc{Kind: kind, Args: []uint64{uint64(cmd.seq)}}
+}
+
+// EventKinds returns the kind-table entries for the host's events.
+func (h *Host) EventKinds() sim.Kinds {
+	entry := func(build func(cmd *command) sim.Payload) func(*sim.EventRecord) (sim.Payload, error) {
+		return func(rec *sim.EventRecord) (sim.Payload, error) {
+			kind, args := rec.Desc.Kind, rec.Desc.Args
+			if len(args) != 1 {
+				return nil, fmt.Errorf("host: %s expects 1 arg, got %d", kind, len(args))
+			}
+			cmd := h.cmd(uint32(args[0]))
+			if cmd == nil || uint64(cmd.seq) != args[0] {
+				return nil, fmt.Errorf("host: %s references unknown command %d", kind, args[0])
+			}
+			return build(cmd), nil
+		}
 	}
-	cmd := h.cmd(uint32(args[0]))
-	if cmd == nil {
-		return nil, fmt.Errorf("host: %s references unknown command %d", kind, args[0])
-	}
-	switch kind {
-	case "host.expire":
-		return func() { h.expire(cmd) }, nil
-	case "host.rchunk":
-		return func() { h.respChunk(cmd) }, nil
-	default:
-		return nil, fmt.Errorf("host: unknown event kind %q", kind)
+	return sim.Kinds{
+		KindExpire: entry(func(cmd *command) sim.Payload { return expireEv{h, cmd} }),
+		KindRChunk: entry(func(cmd *command) sim.Payload { return rchunkEv{h, cmd} }),
 	}
 }
 

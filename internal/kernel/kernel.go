@@ -97,13 +97,13 @@ type Core struct {
 	// tag, when set, prefixes the snapshot descriptors of the core's
 	// self-scheduled events (timer ticks, dispatch completions) so a
 	// restore can route them back to this core. Cores without a tag
-	// schedule undescribed events and cannot be snapshotted.
+	// cannot be snapshotted.
 	tag []uint64
 
 	// timerP and dispatchP are the core's two self-scheduled events,
-	// allocated once and re-armed in place (sim.Payload): the timer
-	// chain and the dispatch chain each keep at most one pending, so a
-	// core's steady-state event processing allocates nothing.
+	// allocated once and re-armed in place: the timer chain and the
+	// dispatch chain each keep at most one pending, so a core's
+	// steady-state event processing allocates nothing.
 	timerP    timerEv
 	dispatchP dispatchEv
 
@@ -163,21 +163,67 @@ func (q *evQueue) pop() Event {
 // pending views the queued events in order (snapshot export).
 func (q *evQueue) pending() []Event { return q.buf[q.head:] }
 
-// timerEv is the pending millisecond tick (sim.Payload); the tick
-// counter is updated in place on each re-arm.
+// Event kinds of a core's self-scheduled events. Args are the core's
+// snapshot tag, followed for the timer by the tick number.
+const (
+	KindTimer    = "core.timer"
+	KindDispatch = "core.dispatch"
+)
+
+// timerEv is the pending millisecond tick; the tick counter is updated
+// in place on each re-arm.
 type timerEv struct {
 	c    *Core
 	tick uint64
 }
 
-func (p *timerEv) Run()                 { p.c.TimerTick(p.tick) }
-func (p *timerEv) EventDesc() *sim.Desc { return p.c.desc("core.timer", p.tick) }
+func (p *timerEv) Run()                 { p.c.timerTick(p.tick) }
+func (p *timerEv) EventDesc() *sim.Desc { return p.c.desc(KindTimer, p.tick) }
 
-// dispatchEv is the pending end-of-event continuation (sim.Payload).
+// dispatchEv is the pending end-of-event continuation.
 type dispatchEv struct{ c *Core }
 
 func (p *dispatchEv) Run()                 { p.c.dispatch() }
-func (p *dispatchEv) EventDesc() *sim.Desc { return p.c.desc("core.dispatch") }
+func (p *dispatchEv) EventDesc() *sim.Desc { return p.c.desc(KindDispatch) }
+
+// TimerEvent returns the core's timer event set to fire tick — for the
+// core's own re-arm, and for a restore re-injecting a recorded pending
+// tick.
+func (c *Core) TimerEvent(tick uint64) sim.Payload {
+	c.timerP.tick = tick
+	return &c.timerP
+}
+
+// DispatchEvent returns the core's end-of-event continuation — for the
+// core's own dispatch loop, and for a restore re-injecting a recorded
+// pending one.
+func (c *Core) DispatchEvent() sim.Payload { return &c.dispatchP }
+
+// EventKinds returns the kind-table entries for the kernel's
+// self-scheduled events; coreOf resolves a descriptor's snapshot tag to
+// its core.
+func EventKinds(coreOf func(tag []uint64) (*Core, error)) sim.Kinds {
+	return sim.Kinds{
+		KindTimer: func(rec *sim.EventRecord) (sim.Payload, error) {
+			args := rec.Desc.Args
+			if len(args) == 0 {
+				return nil, fmt.Errorf("kernel: %s has no tick number", KindTimer)
+			}
+			c, err := coreOf(args[:len(args)-1])
+			if err != nil {
+				return nil, err
+			}
+			return c.TimerEvent(args[len(args)-1]), nil
+		},
+		KindDispatch: func(rec *sim.EventRecord) (sim.Payload, error) {
+			c, err := coreOf(rec.Desc.Args)
+			if err != nil {
+				return nil, err
+			}
+			return c.DispatchEvent(), nil
+		},
+	}
+}
 
 // On installs the handler for an event type (like spin1 callback
 // registration). Must be called before Start.
@@ -210,18 +256,16 @@ func (c *Core) Start() {
 }
 
 // armTimer schedules the next timer tick by re-arming the core's cached
-// timer payload: the self-rescheduling chain keeps pending ticks
+// timer event: the self-rescheduling chain keeps pending ticks
 // snapshot-safe (EventDesc describes them) without allocating per tick.
 func (c *Core) armTimer(tick uint64) {
-	c.timerP.tick = tick
-	c.eng.AfterP(c.cfg.TimerPeriod, &c.timerP)
+	c.eng.AfterP(c.cfg.TimerPeriod, c.TimerEvent(tick))
 }
 
-// TimerTick fires one millisecond tick: it counts an overrun if the
+// timerTick fires one millisecond tick: it counts an overrun if the
 // previous tick's work is still queued, posts the timer event, and
-// re-arms. Exported for snapshot restore, which re-injects a recorded
-// pending tick; a tick landing on a stopped core is a no-op.
-func (c *Core) TimerTick(tick uint64) {
+// re-arms. A tick landing on a stopped core is a no-op.
+func (c *Core) timerTick(tick uint64) {
 	if c.stopped {
 		return
 	}
@@ -306,12 +350,8 @@ func (c *Core) dispatch() {
 	c.Instructions += instr
 	dur := c.instrTime(instr)
 	c.BusyTime += dur
-	c.eng.AfterP(dur, &c.dispatchP)
+	c.eng.AfterP(dur, c.DispatchEvent())
 }
-
-// Dispatch resumes the event-processing loop; snapshot restore uses it
-// to re-create a pending end-of-event continuation.
-func (c *Core) Dispatch() { c.dispatch() }
 
 // instrTime converts an instruction count to modelled time.
 func (c *Core) instrTime(instr uint64) sim.Time {

@@ -110,7 +110,7 @@ func TestPacketToDMAChain(t *testing.T) {
 	c.On(EvPacket, func(ev Event) uint64 {
 		// Model: look up the spiking neuron, schedule the fetch.
 		tag := ev.Pkt.Key
-		eng.After(300*sim.Nanosecond, func() { c.PostDMADone(tag) })
+		eng.AfterP(300*sim.Nanosecond, sim.Func(func() { c.PostDMADone(tag) }))
 		return 80
 	})
 	c.On(EvDMADone, func(ev Event) uint64 {

@@ -147,8 +147,7 @@ type InputRing struct {
 	slots   [][]Fix
 	neurons int
 	cur     int
-	// Dropped counts deposits with delays beyond the ring (lost input —
-	// the ablation in DESIGN.md measures this against ring size).
+	// Dropped counts deposits with delays beyond the ring (lost input).
 	Dropped uint64
 }
 

@@ -129,13 +129,13 @@ func RunGlitchTrial(cfg GlitchConfig, seed uint64) GlitchResult {
 		c.senderWaiting = true
 		c.inputTransition(true)
 	}
-	eng.After(cfg.DataPeriod, sendNext)
+	eng.AfterP(cfg.DataPeriod, sim.Func(sendNext))
 	c.onHandshake = func() {
 		c.res.HandshakesOK++
 		c.lastProgress = eng.Now()
 		if c.senderWaiting {
 			c.senderWaiting = false
-			eng.After(cfg.DataPeriod, sendNext)
+			eng.AfterP(cfg.DataPeriod, sim.Func(sendNext))
 		}
 	}
 
@@ -144,9 +144,9 @@ func RunGlitchTrial(cfg GlitchConfig, seed uint64) GlitchResult {
 	glitch = func() {
 		c.res.GlitchesInjected++
 		c.inputTransition(false)
-		eng.After(sim.Time(eng.RNG().Exp(cfg.GlitchRate)*float64(sim.Second)), glitch)
+		eng.AfterP(sim.Time(eng.RNG().Exp(cfg.GlitchRate)*float64(sim.Second)), sim.Func(glitch))
 	}
-	eng.After(sim.Time(eng.RNG().Exp(cfg.GlitchRate)*float64(sim.Second)), glitch)
+	eng.AfterP(sim.Time(eng.RNG().Exp(cfg.GlitchRate)*float64(sim.Second)), sim.Func(glitch))
 
 	// Watchdog: count a deadlock when the sender stalls, then reset the
 	// link (both ends reinject; see token.go) and resume.
@@ -156,9 +156,9 @@ func RunGlitchTrial(cfg GlitchConfig, seed uint64) GlitchResult {
 			c.res.Deadlocks++
 			c.reset()
 		}
-		eng.After(cfg.WatchdogTimeout/2, watchdog)
+		eng.AfterP(cfg.WatchdogTimeout/2, sim.Func(watchdog))
 	}
-	eng.After(cfg.WatchdogTimeout/2, watchdog)
+	eng.AfterP(cfg.WatchdogTimeout/2, sim.Func(watchdog))
 
 	eng.RunUntil(cfg.Duration)
 	return c.res
@@ -242,13 +242,13 @@ func (c *converter) unprotectedInput(real bool) {
 func (c *converter) emitToken() {
 	c.enabled = false
 	c.ackPending = true
-	c.eng.After(c.cfg.AckDelay, func() {
+	c.eng.AfterP(c.cfg.AckDelay, sim.Func(func() {
 		c.ackPending = false
 		c.enabled = true
 		if c.onHandshake != nil {
 			c.onHandshake()
 		}
-	})
+	}))
 }
 
 // GlitchExperiment aggregates E2 over paired trials.

@@ -997,9 +997,8 @@ func (n *Node) routeP2P(fl flit) {
 func (n *Node) forward(fl flit, d topo.Dir) { n.retry(fl, d, n.dom.Now()) }
 
 // retry is one attempt of the blocked-link protocol, resumable from a
-// snapshot: the attempt start time t0 travels in the re-arm descriptor
-// instead of a captured closure variable, so a pending retry restores
-// with its elapsed wait intact.
+// snapshot: the attempt start time t0 travels in the re-armed event, so
+// a pending retry restores with its elapsed wait intact.
 func (n *Node) retry(fl flit, d topo.Dir, t0 sim.Time) {
 	f := n.fabric
 	if n.canSend(d) {
@@ -1007,9 +1006,7 @@ func (n *Node) retry(fl flit, d topo.Dir, t0 sim.Time) {
 		return
 	}
 	reArm := func() {
-		n.dom.AfterD(f.p.RetryInterval,
-			descFlit("fab.retry", fl, uint64(d), uint64(int64(t0))),
-			func() { n.retry(fl, d, t0) })
+		n.dom.AfterP(f.p.RetryInterval, &retryEv{n: n, fl: fl, d: d, t0: t0})
 	}
 	elapsed := n.dom.Now() - t0
 	switch {
@@ -1161,12 +1158,22 @@ func (f *Fabric) deliver(from, to *Node, d topo.Dir, fl flit, frame sim.Time) {
 	f.pe.PostP(from.shard, to.shard, to.dom, at, from.idx, from.sendSeq, &arriveEv{to: to, fl: fl, d: d})
 }
 
-// Payload events for the hot fabric paths (sim.Payload). The event
-// carries the payload pointer itself — one small allocation for a
-// route/arrival, none at all for the cached per-link drain — instead of
-// the closure, descriptor, args slice and encoded blob the
-// descriptor-based form pays per event. The descriptor is materialised
-// lazily, only if the event is still pending at snapshot export.
+// The fabric's events. Each kind is one payload type whose constructor
+// serves both the scheduling site and EventKinds (snapshot restore).
+// The hot ones recycle: arrivals and routes through per-node free
+// lists, the per-link drain as a single cached value. Descriptors —
+// args slice and encoded flit blob — are materialised lazily, only if
+// the event is still pending at snapshot export.
+
+// Event kinds of the fabric. Every Blob is the event's encoded flit.
+const (
+	KindArrive   = "fab.arrive"   // args: travel direction
+	KindRouteMC  = "fab.routeMC"  // args: travel (-1: locally injected)
+	KindRouteP2P = "fab.routeP2P" // no args
+	KindTxDrain  = "fab.txdrain"  // args: link direction; no blob
+	KindRetry    = "fab.retry"    // args: link direction, attempt start
+	KindFwd      = "fab.fwd"      // args: link direction
+)
 
 // arriveEv is one link traversal's arrival at the neighbouring router.
 type arriveEv struct {
@@ -1192,7 +1199,7 @@ func (p *arriveEv) Run() {
 	to.arrivePool = append(to.arrivePool, p) // runs on to's shard
 	to.receive(fl, d)
 }
-func (p *arriveEv) EventDesc() *sim.Desc { return descFlit("fab.arrive", p.fl, uint64(p.d)) }
+func (p *arriveEv) EventDesc() *sim.Desc { return descFlit(KindArrive, p.fl, uint64(p.d)) }
 
 // routeEv is a locally injected packet entering its own router after
 // the pipeline delay.
@@ -1225,16 +1232,19 @@ func (p *routeEv) Run() {
 
 func (p *routeEv) EventDesc() *sim.Desc {
 	if p.fl.pkt.Type == packet.P2P {
-		return descFlit("fab.routeP2P", p.fl)
+		return descFlit(KindRouteP2P, p.fl)
 	}
-	// travel -1 (locally injected) rides the args as two's complement.
-	return descFlit("fab.routeMC", p.fl, ^uint64(0))
+	return descFlit(KindRouteMC, p.fl, localTravel)
 }
+
+// localTravel is travel -1 (locally injected) riding the args as two's
+// complement — the only travel a pending route event ever has.
+const localTravel = ^uint64(0)
 
 // drainEv is the transmit-drain event of one output link, allocated
 // once at build time and re-armed in place. The link's draining flag
 // guarantees at most one is ever pending — the re-arm contract a
-// cached sim.Payload requires.
+// cached payload requires.
 type drainEv struct {
 	n *Node
 	d topo.Dir
@@ -1242,8 +1252,33 @@ type drainEv struct {
 
 func (p *drainEv) Run() { p.n.drainTx(p.d) }
 func (p *drainEv) EventDesc() *sim.Desc {
-	return &sim.Desc{Kind: "fab.txdrain", Args: []uint64{uint64(p.d)}}
+	return &sim.Desc{Kind: KindTxDrain, Args: []uint64{uint64(p.d)}}
 }
+
+// retryEv is a blocked packet's next attempt at link d, t0 being when
+// the first attempt started.
+type retryEv struct {
+	n  *Node
+	fl flit
+	d  topo.Dir
+	t0 sim.Time
+}
+
+func (p *retryEv) Run() { p.n.retry(p.fl, p.d, p.t0) }
+func (p *retryEv) EventDesc() *sim.Desc {
+	return descFlit(KindRetry, p.fl, uint64(p.d), uint64(int64(p.t0)))
+}
+
+// fwdEv is a recovered packet re-entering the blocked-link protocol on
+// link d (see ReinjectDropped).
+type fwdEv struct {
+	n  *Node
+	fl flit
+	d  topo.Dir
+}
+
+func (p *fwdEv) Run()                 { p.n.forward(p.fl, p.d) }
+func (p *fwdEv) EventDesc() *sim.Desc { return descFlit(KindFwd, p.fl, uint64(p.d)) }
 
 // drop abandons a packet, records it in the dropped-packet register for
 // the monitor, and notifies.
@@ -1274,9 +1309,7 @@ func (n *Node) ReinjectDropped() int {
 		pkt.Emergency = packet.EmNormal
 		pkt.Timestamp = n.fabric.phaseAt(n)
 		fl := flit{pkt: pkt, injectedAt: n.dom.Now()}
-		dir := dp.Dir
-		n.dom.AfterD(n.fabric.p.RouterLatency, descFlit("fab.fwd", fl, uint64(dir)),
-			func() { n.forward(fl, dir) })
+		n.dom.AfterP(n.fabric.p.RouterLatency, &fwdEv{n: n, fl: fl, d: dp.Dir})
 		count++
 	}
 	return count

@@ -9,13 +9,13 @@ import (
 	"spinngo/internal/topo"
 )
 
-// Snapshot support for the fabric. Every pending fabric event carries a
-// descriptor whose Kind begins with "fab." and whose Blob encodes the
-// in-flight flit; EventFn turns a recorded descriptor back into the
-// closure it described, and Encode/DecodeState round-trip a node's
-// non-event state (queues, counters, link health). The routing tables
-// are not serialised here — the machine layer rebuilds them by replaying
-// the load/migration history.
+// Snapshot support for the fabric. Every pending fabric event describes
+// itself with a "fab." kind whose Blob encodes the in-flight flit;
+// EventKinds turns a recorded descriptor back into the event, and
+// Encode/DecodeState round-trip a node's non-event state (queues,
+// counters, link health). The routing tables are not serialised here —
+// the machine layer rebuilds them by replaying the load/migration
+// history.
 
 // encPacket writes every packet field, including the Hops/EmergencyHops
 // instrumentation: in-flight packets must resume with their hop counts
@@ -83,78 +83,90 @@ func descFlit(kind string, fl flit, args ...uint64) *sim.Desc {
 	return &sim.Desc{Kind: kind, Args: args, Blob: flitBlob(fl)}
 }
 
-// EventFn re-creates the closure of a recorded fabric event. The node is
-// identified by the event's domain (node domains use the torus index as
-// their domain ID); kind/args/blob come from the recorded descriptor.
-func (f *Fabric) EventFn(nodeIdx int, kind string, args []uint64, blob []byte) (func(), error) {
-	if nodeIdx < 0 || nodeIdx >= len(f.nodes) {
-		return nil, fmt.Errorf("router: event for node %d outside torus", nodeIdx)
+// decodeEvent validates what every fabric descriptor shares: the node
+// (the event's domain — node domains use the torus index as their
+// domain ID, and a chip with pending events materialises on demand),
+// the argument count, the link direction in args[0] when the kind has
+// one, and the flit blob.
+func (f *Fabric) decodeEvent(rec *sim.EventRecord, nargs int, hasDir, hasFlit bool) (n *Node, fl flit, d topo.Dir, err error) {
+	kind, args := rec.Desc.Kind, rec.Desc.Args
+	if rec.Domain < 0 || int(rec.Domain) >= len(f.nodes) {
+		return nil, fl, 0, fmt.Errorf("router: %s for node %d outside torus", kind, rec.Domain)
 	}
-	n := f.node(nodeIdx) // a chip with pending events must exist after restore
-	need := func(k int) error {
-		if len(args) != k {
-			return fmt.Errorf("router: %s expects %d args, got %d", kind, k, len(args))
-		}
-		return nil
+	if len(args) != nargs {
+		return nil, fl, 0, fmt.Errorf("router: %s expects %d args, got %d", kind, nargs, len(args))
 	}
-	switch kind {
-	case "fab.routeMC":
-		if err := need(1); err != nil {
-			return nil, err
+	if hasDir {
+		if args[0] >= uint64(topo.NumDirs) {
+			return nil, fl, 0, fmt.Errorf("router: %s direction %d out of range", kind, args[0])
 		}
-		fl, err := flitFromBlob(blob)
-		if err != nil {
-			return nil, err
+		d = topo.Dir(args[0])
+	}
+	if hasFlit {
+		if fl, err = flitFromBlob(rec.Desc.Blob); err != nil {
+			return nil, fl, 0, fmt.Errorf("router: %s: %w", kind, err)
 		}
-		travel := int(int64(args[0]))
-		return func() { n.routeMC(fl, travel) }, nil
-	case "fab.routeP2P":
-		if err := need(0); err != nil {
-			return nil, err
-		}
-		fl, err := flitFromBlob(blob)
-		if err != nil {
-			return nil, err
-		}
-		return func() { n.routeP2P(fl) }, nil
-	case "fab.retry":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		fl, err := flitFromBlob(blob)
-		if err != nil {
-			return nil, err
-		}
-		d, t0 := topo.Dir(args[0]), sim.Time(int64(args[1]))
-		return func() { n.retry(fl, d, t0) }, nil
-	case "fab.txdrain":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		d := topo.Dir(args[0])
-		return func() { n.drainTx(d) }, nil
-	case "fab.arrive":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		fl, err := flitFromBlob(blob)
-		if err != nil {
-			return nil, err
-		}
-		d := topo.Dir(args[0])
-		return func() { n.receive(fl, d) }, nil
-	case "fab.fwd":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		fl, err := flitFromBlob(blob)
-		if err != nil {
-			return nil, err
-		}
-		d := topo.Dir(args[0])
-		return func() { n.forward(fl, d) }, nil
-	default:
-		return nil, fmt.Errorf("router: unknown event kind %q", kind)
+	}
+	return f.node(int(rec.Domain)), fl, d, nil
+}
+
+// EventKinds returns the kind-table entries for the fabric's events.
+func (f *Fabric) EventKinds() sim.Kinds {
+	// A route event's kind follows from its packet type, and only
+	// locally injected packets ever wait in one.
+	notLocal := func(rec *sim.EventRecord, fl flit) error {
+		return fmt.Errorf("router: %s %v is not a locally injected packet of its kind (got a %v packet)",
+			rec.Desc.Kind, rec.Desc.Args, fl.pkt.Type)
+	}
+	return sim.Kinds{
+		KindRouteMC: func(rec *sim.EventRecord) (sim.Payload, error) {
+			n, fl, _, err := f.decodeEvent(rec, 1, false, true)
+			if err != nil {
+				return nil, err
+			}
+			if fl.pkt.Type == packet.P2P || rec.Desc.Args[0] != localTravel {
+				return nil, notLocal(rec, fl)
+			}
+			return n.getRoute(fl), nil
+		},
+		KindRouteP2P: func(rec *sim.EventRecord) (sim.Payload, error) {
+			n, fl, _, err := f.decodeEvent(rec, 0, false, true)
+			if err != nil {
+				return nil, err
+			}
+			if fl.pkt.Type != packet.P2P {
+				return nil, notLocal(rec, fl)
+			}
+			return n.getRoute(fl), nil
+		},
+		KindArrive: func(rec *sim.EventRecord) (sim.Payload, error) {
+			n, fl, d, err := f.decodeEvent(rec, 1, true, true)
+			if err != nil {
+				return nil, err
+			}
+			return n.getArrive(fl, d), nil
+		},
+		KindTxDrain: func(rec *sim.EventRecord) (sim.Payload, error) {
+			n, _, d, err := f.decodeEvent(rec, 1, true, false)
+			if err != nil {
+				return nil, err
+			}
+			return n.out[d].drain, nil
+		},
+		KindRetry: func(rec *sim.EventRecord) (sim.Payload, error) {
+			n, fl, d, err := f.decodeEvent(rec, 2, true, true)
+			if err != nil {
+				return nil, err
+			}
+			return &retryEv{n: n, fl: fl, d: d, t0: sim.Time(int64(rec.Desc.Args[1]))}, nil
+		},
+		KindFwd: func(rec *sim.EventRecord) (sim.Payload, error) {
+			n, fl, d, err := f.decodeEvent(rec, 1, true, true)
+			if err != nil {
+				return nil, err
+			}
+			return &fwdEv{n: n, fl: fl, d: d}, nil
+		},
 	}
 }
 

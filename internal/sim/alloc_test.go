@@ -41,6 +41,26 @@ func TestDispatchZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestFuncScheduleZeroAlloc pins that the Func adapter costs nothing per
+// event: a func value is pointer-shaped, so boxing a pre-built one into
+// the Payload interface does not allocate.
+func TestFuncScheduleZeroAlloc(t *testing.T) {
+	eng := New(1)
+	d := eng.Domain(0)
+	ran := 0
+	f := Func(func() { ran++ })
+	cycle := func() {
+		for i := 0; i < 16; i++ { // below the queue's first resize
+			d.AfterP(Time(i), f)
+		}
+		eng.Run()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(50, cycle); allocs > 0 {
+		t.Fatalf("scheduling a pre-built Func allocates %.1f times per 16 events, want 0", allocs)
+	}
+}
+
 func TestWindowDispatchZeroAlloc(t *testing.T) {
 	pe := NewParallel(1, 2, 1)
 	pe.SetLookahead(100)

@@ -19,14 +19,14 @@ func TestRunUntilAnyOfHaltsAtExactEvent(t *testing.T) {
 		watch := doms[0]
 		fired := false
 		var haltAt Time
-		watch.At(1000, func() { fired = true; haltAt = watch.Now() })
+		watch.AtP(1000, Func(func() { fired = true; haltAt = watch.Now() }))
 		// Later events everywhere — on the watch shard at the same
 		// instant (later key) and on every shard beyond it. None may run.
 		lateSame, lateBeyond := false, false
-		watch.At(1000, func() { lateSame = true })
+		watch.AtP(1000, Func(func() { lateSame = true }))
 		for _, d := range doms {
 			d := d
-			d.At(5000, func() { lateBeyond = true })
+			d.AtP(5000, Func(func() { lateBeyond = true }))
 		}
 		halted := pe.RunUntilAnyOf(Forever, watch, func() bool { return fired })
 		if !halted || !fired {
@@ -60,7 +60,7 @@ func TestRunUntilAnyOfDeadline(t *testing.T) {
 		watch := pe.Shard(0).Domain(0)
 		ran := 0
 		for i := 0; i < 10; i++ {
-			watch.At(Time(100*(i+1)), func() { ran++ })
+			watch.AtP(Time(100*(i+1)), Func(func() { ran++ }))
 		}
 		halted := pe.RunUntilAnyOf(550, watch, func() bool { return false })
 		if halted {
@@ -99,10 +99,10 @@ func TestRunUntilAnyOfMatchesSequentialStepping(t *testing.T) {
 			}
 			j := (i + 1) % len(doms)
 			src := doms[i]
-			pe.Post(i%shards, j%shards, doms[j], src.Now()+100,
-				int32(src.ID()), uint64(*hops), func() { bounce(j) })
+			pe.PostP(i%shards, j%shards, doms[j], src.Now()+100,
+				int32(src.ID()), uint64(*hops), Func(func() { bounce(j) }))
 		}
-		doms[0].At(10, func() { bounce(0) })
+		doms[0].AtP(10, Func(func() { bounce(0) }))
 		return pe, doms, hops
 	}
 
@@ -145,8 +145,8 @@ func TestRunUntilAnyOfCountsTransitions(t *testing.T) {
 	other := pe.Shard(1).Domain(1)
 	n := 0
 	for i := 0; i < 50; i++ {
-		watch.At(Time(100*(i+1)), func() { n++ })
-		other.At(Time(100*(i+1)+5), func() {})
+		watch.AtP(Time(100*(i+1)), Func(func() { n++ }))
+		other.AtP(Time(100*(i+1)+5), Func(func() {}))
 	}
 	if pe.Transitions() != 0 {
 		t.Fatalf("fresh engine has %d transitions", pe.Transitions())
@@ -167,7 +167,7 @@ func TestRunUntilAnyOfConditionAlreadyTrue(t *testing.T) {
 	defer pe.Close()
 	watch := pe.Shard(0).Domain(0)
 	ran := false
-	watch.At(100, func() { ran = true })
+	watch.AtP(100, Func(func() { ran = true }))
 	if !pe.RunUntilAnyOf(Forever, watch, func() bool { return true }) {
 		t.Fatal("satisfied condition reported not halted")
 	}

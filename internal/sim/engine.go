@@ -46,71 +46,47 @@ func (a eventKey) less(b eventKey) bool {
 }
 
 // Desc is a serialisable description of a scheduled event: enough for a
-// snapshot to re-create the event's closure after a restore. Kind names
-// the resolver ("fab.arrive", "core.timer", ...), Args carries small
-// scalars and Blob an opaque payload (an encoded packet, say). Events
-// scheduled without a descriptor cannot be snapshotted — ExportEvents
-// reports them as an error, which is exactly how un-serialisable state
-// is audited out of the model.
+// snapshot to re-create the event's payload after a restore. Kind names
+// the entry of the machine's kind table ("fab.arrive", "core.timer",
+// ...), Args carries small scalars and Blob an opaque body (an encoded
+// packet, say).
 type Desc struct {
 	Kind string
 	Args []uint64
 	Blob []byte
 }
 
-// Payload is a pre-allocated, re-armable alternative to the (desc, fn)
-// pair: Run executes the event and EventDesc produces its snapshot
-// descriptor on demand. Hot paths (router transmit drains, kernel
-// dispatch, timer ticks) keep one payload value alive and re-schedule
-// it instead of allocating a fresh closure + descriptor per event —
-// the descriptor is only materialised if a snapshot actually happens.
-// A payload value must not be re-armed while it is still pending.
+// Payload is the one form an event body takes: Run executes the event
+// and EventDesc produces its snapshot descriptor on demand — only an
+// event still pending when a snapshot is exported ever materialises
+// one. Hot paths (router transmit drains, kernel dispatch, timer ticks)
+// keep one payload value alive and re-schedule it instead of allocating
+// per event; a payload value must not be re-armed while it is still
+// pending. A payload whose EventDesc returns nil cannot be snapshotted —
+// ExportEvents reports it as an error, which is exactly how
+// un-serialisable state is audited out of the model.
 type Payload interface {
 	Run()
 	EventDesc() *Desc
 }
 
-// An event is a closure scheduled to run at a simulated instant,
-// optionally carrying a serialisable descriptor for snapshots. Events
-// scheduled through the payload surfaces carry payload instead of
-// (desc, fn).
+// Func adapts a plain function to Payload for tests and for the phases
+// in which a snapshot is illegal anyway (boot, host commands in flight,
+// stand-alone sub-simulations). It has no descriptor, so ExportEvents
+// rejects a pending Func. Func values are pointer-shaped: scheduling a
+// pre-built one allocates nothing.
+type Func func()
+
+// Run calls f.
+func (f Func) Run() { f() }
+
+// EventDesc reports no descriptor: a Func cannot be snapshotted.
+func (f Func) EventDesc() *Desc { return nil }
+
+// An event is a payload scheduled to run at a simulated instant.
 type event struct {
 	key     eventKey
-	desc    *Desc
-	fn      func()
 	payload Payload
-}
-
-// run executes the event body.
-func (ev *event) run() {
-	if ev.payload != nil {
-		ev.payload.Run()
-		return
-	}
-	ev.fn()
-}
-
-// snapDesc resolves the event's snapshot descriptor, materialising a
-// payload's lazily.
-func (ev *event) snapDesc() *Desc {
-	if ev.payload != nil {
-		return ev.payload.EventDesc()
-	}
-	return ev.desc
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int            { return len(h) }
-func (h eventHeap) Less(i, j int) bool  { return h[i].key.less(h[j].key) }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
 }
 
 // Scheduler is the event-scheduling surface shared by Engine (anonymous
@@ -119,17 +95,8 @@ func (h *eventHeap) Pop() interface{} {
 // and sharded machines.
 type Scheduler interface {
 	Now() Time
-	At(t Time, fn func())
-	After(d Time, fn func())
-	// AtD/AfterD schedule like At/After but attach a serialisable
-	// descriptor, making the event snapshot-safe (see Desc).
-	AtD(t Time, desc *Desc, fn func())
-	AfterD(d Time, desc *Desc, fn func())
-	// AtP/AfterP schedule a pre-allocated payload event (see Payload) —
-	// the zero-alloc form of AtD/AfterD for steady-state hot paths.
 	AtP(t Time, p Payload)
 	AfterP(d Time, p Payload)
-	Ticker(period Time, fn func(tick uint64)) (cancel func())
 }
 
 // Engine is a deterministic discrete-event scheduler. The zero value is
@@ -137,7 +104,7 @@ type Scheduler interface {
 type Engine struct {
 	now       Time
 	seq       uint64
-	q         eventQueue
+	q         calQueue
 	rng       *RNG
 	processed uint64
 	stopped   bool
@@ -151,19 +118,9 @@ var _ Scheduler = (*Engine)(nil)
 var _ Scheduler = (*Domain)(nil)
 
 // New returns an Engine whose clock starts at 0 and whose random stream is
-// derived from seed. The pending-event structure defaults to the
-// calendar queue; SetQueue swaps in the reference heap for debugging.
+// derived from seed.
 func New(seed uint64) *Engine {
-	return &Engine{rng: NewRNG(seed), q: newQueue("")}
-}
-
-// SetQueue selects the pending-event structure (QueueWheel or
-// QueueHeap). It may only be called while no events are pending.
-func (e *Engine) SetQueue(kind string) {
-	if e.q.len() > 0 {
-		panic("sim: SetQueue with events pending")
-	}
-	e.q = newQueue(kind)
+	return &Engine{rng: NewRNG(seed), q: newCalQueue()}
 }
 
 // Now reports the current simulated time.
@@ -207,41 +164,20 @@ func (e *Engine) push(ev event) {
 	e.q.push(ev)
 }
 
-// At schedules fn to run at absolute simulated time t, in the engine's
+// AtP schedules p to run at absolute simulated time t, in the engine's
 // anonymous domain (FIFO among themselves at equal times). Scheduling
 // in the past panics: it indicates a causality bug in the model.
-func (e *Engine) At(t Time, fn func()) { e.AtD(t, nil, fn) }
-
-// AtD is At with a snapshot descriptor attached to the event.
-func (e *Engine) AtD(t Time, desc *Desc, fn func()) {
-	e.seq++
-	e.push(event{key: eventKey{at: t, domain: -1, k1: e.seq}, desc: desc, fn: fn})
-}
-
-// AtP schedules a payload event at absolute time t in the anonymous
-// domain.
 func (e *Engine) AtP(t Time, p Payload) {
 	e.seq++
 	e.push(event{key: eventKey{at: t, domain: -1, k1: e.seq}, payload: p})
 }
 
-// AfterP schedules a payload event d nanoseconds from now.
+// AfterP schedules p to run d nanoseconds from now.
 func (e *Engine) AfterP(d Time, p Payload) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
 	e.AtP(e.now+d, p)
-}
-
-// After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Time, fn func()) { e.AfterD(d, nil, fn) }
-
-// AfterD is After with a snapshot descriptor attached to the event.
-func (e *Engine) AfterD(d Time, desc *Desc, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	e.AtD(e.now+d, desc, fn)
 }
 
 // Step executes the next event, if any, advancing the clock to its
@@ -253,7 +189,7 @@ func (e *Engine) Step() bool {
 	ev := e.q.pop()
 	e.now = ev.key.at
 	e.processed++
-	ev.run()
+	ev.payload.Run()
 	return true
 }
 
@@ -337,39 +273,6 @@ func (e *Engine) advanceTo(t Time) {
 // completes. Pending events remain queued.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Ticker invokes fn every period, starting at the next multiple of period
-// after now, until the engine stops or cancel is called. It returns a
-// cancel function. This models the free-running 1 ms timer interrupt of a
-// SpiNNaker core ("time models itself", paper section 3.1).
-func (e *Engine) Ticker(period Time, fn func(tick uint64)) (cancel func()) {
-	return schedTicker(e, period, fn)
-}
-
-// schedTicker implements Ticker over any Scheduler.
-func schedTicker(s Scheduler, period Time, fn func(tick uint64)) (cancel func()) {
-	if period <= 0 {
-		panic("sim: ticker period must be positive")
-	}
-	cancelled := false
-	var tick uint64
-	var schedule func()
-	schedule = func() {
-		s.After(period, func() {
-			if cancelled {
-				return
-			}
-			t := tick
-			tick++
-			fn(t)
-			if !cancelled {
-				schedule()
-			}
-		})
-	}
-	schedule()
-	return func() { cancelled = true }
-}
-
 // Domain is one model component's (one chip's) scheduling identity on
 // an engine. All of a chip's events go through its single Domain, which
 // stamps them with the chip id and a chip-local sequence number — keys
@@ -411,23 +314,13 @@ func (d *Domain) Scheduled() uint64 { return d.seq }
 // Now reports the domain's engine clock.
 func (d *Domain) Now() Time { return d.eng.now }
 
-// At schedules a domain-local event at absolute time t.
-func (d *Domain) At(t Time, fn func()) { d.AtD(t, nil, fn) }
-
-// AtD is At with a snapshot descriptor attached to the event.
-func (d *Domain) AtD(t Time, desc *Desc, fn func()) {
-	d.seq++
-	d.eng.push(event{key: eventKey{at: t, domain: d.id, k1: d.seq}, desc: desc, fn: fn})
-}
-
-// AtP schedules a domain-local payload event at absolute time t.
+// AtP schedules a domain-local event at absolute time t.
 func (d *Domain) AtP(t Time, p Payload) {
 	d.seq++
 	d.eng.push(event{key: eventKey{at: t, domain: d.id, k1: d.seq}, payload: p})
 }
 
-// AfterP schedules a domain-local payload event dur nanoseconds from
-// now.
+// AfterP schedules a domain-local event dur nanoseconds from now.
 func (d *Domain) AfterP(dur Time, p Payload) {
 	if dur < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", dur))
@@ -435,37 +328,11 @@ func (d *Domain) AfterP(dur Time, p Payload) {
 	d.AtP(d.eng.now+dur, p)
 }
 
-// After schedules a domain-local event d nanoseconds from now.
-func (d *Domain) After(dur Time, fn func()) { d.AfterD(dur, nil, fn) }
-
-// AfterD is After with a snapshot descriptor attached to the event.
-func (d *Domain) AfterD(dur Time, desc *Desc, fn func()) {
-	if dur < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", dur))
-	}
-	d.AtD(d.eng.now+dur, desc, fn)
-}
-
-// Ticker is Engine.Ticker in this domain.
-func (d *Domain) Ticker(period Time, fn func(tick uint64)) (cancel func()) {
-	return schedTicker(d, period, fn)
-}
-
-// DeliverAt schedules a cross-domain delivery (class 1) at absolute
+// DeliverAtP schedules a cross-domain delivery (class 1) at absolute
 // time t, keyed by the sender's domain id and per-sender sequence
 // number. The key is supplied by the sender, not drawn from this
 // domain, so the delivery sorts identically no matter when — or on
 // which engine — it was physically inserted.
-func (d *Domain) DeliverAt(t Time, src int32, srcSeq uint64, fn func()) {
-	d.DeliverAtD(t, src, srcSeq, nil, fn)
-}
-
-// DeliverAtD is DeliverAt with a snapshot descriptor attached.
-func (d *Domain) DeliverAtD(t Time, src int32, srcSeq uint64, desc *Desc, fn func()) {
-	d.eng.push(event{key: eventKey{at: t, domain: d.id, class: 1, k1: uint64(src), k2: srcSeq}, desc: desc, fn: fn})
-}
-
-// DeliverAtP is DeliverAt carrying a payload instead of a closure.
 func (d *Domain) DeliverAtP(t Time, src int32, srcSeq uint64, p Payload) {
 	d.eng.push(event{key: eventKey{at: t, domain: d.id, class: 1, k1: uint64(src), k2: srcSeq}, payload: p})
 }
@@ -476,8 +343,8 @@ func (d *Domain) DeliverAtP(t Time, src int32, srcSeq uint64, p Payload) {
 // key uniqueness (the keys come from a previously exported heap) and
 // must follow up with RestoreSeq so future locally-scheduled events sort
 // after the re-injected ones.
-func (d *Domain) Inject(t Time, class uint8, k1, k2 uint64, desc *Desc, fn func()) {
-	d.eng.push(event{key: eventKey{at: t, domain: d.id, class: class, k1: k1, k2: k2}, desc: desc, fn: fn})
+func (d *Domain) Inject(t Time, class uint8, k1, k2 uint64, p Payload) {
+	d.eng.push(event{key: eventKey{at: t, domain: d.id, class: class, k1: k1, k2: k2}, payload: p})
 }
 
 // RestoreSeq overwrites the domain's local sequence counter. Snapshot

@@ -8,9 +8,9 @@ import (
 func TestEngineOrdering(t *testing.T) {
 	e := New(1)
 	var got []int
-	e.At(30, func() { got = append(got, 3) })
-	e.At(10, func() { got = append(got, 1) })
-	e.At(20, func() { got = append(got, 2) })
+	e.AtP(30, Func(func() { got = append(got, 3) }))
+	e.AtP(10, Func(func() { got = append(got, 1) }))
+	e.AtP(20, Func(func() { got = append(got, 2) }))
 	e.Run()
 	want := []int{1, 2, 3}
 	if len(got) != len(want) {
@@ -31,7 +31,7 @@ func TestEngineSameTimeFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.At(5, func() { got = append(got, i) })
+		e.AtP(5, Func(func() { got = append(got, i) }))
 	}
 	e.Run()
 	for i, v := range got {
@@ -48,10 +48,10 @@ func TestEngineNestedScheduling(t *testing.T) {
 	recur = func() {
 		count++
 		if count < 10 {
-			e.After(7, recur)
+			e.AfterP(7, Func(recur))
 		}
 	}
-	e.After(7, recur)
+	e.AfterP(7, Func(recur))
 	e.Run()
 	if count != 10 {
 		t.Errorf("count = %d, want 10", count)
@@ -63,23 +63,23 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEnginePastPanics(t *testing.T) {
 	e := New(1)
-	e.At(100, func() {
+	e.AtP(100, Func(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(50, func() {})
-	})
+		e.AtP(50, Func(func() {}))
+	}))
 	e.Run()
 }
 
 func TestRunUntil(t *testing.T) {
 	e := New(1)
 	ran := 0
-	e.At(10, func() { ran++ })
-	e.At(20, func() { ran++ })
-	e.At(30, func() { ran++ })
+	e.AtP(10, Func(func() { ran++ }))
+	e.AtP(20, Func(func() { ran++ }))
+	e.AtP(30, Func(func() { ran++ }))
 	e.RunUntil(20)
 	if ran != 2 {
 		t.Errorf("ran = %d, want 2", ran)
@@ -100,8 +100,8 @@ func TestRunUntil(t *testing.T) {
 func TestStop(t *testing.T) {
 	e := New(1)
 	ran := 0
-	e.At(10, func() { ran++; e.Stop() })
-	e.At(20, func() { ran++ })
+	e.AtP(10, Func(func() { ran++; e.Stop() }))
+	e.AtP(20, Func(func() { ran++ }))
 	e.Run()
 	if ran != 1 {
 		t.Errorf("ran = %d, want 1 (Stop should halt Run)", ran)
@@ -112,49 +112,13 @@ func TestStop(t *testing.T) {
 	}
 }
 
-func TestTicker(t *testing.T) {
-	e := New(1)
-	var ticks []uint64
-	var cancel func()
-	cancel = e.Ticker(Millisecond, func(k uint64) {
-		ticks = append(ticks, k)
-		if k == 4 {
-			cancel()
-		}
-	})
-	e.RunUntil(20 * Millisecond)
-	if len(ticks) != 5 {
-		t.Fatalf("got %d ticks, want 5", len(ticks))
-	}
-	for i, k := range ticks {
-		if k != uint64(i) {
-			t.Errorf("tick %d has index %d", i, k)
-		}
-	}
-}
-
-func TestTickerPeriod(t *testing.T) {
-	e := New(1)
-	var at []Time
-	e.Ticker(Millisecond, func(uint64) { at = append(at, e.Now()) })
-	e.RunUntil(5 * Millisecond)
-	if len(at) != 5 {
-		t.Fatalf("got %d ticks, want 5", len(at))
-	}
-	for i, ts := range at {
-		if want := Time(i+1) * Millisecond; ts != want {
-			t.Errorf("tick %d at %v, want %v", i, ts, want)
-		}
-	}
-}
-
 func TestEngineDeterminism(t *testing.T) {
 	run := func(seed uint64) []float64 {
 		e := New(seed)
 		var out []float64
 		for i := 0; i < 50; i++ {
 			d := Time(e.RNG().Intn(1000))
-			e.After(d, func() { out = append(out, e.RNG().Float64()) })
+			e.AfterP(d, Func(func() { out = append(out, e.RNG().Float64()) }))
 		}
 		e.Run()
 		return out
@@ -283,36 +247,6 @@ func TestRNGForkIndependence(t *testing.T) {
 	}
 }
 
-func TestTickerCancelMidTick(t *testing.T) {
-	// Cancelling from inside the tick callback must suppress both the
-	// current rescheduling and any tick already in flight.
-	e := New(1)
-	ticks := 0
-	var cancel func()
-	cancel = e.Ticker(Millisecond, func(k uint64) {
-		ticks++
-		cancel()
-	})
-	e.RunUntil(10 * Millisecond)
-	if ticks != 1 {
-		t.Errorf("ticks = %d after mid-tick cancel, want 1", ticks)
-	}
-	if e.Pending() != 0 {
-		t.Errorf("cancelled ticker left %d events queued past its cancellation", e.Pending())
-	}
-}
-
-func TestTickerCancelBeforeFirstTick(t *testing.T) {
-	e := New(1)
-	ticks := 0
-	cancel := e.Ticker(Millisecond, func(uint64) { ticks++ })
-	cancel()
-	e.RunUntil(5 * Millisecond)
-	if ticks != 0 {
-		t.Errorf("ticks = %d after immediate cancel, want 0", ticks)
-	}
-}
-
 func TestRunUntilEmptyQueueAdvancesClock(t *testing.T) {
 	// With nothing queued at all, RunUntil still moves time forward so
 	// "run for d" always means what it says.
@@ -331,9 +265,9 @@ func TestRunUntilEmptyQueueAdvancesClock(t *testing.T) {
 func TestStopLeavesPendingEventsQueued(t *testing.T) {
 	e := New(1)
 	ran := 0
-	e.At(10, func() { ran++; e.Stop() })
-	e.At(20, func() { ran++ })
-	e.At(30, func() { ran++ })
+	e.AtP(10, Func(func() { ran++; e.Stop() }))
+	e.AtP(20, Func(func() { ran++ }))
+	e.AtP(30, Func(func() { ran++ }))
 	e.Run()
 	if ran != 1 {
 		t.Fatalf("ran = %d, want 1 (Stop should halt after the current event)", ran)
@@ -353,8 +287,8 @@ func TestStopLeavesPendingEventsQueued(t *testing.T) {
 func TestRunBeforeIsStrictAndKeepsClock(t *testing.T) {
 	e := New(1)
 	ran := 0
-	e.At(10, func() { ran++ })
-	e.At(20, func() { ran++ })
+	e.AtP(10, Func(func() { ran++ }))
+	e.AtP(20, Func(func() { ran++ }))
 	e.RunBefore(20)
 	if ran != 1 {
 		t.Errorf("ran = %d, want 1 (event at the limit must not run)", ran)

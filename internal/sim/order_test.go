@@ -13,6 +13,30 @@ import (
 // order, "byte-identical for every worker count" would be luck rather
 // than a property. These tests pin it directly.
 
+// heapQueue is the reference pending-event structure: the binary heap
+// the engine shipped with before the calendar queue replaced it. Its
+// correctness is easy to see, so the differential tests below hold
+// calQueue to its pop order.
+type heapQueue struct{ h eventHeap }
+
+func (q *heapQueue) len() int      { return len(q.h) }
+func (q *heapQueue) push(ev event) { heap.Push(&q.h, ev) }
+func (q *heapQueue) pop() event    { return heap.Pop(&q.h).(event) }
+
+type eventHeap []event
+
+func (h eventHeap) Len() int            { return len(h) }
+func (h eventHeap) Less(i, j int) bool  { return h[i].key.less(h[j].key) }
+func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
+func (h *eventHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	*h = old[:n-1]
+	return e
+}
+
 // randomKey draws a key from a space narrow enough that equal fields —
 // the tie-break paths — actually occur.
 func randomKey(rng *rand.Rand) eventKey {
@@ -91,8 +115,8 @@ func TestEventKeyFieldPrecedence(t *testing.T) {
 func TestCalendarQueueMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 25; trial++ {
-		wheel := newQueue(QueueWheel)
-		ref := newQueue(QueueHeap)
+		wheel := &calQueue{minIdx: -1}
+		ref := &heapQueue{}
 		seen := make(map[eventKey]bool)
 		var floor Time
 		pending := 0
@@ -165,8 +189,8 @@ func FuzzCalendarQueueRollover(f *testing.F) {
 	f.Add([]byte{0xf1, 0x00, 0xf2, 0x00, 0xf3, 0x00, 0xf4, 0x00, 0xf5, 0x00,
 		0xf6, 0x00, 0xf7, 0x00, 0xf8, 0x01, 0x02, 0x00, 0x00, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		wheel := newQueue(QueueWheel)
-		ref := newQueue(QueueHeap)
+		wheel := &calQueue{minIdx: -1}
+		ref := &heapQueue{}
 		seen := make(map[eventKey]bool)
 		var floor Time
 		var seq uint64
@@ -220,8 +244,8 @@ func FuzzCalendarQueueRollover(f *testing.F) {
 // ticks short of Forever. The reference heap arbitrates every pop, and
 // popped timestamps must never regress.
 func TestCalendarQueueResizeExtremes(t *testing.T) {
-	wheel := newQueue(QueueWheel)
-	ref := newQueue(QueueHeap)
+	wheel := &calQueue{minIdx: -1}
+	ref := &heapQueue{}
 	rng := rand.New(rand.NewSource(23))
 	seen := make(map[eventKey]bool)
 	pending := 0

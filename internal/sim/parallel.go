@@ -49,8 +49,6 @@ type mailMsg struct {
 	dst     *Domain
 	src     int32
 	srcSeq  uint64
-	desc    *Desc
-	fn      func()
 	payload Payload
 }
 
@@ -203,10 +201,6 @@ type ParallelEngine struct {
 	// soloThreshold is the adaptive-mode density bound (see
 	// SetSoloThreshold); defaultSoloThreshold unless overridden.
 	soloThreshold float64
-
-	// queueKind is the pending-event structure every shard runs on
-	// (QueueWheel by default); Repartition builds new shards to match.
-	queueKind string
 }
 
 // defaultSoloThreshold is the events-per-active-shard-per-window level
@@ -242,7 +236,6 @@ func NewParallel(seed uint64, shards, workers int) *ParallelEngine {
 		shardEvents:    make([]uint64, shards),
 		activeBefore:   make([]uint64, shards),
 		activeScratch:  make([]int, 0, shards),
-		queueKind:      QueueWheel,
 	}
 	for i := range pe.shards {
 		pe.shards[i] = New(seed)
@@ -285,16 +278,6 @@ func (pe *ParallelEngine) Close() {
 	defer pe.poolMu.Unlock()
 	pe.pool.Swap(nil).close()
 	runtime.SetFinalizer(pe, nil)
-}
-
-// SetEventQueue selects the pending-event structure for every shard
-// (QueueWheel or QueueHeap — see Engine.SetQueue). Legal only before
-// any events are scheduled; the chosen kind survives Repartition.
-func (pe *ParallelEngine) SetEventQueue(kind string) {
-	for _, s := range pe.shards {
-		s.SetQueue(kind)
-	}
-	pe.queueKind = kind
 }
 
 // SetAdaptive enables adaptive worker selection: each window is
@@ -459,35 +442,15 @@ func (pe *ParallelEngine) Pending() int {
 	return n
 }
 
-// Post schedules a delivery into domain dstDom (owned by shard dst) at
+// PostP schedules a delivery into domain dstDom (owned by shard dst) at
 // absolute time at, on behalf of an event executing on shard src. The
 // (srcID, srcSeq) pair is the sender's canonical key — see
-// Domain.DeliverAt. During a parallel window the timestamp must respect
+// Domain.DeliverAtP. During a parallel window the timestamp must respect
 // the lookahead bound (at >= window end); violating it is a causality
 // bug in the model, not a recoverable condition. Outside a window
 // (sequential mode) the delivery is inserted immediately. dst is
 // retained for the caller's addressing symmetry; routing needs only
 // dstDom, so the envelope lands in shard src's arena.
-func (pe *ParallelEngine) Post(src, dst int, dstDom *Domain, at Time, srcID int32, srcSeq uint64, fn func()) {
-	pe.PostD(src, dst, dstDom, at, srcID, srcSeq, nil, fn)
-}
-
-// PostD is Post with a snapshot descriptor attached to the delivery.
-func (pe *ParallelEngine) PostD(src, dst int, dstDom *Domain, at Time, srcID int32, srcSeq uint64, desc *Desc, fn func()) {
-	if !pe.inWindow.Load() {
-		dstDom.DeliverAtD(at, srcID, srcSeq, desc, fn)
-		return
-	}
-	if at < Time(pe.curLimit.Load()) {
-		panic(fmt.Sprintf("sim: cross-shard post at %v violates lookahead window ending %v",
-			at, Time(pe.curLimit.Load())))
-	}
-	pe.mail[src] = append(pe.mail[src],
-		mailMsg{at: at, dst: dstDom, src: srcID, srcSeq: srcSeq, desc: desc, fn: fn})
-}
-
-// PostP is Post carrying a pre-allocated payload instead of a
-// (descriptor, closure) pair.
 func (pe *ParallelEngine) PostP(src, dst int, dstDom *Domain, at Time, srcID int32, srcSeq uint64, p Payload) {
 	if !pe.inWindow.Load() {
 		dstDom.DeliverAtP(at, srcID, srcSeq, p)
@@ -531,11 +494,7 @@ func (pe *ParallelEngine) drainMail() {
 		}
 		for i := range box {
 			m := &box[i]
-			if m.payload != nil {
-				m.dst.DeliverAtP(m.at, m.src, m.srcSeq, m.payload)
-			} else {
-				m.dst.DeliverAtD(m.at, m.src, m.srcSeq, m.desc, m.fn)
-			}
+			m.dst.DeliverAtP(m.at, m.src, m.srcSeq, m.payload)
 			*m = mailMsg{} // drop references so the arena pins nothing
 		}
 		pe.mail[src] = box[:0]
@@ -693,7 +652,7 @@ func (pe *ParallelEngine) Repartition(shards, workers int, owner func(domain int
 	// the rest keep a nil RNG — the same poison NewParallel applies.
 	ns := make([]*Engine, shards)
 	for i := range ns {
-		ns[i] = &Engine{now: now, q: newQueue(pe.queueKind)}
+		ns[i] = &Engine{now: now, q: newCalQueue()}
 	}
 	var seqMax uint64
 	for _, s := range pe.shards {
@@ -1072,14 +1031,32 @@ func (pe *ParallelEngine) RunUntilAnyOf(deadline Time, watch *Domain, cond func(
 
 // EventRecord is one pending event in canonical-key form, as exported by
 // ExportEvents and re-injected by Domain.Inject: the full (time, domain,
-// class, k1, k2) key plus the serialisable descriptor that re-creates
-// the closure.
+// class, k1, k2) key plus the serialisable descriptor the machine's
+// kind table re-creates the payload from.
 type EventRecord struct {
 	At     Time
 	Domain int32
 	Class  uint8
 	K1, K2 uint64
 	Desc   Desc
+}
+
+// Kinds is a table of event kinds: for each Desc.Kind, the constructor
+// that rebuilds the payload from an exported record. The constructor
+// must validate everything it reads (argument count and ranges, blob
+// framing) and return a payload whose EventDesc reproduces rec.Desc, so
+// a restored machine re-snapshots byte-identically.
+type Kinds map[string]func(rec *EventRecord) (Payload, error)
+
+// Add merges more entries into the table. Two packages claiming one
+// kind is a programming error and panics.
+func (k Kinds) Add(more Kinds) {
+	for kind, dec := range more {
+		if _, dup := k[kind]; dup {
+			panic("sim: event kind " + kind + " registered twice")
+		}
+		k[kind] = dec
+	}
 }
 
 // Quiescent reports nil when the engine sits at sequential quiescence —
@@ -1118,7 +1095,7 @@ func (pe *ParallelEngine) ExportEvents() ([]EventRecord, error) {
 				expErr = fmt.Errorf("sim: pending anonymous-domain event at %v cannot be snapshotted", ev.key.at)
 				return
 			}
-			desc := ev.snapDesc()
+			desc := ev.payload.EventDesc()
 			if desc == nil {
 				expErr = fmt.Errorf("sim: pending event at %v in domain %d has no descriptor", ev.key.at, ev.key.domain)
 				return

@@ -22,11 +22,11 @@ func pingPong(pe *ParallelEngine, la Time, deadline Time, parallel bool) []strin
 		at := eng.Now() + la
 		if at <= deadline {
 			seqs[shard]++
-			pe.Post(shard, other, doms[other], at, int32(shard), seqs[shard], func() { hop(other) })
+			pe.PostP(shard, other, doms[other], at, int32(shard), seqs[shard], Func(func() { hop(other) }))
 		}
 	}
-	pe.Shard(0).At(0, func() { hop(0) })
-	pe.Shard(1).At(la/2, func() { hop(1) })
+	pe.Shard(0).AtP(0, Func(func() { hop(0) }))
+	pe.Shard(1).AtP(la/2, Func(func() { hop(1) }))
 	if parallel {
 		pe.RunUntil(deadline)
 	} else {
@@ -70,7 +70,7 @@ func TestParallelSingleShardDelegates(t *testing.T) {
 		}
 	}
 	ran := 0
-	pe.Shard(0).At(10, func() { ran++ })
+	pe.Shard(0).AtP(10, Func(func() { ran++ }))
 	pe.RunUntil(20)
 	if ran != 1 || pe.Now() != 20 {
 		t.Errorf("ran=%d Now()=%v, want 1 and 20", ran, pe.Now())
@@ -86,8 +86,8 @@ func TestMailboxMergeOrderIsDeterministic(t *testing.T) {
 		pe.SetLookahead(10)
 		dst := pe.Shard(2).Domain(2)
 		var got []int
-		pe.Shard(1).At(0, func() { pe.Post(1, 2, dst, 10, 1, 1, func() { got = append(got, 1) }) })
-		pe.Shard(0).At(0, func() { pe.Post(0, 2, dst, 10, 0, 1, func() { got = append(got, 0) }) })
+		pe.Shard(1).AtP(0, Func(func() { pe.PostP(1, 2, dst, 10, 1, 1, Func(func() { got = append(got, 1) })) }))
+		pe.Shard(0).AtP(0, Func(func() { pe.PostP(0, 2, dst, 10, 0, 1, Func(func() { got = append(got, 0) })) }))
 		pe.RunUntil(20)
 		if len(got) != 2 || got[0] != 0 || got[1] != 1 {
 			t.Fatalf("trial %d: delivery order %v, want [0 1]", trial, got)
@@ -99,24 +99,24 @@ func TestPostLookaheadViolationPanics(t *testing.T) {
 	pe := NewParallel(1, 2, 2)
 	pe.SetLookahead(100)
 	dst := pe.Shard(1).Domain(1)
-	pe.Shard(0).At(50, func() {
+	pe.Shard(0).AtP(50, Func(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("posting inside the lookahead window did not panic")
 			}
 		}()
 		// Window is [50, 150); a post at 60 violates conservative PDES.
-		pe.Post(0, 1, dst, 60, 0, 1, func() {})
-	})
+		pe.PostP(0, 1, dst, 60, 0, 1, Func(func() {}))
+	}))
 	pe.RunUntil(200)
 }
 
 func TestSequentialStepGlobalOrder(t *testing.T) {
 	pe := NewParallel(1, 2, 2)
 	var got []int
-	pe.Shard(1).At(5, func() { got = append(got, 15) })
-	pe.Shard(0).At(5, func() { got = append(got, 5) })
-	pe.Shard(1).At(3, func() { got = append(got, 13) })
+	pe.Shard(1).AtP(5, Func(func() { got = append(got, 15) }))
+	pe.Shard(0).AtP(5, Func(func() { got = append(got, 5) }))
+	pe.Shard(1).AtP(3, Func(func() { got = append(got, 13) }))
 	pe.Run()
 	want := []int{13, 5, 15} // time order, shard index breaking the tie
 	if len(got) != len(want) {
@@ -132,7 +132,7 @@ func TestSequentialStepGlobalOrder(t *testing.T) {
 func TestParallelRunUntilAdvancesAllShards(t *testing.T) {
 	pe := NewParallel(1, 4, 4)
 	pe.SetLookahead(100)
-	pe.Shard(2).At(10, func() {})
+	pe.Shard(2).AtP(10, Func(func() {}))
 	pe.RunUntil(1000)
 	for i := 0; i < pe.Shards(); i++ {
 		if now := pe.Shard(i).Now(); now != 1000 {
@@ -156,10 +156,10 @@ func TestPersistentPoolSurvivesRepeatedRunUntil(t *testing.T) {
 		count[shard]++
 		other := 1 - shard
 		seq[shard]++
-		pe.Post(shard, other, doms[other], pe.Shard(shard).Now()+100,
-			int32(shard), seq[shard], func() { hop(other) })
+		pe.PostP(shard, other, doms[other], pe.Shard(shard).Now()+100,
+			int32(shard), seq[shard], Func(func() { hop(other) }))
 	}
-	pe.Shard(0).At(0, func() { hop(0) })
+	pe.Shard(0).AtP(0, Func(func() { hop(0) }))
 	for step := Time(0); step < 10000; step += 1000 {
 		pe.RunUntil(step + 1000)
 	}
@@ -179,8 +179,8 @@ func TestCloseIsIdempotentAndRunUntilStillWorks(t *testing.T) {
 	pe.Close()
 	pe.Close() // double close must not panic
 	ran := 0
-	pe.Shard(0).At(10, func() { ran++ })
-	pe.Shard(1).At(10, func() { ran++ })
+	pe.Shard(0).AtP(10, Func(func() { ran++ }))
+	pe.Shard(1).AtP(10, Func(func() { ran++ }))
 	pe.RunUntil(20) // pool closed: windows fall back to inline execution
 	if ran != 2 {
 		t.Errorf("ran %d events after Close, want 2", ran)
@@ -280,12 +280,12 @@ func quietCut(pe *ParallelEngine, deadline Time) []string {
 		n0++
 		if n0%100 == 0 && eng.Now()+la <= deadline {
 			seq[0]++
-			pe.Post(0, 1, doms[1], eng.Now()+la, 0, seq[0], func() {
+			pe.PostP(0, 1, doms[1], eng.Now()+la, 0, seq[0], Func(func() {
 				per[1] = append(per[1], fmt.Sprintf("s1m@%d", pe.Shard(1).Now()))
-			})
+			}))
 		}
 		if eng.Now()+period <= deadline {
-			eng.At(eng.Now()+period, rearm0)
+			eng.AtP(eng.Now()+period, Func(rearm0))
 		}
 	}
 	var rearm1 func()
@@ -294,16 +294,16 @@ func quietCut(pe *ParallelEngine, deadline Time) []string {
 		per[1] = append(per[1], fmt.Sprintf("s1@%d", eng.Now()))
 		if eng.Now()+la <= deadline {
 			seq[1]++
-			pe.Post(1, 0, doms[0], eng.Now()+la, 1, seq[1], func() {
+			pe.PostP(1, 0, doms[0], eng.Now()+la, 1, seq[1], Func(func() {
 				per[0] = append(per[0], fmt.Sprintf("s0m@%d", pe.Shard(0).Now()))
-			})
+			}))
 		}
 		if eng.Now()+wake <= deadline {
-			eng.At(eng.Now()+wake, rearm1)
+			eng.AtP(eng.Now()+wake, Func(rearm1))
 		}
 	}
-	pe.Shard(0).At(0, rearm0)
-	pe.Shard(1).At(5, rearm1)
+	pe.Shard(0).AtP(0, Func(rearm0))
+	pe.Shard(1).AtP(5, Func(rearm1))
 	pe.RunUntil(deadline)
 	return append(per[0], per[1]...)
 }
@@ -364,12 +364,12 @@ func quietCutSequential(pe *ParallelEngine, deadline Time) []string {
 		n0++
 		if n0%100 == 0 && eng.Now()+la <= deadline {
 			seq[0]++
-			pe.Post(0, 1, doms[1], eng.Now()+la, 0, seq[0], func() {
+			pe.PostP(0, 1, doms[1], eng.Now()+la, 0, seq[0], Func(func() {
 				per[1] = append(per[1], fmt.Sprintf("s1m@%d", pe.Shard(1).Now()))
-			})
+			}))
 		}
 		if eng.Now()+period <= deadline {
-			eng.At(eng.Now()+period, rearm0)
+			eng.AtP(eng.Now()+period, Func(rearm0))
 		}
 	}
 	var rearm1 func()
@@ -378,16 +378,16 @@ func quietCutSequential(pe *ParallelEngine, deadline Time) []string {
 		per[1] = append(per[1], fmt.Sprintf("s1@%d", eng.Now()))
 		if eng.Now()+la <= deadline {
 			seq[1]++
-			pe.Post(1, 0, doms[0], eng.Now()+la, 1, seq[1], func() {
+			pe.PostP(1, 0, doms[0], eng.Now()+la, 1, seq[1], Func(func() {
 				per[0] = append(per[0], fmt.Sprintf("s0m@%d", pe.Shard(0).Now()))
-			})
+			}))
 		}
 		if eng.Now()+wake <= deadline {
-			eng.At(eng.Now()+wake, rearm1)
+			eng.AtP(eng.Now()+wake, Func(rearm1))
 		}
 	}
-	pe.Shard(0).At(0, rearm0)
-	pe.Shard(1).At(5, rearm1)
+	pe.Shard(0).AtP(0, Func(rearm0))
+	pe.Shard(1).AtP(5, Func(rearm1))
 	pe.Run()
 	return append(per[0], per[1]...)
 }

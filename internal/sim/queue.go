@@ -1,80 +1,17 @@
 package sim
 
-import "container/heap"
-
-// eventQueue is the pending-event structure behind one Engine. Two
-// implementations exist: calQueue, a calendar queue (timing wheel)
-// tuned for the simulator's dense, nearly-monotone event streams, and
-// heapQueue, the original container/heap kept as a debug/reference
-// implementation. Both pop in exactly the canonical (time, domain,
-// class, k1, k2) order — the determinism contract does not care which
-// one is running, and a property test holds them to the same stream.
-type eventQueue interface {
-	len() int
-	push(ev event)
-	// peekKey reports the canonical key of the least pending event.
-	peekKey() (eventKey, bool)
-	// pop removes and returns the least pending event. It panics when
-	// the queue is empty.
-	pop() event
-	// forEach visits every pending event in unspecified order; used for
-	// snapshot export, migration and ownership audits. The pointer is
-	// valid only during the call.
-	forEach(fn func(*event))
-	// reset drops all pending events and releases their closures.
-	reset()
-}
-
-// Queue kind names accepted by Engine.SetQueue and the machine-level
-// EventQueue config.
-const (
-	QueueWheel = "wheel" // calendar queue / timing wheel (default)
-	QueueHeap  = "heap"  // reference binary heap (debug)
-)
-
-func newQueue(kind string) eventQueue {
-	switch kind {
-	case "", QueueWheel:
-		return &calQueue{minIdx: -1}
-	case QueueHeap:
-		return &heapQueue{}
-	default:
-		panic("sim: unknown event queue kind " + kind)
-	}
-}
-
-// heapQueue is the reference implementation: the binary heap the engine
-// shipped with. It allocates on push (container/heap boxes the event)
-// and pays O(log n) pointer-chasing per operation, which is exactly why
-// calQueue replaced it — but its correctness is easy to see, so it
-// stays available behind the config switch for differential debugging.
-type heapQueue struct{ h eventHeap }
-
-func (q *heapQueue) len() int       { return len(q.h) }
-func (q *heapQueue) push(ev event)  { heap.Push(&q.h, ev) }
-func (q *heapQueue) pop() event     { return heap.Pop(&q.h).(event) }
-func (q *heapQueue) reset()         { q.h = nil }
-func (q *heapQueue) peekKey() (eventKey, bool) {
-	if len(q.h) == 0 {
-		return eventKey{}, false
-	}
-	return q.h[0].key, true
-}
-func (q *heapQueue) forEach(fn func(*event)) {
-	for i := range q.h {
-		fn(&q.h[i])
-	}
-}
-
 const (
 	calMinBuckets = 16
 	calMaxBuckets = 1 << 16
 	calInitWidth  = 64 // ns per bucket before the first adaptive resize
 )
 
-// calQueue is a calendar queue (Brown 1988): a power-of-two array of
-// buckets, each a key-sorted slice of slab indices, with bucket i
-// covering the time slots congruent to i modulo the bucket count.
+// calQueue is the pending-event structure behind one Engine: a calendar
+// queue (Brown 1988) tuned for the simulator's dense, nearly-monotone
+// event streams, popping in exactly the canonical (time, domain, class,
+// k1, k2) order. It is a power-of-two array of buckets, each a
+// key-sorted slice of slab indices, with bucket i covering the time
+// slots congruent to i modulo the bucket count.
 // Event records live in a slab recycled through a free list, so a
 // steady-state push/pop cycle allocates nothing. Finding the minimum
 // walks one "year" of slots starting at the last popped timestamp —
@@ -100,6 +37,8 @@ type calQueue struct {
 	maxAt   Time  // highest timestamp ever pushed (resize heuristic)
 	minIdx  int32 // slab index of the cached minimum, -1 when unknown
 }
+
+func newCalQueue() calQueue { return calQueue{minIdx: -1} }
 
 func (q *calQueue) len() int { return q.n }
 
@@ -155,6 +94,7 @@ func (q *calQueue) insert(idx int32) {
 	q.buckets[b] = bk
 }
 
+// peekKey reports the canonical key of the least pending event.
 func (q *calQueue) peekKey() (eventKey, bool) {
 	if q.n == 0 {
 		return eventKey{}, false
@@ -197,6 +137,8 @@ func (q *calQueue) findMin() {
 	q.minIdx = best
 }
 
+// pop removes and returns the least pending event. It panics when the
+// queue is empty.
 func (q *calQueue) pop() event {
 	if q.n == 0 {
 		panic("sim: pop from empty event queue")
@@ -211,7 +153,7 @@ func (q *calQueue) pop() event {
 	bk := q.buckets[b]
 	copy(bk, bk[1:])
 	q.buckets[b] = bk[:len(bk)-1]
-	q.slab[idx] = event{} // release closure/desc/payload references
+	q.slab[idx] = event{} // release the payload reference
 	q.free = append(q.free, idx)
 	q.n--
 	q.minIdx = -1
@@ -243,6 +185,9 @@ func (q *calQueue) resize(nb int) {
 	}
 }
 
+// forEach visits every pending event in unspecified order; used for
+// snapshot export, migration and ownership audits. The pointer is valid
+// only during the call.
 func (q *calQueue) forEach(fn func(*event)) {
 	for _, bk := range q.buckets {
 		for _, idx := range bk {
@@ -251,6 +196,7 @@ func (q *calQueue) forEach(fn func(*event)) {
 	}
 }
 
+// reset drops all pending events and releases their payloads.
 func (q *calQueue) reset() {
 	for i := range q.slab {
 		q.slab[i] = event{}

@@ -27,7 +27,7 @@ func newRing(pe *ParallelEngine, owner []int, la, stop Time) *ringHarness {
 	for d := 0; d < 3; d++ {
 		h.doms = append(h.doms, pe.Shard(owner[d]).Domain(d))
 	}
-	h.doms[0].At(0, func() { h.hop(0) })
+	h.doms[0].AtP(0, Func(func() { h.hop(0) }))
 	return h
 }
 
@@ -40,10 +40,10 @@ func (h *ringHarness) hop(d int) {
 	}
 	h.seqs[d]++
 	if h.owner[d] == h.owner[next] {
-		h.doms[next].DeliverAt(at, int32(d), h.seqs[d], func() { h.hop(next) })
+		h.doms[next].DeliverAtP(at, int32(d), h.seqs[d], Func(func() { h.hop(next) }))
 	} else {
-		h.pe.Post(h.owner[d], h.owner[next], h.doms[next], at, int32(d), h.seqs[d],
-			func() { h.hop(next) })
+		h.pe.PostP(h.owner[d], h.owner[next], h.doms[next], at, int32(d), h.seqs[d],
+			Func(func() { h.hop(next) }))
 	}
 }
 
@@ -119,8 +119,8 @@ func TestRepartitionMovesPendingEvents(t *testing.T) {
 	a := pe.Shard(0).Domain(0)
 	b := pe.Shard(1).Domain(1)
 	fired := make(map[int]Time)
-	a.At(50, func() { fired[0] = a.Now() })
-	b.At(70, func() { fired[1] = b.Now() })
+	a.AtP(50, Func(func() { fired[0] = a.Now() }))
+	b.AtP(70, Func(func() { fired[1] = b.Now() }))
 	if pe.Pending() != 2 {
 		t.Fatalf("pending = %d, want 2", pe.Pending())
 	}
@@ -144,8 +144,8 @@ func TestRepartitionMovesPendingEvents(t *testing.T) {
 func TestRepartitionRefusesNonQuiescence(t *testing.T) {
 	pe := NewParallel(1, 2, 2)
 	defer pe.Close()
-	pe.Shard(0).Domain(0).At(5, func() {})
-	pe.Shard(1).Domain(1).At(9, func() {})
+	pe.Shard(0).Domain(0).AtP(5, Func(func() {}))
+	pe.Shard(1).Domain(1).AtP(9, Func(func() {}))
 	pe.Step() // shard 0's clock moves to 5; shard 1 stays at 0
 	if err := pe.Repartition(2, 2, func(d int32) int { return int(d) }); err == nil {
 		t.Fatal("repartition accepted diverged shard clocks")
@@ -165,7 +165,7 @@ func TestSingleShardRunUntilAccountsWindows(t *testing.T) {
 	pe := NewParallel(1, 1, 1)
 	dom := pe.Shard(0).Domain(0)
 	for i := Time(1); i <= 8; i++ {
-		dom.At(i*10, func() {})
+		dom.AtP(i*10, Func(func() {}))
 	}
 	pe.RunUntil(100)
 	if pe.Windows() != 1 {
@@ -189,8 +189,8 @@ func TestTakeShardEventsResets(t *testing.T) {
 	pe := NewParallel(1, 2, 2)
 	defer pe.Close()
 	pe.SetLookahead(100)
-	pe.Shard(0).Domain(0).At(10, func() {})
-	pe.Shard(1).Domain(1).At(20, func() {})
+	pe.Shard(0).Domain(0).AtP(10, Func(func() {}))
+	pe.Shard(1).Domain(1).AtP(20, Func(func() {}))
 	pe.RunUntil(50)
 	ev := pe.TakeShardEvents(nil)
 	if len(ev) != 2 || ev[0]+ev[1] != 2 {
@@ -208,7 +208,7 @@ func TestTakeShardEventsResets(t *testing.T) {
 func TestCloseChurnRace(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		pe := NewParallel(1, 4, 4)
-		pe.Shard(0).Domain(0).At(1, func() {})
+		pe.Shard(0).Domain(0).AtP(1, Func(func() {}))
 		pe.RunUntil(10)
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
@@ -226,7 +226,7 @@ func TestCloseChurnRace(t *testing.T) {
 	// Finalizer path: drop engines that still own live pools.
 	for i := 0; i < 40; i++ {
 		pe := NewParallel(1, 4, 4)
-		pe.Shard(0).Domain(0).At(1, func() {})
+		pe.Shard(0).Domain(0).AtP(1, Func(func() {}))
 		pe.RunUntil(10)
 	}
 	runtime.GC()

@@ -4,6 +4,14 @@
 // All architectural experiments run on this kernel so that results are
 // bit-reproducible: events at equal timestamps are executed in scheduling
 // order, and all randomness flows from an explicitly seeded generator.
+//
+// There is one way to schedule an event: hand a Payload to AtP/AfterP
+// (Engine, Domain), DeliverAtP (a cross-domain delivery) or PostP (a
+// cross-shard one). Run is the event; EventDesc names it for snapshots
+// as a Desc — a kind plus scalar arguments and an opaque blob — which a
+// Kinds table turns back into the same payload on restore. Func wraps a
+// plain function for tests and for phases where no snapshot can be
+// taken; it has no Desc, and ExportEvents refuses it.
 package sim
 
 import "fmt"

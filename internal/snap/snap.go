@@ -159,8 +159,20 @@ func (r *Reader) Bytes32() []byte {
 // String reads a length-prefixed string.
 func (r *Reader) String() string { return string(r.Bytes32()) }
 
-// Len reads a collection length.
-func (r *Reader) Len() int { return int(r.U32()) }
+// Len reads a collection length. Every element of every collection in
+// the format occupies at least one byte, so a length beyond the bytes
+// remaining is corrupt: it fails the reader here, before any caller can
+// size an allocation by it.
+func (r *Reader) Len() int {
+	n := int(r.U32())
+	if r.err == nil && n > r.Remaining() {
+		r.err = fmt.Errorf("snap: length %d at offset %d exceeds the %d bytes remaining", n, r.off-4, r.Remaining())
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
 
 // Fail forces the reader into the sticky error state; decoders use it
 // to report semantic validation failures through the same channel as

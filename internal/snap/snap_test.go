@@ -20,6 +20,9 @@ func TestRoundTrip(t *testing.T) {
 	w.Bytes32([]byte{1, 2, 3})
 	w.String("snap")
 	w.Len(5)
+	for i := uint8(0); i < 5; i++ {
+		w.U8(i)
+	}
 
 	r := NewReader(w.Bytes())
 	if got := r.U8(); got != 7 {
@@ -54,6 +57,11 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if got := r.Len(); got != 5 {
 		t.Errorf("Len = %d", got)
+	}
+	for i := uint8(0); i < 5; i++ {
+		if got := r.U8(); got != i {
+			t.Errorf("element %d = %d", i, got)
+		}
 	}
 	if r.Err() != nil {
 		t.Fatalf("Err = %v", r.Err())
@@ -108,5 +116,23 @@ func TestNilAndEmptyBytes(t *testing.T) {
 	}
 	if r.Err() != nil {
 		t.Fatalf("Err = %v", r.Err())
+	}
+}
+
+// TestLenBoundedByRemaining pins the allocation guard: a collection
+// length the remaining bytes cannot possibly hold fails the reader and
+// reads as zero, so no caller sizes a make() by it.
+func TestLenBoundedByRemaining(t *testing.T) {
+	var w Writer
+	w.Len(3)
+	w.U8(1)
+	w.U8(2)
+	r := NewReader(w.Bytes())
+	if got := r.Len(); got != 0 || r.Err() == nil {
+		t.Fatalf("Len = %d, Err = %v; want 0 and an error for 3 elements in 2 bytes", got, r.Err())
+	}
+	huge := NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	if got := huge.Len(); got != 0 || huge.Err() == nil {
+		t.Fatalf("Len = %d, Err = %v; want 0 and an error for a 4 GiB length", got, huge.Err())
 	}
 }

@@ -135,12 +135,6 @@ type MachineConfig struct {
 	// the simulated traffic, so reports differ between redundancy
 	// levels but remain byte-identical across Workers and Partition.
 	FillRedundancy int
-	// EventQueue selects each shard's pending-event structure: "" or
-	// EventQueueWheel for the calendar queue (the fast default), or
-	// EventQueueHeap for the reference binary heap. Both pop events in
-	// the identical canonical order, so results are byte-identical —
-	// the heap exists for differential debugging of the wheel.
-	EventQueue string
 	// SoloThresholdEvents tunes the adaptive engine's solo bound: a
 	// PDES window whose smoothed events-per-active-shard density sits
 	// below it runs inline on the coordinator instead of paying a pool
@@ -175,12 +169,6 @@ const (
 const (
 	RepartitionOff  = "off"
 	RepartitionAuto = "auto"
-)
-
-// Event-queue structures accepted by MachineConfig.EventQueue.
-const (
-	EventQueueWheel = sim.QueueWheel
-	EventQueueHeap  = sim.QueueHeap
 )
 
 func (c *MachineConfig) fillDefaults() {
@@ -273,12 +261,6 @@ func (c MachineConfig) Validate() error {
 	default:
 		return fmt.Errorf("spinngo: unknown Repartition %q (want %q or %q)",
 			c.Repartition, RepartitionOff, RepartitionAuto)
-	}
-	switch c.EventQueue {
-	case "", EventQueueWheel, EventQueueHeap:
-	default:
-		return fmt.Errorf("spinngo: unknown EventQueue %q (want %q or %q)",
-			c.EventQueue, EventQueueWheel, EventQueueHeap)
 	}
 	if c.SoloThresholdEvents < 0 {
 		return fmt.Errorf("spinngo: SoloThresholdEvents must be non-negative (0 = default), got %d",
@@ -605,9 +587,6 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	}
 	part, adaptive := choosePartition(cfg, torus, params)
 	pe := sim.NewParallel(cfg.Seed, part.Shards(), part.Shards())
-	if cfg.EventQueue != "" {
-		pe.SetEventQueue(cfg.EventQueue)
-	}
 	pe.SetAdaptive(adaptive)
 	if cfg.SoloThresholdEvents > 0 {
 		pe.SetSoloThreshold(cfg.SoloThresholdEvents)
@@ -1332,17 +1311,10 @@ func (m *Machine) buildUnitAt(f *mapping.Fragment, fragIdx, slot int, tickBase u
 	// (fragment, generation) so a restore can resolve them back to this
 	// unit on any partition geometry.
 	u.core.SetSnapshotTag(uint64(fragIdx), uint64(gen))
-	// Closure-free DMA wiring: completions post the DMA-done interrupt
-	// by tag, and snapshot descriptors are built only when a snapshot
-	// asks — so the per-spike fetch enqueues allocate nothing.
+	// The DMA controller carries the same identity, and its completions
+	// post the DMA-done interrupt by tag.
+	u.dma.SetSnapshotTag(uint64(fragIdx), uint64(gen))
 	u.dma.OnDone = u.core.PostDMADone
-	u.dma.DescFor = func(req chip.DMARequest) *sim.Desc {
-		kind := "dma.row"
-		if req.Write {
-			kind = "dma.wb"
-		}
-		return &sim.Desc{Kind: kind, Args: []uint64{uint64(fragIdx), uint64(gen), uint64(req.Tag)}}
-	}
 	cd := m.dplan.Cores[f.Chip][f.Core]
 
 	pop := f.Pop
@@ -1431,9 +1403,7 @@ func (m *Machine) buildUnitAt(f *mapping.Fragment, fragIdx, slot int, tickBase u
 
 	// Start the free-running local timer with a sub-millisecond phase
 	// offset: there is no global synchronisation (section 3.1).
-	dom.AfterD(sim.Time(rng.Intn(int(sim.Millisecond))),
-		&sim.Desc{Kind: "machine.corestart", Args: []uint64{uint64(fragIdx), uint64(gen)}},
-		u.core.Start)
+	dom.AfterP(sim.Time(rng.Intn(int(sim.Millisecond))), coreStartEv{u})
 	return u, nil
 }
 
@@ -1482,9 +1452,7 @@ func (m *Machine) FailCoreOf(p Pop, idx int) error {
 	u.failed = true
 	u.core.Stop()
 	delete(m.units[frag.Chip], u.slot)
-	m.domAt(frag.Chip).AfterD(MigrationDetectMS*sim.Millisecond,
-		&sim.Desc{Kind: "machine.migrate", Args: []uint64{uint64(u.fragIdx), uint64(u.gen)}},
-		func() { m.migrate(u) })
+	m.domAt(frag.Chip).AfterP(MigrationDetectMS*sim.Millisecond, migrateEv{m, u})
 	return nil
 }
 
@@ -1513,9 +1481,7 @@ func (m *Machine) migrate(old *unit) {
 	// Re-reading the synaptic matrix from SDRAM takes real time; the
 	// fragment resumes only after the copy completes.
 	bytes := old.pop.Matrix.Bytes
-	m.boot.Chip(chipCoord).SDRAM.TransferD(bytes,
-		&sim.Desc{Kind: "machine.migrated", Args: []uint64{uint64(old.fragIdx), uint64(old.gen), uint64(spare)}},
-		func() { m.finishMigrate(old, spare) })
+	m.boot.Chip(chipCoord).SDRAM.Transfer(bytes, migratedEv{m, old, spare})
 }
 
 // finishMigrate completes a migration once the SDRAM copy lands: the
@@ -1679,69 +1645,19 @@ func (m *Machine) AliveChips() int {
 	return m.boot.AliveChips()
 }
 
-// Campaign event kinds: scripted faults ride the same canonical event
-// path as injected spikes, so a campaign is byte-identical across every
-// worker count and partition geometry, and pending campaign events
-// survive snapshot/restore like any other descriptor-carrying event.
-// Each event mutates only state owned by the domain it is scheduled on:
-// a link failure runs on the chip owning the link's transmit side, a
-// chip death on the dying chip itself (the neighbours' reverse links
-// seal through their own same-instant events).
-const (
-	campaignFailLink   = "campaign.faillink"   // args: x, y, dir
-	campaignFailChip   = "campaign.failchip"   // args: x, y
-	campaignRepairLink = "campaign.repairlink" // args: x, y, dir
-)
-
-// campaignEventFn re-creates the closure of a campaign event from its
-// descriptor — shared by arming and snapshot restore.
-func (m *Machine) campaignEventFn(kind string, args []uint64) (func(), error) {
-	wantArgs := 3
-	if kind == campaignFailChip {
-		wantArgs = 2
-	}
-	if len(args) != wantArgs {
-		return nil, fmt.Errorf("spinngo: %s expects %d args, got %d", kind, wantArgs, len(args))
-	}
-	c, err := m.checkChip(int(args[0]), int(args[1]))
-	if err != nil {
-		return nil, err
-	}
-	var d topo.Dir
-	if wantArgs == 3 {
-		if args[2] >= uint64(topo.NumDirs) {
-			return nil, fmt.Errorf("spinngo: %s direction %d out of range", kind, args[2])
-		}
-		d = topo.Dir(args[2])
-	}
-	switch kind {
-	case campaignFailLink:
-		return func() { m.fab.FailLink(c, d); m.faultDirty.Store(true) }, nil
-	case campaignFailChip:
-		return func() { m.fab.FailChip(c); m.faultDirty.Store(true) }, nil
-	case campaignRepairLink:
-		return func() { m.fab.DeferRepairLink(c, d); m.faultDirty.Store(true) }, nil
-	default:
-		return nil, fmt.Errorf("spinngo: unknown campaign event kind %q", kind)
-	}
-}
-
-// armCampaign schedules one campaign event on the owning chip's domain
-// at biological time atMS (epoch-relative, like InjectSpike).
-func (m *Machine) armCampaign(atMS int, kind string, args ...uint64) error {
+// armCampaign schedules one campaign event on chip c's domain — the
+// chip owning the state the event mutates — at biological time atMS
+// (epoch-relative, like InjectSpike).
+func (m *Machine) armCampaign(atMS int, c topo.Coord, ev sim.Payload) error {
 	if !m.loaded {
 		return fmt.Errorf("spinngo: load a model before scripting a campaign")
 	}
-	fn, err := m.campaignEventFn(kind, args)
-	if err != nil {
-		return err
-	}
-	dom := m.domAt(topo.Coord{X: int(args[0]), Y: int(args[1])})
+	dom := m.domAt(c)
 	at := m.epoch + sim.Time(atMS)*sim.Millisecond
 	if at < dom.Now() {
 		return fmt.Errorf("spinngo: campaign time %dms is in the past", atMS)
 	}
-	dom.AtD(at, &sim.Desc{Kind: kind, Args: args}, fn)
+	dom.AtP(at, ev)
 	return nil
 }
 
@@ -1756,11 +1672,11 @@ func (m *Machine) ScheduleFailLink(atMS, x, y int, dir string) error {
 	if err != nil {
 		return err
 	}
-	nb := m.part.Torus().Neighbor(c, d)
-	if err := m.armCampaign(atMS, campaignFailLink, uint64(x), uint64(y), uint64(d)); err != nil {
+	if err := m.armCampaign(atMS, c, failLinkEv{m, c, d}); err != nil {
 		return err
 	}
-	return m.armCampaign(atMS, campaignFailLink, uint64(nb.X), uint64(nb.Y), uint64(d.Opposite()))
+	nb := m.part.Torus().Neighbor(c, d)
+	return m.armCampaign(atMS, nb, failLinkEv{m, nb, d.Opposite()})
 }
 
 // ScheduleRepairLink scripts the repair of both directions of a link at
@@ -1778,11 +1694,11 @@ func (m *Machine) ScheduleRepairLink(atMS, x, y int, dir string) error {
 	if err != nil {
 		return err
 	}
-	nb := m.part.Torus().Neighbor(c, d)
-	if err := m.armCampaign(atMS, campaignRepairLink, uint64(x), uint64(y), uint64(d)); err != nil {
+	if err := m.armCampaign(atMS, c, repairLinkEv{m, c, d}); err != nil {
 		return err
 	}
-	return m.armCampaign(atMS, campaignRepairLink, uint64(nb.X), uint64(nb.Y), uint64(d.Opposite()))
+	nb := m.part.Torus().Neighbor(c, d)
+	return m.armCampaign(atMS, nb, repairLinkEv{m, nb, d.Opposite()})
 }
 
 // ScheduleFailChip scripts a chip death at biological time atMS: the
@@ -1793,14 +1709,13 @@ func (m *Machine) ScheduleFailChip(atMS, x, y int) error {
 	if err != nil {
 		return err
 	}
-	if err := m.armCampaign(atMS, campaignFailChip, uint64(x), uint64(y)); err != nil {
+	if err := m.armCampaign(atMS, c, failChipEv{m, c}); err != nil {
 		return err
 	}
 	torus := m.part.Torus()
 	for d := topo.Dir(0); int(d) < topo.NumDirs; d++ {
 		nb := torus.Neighbor(c, d)
-		if err := m.armCampaign(atMS, campaignFailLink,
-			uint64(nb.X), uint64(nb.Y), uint64(d.Opposite())); err != nil {
+		if err := m.armCampaign(atMS, nb, failLinkEv{m, nb, d.Opposite()}); err != nil {
 			return err
 		}
 	}
@@ -1874,12 +1789,7 @@ func (m *Machine) InjectSpike(p Pop, idx int, atMS int) error {
 	if at < dom.Now() {
 		return fmt.Errorf("spinngo: injection time %dms is in the past", atMS)
 	}
-	key := frag.KeyFor(idx)
-	dom.AtD(at,
-		&sim.Desc{Kind: "machine.injectmc", Args: []uint64{uint64(frag.Chip.X), uint64(frag.Chip.Y), uint64(key)}},
-		func() {
-			m.fab.InjectMC(frag.Chip, packet.NewMC(key))
-		})
+	dom.AtP(at, injectMCEv{m, frag.Chip, frag.KeyFor(idx)})
 	return nil
 }
 

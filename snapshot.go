@@ -2,7 +2,6 @@ package spinngo
 
 import (
 	"fmt"
-	"strings"
 
 	"spinngo/internal/chip"
 	"spinngo/internal/kernel"
@@ -12,7 +11,6 @@ import (
 	"spinngo/internal/router"
 	"spinngo/internal/sim"
 	"spinngo/internal/snap"
-	"spinngo/internal/topo"
 )
 
 // Snapshot format identification. The format is versioned: any change to
@@ -386,12 +384,8 @@ func restore(data []byte, override func(*MachineConfig)) (*Machine, error) {
 		if k := r.Len(); r.Err() != nil || k != len(slots) {
 			return fmt.Errorf("chip %v has %d app slots, snapshot %d", n.Coord, len(slots), k)
 		}
-		for si, hw := range slots {
-			st := decDMA(r)
-			if err := m.rebindDMAQueue(n.Coord, si, &st); err != nil {
-				return err
-			}
-			hw.DMA.RestoreState(st)
+		for _, hw := range slots {
+			hw.DMA.RestoreState(decDMA(r))
 		}
 		return nil
 	}); err != nil {
@@ -414,7 +408,9 @@ func restore(data []byte, override func(*MachineConfig)) (*Machine, error) {
 	// Phase 4 — swap the event future: wipe the rebuilt machine's own
 	// scheduled events (load stragglers, replayed start timers), move
 	// every shard clock to the snapshot instant, and re-inject the
-	// recorded heap with its canonical keys intact.
+	// recorded events with their canonical keys intact, each rebuilt by
+	// its kind's constructor.
+	kinds := m.eventKinds()
 	m.pe.ResetEvents()
 	if err := m.pe.RestoreClock(T); err != nil {
 		return nil, fmt.Errorf("spinngo: restore clock: %w", err)
@@ -439,12 +435,15 @@ func restore(data []byte, override func(*MachineConfig)) (*Machine, error) {
 		if rec.Domain < 0 || int(rec.Domain) >= size {
 			return nil, fmt.Errorf("spinngo: event %d targets domain %d outside the torus", i, rec.Domain)
 		}
-		fn, err := m.snapshotEventFn(rec)
-		if err != nil {
-			return nil, fmt.Errorf("spinngo: event %d: %w", i, err)
+		build, ok := kinds[rec.Desc.Kind]
+		if !ok {
+			return nil, fmt.Errorf("spinngo: event %d: unknown event kind %q", i, rec.Desc.Kind)
 		}
-		desc := rec.Desc // re-attach so a second snapshot round-trips
-		m.fab.NodeAt(int(rec.Domain)).Domain().Inject(rec.At, rec.Class, rec.K1, rec.K2, &desc, fn)
+		ev, err := build(&rec)
+		if err != nil {
+			return nil, fmt.Errorf("spinngo: event %d (%s): %w", i, rec.Desc.Kind, err)
+		}
+		m.fab.NodeAt(int(rec.Domain)).Domain().Inject(rec.At, rec.Class, rec.K1, rec.K2, ev)
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("spinngo: corrupt event section: %w", err)
@@ -477,142 +476,6 @@ func (m *Machine) Pop(name string) (Pop, bool) {
 		}
 	}
 	return Pop{}, false
-}
-
-// rebindDMAQueue rebuilds the Done/Desc closures of a restored DMA
-// queue from each request's Write flag and Tag, bound to the unit
-// occupying that core slot.
-func (m *Machine) rebindDMAQueue(c topo.Coord, slot int, st *chip.DMAState) error {
-	if len(st.Queue) == 0 {
-		return nil
-	}
-	u := m.unitAtSlot(c, slot)
-	if u == nil {
-		return fmt.Errorf("spinngo: chip %v slot %d has queued DMA but no unit", c, slot)
-	}
-	for i := range st.Queue {
-		req := &st.Queue[i]
-		tag := req.Tag
-		if req.Write {
-			req.Desc = &sim.Desc{Kind: "dma.wb", Args: []uint64{uint64(u.fragIdx), uint64(u.gen), uint64(tag)}}
-		} else {
-			core := u.core
-			req.Done = func() { core.PostDMADone(tag) }
-			req.Desc = &sim.Desc{Kind: "dma.row", Args: []uint64{uint64(u.fragIdx), uint64(u.gen), uint64(tag)}}
-		}
-	}
-	return nil
-}
-
-// unitAtSlot finds the unit (live preferred, latest otherwise) built on
-// a chip's application-core slot.
-func (m *Machine) unitAtSlot(c topo.Coord, slot int) *unit {
-	if u := m.units[c][slot]; u != nil {
-		return u
-	}
-	var last *unit
-	m.eachUnit(func(u *unit) {
-		if u.frag.Chip == c && u.slot == slot {
-			last = u
-		}
-	})
-	return last
-}
-
-// snapshotEventFn resolves a recorded event descriptor to the closure it
-// described, dispatching on the kind's subsystem prefix.
-func (m *Machine) snapshotEventFn(rec sim.EventRecord) (func(), error) {
-	kind := rec.Desc.Kind
-	switch {
-	case strings.HasPrefix(kind, "fab."):
-		return m.fab.EventFn(int(rec.Domain), kind, rec.Desc.Args, rec.Desc.Blob)
-	case strings.HasPrefix(kind, "host."):
-		return m.host.EventFn(kind, rec.Desc.Args)
-	case strings.HasPrefix(kind, "campaign."):
-		return m.campaignEventFn(kind, rec.Desc.Args)
-	default:
-		return m.eventFn(kind, rec.Desc.Args)
-	}
-}
-
-// eventFn resolves machine-layer event kinds (kernel timers and
-// dispatches, DMA completions, migrations, injected spikes).
-func (m *Machine) eventFn(kind string, args []uint64) (func(), error) {
-	unitArg := func() (*unit, error) {
-		if len(args) < 2 {
-			return nil, fmt.Errorf("spinngo: %s needs (fragment, generation) args", kind)
-		}
-		fragIdx, gen := int(args[0]), int(args[1])
-		if fragIdx < 0 || fragIdx >= len(m.fragUnits) || gen < 0 || gen >= len(m.fragUnits[fragIdx]) {
-			return nil, fmt.Errorf("spinngo: %s references unit %d/%d outside history", kind, fragIdx, gen)
-		}
-		return m.fragUnits[fragIdx][gen], nil
-	}
-	switch kind {
-	case "core.timer":
-		u, err := unitArg()
-		if err != nil {
-			return nil, err
-		}
-		if len(args) != 3 {
-			return nil, fmt.Errorf("spinngo: core.timer expects 3 args, got %d", len(args))
-		}
-		tick := args[2]
-		return func() { u.core.TimerTick(tick) }, nil
-	case "core.dispatch":
-		u, err := unitArg()
-		if err != nil {
-			return nil, err
-		}
-		return func() { u.core.Dispatch() }, nil
-	case "dma.row":
-		u, err := unitArg()
-		if err != nil {
-			return nil, err
-		}
-		if len(args) != 3 {
-			return nil, fmt.Errorf("spinngo: dma.row expects 3 args, got %d", len(args))
-		}
-		tag := uint32(args[2])
-		return func() { u.dma.FinishTransfer(func() { u.core.PostDMADone(tag) }) }, nil
-	case "dma.wb":
-		u, err := unitArg()
-		if err != nil {
-			return nil, err
-		}
-		return func() { u.dma.FinishTransfer(nil) }, nil
-	case "machine.corestart":
-		u, err := unitArg()
-		if err != nil {
-			return nil, err
-		}
-		return u.core.Start, nil
-	case "machine.migrate":
-		u, err := unitArg()
-		if err != nil {
-			return nil, err
-		}
-		return func() { m.migrate(u) }, nil
-	case "machine.migrated":
-		u, err := unitArg()
-		if err != nil {
-			return nil, err
-		}
-		if len(args) != 3 {
-			return nil, fmt.Errorf("spinngo: machine.migrated expects 3 args, got %d", len(args))
-		}
-		spare := int(args[2])
-		return func() { m.finishMigrate(u, spare) }, nil
-	case "machine.injectmc":
-		if len(args) != 3 {
-			return nil, fmt.Errorf("spinngo: machine.injectmc expects 3 args, got %d", len(args))
-		}
-		c := topo.Coord{X: int(args[0]), Y: int(args[1])}
-		key := uint32(args[2])
-		return func() { m.fab.InjectMC(c, packet.NewMC(key)) }, nil
-	default:
-		return nil, fmt.Errorf("spinngo: unknown event kind %q", kind)
-	}
 }
 
 // ---- extent framing (v3) ----

@@ -3,12 +3,14 @@ package spinngo
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -436,6 +438,64 @@ func TestSnapshotErrors(t *testing.T) {
 	// The machine that produced the image is untouched by all of this.
 	if _, err := m.Run(5); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoreBoundsAllocation pins the hostile-image guard: a collection
+// length corrupted to 0xFFFFFFFF — the event count, or one event's
+// argument count, which sizes a make() — must fail the restore without
+// allocating by it (four corrupt bytes used to request 32 GiB).
+func TestRestoreBoundsAllocation(t *testing.T) {
+	src := snapPrepare(t, 17, 1, PartitionBands, false)
+	data, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := src.pe.ExportEvents()
+	src.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The event section ends the image; locate its count field, and the
+	// first event's args-length field, from the encoded sizes.
+	section := 4
+	for _, ev := range events {
+		section += 8 + 4 + 1 + 8 + 8 + 4 + len(ev.Desc.Kind) + 4 + 8*len(ev.Desc.Args) + 4 + len(ev.Desc.Blob)
+	}
+	countOff := len(data) - section
+	argsOff := countOff + 4 + 8 + 4 + 1 + 8 + 8 + 4 + len(events[0].Desc.Kind)
+	if got := binary.LittleEndian.Uint32(data[countOff:]); int(got) != len(events) {
+		t.Fatalf("event-count field reads %d, image holds %d events", got, len(events))
+	}
+	if got := binary.LittleEndian.Uint32(data[argsOff:]); int(got) != len(events[0].Desc.Args) {
+		t.Fatalf("args-length field reads %d, first event has %d args", got, len(events[0].Desc.Args))
+	}
+	allocOf := func(image []byte) (uint64, error) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := Restore(image)
+		if m != nil {
+			m.Close()
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+	clean, err := allocOf(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, off := range map[string]int{"event count": countOff, "args length": argsOff} {
+		bad := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint32(bad[off:], 0xFFFFFFFF)
+		got, err := allocOf(bad)
+		if err == nil {
+			t.Errorf("%s of 0xFFFFFFFF: Restore succeeded", name)
+		}
+		// The rebuild (boot + load) allocates what a clean restore does;
+		// the corrupt length may add no more than a few image lengths.
+		if limit := clean + 4*uint64(len(data)); got > limit {
+			t.Errorf("%s of 0xFFFFFFFF: Restore allocated %d bytes, clean restore %d, image %d", name, got, clean, len(data))
+		}
 	}
 }
 
