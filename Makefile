@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-bench race vet cover bench bench-workers benchcmp scale-smoke fuzz check
+.PHONY: build test test-bench race vet cover bench fuzz check
 
 build:
 	$(GO) build ./...
@@ -22,11 +22,11 @@ vet:
 
 # The sharded engine's concurrency is exercised by the determinism suite
 # (Workers>1, every partition geometry, repartition on and off, batched
-# host traffic) and the sim/router/benchsweep packages; keep them under
+# host traffic) and the sim/router/workload packages; keep them under
 # the race detector on every change.
 race:
-	$(GO) test -race ./internal/sim/ ./internal/router/ ./internal/benchsweep/ ./internal/workload/
-	$(GO) test -race -run 'TestDeterminism|TestDifferentSeeds|TestBoardLookahead|TestCabinetLookahead|TestRepartition|TestShiftingHotspot|TestBatch|TestFillMem|TestHostOrigin|TestHostTimeout|TestSnapshot|TestCampaign|TestFailChip|TestFillRedundancy|TestWorkload' .
+	$(GO) test -race ./internal/sim/ ./internal/router/ ./internal/workload/
+	$(GO) test -race -run 'TestDeterminism|TestDifferentSeeds|TestBoardLookahead|TestCabinetLookahead|TestRepartition|TestShiftingHotspot|TestHostLoad|TestBatch|TestFillMem|TestHostOrigin|TestHostTimeout|TestSnapshot|TestCampaign|TestFailChip|TestFillRedundancy|TestWorkload' .
 
 # Tier-1 coverage of the engine + host + snapshot-codec packages, gated
 # in CI at the PR-10 baseline (93.2%).
@@ -36,13 +36,11 @@ cover:
 		./internal/sim/ ./internal/host/ ./internal/snap/ .
 	$(GO) tool cover -func=cover.out | tail -1
 
-# Worker/partition/board-hierarchy sweep of the end-to-end machine
-# benchmark (8x8 worker grid plus 8x8/16x16/32x32 bands-vs-blocks-vs-
-# boards comparison plus the workers x GOMAXPROCS scaling sweep plus the
-# shifting-hotspot repartition, host-load, scale and fault-campaign
-# scenarios), recorded as JSON for the bench trajectory.
+# The repo's one benchmark (BENCHMARK.json): every named workload end to
+# end, one JSON result per workload. See bench/README.md for -workload,
+# -trace and -compare.
 bench:
-	$(GO) run ./cmd/benchsweep -out BENCH_PR10.json
+	bash bench/run.sh
 
 # A short coverage-guided fuzz pass over the workload/campaign parsers;
 # the seed corpora live in internal/workload/testdata/fuzz. CI runs the
@@ -50,24 +48,5 @@ bench:
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseWorkload' -fuzztime 10s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseCampaign' -fuzztime 10s ./internal/workload/
-
-# The scale scenario alone: bytes of live heap per chip on idle and
-# booted machines up to a 256x256 torus, plus the achieved lookahead of
-# each packaging level. The memory ceiling keeps a sparse-state
-# regression (anything proportional to torus size on the boot path) from
-# passing silently; CI runs this as its scale smoke.
-scale-smoke:
-	GOMEMLIMIT=512MiB $(GO) run ./cmd/benchsweep -scale-only -out ''
-
-# The same sweep through `go test -bench` (human-readable only).
-bench-workers:
-	$(GO) test -run '^$$' -bench 'BenchmarkMachineBioSecondWorkers' -benchtime 3x .
-
-# Diff two bench trajectory files cell-by-cell; override OLD/NEW to
-# compare any pair, e.g. `make benchcmp OLD=BENCH_PR5.json`.
-OLD ?= BENCH_PR9.json
-NEW ?= BENCH_PR10.json
-benchcmp:
-	$(GO) run ./cmd/benchcmp $(OLD) $(NEW)
 
 check: build vet test test-bench race

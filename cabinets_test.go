@@ -2,6 +2,7 @@ package spinngo
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"spinngo/internal/energy"
@@ -311,4 +312,85 @@ func TestAutoPartitionPrefersCableAlignedCut(t *testing.T) {
 	if st.Lookahead != cabinetLookaheadNS*sim.Nanosecond {
 		t.Errorf("auto lookahead = %v, want the cabinet notch %dns", st.Lookahead, cabinetLookaheadNS)
 	}
+}
+
+// sparseConfig is a large three-level machine for the sparse-state
+// tests: 8x8-chip boards in 2x2-board (16x16-chip) cabinets.
+func sparseConfig(side int) MachineConfig {
+	return MachineConfig{
+		Width: side, Height: side, Seed: 1, Workers: 4, Partition: PartitionCabinets,
+		Boards: "8x8", BoardLinkParams: BoardLinkSlow,
+		Cabinets: "2x2", CabinetLinkParams: CabinetLinkSlow,
+	}
+}
+
+// liveHeap reports the live heap after a full collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestIdleTorusStaysSparse pins the sparse-state model at the paper's
+// scale: constructing a 256x256-chip torus (a million cores) without
+// booting it materialises no chip, and retains live heap proportional
+// to the chip address table, not to per-chip state. Measured: 0 of
+// 65536 chips instantiated, 1,132,920 B retained (17.3 B per torus
+// chip; go1.24 linux/amd64). The 4 MiB bound is 64 B per torus chip —
+// any dense per-chip structure on the construction path (a booted chip
+// holds ~22 KiB) exceeds it hundreds of times over.
+func TestIdleTorusStaysSparse(t *testing.T) {
+	const heapBound = 4 << 20
+	before := liveHeap()
+	m, err := NewMachine(sparseConfig(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	heap := liveHeap() - before
+	if got, torus := m.InstantiatedChips(), m.TorusChips(); torus != 256*256 || got > torus/256 {
+		t.Errorf("idle machine instantiated %d of %d chips, want at most one cabinet's worth (%d)",
+			got, torus, torus/256)
+	}
+	if heap > heapBound {
+		t.Errorf("idle 256x256 torus retains %d B of live heap (%.1f B/chip), bound %d B",
+			heap, float64(heap)/float64(m.TorusChips()), heapBound)
+	}
+	t.Logf("idle 256x256: %d/%d chips instantiated, %d B live heap", m.InstantiatedChips(), m.TorusChips(), heap)
+}
+
+// TestBootedTorusAliasesSystemImage pins the other half: a boot touches
+// every chip, so heap per chip is flat, and stays bounded because the
+// flood-filled 8 KiB system image is stored once per machine and
+// aliased into every chip's SDRAM. Measured on a booted 32x32 torus:
+// 22,030 B of live heap per chip; with a private image copy per chip
+// (SDRAM.Store in place of StoreShared on the fill path) the same
+// machine measures 30,217 B. The 26 KiB bound sits between the two, so
+// losing the aliasing — or growing booted per-chip state by a fifth —
+// fails here.
+func TestBootedTorusAliasesSystemImage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots 1024 chips")
+	}
+	const perChipBound = 26 << 10
+	before := liveHeap()
+	m, err := NewMachine(sparseConfig(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := m.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	heap := liveHeap() - before
+	chips := m.TorusChips()
+	if got := m.InstantiatedChips(); got != chips {
+		t.Errorf("boot instantiated %d of %d chips, want all", got, chips)
+	}
+	if perChip := heap / int64(chips); perChip > perChipBound {
+		t.Errorf("booted 32x32 torus retains %d B of live heap per chip, bound %d B (one private 8 KiB image copy per chip would read ~30 KiB)",
+			perChip, perChipBound)
+	}
+	t.Logf("booted 32x32: %d B live heap, %d B/chip", heap, heap/int64(chips))
 }

@@ -60,7 +60,6 @@ func main() {
 	cabinets := flag.String("cabinets", "", "cabinet tiling in boards, e.g. \"2x2\" ('' = no cabinet level); requires -boards; cabinet-crossing links use cabinet-to-cabinet PHY params")
 	cabinetlink := flag.String("cabinetlink", "", "cabinet-to-cabinet link preset: slow (default) or uniform; requires -cabinets")
 	repartition := flag.Bool("repartition", false, "re-partition at quiescence boundaries when the observed event density warrants it; any setting yields the same results")
-	soloThreshold := flag.Int("solothreshold", 0, "adaptive-mode solo bound in events/shard/window (0 = default 16); any value yields the same results")
 	workloadRef := flag.String("workload", "", "run a declared workload: a JSON file path or a registry name (see -workloads)")
 	listWorkloads := flag.Bool("workloads", false, "list the built-in workload registry and exit")
 	snapshotPath := flag.String("snapshot", "", "write a checkpoint image to this file after the run")
@@ -131,7 +130,6 @@ func main() {
 			Width: *w, Height: *h, Seed: *seed, Workers: *workers, Partition: *partition,
 			Boards: *boards, BoardLinkParams: *boardlink, Repartition: policy,
 			Cabinets: *cabinets, CabinetLinkParams: *cabinetlink,
-			SoloThresholdEvents: *soloThreshold,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -216,8 +214,8 @@ func main() {
 	st := machine.SimStats()
 	fmt.Printf("engine:          %d windows (%d parallel, %.1f events/window)\n",
 		st.Windows, st.ParallelWindows, st.EventsPerWindow)
-	fmt.Printf("hand-offs:       %d (%d batched runs covering %d windows, solo threshold %d)\n",
-		st.Handoffs, st.BatchRuns, st.BatchedWindows, st.SoloThreshold)
+	fmt.Printf("hand-offs:       %d (%d batched runs covering %d windows)\n",
+		st.Handoffs, st.BatchRuns, st.BatchedWindows)
 	fmt.Printf("partition:       %s/%d shards after %d repartitions (lookahead %v)\n",
 		st.Geometry, st.Shards, st.Repartitions, st.Lookahead)
 	fmt.Printf("host:            %d engine transitions (boot phases + batched loads)\n",

@@ -351,3 +351,100 @@ func TestFillMemPartialCoverage(t *testing.T) {
 		t.Errorf("%d commands stuck in flight", m.host.Inflight())
 	}
 }
+
+// TestHostLoadBatchWins pins what batching buys the host path — the
+// paper's concern of feeding a massively-parallel fabric from a scalar
+// front end: loading one 1 KiB block onto every chip of an 8x8 machine
+// through Batch, or through one FillMem flood, costs at least 5x fewer
+// engine stop/start transitions than one synchronous WriteMem per chip,
+// at identical delivered bytes. Transitions are a deterministic
+// property of the trajectory, so this is not a timing assertion.
+func TestHostLoadBatchWins(t *testing.T) {
+	const (
+		side  = 8
+		chips = side * side
+		addr  = 0x5200_0000
+	)
+	payload := make([]byte, 1024)
+	for i := range payload {
+		payload[i] = byte(i * 31)
+	}
+	// measure boots a fresh machine, runs one load mode (which reports
+	// how many chips took the block) and verifies delivery by reading
+	// the far corner back.
+	measure := func(mode string, load func(hl *HostLink) int) (transitions, windows uint64, bytesLoaded int) {
+		t.Helper()
+		m := buildSmallMachine(t, MachineConfig{Width: side, Height: side, Seed: 1, Workers: 4,
+			Partition: PartitionBands, MaxAppCoresPerChip: 2})
+		defer m.Close()
+		hl, err := m.AttachHost()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := m.SimStats()
+		loaded := load(hl)
+		after := m.SimStats()
+		back, err := hl.ReadMem(side-1, side-1, addr, len(payload))
+		if err != nil {
+			t.Fatalf("%s: verify read: %v", mode, err)
+		}
+		if !bytes.Equal(back, payload) {
+			t.Errorf("%s: far-corner read-back differs from the payload", mode)
+		}
+		return after.HostTransitions - before.HostTransitions, after.Windows - before.Windows,
+			loaded * len(payload)
+	}
+
+	serialT, serialW, serialB := measure("serial", func(hl *HostLink) int {
+		for i := 0; i < chips; i++ {
+			if err := hl.WriteMem(i%side, i/side, addr, payload); err != nil {
+				t.Fatalf("serial write %d: %v", i, err)
+			}
+		}
+		return chips
+	})
+	batchT, batchW, batchB := measure("batch", func(hl *HostLink) int {
+		p := hl.Batch(8)
+		for i := 0; i < chips; i++ {
+			p.WriteMem(i%side, i/side, addr, payload)
+		}
+		res, err := p.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res {
+			if r.Err != nil {
+				t.Fatalf("batched write %d: %v", i, r.Err)
+			}
+		}
+		return len(res)
+	})
+	fillT, fillW, fillB := measure("fill", func(hl *HostLink) int {
+		acked, err := hl.FillMem(addr, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if acked != chips {
+			t.Fatalf("flood acknowledged by %d of %d chips", acked, chips)
+		}
+		return acked
+	})
+
+	if serialB != batchB || serialB != fillB {
+		t.Fatalf("modes delivered different byte totals: serial=%d batch=%d fill=%d",
+			serialB, batchB, fillB)
+	}
+	// 64 chips: the serial path pays a transition per command, the
+	// batch one for the whole load.
+	if serialT < chips {
+		t.Errorf("serial load paid %d transitions; expected one per chip (>= %d)", serialT, chips)
+	}
+	if batchT*5 > serialT {
+		t.Errorf("batched load paid %d transitions vs serial %d; want >= 5x fewer", batchT, serialT)
+	}
+	if fillT*5 > serialT {
+		t.Errorf("flood-fill load paid %d transitions vs serial %d; want >= 5x fewer", fillT, serialT)
+	}
+	t.Logf("transitions per %d-byte load: serial=%d batch=%d fill=%d (windows %d/%d/%d)",
+		serialB, serialT, batchT, fillT, serialW, batchW, fillW)
+}

@@ -2,7 +2,8 @@
 // quantitative claim of the paper (E1-E14 plus ablations A1-A2;
 // cmd/spinnbench lists them). Each runner builds its workload, executes it on the simulated
 // machine, and returns a Table whose rows mirror what the paper reports;
-// cmd/spinnbench prints them and bench_test.go benchmarks them.
+// cmd/spinnbench prints them and this package's tests assert their
+// verdicts.
 package experiments
 
 import (

@@ -198,8 +198,12 @@ type ParallelEngine struct {
 	batchRuns      uint64
 	batchedWindows uint64
 
-	// soloThreshold is the adaptive-mode density bound (see
-	// SetSoloThreshold); defaultSoloThreshold unless overridden.
+	// soloThreshold is the adaptive-mode density bound: windows whose
+	// smoothed events-per-active-shard estimate sits below it run
+	// inline on the coordinator instead of being dispatched to the
+	// pool. Always defaultSoloThreshold outside this package's tests —
+	// it derives from the trajectory only, so varying it changes which
+	// goroutines execute the events, never the results.
 	soloThreshold float64
 }
 
@@ -290,27 +294,6 @@ func (pe *ParallelEngine) SetAdaptive(on bool) { pe.adaptive = on }
 
 // Adaptive reports whether adaptive worker selection is enabled.
 func (pe *ParallelEngine) Adaptive() bool { return pe.adaptive }
-
-// SetSoloThreshold sets the adaptive-mode density bound: windows whose
-// smoothed events-per-active-shard estimate sits below n run inline on
-// the coordinator instead of being dispatched to the pool. n < 1 resets
-// the default (16). Like every adaptive input it derives from the
-// simulation trajectory only, so changing it never changes results —
-// only which goroutines execute them.
-func (pe *ParallelEngine) SetSoloThreshold(n int) {
-	if n < 1 {
-		n = defaultSoloThreshold
-	}
-	pe.soloThreshold = float64(n)
-	if pe.windows == 0 {
-		// Keep the optimistic pre-measurement start proportional to the
-		// bound, as construction does for the default.
-		pe.ewmaEvPerShard = 4 * pe.soloThreshold
-	}
-}
-
-// SoloThreshold reports the adaptive-mode density bound.
-func (pe *ParallelEngine) SoloThreshold() int { return int(pe.soloThreshold) }
 
 // SetLookahead declares the minimum latency of any cross-shard event:
 // an event executing at time t may only Post events with timestamps

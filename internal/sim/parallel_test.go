@@ -428,33 +428,17 @@ func TestBatchingPreservesStatistics(t *testing.T) {
 	}
 }
 
-func TestSetSoloThreshold(t *testing.T) {
-	pe := NewParallel(1, 2, 2)
-	defer pe.Close()
-	if got := pe.SoloThreshold(); got != 16 {
-		t.Errorf("default solo threshold = %d, want 16", got)
-	}
-	pe.SetSoloThreshold(5)
-	if got := pe.SoloThreshold(); got != 5 {
-		t.Errorf("SoloThreshold after SetSoloThreshold(5) = %d", got)
-	}
-	pe.SetSoloThreshold(0) // reset to default
-	if got := pe.SoloThreshold(); got != 16 {
-		t.Errorf("SoloThreshold after reset = %d, want 16", got)
-	}
-}
-
 func TestSoloThresholdChangesDispatchNotTrajectory(t *testing.T) {
 	// The threshold only picks solo vs pooled window execution; the
 	// trace must be byte-identical across extreme settings.
 	const la = 100
 	const deadline = 100 * la
-	run := func(threshold int) []string {
+	run := func(threshold float64) []string {
 		pe := NewParallel(1, 2, 2)
 		defer pe.Close()
 		pe.SetLookahead(la)
 		pe.SetAdaptive(true)
-		pe.SetSoloThreshold(threshold)
+		pe.soloThreshold = threshold
 		return pingPong(pe, la, deadline, true)
 	}
 	lo := run(1)

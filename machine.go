@@ -135,13 +135,6 @@ type MachineConfig struct {
 	// the simulated traffic, so reports differ between redundancy
 	// levels but remain byte-identical across Workers and Partition.
 	FillRedundancy int
-	// SoloThresholdEvents tunes the adaptive engine's solo bound: a
-	// PDES window whose smoothed events-per-active-shard density sits
-	// below it runs inline on the coordinator instead of paying a pool
-	// hand-off. 0 keeps the default (16, calibrated on the reference
-	// sweep); negative values are rejected. Purely an execution-cost
-	// knob: like Workers and Partition it never changes results.
-	SoloThresholdEvents int
 }
 
 // Partition geometry names accepted by MachineConfig.Partition.
@@ -262,10 +255,6 @@ func (c MachineConfig) Validate() error {
 		return fmt.Errorf("spinngo: unknown Repartition %q (want %q or %q)",
 			c.Repartition, RepartitionOff, RepartitionAuto)
 	}
-	if c.SoloThresholdEvents < 0 {
-		return fmt.Errorf("spinngo: SoloThresholdEvents must be non-negative (0 = default), got %d",
-			c.SoloThresholdEvents)
-	}
 	if c.FillRedundancy < 0 || c.FillRedundancy > topo.NumDirs {
 		return fmt.Errorf("spinngo: FillRedundancy must be 0..%d (0 = default 1), got %d",
 			topo.NumDirs, c.FillRedundancy)
@@ -324,6 +313,50 @@ func (c MachineConfig) cabinetGeometry() topo.CabinetGeometry {
 	return cg
 }
 
+// partitionFor resolves a concrete geometry name into a partition of
+// torus at (up to) workers shards. The packaged geometries need their
+// tiling configured in params.
+func partitionFor(geometry string, torus topo.Torus, params router.Params, workers int) (topo.Partition, error) {
+	switch geometry {
+	case PartitionBands:
+		return topo.NewBands(torus, workers), nil
+	case PartitionBlocks:
+		return topo.NewBlocks2D(torus, workers), nil
+	case PartitionBoards:
+		if !params.Heterogeneous() {
+			return topo.Partition{}, fmt.Errorf("spinngo: partition %q requires Boards", PartitionBoards)
+		}
+		return topo.NewBoards(torus, params.Boards, workers)
+	case PartitionCabinets:
+		if !params.HasCabinets() {
+			return topo.Partition{}, fmt.Errorf("spinngo: partition %q requires Cabinets", PartitionCabinets)
+		}
+		return topo.NewCabinets(torus, params.Boards, params.Cabinets, workers)
+	}
+	return topo.Partition{}, fmt.Errorf("spinngo: unknown partition geometry %q (want %q, %q, %q or %q)",
+		geometry, PartitionBands, PartitionBlocks, PartitionBoards, PartitionCabinets)
+}
+
+// availablePartitions reports every geometry the fabric offers at
+// workers shards: bands and blocks always, boards on a heterogeneous
+// fabric, cabinets when the third packaging level is configured — in
+// that order, which every comparison relies on (earlier wins ties).
+func availablePartitions(torus topo.Torus, params router.Params, workers int) []topo.Partition {
+	var parts []topo.Partition
+	for _, g := range []string{PartitionBands, PartitionBlocks, PartitionBoards, PartitionCabinets} {
+		if p, err := partitionFor(g, torus, params, workers); err == nil {
+			parts = append(parts, p)
+		}
+	}
+	return parts
+}
+
+// autoWorkers is the Workers-0 sizing: one shard per schedulable CPU,
+// at most one per chip.
+func autoWorkers(torus topo.Torus) int {
+	return min(runtime.GOMAXPROCS(0), torus.Size())
+}
+
 // choosePartition resolves the configured geometry and worker count
 // into a concrete partition, and reports whether the engine should run
 // with adaptive worker selection (automatic geometry AND automatic
@@ -334,27 +367,13 @@ func choosePartition(cfg MachineConfig, torus topo.Torus, params router.Params) 
 	workers := cfg.Workers
 	adaptive := false
 	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > torus.Size() {
-			workers = torus.Size()
-		}
+		workers = autoWorkers(torus)
 		adaptive = auto
 	}
-	switch cfg.Partition {
-	case PartitionBands:
-		return topo.NewBands(torus, workers), false
-	case PartitionBlocks:
-		return topo.NewBlocks2D(torus, workers), false
-	case PartitionBoards:
-		part, err := topo.NewBoards(torus, params.Boards, workers)
+	if !auto {
+		part, err := partitionFor(cfg.Partition, torus, params, workers)
 		if err != nil {
-			panic(err) // Validate accepted the tiling
-		}
-		return part, false
-	case PartitionCabinets:
-		part, err := topo.NewCabinets(torus, params.Boards, params.Cabinets, workers)
-		if err != nil {
-			panic(err) // Validate accepted the tiling
+			panic(err) // Validate accepted the geometry and its tiling
 		}
 		return part, false
 	}
@@ -364,17 +383,7 @@ func choosePartition(cfg MachineConfig, torus topo.Torus, params router.Params) 
 	// fewer window barriers, worth more than a few cut links), then the
 	// smaller cut, and remaining ties keep the earlier candidate
 	// (bands: at most two neighbouring shards instead of eight).
-	candidates := []topo.Partition{topo.NewBands(torus, workers), topo.NewBlocks2D(torus, workers)}
-	if params.Heterogeneous() {
-		if boards, err := topo.NewBoards(torus, params.Boards, workers); err == nil {
-			candidates = append(candidates, boards)
-		}
-	}
-	if params.HasCabinets() {
-		if cab, err := topo.NewCabinets(torus, params.Boards, params.Cabinets, workers); err == nil {
-			candidates = append(candidates, cab)
-		}
-	}
+	candidates := availablePartitions(torus, params, workers)
 	best := candidates[0]
 	for _, cand := range candidates[1:] {
 		switch {
@@ -588,9 +597,6 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	part, adaptive := choosePartition(cfg, torus, params)
 	pe := sim.NewParallel(cfg.Seed, part.Shards(), part.Shards())
 	pe.SetAdaptive(adaptive)
-	if cfg.SoloThresholdEvents > 0 {
-		pe.SetSoloThreshold(cfg.SoloThresholdEvents)
-	}
 	// The lookahead folds each cut link's frame serialisation time into
 	// the router pipeline latency, minimised over the partition's actual
 	// boundary cut: a board-aligned cut of slow board-to-board links
@@ -692,13 +698,10 @@ type SimStats struct {
 	// ordinary window plus one per batched run of provably single-shard
 	// windows, so Handoffs <= Windows and the gap is synchronisation
 	// the window batching elided. BatchRuns counts those batched runs
-	// and BatchedWindows the windows they covered; SoloThreshold echoes
-	// the adaptive density bound in force (SoloThresholdEvents or the
-	// default).
+	// and BatchedWindows the windows they covered.
 	Handoffs       uint64
 	BatchRuns      uint64
 	BatchedWindows uint64
-	SoloThreshold  int
 	// Events counts simulation events executed across all shards,
 	// cumulative across re-partitionings.
 	Events uint64
@@ -736,7 +739,6 @@ func (m *Machine) SimStats() SimStats {
 		Handoffs:         m.pe.Handoffs(),
 		BatchRuns:        m.pe.BatchRuns(),
 		BatchedWindows:   m.pe.BatchedWindows(),
-		SoloThreshold:    m.pe.SoloThreshold(),
 		Events:           m.pe.Processed(),
 		Repartitions:     m.pe.Repartitions(),
 		HostTransitions:  m.pe.Transitions(),
@@ -765,34 +767,13 @@ const (
 func (m *Machine) buildPartition(geometry string, workers int) (topo.Partition, error) {
 	torus := m.part.Torus()
 	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > torus.Size() {
-			workers = torus.Size()
-		}
+		workers = autoWorkers(torus)
 	}
 	if workers < 0 || workers > torus.Size() {
 		return topo.Partition{}, fmt.Errorf("spinngo: repartition workers %d outside 0..%d",
 			workers, torus.Size())
 	}
-	params := m.fab.Params()
-	switch geometry {
-	case PartitionBands:
-		return topo.NewBands(torus, workers), nil
-	case PartitionBlocks:
-		return topo.NewBlocks2D(torus, workers), nil
-	case PartitionBoards:
-		if !params.Heterogeneous() {
-			return topo.Partition{}, fmt.Errorf("spinngo: partition %q requires Boards", PartitionBoards)
-		}
-		return topo.NewBoards(torus, params.Boards, workers)
-	case PartitionCabinets:
-		if !params.HasCabinets() {
-			return topo.Partition{}, fmt.Errorf("spinngo: partition %q requires Cabinets", PartitionCabinets)
-		}
-		return topo.NewCabinets(torus, params.Boards, params.Cabinets, workers)
-	}
-	return topo.Partition{}, fmt.Errorf("spinngo: unknown partition geometry %q (want %q, %q, %q or %q)",
-		geometry, PartitionBands, PartitionBlocks, PartitionBoards, PartitionCabinets)
+	return partitionFor(geometry, torus, m.fab.Params(), workers)
 }
 
 // Repartition re-shapes the machine's shard decomposition at runtime:
@@ -857,17 +838,8 @@ func (m *Machine) repartitionCandidates() []topo.Partition {
 		cands = append(cands, p)
 	}
 	for _, w := range targets {
-		add(topo.NewBands(torus, w))
-		add(topo.NewBlocks2D(torus, w))
-		if params.Heterogeneous() {
-			if b, err := topo.NewBoards(torus, params.Boards, w); err == nil {
-				add(b)
-			}
-		}
-		if params.HasCabinets() {
-			if cb, err := topo.NewCabinets(torus, params.Boards, params.Cabinets, w); err == nil {
-				add(cb)
-			}
+		for _, p := range availablePartitions(torus, params, w) {
+			add(p)
 		}
 	}
 	return cands
@@ -1428,6 +1400,23 @@ func (m *Machine) unitOf(frag *mapping.Fragment) *unit {
 	return nil
 }
 
+// popOf resolves a population handle on this machine: a model must be
+// loaded, the handle must have been issued for that model (by its Add*
+// methods, or by Machine.Pop on a restored machine) and must index one
+// of its populations.
+func (m *Machine) popOf(p Pop) (*mapping.Population, error) {
+	switch {
+	case !m.loaded:
+		return nil, fmt.Errorf("spinngo: no model loaded")
+	case p.model != m.model:
+		return nil, fmt.Errorf("spinngo: population handle belongs to a different model")
+	case p.idx < 0 || p.idx >= len(m.model.net.Pops):
+		return nil, fmt.Errorf("spinngo: population handle %d outside the model's %d populations",
+			p.idx, len(m.model.net.Pops))
+	}
+	return m.model.net.Pops[p.idx], nil
+}
+
 // FailCoreOf kills the application core simulating neuron idx of
 // population p, as a hardware fault would. The chip's monitor processor
 // notices the silence after MigrationDetectMS and performs a functional
@@ -1437,17 +1426,17 @@ func (m *Machine) unitOf(frag *mapping.Fragment) *unit {
 // real machine without checkpointing); spikes in flight during the
 // outage are dropped at the dead core.
 func (m *Machine) FailCoreOf(p Pop, idx int) error {
-	if !m.loaded {
-		return fmt.Errorf("spinngo: no model loaded")
+	pop, err := m.popOf(p)
+	if err != nil {
+		return err
 	}
-	pop := m.model.net.Pops[p.idx]
 	frag, err := mapping.FragmentForNeuron(m.rplan.Frags, pop, idx)
 	if err != nil {
 		return err
 	}
 	u := m.unitOf(frag)
 	if u == nil {
-		return fmt.Errorf("spinngo: fragment of %q neuron %d has no live core", p.Name(), idx)
+		return fmt.Errorf("spinngo: fragment of %q neuron %d has no live core", pop.Name, idx)
 	}
 	u.failed = true
 	u.core.Stop()
@@ -1544,9 +1533,13 @@ type Spike struct {
 // Spikes returns the recorded raster of a population, merged across its
 // fragments, sorted by fragment then time.
 func (m *Machine) Spikes(p Pop) []Spike {
+	pop, err := m.popOf(p)
+	if err != nil {
+		return nil
+	}
 	var out []Spike
 	m.eachUnit(func(u *unit) {
-		if u.frag.Pop != m.model.net.Pops[p.idx] {
+		if u.frag.Pop != pop {
 			return
 		}
 		for _, s := range u.pop.Rec.Spikes {
@@ -1559,15 +1552,11 @@ func (m *Machine) Spikes(p Pop) []Spike {
 // MeanRateHz reports a population's mean firing rate over the run so
 // far.
 func (m *Machine) MeanRateHz(p Pop) float64 {
-	if m.bioMS == 0 {
+	pop, err := m.popOf(p)
+	if err != nil || m.bioMS == 0 || pop.N == 0 {
 		return 0
 	}
-	total := len(m.Spikes(p))
-	n := p.Size()
-	if n == 0 {
-		return 0
-	}
-	return float64(total) / float64(n) / (float64(m.bioMS) / 1000)
+	return float64(len(m.Spikes(p))) / float64(pop.N) / (float64(m.bioMS) / 1000)
 }
 
 // parseDir resolves a direction name ("E", "NE", "N", "W", "SW", "S").
@@ -1779,7 +1768,10 @@ func (m *Machine) syncDeadChips() bool {
 // biological time atMS — measured, like the spike raster, from the end
 // of loading (must be in the future).
 func (m *Machine) InjectSpike(p Pop, idx int, atMS int) error {
-	pop := m.model.net.Pops[p.idx]
+	pop, err := m.popOf(p)
+	if err != nil {
+		return err
+	}
 	frag, err := mapping.FragmentForNeuron(m.rplan.Frags, pop, idx)
 	if err != nil {
 		return err
@@ -1796,7 +1788,10 @@ func (m *Machine) InjectSpike(p Pop, idx int, atMS int) error {
 // MeanWeightNA reports the average synaptic weight (nA) across all rows
 // targeting population p — the observable for plasticity experiments.
 func (m *Machine) MeanWeightNA(p Pop) float64 {
-	pop := m.model.net.Pops[p.idx]
+	pop, err := m.popOf(p)
+	if err != nil {
+		return 0
+	}
 	var sum float64
 	var n int
 	m.eachUnit(func(u *unit) {
@@ -1823,14 +1818,17 @@ func (m *Machine) MeanWeightNA(p Pop) float64 {
 // migration has moved the fragment off its original core slot (the old
 // slot lookup dereferenced a deleted map entry and panicked).
 func (m *Machine) KillNeuron(p Pop, idx int) error {
-	pop := m.model.net.Pops[p.idx]
+	pop, err := m.popOf(p)
+	if err != nil {
+		return err
+	}
 	frag, err := mapping.FragmentForNeuron(m.rplan.Frags, pop, idx)
 	if err != nil {
 		return err
 	}
 	u := m.unitOf(frag)
 	if u == nil {
-		return fmt.Errorf("spinngo: fragment of %q neuron %d has no live core", p.Name(), idx)
+		return fmt.Errorf("spinngo: fragment of %q neuron %d has no live core", pop.Name, idx)
 	}
 	return u.pop.KillNeuron(idx - frag.Lo)
 }

@@ -412,6 +412,64 @@ func TestFailCoreOfUnknownNeuron(t *testing.T) {
 	}
 }
 
+// TestPopHandleGuard pins handle resolution for every Pop-taking
+// method: on a machine with no model loaded, and for a handle issued by
+// a different Model (here one whose index would run off the loaded
+// model's population list), mutators return an error and readers report
+// zero — they used to dereference the nil model or index the wrong
+// population.
+func TestPopHandleGuard(t *testing.T) {
+	other := NewModel()
+	other.AddLIF("a", 5, DefaultLIFConfig())
+	foreign := other.AddLIF("b", 5, DefaultLIFConfig())
+
+	unloaded := buildSmallMachine(t, MachineConfig{Width: 2, Height: 2})
+	defer unloaded.Close()
+	loaded := buildSmallMachine(t, MachineConfig{Width: 2, Height: 2})
+	defer loaded.Close()
+	model := NewModel()
+	own := model.AddLIF("p", 5, DefaultLIFConfig())
+	if _, err := loaded.Load(model); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loaded.Run(5); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		m    *Machine
+		p    Pop
+	}{
+		{"unloaded machine", unloaded, own},
+		{"foreign handle", loaded, foreign},
+		{"zero handle", loaded, Pop{}},
+	} {
+		if err := tc.m.InjectSpike(tc.p, 0, 100); err == nil {
+			t.Errorf("%s: InjectSpike accepted", tc.name)
+		}
+		if err := tc.m.KillNeuron(tc.p, 0); err == nil {
+			t.Errorf("%s: KillNeuron accepted", tc.name)
+		}
+		if err := tc.m.FailCoreOf(tc.p, 0); err == nil {
+			t.Errorf("%s: FailCoreOf accepted", tc.name)
+		}
+		if w := tc.m.MeanWeightNA(tc.p); w != 0 {
+			t.Errorf("%s: MeanWeightNA = %v, want 0", tc.name, w)
+		}
+		if s := tc.m.Spikes(tc.p); len(s) != 0 {
+			t.Errorf("%s: Spikes returned %d entries, want none", tc.name, len(s))
+		}
+		if r := tc.m.MeanRateHz(tc.p); r != 0 {
+			t.Errorf("%s: MeanRateHz = %v, want 0", tc.name, r)
+		}
+	}
+	// The machine's own handle still resolves.
+	if err := loaded.InjectSpike(own, 0, 100); err != nil {
+		t.Errorf("own handle rejected: %v", err)
+	}
+}
+
 // pairSTDP builds a pre->post plastic pair with a strong static teacher
 // that forces post to fire at a controlled offset from pre.
 func pairSTDP(t *testing.T, seed uint64) (*Machine, Pop, Pop, Pop) {

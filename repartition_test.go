@@ -210,6 +210,105 @@ func TestAutoRepartitionCollapsesHotspot(t *testing.T) {
 	}
 }
 
+// Shifting-hotspot scenario shape: three 60 ms phases (hot A, hot B,
+// both), run in 9 equal chunks so the policy sees a quiescence boundary
+// every 20 ms.
+const (
+	hotspotBioMS   = 180
+	hotspotChunks  = 9
+	hotspotPhaseMS = 60
+)
+
+// runShiftingHotspot runs the workload a construction-time partition
+// cannot fit: two recurrently-connected populations in different
+// corners of a heterogeneous 8x8 torus, driven by scripted injection
+// storms — first one region, then the other, then both — while most of
+// the machine only ticks. Serpentine placement pins the pieces: hotA
+// fills the first chip, a near-idle spacer occupies the next 30 chips,
+// and hotB lands on chip 31 — a different band, block and board than
+// hotA for every geometry. The whole injection script is scheduled up
+// front, so the workload is identical for every partition and policy.
+// It reports the windows the run took, the spikes it produced and how
+// often the machine repartitioned.
+func runShiftingHotspot(t *testing.T, partition, policy string) (windows uint64, spikes int, repartitions uint64) {
+	t.Helper()
+	m := buildSmallMachine(t, MachineConfig{Width: 8, Height: 8, Seed: 1, Workers: 4,
+		Boards: "4x4", BoardLinkParams: BoardLinkSlow,
+		Partition: partition, Repartition: policy, MaxAppCoresPerChip: 2})
+	defer m.Close()
+	model := NewModel()
+	hotA := model.AddLIF("hotA", 400, DefaultLIFConfig())
+	model.AddLIF("spacer", 30*2*256, DefaultLIFConfig()) // unconnected, unstimulated: timer load only
+	hotB := model.AddLIF("hotB", 400, DefaultLIFConfig())
+	for _, p := range []Pop{hotA, hotB} {
+		if err := model.Connect(p, p, Conn{
+			Rule: RandomRule, P: 0.05, WeightNA: 1.5, DelayMS: 1,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Load(model); err != nil {
+		t.Fatal(err)
+	}
+	// Indices walk a fixed stride so a storm touches the whole population.
+	inject := func(p Pop, ms, count int) {
+		for k := 0; k < count; k++ {
+			if err := m.InjectSpike(p, (ms*17+k*13)%400, ms); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for ms := 1; ms < hotspotBioMS; ms++ {
+		switch {
+		case ms < hotspotPhaseMS:
+			inject(hotA, ms, 40)
+		case ms < 2*hotspotPhaseMS:
+			inject(hotB, ms, 40)
+		default:
+			inject(hotA, ms, 20)
+			inject(hotB, ms, 20)
+		}
+	}
+	before := m.SimStats().Windows
+	var rep *RunReport
+	for c := 0; c < hotspotChunks; c++ {
+		var err error
+		if rep, err = m.Run(hotspotBioMS / hotspotChunks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := m.SimStats()
+	return st.Windows - before, rep.TotalSpikes, st.Repartitions
+}
+
+// TestShiftingHotspotRepartitionWins pins the headline claim of the
+// runtime re-partitioning policy: on the shifting-hotspot workload the
+// auto machine must take fewer window barriers than every fixed
+// geometry started from the same 4-shard decomposition, while producing
+// the identical spike count (the determinism contract). Window counts
+// derive from the deterministic trajectory, so this is not a timing
+// assertion.
+func TestShiftingHotspotRepartitionWins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-machine scenario sweep")
+	}
+	autoWindows, autoSpikes, repartitions := runShiftingHotspot(t, PartitionBands, RepartitionAuto)
+	if repartitions == 0 {
+		t.Fatal("auto machine never repartitioned on a shifting hotspot")
+	}
+	for _, partition := range []string{PartitionBands, PartitionBlocks, PartitionBoards} {
+		windows, spikes, _ := runShiftingHotspot(t, partition, RepartitionOff)
+		if autoWindows >= windows {
+			t.Errorf("auto repartitioning paid %d windows, fixed %s paid %d — the policy must win every fixed geometry",
+				autoWindows, partition, windows)
+		}
+		if spikes != autoSpikes {
+			t.Errorf("fixed %s produced %d spikes, auto %d — repartitioning leaked into the simulation",
+				partition, spikes, autoSpikes)
+		}
+	}
+}
+
 func TestRepartitionValidation(t *testing.T) {
 	m := buildSmallMachine(t, MachineConfig{Width: 4, Height: 4})
 	defer m.Close()
