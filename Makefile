@@ -42,11 +42,14 @@ cover:
 bench:
 	bash bench/run.sh
 
-# A short coverage-guided fuzz pass over the workload/campaign parsers;
-# the seed corpora live in internal/workload/testdata/fuzz. CI runs the
-# same smoke.
+# A short coverage-guided fuzz pass over the workload/campaign parsers
+# (seed corpora in internal/workload/testdata/fuzz) and over Restore
+# (seeded with the golden-workload image and corruptions of it; the
+# seeds are ~340 KB, so per-input minimisation is capped to leave the
+# ten seconds to execution). CI runs the same smoke.
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseWorkload' -fuzztime 10s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseCampaign' -fuzztime 10s ./internal/workload/
+	$(GO) test -run '^$$' -fuzz 'FuzzRestore' -fuzztime 10s -fuzzminimizetime 1s .
 
 check: build vet test test-bench race

@@ -2,6 +2,7 @@ package spinngo
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -432,6 +433,10 @@ func TestMachineConfigValidation(t *testing.T) {
 		{"workers beyond chips", MachineConfig{Width: 4, Height: 4, Workers: 64}},
 		{"unknown partition", MachineConfig{Width: 4, Height: 4, Partition: "spiral"}},
 		{"zero width", MachineConfig{Width: 0, Height: 4}},
+		{"negative cores", MachineConfig{Width: 4, Height: 4, CoresPerChip: -1}},
+		{"cores beyond the chip", MachineConfig{Width: 4, Height: 4, CoresPerChip: 21}},
+		{"negative MIPS", MachineConfig{Width: 4, Height: 4, CoreMIPS: -200}},
+		{"NaN MIPS", MachineConfig{Width: 4, Height: 4, CoreMIPS: math.NaN()}},
 	} {
 		if _, err := NewMachine(tc.cfg); err == nil {
 			t.Errorf("%s: NewMachine accepted %+v", tc.name, tc.cfg)

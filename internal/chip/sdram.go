@@ -2,9 +2,9 @@ package chip
 
 import (
 	"fmt"
-	"sort"
 
 	"spinngo/internal/sim"
+	"spinngo/internal/snap"
 )
 
 // SDRAM models the node's shared 1 Gbit mobile DDR SDRAM as a single
@@ -92,7 +92,7 @@ func (s *SDRAM) Store(addr uint32, data []byte) error {
 // image's flood-fill blocks, a host fill's data — this keeps one copy
 // per machine instead of one per chip, the dominant heap term when a
 // 64k-chip torus loads an image. The caller must not mutate data
-// afterwards; Load and ExportState copy out, so readers never alias it
+// afterwards; Load and Snap copy out, so readers never alias it
 // back.
 func (s *SDRAM) StoreShared(addr uint32, data []byte) error {
 	old := len(s.segments[addr])
@@ -116,52 +116,16 @@ func (s *SDRAM) Load(addr uint32) ([]byte, bool) {
 // Used reports the bytes held in the segment store.
 func (s *SDRAM) Used() int { return s.used }
 
-// Segment is one stored (addr, data) pair in a snapshot.
-type Segment struct {
-	Addr uint32
-	Data []byte
-}
-
-// SDRAMState is the serialisable dynamic state of an SDRAM, with the
-// segment store in ascending address order (deterministic bytes).
-type SDRAMState struct {
-	BusyUntil      sim.Time
-	Used           int
-	Transfers      uint64
-	BytesMoved     uint64
-	ContentionBusy sim.Time
-	Segments       []Segment
-}
-
-// ExportState captures the SDRAM's dynamic state.
-func (s *SDRAM) ExportState() SDRAMState {
-	st := SDRAMState{
-		BusyUntil: s.busyUntil, Used: s.used,
-		Transfers: s.Transfers, BytesMoved: s.BytesMoved,
-		ContentionBusy: s.ContentionBusy,
-	}
-	addrs := make([]uint32, 0, len(s.segments))
-	for a := range s.segments {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		st.Segments = append(st.Segments, Segment{Addr: a, Data: append([]byte(nil), s.segments[a]...)})
-	}
-	return st
-}
-
-// RestoreState overlays a captured state, replacing the segment store.
-func (s *SDRAM) RestoreState(st SDRAMState) {
-	s.busyUntil = st.BusyUntil
-	s.used = st.Used
-	s.Transfers = st.Transfers
-	s.BytesMoved = st.BytesMoved
-	s.ContentionBusy = st.ContentionBusy
-	s.segments = make(map[uint32][]byte, len(st.Segments))
-	for _, seg := range st.Segments {
-		s.segments[seg.Addr] = append([]byte(nil), seg.Data...)
-	}
+// Snap codes the SDRAM's dynamic state for snapshots, the segment store
+// in ascending address order (deterministic bytes); decoding replaces
+// the store.
+func (s *SDRAM) Snap(c *snap.Codec) {
+	c.I64((*int64)(&s.busyUntil))
+	c.Int(&s.used)
+	c.U64(&s.Transfers)
+	c.U64(&s.BytesMoved)
+	c.I64((*int64)(&s.ContentionBusy))
+	snap.Map(c, &s.segments, func(data *[]byte) { c.Bytes32(data) })
 }
 
 // DMARequest is one queued DMA operation.
@@ -316,31 +280,22 @@ func (d *DMAController) next() {
 	d.sdram.Transfer(req.Size, d.Completion(req))
 }
 
-// DMAState is the serialisable dynamic state of a DMA controller.
-type DMAState struct {
-	Queue     []DMARequest
-	Busy      bool
-	Completed uint64
-	MaxQueue  int
-}
-
-// ExportState captures the controller's dynamic state (the queued
-// requests; the in-flight transfer, if any, lives in the event queue as
-// a described event).
-func (d *DMAController) ExportState() DMAState {
-	return DMAState{
-		Queue: append([]DMARequest(nil), d.queue[d.head:]...),
-		Busy:  d.busy, Completed: d.Completed, MaxQueue: d.MaxQueue,
+// Snap codes the controller's dynamic state for snapshots: the queued
+// requests (the in-flight transfer, if any, lives in the event queue as
+// a described event) and the busy flag as-is — when true, the matching
+// completion event is re-injected separately from the event queue.
+func (d *DMAController) Snap(c *snap.Codec) {
+	queue := d.queue[d.head:]
+	snap.Slice(c, &queue)
+	for i := range queue {
+		c.Int(&queue[i].Size)
+		c.Bool(&queue[i].Write)
+		c.U32(&queue[i].Tag)
 	}
-}
-
-// RestoreState overlays a captured state. The busy flag is restored
-// as-is — when true, the matching completion event is re-injected
-// separately from the event queue.
-func (d *DMAController) RestoreState(st DMAState) {
-	d.queue = append([]DMARequest(nil), st.Queue...)
-	d.head = 0
-	d.busy = st.Busy
-	d.Completed = st.Completed
-	d.MaxQueue = st.MaxQueue
+	if c.Decoding() {
+		d.queue, d.head = queue, 0
+	}
+	c.Bool(&d.busy)
+	c.U64(&d.Completed)
+	c.Int(&d.MaxQueue)
 }

@@ -2,7 +2,6 @@ package host
 
 import (
 	"fmt"
-	"sort"
 
 	"spinngo/internal/sim"
 	"spinngo/internal/snap"
@@ -68,143 +67,80 @@ func (h *Host) EventKinds() sim.Kinds {
 	}
 }
 
-// EncodeState writes the host's dynamic state: the full command table
+// Snap codes the host's dynamic state — the full command table
 // (closure-free), the strip cursor, Ethernet pacing, per-chip start
-// flags and flood-fill assemblies, and the convergecast tree.
-func (h *Host) EncodeState(w *snap.Writer) {
-	w.Len(len(h.cmds))
-	for _, c := range h.cmds {
-		w.U8(uint8(c.op))
-		w.Int(c.target.X)
-		w.Int(c.target.Y)
-		w.U32(c.addr)
-		w.Bytes32(c.data)
-		w.Int(c.length)
-		w.Int(c.chunk)
-		w.Int(c.remaining)
-		w.Bytes32(c.result)
-		w.Bool(c.failed)
-		w.Bool(c.launched)
-		w.I64(int64(c.launchAt))
-		w.I64(int64(c.timeout))
-		w.Bool(c.resolved)
-		w.Bool(c.timedOut)
-		w.Bool(c.unreachable)
-		w.Int(c.chips)
-		w.Int(c.respRemaining)
-		w.Bool(c.stripped)
-	}
-	w.Int(h.strip)
-	w.Int(h.inflight)
-	w.I64(int64(h.ethFreeAt))
-	w.Len(len(h.started))
-	for _, s := range h.started {
-		w.Bool(s)
-	}
-	w.Len(len(h.fills))
-	for _, m := range h.fills {
-		seqs := make([]uint32, 0, len(m))
-		for seq := range m {
-			seqs = append(seqs, seq)
+// flags and flood-fill assemblies, and the convergecast tree —
+// overlaying it onto a freshly attached host on the same torus when
+// decoding.
+func (h *Host) Snap(c *snap.Codec) {
+	snap.Slice(c, &h.cmds)
+	for i := 0; i < len(h.cmds) && c.Err() == nil; i++ {
+		if c.Decoding() {
+			h.cmds[i] = &command{seq: uint32(i + 1)}
 		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		w.Len(len(seqs))
-		for _, seq := range seqs {
-			fa := m[seq]
-			w.U32(seq)
-			w.Len(len(fa.chunkCopies))
-			for _, c := range fa.chunkCopies {
-				w.U8(c)
-			}
-			w.Int(fa.chunksLeft)
-			w.Int(fa.childAcks)
-			w.Int(fa.subtree)
-			w.Bool(fa.acked)
-		}
+		cmd := h.cmds[i]
+		c.U8((*uint8)(&cmd.op))
+		c.Int(&cmd.target.X)
+		c.Int(&cmd.target.Y)
+		c.U32(&cmd.addr)
+		c.Bytes32(&cmd.data)
+		c.Int(&cmd.length)
+		c.Int(&cmd.chunk)
+		c.Int(&cmd.remaining)
+		c.Bytes32(&cmd.result)
+		c.Bool(&cmd.failed)
+		c.Bool(&cmd.launched)
+		c.I64((*int64)(&cmd.launchAt))
+		c.I64((*int64)(&cmd.timeout))
+		c.Bool(&cmd.resolved)
+		c.Bool(&cmd.timedOut)
+		c.Bool(&cmd.unreachable)
+		c.Int(&cmd.chips)
+		c.Int(&cmd.respRemaining)
+		c.Bool(&cmd.stripped)
 	}
-	w.Len(len(h.fillParent))
-	for _, d := range h.fillParent {
-		w.U8(uint8(d))
-	}
-	for _, n := range h.fillChildren {
-		w.Int(n)
-	}
-	w.Int(h.fillAlive)
-	w.Int(h.fillsUnresolved)
-	w.U64(h.PacketsSent)
-}
-
-// DecodeState overlays state written by EncodeState onto a freshly
-// attached host on the same torus.
-func (h *Host) DecodeState(r *snap.Reader) error {
-	h.cmds = nil
-	for i, k := 0, r.Len(); i < k && r.Err() == nil; i++ {
-		c := &command{seq: uint32(i + 1)}
-		c.op = Op(r.U8())
-		c.target = topo.Coord{X: r.Int(), Y: r.Int()}
-		c.addr = r.U32()
-		c.data = r.Bytes32()
-		c.length = r.Int()
-		c.chunk = r.Int()
-		c.remaining = r.Int()
-		c.result = r.Bytes32()
-		c.failed = r.Bool()
-		c.launched = r.Bool()
-		c.launchAt = sim.Time(r.I64())
-		c.timeout = sim.Time(r.I64())
-		c.resolved = r.Bool()
-		c.timedOut = r.Bool()
-		c.unreachable = r.Bool()
-		c.chips = r.Int()
-		c.respRemaining = r.Int()
-		c.stripped = r.Bool()
-		h.cmds = append(h.cmds, c)
-	}
-	h.strip = r.Int()
-	h.inflight = r.Int()
-	h.ethFreeAt = sim.Time(r.I64())
-	if n := r.Len(); r.Err() == nil && n != len(h.started) {
-		return fmt.Errorf("host: restore torus size %d != %d", n, len(h.started))
+	c.Int(&h.strip)
+	c.Int(&h.inflight)
+	c.I64((*int64)(&h.ethFreeAt))
+	if !c.FixedLen(len(h.started), "host start flags") {
+		return
 	}
 	for i := range h.started {
-		h.started[i] = r.Bool()
+		c.Bool(&h.started[i])
 	}
-	if n := r.Len(); r.Err() == nil && n != len(h.fills) {
-		return fmt.Errorf("host: restore fills size %d != %d", n, len(h.fills))
+	if !c.FixedLen(len(h.fills), "host fill assemblies") {
+		return
 	}
 	for i := range h.fills {
-		h.fills[i] = nil
-		k := r.Len()
-		if k == 0 {
-			continue
-		}
-		m := make(map[uint32]*fillAssembly, k)
-		for j := 0; j < k && r.Err() == nil; j++ {
-			seq := r.U32()
-			fa := &fillAssembly{}
-			fa.chunkCopies = make([]uint8, r.Len())
-			for b := range fa.chunkCopies {
-				fa.chunkCopies[b] = r.U8()
+		snap.Map(c, &h.fills[i], func(p **fillAssembly) {
+			if c.Decoding() {
+				*p = &fillAssembly{}
 			}
-			fa.chunksLeft = r.Int()
-			fa.childAcks = r.Int()
-			fa.subtree = r.Int()
-			fa.acked = r.Bool()
-			m[seq] = fa
-		}
-		h.fills[i] = m
+			fa := *p
+			snap.Slice(c, &fa.chunkCopies)
+			for b := range fa.chunkCopies {
+				c.U8(&fa.chunkCopies[b])
+			}
+			c.Int(&fa.chunksLeft)
+			c.Int(&fa.childAcks)
+			c.Int(&fa.subtree)
+			c.Bool(&fa.acked)
+		})
 	}
-	if n := r.Len(); r.Err() == nil && n != len(h.fillParent) {
-		return fmt.Errorf("host: restore tree size %d != %d", n, len(h.fillParent))
+	if !c.FixedLen(len(h.fillParent), "host fill tree") {
+		return
 	}
 	for i := range h.fillParent {
-		h.fillParent[i] = topo.Dir(r.U8())
+		// Fill acknowledgements index a chip's links by its uplink.
+		snap.Enum(c, &h.fillParent[i], topo.Dir(topo.NumDirs))
 	}
 	for i := range h.fillChildren {
-		h.fillChildren[i] = r.Int()
+		c.Int(&h.fillChildren[i])
 	}
-	h.fillAlive = r.Int()
-	h.fillsUnresolved = r.Int()
-	h.PacketsSent = r.U64()
-	return r.Err()
+	c.Int(&h.fillAlive)
+	c.Int(&h.fillsUnresolved)
+	c.U64(&h.PacketsSent)
+	if c.Decoding() && (h.strip < 0 || h.strip > len(h.cmds)) {
+		c.Fail(fmt.Errorf("host: strip cursor %d outside the %d-command table", h.strip, len(h.cmds)))
+	}
 }

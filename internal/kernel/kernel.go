@@ -18,6 +18,7 @@ import (
 
 	"spinngo/internal/packet"
 	"spinngo/internal/sim"
+	"spinngo/internal/snap"
 )
 
 // EventType is a Fig-7 interrupt source.
@@ -371,55 +372,36 @@ func (c *Core) SleepFraction() float64 {
 // RealTime reports whether the core kept up with its timer: no overruns.
 func (c *Core) RealTime() bool { return c.Overruns == 0 }
 
-// State is the serialisable dynamic state of a core, for snapshots. The
-// pending timer/dispatch events are not part of it — they live in the
-// engine's event heap and round-trip as described events.
-type State struct {
-	Queues       [numEventTypes][]Event
-	Running      bool
-	Stopped      bool
-	IdleSince    sim.Time
-	StartAt      sim.Time
-	BusyTime     sim.Time
-	SleepTime    sim.Time
-	Instructions uint64
-	EventCounts  [numEventTypes]uint64
-	Overruns     uint64
-	MaxBacklog   int
-}
-
-// NumEventTypes reports the interrupt-source count (the fixed size of
-// State.Queues/EventCounts).
-const NumEventTypes = int(numEventTypes)
-
-// ExportState captures the core's dynamic state.
-func (c *Core) ExportState() State {
-	st := State{
-		Running: c.running, Stopped: c.stopped,
-		IdleSince: c.idleSince, StartAt: c.startAt,
-		BusyTime: c.BusyTime, SleepTime: c.SleepTime,
-		Instructions: c.Instructions, EventCounts: c.EventCounts,
-		Overruns: c.Overruns, MaxBacklog: c.MaxBacklog,
-	}
+// Snap codes the core's dynamic state for snapshots, overlaying it onto
+// a freshly built core when decoding. The pending timer/dispatch events
+// are not part of it — they live in the engine's event heap and
+// round-trip as described events.
+func (c *Core) Snap(s *snap.Codec) {
 	for i := range c.queues {
-		st.Queues[i] = append([]Event(nil), c.queues[i].pending()...)
+		evs := c.queues[i].pending()
+		snap.Slice(s, &evs)
+		for j := range evs {
+			ev := &evs[j]
+			// Dispatch indexes EventCounts and handlers by the type.
+			snap.Enum(s, &ev.Type, numEventTypes)
+			ev.Pkt.Snap(s)
+			s.U32(&ev.Tag)
+			s.U64(&ev.Tick)
+		}
+		if s.Decoding() {
+			c.queues[i] = evQueue{buf: evs}
+		}
 	}
-	return st
-}
-
-// RestoreState overlays a captured state onto a freshly built core.
-func (c *Core) RestoreState(st State) {
-	for i := range c.queues {
-		c.queues[i] = evQueue{buf: append([]Event(nil), st.Queues[i]...)}
+	s.Bool(&c.running)
+	s.Bool(&c.stopped)
+	s.I64((*int64)(&c.idleSince))
+	s.I64((*int64)(&c.startAt))
+	s.I64((*int64)(&c.BusyTime))
+	s.I64((*int64)(&c.SleepTime))
+	s.U64(&c.Instructions)
+	for i := range c.EventCounts {
+		s.U64(&c.EventCounts[i])
 	}
-	c.running = st.Running
-	c.stopped = st.Stopped
-	c.idleSince = st.IdleSince
-	c.startAt = st.StartAt
-	c.BusyTime = st.BusyTime
-	c.SleepTime = st.SleepTime
-	c.Instructions = st.Instructions
-	c.EventCounts = st.EventCounts
-	c.Overruns = st.Overruns
-	c.MaxBacklog = st.MaxBacklog
+	s.U64(&c.Overruns)
+	s.Int(&c.MaxBacklog)
 }

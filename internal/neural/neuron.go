@@ -3,6 +3,8 @@ package neural
 import (
 	"fmt"
 	"math"
+
+	"spinngo/internal/snap"
 )
 
 // Neuron is a point-neuron model advanced once per millisecond timer
@@ -156,44 +158,30 @@ func (n *Izhikevich) V() Fix { return n.v }
 // Reset restores the resting state.
 func (n *Izhikevich) Reset() { n.v = n.c; n.u = n.b.Mul(n.v) }
 
-// ExportNeuronState returns a neuron's dynamic state words — the values
-// that evolve during simulation, excluding the parameters a rebuild
-// reproduces. A nil neuron (killed) exports nil. The
-// structure-of-arrays views export the identical words as their
-// standalone counterparts, so the snapshot format is layout-blind.
-func ExportNeuronState(n Neuron) []Fix {
+// snapNeuron codes a live neuron's dynamic state words — the values that
+// evolve during simulation, excluding the parameters a rebuild
+// reproduces. The structure-of-arrays views code the identical words as
+// their standalone counterparts, so the snapshot format is layout-blind.
+func snapNeuron(c *snap.Codec, n Neuron) {
+	if !c.FixedLen(2, "neuron state words") {
+		return
+	}
 	switch m := n.(type) {
-	case nil:
-		return nil
 	case *LIF:
-		return []Fix{m.v, Fix(m.cooling)}
+		c.I32((*int32)(&m.v))
+		cooling := int32(m.cooling)
+		c.I32(&cooling)
+		m.cooling = int(cooling)
 	case *Izhikevich:
-		return []Fix{m.v, m.u}
+		c.I32((*int32)(&m.v))
+		c.I32((*int32)(&m.u))
 	case *lifRef:
-		return []Fix{m.p.v[m.i], Fix(m.p.cooling[m.i])}
+		c.I32((*int32)(&m.p.v[m.i]))
+		c.I32(&m.p.cooling[m.i])
 	case *izhRef:
-		return []Fix{m.p.v[m.i], m.p.u[m.i]}
+		c.I32((*int32)(&m.p.v[m.i]))
+		c.I32((*int32)(&m.p.u[m.i]))
 	default:
 		panic(fmt.Sprintf("neural: cannot snapshot neuron type %T", n))
-	}
-}
-
-// RestoreNeuronState overlays dynamic state words captured by
-// ExportNeuronState onto a freshly built neuron of the same model.
-func RestoreNeuronState(n Neuron, st []Fix) {
-	if len(st) != 2 {
-		panic(fmt.Sprintf("neural: %T state length %d, want 2", n, len(st)))
-	}
-	switch m := n.(type) {
-	case *LIF:
-		m.v, m.cooling = st[0], int(st[1])
-	case *Izhikevich:
-		m.v, m.u = st[0], st[1]
-	case *lifRef:
-		m.p.v[m.i], m.p.cooling[m.i] = st[0], int32(st[1])
-	case *izhRef:
-		m.p.v[m.i], m.p.u[m.i] = st[0], st[1]
-	default:
-		panic(fmt.Sprintf("neural: cannot restore neuron type %T", n))
 	}
 }

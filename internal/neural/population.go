@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"spinngo/internal/sim"
+	"spinngo/internal/snap"
 )
 
 // Spike records one firing event.
@@ -43,28 +44,20 @@ func (r *Recorder) Rate(neuron int, ticks uint64) float64 {
 	return float64(r.counts[neuron]) / (float64(ticks) / 1000.0)
 }
 
-// RecorderState is the serialisable state of a Recorder.
-type RecorderState struct {
-	Spikes []Spike
-	Counts []uint64
-}
-
-// ExportState captures the recorded raster and per-neuron counts.
-func (r *Recorder) ExportState() RecorderState {
-	return RecorderState{
-		Spikes: append([]Spike(nil), r.Spikes...),
-		Counts: append([]uint64(nil), r.counts...),
+// Snap codes the recorded raster and the per-neuron counts of a recorder
+// of the same neuron count.
+func (r *Recorder) Snap(c *snap.Codec) {
+	snap.Slice(c, &r.Spikes)
+	for i := range r.Spikes {
+		c.U64(&r.Spikes[i].Tick)
+		c.Int(&r.Spikes[i].Neuron)
 	}
-}
-
-// RestoreState overlays a captured raster onto a recorder of the same
-// neuron count.
-func (r *Recorder) RestoreState(st RecorderState) {
-	if len(st.Counts) != len(r.counts) {
-		panic(fmt.Sprintf("neural: recorder restore shape %d != %d", len(st.Counts), len(r.counts)))
+	if !c.FixedLen(len(r.counts), "recorder spike counts") {
+		return
 	}
-	r.Spikes = append([]Spike(nil), st.Spikes...)
-	copy(r.counts, st.Counts)
+	for i := range r.counts {
+		c.U64(&r.counts[i])
+	}
 }
 
 // popModel selects a population's stepping path.
@@ -368,6 +361,34 @@ func (p *Population) Tick() uint64 { return p.tick }
 // with machine time — used when a migrated core resumes a fragment.
 func (p *Population) SeedTick(t uint64) { p.tick = t }
 
+// Snap codes the population's dynamic state — tick, per-neuron liveness
+// and state words, input ring, recorder — overlaying it onto a freshly
+// built population of the same shape when decoding.
+func (p *Population) Snap(c *snap.Codec) {
+	c.U64(&p.tick)
+	if !c.FixedLen(len(p.Neurons), "population neurons") {
+		return
+	}
+	for i, nn := range p.Neurons {
+		alive := nn != nil
+		c.Bool(&alive)
+		switch {
+		case alive && nn == nil:
+			c.Fail(fmt.Errorf("neural: neuron %d alive in image but stateless in rebuild", i))
+			return
+		case alive:
+			snapNeuron(c, nn)
+		case nn != nil:
+			// Killed before the snapshot. Routing through KillNeuron keeps
+			// the dead-slot counter — which gates the chunked stepping
+			// path — consistent.
+			_ = p.KillNeuron(i)
+		}
+	}
+	p.Ring.Snap(c)
+	p.Rec.Snap(c)
+}
+
 // ProcessRow applies one DMA-fetched synaptic row: each synapse deposits
 // its weight into the ring slot its delay selects (the deferred-event
 // model, section 3.2). It reports the instruction cost for the kernel's
@@ -474,11 +495,8 @@ func NewPoissonSource(rng *sim.RNG, n int, rateHz float64) *PoissonSource {
 	return &PoissonSource{rng: rng, n: n, prob: rateHz / 1000.0}
 }
 
-// RNGState exposes the source's generator state for snapshots.
-func (s *PoissonSource) RNGState() [4]uint64 { return s.rng.State() }
-
-// SetRNGState overlays a captured generator state.
-func (s *PoissonSource) SetRNGState(st [4]uint64) { s.rng.SetState(st) }
+// Snap codes the source's dynamic state: its generator stream.
+func (s *PoissonSource) Snap(c *snap.Codec) { s.rng.Snap(c) }
 
 // Tick returns the indices that spike this tick.
 func (s *PoissonSource) Tick() []int {

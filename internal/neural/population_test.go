@@ -1,10 +1,12 @@
 package neural
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"spinngo/internal/sim"
+	"spinngo/internal/snap"
 )
 
 func newLIFPopulation(n int) *Population {
@@ -201,7 +203,7 @@ func TestChunkedSoAMatchesInterfaceAcrossSizes(t *testing.T) {
 						}
 					}
 				}
-				ss, rs := c.soa.Rec.ExportState(), c.ref.Rec.ExportState()
+				ss, rs := c.soa.Rec, c.ref.Rec
 				if len(ss.Spikes) != len(rs.Spikes) {
 					t.Fatalf("SoA recorded %d spikes, interface %d", len(ss.Spikes), len(rs.Spikes))
 				}
@@ -268,7 +270,7 @@ func TestSoAMatchesInterfaceStepping(t *testing.T) {
 					}
 				}
 			}
-			ss, rs := c.soa.Rec.ExportState(), c.ref.Rec.ExportState()
+			ss, rs := c.soa.Rec, c.ref.Rec
 			if len(ss.Spikes) != len(rs.Spikes) {
 				t.Fatalf("SoA recorded %d spikes, interface %d", len(ss.Spikes), len(rs.Spikes))
 			}
@@ -279,15 +281,18 @@ func TestSoAMatchesInterfaceStepping(t *testing.T) {
 			}
 			// The exported state words must be layout-blind too.
 			for i := 0; i < n; i++ {
-				sw := ExportNeuronState(c.soa.Neurons[i])
-				rw := ExportNeuronState(c.ref.Neurons[i])
-				if len(sw) != len(rw) {
-					t.Fatalf("neuron %d export length %d vs %d", i, len(sw), len(rw))
-				}
-				for k := range sw {
-					if sw[k] != rw[k] {
-						t.Fatalf("neuron %d state word %d: SoA %v, interface %v", i, k, sw[k], rw[k])
+				sn, rn := c.soa.Neurons[i], c.ref.Neurons[i]
+				if sn == nil || rn == nil {
+					if (sn == nil) != (rn == nil) {
+						t.Fatalf("neuron %d dead in one layout only", i)
 					}
+					continue
+				}
+				sw, rw := snap.NewEncoder(), snap.NewEncoder()
+				snapNeuron(sw, sn)
+				snapNeuron(rw, rn)
+				if !bytes.Equal(sw.Bytes(), rw.Bytes()) {
+					t.Fatalf("neuron %d state words: SoA % x, interface % x", i, sw.Bytes(), rw.Bytes())
 				}
 			}
 		})

@@ -1,0 +1,154 @@
+package neural
+
+import (
+	"bytes"
+	"testing"
+
+	"spinngo/internal/sim"
+	"spinngo/internal/snap"
+)
+
+// steppedPop drives a population for a few ticks so every part of its
+// state — membrane words, ring accumulators, raster, counts — is
+// non-trivial, and kills one neuron.
+func steppedPop(p *Population) *Population {
+	p.Bias = F(3)
+	row := Row{MakeSynWord(900, 3, false, 1), MakeSynWord(400, 15, true, 2), MakeSynWord(700, 1, false, 0)}
+	for tick := 0; tick < 40; tick++ {
+		p.ProcessRow(row)
+		p.StepTick()
+	}
+	p.Ring.Deposit(MaxSynDelay+5, 0, F(1)) // a dropped deposit
+	_ = p.KillNeuron(2)
+	return p
+}
+
+func plasticState(n int) *STDPState {
+	s := NewSTDPState(n, DefaultSTDP())
+	for tick := uint64(1); tick < 9; tick++ {
+		s.RecordPost(int(tick)%n, tick*3)
+	}
+	s.ProcessRow(0x40, plasticRow(500), 11)
+	s.ProcessRow(0x08, plasticRow(500), 20)
+	s.ProcessRow(0x40, plasticRow(500), 25)
+	return s
+}
+
+func plasticMatrix() *Matrix {
+	m := NewMatrix()
+	m.AddRow(0x900, Row{MakeSynWord(1, 1, false, 0), MakeSynWord(65535, 15, true, 3)})
+	m.AddRow(0x100, Row{})
+	m.AddRow(0x500, plasticRow(777))
+	return m
+}
+
+// TestSnapRoundTrip pins the one-description contract for every neural
+// component: encode(x) decoded into a freshly built y re-encodes to the
+// same bytes, consuming the image exactly — and decoded into a y of the
+// wrong shape, or from a truncated image, it is an error, not a panic.
+func TestSnapRoundTrip(t *testing.T) {
+	lif := func(n int) *Population { return NewLIFPopulation(n, MaxSynDelay, DefaultLIF()) }
+	izh := func(n int) *Population { return NewIzhikevichPopulation(n, MaxSynDelay, RegularSpiking()) }
+	mixed := func(n int) *Population {
+		return NewPopulation(n, MaxSynDelay, func(i int) Neuron {
+			switch i % 3 {
+			case 0:
+				return NewLIF(DefaultLIF())
+			case 1:
+				return NewIzhikevich(Chattering())
+			}
+			return nil // stateless source slot
+		})
+	}
+	type codes = func(*snap.Codec)
+	matrix := func(m *Matrix, neurons int) codes { return func(c *snap.Codec) { m.Snap(c, neurons) } }
+	for _, row := range []struct {
+		name         string
+		src          codes
+		fresh, wrong func() codes // wrong: a rebuild of another shape (nil: shapeless)
+	}{
+		{"ring", steppedPop(lif(5)).Ring.Snap,
+			func() codes { return NewInputRing(5, MaxSynDelay).Snap },
+			func() codes { return NewInputRing(5, 2).Snap }},
+		{"ring neurons", steppedPop(lif(5)).Ring.Snap,
+			func() codes { return NewInputRing(5, MaxSynDelay).Snap },
+			func() codes { return NewInputRing(16, MaxSynDelay).Snap }},
+		{"recorder", steppedPop(lif(5)).Rec.Snap,
+			func() codes { return NewRecorder(5).Snap },
+			func() codes { return NewRecorder(6).Snap }},
+		{"stdp", plasticState(4).Snap,
+			func() codes { return NewSTDPState(4, DefaultSTDP()).Snap },
+			func() codes { return NewSTDPState(3, DefaultSTDP()).Snap }},
+		{"matrix", matrix(plasticMatrix(), 4),
+			func() codes { return matrix(NewMatrix(), 4) },
+			func() codes { return matrix(NewMatrix(), 3) }}, // a row targets neuron 3
+		{"source", NewPoissonSource(sim.NewRNG(9), 4, 50).Snap,
+			func() codes { return NewPoissonSource(sim.NewRNG(1), 4, 50).Snap }, nil},
+		{"population lif", steppedPop(lif(11)).Snap,
+			func() codes { return lif(11).Snap },
+			func() codes { return lif(12).Snap }},
+		{"population izhikevich", steppedPop(izh(9)).Snap,
+			func() codes { return izh(9).Snap },
+			func() codes { return izh(8).Snap }},
+		{"population generic", steppedPop(mixed(7)).Snap,
+			func() codes { return mixed(7).Snap },
+			func() codes { return NewPopulation(7, MaxSynDelay, func(int) Neuron { return nil }).Snap }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			enc := snap.NewEncoder()
+			row.src(enc)
+			image := enc.Bytes()
+			dec := snap.NewDecoder(image)
+			dst := row.fresh()
+			dst(dec)
+			if err := dec.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if dec.Remaining() != 0 {
+				t.Fatalf("%d bytes left undecoded", dec.Remaining())
+			}
+			re := snap.NewEncoder()
+			dst(re)
+			if !bytes.Equal(re.Bytes(), image) {
+				t.Fatal("decoded state re-encodes differently")
+			}
+			cut := snap.NewDecoder(image[:len(image)-1])
+			row.fresh()(cut)
+			if cut.Err() == nil {
+				t.Error("truncated image decoded without error")
+			}
+			if row.wrong != nil {
+				bad := snap.NewDecoder(image)
+				row.wrong()(bad)
+				if bad.Err() == nil {
+					t.Error("image decoded into a rebuild of another shape without error")
+				}
+			}
+		})
+	}
+}
+
+// TestSnapRejectsCorruptValues: values that would index out of range
+// once the run resumes — the ring cursor, a post-spike history length —
+// fail at decode.
+func TestSnapRejectsCorruptValues(t *testing.T) {
+	enc := snap.NewEncoder()
+	NewInputRing(3, 4).Snap(enc)
+	ring := bytes.Clone(enc.Bytes())
+	ring[0] = 5 // cursor: the first field, an int64; the ring has 5 slots
+	dec := snap.NewDecoder(ring)
+	NewInputRing(3, 4).Snap(dec)
+	if dec.Err() == nil {
+		t.Error("ring cursor past the last slot decoded without error")
+	}
+
+	enc = snap.NewEncoder()
+	NewSTDPState(1, DefaultSTDP()).Snap(enc)
+	hist := bytes.Clone(enc.Bytes())
+	hist[4+4*8] = 5 // after the length prefix and four ticks: the history length
+	dec = snap.NewDecoder(hist)
+	NewSTDPState(1, DefaultSTDP()).Snap(dec)
+	if dec.Err() == nil {
+		t.Error("post-spike history length 5 of 4 decoded without error")
+	}
+}

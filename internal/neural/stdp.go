@@ -1,8 +1,10 @@
 package neural
 
 import (
+	"fmt"
 	"math"
-	"sort"
+
+	"spinngo/internal/snap"
 )
 
 // Spike-timing-dependent plasticity. Fig 7's DMA-complete task notes
@@ -144,56 +146,25 @@ func (s *STDPState) ProcessRow(key uint32, row Row, now uint64) (dirty bool, ins
 	return dirty, cost
 }
 
-// PostRecord is one neuron's serialised post-spike history.
-type PostRecord struct {
-	Ticks [4]uint64
-	N     int
-}
-
-// PreRecord is one row's serialised last-pre-spike tick.
-type PreRecord struct {
-	Key  uint32
-	Tick uint64
-}
-
-// STDPSnapshot is the serialisable dynamic state of an STDPState.
-type STDPSnapshot struct {
-	Hist          []PostRecord
-	LastPre       []PreRecord // ascending key order
-	Potentiations uint64
-	Depressions   uint64
-}
-
-// ExportState captures the plasticity machinery's dynamic state.
-func (s *STDPState) ExportState() STDPSnapshot {
-	st := STDPSnapshot{Potentiations: s.Potentiations, Depressions: s.Depressions}
+// Snap codes the plasticity machinery's dynamic state — the post-spike
+// histories of a population of the same neuron count, then the last
+// pre-spike ticks in ascending key order.
+func (s *STDPState) Snap(c *snap.Codec) {
+	if !c.FixedLen(len(s.hist), "STDP post-spike histories") {
+		return
+	}
 	for i := range s.hist {
-		st.Hist = append(st.Hist, PostRecord{Ticks: s.hist[i].ticks, N: s.hist[i].n})
+		h := &s.hist[i]
+		for j := range h.ticks {
+			c.U64(&h.ticks[j])
+		}
+		c.Int(&h.n)
+		if c.Decoding() && (h.n < 0 || h.n > len(h.ticks)) {
+			c.Fail(fmt.Errorf("neural: neuron %d post-spike history length %d", i, h.n))
+			h.n = 0
+		}
 	}
-	keys := make([]uint32, 0, len(s.lastPre))
-	for k := range s.lastPre {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		st.LastPre = append(st.LastPre, PreRecord{Key: k, Tick: s.lastPre[k]})
-	}
-	return st
-}
-
-// RestoreState overlays a captured state onto freshly built machinery of
-// the same neuron count.
-func (s *STDPState) RestoreState(st STDPSnapshot) {
-	if len(st.Hist) != len(s.hist) {
-		panic("neural: STDP restore shape mismatch")
-	}
-	for i, h := range st.Hist {
-		s.hist[i] = postHistory{ticks: h.Ticks, n: h.N}
-	}
-	s.lastPre = make(map[uint32]uint64, len(st.LastPre))
-	for _, p := range st.LastPre {
-		s.lastPre[p.Key] = p.Tick
-	}
-	s.Potentiations = st.Potentiations
-	s.Depressions = st.Depressions
+	snap.Map(c, &s.lastPre, func(tick *uint64) { c.U64(tick) })
+	c.U64(&s.Potentiations)
+	c.U64(&s.Depressions)
 }

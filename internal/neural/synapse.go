@@ -3,6 +3,8 @@ package neural
 import (
 	"fmt"
 	"sort"
+
+	"spinngo/internal/snap"
 )
 
 // SynWord is one packed synapse, in the layout SpiNNaker kernels use so
@@ -108,19 +110,27 @@ func (m *Matrix) Row(key uint32) (Row, bool) {
 // NumRows reports the number of stored rows.
 func (m *Matrix) NumRows() int { return len(m.rows) }
 
-// KeyRow is one (presynaptic key, row) pair, for snapshots.
-type KeyRow struct {
-	Key uint32
-	Row Row
-}
-
-// ExportRows returns every stored row in ascending key order (copies).
-func (m *Matrix) ExportRows() []KeyRow {
-	out := make([]KeyRow, 0, len(m.rows))
-	for _, k := range m.Keys() {
-		out = append(out, KeyRow{Key: k, Row: append(Row(nil), m.rows[k]...)})
+// Snap codes every stored row in ascending key order; decoding installs
+// each recorded row over the rebuilt one and rejects a synapse whose
+// target is not one of the population's neurons (row processing indexes
+// per-neuron arrays by it).
+func (m *Matrix) Snap(c *snap.Codec, neurons int) {
+	keys := m.Keys()
+	snap.Slice(c, &keys)
+	for i := 0; i < len(keys) && c.Err() == nil; i++ {
+		c.U32(&keys[i])
+		row := m.rows[keys[i]]
+		snap.Slice(c, &row)
+		for j := range row {
+			c.U32((*uint32)(&row[j]))
+			if c.Decoding() && row[j].Target() >= neurons {
+				c.Fail(fmt.Errorf("neural: row %#x synapse %d targets neuron %d of %d", keys[i], j, row[j].Target(), neurons))
+			}
+		}
+		if c.Decoding() {
+			m.AddRow(keys[i], row)
+		}
 	}
-	return out
 }
 
 // Keys lists the stored presynaptic keys in ascending order. The order
@@ -195,31 +205,23 @@ func (r *InputRing) ClearCurrent() {
 	}
 }
 
-// RingState is the serialisable dynamic state of an InputRing: the slot
-// accumulators in ring order starting from the current slot.
-type RingState struct {
-	Cur     int
-	Dropped uint64
-	Slots   [][]Fix
-}
-
-// ExportState captures the ring's dynamic state.
-func (r *InputRing) ExportState() RingState {
-	st := RingState{Cur: r.cur, Dropped: r.Dropped}
-	for _, s := range r.slots {
-		st.Slots = append(st.Slots, append([]Fix(nil), s...))
+// Snap codes the ring's dynamic state — the slot accumulators in storage
+// order plus the cursor — onto a ring of the same shape.
+func (r *InputRing) Snap(c *snap.Codec) {
+	c.Int(&r.cur)
+	c.U64(&r.Dropped)
+	if !c.FixedLen(len(r.slots), "input ring slots") {
+		return
 	}
-	return st
-}
-
-// RestoreState overlays a captured state onto a ring of the same shape.
-func (r *InputRing) RestoreState(st RingState) {
-	if len(st.Slots) != len(r.slots) {
-		panic(fmt.Sprintf("neural: ring restore shape %d != %d", len(st.Slots), len(r.slots)))
+	for _, slot := range r.slots {
+		if !c.FixedLen(len(slot), "input ring slot neurons") {
+			return
+		}
+		for j := range slot {
+			c.I32((*int32)(&slot[j]))
+		}
 	}
-	r.cur = st.Cur
-	r.Dropped = st.Dropped
-	for i, s := range st.Slots {
-		copy(r.slots[i], s)
+	if c.Decoding() && (r.cur < 0 || r.cur >= len(r.slots)) {
+		c.Fail(fmt.Errorf("neural: ring cursor %d outside %d slots", r.cur, len(r.slots)))
 	}
 }

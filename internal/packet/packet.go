@@ -16,6 +16,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+
+	"spinngo/internal/snap"
 )
 
 // Type discriminates the three router packet classes.
@@ -87,9 +89,27 @@ type Packet struct {
 	SrcAddr uint16
 	DstAddr uint16
 
-	// Instrumentation (not serialised).
+	// Instrumentation (not part of the wire encoding).
 	Hops          int // total router-to-router hops taken
 	EmergencyHops int // hops taken on emergency detours
+}
+
+// Snap codes every packet field for the machine snapshot, including the
+// Hops/EmergencyHops instrumentation: in-flight packets must resume with
+// their hop counts intact or delivered-packet telemetry diverges after a
+// restore. Flit blobs, link queues, the dropped-packet register and
+// kernel event queues all use this one layout.
+func (p *Packet) Snap(c *snap.Codec) {
+	c.U8((*uint8)(&p.Type))
+	c.U32(&p.Key)
+	c.U32(&p.Payload)
+	c.Bool(&p.HasPayload)
+	c.U8((*uint8)(&p.Emergency))
+	c.U8(&p.Timestamp)
+	c.U16(&p.SrcAddr)
+	c.U16(&p.DstAddr)
+	c.Int(&p.Hops)
+	c.Int(&p.EmergencyHops)
 }
 
 // NewMC returns a multicast packet carrying the given AER key.

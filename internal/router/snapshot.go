@@ -12,68 +12,34 @@ import (
 // Snapshot support for the fabric. Every pending fabric event describes
 // itself with a "fab." kind whose Blob encodes the in-flight flit;
 // EventKinds turns a recorded descriptor back into the event, and
-// Encode/DecodeState round-trip a node's non-event state (queues,
-// counters, link health). The routing tables are not serialised here —
+// Node.Snap round-trips a node's non-event state (queues, counters,
+// link health). The routing tables are not serialised here —
 // the machine layer rebuilds them by replaying the load/migration
 // history.
 
-// encPacket writes every packet field, including the Hops/EmergencyHops
-// instrumentation: in-flight packets must resume with their hop counts
-// intact or delivered-packet telemetry diverges after a restore.
-func encPacket(w *snap.Writer, p packet.Packet) {
-	w.U8(uint8(p.Type))
-	w.U32(p.Key)
-	w.U32(p.Payload)
-	w.Bool(p.HasPayload)
-	w.U8(uint8(p.Emergency))
-	w.U8(p.Timestamp)
-	w.U16(p.SrcAddr)
-	w.U16(p.DstAddr)
-	w.Int(p.Hops)
-	w.Int(p.EmergencyHops)
-}
-
-func decPacket(r *snap.Reader) packet.Packet {
-	var p packet.Packet
-	p.Type = packet.Type(r.U8())
-	p.Key = r.U32()
-	p.Payload = r.U32()
-	p.HasPayload = r.Bool()
-	p.Emergency = packet.EmergencyState(r.U8())
-	p.Timestamp = r.U8()
-	p.SrcAddr = r.U16()
-	p.DstAddr = r.U16()
-	p.Hops = r.Int()
-	p.EmergencyHops = r.Int()
-	return p
-}
-
-func encFlit(w *snap.Writer, fl flit) {
-	encPacket(w, fl.pkt)
-	w.I64(int64(fl.injectedAt))
-}
-
-func decFlit(r *snap.Reader) flit {
-	fl := flit{pkt: decPacket(r)}
-	fl.injectedAt = sim.Time(r.I64())
-	return fl
+// snap codes an in-flight flit: the packet and when it entered the
+// fabric.
+func (fl *flit) snap(c *snap.Codec) {
+	fl.pkt.Snap(c)
+	c.I64((*int64)(&fl.injectedAt))
 }
 
 // flitBlob encodes a flit as a descriptor blob.
 func flitBlob(fl flit) []byte {
-	var w snap.Writer
-	encFlit(&w, fl)
-	return w.Bytes()
+	c := snap.NewEncoder()
+	fl.snap(c)
+	return c.Bytes()
 }
 
 func flitFromBlob(b []byte) (flit, error) {
-	r := snap.NewReader(b)
-	fl := decFlit(r)
-	if err := r.Err(); err != nil {
+	var fl flit
+	c := snap.NewDecoder(b)
+	fl.snap(c)
+	if err := c.Err(); err != nil {
 		return flit{}, err
 	}
-	if r.Remaining() != 0 {
-		return flit{}, fmt.Errorf("router: %d trailing bytes in flit blob", r.Remaining())
+	if c.Remaining() != 0 {
+		return flit{}, fmt.Errorf("router: %d trailing bytes in flit blob", c.Remaining())
 	}
 	return fl, nil
 }
@@ -170,75 +136,42 @@ func (f *Fabric) EventKinds() sim.Kinds {
 	}
 }
 
-// EncodeState writes the node's dynamic state (everything except the
-// routing table and pending events): the canonical send sequence, output
-// link queues and health, the dropped-packet register and the
-// shard-owned tallies.
-func (n *Node) EncodeState(w *snap.Writer) {
-	w.U64(n.sendSeq)
-	w.U64(n.EmergencyNotices)
-	w.U64(n.DropNotices)
-	w.U64(n.UnroutableMC)
-	w.Len(len(n.Dropped))
-	for _, dp := range n.Dropped {
-		encPacket(w, dp.Pkt)
-		w.U8(uint8(dp.Dir))
-		w.Bool(dp.Aged)
+// Snap codes the node's dynamic state (everything except the routing
+// table and pending events): the canonical send sequence, the
+// dropped-packet register, the shard-owned tallies, and output link
+// queues and health — overlaying it onto a freshly built node when
+// decoding. Link failures restored here do not re-price the engine
+// lookahead; the machine layer recomputes it for the restore partition.
+func (n *Node) Snap(c *snap.Codec) {
+	c.U64(&n.sendSeq)
+	c.U64(&n.EmergencyNotices)
+	c.U64(&n.DropNotices)
+	c.U64(&n.UnroutableMC)
+	snap.Slice(c, &n.Dropped)
+	for i := range n.Dropped {
+		dp := &n.Dropped[i]
+		dp.Pkt.Snap(c)
+		// ReinjectDropped indexes the output links by the direction.
+		snap.Enum(c, &dp.Dir, topo.Dir(topo.NumDirs))
+		c.Bool(&dp.Aged)
 	}
-	w.U64(n.deliveredMC)
-	w.U64(n.deliveredP2P)
-	w.U64(n.dropped)
-	w.U64(n.aged)
-	w.U64(n.p2pUnroutable)
-	w.U64(n.emergencies)
-	w.Bool(n.p2pReady)
-	w.Bool(n.dead)
+	c.U64(&n.deliveredMC)
+	c.U64(&n.deliveredP2P)
+	c.U64(&n.dropped)
+	c.U64(&n.aged)
+	c.U64(&n.p2pUnroutable)
+	c.U64(&n.emergencies)
+	c.Bool(&n.p2pReady)
+	c.Bool(&n.dead)
 	for d := range n.out {
 		l := &n.out[d]
-		w.Bool(l.failed)
-		w.I64(int64(l.freeAt))
-		w.Bool(l.draining)
-		w.U64(l.Traversals)
-		w.Len(len(l.queue))
-		for _, fl := range l.queue {
-			encFlit(w, fl)
+		c.Bool(&l.failed)
+		c.I64((*int64)(&l.freeAt))
+		c.Bool(&l.draining)
+		c.U64(&l.Traversals)
+		snap.Slice(c, &l.queue)
+		for i := range l.queue {
+			l.queue[i].snap(c)
 		}
 	}
-}
-
-// DecodeState overlays state written by EncodeState onto a freshly built
-// node. Link failures restored here do not re-price the engine lookahead;
-// the machine layer recomputes it for the restore partition.
-func (n *Node) DecodeState(r *snap.Reader) error {
-	n.sendSeq = r.U64()
-	n.EmergencyNotices = r.U64()
-	n.DropNotices = r.U64()
-	n.UnroutableMC = r.U64()
-	n.Dropped = nil
-	for i, k := 0, r.Len(); i < k && r.Err() == nil; i++ {
-		dp := DroppedPacket{Pkt: decPacket(r)}
-		dp.Dir = topo.Dir(r.U8())
-		dp.Aged = r.Bool()
-		n.Dropped = append(n.Dropped, dp)
-	}
-	n.deliveredMC = r.U64()
-	n.deliveredP2P = r.U64()
-	n.dropped = r.U64()
-	n.aged = r.U64()
-	n.p2pUnroutable = r.U64()
-	n.emergencies = r.U64()
-	n.p2pReady = r.Bool()
-	n.dead = r.Bool()
-	for d := range n.out {
-		l := &n.out[d]
-		l.failed = r.Bool()
-		l.freeAt = sim.Time(r.I64())
-		l.draining = r.Bool()
-		l.Traversals = r.U64()
-		l.queue = nil
-		for i, k := 0, r.Len(); i < k && r.Err() == nil; i++ {
-			l.queue = append(l.queue, decFlit(r))
-		}
-	}
-	return r.Err()
 }

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"spinngo/internal/snap"
 )
 
 // Runner is the clock-and-execution interface shared by Engine (a single
@@ -1022,6 +1024,21 @@ type EventRecord struct {
 	Class  uint8
 	K1, K2 uint64
 	Desc   Desc
+}
+
+// Snap codes the record for snapshots.
+func (rec *EventRecord) Snap(c *snap.Codec) {
+	c.I64((*int64)(&rec.At))
+	c.I32(&rec.Domain)
+	c.U8(&rec.Class)
+	c.U64(&rec.K1)
+	c.U64(&rec.K2)
+	c.String(&rec.Desc.Kind)
+	snap.Slice(c, &rec.Desc.Args)
+	for i := range rec.Desc.Args {
+		c.U64(&rec.Desc.Args[i])
+	}
+	c.Bytes32(&rec.Desc.Blob)
 }
 
 // Kinds is a table of event kinds: for each Desc.Kind, the constructor

@@ -1,6 +1,10 @@
 package sim
 
-import "math"
+import (
+	"math"
+
+	"spinngo/internal/snap"
+)
 
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xoshiro256** seeded via SplitMix64). It is not safe for concurrent
@@ -32,12 +36,14 @@ func NewRNG(seed uint64) *RNG {
 // sub-component without sharing state.
 func (r *RNG) Fork() *RNG { return NewRNG(r.Uint64()) }
 
-// State returns the generator's internal state, for snapshots.
-func (r *RNG) State() [4]uint64 { return r.s }
-
-// SetState overwrites the generator's internal state, resuming the
-// stream exactly where a snapshotted generator left off.
-func (r *RNG) SetState(s [4]uint64) { r.s = s }
+// Snap codes the generator's internal state for snapshots; a decoded
+// generator resumes the stream exactly where the snapshotted one left
+// off.
+func (r *RNG) Snap(c *snap.Codec) {
+	for i := range r.s {
+		c.U64(&r.s[i])
+	}
+}
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 

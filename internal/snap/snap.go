@@ -8,7 +8,9 @@ package snap
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 )
 
 // Writer accumulates a snapshot section. The zero value is ready to use.
@@ -181,4 +183,213 @@ func (r *Reader) Fail(err error) {
 	if r.err == nil {
 		r.err = err
 	}
+}
+
+// Codec drives one description of a snapshot section in either
+// direction: built by NewEncoder it appends every field it is shown to
+// an image, built by NewDecoder it overwrites every field from one. A
+// stateful type therefore spells its on-disk layout out once, in a
+// single method both Snapshot and Restore call, and the two directions
+// cannot drift. Validation that only makes sense against image bytes is
+// guarded by Decoding and reported through Fail; like the Reader's, the
+// error is sticky, so after the first failure every further field
+// decodes as zero and straight-line field lists need no checks — only
+// loops that allocate or act per element test Err.
+type Codec struct {
+	w   Writer
+	r   Reader
+	dec bool
+}
+
+// NewEncoder returns a codec that writes a fresh image.
+func NewEncoder() *Codec { return &Codec{} }
+
+// NewDecoder returns a codec that reads the image b.
+func NewDecoder(b []byte) *Codec { return &Codec{r: Reader{buf: b}, dec: true} }
+
+// Decoding reports the direction: true when fields are being
+// overwritten from an image.
+func (c *Codec) Decoding() bool { return c.dec }
+
+// Bytes returns the image an encoder has written so far.
+func (c *Codec) Bytes() []byte { return c.w.buf }
+
+// Remaining reports the bytes a decoder has yet to read.
+func (c *Codec) Remaining() int { return c.r.Remaining() }
+
+// Err reports the first decoding or validation error, if any.
+func (c *Codec) Err() error { return c.r.err }
+
+// Fail records a validation failure — in practice of decoded input: the
+// state an encoder writes is the program's own.
+func (c *Codec) Fail(err error) { c.r.Fail(err) }
+
+// U8 codes one byte.
+func (c *Codec) U8(p *uint8) {
+	if c.dec {
+		*p = c.r.U8()
+	} else {
+		c.w.U8(*p)
+	}
+}
+
+// Bool codes a bool as one byte.
+func (c *Codec) Bool(p *bool) {
+	if c.dec {
+		*p = c.r.Bool()
+	} else {
+		c.w.Bool(*p)
+	}
+}
+
+// U16 codes a little-endian uint16.
+func (c *Codec) U16(p *uint16) {
+	if c.dec {
+		*p = c.r.U16()
+	} else {
+		c.w.U16(*p)
+	}
+}
+
+// U32 codes a little-endian uint32.
+func (c *Codec) U32(p *uint32) {
+	if c.dec {
+		*p = c.r.U32()
+	} else {
+		c.w.U32(*p)
+	}
+}
+
+// I32 codes an int32 as its two's-complement uint32.
+func (c *Codec) I32(p *int32) {
+	if c.dec {
+		*p = int32(c.r.U32())
+	} else {
+		c.w.U32(uint32(*p))
+	}
+}
+
+// U64 codes a little-endian uint64.
+func (c *Codec) U64(p *uint64) {
+	if c.dec {
+		*p = c.r.U64()
+	} else {
+		c.w.U64(*p)
+	}
+}
+
+// I64 codes a little-endian int64.
+func (c *Codec) I64(p *int64) {
+	if c.dec {
+		*p = c.r.I64()
+	} else {
+		c.w.I64(*p)
+	}
+}
+
+// Int codes an int as int64.
+func (c *Codec) Int(p *int) {
+	if c.dec {
+		*p = c.r.Int()
+	} else {
+		c.w.Int(*p)
+	}
+}
+
+// F64 codes a float64 by its exact IEEE-754 bits.
+func (c *Codec) F64(p *float64) {
+	if c.dec {
+		*p = c.r.F64()
+	} else {
+		c.w.F64(*p)
+	}
+}
+
+// Bytes32 codes a uint32-length-prefixed byte slice; decoding stores a
+// copy, never a view of the image.
+func (c *Codec) Bytes32(p *[]byte) {
+	if c.dec {
+		*p = c.r.Bytes32()
+	} else {
+		c.w.Bytes32(*p)
+	}
+}
+
+// String codes a length-prefixed string.
+func (c *Codec) String(p *string) {
+	if c.dec {
+		*p = c.r.String()
+	} else {
+		c.w.String(*p)
+	}
+}
+
+// Len codes a collection length: encoding writes n and returns it,
+// decoding ignores n and returns the recorded length, which Reader.Len
+// has bounded by the bytes remaining (0 once the codec has failed).
+// Most callers want FixedLen (a shape the rebuild fixes) or Slice (a
+// collection rebuilt from the image).
+func (c *Codec) Len(n int) int {
+	if c.dec {
+		return c.r.Len()
+	}
+	c.w.Len(n)
+	return n
+}
+
+// FixedLen codes the length prefix of a collection whose shape the
+// rebuild fixes (n elements) and reports whether the image agrees;
+// decoding a different length fails the codec, naming the collection.
+func (c *Codec) FixedLen(n int, what string) bool {
+	if got := c.Len(n); c.dec && got != n {
+		c.Fail(fmt.Errorf("snap: %s: image holds %d, rebuilt state %d", what, got, n))
+		return false
+	}
+	return true
+}
+
+// Slice codes the length prefix of *s and, decoding, replaces *s with a
+// fresh zeroed slice of the recorded length — the one place an image
+// sizes an allocation, bounded through Len. The caller then codes the
+// elements in place with a plain loop over *s.
+func Slice[S ~[]E, E any](c *Codec, s *S) {
+	n := c.Len(len(*s))
+	if c.dec {
+		*s = make(S, n)
+	}
+}
+
+// Map codes a map in ascending key order — the deterministic bytes the
+// golden hash needs — with each coding one value. Decoding replaces *m
+// with the recorded entries; a nil map with none recorded stays nil.
+func Map[V any](c *Codec, m *map[uint32]V, each func(v *V)) {
+	keys := slices.Sorted(maps.Keys(*m))
+	Slice(c, &keys)
+	if c.dec && (len(keys) > 0 || *m != nil) {
+		*m = make(map[uint32]V, len(keys))
+	}
+	for i := 0; i < len(keys) && c.Err() == nil; i++ {
+		c.U32(&keys[i])
+		v := (*m)[keys[i]]
+		each(&v)
+		if c.dec {
+			(*m)[keys[i]] = v
+		}
+	}
+}
+
+// Enum codes a small enumeration as one byte. Decoding, a value at or
+// past limit — one that would index beyond the arrays the enumeration
+// sizes — fails the codec and leaves *p alone.
+func Enum[T ~int | ~uint8](c *Codec, p *T, limit T) {
+	v := uint8(*p)
+	c.U8(&v)
+	if !c.dec {
+		return
+	}
+	if T(v) >= limit {
+		c.Fail(fmt.Errorf("snap: enumeration value %d, want below %d", v, limit))
+		return
+	}
+	*p = T(v)
 }

@@ -2,6 +2,7 @@ package snap
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 )
@@ -134,5 +135,166 @@ func TestLenBoundedByRemaining(t *testing.T) {
 	huge := NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	if got := huge.Len(); got != 0 || huge.Err() == nil {
 		t.Fatalf("Len = %d, Err = %v; want 0 and an error for a 4 GiB length", got, huge.Err())
+	}
+}
+
+type codecSample struct {
+	tags map[uint32]uint16
+	u8   uint8
+	b    bool
+	u16  uint16
+	u32  uint32
+	i32  int32
+	u64  uint64
+	i64  int64
+	n    int
+	f    float64
+	raw  []byte
+	s    string
+	list []uint16
+	kind sampleKind
+	grid [3]uint8
+}
+
+type sampleKind int
+
+const sampleKinds sampleKind = 4
+
+// code is the one description both directions share.
+func (x *codecSample) code(c *Codec) {
+	Map(c, &x.tags, func(v *uint16) { c.U16(v) })
+	c.U8(&x.u8)
+	c.Bool(&x.b)
+	c.U16(&x.u16)
+	c.U32(&x.u32)
+	c.I32(&x.i32)
+	c.U64(&x.u64)
+	c.I64(&x.i64)
+	c.Int(&x.n)
+	c.F64(&x.f)
+	c.Bytes32(&x.raw)
+	c.String(&x.s)
+	Slice(c, &x.list)
+	for i := range x.list {
+		c.U16(&x.list[i])
+	}
+	Enum(c, &x.kind, sampleKinds)
+	if !c.FixedLen(len(x.grid), "grid") {
+		return
+	}
+	for i := range x.grid {
+		c.U8(&x.grid[i])
+	}
+}
+
+func sample() codecSample {
+	return codecSample{
+		tags: map[uint32]uint16{9: 1, 2: 7},
+		u8:   7, b: true, u16: 0xbeef, u32: 0xdeadbeef, i32: -5, u64: 1 << 63, i64: -42, n: -7,
+		f: math.Pi, raw: []byte{1, 2, 3}, s: "snap", list: []uint16{9, 8, 7}, kind: 3, grid: [3]uint8{4, 5, 6},
+	}
+}
+
+// TestCodecBothDirections: one field list encodes a value and decodes it
+// back, byte-for-byte what the Writer would have produced, consuming the
+// image exactly.
+func TestCodecBothDirections(t *testing.T) {
+	src := sample()
+	enc := NewEncoder()
+	src.code(enc)
+	if enc.Decoding() || enc.Err() != nil {
+		t.Fatalf("encoder: Decoding=%v Err=%v", enc.Decoding(), enc.Err())
+	}
+
+	var w Writer
+	w.Len(2) // map entries in ascending key order
+	w.U32(2)
+	w.U16(7)
+	w.U32(9)
+	w.U16(1)
+	w.U8(7)
+	w.Bool(true)
+	w.U16(0xbeef)
+	w.U32(0xdeadbeef)
+	w.U32(0xfffffffb) // int32(-5)
+	w.U64(1 << 63)
+	w.I64(-42)
+	w.Int(-7)
+	w.F64(math.Pi)
+	w.Bytes32([]byte{1, 2, 3})
+	w.String("snap")
+	w.Len(3)
+	w.U16(9)
+	w.U16(8)
+	w.U16(7)
+	w.U8(3)
+	w.Len(3)
+	w.U8(4)
+	w.U8(5)
+	w.U8(6)
+	if !bytes.Equal(enc.Bytes(), w.Bytes()) {
+		t.Fatalf("codec wrote % x\nwriter wrote % x", enc.Bytes(), w.Bytes())
+	}
+
+	var dst codecSample
+	dec := NewDecoder(enc.Bytes())
+	dst.code(dec)
+	if !dec.Decoding() || dec.Err() != nil || dec.Remaining() != 0 {
+		t.Fatalf("decoder: Decoding=%v Err=%v Remaining=%d", dec.Decoding(), dec.Err(), dec.Remaining())
+	}
+	re := NewEncoder()
+	dst.code(re)
+	if !bytes.Equal(re.Bytes(), enc.Bytes()) {
+		t.Fatalf("decoded value re-encodes to % x, want % x", re.Bytes(), enc.Bytes())
+	}
+}
+
+// TestCodecDecodeErrors: truncation anywhere, an enumeration value past
+// its limit, a fixed-shape length that disagrees and an oversized slice
+// length all fail the decode — stickily, with later fields read as zero.
+func TestCodecDecodeErrors(t *testing.T) {
+	src := sample()
+	enc := NewEncoder()
+	src.code(enc)
+	image := enc.Bytes()
+	for cut := 0; cut < len(image); cut++ {
+		var dst codecSample
+		dec := NewDecoder(image[:cut])
+		dst.code(dec)
+		if dec.Err() == nil {
+			t.Fatalf("image cut at %d of %d decoded without error", cut, len(image))
+		}
+	}
+	corrupt := func(off int, v byte) *Codec {
+		bad := bytes.Clone(image)
+		bad[off] = v
+		var dst codecSample
+		dec := NewDecoder(bad)
+		dst.code(dec)
+		return dec
+	}
+	enumOff := len(image) - 8 // the kind byte precedes the 4-byte grid length and 3 grid bytes
+	if dec := corrupt(enumOff, uint8(sampleKinds)); dec.Err() == nil {
+		t.Error("enumeration value at its limit decoded without error")
+	}
+	if dec := corrupt(enumOff+1, 2); dec.Err() == nil {
+		t.Error("fixed-shape length 2 of 3 decoded without error")
+	}
+	listLen := enumOff - 3*2 - 4
+	if dec := corrupt(listLen+3, 0x7F); dec.Err() == nil {
+		t.Error("slice length beyond the image decoded without error")
+	}
+
+	dec := NewDecoder(image)
+	first := errors.New("validation")
+	dec.Fail(first)
+	dec.Fail(errors.New("later"))
+	var dst codecSample
+	dst.code(dec)
+	if dec.Err() != first {
+		t.Errorf("Err = %v, want the first failure", dec.Err())
+	}
+	if dst.u64 != 0 || dst.s != "" || len(dst.list) != 0 {
+		t.Errorf("fields decoded after a failure: %+v", dst)
 	}
 }

@@ -186,6 +186,12 @@ func (c MachineConfig) Validate() error {
 	if c.Width <= 0 || c.Height <= 0 {
 		return fmt.Errorf("spinngo: invalid machine %dx%d", c.Width, c.Height)
 	}
+	if c.CoresPerChip < 0 || c.CoresPerChip > chip.CoresPerChip {
+		return fmt.Errorf("spinngo: CoresPerChip must be 0..%d (0 = default), got %d", chip.CoresPerChip, c.CoresPerChip)
+	}
+	if !(c.CoreMIPS >= 0) {
+		return fmt.Errorf("spinngo: CoreMIPS must be non-negative (0 = default), got %v", c.CoreMIPS)
+	}
 	if c.Workers < 0 {
 		return fmt.Errorf("spinngo: Workers must be non-negative (0 = automatic), got %d", c.Workers)
 	}
@@ -1261,7 +1267,7 @@ func (m *Machine) Load(model *Model) (*LoadReport, error) {
 // rng is the fragment's private stream.
 func (m *Machine) buildUnitAt(f *mapping.Fragment, fragIdx, slot int, tickBase uint64, rng *sim.RNG) (*unit, error) {
 	slots := m.appCoreSlots(f.Chip)
-	if slot >= len(slots) {
+	if slot < 0 || slot >= len(slots) {
 		return nil, fmt.Errorf("spinngo: chip %v has no application core slot %d", f.Chip, slot)
 	}
 	hw := slots[slot]

@@ -3,12 +3,8 @@ package spinngo
 import (
 	"fmt"
 
-	"spinngo/internal/chip"
-	"spinngo/internal/kernel"
 	"spinngo/internal/mapping"
 	"spinngo/internal/neural"
-	"spinngo/internal/packet"
-	"spinngo/internal/router"
 	"spinngo/internal/sim"
 	"spinngo/internal/snap"
 )
@@ -31,6 +27,13 @@ const (
 	// instead of a seen bit, commands carry the gateway-unreachable
 	// flag, and the config block gains FillRedundancy.
 	SnapshotVersion = 4
+
+	// Floors on what one booted chip and one loaded neuron occupy in an
+	// image: a chip's node state alone (counters, flags, six link records)
+	// is 218 bytes in v4 and its SDRAM record another 44; a neuron's
+	// sixteen input-ring accumulators alone are 64.
+	minChipImageBytes   = 256
+	minNeuronImageBytes = 64
 )
 
 // Snapshot serialises the machine's complete state — pending event heaps
@@ -60,139 +63,47 @@ func (m *Machine) Snapshot() ([]byte, error) {
 		return nil, fmt.Errorf("spinngo: snapshot: %w", err)
 	}
 
-	var w snap.Writer
-	w.String(snapshotMagic)
-	w.U16(SnapshotVersion)
-	encConfig(&w, m.cfg)
-	encNetwork(&w, m.model.net)
+	c := snap.NewEncoder()
+	_ = snapHeader(c) // only an image read back can be wrong
+	m.cfg.snap(c)
+	snapNetwork(c, m.model.net)
+	at := runPoint{now: m.pe.Now(), epoch: m.epoch, bioMS: m.bioMS, ctrlRNG: *m.pe.RNG(), anonSeq: m.pe.AnonSeq()}
+	at.snap(c)
 
-	w.I64(int64(m.pe.Now()))
-	w.I64(int64(m.epoch))
-	w.U64(m.bioMS)
-	encRNG(&w, m.pe.RNG().State())
-	w.U64(m.pe.AnonSeq())
-
+	// Per-chip sections cover the instantiated chips, in index order.
 	nodes := m.fab.Nodes()
-	encNodeSection(&w, nodes, func(n *router.Node) {
-		w.U64(n.Domain().Scheduled())
-	})
+	chips := make([]int, len(nodes))
+	domSeqs := make([]uint64, m.fab.Size())
+	for i, n := range nodes {
+		chips[i] = n.Index()
+		domSeqs[n.Index()] = n.Domain().Scheduled()
+	}
+	snapDomainSeqs(c, chips, domSeqs)
+	m.snapTallies(c)
 
-	// Chip tallies serialise as their non-zero entries — a canonical
-	// form independent of which chunks happen to have materialised, so
-	// a restored machine re-snapshots byte-identically.
-	var tallyIdx []int
-	m.tallies.each(func(i int, t *chipTallies) {
-		if *t != (chipTallies{}) {
-			tallyIdx = append(tallyIdx, i)
-		}
-	})
-	encIndexExtents(&w, tallyIdx, func(i int) {
-		t := m.tallies.at(i)
-		w.U64(t.latencies.N)
-		w.I64(int64(t.latencies.Sum))
-		w.I64(int64(t.latencies.Max))
-		w.U64(t.writeBacks)
-		w.U64(t.migrations)
-		w.U64(t.migrationFailures)
-	})
-
-	w.Len(len(m.fragUnits))
+	c.Len(len(m.fragUnits))
 	for fragIdx, gens := range m.fragUnits {
-		f := m.rplan.Frags[fragIdx]
-		w.Len(len(gens))
+		c.Len(len(gens))
 		if len(gens) == 0 {
 			continue
 		}
 		// All generations of a fragment share one private RNG stream.
-		encRNG(&w, gens[0].rng.State())
-		// Plastic fragments carry their (mutated) synaptic rows; static
-		// rows are regenerated bit-exactly by the restore-side compile.
-		cd := m.dplan.Cores[f.Chip][f.Core]
-		plastic := cd != nil && cd.STDP != nil
-		w.Bool(plastic)
-		if plastic {
-			rows := cd.Matrix.ExportRows()
-			w.Len(len(rows))
-			for _, kr := range rows {
-				w.U32(kr.Key)
-				w.Len(len(kr.Row))
-				for _, word := range kr.Row {
-					w.U32(uint32(word))
-				}
-			}
-		}
+		m.snapFragmentShared(c, fragIdx, gens[0].rng)
 		for _, u := range gens {
-			w.Int(u.slot)
-			w.U64(u.tickBase)
-			w.Bool(u.failed)
-			encCoreState(&w, u.core.ExportState())
-			w.U64(u.pop.Tick())
-			w.Len(len(u.pop.Neurons))
-			for _, nn := range u.pop.Neurons {
-				if nn == nil {
-					w.Bool(false) // dead (KillNeuron) or stateless source slot
-					continue
-				}
-				w.Bool(true)
-				st := neural.ExportNeuronState(nn)
-				w.Len(len(st))
-				for _, v := range st {
-					w.U32(uint32(v))
-				}
-			}
-			encRing(&w, u.pop.Ring.ExportState())
-			rec := u.pop.Rec.ExportState()
-			w.Len(len(rec.Spikes))
-			for _, s := range rec.Spikes {
-				w.U64(s.Tick)
-				w.Int(s.Neuron)
-			}
-			w.Len(len(rec.Counts))
-			for _, c := range rec.Counts {
-				w.U64(c)
-			}
-			w.Bool(u.source != nil)
-			if u.source != nil {
-				encRNG(&w, u.source.RNGState())
-			}
-			w.Bool(u.stdp != nil)
-			if u.stdp != nil {
-				encSTDP(&w, u.stdp.ExportState())
-			}
+			snapUnitPlace(c, &u.slot, &u.tickBase, &u.failed)
+			u.snap(c)
 		}
 	}
 
-	encNodeSection(&w, nodes, func(n *router.Node) {
-		n.EncodeState(&w)
-	})
+	m.snapNodes(c, chips)
+	m.snapMemory(c, chips)
+	m.host.Snap(c)
 
-	encNodeSection(&w, nodes, func(n *router.Node) {
-		ch := m.boot.Chip(n.Coord)
-		encSDRAM(&w, ch.SDRAM.ExportState())
-		slots := m.appCoreSlots(n.Coord)
-		w.Len(len(slots))
-		for _, hw := range slots {
-			encDMA(&w, hw.DMA.ExportState())
-		}
-	})
-
-	m.host.EncodeState(&w)
-
-	w.Len(len(events))
-	for _, ev := range events {
-		w.I64(int64(ev.At))
-		w.U32(uint32(ev.Domain))
-		w.U8(ev.Class)
-		w.U64(ev.K1)
-		w.U64(ev.K2)
-		w.String(ev.Desc.Kind)
-		w.Len(len(ev.Desc.Args))
-		for _, a := range ev.Desc.Args {
-			w.U64(a)
-		}
-		w.Bytes32(ev.Desc.Blob)
+	c.Len(len(events))
+	for i := range events {
+		events[i].Snap(c)
 	}
-	return w.Bytes(), nil
+	return c.Bytes(), nil
 }
 
 // Restore rebuilds a machine from a Snapshot image, on the worker count
@@ -215,16 +126,18 @@ func RestoreOn(data []byte, workers int, partition string) (*Machine, error) {
 }
 
 func restore(data []byte, override func(*MachineConfig)) (*Machine, error) {
-	r := snap.NewReader(data)
-	if magic := r.String(); r.Err() != nil || magic != snapshotMagic {
-		return nil, fmt.Errorf("spinngo: not a snapshot image")
+	c := snap.NewDecoder(data)
+	if err := snapHeader(c); err != nil {
+		return nil, err
 	}
-	if v := r.U16(); v != SnapshotVersion {
-		return nil, fmt.Errorf("spinngo: snapshot format v%d, this build reads v%d", v, SnapshotVersion)
+	var cfg MachineConfig
+	cfg.snap(c)
+	net := &mapping.Network{}
+	snapNetwork(c, net)
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("spinngo: corrupt snapshot header: %w", err)
 	}
-	cfg := decConfig(r)
-	net := decNetwork(r)
-	if err := r.Err(); err != nil {
+	if err := fitsImage(len(data), &cfg, net); err != nil {
 		return nil, fmt.Errorf("spinngo: corrupt snapshot header: %w", err)
 	}
 	if override != nil {
@@ -252,77 +165,52 @@ func restore(data []byte, override func(*MachineConfig)) (*Machine, error) {
 		return nil, fmt.Errorf("spinngo: restore load: %w", err)
 	}
 
-	T := sim.Time(r.I64())
-	epoch := sim.Time(r.I64())
-	bioMS := r.U64()
-	ctrlRNG := decRNG(r)
-	anonSeq := r.U64()
-	if err := r.Err(); err != nil {
+	var at runPoint
+	at.snap(c)
+	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("spinngo: corrupt snapshot: %w", err)
 	}
-	if epoch != m.epoch {
-		return nil, fmt.Errorf("spinngo: restore rebuild diverged: load ended at %v, snapshot recorded %v (was the machine altered before loading?)", m.epoch, epoch)
+	if at.epoch != m.epoch {
+		return nil, fmt.Errorf("spinngo: restore rebuild diverged: load ended at %v, snapshot recorded %v (was the machine altered before loading?)", m.epoch, at.epoch)
 	}
 
 	size := m.fab.Size()
 	domSeqs := make([]uint64, size)
-	if err := decIndexExtents(r, size, func(i int) error {
-		domSeqs[i] = r.U64()
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("spinngo: domain sequences: %w", err)
-	}
-
-	if err := decIndexExtents(r, size, func(i int) error {
-		t := m.tallies.at(i)
-		t.latencies.N = r.U64()
-		t.latencies.Sum = sim.Time(r.I64())
-		t.latencies.Max = sim.Time(r.I64())
-		t.writeBacks = r.U64()
-		t.migrations = r.U64()
-		t.migrationFailures = r.U64()
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("spinngo: chip tallies: %w", err)
+	snapDomainSeqs(c, nil, domSeqs)
+	m.snapTallies(c)
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("spinngo: domain sequences and chip tallies: %w", err)
 	}
 
 	// Phase 2 — unit history replay and overlay. Generations ≥ 1 are
 	// rebuilt through the same buildUnitAt path migrations use, so
 	// routing-table rewrites and spare-slot occupancy replay exactly;
 	// then each generation's dynamic state is overlaid.
-	if n := r.Len(); r.Err() != nil || n != len(m.fragUnits) {
+	if n := c.Len(0); c.Err() != nil || n != len(m.fragUnits) {
 		return nil, fmt.Errorf("spinngo: snapshot has %d fragments, machine has %d", n, len(m.fragUnits))
 	}
 	for fragIdx := range m.fragUnits {
 		f := m.rplan.Frags[fragIdx]
-		nGens := r.Len()
-		if r.Err() != nil {
+		nGens := c.Len(0)
+		if c.Err() != nil {
 			break
 		}
 		if nGens == 0 {
 			return nil, fmt.Errorf("spinngo: fragment %d has no unit history", fragIdx)
 		}
-		fragRNG := decRNG(r)
-		plastic := r.Bool()
-		if plastic {
-			cd := m.dplan.Cores[f.Chip][f.Core]
-			if cd == nil || cd.STDP == nil {
-				return nil, fmt.Errorf("spinngo: fragment %d plastic in snapshot but not in rebuild", fragIdx)
-			}
-			for i, k := 0, r.Len(); i < k && r.Err() == nil; i++ {
-				key := r.U32()
-				row := make(neural.Row, r.Len())
-				for j := range row {
-					row[j] = neural.SynWord(r.U32())
-				}
-				cd.Matrix.AddRow(key, row)
-			}
-		}
+		var fragRNG sim.RNG
+		m.snapFragmentShared(c, fragIdx, &fragRNG)
 		var failedFlags []bool
-		for g := 0; g < nGens && r.Err() == nil; g++ {
-			slot := r.Int()
-			tickBase := r.U64()
-			failed := r.Bool()
+		for g := 0; g < nGens; g++ {
+			var (
+				slot     int
+				tickBase uint64
+				failed   bool
+			)
+			snapUnitPlace(c, &slot, &tickBase, &failed)
+			if err := c.Err(); err != nil {
+				return nil, fmt.Errorf("spinngo: fragment %d gen %d: %w", fragIdx, g, err)
+			}
 			var u *unit
 			if g == 0 {
 				u = m.fragUnits[fragIdx][0]
@@ -340,7 +228,8 @@ func restore(data []byte, override func(*MachineConfig)) (*Machine, error) {
 				m.fab.Node(f.Chip).Table.RewriteCore(prev.slot, u.slot)
 			}
 			failedFlags = append(failedFlags, failed)
-			if err := decUnitState(r, u); err != nil {
+			u.snap(c)
+			if err := c.Err(); err != nil {
 				return nil, fmt.Errorf("spinngo: fragment %d gen %d: %w", fragIdx, g, err)
 			}
 		}
@@ -356,43 +245,20 @@ func restore(data []byte, override func(*MachineConfig)) (*Machine, error) {
 		// The fragment stream's state is overlaid last: the replayed
 		// builds above consumed draws exactly as the original did, and
 		// this pins the stream wherever the snapshot left it.
-		if len(m.fragUnits[fragIdx]) > 0 {
-			m.fragUnits[fragIdx][0].rng.SetState(fragRNG)
-		}
+		*m.fragUnits[fragIdx][0].rng = fragRNG
 	}
-	if err := r.Err(); err != nil {
+	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("spinngo: corrupt unit history: %w", err)
 	}
 
 	// Phase 3 — overlay fabric, memory and host state. A chip with
 	// recorded state materialises on demand if the rebuild left it
 	// untouched.
-	if err := decIndexExtents(r, size, func(i int) error {
-		n := m.fab.NodeAt(i)
-		if err := n.DecodeState(r); err != nil {
-			return fmt.Errorf("node %v: %w", n.Coord, err)
-		}
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("spinngo: %w", err)
-	}
-	if err := decIndexExtents(r, size, func(i int) error {
-		n := m.fab.NodeAt(i)
-		ch := m.boot.Chip(n.Coord)
-		ch.SDRAM.RestoreState(decSDRAM(r))
-		slots := m.appCoreSlots(n.Coord)
-		if k := r.Len(); r.Err() != nil || k != len(slots) {
-			return fmt.Errorf("chip %v has %d app slots, snapshot %d", n.Coord, len(slots), k)
-		}
-		for _, hw := range slots {
-			hw.DMA.RestoreState(decDMA(r))
-		}
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("spinngo: %w", err)
-	}
-	if err := m.host.DecodeState(r); err != nil {
-		return nil, fmt.Errorf("spinngo: host state: %w", err)
+	m.snapNodes(c, nil)
+	m.snapMemory(c, nil)
+	m.host.Snap(c)
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("spinngo: fabric, memory and host state: %w", err)
 	}
 
 	// Chip deaths restored with the fabric overlay re-commit at the
@@ -412,28 +278,21 @@ func restore(data []byte, override func(*MachineConfig)) (*Machine, error) {
 	// its kind's constructor.
 	kinds := m.eventKinds()
 	m.pe.ResetEvents()
-	if err := m.pe.RestoreClock(T); err != nil {
+	if err := m.pe.RestoreClock(at.now); err != nil {
 		return nil, fmt.Errorf("spinngo: restore clock: %w", err)
 	}
-	nEvents := r.Len()
-	for i := 0; i < nEvents && r.Err() == nil; i++ {
+	nEvents := c.Len(0)
+	for i := 0; i < nEvents; i++ {
 		var rec sim.EventRecord
-		rec.At = sim.Time(r.I64())
-		rec.Domain = int32(r.U32())
-		rec.Class = r.U8()
-		rec.K1 = r.U64()
-		rec.K2 = r.U64()
-		rec.Desc.Kind = r.String()
-		rec.Desc.Args = make([]uint64, r.Len())
-		for j := range rec.Desc.Args {
-			rec.Desc.Args[j] = r.U64()
-		}
-		rec.Desc.Blob = r.Bytes32()
-		if r.Err() != nil {
+		rec.Snap(c)
+		if c.Err() != nil {
 			break
 		}
 		if rec.Domain < 0 || int(rec.Domain) >= size {
 			return nil, fmt.Errorf("spinngo: event %d targets domain %d outside the torus", i, rec.Domain)
+		}
+		if rec.At < at.now {
+			return nil, fmt.Errorf("spinngo: event %d is due at %v, before the snapshot instant %v", i, rec.At, at.now)
 		}
 		build, ok := kinds[rec.Desc.Kind]
 		if !ok {
@@ -445,10 +304,10 @@ func restore(data []byte, override func(*MachineConfig)) (*Machine, error) {
 		}
 		m.fab.NodeAt(int(rec.Domain)).Domain().Inject(rec.At, rec.Class, rec.K1, rec.K2, ev)
 	}
-	if err := r.Err(); err != nil {
+	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("spinngo: corrupt event section: %w", err)
 	}
-	if rem := r.Remaining(); rem != 0 {
+	if rem := c.Remaining(); rem != 0 {
 		return nil, fmt.Errorf("spinngo: %d trailing bytes after snapshot", rem)
 	}
 
@@ -456,11 +315,29 @@ func restore(data []byte, override func(*MachineConfig)) (*Machine, error) {
 	for _, n := range m.fab.Nodes() {
 		n.Domain().RestoreSeq(domSeqs[n.Index()])
 	}
-	m.pe.RestoreAnonSeq(anonSeq)
-	m.pe.RNG().SetState(ctrlRNG)
-	m.bioMS = bioMS
+	m.pe.RestoreAnonSeq(at.anonSeq)
+	*m.pe.RNG() = at.ctrlRNG
+	m.bioMS = at.bioMS
 	ok = true
 	return m, nil
+}
+
+// fitsImage bounds what the rebuild may allocate by what the image could
+// hold: the config block and network size the machine restore is about
+// to boot and load, and a snapshot is of a booted, loaded machine — every
+// chip and every neuron left its records in these bytes.
+func fitsImage(imageBytes int, cfg *MachineConfig, net *mapping.Network) error {
+	if cfg.Width <= 0 || cfg.Height <= 0 || cfg.Width > imageBytes/minChipImageBytes/cfg.Height {
+		return fmt.Errorf("a %dx%d torus cannot come from a %d-byte image", cfg.Width, cfg.Height, imageBytes)
+	}
+	room := imageBytes / minNeuronImageBytes
+	for _, p := range net.Pops {
+		if p.N <= 0 || p.N > room {
+			return fmt.Errorf("population %q of %d neurons cannot come from a %d-byte image", p.Name, p.N, imageBytes)
+		}
+		room -= p.N
+	}
+	return nil
 }
 
 // Pop resolves a population handle by name on the loaded model — the
@@ -478,466 +355,264 @@ func (m *Machine) Pop(name string) (Pop, bool) {
 	return Pop{}, false
 }
 
-// ---- extent framing (v3) ----
+// ---- section layouts ----
+//
+// Every section of the image is described once, by a function or method
+// that takes a snap.Codec and serves Snapshot (encoding) and restore
+// (decoding) alike; each stateful component package does the same for
+// its own state with a Snap method. Adding a field to the format is one
+// codec line in one of them, plus the SnapshotVersion bump.
 
-// encIndexExtents writes an ordered chip-index set as contiguous
-// extents: the extent count, then each extent's start index and length
-// followed by one payload per index. A fully-booted machine writes one
-// extent covering the torus; a sparse machine's untouched regions cost
-// nothing.
-func encIndexExtents(w *snap.Writer, idxs []int, enc func(i int)) {
-	var exts [][2]int // position in idxs, run length
-	for i := 0; i < len(idxs); {
-		j := i + 1
-		for j < len(idxs) && idxs[j] == idxs[j-1]+1 {
-			j++
-		}
-		exts = append(exts, [2]int{i, j - i})
-		i = j
+// snapHeader codes the magic and format version and, decoding, rejects
+// an image that carries any other.
+func snapHeader(c *snap.Codec) error {
+	magic, version := snapshotMagic, uint16(SnapshotVersion)
+	if c.String(&magic); c.Err() != nil || magic != snapshotMagic {
+		return fmt.Errorf("spinngo: not a snapshot image")
 	}
-	w.Len(len(exts))
-	for _, e := range exts {
-		w.Int(idxs[e[0]])
-		w.Len(e[1])
-		for k := 0; k < e[1]; k++ {
-			enc(idxs[e[0]+k])
+	if c.U16(&version); version != SnapshotVersion {
+		return fmt.Errorf("spinngo: snapshot format v%d, this build reads v%d", version, SnapshotVersion)
+	}
+	return nil
+}
+
+// snap codes the config block.
+func (cfg *MachineConfig) snap(c *snap.Codec) {
+	c.Int(&cfg.Width)
+	c.Int(&cfg.Height)
+	c.Int(&cfg.CoresPerChip)
+	c.Int(&cfg.MaxNeuronsPerCore)
+	c.F64(&cfg.CoreMIPS)
+	c.U64(&cfg.Seed)
+	c.Int(&cfg.Workers)
+	c.String(&cfg.Partition)
+	c.String(&cfg.Boards)
+	c.String(&cfg.BoardLinkParams)
+	c.String(&cfg.Repartition)
+	c.String(&cfg.HostOrigin)
+	c.Bool(&cfg.DisableEmergencyRouting)
+	snap.Enum(c, &cfg.Placement, Random+1)
+	c.F64(&cfg.CoreFaultProb)
+	c.Int(&cfg.MaxAppCoresPerChip)
+	c.String(&cfg.Cabinets)
+	c.String(&cfg.CabinetLinkParams)
+	c.Int(&cfg.FillRedundancy)
+}
+
+// snapNetwork codes the loaded network; decoding, it builds net up
+// through AddPopulation and Connect, as a model declaration would.
+func snapNetwork(c *snap.Codec, net *mapping.Network) {
+	nPops := c.Len(len(net.Pops))
+	for i := 0; i < nPops && c.Err() == nil; i++ {
+		p := &mapping.Population{}
+		if !c.Decoding() {
+			p = net.Pops[i]
+		}
+		c.String(&p.Name)
+		c.Int(&p.N)
+		snap.Enum(c, &p.Kind, mapping.ModelPoisson+1)
+		c.F64(&p.LIF.TauM)
+		c.F64(&p.LIF.VRest)
+		c.F64(&p.LIF.VReset)
+		c.F64(&p.LIF.VThresh)
+		c.F64(&p.LIF.RMem)
+		c.Int(&p.LIF.TRefrac)
+		c.F64(&p.Izh.A)
+		c.F64(&p.Izh.B)
+		c.F64(&p.Izh.C)
+		c.F64(&p.Izh.D)
+		c.F64(&p.RateHz)
+		c.F64(&p.BiasNA)
+		c.Bool(&p.Record)
+		if c.Decoding() {
+			net.AddPopulation(p)
+		}
+	}
+	nProjs := c.Len(len(net.Projs))
+	for i := 0; i < nProjs && c.Err() == nil; i++ {
+		pr := &mapping.Projection{}
+		var pre, post int
+		if !c.Decoding() {
+			pr = net.Projs[i]
+			pre, post = pr.Pre.ID, pr.Post.ID
+		}
+		c.Int(&pre)
+		c.Int(&post)
+		if pre < 0 || pre >= len(net.Pops) || post < 0 || post >= len(net.Pops) {
+			c.Fail(fmt.Errorf("snapshot projection references population %d/%d of %d", pre, post, len(net.Pops)))
+			return
+		}
+		pr.Pre, pr.Post = net.Pops[pre], net.Pops[post]
+		snap.Enum(c, &pr.Kind, mapping.Shift+1)
+		c.F64(&pr.P)
+		c.Int(&pr.Fanout)
+		c.Int(&pr.Offset)
+		c.F64(&pr.WeightNA)
+		c.Int(&pr.DelayMS)
+		c.Bool(&pr.Inhibitory)
+		c.U64(&pr.Seed)
+		plastic := pr.STDP != nil
+		if c.Bool(&plastic); plastic {
+			if c.Decoding() {
+				pr.STDP = &neural.STDPConfig{}
+			}
+			c.F64(&pr.STDP.APlus)
+			c.F64(&pr.STDP.AMinus)
+			c.F64(&pr.STDP.TauPlusMS)
+			c.F64(&pr.STDP.TauMinusMS)
+			c.U16(&pr.STDP.WMin)
+			c.U16(&pr.STDP.WMax)
+		}
+		if c.Decoding() {
+			net.Connect(pr)
 		}
 	}
 }
 
-// encNodeSection writes one per-chip section as index extents over the
-// instantiated chips (nodes is Fabric.Nodes(): index order).
-func encNodeSection(w *snap.Writer, nodes []*router.Node, enc func(n *router.Node)) {
-	idxs := make([]int, len(nodes))
-	for i, n := range nodes {
-		idxs[i] = n.Index()
+// runPoint is where the run stands: the machine-level scalars restore
+// reads before the overlay phases and applies after them.
+type runPoint struct {
+	now, epoch sim.Time
+	bioMS      uint64
+	ctrlRNG    sim.RNG
+	anonSeq    uint64
+}
+
+func (p *runPoint) snap(c *snap.Codec) {
+	c.I64((*int64)(&p.now))
+	c.I64((*int64)(&p.epoch))
+	c.U64(&p.bioMS)
+	p.ctrlRNG.Snap(c)
+	c.U64(&p.anonSeq)
+}
+
+// snapExtents codes one per-chip section as index extents (v3): the
+// extent count, then each extent's start index and length followed by
+// one payload per index, which each codes. Encoding, idxs is the ordered
+// chip-index set to write — a fully-booted machine writes one extent
+// covering the torus, a sparse machine's untouched regions cost nothing.
+// Decoding, idxs is ignored: the extents come from the image and must
+// lie inside the size-chip torus.
+func snapExtents(c *snap.Codec, idxs []int, size int, each func(i int)) {
+	var exts [][2]int // start index, run length
+	for _, i := range idxs {
+		if k := len(exts) - 1; k >= 0 && exts[k][0]+exts[k][1] == i {
+			exts[k][1]++
+		} else {
+			exts = append(exts, [2]int{i, 1})
+		}
 	}
-	pos := 0
-	encIndexExtents(w, idxs, func(int) {
-		enc(nodes[pos])
-		pos++
+	snap.Slice(c, &exts)
+	for _, e := range exts {
+		start, n := e[0], e[1]
+		c.Int(&start)
+		n = c.Len(n)
+		if start < 0 || start > size-n {
+			c.Fail(fmt.Errorf("extent of %d chips from %d outside the %d-chip torus", n, start, size))
+			return
+		}
+		for i := start; i < start+n && c.Err() == nil; i++ {
+			each(i)
+		}
+	}
+}
+
+// snapDomainSeqs codes each chip domain's scheduling sequence number.
+func snapDomainSeqs(c *snap.Codec, chips []int, seqs []uint64) {
+	snapExtents(c, chips, len(seqs), func(i int) { c.U64(&seqs[i]) })
+}
+
+// snapTallies codes the chip tallies as their non-zero entries — a
+// canonical form independent of which chunks happen to have
+// materialised, so a restored machine re-snapshots byte-identically.
+func (m *Machine) snapTallies(c *snap.Codec) {
+	var idxs []int
+	m.tallies.each(func(i int, t *chipTallies) {
+		if *t != (chipTallies{}) {
+			idxs = append(idxs, i)
+		}
+	})
+	snapExtents(c, idxs, m.fab.Size(), func(i int) {
+		t := m.tallies.at(i)
+		c.U64(&t.latencies.N)
+		c.I64((*int64)(&t.latencies.Sum))
+		c.I64((*int64)(&t.latencies.Max))
+		c.U64(&t.writeBacks)
+		c.U64(&t.migrations)
+		c.U64(&t.migrationFailures)
 	})
 }
 
-// decIndexExtents reads a section written by encIndexExtents /
-// encNodeSection, invoking dec once per recorded index.
-func decIndexExtents(r *snap.Reader, size int, dec func(i int) error) error {
-	for e, k := 0, r.Len(); e < k && r.Err() == nil; e++ {
-		start := r.Int()
-		n := r.Len()
-		if r.Err() != nil {
-			break
-		}
-		if start < 0 || n < 0 || start+n > size {
-			return fmt.Errorf("extent [%d,%d) outside the %d-chip torus", start, start+n, size)
-		}
-		for i := start; i < start+n; i++ {
-			if err := dec(i); err != nil {
-				return err
-			}
-			if r.Err() != nil {
-				break
-			}
-		}
+// snapFragmentShared codes what every generation of a fragment shares:
+// the private RNG stream, and for a plastic fragment its (mutated)
+// synaptic rows — static rows are regenerated bit-exactly by the
+// restore-side compile.
+func (m *Machine) snapFragmentShared(c *snap.Codec, fragIdx int, rng *sim.RNG) {
+	rng.Snap(c)
+	f := m.rplan.Frags[fragIdx]
+	cd := m.dplan.Cores[f.Chip][f.Core]
+	rebuilt := cd != nil && cd.STDP != nil
+	plastic := rebuilt
+	if c.Bool(&plastic); !plastic {
+		return
 	}
-	return r.Err()
-}
-
-// ---- section codecs ----
-
-func encRNG(w *snap.Writer, st [4]uint64) {
-	for _, v := range st {
-		w.U64(v)
+	if !rebuilt {
+		c.Fail(fmt.Errorf("plastic in snapshot but not in rebuild"))
+		return
 	}
+	cd.Matrix.Snap(c, f.Size())
 }
 
-func decRNG(r *snap.Reader) (st [4]uint64) {
-	for i := range st {
-		st[i] = r.U64()
+// snapUnitPlace codes where and when one generation of a fragment was
+// built and whether it has failed since — what restore must know before
+// it can replay the build.
+func snapUnitPlace(c *snap.Codec, slot *int, tickBase *uint64, failed *bool) {
+	c.Int(slot)
+	c.U64(tickBase)
+	c.Bool(failed)
+}
+
+// snap codes one generation's dynamic state, overlaying it onto a
+// freshly (re)built unit when decoding.
+func (u *unit) snap(c *snap.Codec) {
+	u.core.Snap(c)
+	u.pop.Snap(c)
+	if snapPresent(c, u.source != nil, "a Poisson source") {
+		u.source.Snap(c)
 	}
-	return st
-}
-
-func encConfig(w *snap.Writer, cfg MachineConfig) {
-	w.Int(cfg.Width)
-	w.Int(cfg.Height)
-	w.Int(cfg.CoresPerChip)
-	w.Int(cfg.MaxNeuronsPerCore)
-	w.F64(cfg.CoreMIPS)
-	w.U64(cfg.Seed)
-	w.Int(cfg.Workers)
-	w.String(cfg.Partition)
-	w.String(cfg.Boards)
-	w.String(cfg.BoardLinkParams)
-	w.String(cfg.Repartition)
-	w.String(cfg.HostOrigin)
-	w.Bool(cfg.DisableEmergencyRouting)
-	w.U8(uint8(cfg.Placement))
-	w.F64(cfg.CoreFaultProb)
-	w.Int(cfg.MaxAppCoresPerChip)
-	w.String(cfg.Cabinets)
-	w.String(cfg.CabinetLinkParams)
-	w.Int(cfg.FillRedundancy)
-}
-
-func decConfig(r *snap.Reader) MachineConfig {
-	var cfg MachineConfig
-	cfg.Width = r.Int()
-	cfg.Height = r.Int()
-	cfg.CoresPerChip = r.Int()
-	cfg.MaxNeuronsPerCore = r.Int()
-	cfg.CoreMIPS = r.F64()
-	cfg.Seed = r.U64()
-	cfg.Workers = r.Int()
-	cfg.Partition = r.String()
-	cfg.Boards = r.String()
-	cfg.BoardLinkParams = r.String()
-	cfg.Repartition = r.String()
-	cfg.HostOrigin = r.String()
-	cfg.DisableEmergencyRouting = r.Bool()
-	cfg.Placement = Placement(r.U8())
-	cfg.CoreFaultProb = r.F64()
-	cfg.MaxAppCoresPerChip = r.Int()
-	cfg.Cabinets = r.String()
-	cfg.CabinetLinkParams = r.String()
-	cfg.FillRedundancy = r.Int()
-	return cfg
-}
-
-func encNetwork(w *snap.Writer, net *mapping.Network) {
-	w.Len(len(net.Pops))
-	for _, p := range net.Pops {
-		w.String(p.Name)
-		w.Int(p.N)
-		w.U8(uint8(p.Kind))
-		w.F64(p.LIF.TauM)
-		w.F64(p.LIF.VRest)
-		w.F64(p.LIF.VReset)
-		w.F64(p.LIF.VThresh)
-		w.F64(p.LIF.RMem)
-		w.Int(p.LIF.TRefrac)
-		w.F64(p.Izh.A)
-		w.F64(p.Izh.B)
-		w.F64(p.Izh.C)
-		w.F64(p.Izh.D)
-		w.F64(p.RateHz)
-		w.F64(p.BiasNA)
-		w.Bool(p.Record)
-	}
-	w.Len(len(net.Projs))
-	for _, pr := range net.Projs {
-		w.Int(pr.Pre.ID)
-		w.Int(pr.Post.ID)
-		w.U8(uint8(pr.Kind))
-		w.F64(pr.P)
-		w.Int(pr.Fanout)
-		w.Int(pr.Offset)
-		w.F64(pr.WeightNA)
-		w.Int(pr.DelayMS)
-		w.Bool(pr.Inhibitory)
-		w.U64(pr.Seed)
-		w.Bool(pr.STDP != nil)
-		if pr.STDP != nil {
-			w.F64(pr.STDP.APlus)
-			w.F64(pr.STDP.AMinus)
-			w.F64(pr.STDP.TauPlusMS)
-			w.F64(pr.STDP.TauMinusMS)
-			w.U16(pr.STDP.WMin)
-			w.U16(pr.STDP.WMax)
-		}
+	if snapPresent(c, u.stdp != nil, "STDP state") {
+		u.stdp.Snap(c)
 	}
 }
 
-func decNetwork(r *snap.Reader) *mapping.Network {
-	net := &mapping.Network{}
-	for i, k := 0, r.Len(); i < k && r.Err() == nil; i++ {
-		p := &mapping.Population{}
-		p.Name = r.String()
-		p.N = r.Int()
-		p.Kind = mapping.ModelKind(r.U8())
-		p.LIF.TauM = r.F64()
-		p.LIF.VRest = r.F64()
-		p.LIF.VReset = r.F64()
-		p.LIF.VThresh = r.F64()
-		p.LIF.RMem = r.F64()
-		p.LIF.TRefrac = r.Int()
-		p.Izh.A = r.F64()
-		p.Izh.B = r.F64()
-		p.Izh.C = r.F64()
-		p.Izh.D = r.F64()
-		p.RateHz = r.F64()
-		p.BiasNA = r.F64()
-		p.Record = r.Bool()
-		net.AddPopulation(p)
+// snapPresent codes the presence flag of an optional part of a unit and
+// reports whether its state follows; the image and the rebuild must
+// agree on it.
+func snapPresent(c *snap.Codec, rebuilt bool, what string) bool {
+	recorded := rebuilt
+	if c.Bool(&recorded); recorded != rebuilt && c.Err() == nil {
+		c.Fail(fmt.Errorf("snapshot has %s: %v, rebuild: %v", what, recorded, rebuilt))
 	}
-	for i, k := 0, r.Len(); i < k && r.Err() == nil; i++ {
-		pr := &mapping.Projection{}
-		pre, post := r.Int(), r.Int()
-		if pre < 0 || pre >= len(net.Pops) || post < 0 || post >= len(net.Pops) {
-			r.Fail(fmt.Errorf("snapshot projection references population %d/%d of %d", pre, post, len(net.Pops)))
-			return net
-		}
-		pr.Pre, pr.Post = net.Pops[pre], net.Pops[post]
-		pr.Kind = mapping.ConnectorKind(r.U8())
-		pr.P = r.F64()
-		pr.Fanout = r.Int()
-		pr.Offset = r.Int()
-		pr.WeightNA = r.F64()
-		pr.DelayMS = r.Int()
-		pr.Inhibitory = r.Bool()
-		pr.Seed = r.U64()
-		if r.Bool() {
-			st := &neural.STDPConfig{}
-			st.APlus = r.F64()
-			st.AMinus = r.F64()
-			st.TauPlusMS = r.F64()
-			st.TauMinusMS = r.F64()
-			st.WMin = r.U16()
-			st.WMax = r.U16()
-			pr.STDP = st
-		}
-		net.Connect(pr)
-	}
-	return net
+	return recorded && rebuilt
 }
 
-func encCoreState(w *snap.Writer, st kernel.State) {
-	for i := 0; i < kernel.NumEventTypes; i++ {
-		q := st.Queues[i]
-		w.Len(len(q))
-		for _, ev := range q {
-			w.U8(uint8(ev.Type))
-			w.U8(uint8(ev.Pkt.Type))
-			w.U32(ev.Pkt.Key)
-			w.U32(ev.Pkt.Payload)
-			w.Bool(ev.Pkt.HasPayload)
-			w.U8(uint8(ev.Pkt.Emergency))
-			w.U8(ev.Pkt.Timestamp)
-			w.U16(ev.Pkt.SrcAddr)
-			w.U16(ev.Pkt.DstAddr)
-			w.Int(ev.Pkt.Hops)
-			w.Int(ev.Pkt.EmergencyHops)
-			w.U32(ev.Tag)
-			w.U64(ev.Tick)
-		}
-	}
-	w.Bool(st.Running)
-	w.Bool(st.Stopped)
-	w.I64(int64(st.IdleSince))
-	w.I64(int64(st.StartAt))
-	w.I64(int64(st.BusyTime))
-	w.I64(int64(st.SleepTime))
-	w.U64(st.Instructions)
-	for i := 0; i < kernel.NumEventTypes; i++ {
-		w.U64(st.EventCounts[i])
-	}
-	w.U64(st.Overruns)
-	w.Int(st.MaxBacklog)
+// snapNodes codes each chip's fabric node state; chips is the
+// encode-side index set (see snapExtents).
+func (m *Machine) snapNodes(c *snap.Codec, chips []int) {
+	snapExtents(c, chips, m.fab.Size(), func(i int) { m.fab.NodeAt(i).Snap(c) })
 }
 
-func decCoreState(r *snap.Reader) kernel.State {
-	var st kernel.State
-	for i := 0; i < kernel.NumEventTypes; i++ {
-		n := r.Len()
-		for j := 0; j < n && r.Err() == nil; j++ {
-			var ev kernel.Event
-			ev.Type = kernel.EventType(r.U8())
-			ev.Pkt.Type = packet.Type(r.U8())
-			ev.Pkt.Key = r.U32()
-			ev.Pkt.Payload = r.U32()
-			ev.Pkt.HasPayload = r.Bool()
-			ev.Pkt.Emergency = packet.EmergencyState(r.U8())
-			ev.Pkt.Timestamp = r.U8()
-			ev.Pkt.SrcAddr = r.U16()
-			ev.Pkt.DstAddr = r.U16()
-			ev.Pkt.Hops = r.Int()
-			ev.Pkt.EmergencyHops = r.Int()
-			ev.Tag = r.U32()
-			ev.Tick = r.U64()
-			st.Queues[i] = append(st.Queues[i], ev)
+// snapMemory codes each chip's SDRAM and per-slot DMA controllers.
+func (m *Machine) snapMemory(c *snap.Codec, chips []int) {
+	snapExtents(c, chips, m.fab.Size(), func(i int) {
+		at := m.fab.NodeAt(i).Coord
+		m.boot.Chip(at).SDRAM.Snap(c)
+		slots := m.appCoreSlots(at)
+		if !c.FixedLen(len(slots), "application core slots") {
+			return
 		}
-	}
-	st.Running = r.Bool()
-	st.Stopped = r.Bool()
-	st.IdleSince = sim.Time(r.I64())
-	st.StartAt = sim.Time(r.I64())
-	st.BusyTime = sim.Time(r.I64())
-	st.SleepTime = sim.Time(r.I64())
-	st.Instructions = r.U64()
-	for i := 0; i < kernel.NumEventTypes; i++ {
-		st.EventCounts[i] = r.U64()
-	}
-	st.Overruns = r.U64()
-	st.MaxBacklog = r.Int()
-	return st
-}
-
-func encRing(w *snap.Writer, st neural.RingState) {
-	w.Int(st.Cur)
-	w.U64(st.Dropped)
-	w.Len(len(st.Slots))
-	for _, slot := range st.Slots {
-		w.Len(len(slot))
-		for _, v := range slot {
-			w.U32(uint32(v))
+		for _, hw := range slots {
+			hw.DMA.Snap(c)
 		}
-	}
-}
-
-func decRing(r *snap.Reader) neural.RingState {
-	var st neural.RingState
-	st.Cur = r.Int()
-	st.Dropped = r.U64()
-	for i, k := 0, r.Len(); i < k && r.Err() == nil; i++ {
-		slot := make([]neural.Fix, r.Len())
-		for j := range slot {
-			slot[j] = neural.Fix(r.U32())
-		}
-		st.Slots = append(st.Slots, slot)
-	}
-	return st
-}
-
-func encSTDP(w *snap.Writer, st neural.STDPSnapshot) {
-	w.Len(len(st.Hist))
-	for _, h := range st.Hist {
-		for _, t := range h.Ticks {
-			w.U64(t)
-		}
-		w.Int(h.N)
-	}
-	w.Len(len(st.LastPre))
-	for _, p := range st.LastPre {
-		w.U32(p.Key)
-		w.U64(p.Tick)
-	}
-	w.U64(st.Potentiations)
-	w.U64(st.Depressions)
-}
-
-func decSTDP(r *snap.Reader) neural.STDPSnapshot {
-	var st neural.STDPSnapshot
-	for i, k := 0, r.Len(); i < k && r.Err() == nil; i++ {
-		var h neural.PostRecord
-		for j := range h.Ticks {
-			h.Ticks[j] = r.U64()
-		}
-		h.N = r.Int()
-		st.Hist = append(st.Hist, h)
-	}
-	for i, k := 0, r.Len(); i < k && r.Err() == nil; i++ {
-		st.LastPre = append(st.LastPre, neural.PreRecord{Key: r.U32(), Tick: r.U64()})
-	}
-	st.Potentiations = r.U64()
-	st.Depressions = r.U64()
-	return st
-}
-
-func encSDRAM(w *snap.Writer, st chip.SDRAMState) {
-	w.I64(int64(st.BusyUntil))
-	w.Int(st.Used)
-	w.U64(st.Transfers)
-	w.U64(st.BytesMoved)
-	w.I64(int64(st.ContentionBusy))
-	w.Len(len(st.Segments))
-	for _, seg := range st.Segments {
-		w.U32(seg.Addr)
-		w.Bytes32(seg.Data)
-	}
-}
-
-func decSDRAM(r *snap.Reader) chip.SDRAMState {
-	var st chip.SDRAMState
-	st.BusyUntil = sim.Time(r.I64())
-	st.Used = r.Int()
-	st.Transfers = r.U64()
-	st.BytesMoved = r.U64()
-	st.ContentionBusy = sim.Time(r.I64())
-	for i, k := 0, r.Len(); i < k && r.Err() == nil; i++ {
-		st.Segments = append(st.Segments, chip.Segment{Addr: r.U32(), Data: r.Bytes32()})
-	}
-	return st
-}
-
-func encDMA(w *snap.Writer, st chip.DMAState) {
-	w.Len(len(st.Queue))
-	for _, req := range st.Queue {
-		w.Int(req.Size)
-		w.Bool(req.Write)
-		w.U32(req.Tag)
-	}
-	w.Bool(st.Busy)
-	w.U64(st.Completed)
-	w.Int(st.MaxQueue)
-}
-
-func decDMA(r *snap.Reader) chip.DMAState {
-	var st chip.DMAState
-	for i, k := 0, r.Len(); i < k && r.Err() == nil; i++ {
-		st.Queue = append(st.Queue, chip.DMARequest{Size: r.Int(), Write: r.Bool(), Tag: r.U32()})
-	}
-	st.Busy = r.Bool()
-	st.Completed = r.U64()
-	st.MaxQueue = r.Int()
-	return st
-}
-
-// decUnitState overlays one generation's recorded dynamic state onto a
-// freshly (re)built unit.
-func decUnitState(r *snap.Reader, u *unit) error {
-	u.core.RestoreState(decCoreState(r))
-	u.pop.SeedTick(r.U64())
-	if n := r.Len(); r.Err() == nil && n != len(u.pop.Neurons) {
-		return fmt.Errorf("snapshot has %d neurons, unit has %d", n, len(u.pop.Neurons))
-	}
-	for i := range u.pop.Neurons {
-		if !r.Bool() {
-			// Killed (or a stateless source slot, already nil). Routing
-			// through KillNeuron keeps the population's dead-slot counter
-			// — which gates the chunked stepping path — consistent.
-			_ = u.pop.KillNeuron(i)
-			continue
-		}
-		if u.pop.Neurons[i] == nil {
-			return fmt.Errorf("neuron %d alive in snapshot but stateless in rebuild", i)
-		}
-		st := make([]neural.Fix, r.Len())
-		for j := range st {
-			st[j] = neural.Fix(r.U32())
-		}
-		if r.Err() != nil {
-			return r.Err()
-		}
-		neural.RestoreNeuronState(u.pop.Neurons[i], st)
-	}
-	u.pop.Ring.RestoreState(decRing(r))
-	var rec neural.RecorderState
-	for i, k := 0, r.Len(); i < k && r.Err() == nil; i++ {
-		rec.Spikes = append(rec.Spikes, neural.Spike{Tick: r.U64(), Neuron: r.Int()})
-	}
-	rec.Counts = make([]uint64, r.Len())
-	for i := range rec.Counts {
-		rec.Counts[i] = r.U64()
-	}
-	if r.Err() != nil {
-		return r.Err()
-	}
-	u.pop.Rec.RestoreState(rec)
-	if r.Bool() {
-		if u.source == nil {
-			return fmt.Errorf("snapshot has a Poisson source, rebuild does not")
-		}
-		u.source.SetRNGState(decRNG(r))
-	} else if u.source != nil {
-		return fmt.Errorf("rebuild has a Poisson source, snapshot does not")
-	}
-	if r.Bool() {
-		if u.stdp == nil {
-			return fmt.Errorf("snapshot has STDP state, rebuild does not")
-		}
-		u.stdp.RestoreState(decSTDP(r))
-	} else if u.stdp != nil {
-		return fmt.Errorf("rebuild has STDP state, snapshot does not")
-	}
-	return r.Err()
+	})
 }

@@ -15,6 +15,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"spinngo/internal/snap"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden snapshot hash")
@@ -42,7 +44,7 @@ func snapConfig(seed uint64, workers int, partition string) MachineConfig {
 // migration watchdog has not fired yet. With failLinks it also kills a
 // board-edge link and an on-board link mid-run, so the snapshot carries
 // a re-shaped live cut.
-func snapPrepare(t *testing.T, seed uint64, workers int, partition string, failLinks bool) *Machine {
+func snapPrepare(t testing.TB, seed uint64, workers int, partition string, failLinks bool) *Machine {
 	t.Helper()
 	m, err := NewMachine(snapConfig(seed, workers, partition))
 	if err != nil {
@@ -536,4 +538,182 @@ func TestSnapshotGolden(t *testing.T) {
 	if got != strings.TrimSpace(string(want)) {
 		t.Errorf("snapshot image changed without a format version bump:\n  golden %s\n  got    %s\nbump SnapshotVersion and regenerate the golden in the same change", strings.TrimSpace(string(want)), got)
 	}
+}
+
+// sectionCuts re-encodes m section by section with the same functions
+// Snapshot calls and returns the image offset after each one — header,
+// config, network, run point, domain sequences, tallies, then per
+// fragment its shared part and each generation's place and state, then
+// nodes, memory, host, the event count and every event record. It fails
+// the test unless the pieces concatenate to exactly image.
+func sectionCuts(t testing.TB, m *Machine, image []byte) []int {
+	t.Helper()
+	events, err := m.pe.ExportEvents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := snap.NewEncoder()
+	var cuts []int
+	cut := func() { cuts = append(cuts, len(c.Bytes())) }
+	_ = snapHeader(c)
+	cut()
+	m.cfg.snap(c)
+	cut()
+	snapNetwork(c, m.model.net)
+	cut()
+	at := runPoint{now: m.pe.Now(), epoch: m.epoch, bioMS: m.bioMS, ctrlRNG: *m.pe.RNG(), anonSeq: m.pe.AnonSeq()}
+	at.snap(c)
+	cut()
+	nodes := m.fab.Nodes()
+	chips := make([]int, len(nodes))
+	domSeqs := make([]uint64, m.fab.Size())
+	for i, n := range nodes {
+		chips[i] = n.Index()
+		domSeqs[n.Index()] = n.Domain().Scheduled()
+	}
+	snapDomainSeqs(c, chips, domSeqs)
+	cut()
+	m.snapTallies(c)
+	cut()
+	c.Len(len(m.fragUnits))
+	for fragIdx, gens := range m.fragUnits {
+		c.Len(len(gens))
+		m.snapFragmentShared(c, fragIdx, gens[0].rng)
+		cut()
+		for _, u := range gens {
+			snapUnitPlace(c, &u.slot, &u.tickBase, &u.failed)
+			cut()
+			u.snap(c)
+			cut()
+		}
+	}
+	m.snapNodes(c, chips)
+	cut()
+	m.snapMemory(c, chips)
+	cut()
+	m.host.Snap(c)
+	cut()
+	c.Len(len(events))
+	for i := range events {
+		cut()
+		events[i].Snap(c)
+	}
+	if !bytes.Equal(c.Bytes(), image) {
+		t.Fatalf("sections re-encode to %d bytes that differ from the %d-byte image", len(c.Bytes()), len(image))
+	}
+	return cuts
+}
+
+// TestRestoreTruncatedIsError pins the half-written-checkpoint contract:
+// the golden-workload image cut short anywhere — every section boundary,
+// plus offsets strided across the whole image — is an error from
+// Restore, never a panic and never a machine.
+func TestRestoreTruncatedIsError(t *testing.T) {
+	src := snapPrepare(t, 17, 1, PartitionBands, false)
+	defer src.Close()
+	data, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	offs := sectionCuts(t, src, data)
+	for off, stride := 0, max(1, len(data)/400); off < len(data); off += stride {
+		offs = append(offs, off)
+	}
+	panics := 0
+	for _, off := range offs {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					panics++
+					t.Errorf("image cut at %d of %d: Restore panicked: %v", off, len(data), p)
+				}
+			}()
+			m, err := Restore(data[:off:off])
+			if m != nil {
+				m.Close()
+			}
+			if err == nil {
+				t.Errorf("image cut at %d of %d: Restore succeeded", off, len(data))
+			}
+		}()
+	}
+	t.Logf("%d truncations of a %d-byte image, %d panics", len(offs), len(data), panics)
+}
+
+// TestRestoreBoundsRebuild pins the other half of the hostile-image
+// guard: the config block and network size the machine Restore boots and
+// loads, so a torus or a population too large to have left its records
+// in an image of this length is rejected before the rebuild — four
+// corrupt bytes used to boot a 2^32-chip-wide torus, or partition 2^32
+// neurons.
+func TestRestoreBoundsRebuild(t *testing.T) {
+	src := snapPrepare(t, 17, 1, PartitionBands, false)
+	data, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts := sectionCuts(t, src, data)
+	src.Close()
+	// Width is the config block's first field; the network section opens
+	// with the population count, then "stim" and its size.
+	widthOff := cuts[0]
+	sizeOff := cuts[1] + 4 + 4 + len("stim")
+	if got := binary.LittleEndian.Uint64(data[widthOff:]); got != 4 {
+		t.Fatalf("width field reads %d, want 4", got)
+	}
+	if got := binary.LittleEndian.Uint64(data[sizeOff:]); got != 80 {
+		t.Fatalf("stim size field reads %d, want 80", got)
+	}
+	for name, off := range map[string]int{"torus width": widthOff, "population size": sizeOff} {
+		for _, high := range []byte{0x01, 0x80} { // +2^32: oversized; sign bit: negative
+			bad := bytes.Clone(data)
+			bad[off+4] = high
+			bad[off+7] = high & 0x80
+			start := time.Now()
+			m, err := Restore(bad)
+			if m != nil {
+				m.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), "corrupt snapshot header") {
+				t.Errorf("%s %#x: Restore error = %v, want a corrupt-header error", name, high, err)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("%s %#x: Restore took %v to refuse", name, high, d)
+			}
+		}
+	}
+}
+
+// FuzzRestore feeds Restore mutated golden-workload images: whatever the
+// bytes, it returns either a machine (closed here) or an error (having
+// closed what it built) — never both, never neither, never a panic.
+func FuzzRestore(f *testing.F) {
+	src := snapPrepare(f, 17, 1, PartitionBands, false)
+	data, err := src.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	cuts := sectionCuts(f, src, data)
+	src.Close()
+	f.Add(data)
+	for _, off := range []int{cuts[2], len(data) / 2, len(data) - 7} {
+		f.Add(data[:off:off])
+	}
+	// A Len field opens the network section (population count), the
+	// domain sequences (extent count) and the unit history (fragment
+	// count): cuts[1], cuts[3] and cuts[5] are where those start.
+	for _, off := range []int{cuts[1], cuts[3], cuts[5]} {
+		bad := bytes.Clone(data)
+		binary.LittleEndian.PutUint32(bad[off:], 0xFFFFFFFF)
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, image []byte) {
+		m, err := Restore(image)
+		if (m == nil) == (err == nil) {
+			t.Fatalf("Restore returned machine %v and error %v", m != nil, err)
+		}
+		if m != nil {
+			m.Close()
+		}
+	})
 }
