@@ -68,6 +68,9 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	flag.Parse()
 
+	if *memprofile != "" {
+		defer writeHeapProfile(*memprofile) // whichever path the run takes
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -239,16 +242,21 @@ func main() {
 	if *raster && havePops {
 		printRaster(machine, excPop, *ms)
 	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			log.Fatal(err)
-		}
+}
+
+// writeHeapProfile writes the heap profile as it stands after a
+// collection.
+func writeHeapProfile(path string) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
 	}
 }
 

@@ -2,7 +2,7 @@ package neural
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"spinngo/internal/snap"
 )
@@ -82,29 +82,67 @@ type Row []SynWord
 func (r Row) SizeBytes() int { return 4 * len(r) }
 
 // Matrix is a core's synaptic store: row per presynaptic key. It models
-// the SDRAM-resident connectivity block of section 5.3.
+// the SDRAM-resident connectivity block of section 5.3. A lookup — two
+// per delivered packet, with keys in an order nothing predicts — goes
+// through one packed open-addressed table: the probe reads a key and its
+// row number side by side, then the row.
 type Matrix struct {
-	rows map[uint32]Row
+	slots []rowSlot // linear probing; a power of two long, at most half full
+	shift uint8     // 32 - log2(len(slots)): the hash keeps the product's high bits
+	rows  []Row     // in the order their keys first arrived
 	// Bytes tracks total storage, checked against the SDRAM share.
 	Bytes int
 }
 
-// NewMatrix returns an empty synaptic store.
-func NewMatrix() *Matrix { return &Matrix{rows: make(map[uint32]Row)} }
+// rowSlot is one table entry: row is an index into Matrix.rows plus
+// one, so the zero slot is an empty one.
+type rowSlot struct {
+	key uint32
+	row uint32
+}
 
-// AddRow installs the row for a presynaptic routing key.
-func (m *Matrix) AddRow(key uint32, row Row) {
-	if old, ok := m.rows[key]; ok {
-		m.Bytes -= old.SizeBytes()
+// NewMatrix returns an empty synaptic store.
+func NewMatrix() *Matrix { return &Matrix{slots: make([]rowSlot, 8), shift: 32 - 3} }
+
+// slot returns the slot holding key, or the empty one it would take.
+func (m *Matrix) slot(key uint32) *rowSlot {
+	mask := uint32(len(m.slots) - 1)
+	for i := key * 0x9E3779B1 >> m.shift; ; i = (i + 1) & mask {
+		if s := &m.slots[i]; s.row == 0 || s.key == key {
+			return s
+		}
 	}
-	m.rows[key] = row
-	m.Bytes += row.SizeBytes()
+}
+
+// AddRow installs the row for a presynaptic routing key, replacing any
+// row already stored under it.
+func (m *Matrix) AddRow(key uint32, row Row) {
+	s := m.slot(key)
+	if s.row == 0 {
+		if 2*(len(m.rows)+1) > len(m.slots) {
+			old := m.slots
+			m.slots = make([]rowSlot, 2*len(old))
+			m.shift--
+			for _, o := range old {
+				if o.row != 0 {
+					*m.slot(o.key) = o
+				}
+			}
+			s = m.slot(key)
+		}
+		m.rows = append(m.rows, nil)
+		*s = rowSlot{key: key, row: uint32(len(m.rows))}
+	}
+	m.Bytes += row.SizeBytes() - m.rows[s.row-1].SizeBytes()
+	m.rows[s.row-1] = row
 }
 
 // Row fetches the row for a key.
 func (m *Matrix) Row(key uint32) (Row, bool) {
-	r, ok := m.rows[key]
-	return r, ok
+	if s := m.slot(key); s.row != 0 {
+		return m.rows[s.row-1], true
+	}
+	return nil, false
 }
 
 // NumRows reports the number of stored rows.
@@ -119,7 +157,7 @@ func (m *Matrix) Snap(c *snap.Codec, neurons int) {
 	snap.Slice(c, &keys)
 	for i := 0; i < len(keys) && c.Err() == nil; i++ {
 		c.U32(&keys[i])
-		row := m.rows[keys[i]]
+		row, _ := m.Row(keys[i])
 		snap.Slice(c, &row)
 		for j := range row {
 			c.U32((*uint32)(&row[j]))
@@ -135,14 +173,16 @@ func (m *Matrix) Snap(c *snap.Codec, neurons int) {
 
 // Keys lists the stored presynaptic keys in ascending order. The order
 // is part of the determinism contract: callers fold floating-point
-// sums over it (mean weights), and map-iteration order would make those
-// observables differ run to run.
+// sums over it (mean weights), and table order would make those
+// observables depend on the table's size history.
 func (m *Matrix) Keys() []uint32 {
 	out := make([]uint32, 0, len(m.rows))
-	for k := range m.rows {
-		out = append(out, k)
+	for _, s := range m.slots {
+		if s.row != 0 {
+			out = append(out, s.key)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -1,8 +1,13 @@
 package neural
 
 import (
+	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"spinngo/internal/snap"
 )
 
 func TestSynWordRoundTrip(t *testing.T) {
@@ -66,6 +71,99 @@ func TestMatrixStore(t *testing.T) {
 	}
 	if m.NumRows() != 1 {
 		t.Errorf("NumRows = %d", m.NumRows())
+	}
+}
+
+// TestMatrixMatchesMap holds the packed row table to a plain map over
+// random key sets: hits, misses, replaced rows, exact Bytes, ascending
+// Keys, and a snapshot restored (in ascending order) over both an empty
+// matrix and one rebuilt with stale rows.
+func TestMatrixMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 60; trial++ {
+		space := uint32(1) << (2 + rng.Intn(14)) // dense to sparse key sets
+		m, oracle := NewMatrix(), make(map[uint32]Row)
+		for n := rng.Intn(300); n > 0; n-- {
+			key := rng.Uint32() % space
+			if rng.Intn(8) == 0 {
+				key |= 0xffff0000 // both ends of the key range
+			}
+			row := make(Row, rng.Intn(5))
+			for i := range row {
+				row[i] = MakeSynWord(uint16(rng.Intn(1<<16)), 1+rng.Intn(MaxSynDelay), rng.Intn(2) == 0, rng.Intn(4))
+			}
+			m.AddRow(key, row) // replaces when the key repeats
+			oracle[key] = row
+		}
+		check := func(m *Matrix, what string) {
+			t.Helper()
+			size := 0
+			for key, want := range oracle {
+				size += want.SizeBytes()
+				if got, ok := m.Row(key); !ok || !slices.Equal(got, want) {
+					t.Fatalf("trial %d %s: Row(%#x) = %v, %v; want %v", trial, what, key, got, ok, want)
+				}
+			}
+			for probe := 0; probe < 200; probe++ {
+				key := rng.Uint32() % (2 * space)
+				if _, want := oracle[key]; !want {
+					if row, ok := m.Row(key); ok || row != nil {
+						t.Fatalf("trial %d %s: Row(%#x) found a row never added", trial, what, key)
+					}
+				}
+			}
+			keys := m.Keys()
+			if m.NumRows() != len(oracle) || len(keys) != len(oracle) || !slices.IsSorted(keys) || m.Bytes != size {
+				t.Fatalf("trial %d %s: %d rows, %d keys (sorted %v), %d bytes; want %d rows, %d bytes",
+					trial, what, m.NumRows(), len(keys), slices.IsSorted(keys), m.Bytes, len(oracle), size)
+			}
+		}
+		check(m, "built")
+
+		enc := snap.NewEncoder()
+		m.Snap(enc, 4)
+		image := enc.Bytes()
+		stale := NewMatrix()
+		for key := range oracle {
+			if rng.Intn(2) == 0 {
+				stale.AddRow(key, Row{MakeSynWord(1, 1, false, 0)})
+			}
+		}
+		for what, into := range map[string]*Matrix{"restored": NewMatrix(), "restored over stale rows": stale} {
+			dec := snap.NewDecoder(image)
+			into.Snap(dec, 4)
+			if err := dec.Err(); err != nil || dec.Remaining() != 0 {
+				t.Fatalf("trial %d %s: err %v, %d bytes left", trial, what, err, dec.Remaining())
+			}
+			check(into, what)
+			again := snap.NewEncoder()
+			into.Snap(again, 4)
+			if !bytes.Equal(again.Bytes(), image) {
+				t.Fatalf("trial %d %s: re-encoded image differs", trial, what)
+			}
+		}
+	}
+}
+
+// BenchmarkMatrixRow is the per-packet lookup: one hit in a core-sized
+// index, keys drawn in an order the branch predictor cannot learn.
+func BenchmarkMatrixRow(b *testing.B) {
+	const rows = 1024
+	m := NewMatrix()
+	probe := make([]uint32, rows)
+	for i := range probe {
+		probe[i] = uint32(i)<<11 | uint32(i*7)&0xff // fragment base | neuron, as routing keys are
+		m.AddRow(probe[i], Row{MakeSynWord(1, 1, false, 0)})
+	}
+	rand.New(rand.NewSource(1)).Shuffle(rows, func(i, j int) { probe[i], probe[j] = probe[j], probe[i] })
+	b.ResetTimer()
+	synapses := 0
+	for i := 0; i < b.N; i++ {
+		row, _ := m.Row(probe[i%rows])
+		synapses += len(row)
+	}
+	if synapses != b.N {
+		b.Fatalf("%d lookups hit %d synapses", b.N, synapses)
 	}
 }
 

@@ -121,7 +121,7 @@ func TestRunUntilAnyOfMatchesSequentialStepping(t *testing.T) {
 		pe, _, hops := build(shards)
 		// Cross-shard posts outside a window need sequential delivery
 		// mode; RunUntilAnyOf runs them inside windows.
-		halted := pe.RunUntilAnyOf(Forever, pe.Shard(0).domains[0], func() bool { return *hops >= 5 })
+		halted := pe.RunUntilAnyOf(Forever, pe.Shard(0).q.doms[0], func() bool { return *hops >= 5 })
 		if !halted || *hops != 5 {
 			t.Fatalf("shards=%d: halted=%v hops=%d, want halt at hop 5", shards, halted, *hops)
 		}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 )
 
 // eventKey is the canonical ordering key of an event. Events execute in
@@ -104,14 +105,11 @@ type Scheduler interface {
 type Engine struct {
 	now       Time
 	seq       uint64
-	q         calQueue
+	q         queue
+	anon      Domain // owns the engine-level (domain -1) events
 	rng       *RNG
 	processed uint64
 	stopped   bool
-	// domains lists every Domain created on (or re-bound to) this
-	// engine, in creation order. ParallelEngine.Repartition walks it to
-	// move a shard's domains to their new owning engines.
-	domains []*Domain
 }
 
 var _ Scheduler = (*Engine)(nil)
@@ -119,8 +117,12 @@ var _ Scheduler = (*Domain)(nil)
 
 // New returns an Engine whose clock starts at 0 and whose random stream is
 // derived from seed.
-func New(seed uint64) *Engine {
-	return &Engine{rng: NewRNG(seed), q: newCalQueue()}
+func New(seed uint64) *Engine { return newEngine(0, NewRNG(seed)) }
+
+func newEngine(now Time, rng *RNG) *Engine {
+	e := &Engine{now: now, rng: rng}
+	e.anon.id = -1
+	return e
 }
 
 // Now reports the current simulated time.
@@ -145,10 +147,7 @@ func (e *Engine) Processed() uint64 { return e.processed }
 func (e *Engine) Pending() int { return e.q.len() }
 
 // NextAt reports the timestamp of the earliest pending event, if any.
-func (e *Engine) NextAt() (Time, bool) {
-	key, ok := e.q.peekKey()
-	return key.at, ok
-}
+func (e *Engine) NextAt() (Time, bool) { return e.q.peekAt() }
 
 // nextKey reports the full canonical key of the earliest pending event,
 // used by the ParallelEngine's sequential mode to pick the globally
@@ -157,11 +156,23 @@ func (e *Engine) nextKey() (eventKey, bool) {
 	return e.q.peekKey()
 }
 
-func (e *Engine) push(ev event) {
+// anonymous returns the domain that owns the engine-level events. It
+// enters the queue on first use, so an engine that only ever schedules
+// through chip domains spends no tournament leaf on it.
+func (e *Engine) anonymous() *Domain {
+	if e.anon.eng == nil {
+		e.anon.eng = e
+		e.q.bind(&e.anon)
+	}
+	return &e.anon
+}
+
+// push schedules ev on d, one of this engine's domains.
+func (e *Engine) push(d *Domain, ev event) {
 	if ev.key.at < e.now {
 		panic(fmt.Sprintf("sim: event scheduled at %v, before now %v", ev.key.at, e.now))
 	}
-	e.q.push(ev)
+	e.q.push(d, ev)
 }
 
 // AtP schedules p to run at absolute simulated time t, in the engine's
@@ -169,7 +180,7 @@ func (e *Engine) push(ev event) {
 // in the past panics: it indicates a causality bug in the model.
 func (e *Engine) AtP(t Time, p Payload) {
 	e.seq++
-	e.push(event{key: eventKey{at: t, domain: -1, k1: e.seq}, payload: p})
+	e.push(e.anonymous(), event{key: eventKey{at: t, domain: -1, k1: e.seq}, payload: p})
 }
 
 // AfterP schedules p to run d nanoseconds from now.
@@ -186,10 +197,10 @@ func (e *Engine) Step() bool {
 	if e.q.len() == 0 {
 		return false
 	}
-	ev := e.q.pop()
-	e.now = ev.key.at
+	at, payload := e.q.pop()
+	e.now = at
 	e.processed++
-	ev.payload.Run()
+	payload.Run()
 	return true
 }
 
@@ -209,7 +220,7 @@ func (e *Engine) Drain() { e.Run() }
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	for !e.stopped {
-		if key, ok := e.q.peekKey(); !ok || key.at > deadline {
+		if at, ok := e.q.peekAt(); !ok || at > deadline {
 			break
 		}
 		e.Step()
@@ -226,7 +237,7 @@ func (e *Engine) RunUntil(deadline Time) {
 func (e *Engine) RunBefore(limit Time) {
 	e.stopped = false
 	for !e.stopped {
-		if key, ok := e.q.peekKey(); !ok || key.at >= limit {
+		if at, ok := e.q.peekAt(); !ok || at >= limit {
 			break
 		}
 		e.Step()
@@ -244,7 +255,7 @@ func (e *Engine) RunBefore(limit Time) {
 func (e *Engine) RunBeforeCond(limit Time, halt func() bool) bool {
 	e.stopped = false
 	for !e.stopped {
-		if key, ok := e.q.peekKey(); !ok || key.at >= limit {
+		if at, ok := e.q.peekAt(); !ok || at >= limit {
 			break
 		}
 		e.Step()
@@ -262,9 +273,8 @@ func (e *Engine) advanceTo(t Time) {
 	if t <= e.now {
 		return
 	}
-	if key, ok := e.q.peekKey(); ok && key.at < t {
-		panic(fmt.Sprintf("sim: advancing clock to %v over pending event at %v",
-			t, key.at))
+	if at, ok := e.q.peekAt(); ok && at < t {
+		panic(fmt.Sprintf("sim: advancing clock to %v over pending event at %v", t, at))
 	}
 	e.now = t
 }
@@ -284,16 +294,20 @@ type Domain struct {
 	eng *Engine
 	id  int32
 	seq uint64
+	// The domain's half of the engine's event queue (queue.go): its
+	// pending events as a heap, and its leaf in the engine's tournament.
+	pend []event
+	slot int
 }
 
 // Domain returns a new scheduling domain with the given id (>= 0) on
 // this engine.
 func (e *Engine) Domain(id int) *Domain {
-	if id < 0 {
-		panic("sim: domain id must be non-negative")
+	if id < 0 || id >= math.MaxInt32 { // MaxInt32 is the queue's idle mark
+		panic("sim: domain id must be in [0, MaxInt32)")
 	}
 	d := &Domain{eng: e, id: int32(id)}
-	e.domains = append(e.domains, d)
+	e.q.bind(d)
 	return d
 }
 
@@ -317,7 +331,7 @@ func (d *Domain) Now() Time { return d.eng.now }
 // AtP schedules a domain-local event at absolute time t.
 func (d *Domain) AtP(t Time, p Payload) {
 	d.seq++
-	d.eng.push(event{key: eventKey{at: t, domain: d.id, k1: d.seq}, payload: p})
+	d.eng.push(d, event{key: eventKey{at: t, domain: d.id, k1: d.seq}, payload: p})
 }
 
 // AfterP schedules a domain-local event dur nanoseconds from now.
@@ -334,7 +348,7 @@ func (d *Domain) AfterP(dur Time, p Payload) {
 // domain, so the delivery sorts identically no matter when — or on
 // which engine — it was physically inserted.
 func (d *Domain) DeliverAtP(t Time, src int32, srcSeq uint64, p Payload) {
-	d.eng.push(event{key: eventKey{at: t, domain: d.id, class: 1, k1: uint64(src), k2: srcSeq}, payload: p})
+	d.eng.push(d, event{key: eventKey{at: t, domain: d.id, class: 1, k1: uint64(src), k2: srcSeq}, payload: p})
 }
 
 // Inject re-creates an event with an explicit canonical key — exactly as
@@ -344,7 +358,7 @@ func (d *Domain) DeliverAtP(t Time, src int32, srcSeq uint64, p Payload) {
 // must follow up with RestoreSeq so future locally-scheduled events sort
 // after the re-injected ones.
 func (d *Domain) Inject(t Time, class uint8, k1, k2 uint64, p Payload) {
-	d.eng.push(event{key: eventKey{at: t, domain: d.id, class: class, k1: k1, k2: k2}, payload: p})
+	d.eng.push(d, event{key: eventKey{at: t, domain: d.id, class: class, k1: k1, k2: k2}, payload: p})
 }
 
 // RestoreSeq overwrites the domain's local sequence counter. Snapshot

@@ -13,10 +13,10 @@ import (
 // order, "byte-identical for every worker count" would be luck rather
 // than a property. These tests pin it directly.
 
-// heapQueue is the reference pending-event structure: the binary heap
-// the engine shipped with before the calendar queue replaced it. Its
-// correctness is easy to see, so the differential tests below hold
-// calQueue to its pop order.
+// heapQueue is the reference pending-event structure: one binary heap
+// over full canonical keys, the queue the engine first shipped with. Its
+// correctness is easy to see, so the differential tests below hold the
+// engine's two-level queue to its pop order.
 type heapQueue struct{ h eventHeap }
 
 func (q *heapQueue) len() int      { return len(q.h) }
@@ -101,209 +101,233 @@ func TestEventKeyFieldPrecedence(t *testing.T) {
 	}
 }
 
+// queueHarness drives a queue the way an engine does: every event goes
+// through the one Domain carrying its id (-1 is the anonymous domain),
+// bound on first use.
+type queueHarness struct {
+	q    queue
+	doms map[int32]*Domain
+}
+
+func newQueueHarness() *queueHarness { return &queueHarness{doms: make(map[int32]*Domain)} }
+
+func (h *queueHarness) push(ev event) {
+	d := h.doms[ev.key.domain]
+	if d == nil {
+		d = &Domain{id: ev.key.domain}
+		h.doms[ev.key.domain] = d
+		h.q.bind(d)
+	}
+	h.q.push(d, ev)
+}
+
+// check verifies the two invariants queue.go states, plus the counters.
+func (h *queueHarness) check(t *testing.T) {
+	t.Helper()
+	q := &h.q
+	q.settle()
+	total := 0
+	for i, d := range q.doms {
+		want := idle
+		if len(d.pend) > 0 {
+			want = head{at: d.pend[0].key.at, id: d.id, leaf: int32(i)}
+		}
+		if d.slot != i || q.tree[q.leaves+i] != want {
+			t.Fatalf("leaf %d = %+v, want %+v (domain %d, slot %d, %d pending)",
+				i, q.tree[q.leaves+i], want, d.id, d.slot, len(d.pend))
+		}
+		for j := 1; j < len(d.pend); j++ {
+			if d.pend[j].key.before(&d.pend[(j-1)/2].key) {
+				t.Fatalf("domain %d: pending heap violated at %d", d.id, j)
+			}
+		}
+		total += len(d.pend)
+	}
+	for p := 1; p < q.leaves; p++ {
+		want := q.tree[2*p]
+		if q.tree[2*p+1].less(want) {
+			want = q.tree[2*p+1]
+		}
+		if q.tree[p] != want {
+			t.Fatalf("tournament node %d = %+v, want %+v", p, q.tree[p], want)
+		}
+	}
+	visited := 0
+	q.forEach(func(*event) { visited++ })
+	if total != q.len() || visited != q.len() {
+		t.Fatalf("len() = %d, lists hold %d, forEach visited %d", q.len(), total, visited)
+	}
+}
+
+// popBoth pops the queue and the reference heap and requires the same
+// key, as peekKey and peekAt announced it beforehand.
+func popBoth(t *testing.T, h *queueHarness, ref *heapQueue) eventKey {
+	t.Helper()
+	peek, ok := h.q.peekKey()
+	next, _ := h.q.peekAt()
+	at, _ := h.q.pop()
+	want := ref.pop().key
+	if !ok || peek != want || next != want.at || at != want.at {
+		t.Fatalf("queue peeked %+v (%v, at %d) and popped at %d, heap popped %+v", peek, ok, next, at, want)
+	}
+	return want
+}
+
+// TestQueueMatchesHeap is the differential property test behind the
+// queue's correctness claim: driven by the same stream of canonical-key
+// pushes and pops — with the monotone time floor the engine enforces —
+// the two-level queue and the reference heap must pop the identical
+// sequence. The generator produces the shapes a machine does: four
+// far-future timers parked on each of 64 domains and re-armed when they
+// fire, same-instant bursts across many domains, anonymous (-1) events,
+// out-of-order class-1 keys, domains that empty and refill (the
+// timerless trials, and every full drain), and a final stretch a few
+// ticks short of Forever.
+func TestQueueMatchesHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 24; trial++ {
+		h, ref := newQueueHarness(), &heapQueue{}
+		seen := make(map[eventKey]bool)
+		var floor Time
+		var seq uint64
+		ahead := func(jump Time) Time { // saturating: the last stretch runs into Forever
+			if jump > Forever-floor {
+				return Forever
+			}
+			return floor + jump
+		}
+		push := func(at Time, domain int32, class uint8) {
+			seq++
+			key := eventKey{at: at, domain: domain, class: class, k1: seq}
+			if class == 1 { // keyed by sender: k1 arrives out of order
+				key.k1, key.k2 = uint64(rng.Intn(64)), uint64(rng.Intn(8))
+			}
+			if seen[key] {
+				return // domains never reuse a canonical key
+			}
+			seen[key] = true
+			h.push(event{key: key})
+			ref.push(event{key: key})
+		}
+		rearm := true // until the final drain
+		pop := func() {
+			key := popBoth(t, h, ref)
+			if key.at < floor {
+				t.Fatalf("trial %d: pop regressed to %d below floor %d", trial, key.at, floor)
+			}
+			floor = key.at
+			if rearm && key.class == 0 && key.at%Millisecond == Time(key.domain+1) {
+				push(key.at+Millisecond, key.domain, 0) // a timer re-arms
+			}
+		}
+		if trial%3 != 0 {
+			for i := 0; i < 256; i++ {
+				d := int32(i % 64)
+				push(Time(1+i/64)*Millisecond+Time(d+1), d, 0)
+			}
+		}
+		run := func(ops int) {
+			for op := 0; op < ops; op++ {
+				switch r := rng.Intn(10); {
+				case r < 4 && h.q.len() > 0:
+					for n := 1 + rng.Intn(30); n > 0 && h.q.len() > 0; n-- {
+						pop()
+					}
+				case r < 7: // one instant, many domains
+					at := ahead(Time(rng.Intn(400)))
+					for n := 1 + rng.Intn(40); n > 0; n-- {
+						push(at, int32(rng.Intn(65))-1, uint8(rng.Intn(2)))
+					}
+				case r < 9: // one domain, a spread of instants
+					d := int32(rng.Intn(65)) - 1
+					for n := 1 + rng.Intn(40); n > 0; n-- {
+						push(ahead(Time(rng.Intn(4096))), d, uint8(rng.Intn(2)))
+					}
+				default: // a far jump
+					push(ahead(Time(rng.Int63n(1<<40))), int32(rng.Intn(65))-1, 0)
+				}
+				if op%64 == 0 {
+					h.check(t)
+				}
+			}
+			for rearm = false; h.q.len() > 0; {
+				pop()
+			}
+			h.check(t)
+		}
+		run(600)
+		floor = Forever - 1<<21
+		push(Forever, -1, 0)
+		push(Forever, 63, 1)
+		push(Forever-1, 0, 0)
+		run(200)
+		if _, ok := h.q.peekKey(); ok || ref.len() != 0 {
+			t.Fatalf("trial %d: queues not empty after drain: queue %d, heap %d", trial, h.q.len(), ref.len())
+		}
+	}
+}
+
+// FuzzQueueOrder drives the queue with fuzz-chosen pushes and pops and
+// checks the pop order against the reference heap. The first byte picks
+// the starting instant (up to a few ticks short of Forever); after it a
+// zero byte pops and any other byte pushes: the high nibble scales the
+// timestamp jump exponentially (0 keeps a burst at one instant), the
+// low bits and the push count spread the events over 64 domains and the
+// anonymous one.
+func FuzzQueueOrder(f *testing.F) {
+	f.Add([]byte{0x00, 0x11, 0x22, 0x00, 0x7f, 0xff, 0x00, 0x00})
+	// One instant across many domains, drained, then the same again: a
+	// burst per chip, every domain emptying and refilling.
+	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c,
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+		0x0f, 0x0e, 0x0d, 0x0c, 0x0b, 0x00, 0x00, 0x00, 0x00, 0x00})
+	// Far timers parked behind near traffic.
+	f.Add([]byte{0x01, 0xa1, 0xa2, 0xa3, 0xa4, 0x11, 0x12, 0x00, 0x13, 0x00, 0x00, 0x21, 0x00, 0x00, 0x00, 0x00})
+	// A chain of maximal jumps from the highest anchor saturates at Forever.
+	f.Add([]byte{0x03, 0xf1, 0x00, 0xf2, 0x00, 0xf3, 0xf4, 0xff, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		anchors := [4]Time{0, 1 << 40, 1 << 62, Forever - 1<<21}
+		floor := anchors[data[0]&3]
+		h, ref := newQueueHarness(), &heapQueue{}
+		var seq uint64
+		for _, b := range data[1:] {
+			if b == 0 {
+				if h.q.len() > 0 {
+					floor = popBoth(t, h, ref).at
+				}
+				continue
+			}
+			at := floor
+			if exp := uint(b >> 4); exp > 0 {
+				at += Time(uint64(b&0x0f+1) << (3 * exp))
+			}
+			if at < floor {
+				at = Forever
+			}
+			seq++
+			key := eventKey{at: at, domain: int32((uint64(b)*5+seq*7)%65) - 1, class: b & 1, k1: seq}
+			h.push(event{key: key})
+			ref.push(event{key: key})
+		}
+		h.check(t)
+		for h.q.len() > 0 {
+			popBoth(t, h, ref)
+		}
+		h.check(t)
+		if ref.len() != 0 {
+			t.Fatalf("heap retains %d events after the queue drained", ref.len())
+		}
+	})
+}
+
 // TestHeapMergePermutationInvariant pins the property the barrier
 // mailboxes depend on: a heap loaded with the same event set in any
 // insertion order — including split across two heaps that are then
 // merged, the shape of a re-partition migration — pops the identical
 // sequence.
-// TestCalendarQueueMatchesHeap is the differential property test behind
-// the wheel's correctness claim: driven by the same randomized stream
-// of canonical-key pushes and pops — with the monotone time floor the
-// engine enforces, and occasional year-scale jumps that force bucket
-// rollover — the calendar queue and the reference heap must pop the
-// identical event sequence.
-func TestCalendarQueueMatchesHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 25; trial++ {
-		wheel := &calQueue{minIdx: -1}
-		ref := &heapQueue{}
-		seen := make(map[eventKey]bool)
-		var floor Time
-		pending := 0
-		for op := 0; op < 4000; op++ {
-			if pending > 0 && rng.Intn(3) == 0 {
-				a, b := wheel.pop(), ref.pop()
-				if a.key != b.key {
-					t.Fatalf("trial %d op %d: wheel popped %+v, heap popped %+v", trial, op, a.key, b.key)
-				}
-				floor = a.key.at
-				pending--
-				continue
-			}
-			// Jumps span the wheel's regimes: same-bucket ties, nearby
-			// slots, multi-year leaps that trigger the rotation fallback.
-			var jump Time
-			switch rng.Intn(10) {
-			case 0:
-				jump = 0
-			case 1, 2, 3, 4, 5:
-				jump = Time(rng.Intn(64))
-			case 6, 7:
-				jump = Time(rng.Intn(4096))
-			case 8:
-				jump = Time(rng.Intn(1 << 20))
-			case 9:
-				jump = Time(rng.Int63n(1 << 40))
-			}
-			key := eventKey{
-				at:     floor + jump,
-				domain: int32(rng.Intn(4)) - 1,
-				class:  uint8(rng.Intn(2)),
-				k1:     uint64(rng.Intn(4)),
-				k2:     uint64(rng.Intn(4)),
-			}
-			if seen[key] {
-				continue // domains never reuse a canonical key
-			}
-			seen[key] = true
-			wheel.push(event{key: key})
-			ref.push(event{key: key})
-			pending++
-		}
-		for pending > 0 {
-			a, b := wheel.pop(), ref.pop()
-			if a.key != b.key {
-				t.Fatalf("trial %d drain: wheel popped %+v, heap popped %+v", trial, a.key, b.key)
-			}
-			pending--
-		}
-		if wheel.len() != 0 || ref.len() != 0 {
-			t.Fatalf("trial %d: queues not empty after drain: wheel %d, heap %d", trial, wheel.len(), ref.len())
-		}
-	}
-}
-
-// FuzzCalendarQueueRollover drives the wheel with fuzz-chosen timestamp
-// deltas — the seeds pin year-boundary rollovers and jumps far beyond a
-// full bucket rotation — and checks the pop order against the reference
-// heap. Each input byte pair encodes one push (delta exponent + tie
-// fields); a zero byte pops.
-func FuzzCalendarQueueRollover(f *testing.F) {
-	f.Add([]byte{0x11, 0x22, 0x00, 0x7f, 0xff, 0x00, 0x00})
-	// One push per slot width, then a jump past a whole rotation
-	// (calMinBuckets*calInitWidth = 1024 ns) and another past 2^40.
-	f.Add([]byte{0x31, 0x32, 0x33, 0x34, 0xa1, 0x00, 0x00, 0x00, 0xf1, 0x00})
-	f.Add([]byte{0xff, 0xfe, 0xfd, 0x00, 0xfc, 0x00, 0x01, 0x02, 0x00})
-	// A chain of maximal jumps marches the floor ~2^51 ns out — dozens
-	// of back-to-back rotation fallbacks at ever higher anchors.
-	f.Add([]byte{0xf1, 0x00, 0xf2, 0x00, 0xf3, 0x00, 0xf4, 0x00, 0xf5, 0x00,
-		0xf6, 0x00, 0xf7, 0x00, 0xf8, 0x01, 0x02, 0x00, 0x00, 0x00})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		wheel := &calQueue{minIdx: -1}
-		ref := &heapQueue{}
-		seen := make(map[eventKey]bool)
-		var floor Time
-		var seq uint64
-		for _, b := range data {
-			if b == 0 {
-				if wheel.len() == 0 {
-					continue
-				}
-				a, r := wheel.pop(), ref.pop()
-				if a.key != r.key {
-					t.Fatalf("wheel popped %+v, heap popped %+v", a.key, r.key)
-				}
-				floor = a.key.at
-				continue
-			}
-			// High nibble scales the jump exponentially: 0 keeps ties in
-			// one slot, 15 leaps ~2^45 ns — thousands of rotations.
-			exp := uint(b >> 4)
-			jump := Time(0)
-			if exp > 0 {
-				jump = Time(uint64(b&0x0f+1) << (3 * exp))
-			}
-			seq++
-			key := eventKey{at: floor + jump, domain: int32(b & 3), k1: seq}
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			wheel.push(event{key: key})
-			ref.push(event{key: key})
-		}
-		for wheel.len() > 0 {
-			a, r := wheel.pop(), ref.pop()
-			if a.key != r.key {
-				t.Fatalf("drain: wheel popped %+v, heap popped %+v", a.key, r.key)
-			}
-		}
-		if ref.len() != 0 {
-			t.Fatalf("heap retains %d events after wheel drained", ref.len())
-		}
-	})
-}
-
-// TestCalendarQueueResizeExtremes drives the wheel's resize and
-// rotation machinery at the far end of the time axis, where arithmetic
-// slips would hide: dense same-slot bursts force grow resizes whose
-// derived width collapses to 1 ns, a sparse halo six orders of
-// magnitude wider forces the next resize to re-derive a usable width
-// from a huge span, and the drain between anchors crosses empty
-// stretches the rotation fallback must leap — at anchors up to a few
-// ticks short of Forever. The reference heap arbitrates every pop, and
-// popped timestamps must never regress.
-func TestCalendarQueueResizeExtremes(t *testing.T) {
-	wheel := &calQueue{minIdx: -1}
-	ref := &heapQueue{}
-	rng := rand.New(rand.NewSource(23))
-	seen := make(map[eventKey]bool)
-	pending := 0
-	var floor Time
-	push := func(at Time, k1 uint64) {
-		key := eventKey{
-			at:     at,
-			domain: int32(rng.Intn(4)) - 1,
-			class:  uint8(rng.Intn(2)),
-			k1:     k1,
-			k2:     uint64(rng.Intn(4)),
-		}
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		wheel.push(event{key: key})
-		ref.push(event{key: key})
-		pending++
-	}
-	popN := func(n int) {
-		for ; n > 0 && pending > 0; n-- {
-			a, b := wheel.pop(), ref.pop()
-			if a.key != b.key {
-				t.Fatalf("floor %d: wheel popped %+v, heap popped %+v", floor, a.key, b.key)
-			}
-			if a.key.at < floor {
-				t.Fatalf("pop regressed: %d after floor %d", a.key.at, floor)
-			}
-			floor = a.key.at
-			pending--
-		}
-	}
-	anchors := []Time{0, 1 << 20, 1 << 40, 1 << 55, 1 << 62, Forever - (1 << 21)}
-	for _, anchor := range anchors {
-		// A same-timestamp blast: one slot holds hundreds of full-key
-		// ties across multiple grow resizes.
-		for i := 0; i < 200; i++ {
-			push(anchor, uint64(i))
-		}
-		// A dense burst over a handful of slots (spacing ~1 ns, so the
-		// re-derived bucket width bottoms out at its 1 ns floor).
-		for i := 0; i < 400; i++ {
-			push(anchor+Time(rng.Intn(32)), uint64(rng.Intn(8)))
-		}
-		// A sparse halo ~2^20 ns wide: the next resize sees a span six
-		// orders of magnitude above the burst spacing.
-		for i := 0; i < 50; i++ {
-			push(anchor+Time(rng.Int63n(1<<20)), uint64(rng.Intn(8)))
-		}
-		popN(pending / 2) // shrink resizes fire mid-drain
-		popN(pending)     // full drain; next anchor needs the rotation fallback
-	}
-	if wheel.len() != 0 || ref.len() != 0 {
-		t.Fatalf("queues not empty after drain: wheel %d, heap %d", wheel.len(), ref.len())
-	}
-}
-
 func TestHeapMergePermutationInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	events := make([]event, 200)

@@ -376,16 +376,17 @@ func (pe *ParallelEngine) TakeShardEvents(buf []uint64) []uint64 {
 // PendingByDomain adds 1 to counts[id] for every pending event owned by
 // domain id (cross-domain deliveries count at their destination);
 // domains outside the slice — including anonymous engine events — are
-// skipped. Cheap to read off the wheel at quiescence, it gives the
-// re-partitioning policy the backlog the next windows will execute, to
-// weigh alongside the executed-density history.
+// skipped. Each domain knows the length of its own list, so this is one
+// read per domain; it gives the re-partitioning policy the backlog the
+// next windows will execute, to weigh alongside the executed-density
+// history.
 func (pe *ParallelEngine) PendingByDomain(counts []uint64) {
 	for _, s := range pe.shards {
-		s.q.forEach(func(ev *event) {
-			if d := ev.key.domain; d >= 0 && int(d) < len(counts) {
-				counts[d]++
+		for _, d := range s.q.doms {
+			if d.id >= 0 && int(d.id) < len(counts) {
+				counts[d.id] += uint64(len(d.pend))
 			}
-		})
+		}
 	}
 }
 
@@ -572,11 +573,12 @@ func (pe *ParallelEngine) SyncClocks() {
 // and no window is in flight; it returns an error otherwise, touching
 // nothing.
 //
-// Pending events migrate heap-to-heap carrying their canonical
-// (time, domain, class, key) keys unchanged, the control-plane RNG
-// stream moves to the new shard 0 mid-stream, and anonymous
-// (engine-level) events pin to the control shard. The envelope arenas
-// and the persistent worker pool are rebuilt for the new shard count.
+// Pending events move with their domain's list, carrying their
+// canonical (time, domain, class, key) keys unchanged, the
+// control-plane RNG stream moves to the new shard 0 mid-stream, and
+// anonymous (engine-level) events pin to the control shard. The
+// envelope arenas and the persistent worker pool are rebuilt for the
+// new shard count.
 // Because the canonical keys — not the shard layout — define the event
 // order, a repartitioned run executes exactly the schedule the old
 // layout would have: re-partitioning is pure execution strategy.
@@ -604,31 +606,16 @@ func (pe *ParallelEngine) Repartition(shards, workers int, owner func(domain int
 		workers = shards
 	}
 	// Validate the whole owner map before mutating anything, so a bad
-	// mapping cannot leave domains half-rebound.
-	ownerOf := func(id int32) (int, error) {
-		o := 0 // anonymous events and domains pin to the control shard
-		if id >= 0 {
-			o = owner(id)
-		}
-		if o < 0 || o >= shards {
-			return 0, fmt.Errorf("sim: repartition owner maps domain %d to shard %d of %d", id, o, shards)
-		}
-		return o, nil
-	}
+	// mapping cannot leave domains half-rebound. Every pending event
+	// sits on its domain's list, so checking the domains covers them.
 	for _, s := range pe.shards {
-		for _, d := range s.domains {
-			if _, err := ownerOf(d.id); err != nil {
-				return err
+		for _, d := range s.q.doms {
+			if d.id < 0 {
+				continue // the anonymous domain pins to the control shard
 			}
-		}
-		var evErr error
-		s.q.forEach(func(ev *event) {
-			if _, err := ownerOf(ev.key.domain); err != nil && evErr == nil {
-				evErr = err
+			if o := owner(d.id); o < 0 || o >= shards {
+				return fmt.Errorf("sim: repartition owner maps domain %d to shard %d of %d", d.id, o, shards)
 			}
-		})
-		if evErr != nil {
-			return evErr
 		}
 	}
 	// New shard engines, all at the common quiescent instant. The
@@ -637,7 +624,7 @@ func (pe *ParallelEngine) Repartition(shards, workers int, owner func(domain int
 	// the rest keep a nil RNG — the same poison NewParallel applies.
 	ns := make([]*Engine, shards)
 	for i := range ns {
-		ns[i] = &Engine{now: now, q: newCalQueue()}
+		ns[i] = newEngine(now, nil)
 	}
 	var seqMax uint64
 	for _, s := range pe.shards {
@@ -649,17 +636,19 @@ func (pe *ParallelEngine) Repartition(shards, workers int, owner func(domain int
 	ns[0].rng = pe.shards[0].rng
 	ns[0].seq = seqMax
 	for _, s := range pe.shards {
-		for _, d := range s.domains {
-			o, _ := ownerOf(d.id)
-			d.eng = ns[o]
-			ns[o].domains = append(ns[o].domains, d)
+		// A domain moves with its pending list: the canonical keys are
+		// untouched, and only its head enters the new shard's tournament.
+		// Anonymous events pin to the control shard, keys unchanged too.
+		for _, d := range s.q.doms {
+			if d.id < 0 {
+				for _, ev := range d.pend {
+					ns[0].q.push(ns[0].anonymous(), ev)
+				}
+				continue
+			}
+			d.eng = ns[owner(d.id)]
+			d.eng.q.bind(d)
 		}
-		// Events migrate queue-to-queue carrying their canonical keys
-		// unchanged; insertion order is irrelevant to the pop order.
-		s.q.forEach(func(ev *event) {
-			o, _ := ownerOf(ev.key.domain)
-			ns[o].q.push(*ev)
-		})
 	}
 	pe.shards = ns
 	pe.workers = workers
@@ -946,7 +935,7 @@ func (pe *ParallelEngine) RunUntilAnyOf(deadline Time, watch *Domain, cond func(
 		before := s.Processed()
 		halted := false
 		for {
-			if key, ok := s.q.peekKey(); !ok || key.at > deadline {
+			if at, ok := s.q.peekAt(); !ok || at > deadline {
 				break
 			}
 			s.Step()

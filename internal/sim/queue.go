@@ -1,213 +1,261 @@
 package sim
 
-const (
-	calMinBuckets = 16
-	calMaxBuckets = 1 << 16
-	calInitWidth  = 64 // ns per bucket before the first adaptive resize
-)
+import "math"
 
-// calQueue is the pending-event structure behind one Engine: a calendar
-// queue (Brown 1988) tuned for the simulator's dense, nearly-monotone
-// event streams, popping in exactly the canonical (time, domain, class,
-// k1, k2) order. It is a power-of-two array of buckets, each a
-// key-sorted slice of slab indices, with bucket i covering the time
-// slots congruent to i modulo the bucket count.
-// Event records live in a slab recycled through a free list, so a
-// steady-state push/pop cycle allocates nothing. Finding the minimum
-// walks one "year" of slots starting at the last popped timestamp —
-// amortised O(1) when the bucket width tracks the mean event spacing —
-// and falls back to a direct scan of bucket heads (each head is its
-// bucket's minimum) when a rotation finds nothing, which is what makes
-// large time jumps safe rather than slow.
+// The pending-event structure behind one Engine is shaped like the
+// canonical key (at, domain, class, k1, k2) itself, in two levels:
 //
-// Correctness leans on two invariants. First, scanAt is a lower bound
-// on every pending timestamp: pops set it to the popped time (all
-// remaining keys sort after), and a push below it rewinds it. Second,
-// equal timestamps always share a bucket (the slot is a function of the
-// timestamp alone), so the first slot in scan order that holds an
-// in-slot head holds the global minimum, full-key ties included.
-type calQueue struct {
-	slab    []event
-	free    []int32
-	buckets [][]int32
-	mask    uint64
-	width   uint64
-	n       int
-	scanAt  Time  // lower bound on pending timestamps; scan origin
-	maxAt   Time  // highest timestamp ever pushed (resize heuristic)
-	minIdx  int32 // slab index of the cached minimum, -1 when unknown
+//   - every Domain owns its pending events in a small heap ordered by
+//     (at, class, k1, k2) — the domain field is the same for all of them
+//     (the engine's anonymous events live in a Domain with id -1);
+//   - the Engine keeps a tournament over its domains' head events,
+//     ordered by (at, domain id).
+//
+// A machine's events are GALS like its chips: a few timers parked a
+// millisecond out on every chip, and packet events a few hundred
+// nanoseconds ahead arriving in same-instant bursts across many chips.
+// Keyed by chip first, the far timers never stand in the way of a near
+// insert (each list holds only one chip's handful of events), a burst
+// at one instant is one leaf per chip in the tournament, and both levels
+// stay O(log n) when one domain holds thousands of events.
+//
+// Pop order is exactly the canonical order under two invariants:
+//
+//  1. Per-domain heap: d.pend[0] is the least of d's events by
+//     (at, class, k1, k2), so with the domain fixed it is d's least
+//     canonical key.
+//  2. Tournament: every inner node is the lesser of its two children
+//     by (at, id), and leaf tree[leaves+d.slot] holds (d.pend[0].key.at,
+//     d.id), or idle while d has nothing pending — for every domain but
+//     late, once settled for all. Ids are unique per engine, so a
+//     settled tree[1] names the domain whose head event is the global
+//     minimum.
+//
+// Events are stored by value in their domain's list and the lists keep
+// their capacity, so a steady-state push/pop cycle allocates nothing,
+// and a domain that moves to another engine (Repartition) takes its
+// list with it.
+type queue struct {
+	doms   []*Domain // doms[i] plays on leaf i
+	tree   []head    // 2*leaves nodes: tree[1] the winner, tree[leaves+i] leaf i
+	leaves int       // a power of two >= len(doms)
+	n      int
+	// late is the domain last popped from, whose leaf still shows the
+	// popped event. Most events schedule their successor on their own
+	// chip, so its replay waits for that push and the two cost one; the
+	// winner is not read before settle has caught the leaf up.
+	late *Domain
 }
 
-func newCalQueue() calQueue { return calQueue{minIdx: -1} }
+// head is one tournament node: the ordering fields of a domain's first
+// pending event and the leaf it came from.
+type head struct {
+	at   Time
+	id   int32
+	leaf int32
+}
 
-func (q *calQueue) len() int { return q.n }
+// idle is the leaf of a domain with nothing pending; it loses to every
+// real head.
+var idle = head{at: Forever, id: math.MaxInt32, leaf: -1}
 
-func (q *calQueue) push(ev event) {
-	if q.buckets == nil {
-		q.buckets = make([][]int32, calMinBuckets)
-		q.mask = calMinBuckets - 1
-		q.width = calInitWidth
+func (a head) less(b head) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	var idx int32
-	if k := len(q.free); k > 0 {
-		idx = q.free[k-1]
-		q.free = q.free[:k-1]
-	} else {
-		q.slab = append(q.slab, event{})
-		idx = int32(len(q.slab) - 1)
+	return a.id < b.id
+}
+
+// before orders two events of one domain (the domain field is skipped).
+func (a *eventKey) before(b *eventKey) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	q.slab[idx] = ev
-	q.insert(idx)
-	q.n++
-	if ev.key.at > q.maxAt {
-		q.maxAt = ev.key.at
+	if a.class != b.class {
+		return a.class < b.class
 	}
-	if ev.key.at < q.scanAt {
-		q.scanAt = ev.key.at
+	if a.k1 != b.k1 {
+		return a.k1 < b.k1
 	}
-	if q.minIdx >= 0 && ev.key.less(q.slab[q.minIdx].key) {
-		q.minIdx = idx
+	return a.k2 < b.k2
+}
+
+// add inserts ev into the domain's list and reports whether it became
+// the head.
+func (d *Domain) add(ev event) bool {
+	h := append(d.pend, ev)
+	d.pend = h
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.key.before(&h[p].key) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	if q.n > 2*len(q.buckets) && len(q.buckets) < calMaxBuckets {
-		q.resize(2 * len(q.buckets))
+	h[i] = ev
+	return i == 0
+}
+
+// take removes the domain's head event and returns its instant and
+// payload (two registers' worth; the key has done its work).
+func (d *Domain) take() (Time, Payload) {
+	h := d.pend
+	at, payload := h[0].key.at, h[0].payload
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // release the payload reference
+	h = h[:n]
+	d.pend = h
+	if n == 0 {
+		return at, payload
+	}
+	// Bottom-up: walk the hole down the lesser-child path to a leaf,
+	// then lift last from there; last came from the bottom and nearly
+	// always belongs near it, so this saves a comparison a level.
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n {
+			// The timestamps nearly always decide, and deciding them
+			// without a branch spares a long list a misprediction a level.
+			l, r := &h[c].key, &h[c+1].key
+			b := 0
+			if r.at < l.at {
+				b = 1
+			}
+			if r.at == l.at && r.before(l) {
+				b = 1
+			}
+			c += b
+		}
+		h[i] = h[c]
+		i = c
+	}
+	for i > 0 {
+		p := (i - 1) / 2
+		if !last.key.before(&h[p].key) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = last
+	return at, payload
+}
+
+func (q *queue) len() int { return q.n }
+
+// bind gives d a leaf of this engine's tournament; a domain re-bound by
+// Repartition arrives with its pending list intact.
+func (q *queue) bind(d *Domain) {
+	d.slot = len(q.doms)
+	q.doms = append(q.doms, d)
+	q.n += len(d.pend)
+	if len(q.doms) <= q.leaves {
+		q.replay(d)
+		return
+	}
+	// Out of leaves: double them and play every match again.
+	q.leaves = max(1, 2*q.leaves)
+	q.tree = make([]head, 2*q.leaves)
+	for i := range q.tree {
+		q.tree[i] = idle
+	}
+	for _, each := range q.doms {
+		q.replay(each)
 	}
 }
 
-// insert places a live slab index into its bucket, keeping the bucket
-// sorted by full canonical key.
-func (q *calQueue) insert(idx int32) {
-	key := q.slab[idx].key
-	b := (uint64(key.at) / q.width) & q.mask
-	bk := q.buckets[b]
-	lo, hi := 0, len(bk)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if q.slab[bk[mid]].key.less(key) {
-			lo = mid + 1
-		} else {
-			hi = mid
+// replay re-enters d's head event into the tournament after its list
+// changed, re-playing matches up the tree until a winner stands.
+func (q *queue) replay(d *Domain) {
+	h := idle
+	if len(d.pend) > 0 {
+		h = head{at: d.pend[0].key.at, id: d.id, leaf: int32(d.slot)}
+	}
+	for i := q.leaves + d.slot; q.tree[i] != h; {
+		q.tree[i] = h
+		if i >>= 1; i == 0 {
+			break
+		}
+		if h = q.tree[2*i]; q.tree[2*i+1].less(h) {
+			h = q.tree[2*i+1]
 		}
 	}
-	bk = append(bk, 0)
-	copy(bk[lo+1:], bk[lo:])
-	bk[lo] = idx
-	q.buckets[b] = bk
+}
+
+// settle brings the late domain's leaf up to date.
+func (q *queue) settle() {
+	if q.late != nil {
+		q.replay(q.late)
+		q.late = nil
+	}
+}
+
+// push schedules ev, whose key.domain must be d.id, on d's list.
+func (q *queue) push(d *Domain, ev event) {
+	q.n++
+	if d.add(ev) && d != q.late {
+		q.replay(d)
+	}
+}
+
+// peekAt reports the instant of the least pending event.
+func (q *queue) peekAt() (Time, bool) {
+	if q.n == 0 {
+		return 0, false
+	}
+	q.settle()
+	return q.tree[1].at, true
 }
 
 // peekKey reports the canonical key of the least pending event.
-func (q *calQueue) peekKey() (eventKey, bool) {
+func (q *queue) peekKey() (eventKey, bool) {
 	if q.n == 0 {
 		return eventKey{}, false
 	}
-	if q.minIdx < 0 {
-		q.findMin()
-	}
-	return q.slab[q.minIdx].key, true
+	q.settle()
+	return q.doms[q.tree[1].leaf].pend[0].key, true
 }
 
-// findMin locates the least pending event. One year of slots is walked
-// from the slot containing scanAt; since every pending timestamp is
-// >= scanAt, the first slot whose bucket head lies in that slot holds
-// the minimum (a head in a later slot means its whole bucket is later).
-// If a full rotation finds nothing — the next event is more than a year
-// ahead — the minimum is taken directly over bucket heads.
-func (q *calQueue) findMin() {
-	nb := uint64(len(q.buckets))
-	start := uint64(q.scanAt) / q.width
-	for i := uint64(0); i < nb; i++ {
-		slot := start + i
-		bk := q.buckets[slot&q.mask]
-		if len(bk) == 0 {
-			continue
-		}
-		if uint64(q.slab[bk[0]].key.at)/q.width == slot {
-			q.minIdx = bk[0]
-			return
-		}
-	}
-	best := int32(-1)
-	for _, bk := range q.buckets {
-		if len(bk) == 0 {
-			continue
-		}
-		if best < 0 || q.slab[bk[0]].key.less(q.slab[best].key) {
-			best = bk[0]
-		}
-	}
-	q.minIdx = best
-}
-
-// pop removes and returns the least pending event. It panics when the
-// queue is empty.
-func (q *calQueue) pop() event {
+// pop removes the least pending event and returns its instant and
+// payload. It panics when the queue is empty.
+func (q *queue) pop() (Time, Payload) {
 	if q.n == 0 {
 		panic("sim: pop from empty event queue")
 	}
-	if q.minIdx < 0 {
-		q.findMin()
-	}
-	idx := q.minIdx
-	ev := q.slab[idx]
-	// The global minimum is necessarily the head of its bucket.
-	b := (uint64(ev.key.at) / q.width) & q.mask
-	bk := q.buckets[b]
-	copy(bk, bk[1:])
-	q.buckets[b] = bk[:len(bk)-1]
-	q.slab[idx] = event{} // release the payload reference
-	q.free = append(q.free, idx)
+	q.settle()
+	d := q.doms[q.tree[1].leaf]
+	q.late = d
 	q.n--
-	q.minIdx = -1
-	q.scanAt = ev.key.at
-	if q.n < len(q.buckets)/2 && len(q.buckets) > calMinBuckets {
-		q.resize(len(q.buckets) / 2)
-	}
-	return ev
-}
-
-// resize rebuilds the bucket array at the new count and re-derives the
-// bucket width from the live span: pending events occupy roughly
-// [scanAt, maxAt], so span/(n+1) approximates the mean event spacing —
-// the width at which the year scan terminates in O(1) slots.
-func (q *calQueue) resize(nb int) {
-	span := uint64(q.maxAt-q.scanAt) + 1
-	w := span / uint64(q.n+1)
-	if w < 1 {
-		w = 1
-	}
-	old := q.buckets
-	q.buckets = make([][]int32, nb)
-	q.mask = uint64(nb - 1)
-	q.width = w
-	for _, bk := range old {
-		for _, idx := range bk {
-			q.insert(idx)
-		}
-	}
+	return d.take()
 }
 
 // forEach visits every pending event in unspecified order; used for
-// snapshot export, migration and ownership audits. The pointer is valid
-// only during the call.
-func (q *calQueue) forEach(fn func(*event)) {
-	for _, bk := range q.buckets {
-		for _, idx := range bk {
-			fn(&q.slab[idx])
+// snapshot export and ownership audits. The pointer is valid only
+// during the call.
+func (q *queue) forEach(fn func(*event)) {
+	for _, d := range q.doms {
+		for i := range d.pend {
+			fn(&d.pend[i])
 		}
 	}
 }
 
 // reset drops all pending events and releases their payloads.
-func (q *calQueue) reset() {
-	for i := range q.slab {
-		q.slab[i] = event{}
+func (q *queue) reset() {
+	for _, d := range q.doms {
+		clear(d.pend)
+		d.pend = d.pend[:0]
 	}
-	q.slab = q.slab[:0]
-	q.free = q.free[:0]
-	for i := range q.buckets {
-		q.buckets[i] = q.buckets[i][:0]
+	for i := range q.tree {
+		q.tree[i] = idle
 	}
 	q.n = 0
-	q.minIdx = -1
-	q.scanAt = 0
-	q.maxAt = 0
+	q.late = nil
 }

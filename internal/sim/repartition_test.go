@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -56,11 +58,21 @@ func (h *ringHarness) trace() []string {
 }
 
 // repartitionRing rebinds the harness to a new owner table through
-// ParallelEngine.Repartition.
+// ParallelEngine.Repartition; every domain must arrive with exactly the
+// events it had pending.
 func (h *ringHarness) repartition(t *testing.T, shards int, owner []int) {
 	t.Helper()
+	before, after := make([]uint64, len(h.doms)), make([]uint64, len(h.doms))
+	h.pe.PendingByDomain(before)
 	if err := h.pe.Repartition(shards, shards, func(d int32) int { return owner[d] }); err != nil {
 		t.Fatalf("repartition to %d shards: %v", shards, err)
+	}
+	h.pe.PendingByDomain(after)
+	for d := range before {
+		if before[d] != after[d] || int(after[d]) != len(h.doms[d].pend) {
+			t.Fatalf("domain %d: %d pending before repartition, %d after (list holds %d)",
+				d, before[d], after[d], len(h.doms[d].pend))
+		}
 	}
 	h.owner = owner
 }
@@ -118,26 +130,44 @@ func TestRepartitionMovesPendingEvents(t *testing.T) {
 	pe.SetLookahead(10)
 	a := pe.Shard(0).Domain(0)
 	b := pe.Shard(1).Domain(1)
-	fired := make(map[int]Time)
-	a.AtP(50, Func(func() { fired[0] = a.Now() }))
-	b.AtP(70, Func(func() { fired[1] = b.Now() }))
-	if pe.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", pe.Pending())
+	// Each domain holds several events, scheduled out of time order, with
+	// same-instant ties between local events and a delivery; got records
+	// the order they fire in, want is the canonical one.
+	var got []string
+	fire := func(d *Domain, name string) Payload {
+		return Func(func() { got = append(got, fmt.Sprintf("%s@%d", name, d.Now())) })
+	}
+	a.AtP(90, fire(a, "a1"))
+	a.AtP(50, fire(a, "a2"))
+	a.DeliverAtP(50, 1, 1, fire(a, "a-from-b"))
+	a.AtP(50, fire(a, "a3"))
+	b.AtP(70, fire(b, "b1"))
+	b.AtP(50, fire(b, "b2"))
+	// An anonymous event pins to the control shard, whichever engine that is.
+	pe.Shard(0).AtP(60, Func(func() { got = append(got, fmt.Sprintf("anon@%d", pe.Shard(0).Now())) }))
+	want := []string{"a2@50", "a3@50", "a-from-b@50", "b2@50", "anon@60", "b1@70", "a1@90"}
+	if pe.Pending() != 7 {
+		t.Fatalf("pending = %d, want 7", pe.Pending())
 	}
 	// Swap ownership entirely: both domains onto what used to be the
 	// other's shard layout, via a fresh 2-shard split.
 	if err := pe.Repartition(2, 2, func(d int32) int { return 1 - int(d) }); err != nil {
 		t.Fatal(err)
 	}
-	if pe.Pending() != 2 {
-		t.Fatalf("pending after repartition = %d, want 2", pe.Pending())
+	if pe.Pending() != 7 || len(a.pend) != 4 || len(b.pend) != 2 {
+		t.Fatalf("after repartition: %d pending, %d on a, %d on b; want 7, 4, 2", pe.Pending(), len(a.pend), len(b.pend))
+	}
+	counts := make([]uint64, 2)
+	pe.PendingByDomain(counts)
+	if counts[0] != 4 || counts[1] != 2 {
+		t.Fatalf("PendingByDomain = %v, want [4 2]", counts)
 	}
 	if a.Engine() != pe.Shard(1) || b.Engine() != pe.Shard(0) {
 		t.Fatal("domains not re-bound to their new owning shards")
 	}
-	pe.RunUntil(100)
-	if fired[0] != 50 || fired[1] != 70 {
-		t.Errorf("migrated events fired at %v/%v, want 50/70", fired[0], fired[1])
+	pe.Run()
+	if !slices.Equal(got, want) {
+		t.Errorf("migrated events fired as %v, want %v", got, want)
 	}
 }
 

@@ -941,7 +941,7 @@ func (m *Machine) maybeRepartition() error {
 		*last = s
 	}
 	// Fold in the pending backlog per chip — the work the next windows
-	// will execute, read cheaply off the calendar queues. A hotspot that
+	// will execute, read off the domains' pending lists. A hotspot that
 	// has queued a burst but not yet executed it shows up here one
 	// evaluation earlier than in the executed-density history alone.
 	m.pe.PendingByDomain(act)
