@@ -273,8 +273,9 @@ type Node struct {
 	dead bool
 
 	// Free lists for the node's hot-path payload events. Every access
-	// happens on the shard that owns this node — pops in the same-shard
-	// deliver branch and the local inject paths, pushes at the top of
+	// happens on the shard that owns this node — pops in deliver (the
+	// receiver's list when the hop stays inside the shard, the sender's
+	// when it crosses) and the local inject paths, pushes at the top of
 	// Run (which executes on the owner) — so no locking is needed, and
 	// steady-state traffic recycles events instead of allocating.
 	arrivePool []*arriveEv
@@ -1151,11 +1152,14 @@ func (f *Fabric) deliver(from, to *Node, d topo.Dir, fl flit, frame sim.Time) {
 	from.sendSeq++
 	at := from.dom.Now() + frame + f.p.RouterLatency
 	if f.pe == nil || from.shard == to.shard {
-		// Same shard: the receiver's free list is ours to touch.
-		to.dom.DeliverAtP(at, from.idx, from.sendSeq, to.getArrive(fl, d))
+		// Same shard: the receiver's free list is ours to touch, and Run
+		// hands the event back to the list it came from.
+		to.dom.DeliverAtP(at, from.idx, from.sendSeq, to.getArrive(to, fl, d))
 		return
 	}
-	f.pe.PostP(from.shard, to.shard, to.dom, at, from.idx, from.sendSeq, &arriveEv{to: to, fl: fl, d: d})
+	// Across the cut only the sender's list is ours. The event ends up on
+	// the receiver's list, which refills from the traffic coming back.
+	f.pe.PostP(from.shard, to.shard, to.dom, at, from.idx, from.sendSeq, from.getArrive(to, fl, d))
 }
 
 // The fabric's events. Each kind is one payload type whose constructor
@@ -1182,21 +1186,31 @@ type arriveEv struct {
 	d  topo.Dir
 }
 
-// getArrive pops a recycled arrival event or allocates one. Only the
-// shard owning n may call this (see the pool fields).
-func (n *Node) getArrive(fl flit, d topo.Dir) *arriveEv {
+// arrivePoolCap bounds a node's arrival free list. A hop inside a shard
+// returns its event to the list it was taken from, so only arrivals
+// from across the cut can grow a list: without the bound, traffic
+// flowing one way over a boundary chip would park every event it ever
+// used there.
+const arrivePoolCap = 64
+
+// getArrive pops a recycled arrival event from n's free list, or
+// allocates one, addressed to node to. Only the shard owning n may call
+// this (see the pool fields).
+func (n *Node) getArrive(to *Node, fl flit, d topo.Dir) *arriveEv {
 	if k := len(n.arrivePool); k > 0 {
 		p := n.arrivePool[k-1]
 		n.arrivePool = n.arrivePool[:k-1]
-		p.fl, p.d = fl, d
+		p.to, p.fl, p.d = to, fl, d
 		return p
 	}
-	return &arriveEv{to: n, fl: fl, d: d}
+	return &arriveEv{to: to, fl: fl, d: d}
 }
 
 func (p *arriveEv) Run() {
 	to, fl, d := p.to, p.fl, p.d
-	to.arrivePool = append(to.arrivePool, p) // runs on to's shard
+	if len(to.arrivePool) < arrivePoolCap {
+		to.arrivePool = append(to.arrivePool, p) // runs on to's shard
+	}
 	to.receive(fl, d)
 }
 func (p *arriveEv) EventDesc() *sim.Desc { return descFlit(KindArrive, p.fl, uint64(p.d)) }

@@ -110,7 +110,7 @@ func (f *Fabric) EventKinds() sim.Kinds {
 			if err != nil {
 				return nil, err
 			}
-			return n.getArrive(fl, d), nil
+			return n.getArrive(n, fl, d), nil
 		},
 		KindTxDrain: func(rec *sim.EventRecord) (sim.Payload, error) {
 			n, _, d, err := f.decodeEvent(rec, 1, true, false)

@@ -62,7 +62,17 @@ func TestFuncScheduleZeroAlloc(t *testing.T) {
 }
 
 func TestWindowDispatchZeroAlloc(t *testing.T) {
-	pe := NewParallel(1, 2, 1)
+	t.Run("inline", func(t *testing.T) { windowDispatchZeroAlloc(t, 1) })
+	// Shared with a resident helper: the hand-off itself — job list,
+	// ticket, countdown, park and wake — allocates nothing either.
+	// (AllocsPerRun drops to one processor, so this is also a helper
+	// and a coordinator spinning against each other on a single P.)
+	t.Run("pooled", func(t *testing.T) { windowDispatchZeroAlloc(t, 2) })
+}
+
+func windowDispatchZeroAlloc(t *testing.T, workers int) {
+	pe := NewParallel(1, 2, workers)
+	defer pe.Close()
 	pe.SetLookahead(100)
 	d0 := pe.Shard(0).Domain(0)
 	d1 := pe.Shard(1).Domain(1)

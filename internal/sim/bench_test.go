@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The two queue shapes that matter, driven through the public scheduling
 // surface. CI runs them once each so they cannot rot; run them with
@@ -86,3 +89,91 @@ func BenchmarkQueueBursty(b *testing.B) {
 		eng.Step()
 	}
 }
+
+// BenchmarkHandoff prices one two-shard lookahead window, ns per window:
+// shared with a resident helper (pooled) against both shards run back to
+// back on the coordinator (inline), at k events per shard per window.
+// k=0 is the hand-off alone — publish, claim, count down — with
+// nothing to run; in the mail rows every event crosses the cut instead
+// of re-arming at home, so both lanes append to their arenas all window
+// long and the barrier drains 2k envelopes. The events are bare re-arms,
+// several times cheaper than a model event, so the crossover read off
+// this table in events is an upper bound on the one in model events.
+func BenchmarkHandoff(b *testing.B) {
+	const la = 100
+	b.Run("k=0/pooled", func(b *testing.B) {
+		pe := NewParallel(1, 2, 2)
+		defer pe.Close()
+		pool := pe.pool.Load()
+		if pool == nil {
+			b.Skip("one processor: no helper to hand off to")
+		}
+		both := []int{0, 1}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pool.run(pe.shards, both, -1, 0)
+		}
+	})
+	for _, c := range []struct {
+		k    int
+		mail bool
+	}{{1, false}, {4, false}, {16, false}, {64, false}, {16, true}} {
+		for _, workers := range []int{2, 1} {
+			name := fmt.Sprintf("k=%d", c.k)
+			if c.mail {
+				name += "/mail"
+			}
+			if workers == 1 {
+				name += "/inline"
+			} else {
+				name += "/pooled"
+			}
+			b.Run(name, func(b *testing.B) {
+				pe := NewParallel(1, 2, workers)
+				defer pe.Close()
+				pe.SetLookahead(la)
+				// One shard's domains, lists and payloads are built before
+				// the other's, so the allocator does not lay the two
+				// shards' hot words side by side on shared cache lines.
+				evs := make([]*windowBench, 0, 2*c.k)
+				for shard := 0; shard < 2; shard++ {
+					for j := 0; j < c.k; j++ {
+						ev := &windowBench{pe: pe, shard: shard, d: pe.Shard(shard).Domain(len(evs))}
+						ev.d.AtP(0, ev)
+						evs = append(evs, ev)
+					}
+				}
+				if c.mail {
+					for j, ev := range evs {
+						ev.peer = evs[(j+c.k)%len(evs)]
+					}
+				}
+				pe.RunUntil(64*la - 1) // warm queues and arenas, wake the helper
+				b.ReportAllocs()
+				b.ResetTimer()
+				pe.RunUntil(Time(64+b.N)*la - 1)
+			})
+		}
+	}
+}
+
+// windowBench is one event per lookahead window on its domain: it
+// re-arms itself there, or with a peer hands the peer across the cut —
+// which does the same back — so each domain still runs one per window.
+type windowBench struct {
+	pe    *ParallelEngine
+	shard int
+	d     *Domain
+	peer  *windowBench
+	seq   uint64
+}
+
+func (p *windowBench) Run() {
+	if p.peer == nil {
+		p.d.AfterP(100, p)
+		return
+	}
+	p.seq++
+	p.pe.PostP(p.shard, p.peer.shard, p.peer.d, p.d.Now()+100, p.d.id, p.seq, p.peer)
+}
+func (p *windowBench) EventDesc() *Desc { return nil }

@@ -54,50 +54,29 @@ type mailMsg struct {
 	payload Payload
 }
 
-// poolJob hands one shard's window to a parked pool worker. Jobs carry
-// the engine and reply channel directly (rather than referencing the
-// ParallelEngine) so an idle worker holds nothing but its two channels
-// — which is what lets an abandoned engine be garbage collected and its
-// finalizer shut the pool down.
-type poolJob struct {
-	eng   *Engine
-	limit Time
-	done  chan<- struct{}
+// shardLane is the per-shard state the window protocol touches: the
+// shard's outgoing mail, appended by whichever goroutine runs the shard
+// inside a window, and the coordinator's tallies for it, written only
+// at barriers. Neighbouring shards run on different cores and append
+// mail on every cross-shard post, so each lane has a cache line to
+// itself (BenchmarkHandoff's mail rows run 5-8 % slower without the
+// padding).
+type shardLane struct {
+	// mail is the shard's per-window envelope arena: appended only while
+	// the shard executes a window, drained and length-reset (capacity
+	// kept — a bump arena) by the coordinator at the barrier. Each
+	// message carries its destination domain and a canonical key, so no
+	// (src,dst) structure is needed: the destination queue orders
+	// deliveries, and the drain is O(messages + shards) instead of an
+	// O(shards²) matrix scan.
+	mail []mailMsg
+	// events accumulates window events since the last TakeShardEvents,
+	// the observed density the re-partitioning policy steers by; before
+	// is the per-window scratch it is computed from.
+	events uint64
+	before uint64
+	_      [64 - 40]byte
 }
-
-// workerPool owns one generation of parked helper goroutines. The
-// engine swaps whole pools on Repartition (shard counts change) rather
-// than resizing one in place, and shutdown is a compare-and-swap on
-// closed so an explicit Close, a finalizer Close and a Repartition swap
-// can race without double-closing the job channel.
-type workerPool struct {
-	work   chan poolJob
-	done   chan struct{}
-	closed atomic.Bool
-}
-
-// newWorkerPool parks helpers goroutines on a job channel able to hold
-// a full window's worth of shard jobs.
-func newWorkerPool(helpers, shards int) *workerPool {
-	p := &workerPool{
-		work: make(chan poolJob, shards),
-		done: make(chan struct{}, shards),
-	}
-	for i := 0; i < helpers; i++ {
-		go poolWorker(p.work)
-	}
-	return p
-}
-
-// close shuts the pool's helpers down exactly once; nil-safe.
-func (p *workerPool) close() {
-	if p != nil && p.closed.CompareAndSwap(false, true) {
-		close(p.work)
-	}
-}
-
-// active reports whether the pool can still accept jobs.
-func (p *workerPool) active() bool { return p != nil && !p.closed.Load() }
 
 // ParallelEngine is a sharded discrete-event scheduler implementing
 // conservative parallel discrete-event simulation (PDES). The model is
@@ -114,20 +93,21 @@ func (p *workerPool) active() bool { return p != nil && !p.closed.Load() }
 // merged event order — and therefore the whole simulation — is
 // independent of goroutine scheduling and of the shard count itself.
 //
-// Execution uses a persistent worker pool: the worker goroutines are
-// created once at construction and park between windows on the job
-// channel, so ms-granular stepping loops (Machine.Run's per-tick loop)
-// pay a channel handoff per window rather than a goroutine spawn per
-// RunUntil. Two execution modes share the shard state:
+// Execution uses resident helpers (see helperPool): goroutines created
+// once at construction that spin on the window ticket while windows
+// keep coming and park when they stop, so neither a ms-granular stepping
+// loop (Machine.Run's per-tick loop) nor a single window pays a
+// goroutine spawn or a wake-up. Two execution modes share the shard
+// state:
 //
-//   - RunUntil executes windows across the pool (the hot path);
+//   - RunUntil executes windows across the helpers (the hot path);
 //   - Run and Step execute one globally-earliest event at a time on the
 //     calling goroutine (used by boot and host-command phases, whose
 //     controllers keep cross-shard state and must not race).
 //
 // With a single shard every method degenerates to the plain Engine,
-// bit-for-bit. Whether a given window runs on the pool or inline on the
-// coordinator is pure execution strategy: it cannot affect the event
+// bit-for-bit. Whether a given window is shared with the helpers or runs
+// inline on the coordinator is pure execution strategy: it cannot affect the event
 // order, which is why the adaptive mode below preserves determinism.
 type ParallelEngine struct {
 	shards    []*Engine
@@ -135,29 +115,22 @@ type ParallelEngine struct {
 	lookahead Time
 	adaptive  bool
 
-	// mail[src] is shard src's per-window envelope arena: appended only
-	// by the goroutine executing shard src during a window, drained and
-	// length-reset (capacity kept — a bump arena) by the coordinator at
-	// the barrier. Each message carries its destination domain and a
-	// canonical key, so no (src,dst) structure is needed: the
-	// destination queue orders deliveries, and the drain is
-	// O(messages + shards) instead of an O(shards²) matrix scan.
-	mail [][]mailMsg
+	// lanes[i] is shard i's mail arena and window tallies.
+	lanes []shardLane
 
 	// curLimit/inWindow let Post assert the lookahead contract from any
 	// goroutine while a parallel window is executing.
 	curLimit atomic.Int64
 	inWindow atomic.Bool
 
-	// Persistent pool: workers-1 helper goroutines parked on the pool's
-	// job channel; the coordinator always executes one active shard
-	// itself. Nil when the engine never runs windows concurrently. The
-	// pointer is atomic so RunUntil reads it without locking; poolMu
+	// Resident helpers: min(workers, GOMAXPROCS)-1 goroutines sharing
+	// each pooled window with the coordinator. Nil when the engine never
+	// runs windows concurrently. The pointer is atomic so RunUntil reads it without locking; poolMu
 	// serialises pool *transitions* (Close, the finalizer backstop, and
 	// Repartition's generation swap), so a Close racing a swap always
 	// retires the current generation and never strands a fresh pool
 	// with its finalizer cleared.
-	pool   atomic.Pointer[workerPool]
+	pool   atomic.Pointer[helperPool]
 	poolMu sync.Mutex
 
 	// processedBase carries the event counts of engines retired by
@@ -177,17 +150,12 @@ type ParallelEngine struct {
 	// Window statistics, updated only at barriers (quiescence points of
 	// the window protocol). They derive from event counts — simulation
 	// trajectory, not wall clock — so adaptive decisions based on them
-	// are identical run to run. shardEvents accumulates window events
-	// per shard since the last TakeShardEvents, the observed density the
-	// re-partitioning policy steers by; activeBefore is its per-window
-	// scratch.
+	// are identical run to run.
 	windows        uint64  // lookahead windows executed
 	parWindows     uint64  // windows dispatched to the pool
 	windowEvents   uint64  // events executed inside windows
 	ewmaEvPerShard float64 // events per active shard per window, smoothed
-	shardEvents    []uint64
-	activeBefore   []uint64
-	activeScratch  []int // coordinator-local active-set buffer
+	activeScratch  []int   // coordinator-local active-set buffer
 
 	// Hand-off accounting. handoffs counts coordinator hand-off +
 	// barrier cycles: one per runWindow and one per solo batch, however
@@ -202,26 +170,33 @@ type ParallelEngine struct {
 
 	// soloThreshold is the adaptive-mode density bound: windows whose
 	// smoothed events-per-active-shard estimate sits below it run
-	// inline on the coordinator instead of being dispatched to the
-	// pool. Always defaultSoloThreshold outside this package's tests —
+	// inline on the coordinator instead of being shared with the
+	// helpers. Always defaultSoloThreshold outside this package's tests —
 	// it derives from the trajectory only, so varying it changes which
 	// goroutines execute the events, never the results.
 	soloThreshold float64
 }
 
 // defaultSoloThreshold is the events-per-active-shard-per-window level
-// below which adaptive mode runs a window inline on the coordinator:
-// under ~16 events a shard, the channel handoff and barrier wake-ups
-// cost more than the serialised execution they would parallelise.
+// below which adaptive mode runs a window inline on the coordinator.
+// BenchmarkHandoff puts numbers on it (two processors): sharing a
+// window with a helper costs about 1.3 µs over the work itself — the
+// ticket, the countdown and the helper shard's queue head each cross
+// between caches — so shared meets inline at about 35 bare events a
+// shard, 1.7 µs of work each, and three times later when the events
+// cross the cut (the mail rows). Model events cost 160-330 ns, which
+// puts the crossover at 5-10 events a shard without mail and above that
+// with it; 16 keeps the windows at the margin inline.
 const defaultSoloThreshold = 16
 
 // NewParallel returns a ParallelEngine with the given shard count.
 // Shard 0's random stream is seeded exactly as New(seed), so the
 // control-plane RNG draws the same sequence regardless of the shard
 // count; further shards get independent derived streams. workers bounds
-// how many shards execute concurrently within a window; the pool's
-// workers-1 helper goroutines are created here, once, and live until
-// Close (or until the engine is garbage collected).
+// how many shards execute concurrently within a window; the resident
+// helpers — min(workers, GOMAXPROCS)-1 of them, none on one processor —
+// are started here, once, and live until Close (or until the engine is
+// garbage collected).
 func NewParallel(seed uint64, shards, workers int) *ParallelEngine {
 	if shards < 1 {
 		panic("sim: parallel engine needs at least one shard")
@@ -236,11 +211,9 @@ func NewParallel(seed uint64, shards, workers int) *ParallelEngine {
 		shards:         make([]*Engine, shards),
 		workers:        workers,
 		lookahead:      1,
-		mail:           make([][]mailMsg, shards),
+		lanes:          make([]shardLane, shards),
 		ewmaEvPerShard: 4 * defaultSoloThreshold, // start optimistic: first windows go to the pool
 		soloThreshold:  defaultSoloThreshold,
-		shardEvents:    make([]uint64, shards),
-		activeBefore:   make([]uint64, shards),
 		activeScratch:  make([]int, 0, shards),
 	}
 	for i := range pe.shards {
@@ -253,27 +226,17 @@ func NewParallel(seed uint64, shards, workers int) *ParallelEngine {
 			pe.shards[i].rng = nil
 		}
 	}
-	if helpers := workers - 1; helpers > 0 && shards > 1 {
-		pe.pool.Store(newWorkerPool(helpers, shards))
-		// Backstop for engines dropped without Close: the workers hold
-		// only the pool's channels, so an abandoned engine becomes
-		// unreachable, the finalizer closes the job channel, and the
-		// pool exits.
+	if helpers := helperCount(workers); helpers > 0 {
+		pe.pool.Store(newHelperPool(helpers, shards))
+		// Backstop for engines dropped without Close: the helpers hold
+		// only the pool, so an abandoned engine becomes unreachable and
+		// the finalizer stops them.
 		runtime.SetFinalizer(pe, (*ParallelEngine).Close)
 	}
 	return pe
 }
 
-// poolWorker runs shard windows until the job channel closes. It must
-// not capture the ParallelEngine — see poolJob.
-func poolWorker(work <-chan poolJob) {
-	for j := range work {
-		j.eng.RunBefore(j.limit)
-		j.done <- struct{}{}
-	}
-}
-
-// Close shuts the worker pool down. Idempotent and safe to call from
+// Close stops the resident helpers. Idempotent and safe to call from
 // multiple goroutines (shutdown is a compare-and-swap on the pool);
 // safe on an engine with no pool; must not be called concurrently with
 // RunUntil. A dropped engine is closed by its finalizer, so Close is an
@@ -366,9 +329,10 @@ func (pe *ParallelEngine) Transitions() uint64 { return pe.transitions }
 // identical run to run. The result is appended into buf (which may be
 // nil), so a polling caller can reuse one buffer across calls.
 func (pe *ParallelEngine) TakeShardEvents(buf []uint64) []uint64 {
-	buf = append(buf[:0], pe.shardEvents...)
-	for i := range pe.shardEvents {
-		pe.shardEvents[i] = 0
+	buf = buf[:0]
+	for i := range pe.lanes {
+		buf = append(buf, pe.lanes[i].events)
+		pe.lanes[i].events = 0
 	}
 	return buf
 }
@@ -446,8 +410,8 @@ func (pe *ParallelEngine) PostP(src, dst int, dstDom *Domain, at Time, srcID int
 		panic(fmt.Sprintf("sim: cross-shard post at %v violates lookahead window ending %v",
 			at, Time(pe.curLimit.Load())))
 	}
-	pe.mail[src] = append(pe.mail[src],
-		mailMsg{at: at, dst: dstDom, src: srcID, srcSeq: srcSeq, payload: p})
+	l := &pe.lanes[src]
+	l.mail = append(l.mail, mailMsg{at: at, dst: dstDom, src: srcID, srcSeq: srcSeq, payload: p})
 }
 
 // NextEventAt reports the earliest pending timestamp across shards.
@@ -473,8 +437,8 @@ func (pe *ParallelEngine) NextEventAt() (Time, bool) {
 // goroutine produced them first or in what order this loop inserts
 // them — execution interleaving cannot leak into the event order.
 func (pe *ParallelEngine) drainMail() {
-	for src := range pe.mail {
-		box := pe.mail[src]
+	for src := range pe.lanes {
+		box := pe.lanes[src].mail
 		if len(box) == 0 {
 			continue
 		}
@@ -483,7 +447,7 @@ func (pe *ParallelEngine) drainMail() {
 			m.dst.DeliverAtP(m.at, m.src, m.srcSeq, m.payload)
 			*m = mailMsg{} // drop references so the arena pins nothing
 		}
-		pe.mail[src] = box[:0]
+		pe.lanes[src].mail = box[:0]
 	}
 }
 
@@ -535,7 +499,7 @@ func (pe *ParallelEngine) Drain() {
 		s.Run()
 		if ev := s.Processed() - before; ev > 0 {
 			pe.noteWindow(1, ev)
-			pe.shardEvents[0] += ev
+			pe.lanes[0].events += ev
 		}
 		return
 	}
@@ -577,8 +541,8 @@ func (pe *ParallelEngine) SyncClocks() {
 // canonical (time, domain, class, key) keys unchanged, the
 // control-plane RNG stream moves to the new shard 0 mid-stream, and
 // anonymous (engine-level) events pin to the control shard. The
-// envelope arenas and the persistent worker pool are rebuilt for the
-// new shard count.
+// envelope arenas and the resident helpers are rebuilt for the new
+// shard count.
 // Because the canonical keys — not the shard layout — define the event
 // order, a repartitioned run executes exactly the schedule the old
 // layout would have: re-partitioning is pure execution strategy.
@@ -652,18 +616,16 @@ func (pe *ParallelEngine) Repartition(shards, workers int, owner func(domain int
 	}
 	pe.shards = ns
 	pe.workers = workers
-	// Reuse the envelope arenas and window-statistics buffers when the
-	// old capacity covers the new layout — ms-granular drivers
-	// repartition often enough for the churn to show up in profiles.
-	pe.mail = reuseMail(pe.mail, shards)
-	pe.shardEvents = reuseCounts(pe.shardEvents, shards)
-	pe.activeBefore = reuseCounts(pe.activeBefore, shards)
+	// Reuse the lanes (and their arenas' capacity) when the old layout
+	// covers the new one — ms-granular drivers repartition often enough
+	// for the churn to show up in profiles.
+	pe.lanes = reuseLanes(pe.lanes, shards)
 	pe.activeScratch = pe.activeScratch[:0]
-	// Swap the pool generation: the old helpers drain and exit, a fresh
-	// pool parks helpers for the new worker bound.
-	var next *workerPool
-	if helpers := workers - 1; helpers > 0 && shards > 1 {
-		next = newWorkerPool(helpers, shards)
+	// Swap the pool generation: the old helpers exit, a fresh pool
+	// starts helpers for the new worker bound.
+	var next *helperPool
+	if helpers := helperCount(workers); helpers > 0 {
+		next = newHelperPool(helpers, shards)
 	}
 	pe.poolMu.Lock()
 	pe.pool.Swap(next).close()
@@ -676,30 +638,17 @@ func (pe *ParallelEngine) Repartition(shards, workers int, owner func(domain int
 	return nil
 }
 
-// reuseMail returns n empty envelope arenas, reusing the old backing
-// array (and each arena's capacity) when it is large enough.
-func reuseMail(m [][]mailMsg, n int) [][]mailMsg {
-	if cap(m) < n {
-		return make([][]mailMsg, n)
+// reuseLanes returns n empty lanes, reusing the old backing array (and
+// each arena's capacity) when it is large enough.
+func reuseLanes(l []shardLane, n int) []shardLane {
+	if cap(l) < n {
+		return make([]shardLane, n)
 	}
-	m = m[:n]
-	for i := range m {
-		m[i] = m[i][:0]
+	l = l[:n]
+	for i := range l {
+		l[i] = shardLane{mail: l[i].mail[:0]}
 	}
-	return m
-}
-
-// reuseCounts returns a zeroed counter slice of length n, reusing the
-// old backing array when it is large enough.
-func reuseCounts(c []uint64, n int) []uint64 {
-	if cap(c) < n {
-		return make([]uint64, n)
-	}
-	c = c[:n]
-	for i := range c {
-		c[i] = 0
-	}
-	return c
+	return l
 }
 
 // noteWindow folds one window's event count into the density estimate
@@ -712,9 +661,9 @@ func (pe *ParallelEngine) noteWindow(activeShards int, events uint64) {
 }
 
 // runWindow executes one lookahead window ending at end: every shard
-// with events inside it runs, dispatched to the persistent pool when
-// worthwhile (the coordinator always executes one shard itself, and
-// adaptive mode keeps whole thin windows inline). pre, when non-nil,
+// with events inside it runs, shared with the resident helpers when
+// worthwhile (the coordinator always takes part itself, and adaptive
+// mode keeps whole thin windows inline). pre, when non-nil,
 // runs first on the coordinator — before any peer commits work — and
 // may truncate the window by returning a shard to exclude (it already
 // ran) and a lower limit for everyone else; RunUntilAnyOf uses it to
@@ -725,7 +674,7 @@ func (pe *ParallelEngine) runWindow(end Time, pre func() (skip int, limit Time))
 	for i, s := range pe.shards {
 		if t, ok := s.NextAt(); ok && t < end {
 			active = append(active, i)
-			pe.activeBefore[i] = s.Processed()
+			pe.lanes[i].before = s.Processed()
 		}
 	}
 	pe.activeScratch = active
@@ -742,24 +691,10 @@ func (pe *ParallelEngine) runWindow(end Time, pre func() (skip int, limit Time))
 		}
 	}
 	pool := pe.pool.Load()
-	pooled := rest > 1 && pool.active() &&
+	pooled := rest > 1 && rest <= maxJobs && pool != nil &&
 		(!pe.adaptive || pe.ewmaEvPerShard >= pe.soloThreshold)
 	if pooled {
-		first := -1
-		for _, i := range active {
-			if i == skip {
-				continue
-			}
-			if first < 0 {
-				first = i
-				continue
-			}
-			pool.work <- poolJob{eng: pe.shards[i], limit: limit, done: pool.done}
-		}
-		pe.shards[first].RunBefore(limit)
-		for k := 0; k < rest-1; k++ {
-			<-pool.done
-		}
+		pool.run(pe.shards, active, skip, limit)
 		pe.parWindows++
 	} else {
 		for _, i := range active {
@@ -771,8 +706,8 @@ func (pe *ParallelEngine) runWindow(end Time, pre func() (skip int, limit Time))
 	pe.inWindow.Store(false)
 	var events uint64
 	for _, i := range active {
-		ev := pe.shards[i].Processed() - pe.activeBefore[i]
-		pe.shardEvents[i] += ev
+		ev := pe.shards[i].Processed() - pe.lanes[i].before
+		pe.lanes[i].events += ev
 		events += ev
 	}
 	pe.noteWindow(len(active), events)
@@ -844,10 +779,10 @@ func (pe *ParallelEngine) runSoloBatch(solo int, n2, deadline Time) {
 		before := s.Processed()
 		s.RunBefore(end)
 		ev := s.Processed() - before
-		pe.shardEvents[solo] += ev
+		pe.lanes[solo].events += ev
 		pe.noteWindow(1, ev)
 		batched++
-		if len(pe.mail[solo]) > 0 {
+		if len(pe.lanes[solo].mail) > 0 {
 			break
 		}
 	}
@@ -861,9 +796,8 @@ func (pe *ParallelEngine) runSoloBatch(solo int, n2, deadline Time) {
 // RunUntil executes events with timestamps <= deadline using parallel
 // lookahead windows, then advances every shard clock to exactly
 // deadline. Shards with events inside the current window run
-// concurrently on the persistent pool (up to the worker bound); the
-// coordinator always executes one of them itself so single-shard
-// windows cost no handoff, adaptive mode keeps whole thin windows on
+// concurrently across the coordinator and the resident helpers;
+// single-shard windows run on the coordinator and cost no handoff, adaptive mode keeps whole thin windows on
 // the coordinator, and runs of provably single-shard windows batch
 // under one hand-off (see runSoloBatch).
 func (pe *ParallelEngine) RunUntil(deadline Time) {
@@ -877,7 +811,7 @@ func (pe *ParallelEngine) RunUntil(deadline Time) {
 		s.RunUntil(deadline)
 		if ev := s.Processed() - before; ev > 0 {
 			pe.noteWindow(1, ev)
-			pe.shardEvents[0] += ev
+			pe.lanes[0].events += ev
 		}
 		return
 	}
@@ -946,7 +880,7 @@ func (pe *ParallelEngine) RunUntilAnyOf(deadline Time, watch *Domain, cond func(
 		}
 		if ev := s.Processed() - before; ev > 0 {
 			pe.noteWindow(1, ev)
-			pe.shardEvents[0] += ev
+			pe.lanes[0].events += ev
 		}
 		if !halted && deadline < Forever {
 			s.advanceTo(deadline)

@@ -9,32 +9,40 @@ import (
 // back to the other with latency la, recording a trace of (shard, time)
 // pairs. It returns the trace after running to the deadline.
 func pingPong(pe *ParallelEngine, la Time, deadline Time, parallel bool) []string {
+	return pingPongOn(pe, 0, 1, la, deadline, parallel)
+}
+
+// pingPongOn is pingPong between two chosen shards of a possibly wider
+// engine: every window holds one event on each, and each event posts
+// the next across the cut, so the trace depends on every window's
+// barrier.
+func pingPongOn(pe *ParallelEngine, a, b int, la, deadline Time, parallel bool) []string {
+	shard := [2]int{a, b}
 	// Each shard appends only to its own trace slice, so the recording
 	// itself cannot race under parallel execution.
-	per := make([][]string, pe.Shards())
-	doms := []*Domain{pe.Shard(0).Domain(0), pe.Shard(1).Domain(1)}
-	seqs := make([]uint64, pe.Shards()) // per-sender, as the canonical key requires
-	var hop func(shard int)
-	hop = func(shard int) {
-		eng := pe.Shard(shard)
-		per[shard] = append(per[shard], fmt.Sprintf("s%d@%d", shard, eng.Now()))
-		other := 1 - shard
-		at := eng.Now() + la
-		if at <= deadline {
-			seqs[shard]++
-			pe.PostP(shard, other, doms[other], at, int32(shard), seqs[shard], Func(func() { hop(other) }))
+	var per [2][]string
+	doms := [2]*Domain{pe.Shard(a).Domain(a), pe.Shard(b).Domain(b)}
+	var seqs [2]uint64 // per-sender, as the canonical key requires
+	var hop func(side int)
+	hop = func(side int) {
+		eng := pe.Shard(shard[side])
+		per[side] = append(per[side], fmt.Sprintf("s%d@%d", shard[side], eng.Now()))
+		other := 1 - side
+		if at := eng.Now() + la; at <= deadline {
+			seqs[side]++
+			pe.PostP(shard[side], shard[other], doms[other], at, int32(shard[side]), seqs[side],
+				Func(func() { hop(other) }))
 		}
 	}
-	pe.Shard(0).AtP(0, Func(func() { hop(0) }))
-	pe.Shard(1).AtP(la/2, Func(func() { hop(1) }))
+	pe.Shard(a).AtP(0, Func(func() { hop(0) }))
+	pe.Shard(b).AtP(la/2, Func(func() { hop(1) }))
 	if parallel {
 		pe.RunUntil(deadline)
 	} else {
 		pe.Run()
 	}
 	// Merge per-shard traces deterministically for comparison.
-	out := append(per[0], per[1]...)
-	return out
+	return append(per[0], per[1]...)
 }
 
 func TestParallelMatchesSequential(t *testing.T) {
