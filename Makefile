@@ -46,8 +46,11 @@ bench:
 # (seed corpora in internal/workload/testdata/fuzz) and over Restore
 # (seeded with the golden-workload image and corruptions of it; the
 # seeds are ~340 KB, so per-input minimisation is capped to leave the
-# ten seconds to execution). CI runs the same smoke.
+# ten seconds to execution), after ten seconds of random packet, DMA and
+# timer schedules held against the kernel's eager-completion oracle. CI
+# runs the same smoke.
 fuzz:
+	$(GO) test -run '^$$' -fuzz 'FuzzCoreCompletion' -fuzztime 10s ./internal/kernel/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseWorkload' -fuzztime 10s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseCampaign' -fuzztime 10s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz 'FuzzRestore' -fuzztime 10s -fuzzminimizetime 1s .

@@ -37,9 +37,11 @@ type kindSamples map[string]sim.EventRecord
 // asserts the rebuilt payload's descriptor equals the recorded one.
 // Decoding on the live machine is harmless: the cached payloads it
 // re-arms (timers, DMA completions, drains) are set to the values they
-// already hold.
+// already hold. Completions are settled first, as Snapshot does, so the
+// export holds every event an image taken here would.
 func (s kindSamples) check(t *testing.T, m *Machine) {
 	t.Helper()
+	m.syncCompletions()
 	recs, err := m.pe.ExportEvents()
 	if err != nil {
 		t.Fatal(err)

@@ -95,6 +95,15 @@ type Core struct {
 	idleSince sim.Time
 	startAt   sim.Time
 
+	// Occupancy is a timestamp, not an event: a handler's completion,
+	// due at busyUntil under the reserved key doneSeq, is scheduled only
+	// once something waits for it. While elided is set the completion is
+	// in no queue and running may be stale; Sync settles it. The three
+	// fields never reach a snapshot — Sync runs first.
+	busyUntil sim.Time
+	doneSeq   uint64
+	elided    bool
+
 	// tag, when set, prefixes the snapshot descriptors of the core's
 	// self-scheduled events (timer ticks, dispatch completions) so a
 	// restore can route them back to this core. Cores without a tag
@@ -195,9 +204,8 @@ func (c *Core) TimerEvent(tick uint64) sim.Payload {
 	return &c.timerP
 }
 
-// DispatchEvent returns the core's end-of-event continuation — for the
-// core's own dispatch loop, and for a restore re-injecting a recorded
-// pending one.
+// DispatchEvent returns the core's end-of-event continuation, for a
+// restore re-injecting a recorded pending one.
 func (c *Core) DispatchEvent() sim.Payload { return &c.dispatchP }
 
 // EventKinds returns the kind-table entries for the kernel's
@@ -283,6 +291,7 @@ func (c *Core) Stop() {
 	if c.stopped {
 		return
 	}
+	c.Sync()
 	c.stopped = true
 	if !c.running {
 		c.SleepTime += c.eng.Now() - c.idleSince
@@ -298,6 +307,9 @@ func (c *Core) Post(ev Event) {
 	c.queues[ev.Type].push(ev)
 	if b := c.backlog(); b > c.MaxBacklog {
 		c.MaxBacklog = b
+	}
+	if c.elided {
+		c.Sync()
 	}
 	if !c.running {
 		// Waking from WFI.
@@ -322,6 +334,25 @@ func (c *Core) backlog() int {
 
 // Backlog reports currently queued events.
 func (c *Core) Backlog() int { return c.backlog() }
+
+// Sync settles an elided completion: one whose instant has passed takes
+// its whole effect now — the core went to sleep at busyUntil — and one
+// still ahead is scheduled under its reserved key, because from here on
+// something waits for it. Post does this for itself; a caller about to
+// read the core's state from outside (a snapshot, which must also find
+// the pending completion in the event queue) syncs first.
+func (c *Core) Sync() {
+	if !c.elided {
+		return
+	}
+	c.elided = false
+	if c.eng.Passed(c.busyUntil, c.doneSeq) {
+		c.running = false
+		c.idleSince = c.busyUntil
+	} else {
+		c.eng.AtReserved(c.busyUntil, c.doneSeq, &c.dispatchP)
+	}
+}
 
 // dispatch pops the highest-priority pending event and models its
 // execution time; further events queue while the core is busy.
@@ -351,7 +382,16 @@ func (c *Core) dispatch() {
 	c.Instructions += instr
 	dur := c.instrTime(instr)
 	c.BusyTime += dur
-	c.eng.AfterP(dur, c.DispatchEvent())
+	// The completion keeps the key it always had, but only work already
+	// queued makes it an event: with nothing waiting, all it would do is
+	// put the core to sleep (Fig 7 goto_Sleep), and Sync does that.
+	c.busyUntil = c.eng.Now() + dur
+	c.doneSeq = c.eng.Reserve()
+	if c.backlog() > 0 {
+		c.eng.AtReserved(c.busyUntil, c.doneSeq, &c.dispatchP)
+	} else {
+		c.elided = true
+	}
 }
 
 // instrTime converts an instruction count to modelled time.
@@ -375,8 +415,12 @@ func (c *Core) RealTime() bool { return c.Overruns == 0 }
 // Snap codes the core's dynamic state for snapshots, overlaying it onto
 // a freshly built core when decoding. The pending timer/dispatch events
 // are not part of it — they live in the engine's event heap and
-// round-trip as described events.
+// round-trip as described events, which is why the caller must Sync
+// before exporting that heap: an elided completion is in neither place.
 func (c *Core) Snap(s *snap.Codec) {
+	if c.elided {
+		panic("kernel: snapshot of a core with an unsettled completion; Sync before exporting events")
+	}
 	for i := range c.queues {
 		evs := c.queues[i].pending()
 		snap.Slice(s, &evs)

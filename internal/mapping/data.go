@@ -12,10 +12,9 @@ import (
 type CoreData struct {
 	Frag *Fragment
 	// Matrix maps each presynaptic neuron's full AER key to its
-	// synaptic row targeting this core's neurons.
+	// synaptic row targeting this core's neurons, and marks the rows
+	// subject to STDP.
 	Matrix *neural.Matrix
-	// PlasticKeys marks the rows subject to STDP.
-	PlasticKeys map[uint32]bool
 	// STDP is the (single) plasticity rule for rows targeting this
 	// core, nil when all rows are static.
 	STDP *neural.STDPConfig
@@ -31,65 +30,83 @@ type DataPlan struct {
 	TotalBytes int
 }
 
-// BuildData expands every projection into per-core synaptic matrices
-// ("connectivity data constructed", section 5.3).
-func BuildData(net *Network, frags []*Fragment) (*DataPlan, error) {
-	plan := &DataPlan{Cores: make(map[topo.Coord]map[int]*CoreData)}
-	coreData := func(f *Fragment) *CoreData {
-		chip := plan.Cores[f.Chip]
-		if chip == nil {
-			chip = make(map[int]*CoreData)
-			plan.Cores[f.Chip] = chip
-		}
-		cd := chip[f.Core]
-		if cd == nil {
-			cd = &CoreData{Frag: f, Matrix: neural.NewMatrix(), PlasticKeys: make(map[uint32]bool)}
-			chip[f.Core] = cd
-		}
-		return cd
+// rowKey names one synaptic row: the core it lives on and the
+// presynaptic neuron's AER key.
+type rowKey struct {
+	frag   *Fragment
+	preKey uint32
+}
+
+// dataBuilder accumulates a DataPlan one synapse at a time; finish packs
+// the rows into the per-core matrices.
+type dataBuilder struct {
+	plan    *DataPlan
+	rows    map[rowKey]neural.Row
+	plastic map[rowKey]*neural.STDPConfig
+	order   []rowKey // rows in first-synapse order
+}
+
+func newDataBuilder(frags []*Fragment) *dataBuilder {
+	b := &dataBuilder{
+		plan:    &DataPlan{Cores: make(map[topo.Coord]map[int]*CoreData)},
+		rows:    make(map[rowKey]neural.Row),
+		plastic: make(map[rowKey]*neural.STDPConfig),
 	}
 	// Make sure every fragment has a (possibly empty) core image.
 	for _, f := range frags {
-		coreData(f)
+		b.coreData(f)
 	}
-	// Accumulate rows: rows[(postFrag, preKey)] -> []SynWord.
-	type rowKey struct {
-		frag   *Fragment
-		preKey uint32
+	return b
+}
+
+func (b *dataBuilder) coreData(f *Fragment) *CoreData {
+	chip := b.plan.Cores[f.Chip]
+	if chip == nil {
+		chip = make(map[int]*CoreData)
+		b.plan.Cores[f.Chip] = chip
 	}
-	rows := make(map[rowKey]neural.Row)
-	plastic := make(map[rowKey]*neural.STDPConfig)
-	var order []rowKey
-	for _, pr := range net.Projs {
-		preFrags := FragmentsOf(frags, pr.Pre)
-		postFrags := FragmentsOf(frags, pr.Post)
-		for _, conn := range pr.Expand() {
-			pre, err := FragmentForNeuron(preFrags, pr.Pre, conn.PreIdx)
-			if err != nil {
-				return nil, err
-			}
-			post, err := FragmentForNeuron(postFrags, pr.Post, conn.PostIdx)
-			if err != nil {
-				return nil, err
-			}
-			k := rowKey{post, pre.KeyFor(conn.PreIdx)}
-			if _, ok := rows[k]; !ok {
-				order = append(order, k)
-			}
-			rows[k] = append(rows[k], neural.MakeSynWord(
-				conn.Weight, conn.Delay, conn.Inhibitory, conn.PostIdx-post.Lo))
-			if pr.STDP != nil {
-				plastic[k] = pr.STDP
-			}
-			plan.TotalSynapses++
-		}
+	cd := chip[f.Core]
+	if cd == nil {
+		cd = &CoreData{Frag: f, Matrix: neural.NewMatrix()}
+		chip[f.Core] = cd
 	}
-	for _, k := range order {
-		cd := coreData(k.frag)
-		cd.Matrix.AddRow(k.preKey, rows[k])
-		plan.TotalBytes += rows[k].SizeBytes()
-		if cfg := plastic[k]; cfg != nil {
-			cd.PlasticKeys[k.preKey] = true
+	return cd
+}
+
+// add appends one synapse of projection pr to its row.
+func (b *dataBuilder) add(pr *Projection, pre, post *Fragment, conn Conn) {
+	k := rowKey{post, pre.KeyFor(conn.PreIdx)}
+	if _, ok := b.rows[k]; !ok {
+		b.order = append(b.order, k)
+	}
+	b.rows[k] = append(b.rows[k], neural.MakeSynWord(
+		conn.Weight, conn.Delay, conn.Inhibitory, conn.PostIdx-post.Lo))
+	if pr.STDP != nil {
+		b.plastic[k] = pr.STDP
+	}
+	b.plan.TotalSynapses++
+}
+
+// finish sizes every core's matrix for the rows it will hold, then
+// moves the rows in, releasing each as it lands so set-up never holds
+// the whole connectivity twice.
+func (b *dataBuilder) finish() (*DataPlan, error) {
+	type shape struct{ rows, words int }
+	shapes := make(map[*Fragment]shape)
+	for _, k := range b.order {
+		sh := shapes[k.frag]
+		shapes[k.frag] = shape{sh.rows + 1, sh.words + len(b.rows[k])}
+	}
+	for f, sh := range shapes {
+		b.coreData(f).Matrix.Reserve(sh.rows, sh.words)
+	}
+	for _, k := range b.order {
+		cd := b.coreData(k.frag)
+		cd.Matrix.AddRow(k.preKey, b.rows[k])
+		b.plan.TotalBytes += b.rows[k].SizeBytes()
+		delete(b.rows, k)
+		if cfg := b.plastic[k]; cfg != nil {
+			cd.Matrix.SetPlastic(k.preKey)
 			if cd.STDP != nil && *cd.STDP != *cfg {
 				return nil, fmt.Errorf("mapping: conflicting STDP rules target %q fragment %d",
 					k.frag.Pop.Name, k.frag.Index)
@@ -97,11 +114,25 @@ func BuildData(net *Network, frags []*Fragment) (*DataPlan, error) {
 			cd.STDP = cfg
 		}
 	}
-	return plan, nil
+	return b.plan, nil
+}
+
+// BuildData expands every projection into per-core synaptic matrices
+// ("connectivity data constructed", section 5.3).
+func BuildData(net *Network, frags []*Fragment) (*DataPlan, error) {
+	b := newDataBuilder(frags)
+	for _, pr := range net.Projs {
+		if err := eachConn(frags, pr, func(pre, post *Fragment, conn Conn) { b.add(pr, pre, post, conn) }); err != nil {
+			return nil, err
+		}
+	}
+	return b.finish()
 }
 
 // Compile runs the full pipeline: partition, place, route, build data,
-// validate. This is the one-call front end the public API uses.
+// validate. This is the one-call front end the public API uses. Routing
+// and data generation both read the expanded projections; they share
+// one expansion.
 func Compile(net *Network, spec MachineSpec, strategy PlacementStrategy, opts RouteOptions, seed uint64) (*RoutingPlan, *DataPlan, error) {
 	frags, err := Partition(net, spec)
 	if err != nil {
@@ -110,14 +141,24 @@ func Compile(net *Network, spec MachineSpec, strategy PlacementStrategy, opts Ro
 	if err := Place(frags, spec, strategy, seed); err != nil {
 		return nil, nil, err
 	}
-	rplan, err := Route(net, frags, spec, opts)
+	dests, data := newDestSets(frags), newDataBuilder(frags)
+	for _, pr := range net.Projs {
+		err := eachConn(frags, pr, func(pre, post *Fragment, conn Conn) {
+			dests.add(pre, post)
+			data.add(pr, pre, post, conn)
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	rplan, err := routeTo(dests, frags, spec, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	if err := rplan.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("mapping: generated plan failed validation: %w", err)
 	}
-	dplan, err := BuildData(net, frags)
+	dplan, err := data.finish()
 	if err != nil {
 		return nil, nil, err
 	}

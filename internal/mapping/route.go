@@ -120,37 +120,61 @@ type RoutingPlan struct {
 	Stats  RoutingStats
 }
 
-// DestinationSets derives, for every fragment, the chips and cores its
-// spikes must reach, from the expanded projections.
-func DestinationSets(net *Network, frags []*Fragment) (map[int]map[topo.Coord][]int, error) {
-	dests := make(map[int]map[topo.Coord][]int, len(frags))
+// eachConn expands one projection and visits every synapse with the
+// fragments holding its two ends. Both consumers of the expansion — the
+// destination sets the router needs and the synaptic rows the cores
+// load — hang off this one walk, so a compile expands each projection
+// once, one projection at a time.
+func eachConn(frags []*Fragment, pr *Projection, visit func(pre, post *Fragment, conn Conn)) error {
+	preFrags := FragmentsOf(frags, pr.Pre)
+	postFrags := FragmentsOf(frags, pr.Post)
+	if len(preFrags) == 0 || len(postFrags) == 0 {
+		return fmt.Errorf("mapping: projection endpoints not partitioned")
+	}
+	for _, conn := range pr.Expand() {
+		pre, err := FragmentForNeuron(preFrags, pr.Pre, conn.PreIdx)
+		if err != nil {
+			return err
+		}
+		post, err := FragmentForNeuron(postFrags, pr.Post, conn.PostIdx)
+		if err != nil {
+			return err
+		}
+		visit(pre, post, conn)
+	}
+	return nil
+}
+
+// destSets is, for every fragment (by index), the chips and cores its
+// spikes must reach.
+type destSets map[int]map[topo.Coord][]int
+
+func newDestSets(frags []*Fragment) destSets {
+	dests := make(destSets, len(frags))
 	for _, f := range frags {
 		dests[f.Index] = make(map[topo.Coord][]int)
 	}
-	addCore := func(m map[topo.Coord][]int, chip topo.Coord, core int) {
-		for _, c := range m[chip] {
-			if c == core {
-				return
-			}
+	return dests
+}
+
+// add records that pre's spikes must reach post's core.
+func (dests destSets) add(pre, post *Fragment) {
+	m := dests[pre.Index]
+	for _, c := range m[post.Chip] {
+		if c == post.Core {
+			return
 		}
-		m[chip] = append(m[chip], core)
 	}
+	m[post.Chip] = append(m[post.Chip], post.Core)
+}
+
+// DestinationSets derives, for every fragment, the chips and cores its
+// spikes must reach, from the expanded projections.
+func DestinationSets(net *Network, frags []*Fragment) (map[int]map[topo.Coord][]int, error) {
+	dests := newDestSets(frags)
 	for _, pr := range net.Projs {
-		preFrags := FragmentsOf(frags, pr.Pre)
-		postFrags := FragmentsOf(frags, pr.Post)
-		if len(preFrags) == 0 || len(postFrags) == 0 {
-			return nil, fmt.Errorf("mapping: projection endpoints not partitioned")
-		}
-		for _, conn := range pr.Expand() {
-			pre, err := FragmentForNeuron(preFrags, pr.Pre, conn.PreIdx)
-			if err != nil {
-				return nil, err
-			}
-			post, err := FragmentForNeuron(postFrags, pr.Post, conn.PostIdx)
-			if err != nil {
-				return nil, err
-			}
-			addCore(dests[pre.Index], post.Chip, post.Core)
+		if err := eachConn(frags, pr, func(pre, post *Fragment, _ Conn) { dests.add(pre, post) }); err != nil {
+			return nil, err
 		}
 	}
 	return dests, nil
@@ -162,6 +186,11 @@ func Route(net *Network, frags []*Fragment, spec MachineSpec, opts RouteOptions)
 	if err != nil {
 		return nil, err
 	}
+	return routeTo(dests, frags, spec, opts)
+}
+
+// routeTo is Route from destination sets already derived.
+func routeTo(dests destSets, frags []*Fragment, spec MachineSpec, opts RouteOptions) (*RoutingPlan, error) {
 	plan := &RoutingPlan{
 		Spec:   spec,
 		Frags:  frags,

@@ -1,6 +1,8 @@
 package mapping
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"spinngo/internal/neural"
@@ -203,6 +205,74 @@ func TestCompilePipeline(t *testing.T) {
 	}
 	if rplan.Stats.MaxChipTable > spec.TableSize {
 		t.Errorf("table overflow: %d", rplan.Stats.MaxChipTable)
+	}
+}
+
+// TestCompileMatchesTwoCallForm holds the one-expansion compile to the
+// two-call form it replaced — Route and BuildData each expanding every
+// projection for themselves — on a network with a static, a recurrent
+// plastic and an inhibitory projection: destination sets, trees'
+// link counts, routing tables and statistics, and every core's matrix
+// row for row, plastic marks and byte totals included.
+func TestCompileMatchesTwoCallForm(t *testing.T) {
+	net, _ := twoPopNet(300, 200, FixedProbability)
+	pre, post := net.Pops[0], net.Pops[1]
+	stdp := neural.DefaultSTDP()
+	net.Connect(&Projection{Pre: post, Post: post, Kind: FixedFanout, Fanout: 7, WeightNA: 0.2, DelayMS: 1, Seed: 2, STDP: &stdp})
+	net.Connect(&Projection{Pre: post, Post: pre, Kind: Shift, Offset: 5, WeightNA: 0.7, DelayMS: 3, Seed: 3, Inhibitory: true})
+	spec := DefaultMachineSpec(4, 4)
+	spec.MaxNeuronsPerCore = 32
+	spec.AppCoresPerChip = 4
+	opts := RouteOptions{ElideDefault: true, Minimise: true}
+
+	rplan, dplan, err := Compile(net, spec, PlaceSerpentine, opts, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frags, err := Partition(net, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Place(frags, spec, PlaceSerpentine, 7); err != nil {
+		t.Fatal(err)
+	}
+	rwant, err := Route(net, frags, spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dwant, err := BuildData(net, frags)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if rplan.Stats != rwant.Stats || !reflect.DeepEqual(rplan.Dests, rwant.Dests) || !reflect.DeepEqual(rplan.Tables, rwant.Tables) {
+		t.Errorf("routing differs:\n one expansion  %+v\n two expansions %+v", rplan.Stats, rwant.Stats)
+	}
+	if dplan.TotalSynapses != dwant.TotalSynapses || dplan.TotalBytes != dwant.TotalBytes || dplan.TotalSynapses == 0 {
+		t.Errorf("data totals %d synapses / %d bytes, want %d / %d",
+			dplan.TotalSynapses, dplan.TotalBytes, dwant.TotalSynapses, dwant.TotalBytes)
+	}
+	plasticRows := 0
+	for i, f := range rplan.Frags {
+		got, want := dplan.Cores[f.Chip][f.Core], dwant.Cores[frags[i].Chip][frags[i].Core]
+		if (got.STDP == nil) != (want.STDP == nil) || got.Matrix.Bytes != want.Matrix.Bytes ||
+			!slices.Equal(got.Matrix.Keys(), want.Matrix.Keys()) {
+			t.Fatalf("fragment %d: matrix of %d rows / %d bytes, want %d / %d", i,
+				got.Matrix.NumRows(), got.Matrix.Bytes, want.Matrix.NumRows(), want.Matrix.Bytes)
+		}
+		for _, key := range want.Matrix.Keys() {
+			grow, gplastic, _ := got.Matrix.Lookup(key)
+			wrow, wplastic, _ := want.Matrix.Lookup(key)
+			if !slices.Equal(grow, wrow) || gplastic != wplastic {
+				t.Fatalf("fragment %d row %#x: %v (plastic %v), want %v (plastic %v)", i, key, grow, gplastic, wrow, wplastic)
+			}
+			if wplastic {
+				plasticRows++
+			}
+		}
+	}
+	if plasticRows == 0 {
+		t.Error("no plastic row compared; the network was meant to hold some")
 	}
 }
 

@@ -82,24 +82,35 @@ type Row []SynWord
 func (r Row) SizeBytes() int { return 4 * len(r) }
 
 // Matrix is a core's synaptic store: row per presynaptic key. It models
-// the SDRAM-resident connectivity block of section 5.3. A lookup — two
-// per delivered packet, with keys in an order nothing predicts — goes
-// through one packed open-addressed table: the probe reads a key and its
-// row number side by side, then the row.
+// the SDRAM-resident connectivity block of section 5.3: every row's
+// synapses sit back to back in one arena, and one packed open-addressed
+// table says where. A slot holds everything about its row but the
+// words — key, extent, plastic flag — so the packet handler, which only
+// needs the row's size to launch its DMA and finds no row at all for
+// most keys, reads one table line per packet and nothing else; the
+// DMA-done handler goes from the slot straight to the words.
 type Matrix struct {
 	slots []rowSlot // linear probing; a power of two long, at most half full
 	shift uint8     // 32 - log2(len(slots)): the hash keeps the product's high bits
-	rows  []Row     // in the order their keys first arrived
+	rows  int
+	words []SynWord // the rows' synapses, each row contiguous
 	// Bytes tracks total storage, checked against the SDRAM share.
 	Bytes int
 }
 
-// rowSlot is one table entry: row is an index into Matrix.rows plus
-// one, so the zero slot is an empty one.
+// rowSlot is one table entry: the row of key occupies words[off:off+n].
+// The zero slot is an empty one.
 type rowSlot struct {
-	key uint32
-	row uint32
+	key   uint32
+	off   uint32
+	n     uint32
+	flags uint32
 }
+
+const (
+	slotUsed    = 1 << iota // the slot holds a row (possibly an empty one)
+	slotPlastic             // the row is subject to STDP
+)
 
 // NewMatrix returns an empty synaptic store.
 func NewMatrix() *Matrix { return &Matrix{slots: make([]rowSlot, 8), shift: 32 - 3} }
@@ -108,65 +119,117 @@ func NewMatrix() *Matrix { return &Matrix{slots: make([]rowSlot, 8), shift: 32 -
 func (m *Matrix) slot(key uint32) *rowSlot {
 	mask := uint32(len(m.slots) - 1)
 	for i := key * 0x9E3779B1 >> m.shift; ; i = (i + 1) & mask {
-		if s := &m.slots[i]; s.row == 0 || s.key == key {
+		if s := &m.slots[i]; s.flags == 0 || s.key == key {
 			return s
 		}
 	}
 }
 
-// AddRow installs the row for a presynaptic routing key, replacing any
-// row already stored under it.
-func (m *Matrix) AddRow(key uint32, row Row) {
-	s := m.slot(key)
-	if s.row == 0 {
-		if 2*(len(m.rows)+1) > len(m.slots) {
-			old := m.slots
-			m.slots = make([]rowSlot, 2*len(old))
-			m.shift--
-			for _, o := range old {
-				if o.row != 0 {
-					*m.slot(o.key) = o
-				}
-			}
-			s = m.slot(key)
-		}
-		m.rows = append(m.rows, nil)
-		*s = rowSlot{key: key, row: uint32(len(m.rows))}
+// Reserve sizes the table for rows rows and the arena for words synapses
+// in one step, so a store whose final shape is known up front is built
+// without regrowth or slack.
+func (m *Matrix) Reserve(rows, words int) {
+	for 2*rows > len(m.slots) {
+		m.grow()
 	}
-	m.Bytes += row.SizeBytes() - m.rows[s.row-1].SizeBytes()
-	m.rows[s.row-1] = row
+	m.words = slices.Grow(m.words, words)
 }
 
-// Row fetches the row for a key.
-func (m *Matrix) Row(key uint32) (Row, bool) {
-	if s := m.slot(key); s.row != 0 {
-		return m.rows[s.row-1], true
+// grow doubles the table and re-seats every row's slot.
+func (m *Matrix) grow() {
+	old := m.slots
+	m.slots = make([]rowSlot, 2*len(old))
+	m.shift--
+	for _, o := range old {
+		if o.flags != 0 {
+			*m.slot(o.key) = o
+		}
 	}
-	return nil, false
+}
+
+// resize makes room for n synapses under key and returns them for the
+// caller to fill. A key seen before keeps its flags; its row keeps its
+// place in the arena unless it grows, in which case it moves to the end
+// and the old extent is left behind (rows are resized when a snapshot
+// of a differently shaped build is overlaid, not in the steady state).
+func (m *Matrix) resize(key uint32, n int) Row {
+	s := m.slot(key)
+	if s.flags == 0 {
+		if 2*(m.rows+1) > len(m.slots) {
+			m.grow()
+			s = m.slot(key)
+		}
+		m.rows++
+		*s = rowSlot{key: key, off: uint32(len(m.words)), flags: slotUsed}
+	}
+	if uint32(n) > s.n {
+		s.off = uint32(len(m.words))
+		m.words = append(m.words, make([]SynWord, n)...)
+	}
+	m.Bytes += 4 * (n - int(s.n))
+	s.n = uint32(n)
+	return m.words[s.off : s.off+s.n : s.off+s.n]
+}
+
+// AddRow installs a copy of row under a presynaptic routing key,
+// replacing any row already stored under it.
+func (m *Matrix) AddRow(key uint32, row Row) { copy(m.resize(key, len(row)), row) }
+
+// SetPlastic marks the row stored under key as subject to STDP; the
+// mark outlives any later replacement of the row.
+func (m *Matrix) SetPlastic(key uint32) {
+	if s := m.slot(key); s.flags != 0 {
+		s.flags |= slotPlastic
+	}
+}
+
+// RowBytes reports the DMA transfer size of the row for a key — all the
+// packet handler needs, and all of it in the table slot.
+func (m *Matrix) RowBytes(key uint32) (int, bool) {
+	s := m.slot(key)
+	return 4 * int(s.n), s.flags != 0
+}
+
+// Lookup fetches the row for a key, aliasing the store (STDP updates the
+// weights in place), and whether it is plastic.
+func (m *Matrix) Lookup(key uint32) (row Row, plastic, ok bool) {
+	s := m.slot(key)
+	if s.flags == 0 {
+		return nil, false, false
+	}
+	return m.words[s.off : s.off+s.n : s.off+s.n], s.flags&slotPlastic != 0, true
+}
+
+// Row is Lookup without the plastic flag.
+func (m *Matrix) Row(key uint32) (Row, bool) {
+	row, _, ok := m.Lookup(key)
+	return row, ok
 }
 
 // NumRows reports the number of stored rows.
-func (m *Matrix) NumRows() int { return len(m.rows) }
+func (m *Matrix) NumRows() int { return m.rows }
 
-// Snap codes every stored row in ascending key order; decoding installs
-// each recorded row over the rebuilt one and rejects a synapse whose
-// target is not one of the population's neurons (row processing indexes
-// per-neuron arrays by it).
+// Snap codes every stored row in ascending key order; decoding writes
+// each recorded row over the rebuilt one, in place when the shapes agree
+// (they do whenever the image and the rebuild come from the same
+// network), and rejects a synapse whose target is not one of the
+// population's neurons (row processing indexes per-neuron arrays by it).
+// The plastic marks are the rebuild's: they are a property of the
+// network, which the image carries separately.
 func (m *Matrix) Snap(c *snap.Codec, neurons int) {
 	keys := m.Keys()
 	snap.Slice(c, &keys)
 	for i := 0; i < len(keys) && c.Err() == nil; i++ {
 		c.U32(&keys[i])
 		row, _ := m.Row(keys[i])
-		snap.Slice(c, &row)
+		if n := c.Len(len(row)); c.Decoding() {
+			row = m.resize(keys[i], n)
+		}
 		for j := range row {
 			c.U32((*uint32)(&row[j]))
 			if c.Decoding() && row[j].Target() >= neurons {
 				c.Fail(fmt.Errorf("neural: row %#x synapse %d targets neuron %d of %d", keys[i], j, row[j].Target(), neurons))
 			}
-		}
-		if c.Decoding() {
-			m.AddRow(keys[i], row)
 		}
 	}
 }
@@ -176,9 +239,9 @@ func (m *Matrix) Snap(c *snap.Codec, neurons int) {
 // sums over it (mean weights), and table order would make those
 // observables depend on the table's size history.
 func (m *Matrix) Keys() []uint32 {
-	out := make([]uint32, 0, len(m.rows))
+	out := make([]uint32, 0, m.rows)
 	for _, s := range m.slots {
-		if s.row != 0 {
+		if s.flags != 0 {
 			out = append(out, s.key)
 		}
 	}

@@ -74,15 +74,19 @@ func TestMatrixStore(t *testing.T) {
 	}
 }
 
-// TestMatrixMatchesMap holds the packed row table to a plain map over
-// random key sets: hits, misses, replaced rows, exact Bytes, ascending
-// Keys, and a snapshot restored (in ascending order) over both an empty
-// matrix and one rebuilt with stale rows.
+// TestMatrixMatchesMap holds the packed row table and its arena to a
+// plain map over random key sets: hits, misses, rows replaced by
+// shorter, equal and longer ones (which must leave every neighbour in
+// the arena alone), plastic marks that outlive replacement and table
+// growth, exact Bytes, ascending Keys, and a snapshot restored (in
+// ascending order) over both an empty matrix and one rebuilt with stale
+// rows of other lengths — whose plastic marks, a property of the rebuild
+// and not of the image, must come through the overlay.
 func TestMatrixMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 60; trial++ {
 		space := uint32(1) << (2 + rng.Intn(14)) // dense to sparse key sets
-		m, oracle := NewMatrix(), make(map[uint32]Row)
+		m, oracle, plastic := NewMatrix(), make(map[uint32]Row), make(map[uint32]bool)
 		for n := rng.Intn(300); n > 0; n-- {
 			key := rng.Uint32() % space
 			if rng.Intn(8) == 0 {
@@ -94,14 +98,20 @@ func TestMatrixMatchesMap(t *testing.T) {
 			}
 			m.AddRow(key, row) // replaces when the key repeats
 			oracle[key] = row
+			if rng.Intn(4) == 0 {
+				m.SetPlastic(key)
+				plastic[key] = true
+			}
 		}
-		check := func(m *Matrix, what string) {
+		check := func(m *Matrix, what string, plastic map[uint32]bool) {
 			t.Helper()
 			size := 0
 			for key, want := range oracle {
 				size += want.SizeBytes()
-				if got, ok := m.Row(key); !ok || !slices.Equal(got, want) {
-					t.Fatalf("trial %d %s: Row(%#x) = %v, %v; want %v", trial, what, key, got, ok, want)
+				got, marked, ok := m.Lookup(key)
+				if n, _ := m.RowBytes(key); !ok || !slices.Equal(got, want) || marked != plastic[key] || n != want.SizeBytes() {
+					t.Fatalf("trial %d %s: Lookup(%#x) = %v, plastic %v, %v (%d bytes); want %v, plastic %v",
+						trial, what, key, got, marked, ok, n, want, plastic[key])
 				}
 			}
 			for probe := 0; probe < 200; probe++ {
@@ -109,6 +119,9 @@ func TestMatrixMatchesMap(t *testing.T) {
 				if _, want := oracle[key]; !want {
 					if row, ok := m.Row(key); ok || row != nil {
 						t.Fatalf("trial %d %s: Row(%#x) found a row never added", trial, what, key)
+					}
+					if n, ok := m.RowBytes(key); ok || n != 0 {
+						t.Fatalf("trial %d %s: RowBytes(%#x) = %d, %v for a row never added", trial, what, key, n, ok)
 					}
 				}
 			}
@@ -118,24 +131,32 @@ func TestMatrixMatchesMap(t *testing.T) {
 					trial, what, m.NumRows(), len(keys), slices.IsSorted(keys), m.Bytes, len(oracle), size)
 			}
 		}
-		check(m, "built")
+		check(m, "built", plastic)
 
 		enc := snap.NewEncoder()
 		m.Snap(enc, 4)
 		image := enc.Bytes()
-		stale := NewMatrix()
+		stale, stalePlastic := NewMatrix(), make(map[uint32]bool)
 		for key := range oracle {
 			if rng.Intn(2) == 0 {
-				stale.AddRow(key, Row{MakeSynWord(1, 1, false, 0)})
+				stale.AddRow(key, make(Row, rng.Intn(5)))
+				if rng.Intn(2) == 0 {
+					stale.SetPlastic(key)
+					stalePlastic[key] = true
+				}
 			}
 		}
 		for what, into := range map[string]*Matrix{"restored": NewMatrix(), "restored over stale rows": stale} {
+			marks := map[uint32]bool{}
+			if into == stale {
+				marks = stalePlastic
+			}
 			dec := snap.NewDecoder(image)
 			into.Snap(dec, 4)
 			if err := dec.Err(); err != nil || dec.Remaining() != 0 {
 				t.Fatalf("trial %d %s: err %v, %d bytes left", trial, what, err, dec.Remaining())
 			}
-			check(into, what)
+			check(into, what, marks)
 			again := snap.NewEncoder()
 			into.Snap(again, 4)
 			if !bytes.Equal(again.Bytes(), image) {
@@ -145,8 +166,10 @@ func TestMatrixMatchesMap(t *testing.T) {
 	}
 }
 
-// BenchmarkMatrixRow is the per-packet lookup: one hit in a core-sized
-// index, keys drawn in an order the branch predictor cannot learn.
+// BenchmarkMatrixRow is the per-packet lookup pair in a core-sized
+// index, keys drawn in an order the branch predictor cannot learn: the
+// packet handler's size-only probe of the table slot, then the DMA-done
+// handler's slot-to-words fetch.
 func BenchmarkMatrixRow(b *testing.B) {
 	const rows = 1024
 	m := NewMatrix()
@@ -157,13 +180,15 @@ func BenchmarkMatrixRow(b *testing.B) {
 	}
 	rand.New(rand.NewSource(1)).Shuffle(rows, func(i, j int) { probe[i], probe[j] = probe[j], probe[i] })
 	b.ResetTimer()
-	synapses := 0
+	bytes, synapses := 0, 0
 	for i := 0; i < b.N; i++ {
-		row, _ := m.Row(probe[i%rows])
+		n, _ := m.RowBytes(probe[i%rows])
+		row, _, _ := m.Lookup(probe[i%rows])
+		bytes += n
 		synapses += len(row)
 	}
-	if synapses != b.N {
-		b.Fatalf("%d lookups hit %d synapses", b.N, synapses)
+	if synapses != b.N || bytes != 4*b.N {
+		b.Fatalf("%d lookups hit %d synapses in %d bytes", b.N, synapses, bytes)
 	}
 }
 

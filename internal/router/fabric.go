@@ -280,6 +280,7 @@ type Node struct {
 	// steady-state traffic recycles events instead of allocating.
 	arrivePool []*arriveEv
 	routePool  []*routeEv
+	retryPool  []*retryEv
 
 	// Monitor-visible fault notifications (section 5.3: "the local
 	// Monitor Processor can be informed").
@@ -995,24 +996,41 @@ func (n *Node) routeP2P(fl flit) {
 // drop and tell the monitor. "No Router will get into a state where it
 // persistently refuses to accept incoming packets" — every path through
 // this function terminates without blocking the router.
-func (n *Node) forward(fl flit, d topo.Dir) { n.retry(fl, d, n.dom.Now()) }
-
-// retry is one attempt of the blocked-link protocol, resumable from a
-// snapshot: the attempt start time t0 travels in the re-armed event, so
-// a pending retry restores with its elapsed wait intact.
-func (n *Node) retry(fl flit, d topo.Dir, t0 sim.Time) {
-	f := n.fabric
+func (n *Node) forward(fl flit, d topo.Dir) {
 	if n.canSend(d) {
 		n.transmit(fl, d)
 		return
 	}
-	reArm := func() {
-		n.dom.AfterP(f.p.RetryInterval, &retryEv{n: n, fl: fl, d: d, t0: t0})
+	n.getRetry(fl, d, n.dom.Now()).Run()
+}
+
+// Run is one attempt of the blocked-link protocol, resumable from a
+// snapshot: the attempt start time t0 travels in the event, so a pending
+// retry restores with its elapsed wait intact. A popped event is no
+// longer pending, so while the packet stays blocked the same event is
+// re-armed in place; only a packet's first block takes one from the
+// node's free list, and the attempt that ends the wait returns it.
+func (p *retryEv) Run() {
+	n := p.n
+	if p.attempt() {
+		n.retryPool = append(n.retryPool, p)
+	} else {
+		n.dom.AfterP(n.fabric.p.RetryInterval, p)
 	}
-	elapsed := n.dom.Now() - t0
+}
+
+// attempt tries the link once more and reports whether the wait is over:
+// the packet left, on the link or its emergency detour, or was dropped.
+func (p *retryEv) attempt() bool {
+	n, fl, d := p.n, p.fl, p.d
+	f := n.fabric
+	if n.canSend(d) {
+		n.transmit(fl, d)
+		return true
+	}
+	elapsed := n.dom.Now() - p.t0
 	switch {
 	case elapsed < f.p.EmergencyWait:
-		reArm()
 	case f.p.EmergencyEnabled && fl.pkt.Type == packet.MC &&
 		fl.pkt.Emergency == packet.EmNormal &&
 		elapsed < f.p.EmergencyWait+f.p.EmergencyTry:
@@ -1020,20 +1038,19 @@ func (n *Node) retry(fl flit, d topo.Dir, t0 sim.Time) {
 		if n.canSend(first) {
 			n.emergencies++
 			n.EmergencyNotices++ // monitor is informed (section 5.3)
-			efl := fl
-			efl.pkt.Emergency = packet.EmFirstLeg
-			n.transmit(efl, first)
-			return
+			fl.pkt.Emergency = packet.EmFirstLeg
+			n.transmit(fl, first)
+			return true
 		}
-		reArm()
 	case elapsed < f.p.EmergencyWait+f.p.EmergencyTry:
 		// Emergency routing unavailable for this packet (disabled,
 		// non-mc, or already diverted): keep waiting out the try
 		// window, then drop.
-		reArm()
 	default:
 		n.drop(fl, d, false)
+		return true
 	}
+	return false
 }
 
 func (n *Node) canSend(d topo.Dir) bool {
@@ -1278,7 +1295,18 @@ type retryEv struct {
 	t0 sim.Time
 }
 
-func (p *retryEv) Run() { p.n.retry(p.fl, p.d, p.t0) }
+// getRetry pops a recycled retry event or allocates one. A packet blocks
+// and waits on its own node's shard.
+func (n *Node) getRetry(fl flit, d topo.Dir, t0 sim.Time) *retryEv {
+	if k := len(n.retryPool); k > 0 {
+		p := n.retryPool[k-1]
+		n.retryPool = n.retryPool[:k-1]
+		p.fl, p.d, p.t0 = fl, d, t0
+		return p
+	}
+	return &retryEv{n: n, fl: fl, d: d, t0: t0}
+}
+
 func (p *retryEv) EventDesc() *sim.Desc {
 	return descFlit(KindRetry, p.fl, uint64(p.d), uint64(int64(p.t0)))
 }

@@ -124,7 +124,7 @@ func (f *Fabric) EventKinds() sim.Kinds {
 			if err != nil {
 				return nil, err
 			}
-			return &retryEv{n: n, fl: fl, d: d, t0: sim.Time(int64(rec.Desc.Args[1]))}, nil
+			return n.getRetry(fl, d, sim.Time(int64(rec.Desc.Args[1]))), nil
 		},
 		KindFwd: func(rec *sim.EventRecord) (sim.Payload, error) {
 			n, fl, d, err := f.decodeEvent(rec, 1, true, true)

@@ -94,16 +94,37 @@ type event struct {
 // domain) and Domain (a chip-owned slice of an engine). Model
 // components take a Scheduler so the same code runs in single-engine
 // and sharded machines.
+//
+// The last three calls serve a completion nobody may be waiting for (a
+// core going back to sleep, a write-back leaving the DMA controller
+// idle). Its owner reserves the key the event would have drawn, so every
+// later key is what it would have been, and schedules nothing: whoever
+// next needs the owner's state asks whether the instant has passed and
+// either applies the completion's effect on the spot or arms the event
+// under the reserved key.
 type Scheduler interface {
 	Now() Time
 	AtP(t Time, p Payload)
 	AfterP(d Time, p Payload)
+	// Reserve draws the next local sequence number without scheduling
+	// anything.
+	Reserve() uint64
+	// AtReserved schedules p at t under a sequence number Reserve drew.
+	AtReserved(t Time, seq uint64, p Payload)
+	// Passed reports whether a local event at (t, seq), had it been
+	// scheduled, would have run by now in canonical order.
+	Passed(t Time, seq uint64) bool
 }
 
 // Engine is a deterministic discrete-event scheduler. The zero value is
 // not usable; construct with New.
 type Engine struct {
-	now       Time
+	now Time
+	// cur is the domain of the last executed event, whose class and k1
+	// that domain keeps: with now it marks how far down the canonical
+	// order this engine has come, which is what Passed compares against.
+	// nil once the clock has been moved past every event at now.
+	cur       *Domain
 	seq       uint64
 	q         queue
 	anon      Domain // owns the engine-level (domain -1) events
@@ -191,6 +212,42 @@ func (e *Engine) AfterP(d Time, p Payload) {
 	e.AtP(e.now+d, p)
 }
 
+// Reserve draws the next anonymous sequence number (see Scheduler).
+func (e *Engine) Reserve() uint64 {
+	e.seq++
+	return e.seq
+}
+
+// AtReserved schedules p at t in the anonymous domain under a reserved
+// sequence number.
+func (e *Engine) AtReserved(t Time, seq uint64, p Payload) {
+	e.push(e.anonymous(), event{key: eventKey{at: t, domain: -1, k1: seq}, payload: p})
+}
+
+// Passed reports whether an anonymous event at (t, seq) would have run
+// by now.
+func (e *Engine) Passed(t Time, seq uint64) bool { return e.passed(&e.anon, t, seq) }
+
+// passed places the local key (t, d, class 0, seq) against the last
+// executed event: earlier instants have passed, later ones have not, and
+// at the current instant the rest of the canonical key decides — the
+// domain, then class and sequence against the event now executing on d
+// (a cross-domain delivery, class 1, runs after every local event of its
+// instant).
+func (e *Engine) passed(d *Domain, t Time, seq uint64) bool {
+	if t != e.now {
+		return t < e.now
+	}
+	switch c := e.cur; {
+	case c == nil:
+		return true
+	case c != d:
+		return d.id < c.id
+	default:
+		return d.runClass != 0 || seq < d.runK1
+	}
+}
+
 // Step executes the next event, if any, advancing the clock to its
 // timestamp. It reports whether an event was executed.
 func (e *Engine) Step() bool {
@@ -198,7 +255,7 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	at, payload := e.q.pop()
-	e.now = at
+	e.now, e.cur = at, e.q.late
 	e.processed++
 	payload.Run()
 	return true
@@ -227,6 +284,9 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 	if e.now < deadline {
 		e.now = deadline
+	}
+	if !e.stopped {
+		e.cur = nil // everything at or before the deadline has run
 	}
 }
 
@@ -276,7 +336,7 @@ func (e *Engine) advanceTo(t Time) {
 	if at, ok := e.q.peekAt(); ok && at < t {
 		panic(fmt.Sprintf("sim: advancing clock to %v over pending event at %v", t, at))
 	}
-	e.now = t
+	e.now, e.cur = t, nil
 }
 
 // Stop makes the current Run/RunUntil return after the executing event
@@ -298,6 +358,10 @@ type Domain struct {
 	// pending events as a heap, and its leaf in the engine's tournament.
 	pend []event
 	slot int
+	// runClass and runK1 are the class and k1 of the domain's last
+	// executed event (see Engine.passed).
+	runClass uint8
+	runK1    uint64
 }
 
 // Domain returns a new scheduling domain with the given id (>= 0) on
@@ -341,6 +405,21 @@ func (d *Domain) AfterP(dur Time, p Payload) {
 	}
 	d.AtP(d.eng.now+dur, p)
 }
+
+// Reserve draws the next domain-local sequence number (see Scheduler);
+// Scheduled counts it like any other.
+func (d *Domain) Reserve() uint64 {
+	d.seq++
+	return d.seq
+}
+
+// AtReserved schedules a domain-local event at t under a reserved
+// sequence number.
+func (d *Domain) AtReserved(t Time, seq uint64, p Payload) { d.Inject(t, 0, seq, 0, p) }
+
+// Passed reports whether a domain-local event at (t, seq) would have run
+// by now.
+func (d *Domain) Passed(t Time, seq uint64) bool { return d.eng.passed(d, t, seq) }
 
 // DeliverAtP schedules a cross-domain delivery (class 1) at absolute
 // time t, keyed by the sender's domain id and per-sender sequence

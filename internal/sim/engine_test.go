@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -298,5 +299,87 @@ func TestRunBeforeIsStrictAndKeepsClock(t *testing.T) {
 	}
 	if at, ok := e.NextAt(); !ok || at != 20 {
 		t.Errorf("NextAt() = %v,%v, want 20,true", at, ok)
+	}
+}
+
+// TestReservedKeys pins the three calls behind an elided completion on
+// both schedulers: Reserve draws the sequence number AtP would have (so
+// Scheduled and every later key are unchanged), AtReserved runs the
+// event exactly where a plain AtP at the time of the reservation would
+// have, and Passed places the never-scheduled key against the canonical
+// order — other instants, the event now executing on the same domain
+// (lower and higher sequence, a class-1 delivery), an event executing on
+// another domain, and the quiescent instants RunUntil and Run leave.
+func TestReservedKeys(t *testing.T) {
+	e := New(1)
+	lo, hi := e.Domain(2), e.Domain(5)
+	var order []string
+	note := func(s string) Payload { return Func(func() { order = append(order, s) }) }
+
+	hi.AtP(100, note("hi-1"))
+	reserved := hi.Reserve()
+	hi.AtP(100, note("hi-3"))
+	if reserved != 2 || hi.Scheduled() != 3 {
+		t.Fatalf("Reserve drew %d with %d scheduled, want 2 of 3", reserved, hi.Scheduled())
+	}
+	anon := e.Reserve()
+	e.AtP(100, note("anon-2"))
+	e.AtReserved(100, anon, note("anon-1"))
+
+	passed := map[string]bool{}
+	ask := func(name string, d *Domain, at Time) Payload {
+		return Func(func() {
+			order = append(order, name)
+			passed[name] = d.Passed(at, reserved)
+			passed[name+" earlier"] = d.Passed(at-1, reserved)
+			passed[name+" later"] = d.Passed(at+1, reserved)
+		})
+	}
+	hi.Inject(100, 0, 1, 0, ask("same domain, lower sequence", hi, 100)) // shares hi-1's key; runs beside it
+	hi.DeliverAtP(100, 7, 1, ask("same domain, class 1", hi, 100))
+	lo.AtP(100, ask("lower domain executing", hi, 100))
+	e.AtP(100, Func(func() { passed["anonymous executing"] = hi.Passed(100, reserved) }))
+	e.RunUntil(99)
+	if !hi.Passed(99, reserved) || hi.Passed(100, reserved) {
+		t.Error("at quiescence after RunUntil(99): want the key passed at 99 and not at 100")
+	}
+	hi.AtReserved(100, reserved, note("hi-2"))
+	hi.AtP(100, ask("same domain, higher sequence", hi, 100))
+	e.Run()
+
+	want := []string{"anon-1", "anon-2", "lower domain executing", "hi-1", "same domain, lower sequence", "hi-2", "hi-3",
+		"same domain, higher sequence", "same domain, class 1"}
+	// hi-1 and the injected ask share a key; either order of the two is canonical.
+	if order[3] != "hi-1" {
+		order[3], order[4] = order[4], order[3]
+	}
+	if !reflect.DeepEqual(order, want) {
+		t.Errorf("ran %q\nwant %q", order, want)
+	}
+	for name, want := range map[string]bool{
+		"same domain, lower sequence":  false,
+		"same domain, higher sequence": true,
+		"same domain, class 1":         true,
+		"lower domain executing":       false,
+		"anonymous executing":          false,
+	} {
+		if passed[name] != want {
+			t.Errorf("%s: Passed = %v, want %v", name, passed[name], want)
+		}
+		if name != "anonymous executing" && (!passed[name+" earlier"] || passed[name+" later"]) {
+			t.Errorf("%s: an instant earlier passed = %v, an instant later = %v; want true, false", name, passed[name+" earlier"], passed[name+" later"])
+		}
+	}
+	// Drained by Run, the clock stands at the last executed event (the
+	// class-1 delivery on hi), not past it.
+	if !hi.Passed(100, 99) || !lo.Passed(100, 99) || lo.Passed(101, 1) {
+		t.Error("after Run: want local keys at 100 passed on both domains, and nothing at 101")
+	}
+	if !e.Passed(100, 99) || e.Passed(101, 1) {
+		t.Error("after Run: want anonymous keys at 100 passed and at 101 not")
+	}
+	e.RunUntil(150)
+	if !e.Passed(150, 1) || !hi.Passed(150, 1) || hi.Passed(151, 1) {
+		t.Error("after RunUntil(150): want every key at 150 passed and none at 151")
 	}
 }

@@ -99,10 +99,12 @@ func (d *Domain) add(ev event) bool {
 }
 
 // take removes the domain's head event and returns its instant and
-// payload (two registers' worth; the key has done its work).
+// payload (two registers' worth), keeping the rest of the key that
+// Passed needs.
 func (d *Domain) take() (Time, Payload) {
 	h := d.pend
 	at, payload := h[0].key.at, h[0].payload
+	d.runClass, d.runK1 = h[0].key.class, h[0].key.k1
 	n := len(h) - 1
 	last := h[n]
 	h[n] = event{} // release the payload reference

@@ -410,19 +410,18 @@ func choosePartition(cfg MachineConfig, torus topo.Torus, params router.Params) 
 
 // unit is one application core's runtime: kernel + neurons + synapses.
 type unit struct {
-	frag        *mapping.Fragment
-	fragIdx     int // index into the routing plan's fragment list
-	gen         int // build generation: index into fragUnits[fragIdx]
-	slot        int // application-core slot actually occupied
-	tickBase    uint64
-	rng         *sim.RNG // private stream, survives migration
-	core        *kernel.Core
-	pop         *neural.Population
-	source      *neural.PoissonSource
-	dma         *chip.DMAController
-	stdp        *neural.STDPState
-	plasticKeys map[uint32]bool
-	failed      bool
+	frag     *mapping.Fragment
+	fragIdx  int // index into the routing plan's fragment list
+	gen      int // build generation: index into fragUnits[fragIdx]
+	slot     int // application-core slot actually occupied
+	tickBase uint64
+	rng      *sim.RNG // private stream, survives migration
+	core     *kernel.Core
+	pop      *neural.Population
+	source   *neural.PoissonSource
+	dma      *chip.DMAController
+	stdp     *neural.STDPState
+	failed   bool
 }
 
 // chipTallies is one chip's slice of the machine-wide run accounting.
@@ -526,7 +525,10 @@ type Machine struct {
 	model *Model
 	rplan *mapping.RoutingPlan
 	dplan *mapping.DataPlan
-	units map[topo.Coord]map[int]*unit // chip -> app core slot -> unit
+	// units is the live unit on every application-core slot, indexed by
+	// chip torus index x router.MaxCores + slot (nil before Load): the
+	// one lookup a delivered packet pays to find its core.
+	units []*unit
 	// fragUnits holds every unit ever built for each fragment, in
 	// creation order (the live one last). Iterating fragments first
 	// gives a deterministic order regardless of migration timing.
@@ -620,7 +622,6 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 		part:            part,
 		fab:             fab,
 		hostOrigin:      origin,
-		units:           make(map[topo.Coord]map[int]*unit),
 		tallies:         newChunked[chipTallies](torus.Size()),
 		autoRepartition: cfg.Repartition == RepartitionAuto,
 		baseWorkers:     part.Shards(),
@@ -1193,6 +1194,7 @@ func (m *Machine) Load(model *Model) (*LoadReport, error) {
 	m.rplan = rplan
 	m.dplan = dplan
 	m.fragUnits = make([][]*unit, len(rplan.Frags))
+	m.units = make([]*unit, m.fab.Size()*router.MaxCores)
 
 	// Application-data load: every core's synaptic image travels through
 	// the host link as one pipelined batch of SDRAM writes — the
@@ -1243,10 +1245,8 @@ func (m *Machine) Load(model *Model) (*LoadReport, error) {
 	// shard's tally slice and the chip's own unit.
 	m.fab.OnDeliverMC = func(n *router.Node, coreSlot int, pkt packet.Packet, lat sim.Time) {
 		m.tallies.at(n.Index()).latencies.Add(lat)
-		if chipUnits := m.units[n.Coord]; chipUnits != nil {
-			if u := chipUnits[coreSlot]; u != nil {
-				u.core.PostPacket(pkt)
-			}
+		if u := m.units[n.Index()*router.MaxCores+coreSlot]; u != nil {
+			u.core.PostPacket(pkt)
 		}
 	}
 	m.loaded = true
@@ -1312,7 +1312,6 @@ func (m *Machine) buildUnitAt(f *mapping.Fragment, fragIdx, slot int, tickBase u
 		u.pop.Matrix = cd.Matrix
 		if cd.STDP != nil {
 			u.stdp = neural.NewSTDPState(f.Size(), *cd.STDP)
-			u.plasticKeys = cd.PlasticKeys
 		}
 	}
 
@@ -1330,11 +1329,11 @@ func (m *Machine) buildUnitAt(f *mapping.Fragment, fragIdx, slot int, tickBase u
 
 	// Fig-7 task 1: packet received -> schedule the synaptic-row DMA.
 	u.core.On(kernel.EvPacket, func(ev kernel.Event) uint64 {
-		row, ok := u.pop.Matrix.Row(ev.Pkt.Key)
+		size, ok := u.pop.Matrix.RowBytes(ev.Pkt.Key)
 		if !ok {
 			return 60 // no synapses here for that neuron
 		}
-		u.dma.Enqueue(chip.DMARequest{Size: row.SizeBytes(), Tag: ev.Pkt.Key})
+		u.dma.Enqueue(chip.DMARequest{Size: size, Tag: ev.Pkt.Key})
 		return 80
 	})
 	// Fig-7 task 2: DMA complete -> process the row into the ring;
@@ -1343,12 +1342,12 @@ func (m *Machine) buildUnitAt(f *mapping.Fragment, fragIdx, slot int, tickBase u
 	// connectivity data is modified, a DMA must be scheduled to write
 	// the changes back", section 5.3).
 	u.core.On(kernel.EvDMADone, func(ev kernel.Event) uint64 {
-		row, ok := u.pop.Matrix.Row(ev.Tag)
+		row, plastic, ok := u.pop.Matrix.Lookup(ev.Tag)
 		if !ok {
 			return 20
 		}
 		var cost uint64
-		if u.stdp != nil && u.plasticKeys[ev.Tag] {
+		if plastic && u.stdp != nil {
 			dirty, c := u.stdp.ProcessRow(ev.Tag, row, u.pop.Tick())
 			cost += c
 			if dirty {
@@ -1373,10 +1372,7 @@ func (m *Machine) buildUnitAt(f *mapping.Fragment, fragIdx, slot int, tickBase u
 		return u.pop.StepTick()
 	})
 
-	if m.units[f.Chip] == nil {
-		m.units[f.Chip] = make(map[int]*unit)
-	}
-	m.units[f.Chip][slot] = u
+	m.chipUnits(f.Chip)[slot] = u
 	m.fragUnits[fragIdx] = append(m.fragUnits[fragIdx], u)
 
 	// Start the free-running local timer with a sub-millisecond phase
@@ -1396,10 +1392,20 @@ func (m *Machine) eachUnit(fn func(u *unit)) {
 	}
 }
 
+// chipUnits views one chip's row of the unit table, by slot; empty
+// before Load.
+func (m *Machine) chipUnits(c topo.Coord) []*unit {
+	if m.units == nil {
+		return nil
+	}
+	i := m.part.Torus().Index(c) * router.MaxCores
+	return m.units[i : i+router.MaxCores]
+}
+
 // unitOf finds the live unit running a fragment.
 func (m *Machine) unitOf(frag *mapping.Fragment) *unit {
-	for _, u := range m.units[frag.Chip] {
-		if u.frag == frag && !u.failed {
+	for _, u := range m.chipUnits(frag.Chip) {
+		if u != nil && u.frag == frag && !u.failed {
 			return u
 		}
 	}
@@ -1446,7 +1452,7 @@ func (m *Machine) FailCoreOf(p Pop, idx int) error {
 	}
 	u.failed = true
 	u.core.Stop()
-	delete(m.units[frag.Chip], u.slot)
+	m.chipUnits(frag.Chip)[u.slot] = nil
 	m.domAt(frag.Chip).AfterP(MigrationDetectMS*sim.Millisecond, migrateEv{m, u})
 	return nil
 }
@@ -1458,13 +1464,13 @@ func (m *Machine) FailCoreOf(p Pop, idx int) error {
 func (m *Machine) migrate(old *unit) {
 	chipCoord := old.frag.Chip
 	tally := m.tallyAt(chipCoord)
-	slots := m.appCoreSlots(chipCoord)
+	units := m.chipUnits(chipCoord)
 	spare := -1
-	for s := 0; s < len(slots); s++ {
+	for s := range m.appCoreSlots(chipCoord) {
 		if s == old.slot {
 			continue // the dead core itself
 		}
-		if _, used := m.units[chipCoord][s]; !used {
+		if units[s] == nil {
 			spare = s
 			break
 		}
@@ -1562,7 +1568,13 @@ func (m *Machine) MeanRateHz(p Pop) float64 {
 	if err != nil || m.bioMS == 0 || pop.N == 0 {
 		return 0
 	}
-	return float64(len(m.Spikes(p))) / float64(pop.N) / (float64(m.bioMS) / 1000)
+	spikes := 0
+	m.eachUnit(func(u *unit) {
+		if u.frag.Pop == pop {
+			spikes += len(u.pop.Rec.Spikes)
+		}
+	})
+	return float64(spikes) / float64(pop.N) / (float64(m.bioMS) / 1000)
 }
 
 // parseDir resolves a direction name ("E", "NE", "N", "W", "SW", "S").
@@ -1760,10 +1772,13 @@ func (m *Machine) syncDeadChips() bool {
 		// and mark the units failed, exactly as FailCoreOf does — but
 		// with no migration, since every spare on the chip died too.
 		// Recorded spikes up to the death instant stay in the raster.
-		for slot, u := range m.units[c] {
-			u.failed = true
-			u.core.Stop()
-			delete(m.units[c], slot)
+		units := m.chipUnits(c)
+		for slot, u := range units {
+			if u != nil {
+				u.failed = true
+				u.core.Stop()
+				units[slot] = nil
+			}
 		}
 		any = true
 	}

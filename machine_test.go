@@ -325,6 +325,11 @@ func TestFunctionalMigration(t *testing.T) {
 	if !resumed {
 		t.Error("no post-migration spikes in the expected window")
 	}
+	// The rate is the raster's length — summed over both generations of
+	// the fragment without copying it — over neurons and seconds.
+	if got, want := m.MeanRateHz(p), float64(len(after))/20/0.2; got != want {
+		t.Errorf("MeanRateHz = %v, want %v (%d spikes of 20 neurons in 200 ms)", got, want, len(after))
+	}
 }
 
 func TestMigrationRewritesRoutes(t *testing.T) {

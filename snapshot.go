@@ -58,6 +58,7 @@ func (m *Machine) Snapshot() ([]byte, error) {
 	if n := m.host.Inflight(); n != 0 {
 		return nil, fmt.Errorf("spinngo: snapshot with %d host commands in flight", n)
 	}
+	m.syncCompletions()
 	events, err := m.pe.ExportEvents()
 	if err != nil {
 		return nil, fmt.Errorf("spinngo: snapshot: %w", err)
@@ -104,6 +105,17 @@ func (m *Machine) Snapshot() ([]byte, error) {
 		events[i].Snap(c)
 	}
 	return c.Bytes(), nil
+}
+
+// syncCompletions settles every completion nobody was waiting for — a
+// pair of timestamps on its core or DMA controller — into what an image
+// records: the pending event it stands for, or the idle flag it would
+// have left behind.
+func (m *Machine) syncCompletions() {
+	m.eachUnit(func(u *unit) {
+		u.core.Sync()
+		u.dma.Sync()
+	})
 }
 
 // Restore rebuilds a machine from a Snapshot image, on the worker count
@@ -220,7 +232,7 @@ func restore(data []byte, override func(*MachineConfig)) (*Machine, error) {
 			} else {
 				prev := m.fragUnits[fragIdx][g-1]
 				prev.failed = true
-				delete(m.units[f.Chip], prev.slot)
+				m.chipUnits(f.Chip)[prev.slot] = nil
 				u, err = m.buildUnitAt(f, fragIdx, slot, tickBase, prev.rng)
 				if err != nil {
 					return nil, fmt.Errorf("spinngo: replaying migration %d of fragment %d: %w", g, fragIdx, err)
@@ -239,7 +251,7 @@ func restore(data []byte, override func(*MachineConfig)) (*Machine, error) {
 			u := m.fragUnits[fragIdx][g]
 			if failed && !u.failed {
 				u.failed = true
-				delete(m.units[f.Chip], u.slot)
+				m.chipUnits(f.Chip)[u.slot] = nil
 			}
 		}
 		// The fragment stream's state is overlaid last: the replayed

@@ -717,3 +717,69 @@ func FuzzRestore(f *testing.F) {
 		}
 	})
 }
+
+// TestSnapshotSettlesElidedCompletions takes a snapshot at an instant
+// where cores are mid-handler with their completions in no queue — a
+// timestamp and a reserved key on the core, nothing else. The image must
+// be the one the machine writes after settling them explicitly (the
+// pending completion as an event, the rest of the core as it stands),
+// restores of it onto one and two workers must finish byte-identical to
+// the original carrying on, and none of the snapshots taken on the way
+// may have moved the original off the run that was never snapshotted.
+func TestSnapshotSettlesElidedCompletions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-machine determinism sweep")
+	}
+	src := snapPrepare(t, 17, 1, PartitionBands, false)
+	defer src.Close()
+	straight := snapPrepare(t, 17, 1, PartitionBands, false)
+	defer straight.Close()
+
+	var image []byte
+	for ms, settled := 0, 0; settled == 0; ms++ {
+		if ms == 50 {
+			t.Fatal("no chunk boundary in 50 ms found a core busy with its completion unarmed")
+		}
+		for _, m := range []*Machine{src, straight} {
+			if _, err := m.Run(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Settling arms the completions still ahead, so the pending
+		// count tells whether this instant had any.
+		before := src.pe.Pending()
+		var err error
+		if image, err = src.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		settled = src.pe.Pending() - before
+	}
+	src.syncCompletions()
+	again, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(image, again) {
+		t.Error("the image written over unsettled completions differs from the one written after an explicit sync")
+	}
+
+	ref := snapFinish(t, straight)
+	if got := snapFinish(t, src); got != ref {
+		t.Errorf("snapshotting moved the run:\n--- never snapshotted ---\n%s--- snapshotted ---\n%s", ref, got)
+	}
+	for _, cell := range []struct {
+		workers   int
+		partition string
+	}{{1, PartitionBands}, {2, PartitionBlocks}} {
+		m, err := RestoreOn(image, cell.workers, cell.partition)
+		if err != nil {
+			t.Fatalf("restore %s/%d: %v", cell.partition, cell.workers, err)
+		}
+		got := snapFinish(t, m)
+		m.Close()
+		if got != ref {
+			t.Errorf("restore on %s/%d diverged from the original:\n--- original ---\n%s--- restored ---\n%s",
+				cell.partition, cell.workers, ref, got)
+		}
+	}
+}
