@@ -1,5 +1,7 @@
 # Tier-1 verification plus the race pass that continuously checks the
-# sharded parallel engine. `make check` is what CI runs.
+# sharded parallel engine. CI runs `make check`, then `make cover`
+# (gated at 93.2%) and `make fuzz`, beside the allocation gates, the
+# golden snapshot and a campaign smoke run.
 
 GO ?= go
 
@@ -47,8 +49,7 @@ bench:
 # (seeded with the golden-workload image and corruptions of it; the
 # seeds are ~340 KB, so per-input minimisation is capped to leave the
 # ten seconds to execution), after ten seconds of random packet, DMA and
-# timer schedules held against the kernel's eager-completion oracle. CI
-# runs the same smoke.
+# timer schedules held against the kernel's eager-completion oracle.
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzCoreCompletion' -fuzztime 10s ./internal/kernel/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseWorkload' -fuzztime 10s ./internal/workload/

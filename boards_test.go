@@ -2,9 +2,10 @@ package spinngo
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
-	"spinngo/internal/energy"
+	"spinngo/internal/phy"
 )
 
 // The board-hierarchy contract: configuring Boards changes the
@@ -73,9 +74,9 @@ func TestBoardLookaheadWidensWindows(t *testing.T) {
 	if bst.Geometry != "boards" || bst.Shards != 4 {
 		t.Fatalf("boards SimStats = %+v", bst)
 	}
-	if bst.CutLinksOnBoard != 0 || bst.CutLinksBoard == 0 {
+	if bst.CutLinksByLevel[0] != 0 || bst.CutLinksByLevel[1] == 0 {
 		t.Errorf("boards cut not board-aligned: %d on-board + %d board",
-			bst.CutLinksOnBoard, bst.CutLinksBoard)
+			bst.CutLinksByLevel[0], bst.CutLinksByLevel[1])
 	}
 	// The widened bound: strictly above what uniform link parameters
 	// would allow.
@@ -85,7 +86,7 @@ func TestBoardLookaheadWidensWindows(t *testing.T) {
 	}
 	// The blocks cut crosses fast on-board links, pinning it to the
 	// uniform bound.
-	if kst.CutLinksOnBoard == 0 {
+	if kst.CutLinksByLevel[0] == 0 {
 		t.Fatalf("blocks cut unexpectedly board-aligned: %+v", kst)
 	}
 	if kst.Lookahead != kst.UniformLookahead {
@@ -99,13 +100,13 @@ func TestBoardLookaheadWidensWindows(t *testing.T) {
 			bst.Windows, kst.Windows)
 	}
 	// Execution strategy must not leak into results.
-	if *boardsRep != *blocksRep {
+	if !reflect.DeepEqual(boardsRep, blocksRep) {
 		t.Errorf("boards/blocks reports diverged:\nboards: %+v\nblocks: %+v", *boardsRep, *blocksRep)
 	}
 	for _, workers := range []int{1, 2} {
 		m, rep := boardRun(t, PartitionBoards, workers)
 		m.Close()
-		if *rep != *boardsRep {
+		if !reflect.DeepEqual(rep, boardsRep) {
 			t.Errorf("boards/%d diverged from boards/4:\nref: %+v\ngot: %+v",
 				workers, *boardsRep, *rep)
 		}
@@ -128,9 +129,9 @@ func TestAutoPartitionPrefersBoardAlignedCut(t *testing.T) {
 	if st.Shards != 4 {
 		t.Fatalf("auto reached %d shards, want 4", st.Shards)
 	}
-	if st.CutLinksOnBoard != 0 {
+	if st.CutLinksByLevel[0] != 0 {
 		t.Errorf("auto chose a cut with %d fast links (geometry %s); want board-aligned",
-			st.CutLinksOnBoard, st.Geometry)
+			st.CutLinksByLevel[0], st.Geometry)
 	}
 	if st.Lookahead <= st.UniformLookahead {
 		t.Errorf("auto lookahead %v not widened beyond uniform %v", st.Lookahead, st.UniformLookahead)
@@ -148,27 +149,27 @@ func TestBoardEnergySplit(t *testing.T) {
 	}
 	slow, rep := boardRun(t, PartitionBoards, 2)
 	defer slow.Close()
-	if rep.WireTransitionsOnBoard == 0 || rep.WireTransitionsBoard == 0 {
+	if rep.WireTransitions[0] == 0 || rep.WireTransitions[1] == 0 {
 		t.Fatalf("workload missed a link class: on-board=%d board=%d",
-			rep.WireTransitionsOnBoard, rep.WireTransitionsBoard)
+			rep.WireTransitions[0], rep.WireTransitions[1])
 	}
-	acc := energy.DefaultAccounting()
-	wantOn := float64(rep.WireTransitionsOnBoard) * acc.WireTransitionPJ * 1e-12
-	wantBoard := float64(rep.WireTransitionsBoard) * acc.BoardWireTransitionPJ * 1e-12
-	if math.Abs(rep.WireEnergyOnBoardJ-wantOn) > 1e-18 {
-		t.Errorf("on-board wire energy %g J, want %g J", rep.WireEnergyOnBoardJ, wantOn)
+	onPJ := phy.DefaultLink(0).EnergyPerTransition
+	boardPJ := phy.DefaultLink(1).EnergyPerTransition
+	wantOn := float64(rep.WireTransitions[0]) * onPJ * 1e-12
+	wantBoard := float64(rep.WireTransitions[1]) * boardPJ * 1e-12
+	if math.Abs(rep.WireEnergyJ[0]-wantOn) > 1e-18 {
+		t.Errorf("on-board wire energy %g J, want %g J", rep.WireEnergyJ[0], wantOn)
 	}
-	if math.Abs(rep.WireEnergyBoardJ-wantBoard) > 1e-18 {
-		t.Errorf("board wire energy %g J, want %g J", rep.WireEnergyBoardJ, wantBoard)
+	if math.Abs(rep.WireEnergyJ[1]-wantBoard) > 1e-18 {
+		t.Errorf("board wire energy %g J, want %g J", rep.WireEnergyJ[1], wantBoard)
 	}
-	// Per transition, a board hop costs BoardWireTransitionPJ/
-	// WireTransitionPJ times an on-board one — the split must reflect
-	// the configured ratio, not an averaged price.
-	perOn := rep.WireEnergyOnBoardJ / float64(rep.WireTransitionsOnBoard)
-	perBoard := rep.WireEnergyBoardJ / float64(rep.WireTransitionsBoard)
-	if ratio := perBoard / perOn; math.Abs(ratio-acc.BoardWireTransitionPJ/acc.WireTransitionPJ) > 1e-9 {
-		t.Errorf("per-transition price ratio %g, want %g", ratio,
-			acc.BoardWireTransitionPJ/acc.WireTransitionPJ)
+	// Per transition, a board hop costs boardPJ/onPJ times an on-board
+	// one — the split must reflect the configured ratio, not an averaged
+	// price.
+	perOn := rep.WireEnergyJ[0] / float64(rep.WireTransitions[0])
+	perBoard := rep.WireEnergyJ[1] / float64(rep.WireTransitions[1])
+	if ratio := perBoard / perOn; math.Abs(ratio-boardPJ/onPJ) > 1e-9 {
+		t.Errorf("per-transition price ratio %g, want %g", ratio, boardPJ/onPJ)
 	}
 
 	// The uniform ablation reuses on-board links everywhere: no

@@ -2,10 +2,11 @@ package spinngo
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
-	"spinngo/internal/energy"
+	"spinngo/internal/phy"
 	"spinngo/internal/sim"
 )
 
@@ -90,12 +91,12 @@ func TestCabinetLookaheadWidensWindows(t *testing.T) {
 	if cst.Geometry != "cabinets" || cst.Shards != 4 {
 		t.Fatalf("cabinets SimStats = %+v", cst)
 	}
-	if cst.Cabinets != "1x1" {
-		t.Errorf("SimStats.Cabinets = %q, want 1x1", cst.Cabinets)
+	if cst.Levels[2] != "4x4" { // 1x1-board cabinets of 4x4-chip boards
+		t.Errorf("SimStats cabinet level = %q, want 4x4 chips", cst.Levels[2])
 	}
-	if cst.CutLinksOnBoard != 0 || cst.CutLinksBoard != 0 || cst.CutLinksCabinet == 0 {
+	if cst.CutLinksByLevel[0] != 0 || cst.CutLinksByLevel[1] != 0 || cst.CutLinksByLevel[2] == 0 {
 		t.Errorf("cabinets cut not cabinet-aligned: %d on-board + %d board + %d cabinet",
-			cst.CutLinksOnBoard, cst.CutLinksBoard, cst.CutLinksCabinet)
+			cst.CutLinksByLevel[0], cst.CutLinksByLevel[1], cst.CutLinksByLevel[2])
 	}
 	// The pinned notches: a further widening beyond the board-aligned
 	// bound, both strictly above the uniform single-params bound.
@@ -112,7 +113,7 @@ func TestCabinetLookaheadWidensWindows(t *testing.T) {
 	}
 	// The bands cut crosses fast on-board links, pinning it to the
 	// uniform bound — and to more window barriers over the same 40 ms.
-	if kst.CutLinksOnBoard == 0 {
+	if kst.CutLinksByLevel[0] == 0 {
 		t.Fatalf("bands cut unexpectedly cable-aligned: %+v", kst)
 	}
 	if kst.Lookahead != kst.UniformLookahead {
@@ -124,13 +125,13 @@ func TestCabinetLookaheadWidensWindows(t *testing.T) {
 			cst.Windows, kst.Windows)
 	}
 	// Execution strategy must not leak into results.
-	if *cabsRep != *bandsRep {
+	if !reflect.DeepEqual(cabsRep, bandsRep) {
 		t.Errorf("cabinets/bands reports diverged:\ncabinets: %+v\nbands: %+v", *cabsRep, *bandsRep)
 	}
 	for _, workers := range []int{1, 2} {
 		m, rep := cabinetRun(t, PartitionCabinets, workers)
 		m.Close()
-		if *rep != *cabsRep {
+		if !reflect.DeepEqual(rep, cabsRep) {
 			t.Errorf("cabinets/%d diverged from cabinets/4:\nref: %+v\ngot: %+v",
 				workers, *cabsRep, *rep)
 		}
@@ -164,13 +165,12 @@ func TestCabinetEnergySplit(t *testing.T) {
 	}
 	m, rep := cabinetRun(t, PartitionCabinets, 2)
 	defer m.Close()
-	if rep.WireTransitionsCabinet == 0 {
+	if rep.WireTransitions[2] == 0 {
 		t.Fatal("workload crossed no cabinet cables; widen it")
 	}
-	acc := energy.DefaultAccounting()
-	want := float64(rep.WireTransitionsCabinet) * acc.CabinetWireTransitionPJ * 1e-12
-	if math.Abs(rep.WireEnergyCabinetJ-want) > 1e-18 {
-		t.Errorf("cabinet wire energy %g J, want %g J", rep.WireEnergyCabinetJ, want)
+	want := float64(rep.WireTransitions[2]) * phy.DefaultLink(2).EnergyPerTransition * 1e-12
+	if math.Abs(rep.WireEnergyJ[2]-want) > 1e-18 {
+		t.Errorf("cabinet wire energy %g J, want %g J", rep.WireEnergyJ[2], want)
 	}
 
 	// The uniform ablation prices cabinet cables as board-to-board
@@ -281,12 +281,12 @@ func TestDeterminismCabinetFailLink(t *testing.T) {
 		t.Skip("full-machine determinism sweep")
 	}
 	ref := cabinetFailRun(t, PartitionBands, 1)
-	if ref.WireTransitionsCabinet == 0 {
+	if ref.WireTransitions[2] == 0 {
 		t.Fatal("workload crossed no cabinet cables; the cabinet class is not being exercised")
 	}
 	for _, workers := range []int{1, 2, 4} {
 		got := cabinetFailRun(t, PartitionCabinets, workers)
-		if *got != *ref {
+		if !reflect.DeepEqual(got, ref) {
 			t.Errorf("cabinets/%d diverged from bands/1:\nref: %+v\ngot: %+v", workers, *ref, *got)
 		}
 	}
@@ -305,9 +305,9 @@ func TestAutoPartitionPrefersCableAlignedCut(t *testing.T) {
 	if st.Shards != 4 {
 		t.Fatalf("auto reached %d shards, want 4", st.Shards)
 	}
-	if st.CutLinksOnBoard != 0 {
+	if st.CutLinksByLevel[0] != 0 {
 		t.Errorf("auto chose a cut with %d fast links (geometry %s); want cable-aligned",
-			st.CutLinksOnBoard, st.Geometry)
+			st.CutLinksByLevel[0], st.Geometry)
 	}
 	if st.Lookahead != cabinetLookaheadNS*sim.Nanosecond {
 		t.Errorf("auto lookahead = %v, want the cabinet notch %dns", st.Lookahead, cabinetLookaheadNS)

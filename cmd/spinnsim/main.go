@@ -138,10 +138,8 @@ func main() {
 			log.Fatal(err)
 		}
 		st := machine.SimStats()
-		fmt.Printf("engine: %d %s shards, boards %s, cabinets %s\n",
-			st.Shards, st.Geometry, st.Boards, st.Cabinets)
-		fmt.Printf("cut:    %d links (%d on-board + %d board-to-board + %d cabinet-to-cabinet)\n",
-			st.CutLinks, st.CutLinksOnBoard, st.CutLinksBoard, st.CutLinksCabinet)
+		fmt.Printf("engine: %d %s shards, levels %s\n", st.Shards, st.Geometry, strings.Join(st.Levels, "/"))
+		fmt.Printf("cut:    %d links (%v by level)\n", st.CutLinks, st.CutLinksByLevel)
 		fmt.Printf("lookahead: %v (uniform-params bound %v)\n", st.Lookahead, st.UniformLookahead)
 		bootRep, err := machine.Boot()
 		if err != nil {
@@ -291,8 +289,7 @@ func runWorkload(ref string, workers int, partition, snapshotPath string, raster
 	}
 	defer machine.Close()
 	st := machine.SimStats()
-	fmt.Printf("engine: %d %s shards, boards %s, cabinets %s\n",
-		st.Shards, st.Geometry, st.Boards, st.Cabinets)
+	fmt.Printf("engine: %d %s shards, levels %s\n", st.Shards, st.Geometry, strings.Join(st.Levels, "/"))
 	if wl.Campaign != nil {
 		fmt.Printf("campaign armed: %d events (seed %d)\n", len(wl.Campaign.Events), wl.Campaign.Seed)
 	}

@@ -3,6 +3,7 @@ package spinngo
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -187,9 +188,9 @@ func TestDeterminismUnderCongestion(t *testing.T) {
 	}
 	// The heterogeneous fabric must be exercised: traffic crossed both
 	// link classes.
-	if ref.WireTransitionsBoard == 0 || ref.WireTransitionsOnBoard == 0 {
+	if ref.WireTransitions[1] == 0 || ref.WireTransitions[0] == 0 {
 		t.Fatalf("workload missing a link class (on-board=%d board=%d); widen it",
-			ref.WireTransitionsOnBoard, ref.WireTransitionsBoard)
+			ref.WireTransitions[0], ref.WireTransitions[1])
 	}
 	for _, partition := range []string{PartitionBands, PartitionBlocks, PartitionBoards} {
 		for _, workers := range []int{1, 2, 4, 7} {
@@ -197,7 +198,7 @@ func TestDeterminismUnderCongestion(t *testing.T) {
 				continue // the reference itself
 			}
 			got, _ := congestedRun(t, partition, workers, false, "")
-			if *got != *ref {
+			if !reflect.DeepEqual(got, ref) {
 				t.Errorf("congested 8x8: %s/%d diverged from bands/1:\nref: %+v\ngot: %+v",
 					partition, workers, *ref, *got)
 			}
@@ -227,7 +228,7 @@ func TestDeterminismFailLinkRepartition(t *testing.T) {
 					continue // the reference itself
 				}
 				got, st := congestedRun(t, partition, workers, true, policy)
-				if *got != *ref {
+				if !reflect.DeepEqual(got, ref) {
 					t.Errorf("faillink 8x8: %s/%d/%s diverged from bands/1/off:\nref: %+v\ngot: %+v",
 						partition, workers, policy, *ref, *got)
 				}

@@ -95,7 +95,9 @@ func (o OwnershipModel) USDPerGIPSYear(d DeviceModel, lifetimeYears float64) flo
 }
 
 // Accounting converts simulation activity counters into energy. All
-// energies in picojoules, powers in watts.
+// energies in picojoules, powers in watts. Wire transitions carry their
+// own price (Wire), set by the link block of the packaging level they
+// were counted on.
 type Accounting struct {
 	// InstrPJ is energy per ARM instruction (~0.2 nJ at 130 nm).
 	InstrPJ float64
@@ -104,18 +106,6 @@ type Accounting struct {
 	// BusyOverheadW is clock-tree and local-memory power while active,
 	// beyond the per-instruction charge.
 	BusyOverheadW float64
-	// WireTransitionPJ prices one on-board inter-chip wire transition
-	// (matches phy.DefaultInterChip().EnergyPerTransition).
-	WireTransitionPJ float64
-	// BoardWireTransitionPJ prices one board-to-board wire transition:
-	// driving a connector and cable costs several times an on-board
-	// trace (matches phy.DefaultBoardToBoard().EnergyPerTransition).
-	BoardWireTransitionPJ float64
-	// CabinetWireTransitionPJ prices one cabinet-to-cabinet wire
-	// transition: metres of machine-room cable are the costliest wires
-	// in the machine (matches
-	// phy.DefaultCabinetToCabinet().EnergyPerTransition).
-	CabinetWireTransitionPJ float64
 	// SDRAMBytePJ prices one byte moved to/from SDRAM.
 	SDRAMBytePJ float64
 	// ChipStaticW is per-chip leakage and always-on logic.
@@ -125,14 +115,11 @@ type Accounting struct {
 // DefaultAccounting returns a 130 nm-era SpiNNaker-like model.
 func DefaultAccounting() Accounting {
 	return Accounting{
-		InstrPJ:                 200,
-		WFIPowerW:               0.001,
-		BusyOverheadW:           0.015,
-		WireTransitionPJ:        6,
-		BoardWireTransitionPJ:   20,
-		CabinetWireTransitionPJ: 60,
-		SDRAMBytePJ:             100,
-		ChipStaticW:             0.05,
+		InstrPJ:       200,
+		WFIPowerW:     0.001,
+		BusyOverheadW: 0.015,
+		SDRAMBytePJ:   100,
+		ChipStaticW:   0.05,
 	}
 }
 
@@ -142,35 +129,33 @@ type Activity struct {
 	Instructions uint64
 	BusyTime     sim.Time
 	SleepTime    sim.Time
-	// WireTransitions counts transitions on on-board links;
-	// WireTransitionsBoard those on board-to-board links (zero on a
-	// uniform fabric with no board hierarchy); WireTransitionsCabinet
-	// those on cabinet-to-cabinet links (zero without a cabinet
-	// hierarchy).
-	WireTransitions        uint64
-	WireTransitionsBoard   uint64
-	WireTransitionsCabinet uint64
-	SDRAMBytes             uint64
-	Chips                  int
-	Elapsed                sim.Time
+	// Wire holds the link activity of each packaging level, bottom-up.
+	Wire       []Wire
+	SDRAMBytes uint64
+	Chips      int
+	Elapsed    sim.Time
 }
 
-// WireJoules reports the link-transition share of the energy, split by
-// class: the on-board, board-to-board and cabinet-to-cabinet totals in
-// joules.
-func (a Accounting) WireJoules(act Activity) (onBoardJ, boardJ, cabinetJ float64) {
-	return float64(act.WireTransitions) * a.WireTransitionPJ * 1e-12,
-		float64(act.WireTransitionsBoard) * a.BoardWireTransitionPJ * 1e-12,
-		float64(act.WireTransitionsCabinet) * a.CabinetWireTransitionPJ * 1e-12
+// Wire is one packaging level's link activity: its wire transitions and
+// the energy of one (phy.LinkParams.EnergyPerTransition of the level's
+// link block), in picojoules.
+type Wire struct {
+	Transitions uint64
+	PJ          float64
 }
+
+// Joules reports the level's share of the energy.
+func (w Wire) Joules() float64 { return float64(w.Transitions) * w.PJ * 1e-12 }
 
 // Joules computes total energy for the activity.
 func (a Accounting) Joules(act Activity) float64 {
-	pj := float64(act.Instructions)*a.InstrPJ +
-		float64(act.WireTransitions)*a.WireTransitionPJ +
-		float64(act.WireTransitionsBoard)*a.BoardWireTransitionPJ +
-		float64(act.WireTransitionsCabinet)*a.CabinetWireTransitionPJ +
-		float64(act.SDRAMBytes)*a.SDRAMBytePJ
+	// Summed in the order instructions, levels bottom-up, SDRAM: the
+	// order fixes the floating-point result.
+	pj := float64(act.Instructions) * a.InstrPJ
+	for _, w := range act.Wire {
+		pj += float64(w.Transitions) * w.PJ
+	}
+	pj += float64(act.SDRAMBytes) * a.SDRAMBytePJ
 	j := pj * 1e-12
 	j += act.BusyTime.Seconds() * a.BusyOverheadW
 	j += act.SleepTime.Seconds() * a.WFIPowerW
@@ -201,10 +186,8 @@ func (a Accounting) EffectiveMIPSPerWatt(act Activity) float64 {
 func (a Accounting) Validate() error {
 	for name, v := range map[string]float64{
 		"InstrPJ": a.InstrPJ, "WFIPowerW": a.WFIPowerW,
-		"BusyOverheadW": a.BusyOverheadW, "WireTransitionPJ": a.WireTransitionPJ,
-		"BoardWireTransitionPJ":   a.BoardWireTransitionPJ,
-		"CabinetWireTransitionPJ": a.CabinetWireTransitionPJ,
-		"SDRAMBytePJ":             a.SDRAMBytePJ, "ChipStaticW": a.ChipStaticW,
+		"BusyOverheadW": a.BusyOverheadW,
+		"SDRAMBytePJ":   a.SDRAMBytePJ, "ChipStaticW": a.ChipStaticW,
 	} {
 		if v < 0 {
 			return fmt.Errorf("energy: negative %s", name)

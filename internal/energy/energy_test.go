@@ -84,18 +84,23 @@ func TestJoulesComposition(t *testing.T) {
 	}
 }
 
+// TestWireEnergySplitByClass pins the per-level wire accounting: each
+// level's share is its transitions at its own price, and the shares sum
+// to the wire part of Joules.
 func TestWireEnergySplitByClass(t *testing.T) {
 	a := DefaultAccounting()
 	act := Activity{
-		WireTransitions:        1000, // on-board, 6 pJ each
-		WireTransitionsBoard:   100,  // board-to-board, 20 pJ each
-		WireTransitionsCabinet: 10,   // cabinet-to-cabinet, 60 pJ each
-		Elapsed:                sim.Second,
+		Wire: []Wire{
+			{Transitions: 1000, PJ: 6}, // on-board
+			{Transitions: 100, PJ: 20}, // board-to-board
+			{Transitions: 10, PJ: 60},  // cabinet-to-cabinet
+		},
+		Elapsed: sim.Second,
 	}
-	onJ, boardJ, cabJ := a.WireJoules(act)
+	onJ, boardJ, cabJ := act.Wire[0].Joules(), act.Wire[1].Joules(), act.Wire[2].Joules()
 	if math.Abs(onJ-6000e-12) > 1e-18 || math.Abs(boardJ-2000e-12) > 1e-18 ||
 		math.Abs(cabJ-600e-12) > 1e-18 {
-		t.Errorf("WireJoules = %g, %g, %g; want 6e-9, 2e-9, 6e-10", onJ, boardJ, cabJ)
+		t.Errorf("wire joules = %g, %g, %g; want 6e-9, 2e-9, 6e-10", onJ, boardJ, cabJ)
 	}
 	// The split is exhaustive: it sums to the wire share of Joules.
 	wireOnly := act
@@ -108,15 +113,6 @@ func TestWireEnergySplitByClass(t *testing.T) {
 	// traffic on the board.
 	if boardJ*3 < onJ/3 {
 		t.Errorf("board share %g implausibly small next to %g", boardJ, onJ)
-	}
-	a.BoardWireTransitionPJ = -1
-	if a.Validate() == nil {
-		t.Error("negative board transition price accepted")
-	}
-	a = DefaultAccounting()
-	a.CabinetWireTransitionPJ = -1
-	if a.Validate() == nil {
-		t.Error("negative cabinet transition price accepted")
 	}
 }
 

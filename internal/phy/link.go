@@ -6,54 +6,13 @@ import (
 	"spinngo/internal/sim"
 )
 
-// LinkClass places an inter-chip link in the machine's packaging
-// hierarchy. The paper's machine is not a uniform torus: chips are
-// packed onto 48-chip boards, and a hop between boards crosses
-// connectors and cabling with a longer wire flight and a higher energy
-// per transition than a hop over on-board PCB traces. The class selects
-// which LinkParams block — and therefore which serialisation and energy
-// model — a link uses.
-type LinkClass int
-
-const (
-	// OnBoard is a chip-to-chip link between chips on the same board:
-	// short PCB traces, the fast and cheap default.
-	OnBoard LinkClass = iota
-	// BoardToBoard is a link whose endpoints sit on different boards:
-	// connector + cable, slower handshake round trips and costlier
-	// transitions. Its longer serialisation floor is what widens the
-	// sharded engine's lookahead on board-aligned partition cuts.
-	BoardToBoard
-	// CabinetToCabinet is a link whose endpoints sit in different
-	// cabinets: the longest cables in the machine, with metres of wire
-	// flight and the highest per-transition drive energy. It is the
-	// third level of the packaging hierarchy; a cabinet-aligned
-	// partition cut made entirely of these links earns the widest
-	// conservative lookahead of all.
-	CabinetToCabinet
-	// NumLinkClasses sizes per-class tally arrays.
-	NumLinkClasses = 3
-)
-
-// String names the class ("on-board", "board-to-board",
-// "cabinet-to-cabinet").
-func (c LinkClass) String() string {
-	switch c {
-	case OnBoard:
-		return "on-board"
-	case BoardToBoard:
-		return "board-to-board"
-	case CabinetToCabinet:
-		return "cabinet-to-cabinet"
-	}
-	return "link-class(?)"
-}
-
 // LinkParams characterise one self-timed link.
 type LinkParams struct {
-	// Class records where the link sits in the packaging hierarchy; it
-	// selects per-class defaults and energy accounting buckets.
-	Class LinkClass
+	// Level is the packaging level whose accounting bucket the link's
+	// traversals and wire energy land in: the level the block is the
+	// default of. A level that reuses the block of the level below (a
+	// "uniform" preset) keeps that level's bucket.
+	Level int
 	Code  Code
 	// WireDelay is the one-way propagation delay of the wires. Off-chip
 	// this dominates (paper: "chip-to-chip delays dominate
@@ -66,64 +25,54 @@ type LinkParams struct {
 	EnergyPerTransition float64
 }
 
-// DefaultInterChip returns parameters for a SpiNNaker inter-chip link
-// between chips on the same board (2-of-7 NRZ over board traces).
-func DefaultInterChip() LinkParams {
-	return LinkParams{
-		Class:               OnBoard,
-		Code:                NRZ2of7,
+// levelDefaults is the machine's packaging hierarchy as the paper builds
+// it, bottom-up: what one unit of each level is called, what the links
+// whose highest crossing is that level are called, and their default
+// link block. Every level signals 2-of-7 NRZ; what changes going up is
+// the wire the handshake loop closes over. Chip-to-chip links on one
+// board run over PCB traces. A link leaving its board crosses a
+// connector and cable, so the wire flight triples and each transition
+// drives far more capacitance. A link leaving its cabinet crosses metres
+// of machine-room cabling, the slowest and costliest wire of all.
+// Because the self-timed protocol simply runs at the speed the wires
+// allow, the machine-wide consequence of each step up is a longer
+// serialisation floor, which the sharded engine converts into a wider
+// lookahead on cuts aligned to that level.
+var levelDefaults = [...]struct {
+	unit, links string
+	link        LinkParams
+}{
+	{"chip", "on-board", LinkParams{
+		Level: 0, Code: NRZ2of7,
 		WireDelay:           4 * sim.Nanosecond,
 		LogicDelay:          2 * sim.Nanosecond,
 		EnergyPerTransition: 6.0, // pJ: off-chip trace + pad
-	}
-}
-
-// DefaultBoardToBoard returns parameters for a link leaving the board:
-// the same 2-of-7 NRZ code, but the handshake loop closes over a
-// connector and cable, so the wire flight triples and each transition
-// drives far more capacitance. Because the self-timed protocol simply
-// runs at the speed the wires allow, the only machine-wide consequence
-// is a longer serialisation floor — which the sharded engine converts
-// into a wider lookahead on board-aligned cuts.
-func DefaultBoardToBoard() LinkParams {
-	return LinkParams{
-		Class:               BoardToBoard,
-		Code:                NRZ2of7,
+	}},
+	{"board", "board-to-board", LinkParams{
+		Level: 1, Code: NRZ2of7,
 		WireDelay:           12 * sim.Nanosecond, // connector + cable flight
 		LogicDelay:          3 * sim.Nanosecond,  // pad + buffer at each end
 		EnergyPerTransition: 20.0,                // pJ: cable drive
-	}
-}
-
-// DefaultCabinetToCabinet returns parameters for a link leaving the
-// cabinet: still 2-of-7 NRZ, but the handshake loop now closes over
-// metres of inter-cabinet cabling, so the wire flight dominates
-// everything else and each transition drives the largest capacitance in
-// the machine. As with board-to-board links the self-timed protocol
-// simply slows to the speed the wires allow; the machine-wide
-// consequence is a serialisation floor several times the board level's,
-// which the sharded engine converts into the widest lookahead notch on
-// cabinet-aligned cuts.
-func DefaultCabinetToCabinet() LinkParams {
-	return LinkParams{
-		Class:               CabinetToCabinet,
-		Code:                NRZ2of7,
+	}},
+	{"cabinet", "cabinet-to-cabinet", LinkParams{
+		Level: 2, Code: NRZ2of7,
 		WireDelay:           40 * sim.Nanosecond, // metres of cabinet cable
 		LogicDelay:          5 * sim.Nanosecond,  // repeater + pad at each end
 		EnergyPerTransition: 60.0,                // pJ: long-cable drive
-	}
+	}},
 }
 
-// DefaultLinkParams returns the default parameter block for a link
-// class — the per-class PHY model a heterogeneous fabric starts from.
-func DefaultLinkParams(c LinkClass) LinkParams {
-	switch c {
-	case BoardToBoard:
-		return DefaultBoardToBoard()
-	case CabinetToCabinet:
-		return DefaultCabinetToCabinet()
-	}
-	return DefaultInterChip()
+// DefaultLink returns the default link block of packaging level level:
+// 0 for chip-to-chip links on one board, 1 for board-to-board links, 2
+// for cabinet-to-cabinet links.
+func DefaultLink(level int) LinkParams { return levelDefaults[level].link }
+
+// LevelName reports what one unit of packaging level level is called
+// ("chip", "board", "cabinet") and what the links whose highest
+// crossing is that level are called ("on-board", "board-to-board",
+// "cabinet-to-cabinet").
+func LevelName(level int) (unit, links string) {
+	return levelDefaults[level].unit, levelDefaults[level].links
 }
 
 // DefaultOnChip returns parameters for the on-chip CHAIN interconnect

@@ -61,13 +61,13 @@ func TestFrameCost(t *testing.T) {
 }
 
 func TestDefaultParamsValid(t *testing.T) {
-	if err := DefaultInterChip().Validate(); err != nil {
+	if err := DefaultLink(0).Validate(); err != nil {
 		t.Error(err)
 	}
 	if err := DefaultOnChip().Validate(); err != nil {
 		t.Error(err)
 	}
-	if DefaultInterChip().Code != NRZ2of7 {
+	if DefaultLink(0).Code != NRZ2of7 {
 		t.Error("inter-chip links use 2-of-7 NRZ in the paper")
 	}
 	if DefaultOnChip().Code != RTZ3of6 {
@@ -75,42 +75,52 @@ func TestDefaultParamsValid(t *testing.T) {
 	}
 }
 
+// TestBoardToBoardDefaults walks the level defaults table: every level
+// keeps the 2-of-7 NRZ code, each cabled level up is slower and costlier
+// than the one below — the ordering that makes a level-aligned cut a
+// wider-lookahead cut and splits the wire-energy accounting — and each
+// block lands in its own level's bucket.
 func TestBoardToBoardDefaults(t *testing.T) {
-	on := DefaultInterChip()
-	board := DefaultBoardToBoard()
-	if err := board.Validate(); err != nil {
-		t.Error(err)
+	if len(levelDefaults) != 3 {
+		t.Fatalf("%d default levels, want chip, board and cabinet", len(levelDefaults))
 	}
-	if board.Class != BoardToBoard || on.Class != OnBoard {
-		t.Errorf("classes: inter-chip %v, board-to-board %v", on.Class, board.Class)
+	for level := range levelDefaults {
+		lp := DefaultLink(level)
+		if err := lp.Validate(); err != nil {
+			t.Error(err)
+		}
+		if lp.Level != level {
+			t.Errorf("level %d default lands in bucket %d", level, lp.Level)
+		}
+		if lp.Code != NRZ2of7 {
+			t.Errorf("level %d: cabled links keep the 2-of-7 NRZ code; only the wires change", level)
+		}
+		if level == 0 {
+			continue
+		}
+		below := DefaultLink(level - 1)
+		if lp.SerialisationFloor(5) <= below.SerialisationFloor(5) {
+			t.Errorf("level %d serialisation floor should exceed level %d's", level, level-1)
+		}
+		if lp.EnergyPerTransition <= below.EnergyPerTransition {
+			t.Errorf("level %d transition energy should exceed level %d's", level, level-1)
+		}
 	}
-	if board.Code != NRZ2of7 {
-		t.Error("board-to-board links keep the 2-of-7 NRZ code; only the wires change")
-	}
-	// The cabled hop is slower and costlier than the on-board trace —
-	// this ordering is what makes a board-aligned cut a wider-lookahead
-	// cut and what splits the wire-energy accounting.
-	if board.SerialisationFloor(5) <= on.SerialisationFloor(5) {
-		t.Error("board-to-board serialisation floor should exceed on-board")
-	}
-	if board.EnergyPerTransition <= on.EnergyPerTransition {
-		t.Error("board-to-board transition energy should exceed on-board")
-	}
-	if DefaultLinkParams(OnBoard) != on || DefaultLinkParams(BoardToBoard) != board {
-		t.Error("DefaultLinkParams does not dispatch on class")
-	}
-	if OnBoard.String() != "on-board" || BoardToBoard.String() != "board-to-board" {
-		t.Errorf("class names: %q, %q", OnBoard.String(), BoardToBoard.String())
+	for level, want := range [][2]string{{"chip", "on-board"}, {"board", "board-to-board"},
+		{"cabinet", "cabinet-to-cabinet"}} {
+		if unit, links := LevelName(level); unit != want[0] || links != want[1] {
+			t.Errorf("LevelName(%d) = %q, %q; want %q, %q", level, unit, links, want[0], want[1])
+		}
 	}
 }
 
 func TestValidateRejectsNegatives(t *testing.T) {
-	p := DefaultInterChip()
+	p := DefaultLink(0)
 	p.WireDelay = -1
 	if p.Validate() == nil {
 		t.Error("negative wire delay accepted")
 	}
-	p = DefaultInterChip()
+	p = DefaultLink(0)
 	p.EnergyPerTransition = -1
 	if p.Validate() == nil {
 		t.Error("negative energy accepted")
@@ -123,7 +133,7 @@ func TestOffChipTradeoffReverses(t *testing.T) {
 	// that as lower logic delay for RTZ on-chip and check the crossover
 	// logic is visible in the parameters.
 	on := DefaultOnChip()
-	off := DefaultInterChip()
+	off := DefaultLink(0)
 	if off.WireDelay <= on.WireDelay {
 		t.Error("off-chip wire delay should exceed on-chip")
 	}
@@ -133,7 +143,7 @@ func TestOffChipTradeoffReverses(t *testing.T) {
 }
 
 func TestSerialisationFloor(t *testing.T) {
-	p := DefaultInterChip()
+	p := DefaultLink(0)
 	// The floor of an n-byte frame is exactly its frame cost, and it
 	// grows monotonically with the frame size — a larger packet can
 	// never undercut the bound computed from the smallest one.

@@ -13,7 +13,7 @@ import (
 func cutFabric(t testing.TB) (pe *sim.ParallelEngine, f *Fabric, a, b topo.Coord, d topo.Dir) {
 	t.Helper()
 	p := DefaultParams(4, 4)
-	part := topo.NewBlocks2D(p.Torus, 2)
+	part := tiled(t, p, 0, 2)
 	pe = sim.NewParallel(1, part.Shards(), part.Shards())
 	pe.SetLookahead(p.LookaheadFor(part))
 	f, err := NewShardedFabric(pe, part, p)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"spinngo/internal/energy"
 	"spinngo/internal/packet"
 	"spinngo/internal/phy"
 	"spinngo/internal/sim"
@@ -19,30 +20,13 @@ type Params struct {
 	// therefore the lookahead bound of the sharded engine: a packet
 	// leaving one shard cannot affect another sooner than this.
 	RouterLatency sim.Time
-	// Link carries the self-timed link model for on-board chip-to-chip
-	// links; its FrameCost sets per-packet serialisation time and
-	// energy. With a zero Boards geometry it is the model of every
-	// link in the fabric.
-	Link phy.LinkParams
-	// BoardLink carries the link model for board-to-board links —
-	// typically slower and costlier per transition than Link. It is
-	// consulted only when Boards is non-zero.
-	BoardLink phy.LinkParams
-	// CabinetLink carries the link model for cabinet-to-cabinet links —
-	// the machine-room cables, slower and costlier again than
-	// BoardLink. It is consulted only when Cabinets is non-zero.
-	CabinetLink phy.LinkParams
-	// Boards is the physical board tiling of the torus. When set, each
-	// directed link is classed by whether it leaves its source chip's
-	// board, and LinkFor returns per-link parameters accordingly; the
-	// zero value means a uniform fabric where every link uses Link.
-	Boards topo.BoardGeometry
-	// Cabinets is the cabinet tiling of the board grid — the third
-	// packaging level. When set (it requires Boards), a link leaving
-	// its source chip's cabinet classes as CabinetToCabinet before the
-	// board test is consulted; the zero value means every off-board
-	// link is plain board-to-board.
-	Cabinets topo.CabinetGeometry
+	// Levels is the machine's packaging hierarchy, bottom-up: Levels[0]
+	// is the chip (a 1x1 tile) and its Link models every link that stays
+	// inside one unit of Levels[1] — on-board links, or every link of a
+	// uniform fabric with no other level. Each directed link is classed
+	// by the highest level whose unit it leaves (ClassOf), and that
+	// level's Link sets its per-packet serialisation time and energy.
+	Levels []Level
 	// LinkQueueDepth is the output buffering per link; a full queue is
 	// a congested link.
 	LinkQueueDepth int
@@ -65,49 +49,29 @@ type Params struct {
 	PhasePeriod sim.Time
 }
 
-// Heterogeneous reports whether the fabric carries more than one link
-// parameter block (a board tiling is configured).
-func (p Params) Heterogeneous() bool { return !p.Boards.IsZero() }
-
-// HasCabinets reports whether the third packaging level is configured.
-func (p Params) HasCabinets() bool { return !p.Cabinets.IsZero() }
-
-// ClassOf reports the PHY class of the directed link leaving c in
-// direction d: CabinetToCabinet when the hop leaves c's cabinet,
-// BoardToBoard when it leaves c's board but not its cabinet (including
-// torus wrap links, which are cabled between edge boards), OnBoard
-// otherwise — always OnBoard on a uniform fabric. A cabinet crossing
-// is by construction also a board crossing, so the cabinet test runs
-// first.
-func (p Params) ClassOf(c topo.Coord, d topo.Dir) phy.LinkClass {
-	if p.HasCabinets() && p.Cabinets.Crosses(p.Boards, c, d) {
-		return phy.CabinetToCabinet
+// ClassOf reports the packaging level of the directed link leaving c in
+// direction d: the highest level whose unit the hop leaves (torus wrap
+// links always leave, being cabled between edge units), 0 when it
+// leaves only its chip — always 0 on a uniform fabric. A crossing at
+// one level is by construction a crossing at every level below, so the
+// test runs top-down.
+func (p Params) ClassOf(c topo.Coord, d topo.Dir) int {
+	for i := len(p.Levels) - 1; i > 0; i-- {
+		if p.Levels[i].Tile.Crosses(c, d) {
+			return i
+		}
 	}
-	if p.Heterogeneous() && p.Boards.Crosses(c, d) {
-		return phy.BoardToBoard
-	}
-	return phy.OnBoard
+	return 0
 }
 
 // LinkFor is the fabric's per-link parameter source: the PHY model of
 // the directed link leaving c in direction d. Everything that prices a
 // hop — frame serialisation in the router, wire energy accounting, the
 // sharded engine's lookahead bound — resolves link parameters through
-// the class this returns, which is what makes the board hierarchy an
-// end-to-end property rather than a label.
+// the level this returns, which is what makes the packaging hierarchy
+// an end-to-end property rather than a label.
 func (p Params) LinkFor(c topo.Coord, d topo.Dir) phy.LinkParams {
-	return p.ClassParams(p.ClassOf(c, d))
-}
-
-// ClassParams reports the parameter block a link class resolves to.
-func (p Params) ClassParams(cl phy.LinkClass) phy.LinkParams {
-	switch cl {
-	case phy.BoardToBoard:
-		return p.BoardLink
-	case phy.CabinetToCabinet:
-		return p.CabinetLink
-	}
-	return p.Link
+	return p.Levels[p.ClassOf(c, d)].Link
 }
 
 // hopLatency is the floor on one hop over a link with parameters lp:
@@ -119,21 +83,13 @@ func (p Params) hopLatency(lp phy.LinkParams) sim.Time {
 // MinHopLatency reports the minimum time between a packet starting to
 // serialise onto any inter-chip link and its arrival event at the
 // neighbouring router: one minimal frame on the wire plus the router
-// pipeline, minimised over every link class present in the fabric.
-// This — not the router latency alone — is the true floor on
-// chip-to-chip influence, and the widest lookahead a partition-agnostic
-// (uniform) bound can claim.
+// pipeline, minimised over every level's link. This — not the router
+// latency alone — is the true floor on chip-to-chip influence, and the
+// widest lookahead a partition-agnostic (uniform) bound can claim.
 func (p Params) MinHopLatency() sim.Time {
-	la := p.hopLatency(p.Link)
-	if p.Heterogeneous() {
-		if b := p.hopLatency(p.BoardLink); b < la {
-			la = b
-		}
-	}
-	if p.HasCabinets() {
-		if c := p.hopLatency(p.CabinetLink); c < la {
-			la = c
-		}
+	la := sim.Forever
+	for _, l := range p.Levels {
+		la = min(la, p.hopLatency(l.Link))
 	}
 	return la
 }
@@ -142,13 +98,13 @@ func (p Params) MinHopLatency() sim.Time {
 // partition: the minimum hop latency over the partition's *actual*
 // boundary links — the only links whose traffic crosses shards. On a
 // heterogeneous fabric this is where partition geometry turns into
-// simulation speed: a cut containing only slow board-to-board links
-// (every Boards-geometry cut, by construction) earns their longer
-// serialisation floor as extra lookahead — wider windows, fewer
-// barriers — while a single fast on-board link anywhere in the cut
-// tightens the bound back to the uniform floor. A partition with no
-// boundary links (one shard) needs no lookahead at all; the uniform
-// floor is returned for uniformity.
+// simulation speed: a cut containing only slow links of one level
+// (every cut of a partition tiled at that level, by construction) earns
+// their longer serialisation floor as extra lookahead — wider windows,
+// fewer barriers — while a single fast link of a lower level anywhere
+// in the cut tightens the bound back to that level's floor. A partition
+// with no boundary links (one shard) needs no lookahead at all; the
+// uniform floor is returned for uniformity.
 func (p Params) LookaheadFor(part topo.Partition) sim.Time {
 	return p.LookaheadForLive(part, nil)
 }
@@ -159,7 +115,7 @@ func (p Params) LookaheadFor(part topo.Partition) sim.Time {
 // so it cannot carry a cross-shard event; pricing the lookahead over
 // the survivors means a cut whose fast links have all died re-prices to
 // the surviving (possibly wider) hop floor. With every cut link dead —
-// no cross-shard influence at all — the widest class floor present is
+// no cross-shard influence at all — the widest level floor present is
 // returned (any bound is sound then; RepairLink tightens the engine if
 // a link comes back). A nil failed func prices the full cut, which is
 // exactly LookaheadFor.
@@ -180,29 +136,22 @@ func (p Params) LookaheadForLive(part topo.Partition, failed func(topo.Coord, to
 		}
 	}
 	if live == 0 {
-		la = p.hopLatency(p.Link)
-		if p.Heterogeneous() {
-			if b := p.hopLatency(p.BoardLink); b > la {
-				la = b
-			}
-		}
-		if p.HasCabinets() {
-			if c := p.hopLatency(p.CabinetLink); c > la {
-				la = c
-			}
+		la = 0
+		for _, l := range p.Levels {
+			la = max(la, p.hopLatency(l.Link))
 		}
 	}
 	return la
 }
 
-// DefaultParams returns paper-scale fabric parameters for a w x h torus.
+// DefaultParams returns paper-scale fabric parameters for a w x h torus:
+// a uniform fabric of one level, the chip, whose links are the default
+// on-board links.
 func DefaultParams(w, h int) Params {
 	return Params{
 		Torus:            topo.MustTorus(w, h),
 		RouterLatency:    100 * sim.Nanosecond,
-		Link:             phy.DefaultInterChip(),
-		BoardLink:        phy.DefaultBoardToBoard(),
-		CabinetLink:      phy.DefaultCabinetToCabinet(),
+		Levels:           []Level{{Tile: topo.Tile{W: 1, H: 1}, Link: phy.DefaultLink(0)}},
 		LinkQueueDepth:   16,
 		EmergencyWait:    1 * sim.Microsecond,
 		EmergencyTry:     4 * sim.Microsecond,
@@ -220,9 +169,9 @@ type flit struct {
 }
 
 // outLink is one directed inter-chip link with its output queue. Each
-// link carries its own PHY parameter block, resolved once at build time
-// from the fabric's board tiling, so the transmit path prices frames
-// per link without re-deriving the class per packet.
+// link carries its own PHY parameter block, resolved once when its chip
+// materialises from the fabric's packaging levels, so the transmit path
+// prices frames per link without re-deriving the level per packet.
 //
 // Link occupancy is a timestamp, not a busy flag: freeAt is when the
 // current frame clears the wire. An idle, empty link launches a packet
@@ -428,22 +377,18 @@ func (f *Fabric) phaseAt(n *Node) uint8 {
 }
 
 func (f *Fabric) build(p Params, engOf func(i int) (*sim.Engine, int)) error {
-	if err := p.Link.Validate(); err != nil {
-		return err
+	if len(p.Levels) == 0 {
+		return fmt.Errorf("router: no packaging levels (the chip level comes first)")
 	}
-	if p.Heterogeneous() {
-		if err := p.Boards.Validate(p.Torus); err != nil {
+	for i, l := range p.Levels {
+		if err := l.Link.Validate(); err != nil {
 			return err
 		}
-		if err := p.BoardLink.Validate(); err != nil {
-			return err
+		if l.Link.Level < 0 || l.Link.Level > i {
+			return fmt.Errorf("router: level %d's link accounts to level %d (want its own or one below)",
+				i, l.Link.Level)
 		}
-	}
-	if p.HasCabinets() {
-		if err := p.Cabinets.Validate(p.Torus, p.Boards); err != nil {
-			return err
-		}
-		if err := p.CabinetLink.Validate(); err != nil {
+		if err := l.Tile.Validate(p.Torus); err != nil {
 			return err
 		}
 	}
@@ -676,21 +621,30 @@ func (f *Fabric) LinkTraversals() uint64 {
 	})
 }
 
-// LinkTraversalsByClass counts packets crossing directed links, split
-// by link class — the activity split the per-class wire-energy
-// accounting prices. On a uniform fabric every traversal is on-board.
-func (f *Fabric) LinkTraversalsByClass() [phy.NumLinkClasses]uint64 {
-	var t [phy.NumLinkClasses]uint64
+// WireActivity reports the link activity of each packaging level for
+// energy accounting: every traversal moves one 40-bit mc frame, whose
+// wire transitions are priced by the level's own link block. A
+// traversal lands in the bucket its link accounts to (phy.LinkParams.Level),
+// so a level reusing the block below adds to that level's bucket.
+func (f *Fabric) WireActivity() []energy.Wire {
+	traversals := make([]uint64, len(f.p.Levels))
 	for i := range f.nodes {
 		n := f.nodes[i].Load()
 		if n == nil {
 			continue
 		}
 		for d := range n.out {
-			t[n.out[d].link.Class] += n.out[d].Traversals
+			traversals[n.out[d].link.Level] += n.out[d].Traversals
 		}
 	}
-	return t
+	out := make([]energy.Wire, len(f.p.Levels))
+	for i, l := range f.p.Levels {
+		out[i] = energy.Wire{
+			Transitions: traversals[i] * uint64(l.Link.FrameCost(packet.MinWireSize).Transitions),
+			PJ:          l.Link.EnergyPerTransition,
+		}
+	}
+	return out
 }
 
 func (f *Fabric) sum(get func(n *Node) uint64) uint64 {
@@ -1162,7 +1116,7 @@ func (n *Node) launch(fl flit, l *outLink) {
 // never below the crossed link's own hop floor, and a cross-shard link
 // is by definition in the partition's cut, so the sum is never below
 // Params.LookaheadFor — the bound declared to the engine. This is why
-// slow board-to-board links on a board-aligned cut are a speed win:
+// slow cabled links on a cut aligned to their level are a speed win:
 // their larger frame time lets the engine run wider windows without
 // ever committing an arrival inside one.
 func (f *Fabric) deliver(from, to *Node, d topo.Dir, fl flit, frame sim.Time) {

@@ -448,7 +448,7 @@ func TestSystemTrafficPriorityOverMC(t *testing.T) {
 
 func TestMinHopLatencyWidensLookahead(t *testing.T) {
 	p := DefaultParams(4, 4)
-	frame := p.Link.SerialisationFloor(packet.MinWireSize)
+	frame := p.Levels[0].Link.SerialisationFloor(packet.MinWireSize)
 	if frame <= 0 {
 		t.Fatal("serialisation floor must be positive")
 	}
@@ -461,7 +461,7 @@ func TestMinHopLatencyWidensLookahead(t *testing.T) {
 	// Uniform link parameters: the bound is the same for any geometry's
 	// cut set.
 	bands := topo.NewBands(p.Torus, 2)
-	blocks := topo.NewBlocks2D(p.Torus, 4)
+	blocks := tiled(t, p, 0, 4)
 	if p.LookaheadFor(bands) != p.LookaheadFor(blocks) {
 		t.Errorf("uniform links: lookahead differs by geometry (%v vs %v)",
 			p.LookaheadFor(bands), p.LookaheadFor(blocks))
@@ -474,10 +474,9 @@ func TestMinHopLatencyWidensLookahead(t *testing.T) {
 // tightens it back to the uniform floor; and the degenerate one-shard
 // cut falls back to the machine-wide minimum.
 func TestLookaheadForMixedCuts(t *testing.T) {
-	p := DefaultParams(8, 8)
-	p.Boards = topo.BoardGeometry{W: 8, H: 4} // two boards stacked vertically
-	fast := p.RouterLatency + p.Link.SerialisationFloor(packet.MinWireSize)
-	slow := p.RouterLatency + p.BoardLink.SerialisationFloor(packet.MinWireSize)
+	p := withBoards(DefaultParams(8, 8), 8, 4) // two boards stacked vertically
+	fast := p.hopLatency(p.Levels[0].Link)
+	slow := p.hopLatency(p.Levels[1].Link)
 	if slow <= fast {
 		t.Fatalf("board hop floor %v should exceed on-board %v", slow, fast)
 	}
@@ -487,24 +486,21 @@ func TestLookaheadForMixedCuts(t *testing.T) {
 
 	// Board-aligned cuts — boards geometry, and bands that happen to
 	// fall on board edges — contain only slow links: wide bound.
-	boards, err := topo.NewBoards(p.Torus, p.Boards, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	boards := tiled(t, p, 1, 2)
 	alignedBands := topo.NewBands(p.Torus, 2) // boundaries at y=0, y=4
 	for _, part := range []topo.Partition{boards, alignedBands} {
-		if on, _, _ := part.CutComposition(p.Boards, topo.CabinetGeometry{}); on != 0 {
-			t.Fatalf("%v cut not board-aligned", part.Geometry())
+		if c := part.CutComposition(len(p.Levels), p.ClassOf); c[0] != 0 {
+			t.Fatalf("level %d cut not board-aligned", part.Level())
 		}
 		if got := p.LookaheadFor(part); got != slow {
-			t.Errorf("%v: lookahead %v, want slow floor %v", part.Geometry(), got, slow)
+			t.Errorf("level %d: lookahead %v, want slow floor %v", part.Level(), got, slow)
 		}
 	}
 
 	// A misaligned cut mixes classes: any fast link tightens the bound.
 	misaligned := topo.NewBands(p.Torus, 4) // y=2 and y=6 cut board interiors
-	if on, board, _ := misaligned.CutComposition(p.Boards, topo.CabinetGeometry{}); on == 0 || board == 0 {
-		t.Fatalf("bands/4 cut composition %d+%d: want both classes", on, board)
+	if c := misaligned.CutComposition(len(p.Levels), p.ClassOf); c[0] == 0 || c[1] == 0 {
+		t.Fatalf("bands/4 cut composition %v: want both levels", c)
 	}
 	if got := p.LookaheadFor(misaligned); got != fast {
 		t.Errorf("mixed cut: lookahead %v, want fast floor %v", got, fast)
@@ -517,7 +513,7 @@ func TestLookaheadForMixedCuts(t *testing.T) {
 
 	// The uniform-fabric ablation: identical board link params mean the
 	// hierarchy exists but buys no extra lookahead.
-	p.BoardLink = p.Link
+	p.Levels[1].Link = p.Levels[0].Link
 	if got := p.LookaheadFor(boards); got != fast {
 		t.Errorf("uniform ablation: lookahead %v, want %v", got, fast)
 	}
@@ -526,20 +522,19 @@ func TestLookaheadForMixedCuts(t *testing.T) {
 // TestLinkForClassifies pins the per-link parameter source and the
 // build-time resolution the transmit path uses.
 func TestLinkForClassifies(t *testing.T) {
-	p := DefaultParams(8, 8)
-	p.Boards = topo.BoardGeometry{W: 4, H: 4}
-	if p.LinkFor(topo.Coord{X: 1, Y: 1}, topo.East) != p.Link {
+	p := withBoards(DefaultParams(8, 8), 4, 4)
+	if p.LinkFor(topo.Coord{X: 1, Y: 1}, topo.East) != p.Levels[0].Link {
 		t.Error("interior link should resolve to on-board params")
 	}
-	if p.LinkFor(topo.Coord{X: 3, Y: 1}, topo.East) != p.BoardLink {
+	if p.LinkFor(topo.Coord{X: 3, Y: 1}, topo.East) != p.Levels[1].Link {
 		t.Error("board-edge link should resolve to board params")
 	}
-	if p.LinkFor(topo.Coord{X: 7, Y: 7}, topo.NorthEast) != p.BoardLink {
+	if p.LinkFor(topo.Coord{X: 7, Y: 7}, topo.NorthEast) != p.Levels[1].Link {
 		t.Error("wrap link should resolve to board params")
 	}
 	uniform := DefaultParams(8, 8)
-	if uniform.LinkFor(topo.Coord{X: 3, Y: 1}, topo.East) != uniform.Link {
-		t.Error("uniform fabric must resolve every link to Link")
+	if uniform.LinkFor(topo.Coord{X: 3, Y: 1}, topo.East) != uniform.Levels[0].Link {
+		t.Error("uniform fabric must resolve every link to the chip level's link")
 	}
 }
 
@@ -548,12 +543,8 @@ func TestLinkForClassifies(t *testing.T) {
 // the widened lookahead, and checks the delivery time is exactly the
 // single-engine one — the determinism contract under heterogeneity.
 func TestHeterogeneousFabricMatchesSingleEngine(t *testing.T) {
-	p := DefaultParams(4, 4)
-	p.Boards = topo.BoardGeometry{W: 4, H: 2}
-	part, err := topo.NewBoards(p.Torus, p.Boards, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := withBoards(DefaultParams(4, 4), 4, 2)
+	part := tiled(t, p, 1, 2)
 	pe := sim.NewParallel(1, part.Shards(), part.Shards())
 	defer pe.Close()
 	pe.SetLookahead(p.LookaheadFor(part))
@@ -625,7 +616,7 @@ func TestShardedFabricDeliversAcrossBlockBoundaries(t *testing.T) {
 	// the delivery must still arrive, at the exact time a single engine
 	// would produce.
 	p := DefaultParams(4, 4)
-	part := topo.NewBlocks2D(p.Torus, 4)
+	part := tiled(t, p, 0, 4)
 	if r, c := part.Grid(); r != 2 || c != 2 {
 		t.Fatalf("expected a 2x2 grid, got %dx%d", r, c)
 	}

@@ -3,7 +3,6 @@ package router
 import (
 	"testing"
 
-	"spinngo/internal/packet"
 	"spinngo/internal/sim"
 	"spinngo/internal/topo"
 )
@@ -14,14 +13,13 @@ import (
 // bound re-prices to their wider hop floor — the static LookaheadFor
 // stays stuck at the fast floor forever.
 func TestLookaheadForLiveRepricesGuttedCut(t *testing.T) {
-	p := DefaultParams(8, 8)
-	p.Boards = topo.BoardGeometry{W: 8, H: 4}
-	fast := p.RouterLatency + p.Link.SerialisationFloor(packet.MinWireSize)
-	slow := p.RouterLatency + p.BoardLink.SerialisationFloor(packet.MinWireSize)
+	p := withBoards(DefaultParams(8, 8), 8, 4)
+	fast := p.hopLatency(p.Levels[0].Link)
+	slow := p.hopLatency(p.Levels[1].Link)
 
 	misaligned := topo.NewBands(p.Torus, 4) // y=2 and y=6 cut board interiors
-	if on, board, _ := misaligned.CutComposition(p.Boards, topo.CabinetGeometry{}); on == 0 || board == 0 {
-		t.Fatalf("bands/4 cut composition %d+%d: want both classes", on, board)
+	if c := misaligned.CutComposition(len(p.Levels), p.ClassOf); c[0] == 0 || c[1] == 0 {
+		t.Fatalf("bands/4 cut composition %v: want both levels", c)
 	}
 	if got := p.LookaheadForLive(misaligned, nil); got != fast {
 		t.Errorf("nothing failed: live lookahead %v, want the fast floor %v", got, fast)
@@ -30,7 +28,7 @@ func TestLookaheadForLiveRepricesGuttedCut(t *testing.T) {
 	// Fail exactly the fast links of the cut.
 	failed := make(map[topo.BoundaryLink]bool)
 	for _, bl := range misaligned.BoundaryLinks() {
-		if !p.Boards.Crosses(bl.From, bl.Dir) {
+		if !p.Levels[1].Tile.Crosses(bl.From, bl.Dir) {
 			failed[bl] = true
 		}
 	}
@@ -42,7 +40,7 @@ func TestLookaheadForLiveRepricesGuttedCut(t *testing.T) {
 	}
 
 	// Kill the whole cut: no cross-shard influence at all; the widest
-	// class floor is returned (sound for any window width).
+	// level floor is returned (sound for any window width).
 	for _, bl := range misaligned.BoundaryLinks() {
 		failed[bl] = true
 	}
@@ -56,8 +54,7 @@ func TestLookaheadForLiveRepricesGuttedCut(t *testing.T) {
 // verified against the engine bound, and RepairLink tightens a bound
 // that a resurrected fast link has undercut.
 func TestFabricRepartitionRebindsShards(t *testing.T) {
-	p := DefaultParams(8, 8)
-	p.Boards = topo.BoardGeometry{W: 8, H: 4}
+	p := withBoards(DefaultParams(8, 8), 8, 4)
 	part := topo.NewBands(p.Torus, 4)
 	pe := sim.NewParallel(1, 4, 4)
 	defer pe.Close()
@@ -71,7 +68,7 @@ func TestFabricRepartitionRebindsShards(t *testing.T) {
 	// Gut the fast half of the cut, then swap to the same geometry
 	// re-priced over the live links.
 	for _, bl := range part.BoundaryLinks() {
-		if !p.Boards.Crosses(bl.From, bl.Dir) {
+		if !p.Levels[1].Tile.Crosses(bl.From, bl.Dir) {
 			f.FailLink(bl.From, bl.Dir)
 		}
 	}
@@ -89,7 +86,7 @@ func TestFabricRepartitionRebindsShards(t *testing.T) {
 	// immediately or the window protocol goes unsound.
 	var fastLink topo.BoundaryLink
 	for _, bl := range part.BoundaryLinks() {
-		if !p.Boards.Crosses(bl.From, bl.Dir) {
+		if !p.Levels[1].Tile.Crosses(bl.From, bl.Dir) {
 			fastLink = bl
 			break
 		}

@@ -148,47 +148,3 @@ func (s TimeStats) MeanMicros() float64 {
 
 // MaxMicros reports the largest sample in microseconds.
 func (s TimeStats) MaxMicros() float64 { return s.Max.Micros() }
-
-// Histogram counts samples into fixed-width bins over [lo, hi); samples
-// outside the range land in saturating edge bins.
-type Histogram struct {
-	lo, hi float64
-	bins   []uint64
-	n      uint64
-}
-
-// NewHistogram returns a histogram with the given bin count over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("sim: invalid histogram shape")
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]uint64, bins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.n++
-	i := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.bins)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.bins) {
-		i = len(h.bins) - 1
-	}
-	h.bins[i]++
-}
-
-// N reports the total number of samples.
-func (h *Histogram) N() uint64 { return h.n }
-
-// Bin reports the count in bin i.
-func (h *Histogram) Bin(i int) uint64 { return h.bins[i] }
-
-// Bins reports the number of bins.
-func (h *Histogram) Bins() int { return len(h.bins) }
-
-// BinCenter reports the sample value at the centre of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.hi - h.lo) / float64(len(h.bins))
-	return h.lo + (float64(i)+0.5)*w
-}

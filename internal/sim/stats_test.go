@@ -86,29 +86,6 @@ func TestSummaryStatsPanicsOnPercentile(t *testing.T) {
 	s.Percentile(50)
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-5) // below range: clamps to bin 0
-	h.Add(99) // above range: clamps to last bin
-	if h.N() != 12 {
-		t.Errorf("N = %d, want 12", h.N())
-	}
-	if h.Bin(0) != 2 || h.Bin(9) != 2 {
-		t.Errorf("edge bins = %d,%d want 2,2", h.Bin(0), h.Bin(9))
-	}
-	for i := 1; i < 9; i++ {
-		if h.Bin(i) != 1 {
-			t.Errorf("bin %d = %d, want 1", i, h.Bin(i))
-		}
-	}
-	if got := h.BinCenter(0); got != 0.5 {
-		t.Errorf("BinCenter(0) = %g, want 0.5", got)
-	}
-}
-
 func TestStatsAddTime(t *testing.T) {
 	s := NewStats()
 	s.AddTime(2 * Millisecond)
@@ -127,12 +104,5 @@ func TestStatsSumAndString(t *testing.T) {
 	}
 	if got := s.String(); !strings.Contains(got, "n=2") || !strings.Contains(got, "mean=3") {
 		t.Errorf("String = %q, want n=2 / mean=3", got)
-	}
-}
-
-func TestHistogramBins(t *testing.T) {
-	h := NewHistogram(0, 1, 7)
-	if h.Bins() != 7 {
-		t.Errorf("Bins = %d, want 7", h.Bins())
 	}
 }

@@ -12,13 +12,13 @@ func TestPartitionEqual(t *testing.T) {
 	if a.Equal(NewBands(tor, 2)) {
 		t.Error("4 bands Equal to 2 bands")
 	}
-	// Equality is about the chip->shard map, not the geometry label: a
+	// Equality is about the chip->shard map, not the level label: a
 	// 4x1 block grid of an 8x8 torus is the same decomposition as 4
 	// row bands.
-	blocks := NewBlocks2D(MustTorus(4, 16), 4)
+	blocks := newBlocks(MustTorus(4, 16), 4)
 	bands := NewBands(MustTorus(4, 16), 4)
-	if blocks.Geometry() == bands.Geometry() {
-		t.Fatal("want distinct geometries for the label test")
+	if blocks.Level() == bands.Level() {
+		t.Fatal("want distinct levels for the label test")
 	}
 	if blocks.Equal(bands) != (blocks.CutLinks() == bands.CutLinks() && equalMaps(blocks, bands)) {
 		t.Error("Equal disagrees with the underlying maps")

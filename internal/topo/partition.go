@@ -1,58 +1,24 @@
 package topo
 
-// Geometry selects the strategy a Partition uses to decompose a torus
-// into shards, the unit of parallelism for the sharded simulation
-// engine. Every geometry yields the same kind of object — a total,
-// deterministic chip->shard map — so the engine and fabric are agnostic
-// to which one produced it; they differ only in how many inter-chip
-// links the cut crosses, which is what bounds cross-shard traffic and
-// therefore synchronisation cost.
-type Geometry int
+// A Partition decomposes a torus into shards, the unit of parallelism
+// for the sharded simulation engine, in one of two ways. Bands cut the
+// torus along its longer dimension into contiguous bands of whole rows
+// (or columns): every chip has at most two off-shard neighbouring bands.
+// A tiled partition cuts an r×c grid of blocks of whole tiles of one
+// packaging level: at the 1x1 chip tile these are plain 2D blocks,
+// whose perimeter (~ r+c) crosses fewer links than bands (~ shards) on
+// square-ish tori at high shard counts; at a board or cabinet tile every
+// shard boundary is that level's edge and every cut link one of its
+// cables, whose slower hops buy a wider conservative lookahead at the
+// price of shard granularity limited to whole units. Every partition is
+// the same kind of object — a total, deterministic chip->shard map — so
+// the engine and fabric are agnostic to which one produced it; they
+// differ only in which inter-chip links the cut crosses, which is what
+// bounds cross-shard traffic and therefore synchronisation cost.
 
-const (
-	// Bands cuts the torus along its longer dimension into contiguous
-	// bands of whole rows (or columns). Every chip has at most two
-	// off-shard neighbouring bands; the cut crosses 4·extent directed
-	// links per band boundary.
-	Bands Geometry = iota
-	// Blocks2D tiles the torus with an r×c grid of rectangular blocks,
-	// cutting along both axes. On square-ish tori at high shard counts
-	// this crosses fewer links than bands (perimeter ~ r+c instead of
-	// ~ shards), at the price of each shard having up to eight
-	// neighbouring shards instead of two.
-	Blocks2D
-	// Boards tiles the torus with an r×c grid of whole circuit boards
-	// (BoardGeometry), so every shard boundary coincides with a board
-	// edge and every cut link is a board-to-board link. On a fabric
-	// whose board-to-board links are slower than on-board ones this
-	// buys a wider conservative lookahead — the cut's minimum hop
-	// latency is the slow links' — at the price of shard granularity
-	// limited to whole boards.
-	Boards
-	// Cabinets tiles the torus with an r×c grid of whole cabinets
-	// (CabinetGeometry over a BoardGeometry), so every shard boundary
-	// coincides with a cabinet edge and every cut link is a
-	// cabinet-to-cabinet cable — the slowest class in the hierarchy,
-	// and therefore the widest conservative lookahead, at the price of
-	// shard granularity limited to whole cabinets.
-	Cabinets
-)
-
-// String names the geometry as it appears in configuration ("bands",
-// "blocks", "boards", "cabinets").
-func (g Geometry) String() string {
-	switch g {
-	case Bands:
-		return "bands"
-	case Blocks2D:
-		return "blocks"
-	case Boards:
-		return "boards"
-	case Cabinets:
-		return "cabinets"
-	}
-	return "geometry(?)"
-}
+// Bands is the Level of a band partition, which follows no packaging
+// level's edges.
+const Bands = -1
 
 // BoundaryLink is one directed inter-chip link whose endpoints live in
 // different shards. Packets crossing such links are the only traffic
@@ -69,19 +35,14 @@ type BoundaryLink struct {
 // configuration shards identically.
 type Partition struct {
 	t        Torus
-	geom     Geometry
-	boards   BoardGeometry   // board tiling of the Boards/Cabinets geometries; zero otherwise
-	cabinets CabinetGeometry // cabinet tiling of the Cabinets geometry; zero otherwise
+	level    int  // packaging level the blocks are cut from; Bands for bands
+	tile     Tile // the grid cell: that level's tile, 1x1 for bands
 	shards   int
-	rows     int   // block-grid rows (Blocks2D; bands-by-row have rows=shards)
-	cols     int   // block-grid columns
+	rows     int   // grid rows (bands-by-row have rows=shards)
+	cols     int   // grid columns
 	shardOf  []int // by node index
 	boundary []BoundaryLink
 }
-
-// NewPartition decomposes t into at most shards contiguous bands — the
-// historical default geometry. It is NewBands under its original name.
-func NewPartition(t Torus, shards int) Partition { return NewBands(t, shards) }
 
 // NewBands decomposes t into at most shards contiguous bands of whole
 // rows (or columns, when the torus is wider than tall). The effective
@@ -99,7 +60,7 @@ func NewBands(t Torus, shards int) Partition {
 	if shards > extent {
 		shards = extent
 	}
-	p := Partition{t: t, geom: Bands, shards: shards}
+	p := Partition{t: t, level: Bands, tile: Tile{W: 1, H: 1}, shards: shards}
 	if byRow {
 		p.rows, p.cols = shards, 1
 	} else {
@@ -109,114 +70,35 @@ func NewBands(t Torus, shards int) Partition {
 	return p
 }
 
-// NewBlocks2D tiles t with an r×c grid of rectangular blocks chosen to
-// minimise the number of cut links. The effective shard count is the
-// largest s <= shards that factorises as r·c with r <= H and c <= W;
-// among the factorisations of that s, the grid crossing the fewest
-// directed inter-chip links wins (ties break toward the squarest grid,
-// then toward more rows). Since 1×s and s×1 grids — bands — are always
-// candidates, a block partition never cuts more links than the band
-// partition with the same effective shard count.
-func NewBlocks2D(t Torus, shards int) Partition {
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > t.Size() {
-		shards = t.Size()
-	}
-	best := Partition{}
-	found := false
-	for s := shards; s >= 1 && !found; s-- {
-		for r := 1; r <= s && r <= t.H; r++ {
-			if s%r != 0 {
-				continue
-			}
-			c := s / r
-			if c > t.W {
-				continue
-			}
-			cand := Partition{t: t, geom: Blocks2D, shards: s, rows: r, cols: c}
-			cand.build()
-			if !found || cand.betterGridThan(best) {
-				best = cand
-				found = true
-			}
-		}
-	}
-	return best
-}
-
-// NewBoards decomposes t into at most shards groups of whole g-sized
-// boards, so that every shard boundary runs along board edges and the
-// cut set contains only board-to-board links. The board grid is split
-// with the same minimum-cut r×c search Blocks2D uses over chips, at
-// board granularity; the effective shard count is the largest s <=
-// shards that factorises within the board grid, clamping to the board
-// count. It errors when g does not tile t.
-func NewBoards(t Torus, g BoardGeometry, shards int) (Partition, error) {
-	if err := g.Validate(t); err != nil {
+// NewTiled decomposes t into at most shards r×c blocks of whole tiles
+// of packaging level level, so every shard boundary runs along that
+// level's edges (any edge at all for the 1x1 chip tile). The grid is
+// chosen to minimise the number of cut links: the effective shard count
+// is the largest s <= shards that factorises as r·c within the tile
+// grid (so it clamps to the tile count), and among the factorisations
+// of that s the grid crossing the fewest directed inter-chip links wins
+// (ties break toward the squarest grid, then toward more rows). Since
+// 1×s and s×1 grids are always candidates, a chip-tiled partition never
+// cuts more links than the band partition with the same effective shard
+// count. It errors when tile does not tile t.
+func NewTiled(t Torus, level int, tile Tile, shards int) (Partition, error) {
+	if err := tile.Validate(t); err != nil {
 		return Partition{}, err
 	}
-	bw, bh := g.Grid(t)
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > bw*bh {
-		shards = bw * bh
-	}
+	gw, gh := tile.Grid(t)
+	shards = min(max(shards, 1), gw*gh)
 	best := Partition{}
 	found := false
 	for s := shards; s >= 1 && !found; s-- {
-		for r := 1; r <= s && r <= bh; r++ {
+		for r := 1; r <= s && r <= gh; r++ {
 			if s%r != 0 {
 				continue
 			}
 			c := s / r
-			if c > bw {
+			if c > gw {
 				continue
 			}
-			cand := Partition{t: t, geom: Boards, boards: g, shards: s, rows: r, cols: c}
-			cand.build()
-			if !found || cand.betterGridThan(best) {
-				best = cand
-				found = true
-			}
-		}
-	}
-	return best, nil
-}
-
-// NewCabinets decomposes t into at most shards groups of whole
-// cab-sized cabinets of g-sized boards, so that every shard boundary
-// runs along cabinet edges and the cut set contains only
-// cabinet-to-cabinet links. The cabinet grid is split with the same
-// minimum-cut r×c search Boards uses, at cabinet granularity; the
-// effective shard count is the largest s <= shards that factorises
-// within the cabinet grid, clamping to the cabinet count. It errors
-// when cab does not tile the board grid of t.
-func NewCabinets(t Torus, g BoardGeometry, cab CabinetGeometry, shards int) (Partition, error) {
-	if err := cab.Validate(t, g); err != nil {
-		return Partition{}, err
-	}
-	cw, ch := cab.Grid(t, g)
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > cw*ch {
-		shards = cw * ch
-	}
-	best := Partition{}
-	found := false
-	for s := shards; s >= 1 && !found; s-- {
-		for r := 1; r <= s && r <= ch; r++ {
-			if s%r != 0 {
-				continue
-			}
-			c := s / r
-			if c > cw {
-				continue
-			}
-			cand := Partition{t: t, geom: Cabinets, boards: g, cabinets: cab, shards: s, rows: r, cols: c}
+			cand := Partition{t: t, level: level, tile: tile, shards: s, rows: r, cols: c}
 			cand.build()
 			if !found || cand.betterGridThan(best) {
 				best = cand
@@ -245,25 +127,16 @@ func (p Partition) betterGridThan(q Partition) bool {
 // enumerates the boundary links. Grid cell (i, j) — row band i of rows,
 // column band j of cols — is shard i·cols + j; bands along each axis
 // differ in extent by at most one (the first remainder bands are one
-// wider). The Boards geometry bands over board cells instead of chips,
-// which is exactly what pins its shard boundaries to board edges.
+// wider). The bands run over tile cells rather than chips, which is
+// exactly what pins a tiled partition's shard boundaries to its level's
+// edges.
 func (p *Partition) build() {
-	extW, extH := p.t.W, p.t.H
-	cell := func(c Coord) (x, y int) { return c.X, c.Y }
-	switch p.geom {
-	case Boards:
-		extW, extH = p.boards.Grid(p.t)
-		cell = func(c Coord) (x, y int) { return p.boards.BoardOf(c) }
-	case Cabinets:
-		tile := p.cabinets.ChipTile(p.boards)
-		extW, extH = tile.Grid(p.t)
-		cell = func(c Coord) (x, y int) { return tile.BoardOf(c) }
-	}
+	extW, extH := p.tile.Grid(p.t)
 	rowOf := bandOf(extH, p.rows)
 	colOf := bandOf(extW, p.cols)
 	p.shardOf = make([]int, p.t.Size())
 	for i := range p.shardOf {
-		x, y := cell(p.t.CoordOf(i))
+		x, y := p.tile.CellOf(p.t.CoordOf(i))
 		p.shardOf[i] = rowOf(y)*p.cols + colOf(x)
 	}
 	p.boundary = nil
@@ -294,15 +167,16 @@ func bandOf(extent, n int) func(v int) int {
 // Torus reports the decomposed torus.
 func (p Partition) Torus() Torus { return p.t }
 
-// Geometry reports the strategy that produced this partition.
-func (p Partition) Geometry() Geometry { return p.geom }
+// Level reports the packaging level whose tiles the shard blocks are
+// cut from, or Bands.
+func (p Partition) Level() int { return p.level }
 
 // Shards reports the effective shard count.
 func (p Partition) Shards() int { return p.shards }
 
 // Grid reports the block-grid dimensions (rows×cols == Shards()); a
-// band partition is a degenerate 1×s or s×1 grid, and a boards
-// partition reports its grid of board bands.
+// band partition is a degenerate 1×s or s×1 grid, and a tiled partition
+// reports its grid of tile bands.
 func (p Partition) Grid() (rows, cols int) { return p.rows, p.cols }
 
 // Shard reports the shard owning the chip at c.
@@ -330,21 +204,13 @@ func (p Partition) BoundaryLinks() []BoundaryLink { return p.boundary }
 
 // CutLinks reports the number of directed links crossing shard
 // boundaries — the partition's communication cost, and the quantity
-// Blocks2D minimises.
+// NewTiled minimises.
 func (p Partition) CutLinks() int { return len(p.boundary) }
-
-// Boards reports the board tiling the Boards (or Cabinets) geometry
-// banded over; it is zero for chip-granular geometries.
-func (p Partition) Boards() BoardGeometry { return p.boards }
-
-// Cabinets reports the cabinet tiling the Cabinets geometry banded
-// over; it is zero for every other geometry.
-func (p Partition) Cabinets() CabinetGeometry { return p.cabinets }
 
 // Equal reports whether two partitions assign every chip to the same
 // shard — the test a runtime re-partitioner uses to recognise a no-op
-// swap. Geometry labels are ignored: a 4-band partition and a 4x1 block
-// grid of the same torus are equal if their chip->shard maps agree.
+// swap. Levels are ignored: a 4-band partition and a 4x1 block grid of
+// the same torus are equal if their chip->shard maps agree.
 func (p Partition) Equal(q Partition) bool {
 	if p.t != q.t || len(p.shardOf) != len(q.shardOf) {
 		return false
@@ -371,28 +237,17 @@ func (p Partition) Diff(q Partition) (moved, cutDelta int) {
 	return moved, q.CutLinks() - p.CutLinks()
 }
 
-// CutComposition classifies the boundary links under board tiling g and
-// cabinet tiling cab: onBoard counts cut links whose endpoints share a
-// board (short PCB traces), boardCut those crossing a board edge but
-// staying inside one cabinet (board-to-board cables), cabinetCut those
-// leaving the cabinet (machine-room cabling). A cabinet crossing is
-// always also a board crossing, so the three buckets partition the cut.
-// A zero g classes every link as on-board; a zero cab classes every
-// board crossing as board-to-board. A Boards partition built from the
-// same g always reports onBoard == 0, and a Cabinets partition built
-// from the same (g, cab) additionally reports boardCut == 0 — its shard
-// boundaries are cabinet edges by construction — which is what entitles
-// each to its level's wider conservative lookahead.
-func (p Partition) CutComposition(g BoardGeometry, cab CabinetGeometry) (onBoard, boardCut, cabinetCut int) {
+// CutComposition counts the boundary links per packaging level: levelOf
+// places each directed link in [0, levels) — the highest level whose
+// unit it leaves, as router.Params.ClassOf does — so the counts
+// partition the cut. A partition tiled at level k by the same tiles
+// counts zero below k — its shard boundaries are level-k edges by
+// construction — which is what entitles it to that level's wider
+// conservative lookahead.
+func (p Partition) CutComposition(levels int, levelOf func(Coord, Dir) int) []int {
+	out := make([]int, levels)
 	for _, bl := range p.boundary {
-		switch {
-		case cab.Crosses(g, bl.From, bl.Dir):
-			cabinetCut++
-		case g.Crosses(bl.From, bl.Dir):
-			boardCut++
-		default:
-			onBoard++
-		}
+		out[levelOf(bl.From, bl.Dir)]++
 	}
-	return onBoard, boardCut, cabinetCut
+	return out
 }

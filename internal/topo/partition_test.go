@@ -13,7 +13,7 @@ func TestPartitionCoversTorus(t *testing.T) {
 		{12, 12, 0, 1}, // non-positive request
 	} {
 		tor := MustTorus(tc.w, tc.h)
-		p := NewPartition(tor, tc.shards)
+		p := NewBands(tor, tc.shards)
 		if p.Shards() != tc.want {
 			t.Errorf("%dx%d/%d: shards = %d, want %d", tc.w, tc.h, tc.shards, p.Shards(), tc.want)
 			continue
@@ -39,7 +39,7 @@ func TestPartitionCoversTorus(t *testing.T) {
 
 func TestPartitionIsContiguousBands(t *testing.T) {
 	tor := MustTorus(5, 7)
-	p := NewPartition(tor, 3)
+	p := NewBands(tor, 3)
 	// Split along the taller dimension: every row lives in one shard,
 	// and shard indexes are non-decreasing with y.
 	last := 0
@@ -60,7 +60,7 @@ func TestPartitionIsContiguousBands(t *testing.T) {
 func TestPartitionBalance(t *testing.T) {
 	// Band sizes may differ by at most one row/column.
 	tor := MustTorus(4, 10)
-	p := NewPartition(tor, 3)
+	p := NewBands(tor, 3)
 	counts := make(map[int]int)
 	for i := 0; i < tor.Size(); i++ {
 		counts[p.ShardOfIndex(i)]++
@@ -133,6 +133,16 @@ func checkPartitionInvariants(t *testing.T, p Partition) {
 	}
 }
 
+// newBlocks is the plain 2D block partition: NewTiled at the chip tile,
+// which tiles every torus.
+func newBlocks(t Torus, shards int) Partition {
+	p, err := NewTiled(t, 0, chip, shards)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 func TestBlocks2DEdgeCases(t *testing.T) {
 	for _, tc := range []struct{ w, h, shards, want int }{
 		{8, 8, 4, 4},   // clean 2x2 grid
@@ -145,13 +155,13 @@ func TestBlocks2DEdgeCases(t *testing.T) {
 		{4, 4, 0, 1},   // non-positive request
 		{6, 6, 7, 6},   // 7 factorises only as 7x1, which fits neither axis of 6x6; fall back to 6
 	} {
-		p := NewBlocks2D(MustTorus(tc.w, tc.h), tc.shards)
+		p := newBlocks(MustTorus(tc.w, tc.h), tc.shards)
 		if p.Shards() != tc.want {
 			t.Errorf("blocks %dx%d/%d: shards = %d, want %d", tc.w, tc.h, tc.shards, p.Shards(), tc.want)
 			continue
 		}
-		if p.Geometry() != Blocks2D {
-			t.Errorf("blocks %dx%d/%d: geometry = %v", tc.w, tc.h, tc.shards, p.Geometry())
+		if p.Level() != 0 {
+			t.Errorf("blocks %dx%d/%d: level = %d", tc.w, tc.h, tc.shards, p.Level())
 		}
 		checkPartitionInvariants(t, p)
 	}
@@ -162,15 +172,15 @@ func TestBandsEdgeCases(t *testing.T) {
 		{5, 7, 3}, {1, 8, 4}, {8, 1, 3}, {1, 1, 5}, {4, 4, 64},
 	} {
 		p := NewBands(MustTorus(tc.w, tc.h), tc.shards)
-		if p.Geometry() != Bands {
-			t.Errorf("bands %dx%d/%d: geometry = %v", tc.w, tc.h, tc.shards, p.Geometry())
+		if p.Level() != Bands {
+			t.Errorf("bands %dx%d/%d: level = %d", tc.w, tc.h, tc.shards, p.Level())
 		}
 		checkPartitionInvariants(t, p)
 	}
 }
 
 func TestBlocksNeverCutMoreThanBandsOnSquareTori(t *testing.T) {
-	// A 1xS grid is always a Blocks2D candidate, so at equal effective
+	// A 1xS grid is always a chip-tiled candidate, so at equal effective
 	// shard counts the block cut can never exceed the band cut; on
 	// square tori at shard counts with 2D factorisations it should be
 	// strictly smaller once the grid beats the band perimeter.
@@ -178,7 +188,7 @@ func TestBlocksNeverCutMoreThanBandsOnSquareTori(t *testing.T) {
 		tor := MustTorus(n, n)
 		for shards := 2; shards <= n; shards++ {
 			bands := NewBands(tor, shards)
-			blocks := NewBlocks2D(tor, shards)
+			blocks := newBlocks(tor, shards)
 			if blocks.Shards() < bands.Shards() {
 				t.Errorf("%dx%d/%d: blocks achieved %d shards, bands %d",
 					n, n, shards, blocks.Shards(), bands.Shards())
@@ -194,7 +204,7 @@ func TestBlocksNeverCutMoreThanBandsOnSquareTori(t *testing.T) {
 	// torus, where the 2D perimeter wins decisively.
 	tor := MustTorus(8, 8)
 	bands := NewBands(tor, 8)
-	blocks := NewBlocks2D(tor, 16)
+	blocks := newBlocks(tor, 16)
 	if blocks.CutLinks() >= bands.CutLinks() {
 		t.Errorf("8x8: 16 blocks cut %d links, 8 bands cut %d — blocks should win",
 			blocks.CutLinks(), bands.CutLinks())
@@ -204,7 +214,7 @@ func TestBlocksNeverCutMoreThanBandsOnSquareTori(t *testing.T) {
 func TestBlocksChooseSquarestGrid(t *testing.T) {
 	// 8x8 with 4 shards: the 2x2 grid (cut 120) beats 1x4/4x1 bands
 	// (cut 128).
-	p := NewBlocks2D(MustTorus(8, 8), 4)
+	p := newBlocks(MustTorus(8, 8), 4)
 	r, c := p.Grid()
 	if r != 2 || c != 2 {
 		t.Errorf("8x8/4: grid %dx%d, want 2x2", r, c)

@@ -5,7 +5,9 @@
 // deterministically from the document's own seed.
 //
 // The package is pure data: it knows the torus geometry (for coordinate
-// validation and macro expansion) but nothing about machines or engines.
+// validation and macro expansion) and checks the machine's packaging
+// levels through the fabric's own resolver (router.ResolveLevels), but
+// knows nothing about machines or engines.
 // The root spinngo package turns a parsed Workload into a running
 // machine; cmd/spinnsim exposes the registry on the command line.
 //
@@ -22,6 +24,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"spinngo/internal/router"
 	"spinngo/internal/topo"
 )
 
@@ -324,6 +327,12 @@ func (w *Workload) Validate() error {
 	}
 	if m.CoreFaultProb < 0 || m.CoreFaultProb > 1 {
 		return fmt.Errorf("workload: machine.core_fault_prob: %g outside [0,1]", m.CoreFaultProb)
+	}
+	if _, err := router.ResolveLevels(topo.MustTorus(m.Width, m.Height),
+		router.LevelSpec{Key: "machine.boards", Tile: m.Boards, LinkKey: "machine.board_link", Link: m.BoardLink},
+		router.LevelSpec{Key: "machine.cabinets", Tile: m.Cabinets, LinkKey: "machine.cabinet_link", Link: m.CabinetLink},
+	); err != nil {
+		return fmt.Errorf("workload: %w", err)
 	}
 	if len(w.Populations) == 0 {
 		return fmt.Errorf("workload: populations: at least one required")

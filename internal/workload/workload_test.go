@@ -80,6 +80,14 @@ func TestParseRejects(t *testing.T) {
 		{"negative rate", strings.Replace(minimal(), `"rate_hz": 10`, `"rate_hz": -1`, 1), "populations[0].rate_hz"},
 		{"zero run", strings.Replace(minimal(), `"bio_ms": 10`, `"bio_ms": 0`, 1), "run.bio_ms"},
 		{"bad redundancy", strings.Replace(minimal(), `"width": 4, "height": 4`, `"width": 4, "height": 4, "fill_redundancy": 9`, 1), "fill_redundancy"},
+		{"untileable boards", withMachine(`"boards": "3x3"`), "machine.boards:"},
+		{"malformed boards", withMachine(`"boards": "4by4"`), "machine.boards:"},
+		{"unknown board link", withMachine(`"boards": "2x2", "board_link": "warp"`), `machine.board_link: unknown link preset "warp"`},
+		{"board link without boards", withMachine(`"board_link": "slow"`), "machine.board_link:"},
+		{"cabinets without boards", withMachine(`"cabinets": "1x1"`), "machine.cabinets: requires machine.boards"},
+		{"untileable cabinets", withMachine(`"boards": "2x2", "cabinets": "9x9"`), "machine.cabinets:"},
+		{"unknown cabinet link", withMachine(`"boards": "2x2", "cabinets": "1x1", "cabinet_link": "warp"`), "machine.cabinet_link: unknown"},
+		{"cabinet link without cabinets", withMachine(`"boards": "2x2", "cabinet_link": "uniform"`), "machine.cabinet_link:"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -91,6 +99,26 @@ func TestParseRejects(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// withMachine splices extra machine keys into the minimal document.
+func withMachine(keys string) string {
+	return strings.Replace(minimal(), `"width": 4, "height": 4`, `"width": 4, "height": 4, `+keys, 1)
+}
+
+// TestParseLevels accepts every well-formed packaging hierarchy: boards
+// alone, boards in cabinets, and either level's uniform preset.
+func TestParseLevels(t *testing.T) {
+	for _, keys := range []string{
+		`"boards": "2x2"`,
+		`"boards": "4x2", "board_link": "uniform"`,
+		`"boards": "2x2", "board_link": "slow", "cabinets": "2x1", "cabinet_link": "slow"`,
+		`"boards": "2x2", "cabinets": "1x1", "cabinet_link": "uniform"`,
+	} {
+		if _, err := Parse([]byte(withMachine(keys))); err != nil {
+			t.Errorf("%s: %v", keys, err)
+		}
 	}
 }
 

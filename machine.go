@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -148,15 +149,20 @@ const (
 
 // Board-to-board link presets accepted by MachineConfig.BoardLinkParams.
 const (
-	BoardLinkSlow    = "slow"
-	BoardLinkUniform = "uniform"
+	BoardLinkSlow    = router.LinkSlow
+	BoardLinkUniform = router.LinkUniform
 )
 
 // Cabinet link presets accepted by MachineConfig.CabinetLinkParams.
 const (
-	CabinetLinkSlow    = "slow"
-	CabinetLinkUniform = "uniform"
+	CabinetLinkSlow    = router.LinkSlow
+	CabinetLinkUniform = router.LinkUniform
 )
+
+// tiledPartitions names the tiled partition geometry of each packaging
+// level, bottom-up: blocks of whole chips, of whole boards, of whole
+// cabinets.
+var tiledPartitions = []string{PartitionBlocks, PartitionBoards, PartitionCabinets}
 
 // Re-partitioning policies accepted by MachineConfig.Repartition.
 const (
@@ -183,92 +189,67 @@ func (c *MachineConfig) fillDefaults() {
 // error. NewMachine calls it; it is exported so front ends can check a
 // configuration before committing to building a machine.
 func (c MachineConfig) Validate() error {
+	_, err := c.resolve()
+	return err
+}
+
+// resolve validates the configuration and resolves its packaging levels
+// into the fabric's level list.
+func (c MachineConfig) resolve() ([]router.Level, error) {
 	if c.Width <= 0 || c.Height <= 0 {
-		return fmt.Errorf("spinngo: invalid machine %dx%d", c.Width, c.Height)
+		return nil, fmt.Errorf("spinngo: invalid machine %dx%d", c.Width, c.Height)
 	}
 	if c.CoresPerChip < 0 || c.CoresPerChip > chip.CoresPerChip {
-		return fmt.Errorf("spinngo: CoresPerChip must be 0..%d (0 = default), got %d", chip.CoresPerChip, c.CoresPerChip)
+		return nil, fmt.Errorf("spinngo: CoresPerChip must be 0..%d (0 = default), got %d", chip.CoresPerChip, c.CoresPerChip)
 	}
 	if !(c.CoreMIPS >= 0) {
-		return fmt.Errorf("spinngo: CoreMIPS must be non-negative (0 = default), got %v", c.CoreMIPS)
+		return nil, fmt.Errorf("spinngo: CoreMIPS must be non-negative (0 = default), got %v", c.CoreMIPS)
 	}
 	if c.Workers < 0 {
-		return fmt.Errorf("spinngo: Workers must be non-negative (0 = automatic), got %d", c.Workers)
+		return nil, fmt.Errorf("spinngo: Workers must be non-negative (0 = automatic), got %d", c.Workers)
 	}
 	if max := c.Width * c.Height; c.Workers > max {
-		return fmt.Errorf("spinngo: Workers %d exceeds the %dx%d machine's %d chips",
+		return nil, fmt.Errorf("spinngo: Workers %d exceeds the %dx%d machine's %d chips",
 			c.Workers, c.Width, c.Height, max)
 	}
 	switch c.Partition {
 	case "", PartitionAuto, PartitionBands, PartitionBlocks, PartitionBoards, PartitionCabinets:
 	default:
-		return fmt.Errorf("spinngo: unknown Partition %q (want %q, %q, %q, %q or %q)",
+		return nil, fmt.Errorf("spinngo: unknown Partition %q (want %q, %q, %q, %q or %q)",
 			c.Partition, PartitionAuto, PartitionBands, PartitionBlocks, PartitionBoards,
 			PartitionCabinets)
 	}
-	if c.Boards != "" {
-		bg, err := topo.ParseBoardGeometry(c.Boards)
-		if err != nil {
-			return fmt.Errorf("spinngo: bad Boards: %v", err)
-		}
-		if err := bg.Validate(topo.MustTorus(c.Width, c.Height)); err != nil {
-			return fmt.Errorf("spinngo: bad Boards: %v", err)
-		}
-	} else {
-		if c.Partition == PartitionBoards {
-			return fmt.Errorf("spinngo: Partition %q requires Boards (the board tiling, e.g. \"8x6\")",
-				PartitionBoards)
-		}
-		if c.BoardLinkParams != "" {
-			return fmt.Errorf("spinngo: BoardLinkParams %q requires Boards", c.BoardLinkParams)
-		}
+	specs := c.levelSpecs()
+	levels, err := router.ResolveLevels(topo.MustTorus(c.Width, c.Height), specs...)
+	if err != nil {
+		return nil, fmt.Errorf("spinngo: %w", err)
 	}
-	switch c.BoardLinkParams {
-	case "", BoardLinkSlow, BoardLinkUniform:
-	default:
-		return fmt.Errorf("spinngo: unknown BoardLinkParams %q (want %q or %q)",
-			c.BoardLinkParams, BoardLinkSlow, BoardLinkUniform)
-	}
-	if c.Cabinets != "" {
-		if c.Boards == "" {
-			return fmt.Errorf("spinngo: Cabinets requires Boards (the board tiling, e.g. \"8x6\")")
-		}
-		cg, err := topo.ParseCabinetGeometry(c.Cabinets)
-		if err != nil {
-			return fmt.Errorf("spinngo: bad Cabinets: %v", err)
-		}
-		if err := cg.Validate(topo.MustTorus(c.Width, c.Height), c.boardGeometry()); err != nil {
-			return fmt.Errorf("spinngo: bad Cabinets: %v", err)
-		}
-	} else {
-		if c.Partition == PartitionCabinets {
-			return fmt.Errorf("spinngo: Partition %q requires Cabinets (the cabinet tiling, e.g. \"2x2\")",
-				PartitionCabinets)
-		}
-		if c.CabinetLinkParams != "" {
-			return fmt.Errorf("spinngo: CabinetLinkParams %q requires Cabinets", c.CabinetLinkParams)
-		}
-	}
-	switch c.CabinetLinkParams {
-	case "", CabinetLinkSlow, CabinetLinkUniform:
-	default:
-		return fmt.Errorf("spinngo: unknown CabinetLinkParams %q (want %q or %q)",
-			c.CabinetLinkParams, CabinetLinkSlow, CabinetLinkUniform)
+	if l := slices.Index(tiledPartitions, c.Partition); l >= len(levels) {
+		return nil, fmt.Errorf("spinngo: Partition %q requires %s", c.Partition, specs[l-1].Key)
 	}
 	switch c.Repartition {
 	case "", RepartitionOff, RepartitionAuto:
 	default:
-		return fmt.Errorf("spinngo: unknown Repartition %q (want %q or %q)",
+		return nil, fmt.Errorf("spinngo: unknown Repartition %q (want %q or %q)",
 			c.Repartition, RepartitionOff, RepartitionAuto)
 	}
 	if c.FillRedundancy < 0 || c.FillRedundancy > topo.NumDirs {
-		return fmt.Errorf("spinngo: FillRedundancy must be 0..%d (0 = default 1), got %d",
+		return nil, fmt.Errorf("spinngo: FillRedundancy must be 0..%d (0 = default 1), got %d",
 			topo.NumDirs, c.FillRedundancy)
 	}
 	if _, err := c.hostOrigin(); err != nil {
-		return err
+		return nil, err
 	}
-	return nil
+	return levels, nil
+}
+
+// levelSpecs spells the configured packaging levels above the chip,
+// bottom-up, under the field names errors quote.
+func (c MachineConfig) levelSpecs() []router.LevelSpec {
+	return []router.LevelSpec{
+		{Key: "Boards", Tile: c.Boards, LinkKey: "BoardLinkParams", Link: c.BoardLinkParams},
+		{Key: "Cabinets", Tile: c.Cabinets, LinkKey: "CabinetLinkParams", Link: c.CabinetLinkParams},
+	}
 }
 
 // hostOrigin parses and bounds-checks the configured host attach chip.
@@ -292,69 +273,46 @@ func (c MachineConfig) hostOrigin() (topo.Coord, error) {
 	return topo.Coord{X: x, Y: y}, nil
 }
 
-// boardGeometry resolves the configured board tiling; zero when the
-// fabric is uniform. Valid only after Validate has accepted the config.
-func (c MachineConfig) boardGeometry() topo.BoardGeometry {
-	if c.Boards == "" {
-		return topo.BoardGeometry{}
-	}
-	bg, err := topo.ParseBoardGeometry(c.Boards)
-	if err != nil {
-		panic(err) // Validate accepted it
-	}
-	return bg
-}
-
-// cabinetGeometry resolves the configured cabinet tiling; zero when no
-// third packaging level is configured. Valid only after Validate has
-// accepted the config.
-func (c MachineConfig) cabinetGeometry() topo.CabinetGeometry {
-	if c.Cabinets == "" {
-		return topo.CabinetGeometry{}
-	}
-	cg, err := topo.ParseCabinetGeometry(c.Cabinets)
-	if err != nil {
-		panic(err) // Validate accepted it
-	}
-	return cg
-}
-
 // partitionFor resolves a concrete geometry name into a partition of
-// torus at (up to) workers shards. The packaged geometries need their
-// tiling configured in params.
-func partitionFor(geometry string, torus topo.Torus, params router.Params, workers int) (topo.Partition, error) {
-	switch geometry {
-	case PartitionBands:
-		return topo.NewBands(torus, workers), nil
-	case PartitionBlocks:
-		return topo.NewBlocks2D(torus, workers), nil
-	case PartitionBoards:
-		if !params.Heterogeneous() {
-			return topo.Partition{}, fmt.Errorf("spinngo: partition %q requires Boards", PartitionBoards)
-		}
-		return topo.NewBoards(torus, params.Boards, workers)
-	case PartitionCabinets:
-		if !params.HasCabinets() {
-			return topo.Partition{}, fmt.Errorf("spinngo: partition %q requires Cabinets", PartitionCabinets)
-		}
-		return topo.NewCabinets(torus, params.Boards, params.Cabinets, workers)
+// the fabric's torus at (up to) workers shards. A tiled geometry needs
+// its packaging level configured in params.
+func partitionFor(geometry string, params router.Params, workers int) (topo.Partition, error) {
+	if geometry == PartitionBands {
+		return topo.NewBands(params.Torus, workers), nil
 	}
-	return topo.Partition{}, fmt.Errorf("spinngo: unknown partition geometry %q (want %q, %q, %q or %q)",
-		geometry, PartitionBands, PartitionBlocks, PartitionBoards, PartitionCabinets)
+	level := slices.Index(tiledPartitions, geometry)
+	if level < 0 {
+		return topo.Partition{}, fmt.Errorf("spinngo: unknown partition geometry %q (want %q, %q, %q or %q)",
+			geometry, PartitionBands, PartitionBlocks, PartitionBoards, PartitionCabinets)
+	}
+	if level >= len(params.Levels) {
+		return topo.Partition{}, fmt.Errorf("spinngo: partition %q needs packaging level %d, the machine has %d",
+			geometry, level, len(params.Levels))
+	}
+	return topo.NewTiled(params.Torus, level, params.Levels[level].Tile, workers)
 }
 
 // availablePartitions reports every geometry the fabric offers at
-// workers shards: bands and blocks always, boards on a heterogeneous
-// fabric, cabinets when the third packaging level is configured — in
-// that order, which every comparison relies on (earlier wins ties).
-func availablePartitions(torus topo.Torus, params router.Params, workers int) []topo.Partition {
-	var parts []topo.Partition
-	for _, g := range []string{PartitionBands, PartitionBlocks, PartitionBoards, PartitionCabinets} {
-		if p, err := partitionFor(g, torus, params, workers); err == nil {
-			parts = append(parts, p)
+// workers shards: bands, then one tiled partition per packaging level
+// bottom-up — the order every comparison relies on (earlier wins ties).
+func availablePartitions(params router.Params, workers int) []topo.Partition {
+	parts := []topo.Partition{topo.NewBands(params.Torus, workers)}
+	for level, l := range params.Levels {
+		p, err := topo.NewTiled(params.Torus, level, l.Tile, workers)
+		if err != nil {
+			panic(err) // the fabric validated every level's tile
 		}
+		parts = append(parts, p)
 	}
 	return parts
+}
+
+// geometryName names a partition's geometry as configuration does.
+func geometryName(p topo.Partition) string {
+	if p.Level() == topo.Bands {
+		return PartitionBands
+	}
+	return tiledPartitions[p.Level()]
 }
 
 // autoWorkers is the Workers-0 sizing: one shard per schedulable CPU,
@@ -368,16 +326,16 @@ func autoWorkers(torus topo.Torus) int {
 // with adaptive worker selection (automatic geometry AND automatic
 // worker count — the fully self-tuning mode). params supplies the
 // per-link PHY model the automatic comparison prices lookahead with.
-func choosePartition(cfg MachineConfig, torus topo.Torus, params router.Params) (topo.Partition, bool) {
+func choosePartition(cfg MachineConfig, params router.Params) (topo.Partition, bool) {
 	auto := cfg.Partition == "" || cfg.Partition == PartitionAuto
 	workers := cfg.Workers
 	adaptive := false
 	if workers == 0 {
-		workers = autoWorkers(torus)
+		workers = autoWorkers(params.Torus)
 		adaptive = auto
 	}
 	if !auto {
-		part, err := partitionFor(cfg.Partition, torus, params, workers)
+		part, err := partitionFor(cfg.Partition, params, workers)
 		if err != nil {
 			panic(err) // Validate accepted the geometry and its tiling
 		}
@@ -389,7 +347,7 @@ func choosePartition(cfg MachineConfig, torus topo.Torus, params router.Params) 
 	// fewer window barriers, worth more than a few cut links), then the
 	// smaller cut, and remaining ties keep the earlier candidate
 	// (bands: at most two neighbouring shards instead of eight).
-	candidates := availablePartitions(torus, params, workers)
+	candidates := availablePartitions(params, workers)
 	best := candidates[0]
 	for _, cand := range candidates[1:] {
 		switch {
@@ -586,29 +544,21 @@ const MigrationDetectMS = 5
 // NewMachine builds a machine; Boot it before loading a model.
 func NewMachine(cfg MachineConfig) (*Machine, error) {
 	cfg.fillDefaults()
-	if err := cfg.Validate(); err != nil {
+	levels, err := cfg.resolve()
+	if err != nil {
 		return nil, err
 	}
 	torus := topo.MustTorus(cfg.Width, cfg.Height)
 	params := router.DefaultParams(cfg.Width, cfg.Height)
 	params.EmergencyEnabled = !cfg.DisableEmergencyRouting
-	params.Boards = cfg.boardGeometry()
-	if cfg.BoardLinkParams == BoardLinkUniform {
-		params.BoardLink = params.Link // hierarchy without heterogeneity
-	}
-	params.Cabinets = cfg.cabinetGeometry()
-	if cfg.CabinetLinkParams == CabinetLinkUniform {
-		// Third level without extra heterogeneity: cabinet cables price
-		// like board cables, so the hierarchy buys no extra lookahead.
-		params.CabinetLink = params.BoardLink
-	}
-	part, adaptive := choosePartition(cfg, torus, params)
+	params.Levels = levels
+	part, adaptive := choosePartition(cfg, params)
 	pe := sim.NewParallel(cfg.Seed, part.Shards(), part.Shards())
 	pe.SetAdaptive(adaptive)
 	// The lookahead folds each cut link's frame serialisation time into
 	// the router pipeline latency, minimised over the partition's actual
-	// boundary cut: a board-aligned cut of slow board-to-board links
-	// earns wider windows and fewer barriers, with identical results.
+	// boundary cut: a cut aligned to a level of slow cabled links earns
+	// wider windows and fewer barriers, with identical results.
 	pe.SetLookahead(params.LookaheadFor(part))
 	fab, err := router.NewShardedFabric(pe, part, params)
 	if err != nil {
@@ -664,11 +614,10 @@ type SimStats struct {
 	// Geometry is the effective partition geometry ("bands", "blocks",
 	// "boards", "cabinets").
 	Geometry string
-	// Boards is the configured board tiling ("none" = uniform fabric).
-	Boards string
-	// Cabinets is the configured cabinet tiling in boards per cabinet
-	// ("none" = no third packaging level).
-	Cabinets string
+	// Levels is the chip footprint of one unit of each packaging level,
+	// bottom-up: "1x1" for the chip, then e.g. "4x4" for boards of 4x4
+	// chips and "8x8" for cabinets of 2x2 such boards.
+	Levels []string
 	// Shards and Workers are the effective shard count and parallelism
 	// bound; Adaptive reports whether per-window worker selection is on.
 	Shards   int
@@ -676,14 +625,11 @@ type SimStats struct {
 	Adaptive bool
 	// CutLinks counts directed inter-chip links crossing shard
 	// boundaries — the traffic that must pass barrier mailboxes.
-	// CutLinksOnBoard, CutLinksBoard and CutLinksCabinet split the cut
-	// by link class; the cut is board-aligned exactly when
-	// CutLinksOnBoard is zero, and cabinet-aligned when only
-	// CutLinksCabinet is non-zero.
+	// CutLinksByLevel splits the cut by the highest packaging level each
+	// link leaves, one entry per level: a cut is aligned to level k
+	// exactly when every entry below k is zero.
 	CutLinks        int
-	CutLinksOnBoard int
-	CutLinksBoard   int
-	CutLinksCabinet int
+	CutLinksByLevel []int
 	// Lookahead is the achieved cross-shard latency bound: router
 	// pipeline plus minimum frame serialisation over the *actual*
 	// boundary cut. UniformLookahead is the bound a single shared
@@ -726,18 +672,18 @@ type SimStats struct {
 // SimStats snapshots the engine's execution statistics.
 func (m *Machine) SimStats() SimStats {
 	params := m.fab.Params()
-	onBoard, boardCut, cabinetCut := m.part.CutComposition(params.Boards, params.Cabinets)
+	levels := make([]string, len(params.Levels))
+	for i, l := range params.Levels {
+		levels[i] = l.Tile.String()
+	}
 	return SimStats{
-		Geometry:         m.part.Geometry().String(),
-		Boards:           params.Boards.String(),
-		Cabinets:         params.Cabinets.String(),
+		Geometry:         geometryName(m.part),
+		Levels:           levels,
 		Shards:           m.pe.Shards(),
 		Workers:          m.pe.Workers(),
 		Adaptive:         m.pe.Adaptive(),
 		CutLinks:         m.part.CutLinks(),
-		CutLinksOnBoard:  onBoard,
-		CutLinksBoard:    boardCut,
-		CutLinksCabinet:  cabinetCut,
+		CutLinksByLevel:  m.part.CutComposition(len(params.Levels), params.ClassOf),
 		Lookahead:        m.pe.Lookahead(),
 		UniformLookahead: params.MinHopLatency(),
 		Windows:          m.pe.Windows(),
@@ -780,7 +726,7 @@ func (m *Machine) buildPartition(geometry string, workers int) (topo.Partition, 
 		return topo.Partition{}, fmt.Errorf("spinngo: repartition workers %d outside 0..%d",
 			workers, torus.Size())
 	}
-	return partitionFor(geometry, torus, m.fab.Params(), workers)
+	return partitionFor(geometry, m.fab.Params(), workers)
 }
 
 // Repartition re-shapes the machine's shard decomposition at runtime:
@@ -828,7 +774,6 @@ func (m *Machine) repartitionTo(part topo.Partition) error {
 // at half of it, and the sequential fallback — deduplicated by their
 // chip->shard maps.
 func (m *Machine) repartitionCandidates() []topo.Partition {
-	torus := m.part.Torus()
 	params := m.fab.Params()
 	targets := []int{m.baseWorkers}
 	if h := m.baseWorkers / 2; h >= 2 {
@@ -845,7 +790,7 @@ func (m *Machine) repartitionCandidates() []topo.Partition {
 		cands = append(cands, p)
 	}
 	for _, w := range targets {
-		for _, p := range availablePartitions(torus, params, w) {
+		for _, p := range availablePartitions(params, w) {
 			add(p)
 		}
 	}
@@ -958,13 +903,13 @@ func (m *Machine) maybeRepartition() error {
 	bestCost := curCost
 	if debugRepartition {
 		fmt.Printf("[repart] cur=%s/%d la=%v cost=%.0f total=%d spacing=%.1f signal=%d windows=%d\n",
-			m.part.Geometry(), m.part.Shards(), m.pe.Lookahead(), curCost, total, m.evSpacingNS, signal, windowsDelta)
+			geometryName(m.part), m.part.Shards(), m.pe.Lookahead(), curCost, total, m.evSpacingNS, signal, windowsDelta)
 	}
 	for _, cand := range m.repartitionCandidates() {
 		c := m.projectedCost(cand, act, total, m.fab.LiveLookaheadFor(cand))
 		if debugRepartition {
 			fmt.Printf("[repart]   cand %s/%d la=%v cost=%.0f\n",
-				cand.Geometry(), cand.Shards(), m.fab.LiveLookaheadFor(cand), c)
+				geometryName(cand), cand.Shards(), m.fab.LiveLookaheadFor(cand), c)
 		}
 		if c < bestCost {
 			best, bestCost = cand, c

@@ -118,9 +118,9 @@ func TestRepartitionRepricesGuttedCut(t *testing.T) {
 		MaxAppCoresPerChip: 2})
 	defer m.Close()
 	st := m.SimStats()
-	if st.CutLinksOnBoard == 0 || st.CutLinksBoard == 0 {
-		t.Fatalf("bands/4 on 4x4 boards should mix cut classes, got %d+%d",
-			st.CutLinksOnBoard, st.CutLinksBoard)
+	if st.CutLinksByLevel[0] == 0 || st.CutLinksByLevel[1] == 0 {
+		t.Fatalf("bands/4 on 4x4 boards should mix cut levels, got %d+%d",
+			st.CutLinksByLevel[0], st.CutLinksByLevel[1])
 	}
 	narrow := st.Lookahead
 
@@ -128,7 +128,7 @@ func TestRepartitionRepricesGuttedCut(t *testing.T) {
 	// which stays within the fast set: the reverse of an on-board cut
 	// link is an on-board cut link).
 	part := topo.NewBands(topo.MustTorus(8, 8), 4)
-	boards, err := topo.ParseBoardGeometry("4x4")
+	boards, err := topo.ParseTile("4x4")
 	if err != nil {
 		t.Fatal(err)
 	}

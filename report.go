@@ -37,20 +37,16 @@ type RunReport struct {
 	Instructions uint64
 	// EnergyJ prices the run with the default accounting model.
 	EnergyJ float64
-	// WireTransitionsOnBoard, WireTransitionsBoard and
-	// WireTransitionsCabinet count link wire transitions by class; on a
-	// uniform fabric (no Boards configured) the board count is zero, and
-	// without a cabinet hierarchy the cabinet count is zero.
-	WireTransitionsOnBoard uint64
-	WireTransitionsBoard   uint64
-	WireTransitionsCabinet uint64
-	// WireEnergyOnBoardJ, WireEnergyBoardJ and WireEnergyCabinetJ split
-	// the link share of EnergyJ by class: board-to-board transitions
-	// cost several times an on-board trace, and cabinet cables several
-	// times again, so a few long hops can dominate the wire budget.
-	WireEnergyOnBoardJ float64
-	WireEnergyBoardJ   float64
-	WireEnergyCabinetJ float64
+	// WireTransitions counts link wire transitions per packaging level,
+	// bottom-up (one entry per level: on-board, then board-to-board and
+	// cabinet-to-cabinet when those levels are configured). A level whose
+	// links reuse the block below counts into that level's entry.
+	WireTransitions []uint64
+	// WireEnergyJ splits the link share of EnergyJ the same way:
+	// board-to-board transitions cost several times an on-board trace,
+	// and cabinet cables several times again, so a few long hops can
+	// dominate the wire budget.
+	WireEnergyJ []float64
 	// MeanPowerW is the average machine power over the run.
 	MeanPowerW float64
 	// MIPSPerWatt is delivered instruction throughput per watt.
@@ -119,17 +115,7 @@ func (m *Machine) report() *RunReport {
 	if units > 0 {
 		r.MeanSleepFraction = sleepSum / float64(units)
 	}
-	// Wire energy: every link traversal moves a 40-bit mc frame, priced
-	// per link class — board-to-board transitions cost several times an
-	// on-board trace.
-	params := m.fab.Params()
-	traversals := m.fab.LinkTraversalsByClass()
-	act.WireTransitions = traversals[phy.OnBoard] *
-		uint64(params.ClassParams(phy.OnBoard).FrameCost(5).Transitions)
-	act.WireTransitionsBoard = traversals[phy.BoardToBoard] *
-		uint64(params.ClassParams(phy.BoardToBoard).FrameCost(5).Transitions)
-	act.WireTransitionsCabinet = traversals[phy.CabinetToCabinet] *
-		uint64(params.ClassParams(phy.CabinetToCabinet).FrameCost(5).Transitions)
+	act.Wire = m.fab.WireActivity()
 	// SDRAM traffic from every chip.
 	for _, n := range m.fab.Nodes() {
 		if m.boot != nil && m.boot.Alive(n.Coord) {
@@ -140,10 +126,12 @@ func (m *Machine) report() *RunReport {
 	r.EnergyJ = acc.Joules(act)
 	r.MeanPowerW = acc.MeanPowerW(act)
 	r.MIPSPerWatt = acc.EffectiveMIPSPerWatt(act)
-	r.WireTransitionsOnBoard = act.WireTransitions
-	r.WireTransitionsBoard = act.WireTransitionsBoard
-	r.WireTransitionsCabinet = act.WireTransitionsCabinet
-	r.WireEnergyOnBoardJ, r.WireEnergyBoardJ, r.WireEnergyCabinetJ = acc.WireJoules(act)
+	r.WireTransitions = make([]uint64, len(act.Wire))
+	r.WireEnergyJ = make([]float64, len(act.Wire))
+	for i, w := range act.Wire {
+		r.WireTransitions[i] = w.Transitions
+		r.WireEnergyJ[i] = w.Joules()
+	}
 	return r
 }
 
@@ -160,12 +148,20 @@ func (r *RunReport) String() string {
 	fmt.Fprintf(&b, "instructions:    %d\n", r.Instructions)
 	fmt.Fprintf(&b, "energy:          %.4g J (%.4g W mean, %.0f MIPS/W)\n",
 		r.EnergyJ, r.MeanPowerW, r.MIPSPerWatt)
-	if r.WireTransitionsBoard > 0 {
-		fmt.Fprintf(&b, "wire energy:     %.4g J on-board + %.4g J board-to-board\n",
-			r.WireEnergyOnBoardJ, r.WireEnergyBoardJ)
-	}
-	if r.WireTransitionsCabinet > 0 {
-		fmt.Fprintf(&b, "cabinet energy:  %.4g J cabinet-to-cabinet\n", r.WireEnergyCabinetJ)
+	// One line per cabled level that carried traffic; the first also
+	// shows the on-board share it is weighed against.
+	for i := 1; i < len(r.WireTransitions); i++ {
+		if r.WireTransitions[i] == 0 {
+			continue
+		}
+		unit, links := phy.LevelName(i)
+		if i == 1 {
+			_, below := phy.LevelName(0)
+			fmt.Fprintf(&b, "wire energy:     %.4g J %s + %.4g J %s\n",
+				r.WireEnergyJ[0], below, r.WireEnergyJ[1], links)
+			continue
+		}
+		fmt.Fprintf(&b, "%-17s%.4g J %s\n", unit+" energy:", r.WireEnergyJ[i], links)
 	}
 	return b.String()
 }
