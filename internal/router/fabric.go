@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -900,17 +901,13 @@ func (n *Node) routeMC(fl flit, travel int) {
 	// queue behind its single drain event. A packet reaching N cores and
 	// M links therefore costs the M arrival events at the neighbours and
 	// nothing else — O(links), not O(targets).
-	// Iterate the mask bits directly (same order as RouteMask.Cores /
-	// Links, without materialising the slices per packet).
-	for core := 0; core < MaxCores; core++ {
-		if route.HasCore(core) {
-			n.deliverMC(fl, core)
-		}
+	// Only the set bits are visited, lowest first: the order of
+	// RouteMask.Cores, then Links, without materialising the slices.
+	for m := uint32(route) >> coreBit0; m != 0; m &= m - 1 {
+		n.deliverMC(fl, bits.TrailingZeros32(m))
 	}
-	for d := topo.Dir(0); int(d) < topo.NumDirs; d++ {
-		if route.HasLink(d) {
-			n.forward(fl, d)
-		}
+	for m := uint32(route) & (1<<topo.NumDirs - 1); m != 0; m &= m - 1 {
+		n.forward(fl, topo.Dir(bits.TrailingZeros32(m)))
 	}
 }
 

@@ -1,6 +1,8 @@
 package router
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"spinngo/internal/packet"
@@ -81,6 +83,47 @@ func TestMCMulticastFanout(t *testing.T) {
 	}
 	if deliveries[src] != 1 || deliveries[topo.Coord{X: 1, Y: 0}] != 2 || deliveries[topo.Coord{X: 0, Y: 1}] != 3 {
 		t.Errorf("deliveries = %v", deliveries)
+	}
+}
+
+// TestMCFanoutOrder pins the order of one route's fan-out: core
+// deliveries ascending, then links ascending — the order Cores and Links
+// list — with the top core bit (core 25, bit 31) and every link set. A
+// hop's arrival is keyed by the sender's sequence, so the order of the
+// forwards is read back from the pending arrivals' keys.
+func TestMCFanoutOrder(t *testing.T) {
+	p := DefaultParams(4, 4)
+	pe := sim.NewParallel(1, 1, 1)
+	defer pe.Close()
+	f, err := NewShardedFabric(pe, tiled(t, p, 0, 1), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := topo.Coord{X: 1, Y: 1}
+	route := CoreRoute(MaxCores - 1).WithCore(0)
+	for d := topo.Dir(0); int(d) < topo.NumDirs; d++ {
+		route = route.WithLink(d)
+	}
+	f.Node(src).Table.Add(Entry{packet.KeyMask{Key: 9, Mask: 0xffffffff}, route})
+	var cores []int
+	f.OnDeliverMC = func(_ *Node, core int, _ packet.Packet, _ sim.Time) { cores = append(cores, core) }
+	f.InjectMC(src, packet.NewMC(9))
+	pe.RunUntil(p.RouterLatency) // the route event, not the arrivals it sends
+
+	recs, err := pe.ExportEvents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].K2 < recs[j].K2 })
+	var links []topo.Dir
+	for _, r := range recs {
+		if r.Desc.Kind != KindArrive {
+			t.Fatalf("pending %s, want only arrivals", r.Desc.Kind)
+		}
+		links = append(links, topo.Dir(r.Desc.Args[0]))
+	}
+	if !reflect.DeepEqual(cores, route.Cores()) || !reflect.DeepEqual(links, route.Links()) {
+		t.Errorf("delivered to cores %v and forwarded on %v, want %v then %v", cores, links, route.Cores(), route.Links())
 	}
 }
 

@@ -62,6 +62,38 @@ func TestEngineNestedScheduling(t *testing.T) {
 	}
 }
 
+// TestZeroDelayOntoLowerDomain: an event scheduled at the running
+// event's own instant on a domain with a lower id runs next. Its new
+// head climbs the tournament while the running domain's leaf still shows
+// the event being run; only then does that leaf catch up.
+func TestZeroDelayOntoLowerDomain(t *testing.T) {
+	e := New(1)
+	doms := make([]*Domain, 8)
+	for i := range doms {
+		doms[i] = e.Domain(i)
+	}
+	type fired struct {
+		at Time
+		id int
+	}
+	var got []fired
+	mark := func(d *Domain) Payload {
+		return Func(func() { got = append(got, fired{e.Now(), d.ID()}) })
+	}
+	doms[2].AtP(50, mark(doms[2]))
+	doms[6].AtP(10, mark(doms[6]))
+	doms[5].AtP(10, Func(func() {
+		got = append(got, fired{e.Now(), 5})
+		doms[2].AtP(e.Now(), mark(doms[2]))
+		doms[5].AfterP(10, mark(doms[5]))
+	}))
+	e.Run()
+	want := []fired{{10, 5}, {10, 2}, {10, 6}, {20, 5}, {50, 2}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("fired %v, want %v", got, want)
+	}
+}
+
 func TestEnginePastPanics(t *testing.T) {
 	e := New(1)
 	e.AtP(100, Func(func() {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -97,6 +98,46 @@ func TestEventKeyFieldPrecedence(t *testing.T) {
 	for _, c := range cases {
 		if !c.lo.less(c.hi) || c.hi.less(c.lo) {
 			t.Errorf("%s: want %+v < %+v", c.name, c.lo, c.hi)
+		}
+	}
+}
+
+// TestHeadMinMatchesLess holds the tournament's branch-free select to
+// head.less at the edges of both fields — the first and last instants,
+// the anonymous domain, idle — and on random heads, half of them drawn
+// from a narrow range so that equal instants occur.
+func TestHeadMinMatchesLess(t *testing.T) {
+	var heads []head
+	for _, at := range []Time{0, 1, Forever - 1, Forever} {
+		for _, id := range []int32{-1, 0, 1, 63, math.MaxInt32 - 1} {
+			heads = append(heads, head{at: at, id: id, leaf: int32(len(heads))})
+		}
+	}
+	heads = append(heads, idle)
+	want := func(a, b head) head {
+		if b.less(a) {
+			return b
+		}
+		return a
+	}
+	for _, a := range heads {
+		for _, b := range heads {
+			if got := a.min(b); got != want(a, b) {
+				t.Fatalf("%+v.min(%+v) = %+v, want %+v", a, b, got, want(a, b))
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	random := func(leaf int32) head {
+		if rng.Intn(2) == 0 {
+			return head{at: Time(rng.Intn(3)), id: int32(rng.Intn(4)) - 1, leaf: leaf}
+		}
+		return head{at: Time(rng.Int63()), id: rng.Int31n(math.MaxInt32) - 1, leaf: leaf}
+	}
+	for i := 0; i < 100000; i++ {
+		a, b := random(0), random(1)
+		if got := a.min(b); got != want(a, b) {
+			t.Fatalf("%+v.min(%+v) = %+v, want %+v", a, b, got, want(a, b))
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // The pending-event structure behind one Engine is shaped like the
 // canonical key (at, domain, class, k1, k2) itself, in two levels:
@@ -31,6 +34,12 @@ import "math"
 //     settled tree[1] names the domain whose head event is the global
 //     minimum.
 //
+// A leaf changes in two ways, each with its own walk: after a pop the
+// late domain's leaf only rises (raise), and a push giving another
+// domain a new head only lowers that leaf (lower) — also across the
+// late domain's stale path, which shows less than its truth until
+// settle raises it.
+//
 // Events are stored by value in their domain's list and the lists keep
 // their capacity, so a steady-state push/pop cycle allocates nothing,
 // and a domain that moves to another engine (Repartition) takes its
@@ -42,8 +51,8 @@ type queue struct {
 	n      int
 	// late is the domain last popped from, whose leaf still shows the
 	// popped event. Most events schedule their successor on their own
-	// chip, so its replay waits for that push and the two cost one; the
-	// winner is not read before settle has caught the leaf up.
+	// chip, so its raise waits for that push and the two cost one walk;
+	// the winner is not read before settle has caught the leaf up.
 	late *Domain
 }
 
@@ -64,6 +73,23 @@ func (a head) less(b head) bool {
 		return a.at < b.at
 	}
 	return a.id < b.id
+}
+
+// min is the lesser of a and b by (at, id), a on a tie, chosen without a
+// branch: (at, id+1) compared as one 128-bit unsigned number through a
+// borrow chain, the borrow widened to a mask that selects the fields.
+// id+1 maps the anonymous domain (-1) to 0 and idle (MaxInt32) to the
+// top; at is never negative — the clock starts at 0, a push below now
+// panics and RestoreClock refuses to go back — so unsigned order is
+// time order.
+func (a head) min(b head) head {
+	_, borrow := bits.Sub64(uint64(b.id)+1, uint64(a.id)+1, 0)
+	_, borrow = bits.Sub64(uint64(b.at), uint64(a.at), borrow)
+	m := -borrow // all ones when b < a
+	a.at ^= (a.at ^ b.at) & Time(m)
+	a.id ^= (a.id ^ b.id) & int32(m)
+	a.leaf ^= (a.leaf ^ b.leaf) & int32(m)
+	return a
 }
 
 // before orders two events of one domain (the domain field is skipped).
@@ -159,42 +185,57 @@ func (q *queue) bind(d *Domain) {
 	q.doms = append(q.doms, d)
 	q.n += len(d.pend)
 	if len(q.doms) <= q.leaves {
-		q.replay(d)
+		q.lower(d) // from an idle leaf
 		return
 	}
-	// Out of leaves: double them and play every match again.
+	// Out of leaves: double them and enter every head into an idle tree.
 	q.leaves = max(1, 2*q.leaves)
 	q.tree = make([]head, 2*q.leaves)
 	for i := range q.tree {
 		q.tree[i] = idle
 	}
 	for _, each := range q.doms {
-		q.replay(each)
+		q.lower(each)
 	}
 }
 
-// replay re-enters d's head event into the tournament after its list
-// changed, re-playing matches up the tree until a winner stands.
-func (q *queue) replay(d *Domain) {
-	h := idle
-	if len(d.pend) > 0 {
-		h = head{at: d.pend[0].key.at, id: d.id, leaf: int32(d.slot)}
+// top is the leaf d's pending list calls for.
+func (d *Domain) top() head {
+	if len(d.pend) == 0 {
+		return idle
 	}
-	for i := q.leaves + d.slot; q.tree[i] != h; {
+	return head{at: d.pend[0].key.at, id: d.id, leaf: int32(d.slot)}
+}
+
+// raise brings d's leaf up to its list after a pop and rebuilds every
+// node above it from its two children, with no per-level branch.
+func (q *queue) raise(d *Domain) {
+	h := d.top()
+	i := q.leaves + d.slot
+	if q.tree[i] == h {
+		return // the next event is at the same instant
+	}
+	for ; i > 1; i >>= 1 {
 		q.tree[i] = h
-		if i >>= 1; i == 0 {
-			break
-		}
-		if h = q.tree[2*i]; q.tree[2*i+1].less(h) {
-			h = q.tree[2*i+1]
-		}
+		h = h.min(q.tree[i^1])
+	}
+	q.tree[1] = h
+}
+
+// lower enters d's head after it came no later than the leaf shows: a
+// node's new value is the lesser of it and the head, so the climb ends
+// at the first node the head does not beat and reads no sibling.
+func (q *queue) lower(d *Domain) {
+	h := d.top()
+	for i := q.leaves + d.slot; i > 0 && h.less(q.tree[i]); i >>= 1 {
+		q.tree[i] = h
 	}
 }
 
 // settle brings the late domain's leaf up to date.
 func (q *queue) settle() {
 	if q.late != nil {
-		q.replay(q.late)
+		q.raise(q.late)
 		q.late = nil
 	}
 }
@@ -203,7 +244,7 @@ func (q *queue) settle() {
 func (q *queue) push(d *Domain, ev event) {
 	q.n++
 	if d.add(ev) && d != q.late {
-		q.replay(d)
+		q.lower(d)
 	}
 }
 
