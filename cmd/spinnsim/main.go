@@ -9,16 +9,16 @@
 //	         [-p 0.05] [-weight 0.8] [-delay 2] [-ms 500]
 //	         [-faillink "1,1,E"] [-raster] [-seed 1] [-workers 0]
 //	         [-partition auto] [-boards WxH] [-boardlink slow]
-//	         [-cabinets WxH] [-cabinetlink slow] [-repartition]
+//	         [-cabinets WxH] [-cabinetlink slow]
 //	         [-snapshot ckpt.snap] [-restore ckpt.snap]
 //	         [-workload storm-campaign] [-workloads]
 //	         [-cpuprofile run.cpu.pprof] [-memprofile run.mem.pprof]
 //
 // -snapshot writes a checkpoint image after the run; -restore resumes
 // from one instead of building a machine (only -ms, -workers, -partition,
-// -repartition, -faillink, -raster and -snapshot apply then — the
-// machine, model and seed all come from the image, and any choice of
-// workers/partition yields byte-identical results).
+// -faillink, -raster and -snapshot apply then — the machine, model and
+// seed all come from the image, and any choice of workers/partition
+// yields byte-identical results).
 //
 // -workload runs a declared workload document — a JSON file path, or
 // the name of a built-in registry entry (-workloads lists them). The
@@ -59,7 +59,6 @@ func main() {
 	boardlink := flag.String("boardlink", "", "board-to-board link preset: slow (default) or uniform; requires -boards")
 	cabinets := flag.String("cabinets", "", "cabinet tiling in boards, e.g. \"2x2\" ('' = no cabinet level); requires -boards; cabinet-crossing links use cabinet-to-cabinet PHY params")
 	cabinetlink := flag.String("cabinetlink", "", "cabinet-to-cabinet link preset: slow (default) or uniform; requires -cabinets")
-	repartition := flag.Bool("repartition", false, "re-partition at quiescence boundaries when the observed event density warrants it; any setting yields the same results")
 	workloadRef := flag.String("workload", "", "run a declared workload: a JSON file path or a registry name (see -workloads)")
 	listWorkloads := flag.Bool("workloads", false, "list the built-in workload registry and exit")
 	snapshotPath := flag.String("snapshot", "", "write a checkpoint image to this file after the run")
@@ -124,14 +123,10 @@ func main() {
 		excPop, okExc = machine.Pop("exc")
 		havePops = okStim && okExc
 	} else {
-		policy := ""
-		if *repartition {
-			policy = spinngo.RepartitionAuto
-		}
 		var err error
 		machine, err = spinngo.NewMachine(spinngo.MachineConfig{
 			Width: *w, Height: *h, Seed: *seed, Workers: *workers, Partition: *partition,
-			Boards: *boards, BoardLinkParams: *boardlink, Repartition: policy,
+			Boards: *boards, BoardLinkParams: *boardlink,
 			Cabinets: *cabinets, CabinetLinkParams: *cabinetlink,
 		})
 		if err != nil {
@@ -188,23 +183,9 @@ func main() {
 	if *ms <= 0 {
 		log.Fatalf("non-positive run length %d ms", *ms)
 	}
-	// The re-selection policy acts at quiescence boundaries (between
-	// Run calls), so a re-partitioning run advances in chunks; results
-	// are byte-identical either way.
-	step := *ms
-	if *repartition && step > 20 {
-		step = 20
-	}
-	var rep *spinngo.RunReport
-	for remaining := *ms; remaining > 0; remaining -= step {
-		n := step
-		if n > remaining {
-			n = remaining
-		}
-		var err error
-		if rep, err = machine.Run(n); err != nil {
-			log.Fatal(err)
-		}
+	rep, err := machine.Run(*ms)
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Println()
 	fmt.Print(rep)

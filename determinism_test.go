@@ -108,14 +108,15 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 // boards with slow board-to-board links, so cut sets mix link classes
 // and cross-shard hops have class-dependent latencies. With failMidRun
 // the run is chunked around a link fault at 30 ms of biological time —
-// a board-edge cut link plus an on-board one — giving the repartition
-// policy both a live-cut change and quiescence boundaries to act on.
-func congestedRun(t *testing.T, partition string, workers int, failMidRun bool, repartition string) (*RunReport, SimStats) {
+// a board-edge cut link plus an on-board one — so the live cut changes
+// mid-run. With swap the machine also re-partitions at the chunk
+// boundaries: to blocks/2 right after the fault, and to boards/4 before
+// the last chunk.
+func congestedRun(t *testing.T, partition string, workers int, failMidRun, swap bool) (*RunReport, SimStats) {
 	t.Helper()
 	m, err := NewMachine(MachineConfig{
 		Width: 8, Height: 8, Seed: 1, Workers: workers, Partition: partition,
 		MaxAppCoresPerChip: 2, Boards: "4x4", BoardLinkParams: BoardLinkSlow,
-		Repartition: repartition,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,9 +155,19 @@ func congestedRun(t *testing.T, partition string, workers int, failMidRun bool, 
 		if err := m.FailLink(3, 3, "E"); err != nil {
 			t.Fatal(err)
 		}
+		swapTo := func(geometry string, workers int) {
+			if !swap {
+				return
+			}
+			if err := m.Repartition(geometry, workers); err != nil {
+				t.Fatalf("repartition to %s/%d: %v", geometry, workers, err)
+			}
+		}
+		swapTo(PartitionBlocks, 2)
 		if _, err := m.Run(30); err != nil {
 			t.Fatal(err)
 		}
+		swapTo(PartitionBoards, 4)
 		if rep, err = m.Run(40); err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +190,7 @@ func TestDeterminismUnderCongestion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-machine determinism sweep")
 	}
-	ref, _ := congestedRun(t, PartitionBands, 1, false, "")
+	ref, _ := congestedRun(t, PartitionBands, 1, false, false)
 	// The workload must actually be congested, or this test is not
 	// exercising what it claims to.
 	if ref.EmergencyInvocations == 0 || ref.PacketsDropped == 0 {
@@ -197,7 +208,7 @@ func TestDeterminismUnderCongestion(t *testing.T) {
 			if partition == PartitionBands && workers == 1 {
 				continue // the reference itself
 			}
-			got, _ := congestedRun(t, partition, workers, false, "")
+			got, _ := congestedRun(t, partition, workers, false, false)
 			if !reflect.DeepEqual(got, ref) {
 				t.Errorf("congested 8x8: %s/%d diverged from bands/1:\nref: %+v\ngot: %+v",
 					partition, workers, *ref, *got)
@@ -207,39 +218,35 @@ func TestDeterminismUnderCongestion(t *testing.T) {
 }
 
 // TestDeterminismFailLinkRepartition extends the matrix with the
-// runtime-re-partitioning case: links die mid-run and the auto policy
-// is free to re-shape the partition at every quiescence boundary, yet
-// every (geometry, worker count, policy) cell must produce the
-// byte-identical report — re-partitioning is execution strategy, not
-// simulation.
+// runtime-re-partitioning case: links die mid-run and the machine swaps
+// partitions live at its chunk boundaries, yet every (geometry, worker
+// count, swap) cell must produce the byte-identical report —
+// re-partitioning is execution strategy, not simulation.
 func TestDeterminismFailLinkRepartition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-machine determinism sweep")
 	}
-	ref, _ := congestedRun(t, PartitionBands, 1, true, RepartitionOff)
+	ref, _ := congestedRun(t, PartitionBands, 1, true, false)
 	if ref.PacketsDropped == 0 {
 		t.Fatalf("mid-run link faults dropped nothing; the fault case is not being exercised")
 	}
-	var swaps uint64
 	for _, partition := range []string{PartitionBands, PartitionBlocks, PartitionBoards} {
 		for _, workers := range []int{1, 2, 4, 7} {
-			for _, policy := range []string{RepartitionOff, RepartitionAuto} {
-				if partition == PartitionBands && workers == 1 && policy == RepartitionOff {
+			for _, swap := range []bool{false, true} {
+				if partition == PartitionBands && workers == 1 && !swap {
 					continue // the reference itself
 				}
-				got, st := congestedRun(t, partition, workers, true, policy)
+				got, st := congestedRun(t, partition, workers, true, swap)
 				if !reflect.DeepEqual(got, ref) {
-					t.Errorf("faillink 8x8: %s/%d/%s diverged from bands/1/off:\nref: %+v\ngot: %+v",
-						partition, workers, policy, *ref, *got)
+					t.Errorf("faillink 8x8: %s/%d swap=%v diverged from bands/1:\nref: %+v\ngot: %+v",
+						partition, workers, swap, *ref, *got)
 				}
-				if policy == RepartitionOff && st.Repartitions != 0 {
-					t.Errorf("%s/%d: policy off but %d repartitions", partition, workers, st.Repartitions)
+				if swap != (st.Repartitions > 0) {
+					t.Errorf("%s/%d swap=%v: %d repartitions", partition, workers, swap, st.Repartitions)
 				}
-				swaps += st.Repartitions
 			}
 		}
 	}
-	t.Logf("auto cells performed %d repartitions across the matrix", swaps)
 }
 
 // hostBatchRun interleaves host-command traffic with the congested

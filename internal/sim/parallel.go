@@ -56,8 +56,7 @@ type mailMsg struct {
 
 // shardLane is the per-shard state the window protocol touches: the
 // shard's outgoing mail, appended by whichever goroutine runs the shard
-// inside a window, and the coordinator's tallies for it, written only
-// at barriers. Neighbouring shards run on different cores and append
+// inside a window. Neighbouring shards run on different cores and append
 // mail on every cross-shard post, so each lane has a cache line to
 // itself (BenchmarkHandoff's mail rows run 5-8 % slower without the
 // padding).
@@ -70,12 +69,7 @@ type shardLane struct {
 	// deliveries, and the drain is O(messages + shards) instead of an
 	// O(shards²) matrix scan.
 	mail []mailMsg
-	// events accumulates window events since the last TakeShardEvents,
-	// the observed density the re-partitioning policy steers by; before
-	// is the per-window scratch it is computed from.
-	events uint64
-	before uint64
-	_      [64 - 40]byte
+	_    [64 - 24]byte
 }
 
 // ParallelEngine is a sharded discrete-event scheduler implementing
@@ -107,15 +101,14 @@ type shardLane struct {
 //
 // With a single shard every method degenerates to the plain Engine,
 // bit-for-bit. Whether a given window is shared with the helpers or runs
-// inline on the coordinator is pure execution strategy: it cannot affect the event
-// order, which is why the adaptive mode below preserves determinism.
+// inline on the coordinator is pure execution strategy: it cannot affect
+// the event order.
 type ParallelEngine struct {
 	shards    []*Engine
 	workers   int
 	lookahead Time
-	adaptive  bool
 
-	// lanes[i] is shard i's mail arena and window tallies.
+	// lanes[i] is shard i's mail arena.
 	lanes []shardLane
 
 	// curLimit/inWindow let Post assert the lookahead contract from any
@@ -149,13 +142,11 @@ type ParallelEngine struct {
 
 	// Window statistics, updated only at barriers (quiescence points of
 	// the window protocol). They derive from event counts — simulation
-	// trajectory, not wall clock — so adaptive decisions based on them
-	// are identical run to run.
-	windows        uint64  // lookahead windows executed
-	parWindows     uint64  // windows dispatched to the pool
-	windowEvents   uint64  // events executed inside windows
-	ewmaEvPerShard float64 // events per active shard per window, smoothed
-	activeScratch  []int   // coordinator-local active-set buffer
+	// trajectory, not wall clock — so they are identical run to run.
+	windows       uint64 // lookahead windows executed
+	parWindows    uint64 // windows dispatched to the pool
+	windowEvents  uint64 // events executed inside windows
+	activeScratch []int  // coordinator-local active-set buffer
 
 	// Hand-off accounting. handoffs counts coordinator hand-off +
 	// barrier cycles: one per runWindow and one per solo batch, however
@@ -167,27 +158,7 @@ type ParallelEngine struct {
 	handoffs       uint64
 	batchRuns      uint64
 	batchedWindows uint64
-
-	// soloThreshold is the adaptive-mode density bound: windows whose
-	// smoothed events-per-active-shard estimate sits below it run
-	// inline on the coordinator instead of being shared with the
-	// helpers. Always defaultSoloThreshold outside this package's tests —
-	// it derives from the trajectory only, so varying it changes which
-	// goroutines execute the events, never the results.
-	soloThreshold float64
 }
-
-// defaultSoloThreshold is the events-per-active-shard-per-window level
-// below which adaptive mode runs a window inline on the coordinator.
-// BenchmarkHandoff puts numbers on it (two processors): sharing a
-// window with a helper costs about 1.3 µs over the work itself — the
-// ticket, the countdown and the helper shard's queue head each cross
-// between caches — so shared meets inline at about 35 bare events a
-// shard, 1.7 µs of work each, and three times later when the events
-// cross the cut (the mail rows). Model events cost 160-330 ns, which
-// puts the crossover at 5-10 events a shard without mail and above that
-// with it; 16 keeps the windows at the margin inline.
-const defaultSoloThreshold = 16
 
 // NewParallel returns a ParallelEngine with the given shard count.
 // Shard 0's random stream is seeded exactly as New(seed), so the
@@ -208,13 +179,11 @@ func NewParallel(seed uint64, shards, workers int) *ParallelEngine {
 		workers = shards
 	}
 	pe := &ParallelEngine{
-		shards:         make([]*Engine, shards),
-		workers:        workers,
-		lookahead:      1,
-		lanes:          make([]shardLane, shards),
-		ewmaEvPerShard: 4 * defaultSoloThreshold, // start optimistic: first windows go to the pool
-		soloThreshold:  defaultSoloThreshold,
-		activeScratch:  make([]int, 0, shards),
+		shards:        make([]*Engine, shards),
+		workers:       workers,
+		lookahead:     1,
+		lanes:         make([]shardLane, shards),
+		activeScratch: make([]int, 0, shards),
 	}
 	for i := range pe.shards {
 		pe.shards[i] = New(seed)
@@ -249,17 +218,6 @@ func (pe *ParallelEngine) Close() {
 	runtime.SetFinalizer(pe, nil)
 }
 
-// SetAdaptive enables adaptive worker selection: each window is
-// dispatched to the pool only when the observed event density (events
-// per active shard per window, re-evaluated at window barriers) makes
-// the handoff worthwhile; thin windows run inline on the coordinator.
-// Results are identical either way — the strategy never touches event
-// order — so this trades nothing but wall-clock time.
-func (pe *ParallelEngine) SetAdaptive(on bool) { pe.adaptive = on }
-
-// Adaptive reports whether adaptive worker selection is enabled.
-func (pe *ParallelEngine) Adaptive() bool { return pe.adaptive }
-
 // SetLookahead declares the minimum latency of any cross-shard event:
 // an event executing at time t may only Post events with timestamps
 // >= t + d. Windows are bounded by this value; Post enforces it.
@@ -284,8 +242,7 @@ func (pe *ParallelEngine) Workers() int { return pe.workers }
 func (pe *ParallelEngine) Windows() uint64 { return pe.windows }
 
 // ParallelWindows reports how many windows were dispatched to the pool
-// (the rest ran inline: single active shard, no pool, or adaptive
-// solo).
+// (the rest ran inline: a single active shard, or no pool).
 func (pe *ParallelEngine) ParallelWindows() uint64 { return pe.parWindows }
 
 // Handoffs reports coordinator hand-off + barrier cycles: one per
@@ -320,39 +277,6 @@ func (pe *ParallelEngine) Repartitions() uint64 { return pe.repartitions }
 // hot path) are not counted — the figure isolates how often a driver
 // stopped the machine to look at it.
 func (pe *ParallelEngine) Transitions() uint64 { return pe.transitions }
-
-// TakeShardEvents returns the events executed per shard inside windows
-// since the last call (or construction/Repartition), and resets the
-// counters. It is the observed per-shard density a re-partitioning
-// policy steers by; like every window statistic it derives from the
-// simulation trajectory only, so policy decisions based on it are
-// identical run to run. The result is appended into buf (which may be
-// nil), so a polling caller can reuse one buffer across calls.
-func (pe *ParallelEngine) TakeShardEvents(buf []uint64) []uint64 {
-	buf = buf[:0]
-	for i := range pe.lanes {
-		buf = append(buf, pe.lanes[i].events)
-		pe.lanes[i].events = 0
-	}
-	return buf
-}
-
-// PendingByDomain adds 1 to counts[id] for every pending event owned by
-// domain id (cross-domain deliveries count at their destination);
-// domains outside the slice — including anonymous engine events — are
-// skipped. Each domain knows the length of its own list, so this is one
-// read per domain; it gives the re-partitioning policy the backlog the
-// next windows will execute, to weigh alongside the executed-density
-// history.
-func (pe *ParallelEngine) PendingByDomain(counts []uint64) {
-	for _, s := range pe.shards {
-		for _, d := range s.q.doms {
-			if d.id >= 0 && int(d.id) < len(counts) {
-				counts[d.id] += uint64(len(d.pend))
-			}
-		}
-	}
-}
 
 // Shard returns shard i's engine. Model components owned by a shard
 // schedule their local events directly on it.
@@ -498,8 +422,7 @@ func (pe *ParallelEngine) Drain() {
 		before := s.Processed()
 		s.Run()
 		if ev := s.Processed() - before; ev > 0 {
-			pe.noteWindow(1, ev)
-			pe.lanes[0].events += ev
+			pe.noteWindow(ev)
 		}
 		return
 	}
@@ -651,19 +574,17 @@ func reuseLanes(l []shardLane, n int) []shardLane {
 	return l
 }
 
-// noteWindow folds one window's event count into the density estimate
-// the adaptive mode steers by. Called only at the window barrier.
-func (pe *ParallelEngine) noteWindow(activeShards int, events uint64) {
+// noteWindow counts one window and its events. Called only at the
+// window barrier.
+func (pe *ParallelEngine) noteWindow(events uint64) {
 	pe.windows++
 	pe.windowEvents += events
-	perShard := float64(events) / float64(activeShards)
-	pe.ewmaEvPerShard = 0.75*pe.ewmaEvPerShard + 0.25*perShard
 }
 
 // runWindow executes one lookahead window ending at end: every shard
-// with events inside it runs, shared with the resident helpers when
-// worthwhile (the coordinator always takes part itself, and adaptive
-// mode keeps whole thin windows inline). pre, when non-nil,
+// with events inside it runs, shared with the resident helpers whenever
+// more than one shard has work and a pool exists (the coordinator
+// always takes part itself). pre, when non-nil,
 // runs first on the coordinator — before any peer commits work — and
 // may truncate the window by returning a shard to exclude (it already
 // ran) and a lower limit for everyone else; RunUntilAnyOf uses it to
@@ -671,10 +592,11 @@ func (pe *ParallelEngine) noteWindow(activeShards int, events uint64) {
 // statistics and barrier mailboxes are settled identically either way.
 func (pe *ParallelEngine) runWindow(end Time, pre func() (skip int, limit Time)) {
 	active := pe.activeScratch[:0]
+	var before uint64
 	for i, s := range pe.shards {
 		if t, ok := s.NextAt(); ok && t < end {
 			active = append(active, i)
-			pe.lanes[i].before = s.Processed()
+			before += s.Processed()
 		}
 	}
 	pe.activeScratch = active
@@ -691,9 +613,7 @@ func (pe *ParallelEngine) runWindow(end Time, pre func() (skip int, limit Time))
 		}
 	}
 	pool := pe.pool.Load()
-	pooled := rest > 1 && rest <= maxJobs && pool != nil &&
-		(!pe.adaptive || pe.ewmaEvPerShard >= pe.soloThreshold)
-	if pooled {
+	if rest > 1 && rest <= maxJobs && pool != nil {
 		pool.run(pe.shards, active, skip, limit)
 		pe.parWindows++
 	} else {
@@ -704,13 +624,11 @@ func (pe *ParallelEngine) runWindow(end Time, pre func() (skip int, limit Time))
 		}
 	}
 	pe.inWindow.Store(false)
-	var events uint64
+	var after uint64
 	for _, i := range active {
-		ev := pe.shards[i].Processed() - pe.lanes[i].before
-		pe.lanes[i].events += ev
-		events += ev
+		after += pe.shards[i].Processed()
 	}
-	pe.noteWindow(len(active), events)
+	pe.noteWindow(after - before)
 	pe.handoffs++
 	pe.drainMail()
 }
@@ -755,10 +673,8 @@ func (pe *ParallelEngine) nextHorizons() (next Time, solo int, n2 Time, ok bool)
 //
 // Every conceptual window runs the same RunBefore span with the same
 // end the unbatched loop would use and is accounted through the same
-// noteWindow, so Windows, EventsPerWindow, the adaptive density
-// estimate and the per-shard event tallies — everything policy
-// decisions read — are identical with batching on or off: the batch
-// elides coordination, never trajectory.
+// noteWindow, so Windows and EventsPerWindow are identical with
+// batching on or off: the batch elides coordination, never trajectory.
 func (pe *ParallelEngine) runSoloBatch(solo int, n2, deadline Time) {
 	s := pe.shards[solo]
 	pe.inWindow.Store(true)
@@ -778,9 +694,7 @@ func (pe *ParallelEngine) runSoloBatch(solo int, n2, deadline Time) {
 		pe.curLimit.Store(int64(end))
 		before := s.Processed()
 		s.RunBefore(end)
-		ev := s.Processed() - before
-		pe.lanes[solo].events += ev
-		pe.noteWindow(1, ev)
+		pe.noteWindow(s.Processed() - before)
 		batched++
 		if len(pe.lanes[solo].mail) > 0 {
 			break
@@ -797,9 +711,9 @@ func (pe *ParallelEngine) runSoloBatch(solo int, n2, deadline Time) {
 // lookahead windows, then advances every shard clock to exactly
 // deadline. Shards with events inside the current window run
 // concurrently across the coordinator and the resident helpers;
-// single-shard windows run on the coordinator and cost no handoff, adaptive mode keeps whole thin windows on
-// the coordinator, and runs of provably single-shard windows batch
-// under one hand-off (see runSoloBatch).
+// single-shard windows run on the coordinator and cost no handoff, and
+// runs of provably single-shard windows batch under one hand-off (see
+// runSoloBatch).
 func (pe *ParallelEngine) RunUntil(deadline Time) {
 	if len(pe.shards) == 1 {
 		// Sequential execution: the whole span runs as one barrier-free
@@ -810,8 +724,7 @@ func (pe *ParallelEngine) RunUntil(deadline Time) {
 		before := s.Processed()
 		s.RunUntil(deadline)
 		if ev := s.Processed() - before; ev > 0 {
-			pe.noteWindow(1, ev)
-			pe.lanes[0].events += ev
+			pe.noteWindow(ev)
 		}
 		return
 	}
@@ -879,8 +792,7 @@ func (pe *ParallelEngine) RunUntilAnyOf(deadline Time, watch *Domain, cond func(
 			}
 		}
 		if ev := s.Processed() - before; ev > 0 {
-			pe.noteWindow(1, ev)
-			pe.lanes[0].events += ev
+			pe.noteWindow(ev)
 		}
 		if !halted && deadline < Forever {
 			s.advanceTo(deadline)

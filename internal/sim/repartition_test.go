@@ -57,17 +57,32 @@ func (h *ringHarness) trace() []string {
 	return out
 }
 
-// repartitionRing rebinds the harness to a new owner table through
+// pendingByDomain counts every shard's pending events per domain id,
+// reading the domain lists each shard's queue holds (cross-domain
+// deliveries count at their destination; the anonymous domain is
+// skipped).
+func pendingByDomain(pe *ParallelEngine, n int) []uint64 {
+	counts := make([]uint64, n)
+	for _, s := range pe.shards {
+		for _, d := range s.q.doms {
+			if d.id >= 0 && int(d.id) < n {
+				counts[d.id] += uint64(len(d.pend))
+			}
+		}
+	}
+	return counts
+}
+
+// repartition rebinds the harness to a new owner table through
 // ParallelEngine.Repartition; every domain must arrive with exactly the
 // events it had pending.
 func (h *ringHarness) repartition(t *testing.T, shards int, owner []int) {
 	t.Helper()
-	before, after := make([]uint64, len(h.doms)), make([]uint64, len(h.doms))
-	h.pe.PendingByDomain(before)
+	before := pendingByDomain(h.pe, len(h.doms))
 	if err := h.pe.Repartition(shards, shards, func(d int32) int { return owner[d] }); err != nil {
 		t.Fatalf("repartition to %d shards: %v", shards, err)
 	}
-	h.pe.PendingByDomain(after)
+	after := pendingByDomain(h.pe, len(h.doms))
 	for d := range before {
 		if before[d] != after[d] || int(after[d]) != len(h.doms[d].pend) {
 			t.Fatalf("domain %d: %d pending before repartition, %d after (list holds %d)",
@@ -157,10 +172,8 @@ func TestRepartitionMovesPendingEvents(t *testing.T) {
 	if pe.Pending() != 7 || len(a.pend) != 4 || len(b.pend) != 2 {
 		t.Fatalf("after repartition: %d pending, %d on a, %d on b; want 7, 4, 2", pe.Pending(), len(a.pend), len(b.pend))
 	}
-	counts := make([]uint64, 2)
-	pe.PendingByDomain(counts)
-	if counts[0] != 4 || counts[1] != 2 {
-		t.Fatalf("PendingByDomain = %v, want [4 2]", counts)
+	if counts := pendingByDomain(pe, 2); counts[0] != 4 || counts[1] != 2 {
+		t.Fatalf("pending by domain = %v, want [4 2]", counts)
 	}
 	if a.Engine() != pe.Shard(1) || b.Engine() != pe.Shard(0) {
 		t.Fatal("domains not re-bound to their new owning shards")
@@ -204,30 +217,10 @@ func TestSingleShardRunUntilAccountsWindows(t *testing.T) {
 	if got := pe.EventsPerWindow(); got != 8 {
 		t.Errorf("EventsPerWindow() = %v, want 8", got)
 	}
-	ev := pe.TakeShardEvents(nil)
-	if len(ev) != 1 || ev[0] != 8 {
-		t.Errorf("TakeShardEvents() = %v, want [8]", ev)
-	}
 	// An empty span accounts nothing.
 	pe.RunUntil(200)
 	if pe.Windows() != 1 {
 		t.Errorf("empty span recorded a window: Windows() = %d", pe.Windows())
-	}
-}
-
-func TestTakeShardEventsResets(t *testing.T) {
-	pe := NewParallel(1, 2, 2)
-	defer pe.Close()
-	pe.SetLookahead(100)
-	pe.Shard(0).Domain(0).AtP(10, Func(func() {}))
-	pe.Shard(1).Domain(1).AtP(20, Func(func() {}))
-	pe.RunUntil(50)
-	ev := pe.TakeShardEvents(nil)
-	if len(ev) != 2 || ev[0]+ev[1] != 2 {
-		t.Errorf("TakeShardEvents() = %v, want two events across two shards", ev)
-	}
-	if again := pe.TakeShardEvents(nil); again[0]+again[1] != 0 {
-		t.Errorf("second TakeShardEvents() = %v, want zeros", again)
 	}
 }
 

@@ -63,7 +63,6 @@ type Machine struct {
 	BoardLink          string  `json:"board_link,omitempty"`
 	Cabinets           string  `json:"cabinets,omitempty"`
 	CabinetLink        string  `json:"cabinet_link,omitempty"`
-	Repartition        bool    `json:"repartition,omitempty"`
 	HostOrigin         string  `json:"host_origin,omitempty"`
 	MaxAppCoresPerChip int     `json:"max_app_cores_per_chip,omitempty"`
 	MaxNeuronsPerCore  int     `json:"max_neurons_per_core,omitempty"`
@@ -149,7 +148,7 @@ type Stimulus struct {
 
 // Run is the biological run schedule. ChunkMS bounds each Run call —
 // quiescence boundaries land every chunk, which is where deferred link
-// repairs commit and the repartition policy acts. 0 means one chunk.
+// repairs commit. 0 means one chunk.
 type Run struct {
 	BioMS   int `json:"bio_ms"`
 	ChunkMS int `json:"chunk_ms,omitempty"`

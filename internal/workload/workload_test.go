@@ -88,6 +88,7 @@ func TestParseRejects(t *testing.T) {
 		{"untileable cabinets", withMachine(`"boards": "2x2", "cabinets": "9x9"`), "machine.cabinets:"},
 		{"unknown cabinet link", withMachine(`"boards": "2x2", "cabinets": "1x1", "cabinet_link": "warp"`), "machine.cabinet_link: unknown"},
 		{"cabinet link without cabinets", withMachine(`"boards": "2x2", "cabinet_link": "uniform"`), "machine.cabinet_link:"},
+		{"removed repartition key", withMachine(`"repartition": true`), `4:40: unknown field "repartition"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,7 +2,6 @@ package spinngo
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"slices"
 	"strconv"
@@ -47,10 +46,8 @@ type MachineConfig struct {
 	Seed uint64
 	// Workers is the number of torus shards simulated in parallel
 	// (conservative PDES over the partitioned mesh). 0 means automatic:
-	// the shard count is sized from the torus and runtime.GOMAXPROCS,
-	// and — when Partition is also automatic — the engine adapts its
-	// per-window parallelism to the observed event density. Explicit
-	// values are clamped down to the granularity of the chosen
+	// the shard count is sized from the torus and runtime.GOMAXPROCS.
+	// Explicit values are clamped down to the granularity of the chosen
 	// geometry (bands: one per row or column; blocks: one per chip);
 	// negative values and values above Width*Height are rejected by
 	// Validate. Workers=1 reproduces the single-engine event order
@@ -101,15 +98,6 @@ type MachineConfig struct {
 	// third level without extra PHY heterogeneity, the ablation).
 	// Requires Cabinets.
 	CabinetLinkParams string
-	// Repartition selects the runtime re-partitioning policy: "" or
-	// RepartitionOff freezes the construction-time partition (the
-	// historical behaviour), RepartitionAuto re-runs the geometry/shard
-	// comparison at quiescence boundaries — between Run calls, and
-	// urgently after FailLink or migration storms — against the observed
-	// per-chip event densities, swapping the partition when the
-	// projected cost improves by a threshold. Re-partitioning is pure
-	// execution strategy: reports stay byte-identical with it on or off.
-	Repartition string
 	// HostOrigin is the Ethernet-attached gateway chip the host system
 	// talks through, as "x,y" (e.g. "4,0"). "" means chip (0,0). The
 	// boot sequence always roots its coordinate flood at (0,0) — the
@@ -163,12 +151,6 @@ const (
 // level, bottom-up: blocks of whole chips, of whole boards, of whole
 // cabinets.
 var tiledPartitions = []string{PartitionBlocks, PartitionBoards, PartitionCabinets}
-
-// Re-partitioning policies accepted by MachineConfig.Repartition.
-const (
-	RepartitionOff  = "off"
-	RepartitionAuto = "auto"
-)
 
 func (c *MachineConfig) fillDefaults() {
 	if c.CoresPerChip == 0 {
@@ -226,12 +208,6 @@ func (c MachineConfig) resolve() ([]router.Level, error) {
 	}
 	if l := slices.Index(tiledPartitions, c.Partition); l >= len(levels) {
 		return nil, fmt.Errorf("spinngo: Partition %q requires %s", c.Partition, specs[l-1].Key)
-	}
-	switch c.Repartition {
-	case "", RepartitionOff, RepartitionAuto:
-	default:
-		return nil, fmt.Errorf("spinngo: unknown Repartition %q (want %q or %q)",
-			c.Repartition, RepartitionOff, RepartitionAuto)
 	}
 	if c.FillRedundancy < 0 || c.FillRedundancy > topo.NumDirs {
 		return nil, fmt.Errorf("spinngo: FillRedundancy must be 0..%d (0 = default 1), got %d",
@@ -322,24 +298,19 @@ func autoWorkers(torus topo.Torus) int {
 }
 
 // choosePartition resolves the configured geometry and worker count
-// into a concrete partition, and reports whether the engine should run
-// with adaptive worker selection (automatic geometry AND automatic
-// worker count — the fully self-tuning mode). params supplies the
-// per-link PHY model the automatic comparison prices lookahead with.
-func choosePartition(cfg MachineConfig, params router.Params) (topo.Partition, bool) {
-	auto := cfg.Partition == "" || cfg.Partition == PartitionAuto
+// into a concrete partition. params supplies the per-link PHY model the
+// automatic comparison prices lookahead with.
+func choosePartition(cfg MachineConfig, params router.Params) topo.Partition {
 	workers := cfg.Workers
-	adaptive := false
 	if workers == 0 {
 		workers = autoWorkers(params.Torus)
-		adaptive = auto
 	}
-	if !auto {
+	if cfg.Partition != "" && cfg.Partition != PartitionAuto {
 		part, err := partitionFor(cfg.Partition, params, workers)
 		if err != nil {
 			panic(err) // Validate accepted the geometry and its tiling
 		}
-		return part, false
+		return part
 	}
 	// Automatic geometry: whichever strategy reaches the requested
 	// parallelism; at equal shard counts the wider lookahead wins (on a
@@ -363,7 +334,7 @@ func choosePartition(cfg MachineConfig, params router.Params) (topo.Partition, b
 			best = cand
 		}
 	}
-	return best, adaptive
+	return best
 }
 
 // unit is one application core's runtime: kernel + neurons + synapses.
@@ -398,10 +369,9 @@ type chipTallies struct {
 	_                 [8]uint64 // keep neighbouring chips off each other's cache lines
 }
 
-// Chunk sizing for the lazily-materialised per-chip stores (tallies,
-// activity counters): 64 chips to a chunk, matching the fabric's node
-// arena, so an idle region of a large torus costs one nil pointer per
-// 64 chips instead of dense state.
+// Chunk sizing for the lazily-materialised per-chip tallies: 64 chips to
+// a chunk, matching the fabric's node arena, so an idle region of a
+// large torus costs one nil pointer per 64 chips instead of dense state.
 const (
 	chipChunkBits = 6
 	chipChunkSize = 1 << chipChunkBits
@@ -495,45 +465,16 @@ type Machine struct {
 	tallies chunked[chipTallies]
 	bioMS   uint64
 
-	// Runtime re-partitioning state. baseWorkers is the construction-
-	// time parallelism target the auto policy re-aims for; activityAt
-	// snapshots each chip domain's scheduled-event counter at the last
-	// policy evaluation; repartitionUrgent forces the next evaluation
-	// past the minimum-signal gate (set by FailLink and migration
-	// storms); lastMigrations detects those storms.
-	autoRepartition   bool
-	baseWorkers       int
-	activityAt        chunked[uint64]
-	repartitionUrgent bool
-	lastMigrations    uint64
-	lastWindows       uint64
-	// faultDirty flags that a scripted campaign event (link failure,
-	// chip death, deferred repair) ran since the last quiescence
-	// commit. Written from shard-owned campaign events, consumed by
-	// commitFaults between windows — hence atomic.
+	// faultDirty flags that a fault (link failure, chip death, deferred
+	// repair) landed since the last quiescence commit. Written from
+	// shard-owned campaign events, consumed by commitFaults between
+	// windows — hence atomic.
 	faultDirty atomic.Bool
 	// deadDone tracks chips whose death has been committed at a
 	// quiescence boundary (boot aliveness flipped, cores stopped), so
 	// commitFaults touches each dead chip exactly once.
 	deadDone map[topo.Coord]bool
-	// evSpacingNS is the observed mean busy-time between window events
-	// (windows x lookahead / events), a property of the trajectory — not
-	// of the shard layout — that projects how many barriers a candidate
-	// lookahead would pay. 0 until first observed; only multi-shard
-	// stretches update it (a single shard runs windowless). Smoothed as
-	// an exponentially-decaying average so one anomalous stretch (a
-	// boot flood, a migration storm) cannot whipsaw the policy, while a
-	// genuine workload shift still moves it within a few evaluations.
-	evSpacingNS float64
-	// shardEvBuf and actBuf are reused evaluation scratch (the policy
-	// runs at every quiescence boundary of an ms-granular driver).
-	shardEvBuf []uint64
-	actBuf     []uint64
 }
-
-// evSpacingDecay weights the newest spacing observation in the
-// exponentially-decaying evSpacingNS average.
-const evSpacingDecay = 0.4
 
 // MigrationDetectMS is how long the monitor's watchdog takes to notice a
 // silent application core before starting a migration (abstract:
@@ -552,9 +493,8 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	params := router.DefaultParams(cfg.Width, cfg.Height)
 	params.EmergencyEnabled = !cfg.DisableEmergencyRouting
 	params.Levels = levels
-	part, adaptive := choosePartition(cfg, params)
+	part := choosePartition(cfg, params)
 	pe := sim.NewParallel(cfg.Seed, part.Shards(), part.Shards())
-	pe.SetAdaptive(adaptive)
 	// The lookahead folds each cut link's frame serialisation time into
 	// the router pipeline latency, minimised over the partition's actual
 	// boundary cut: a cut aligned to a level of slow cabled links earns
@@ -567,15 +507,12 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	}
 	origin, _ := cfg.hostOrigin() // Validate accepted it
 	return &Machine{
-		cfg:             cfg,
-		pe:              pe,
-		part:            part,
-		fab:             fab,
-		hostOrigin:      origin,
-		tallies:         newChunked[chipTallies](torus.Size()),
-		autoRepartition: cfg.Repartition == RepartitionAuto,
-		baseWorkers:     part.Shards(),
-		activityAt:      newChunked[uint64](torus.Size()),
+		cfg:        cfg,
+		pe:         pe,
+		part:       part,
+		fab:        fab,
+		hostOrigin: origin,
+		tallies:    newChunked[chipTallies](torus.Size()),
 	}, nil
 }
 
@@ -618,11 +555,9 @@ type SimStats struct {
 	// bottom-up: "1x1" for the chip, then e.g. "4x4" for boards of 4x4
 	// chips and "8x8" for cabinets of 2x2 such boards.
 	Levels []string
-	// Shards and Workers are the effective shard count and parallelism
-	// bound; Adaptive reports whether per-window worker selection is on.
-	Shards   int
-	Workers  int
-	Adaptive bool
+	// Shards and Workers are the effective shard count and parallelism bound.
+	Shards  int
+	Workers int
 	// CutLinks counts directed inter-chip links crossing shard
 	// boundaries — the traffic that must pass barrier mailboxes.
 	// CutLinksByLevel splits the cut by the highest packaging level each
@@ -639,11 +574,11 @@ type SimStats struct {
 	Lookahead        sim.Time
 	UniformLookahead sim.Time
 	// Windows counts lookahead windows executed; ParallelWindows those
-	// dispatched to the worker pool; EventsPerWindow the mean event
-	// density the adaptive mode steers by. A single-shard engine runs
-	// each RunUntil span as one barrier-free window, so its counts stay
-	// comparable (near-zero, as sequential execution synchronises
-	// nothing) instead of reading zero events per window.
+	// dispatched to the worker pool; EventsPerWindow the mean events per
+	// window. A single-shard engine runs each RunUntil span as one
+	// barrier-free window, so its counts stay comparable (near-zero, as
+	// sequential execution synchronises nothing) instead of reading zero
+	// events per window.
 	Windows         uint64
 	ParallelWindows uint64
 	EventsPerWindow float64
@@ -658,9 +593,9 @@ type SimStats struct {
 	// Events counts simulation events executed across all shards,
 	// cumulative across re-partitionings.
 	Events uint64
-	// Repartitions counts completed runtime re-partitions (manual and
-	// policy-driven). Geometry, Shards, CutLinks and Lookahead above
-	// always describe the currently-active partition.
+	// Repartitions counts completed Machine.Repartition swaps. Geometry,
+	// Shards, CutLinks and Lookahead above always describe the
+	// currently-active partition.
 	Repartitions uint64
 	// HostTransitions counts engine stop/start round trips by
 	// sequential-mode drivers: boot-phase quiescence runs plus one per
@@ -681,7 +616,6 @@ func (m *Machine) SimStats() SimStats {
 		Levels:           levels,
 		Shards:           m.pe.Shards(),
 		Workers:          m.pe.Workers(),
-		Adaptive:         m.pe.Adaptive(),
 		CutLinks:         m.part.CutLinks(),
 		CutLinksByLevel:  m.part.CutComposition(len(params.Levels), params.ClassOf),
 		Lookahead:        m.pe.Lookahead(),
@@ -698,37 +632,6 @@ func (m *Machine) SimStats() SimStats {
 	}
 }
 
-// Runtime re-partitioning policy constants.
-const (
-	// repartitionMinEvents is the window-event signal below which the
-	// auto policy stands pat: too little traffic to justify moving the
-	// machine (FailLink and migration storms bypass the gate).
-	repartitionMinEvents = 4096
-	// repartitionImprove is the hysteresis: a candidate must beat the
-	// active partition's projected cost by this factor to be swapped in.
-	repartitionImprove = 0.9
-	// repartitionBarrierCost prices one window barrier in
-	// event-equivalents: the handoffs and wake-ups a barrier costs are
-	// worth roughly this many executed events. Candidates trade critical
-	// path against projected barriers at this rate.
-	repartitionBarrierCost = 2.0
-)
-
-// buildPartition resolves an explicit geometry name and worker count
-// into a partition of this machine's torus (workers 0 = the automatic
-// sizing NewMachine uses).
-func (m *Machine) buildPartition(geometry string, workers int) (topo.Partition, error) {
-	torus := m.part.Torus()
-	if workers == 0 {
-		workers = autoWorkers(torus)
-	}
-	if workers < 0 || workers > torus.Size() {
-		return topo.Partition{}, fmt.Errorf("spinngo: repartition workers %d outside 0..%d",
-			workers, torus.Size())
-	}
-	return partitionFor(geometry, m.fab.Params(), workers)
-}
-
 // Repartition re-shapes the machine's shard decomposition at runtime:
 // every chip domain re-binds to its new owning shard engine, pending
 // events migrate heap-to-heap with their canonical keys intact, and the
@@ -738,24 +641,27 @@ func (m *Machine) buildPartition(geometry string, workers int) (topo.Partition, 
 // between Run calls, never from inside a running model. Workers 0 sizes
 // the shard count automatically. Re-partitioning is pure execution
 // strategy — reports are byte-identical with any sequence of
-// Repartition calls, or none.
+// Repartition calls, or none. A swap to an identical chip->shard map at
+// an unchanged lookahead is a no-op.
 func (m *Machine) Repartition(geometry string, workers int) error {
-	part, err := m.buildPartition(geometry, workers)
+	torus := m.part.Torus()
+	if workers == 0 {
+		workers = autoWorkers(torus)
+	}
+	if workers < 0 || workers > torus.Size() {
+		return fmt.Errorf("spinngo: repartition workers %d outside 0..%d",
+			workers, torus.Size())
+	}
+	part, err := partitionFor(geometry, m.fab.Params(), workers)
 	if err != nil {
 		return err
 	}
-	return m.repartitionTo(part)
-}
-
-// repartitionTo swaps the active partition for part: engine first
-// (domain re-binding and event migration), then the lookahead, then the
-// fabric's shard ownership map. A swap to an identical chip->shard map
-// at an unchanged lookahead is a no-op.
-func (m *Machine) repartitionTo(part topo.Partition) error {
 	la := m.fab.LiveLookaheadFor(part)
 	if part.Equal(m.part) && la == m.pe.Lookahead() {
 		return nil
 	}
+	// Engine first (domain re-binding and event migration), then the
+	// lookahead, then the fabric's shard ownership map.
 	if err := m.pe.Repartition(part.Shards(), part.Shards(), func(d int32) int {
 		return part.ShardOfIndex(int(d))
 	}); err != nil {
@@ -768,161 +674,6 @@ func (m *Machine) repartitionTo(part topo.Partition) error {
 	m.part = part
 	return nil
 }
-
-// repartitionCandidates enumerates the partitions the auto policy
-// compares: every geometry at the construction-time parallelism target,
-// at half of it, and the sequential fallback — deduplicated by their
-// chip->shard maps.
-func (m *Machine) repartitionCandidates() []topo.Partition {
-	params := m.fab.Params()
-	targets := []int{m.baseWorkers}
-	if h := m.baseWorkers / 2; h >= 2 {
-		targets = append(targets, h)
-	}
-	targets = append(targets, 1)
-	var cands []topo.Partition
-	add := func(p topo.Partition) {
-		for _, q := range cands {
-			if q.Equal(p) {
-				return
-			}
-		}
-		cands = append(cands, p)
-	}
-	for _, w := range targets {
-		for _, p := range availablePartitions(params, w) {
-			add(p)
-		}
-	}
-	return cands
-}
-
-// projectedCost prices running the observed per-chip activity mix on a
-// candidate partition, in event-equivalents: the critical path (events
-// on the busiest shard — the serial bottleneck no window protocol can
-// overlap past) plus the projected barrier count at the candidate's
-// live lookahead la, each barrier priced at repartitionBarrierCost.
-// Barriers are projected from the observed mean event spacing
-// (evSpacingNS): windows ~ busy time / lookahead, so a candidate with a
-// wider live cut — including a FailLinked fast cut re-priced to its
-// surviving floor — pays proportionally fewer. A sequential candidate
-// pays none but carries the whole load as critical path. Every input
-// derives from the simulation trajectory, so the policy decides
-// identically run to run.
-func (m *Machine) projectedCost(part topo.Partition, act []uint64, total uint64, la sim.Time) float64 {
-	perShard := make([]uint64, part.Shards())
-	for i, a := range act {
-		perShard[part.ShardOfIndex(i)] += a
-	}
-	var maxShard uint64
-	for _, v := range perShard {
-		if v > maxShard {
-			maxShard = v
-		}
-	}
-	cost := float64(maxShard)
-	if part.Shards() > 1 && m.evSpacingNS > 0 {
-		projWindows := float64(total) * m.evSpacingNS / float64(la)
-		cost += repartitionBarrierCost * projWindows
-	}
-	return cost
-}
-
-// maybeRepartition is the auto policy's quiescence-boundary evaluation:
-// it differences each chip domain's scheduled-event counter against the
-// last evaluation, prices the active partition (at the engine's actual
-// lookahead, which may be stale after link failures) against every
-// candidate (at their live lookaheads), and swaps when the best
-// candidate clears the hysteresis threshold. Evaluations are gated on a
-// minimum window-event signal except after FailLink or a migration
-// storm, which force a look immediately.
-func (m *Machine) maybeRepartition() error {
-	if !m.autoRepartition {
-		return nil
-	}
-	var signal uint64
-	m.shardEvBuf = m.pe.TakeShardEvents(m.shardEvBuf)
-	for _, ev := range m.shardEvBuf {
-		signal += ev
-	}
-	// Refresh the event-spacing estimate from the windows the last
-	// stretch actually ran (only multi-shard stretches run windows
-	// bounded by the lookahead; a single shard is windowless). The
-	// observation folds into a decaying average rather than replacing
-	// the estimate outright.
-	windowsDelta := m.pe.Windows() - m.lastWindows
-	m.lastWindows = m.pe.Windows()
-	if m.part.Shards() > 1 && windowsDelta > 0 && signal > 0 {
-		obs := float64(windowsDelta) * float64(m.pe.Lookahead()) / float64(signal)
-		if m.evSpacingNS == 0 {
-			m.evSpacingNS = obs
-		} else {
-			m.evSpacingNS = (1-evSpacingDecay)*m.evSpacingNS + evSpacingDecay*obs
-		}
-	}
-	var migs uint64
-	m.tallies.each(func(_ int, t *chipTallies) { migs += t.migrations })
-	urgent := m.repartitionUrgent || migs != m.lastMigrations
-	m.repartitionUrgent = false
-	m.lastMigrations = migs
-	if signal < repartitionMinEvents && !urgent {
-		return nil
-	}
-	size := m.part.Torus().Size()
-	if cap(m.actBuf) < size {
-		m.actBuf = make([]uint64, size)
-	}
-	act := m.actBuf[:size]
-	for i := range act {
-		act[i] = 0
-	}
-	// Only instantiated chips have domains (and so activity); act is
-	// indexed by torus index, which on a sparse machine is not the
-	// node's position in the Nodes slice.
-	for _, n := range m.fab.Nodes() {
-		i := n.Index()
-		s := n.Domain().Scheduled()
-		last := m.activityAt.at(i)
-		act[i] = s - *last
-		*last = s
-	}
-	// Fold in the pending backlog per chip — the work the next windows
-	// will execute, read off the domains' pending lists. A hotspot that
-	// has queued a burst but not yet executed it shows up here one
-	// evaluation earlier than in the executed-density history alone.
-	m.pe.PendingByDomain(act)
-	var total uint64
-	for _, a := range act {
-		total += a
-	}
-	if total == 0 {
-		return nil
-	}
-	curCost := m.projectedCost(m.part, act, total, m.pe.Lookahead())
-	best := m.part
-	bestCost := curCost
-	if debugRepartition {
-		fmt.Printf("[repart] cur=%s/%d la=%v cost=%.0f total=%d spacing=%.1f signal=%d windows=%d\n",
-			geometryName(m.part), m.part.Shards(), m.pe.Lookahead(), curCost, total, m.evSpacingNS, signal, windowsDelta)
-	}
-	for _, cand := range m.repartitionCandidates() {
-		c := m.projectedCost(cand, act, total, m.fab.LiveLookaheadFor(cand))
-		if debugRepartition {
-			fmt.Printf("[repart]   cand %s/%d la=%v cost=%.0f\n",
-				geometryName(cand), cand.Shards(), m.fab.LiveLookaheadFor(cand), c)
-		}
-		if c < bestCost {
-			best, bestCost = cand, c
-		}
-	}
-	if bestCost < curCost*repartitionImprove {
-		return m.repartitionTo(best)
-	}
-	return nil
-}
-
-// debugRepartition prints the policy's evaluations (development aid).
-var debugRepartition = os.Getenv("SPINNGO_DEBUG_REPARTITION") != ""
 
 // domAt returns the scheduling domain of a chip.
 func (m *Machine) domAt(c topo.Coord) *sim.Domain { return m.fab.DomainAt(c) }
@@ -1462,11 +1213,6 @@ func (m *Machine) Run(ms int) (*RunReport, error) {
 	if ms <= 0 {
 		return nil, fmt.Errorf("spinngo: non-positive run length")
 	}
-	// Quiescence boundary: the auto policy may re-shape the partition
-	// before the next parallel stretch.
-	if err := m.maybeRepartition(); err != nil {
-		return nil, err
-	}
 	m.bioMS += uint64(ms)
 	m.pe.RunUntil(m.pe.Now() + sim.Time(ms)*sim.Millisecond)
 	// Quiescence boundary: commit any scripted faults the windows above
@@ -1542,8 +1288,9 @@ func (m *Machine) checkChip(x, y int) (topo.Coord, error) {
 }
 
 // FailLink kills both directions of the link leaving chip (x, y) in the
-// given direction ("E", "NE", "N", "W", "SW", "S") — the fault-injection
-// hook for the emergency-routing experiments.
+// given direction ("E", "NE", "N", "W", "SW", "S") at the current
+// quiescent instant — the fault-injection hook for the emergency-routing
+// experiments. The lookahead re-prices over the live cut at once.
 func (m *Machine) FailLink(x, y int, dir string) error {
 	d, err := parseDir(dir)
 	if err != nil {
@@ -1554,9 +1301,8 @@ func (m *Machine) FailLink(x, y int, dir string) error {
 		return err
 	}
 	m.fab.FailLinkPair(c, d)
-	// A dead link re-shapes the live cut; the auto policy takes
-	// an immediate look at the next quiescence boundary.
-	m.repartitionUrgent = true
+	m.faultDirty.Store(true)
+	m.commitFaults()
 	return nil
 }
 
@@ -1691,9 +1437,8 @@ func (m *Machine) commitFaults() {
 	if dirty || repaired {
 		// Failures widen the live cut's hop floor, repairs tighten it;
 		// either way this quiescent instant is the safe place to re-aim
-		// the window bound, and the auto policy should take a fresh look.
+		// the window bound.
 		m.pe.SetLookahead(m.fab.LiveLookaheadFor(m.part))
-		m.repartitionUrgent = true
 	}
 }
 

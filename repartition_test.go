@@ -10,7 +10,8 @@ import (
 )
 
 // repartitionWorkload is a stimulus-driven network spread across the
-// torus — enough traffic that the auto policy has signal to steer by.
+// torus — enough traffic that every shard layout carries cross-shard
+// events.
 func repartitionWorkload(t *testing.T, m *Machine) (stim, exc Pop) {
 	t.Helper()
 	model := NewModel()
@@ -109,9 +110,10 @@ func TestRepartitionManualPreservesReport(t *testing.T) {
 // TestRepartitionRepricesGuttedCut is the FailLink story end to end on
 // a machine: a bands cut on a heterogeneous fabric mixes fast on-board
 // and slow board-to-board links, so its lookahead is pinned to the fast
-// floor — until every fast link in the cut dies, after which a
-// same-geometry Repartition re-prices the bound to the surviving slow
-// floor and the engine runs wider windows.
+// floor — until every fast link in the cut dies. FailLink commits like
+// every other fault, so the bound re-prices to the surviving slow floor
+// at once, and a same-geometry Repartition afterwards has nothing left
+// to do.
 func TestRepartitionRepricesGuttedCut(t *testing.T) {
 	m := buildSmallMachine(t, MachineConfig{Width: 8, Height: 8, Seed: 5, Workers: 4,
 		Partition: PartitionBands, Boards: "4x4", BoardLinkParams: BoardLinkSlow,
@@ -139,173 +141,19 @@ func TestRepartitionRepricesGuttedCut(t *testing.T) {
 			}
 		}
 	}
-	if got := m.SimStats().Lookahead; got != narrow {
-		t.Fatalf("lookahead moved to %v without a repartition", got)
+	wide := m.SimStats().Lookahead
+	if wide <= narrow {
+		t.Fatalf("gutted cut did not re-price at FailLink: lookahead %v, was %v", wide, narrow)
 	}
 	if err := m.Repartition(PartitionBands, 4); err != nil {
 		t.Fatal(err)
 	}
 	st = m.SimStats()
-	if st.Lookahead <= narrow {
-		t.Errorf("gutted cut did not re-price: lookahead %v, was %v", st.Lookahead, narrow)
+	if st.Lookahead != wide {
+		t.Errorf("same-geometry repartition moved the lookahead %v -> %v", wide, st.Lookahead)
 	}
-	if st.Repartitions != 1 {
-		t.Errorf("Repartitions = %d, want 1", st.Repartitions)
-	}
-}
-
-// TestAutoRepartitionCollapsesHotspot drives the re-selection policy: a
-// workload confined to one corner of an 8x8 torus leaves three of four
-// bands idle, so the policy should collapse the machine to a single
-// shard (no barriers at all) — while the report stays byte-identical to
-// a policy-off twin.
-func TestAutoRepartitionCollapsesHotspot(t *testing.T) {
-	build := func(policy string) (*Machine, Pop, Pop) {
-		m := buildSmallMachine(t, MachineConfig{Width: 8, Height: 8, Seed: 33, Workers: 4,
-			Partition: PartitionBands, Repartition: policy, MaxAppCoresPerChip: 2})
-		model := NewModel()
-		// Serpentine placement packs both populations onto the first few
-		// chips: one hot corner, 60+ idle chips.
-		stim := model.AddPoisson("stim", 100, 300)
-		exc := model.AddLIF("exc", 200, DefaultLIFConfig())
-		if err := model.Connect(stim, exc, Conn{
-			Rule: RandomRule, P: 0.2, WeightNA: 1.2, DelayMS: 1,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Load(model); err != nil {
-			t.Fatal(err)
-		}
-		return m, stim, exc
-	}
-
-	auto, stim, exc := build(RepartitionAuto)
-	defer auto.Close()
-	off, stimOff, excOff := build(RepartitionOff)
-	defer off.Close()
-	var autoRep, offRep *RunReport
-	for i := 0; i < 4; i++ {
-		var err error
-		if autoRep, err = auto.Run(50); err != nil {
-			t.Fatal(err)
-		}
-		if offRep, err = off.Run(50); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := auto.SimStats()
-	if st.Repartitions == 0 {
-		t.Fatal("auto policy never repartitioned a one-corner hotspot")
-	}
-	if st.Shards != 1 {
-		t.Errorf("auto policy settled on %d shards, want the sequential collapse", st.Shards)
-	}
-	if off.SimStats().Repartitions != 0 {
-		t.Error("policy-off machine repartitioned")
-	}
-	got := fingerprint(autoRep, auto, stim, exc)
-	want := fingerprint(offRep, off, stimOff, excOff)
-	if got != want {
-		t.Errorf("auto repartitioning changed the report:\n--- off ---\n%s--- auto ---\n%s", want, got)
-	}
-}
-
-// Shifting-hotspot scenario shape: three 60 ms phases (hot A, hot B,
-// both), run in 9 equal chunks so the policy sees a quiescence boundary
-// every 20 ms.
-const (
-	hotspotBioMS   = 180
-	hotspotChunks  = 9
-	hotspotPhaseMS = 60
-)
-
-// runShiftingHotspot runs the workload a construction-time partition
-// cannot fit: two recurrently-connected populations in different
-// corners of a heterogeneous 8x8 torus, driven by scripted injection
-// storms — first one region, then the other, then both — while most of
-// the machine only ticks. Serpentine placement pins the pieces: hotA
-// fills the first chip, a near-idle spacer occupies the next 30 chips,
-// and hotB lands on chip 31 — a different band, block and board than
-// hotA for every geometry. The whole injection script is scheduled up
-// front, so the workload is identical for every partition and policy.
-// It reports the windows the run took, the spikes it produced and how
-// often the machine repartitioned.
-func runShiftingHotspot(t *testing.T, partition, policy string) (windows uint64, spikes int, repartitions uint64) {
-	t.Helper()
-	m := buildSmallMachine(t, MachineConfig{Width: 8, Height: 8, Seed: 1, Workers: 4,
-		Boards: "4x4", BoardLinkParams: BoardLinkSlow,
-		Partition: partition, Repartition: policy, MaxAppCoresPerChip: 2})
-	defer m.Close()
-	model := NewModel()
-	hotA := model.AddLIF("hotA", 400, DefaultLIFConfig())
-	model.AddLIF("spacer", 30*2*256, DefaultLIFConfig()) // unconnected, unstimulated: timer load only
-	hotB := model.AddLIF("hotB", 400, DefaultLIFConfig())
-	for _, p := range []Pop{hotA, hotB} {
-		if err := model.Connect(p, p, Conn{
-			Rule: RandomRule, P: 0.05, WeightNA: 1.5, DelayMS: 1,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := m.Load(model); err != nil {
-		t.Fatal(err)
-	}
-	// Indices walk a fixed stride so a storm touches the whole population.
-	inject := func(p Pop, ms, count int) {
-		for k := 0; k < count; k++ {
-			if err := m.InjectSpike(p, (ms*17+k*13)%400, ms); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for ms := 1; ms < hotspotBioMS; ms++ {
-		switch {
-		case ms < hotspotPhaseMS:
-			inject(hotA, ms, 40)
-		case ms < 2*hotspotPhaseMS:
-			inject(hotB, ms, 40)
-		default:
-			inject(hotA, ms, 20)
-			inject(hotB, ms, 20)
-		}
-	}
-	before := m.SimStats().Windows
-	var rep *RunReport
-	for c := 0; c < hotspotChunks; c++ {
-		var err error
-		if rep, err = m.Run(hotspotBioMS / hotspotChunks); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := m.SimStats()
-	return st.Windows - before, rep.TotalSpikes, st.Repartitions
-}
-
-// TestShiftingHotspotRepartitionWins pins the headline claim of the
-// runtime re-partitioning policy: on the shifting-hotspot workload the
-// auto machine must take fewer window barriers than every fixed
-// geometry started from the same 4-shard decomposition, while producing
-// the identical spike count (the determinism contract). Window counts
-// derive from the deterministic trajectory, so this is not a timing
-// assertion.
-func TestShiftingHotspotRepartitionWins(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-machine scenario sweep")
-	}
-	autoWindows, autoSpikes, repartitions := runShiftingHotspot(t, PartitionBands, RepartitionAuto)
-	if repartitions == 0 {
-		t.Fatal("auto machine never repartitioned on a shifting hotspot")
-	}
-	for _, partition := range []string{PartitionBands, PartitionBlocks, PartitionBoards} {
-		windows, spikes, _ := runShiftingHotspot(t, partition, RepartitionOff)
-		if autoWindows >= windows {
-			t.Errorf("auto repartitioning paid %d windows, fixed %s paid %d — the policy must win every fixed geometry",
-				autoWindows, partition, windows)
-		}
-		if spikes != autoSpikes {
-			t.Errorf("fixed %s produced %d spikes, auto %d — repartitioning leaked into the simulation",
-				partition, spikes, autoSpikes)
-		}
+	if st.Repartitions != 0 {
+		t.Errorf("Repartitions = %d, want 0: the swap was a no-op", st.Repartitions)
 	}
 }
 
@@ -324,12 +172,7 @@ func TestRepartitionValidation(t *testing.T) {
 	if err := m.Repartition(PartitionBoards, 2); err == nil {
 		t.Error("boards geometry accepted on a uniform fabric")
 	}
-	if err := cfgErr(MachineConfig{Width: 4, Height: 4, Repartition: "sometimes"}); err == nil {
-		t.Error("unknown Repartition policy accepted")
-	}
 }
-
-func cfgErr(cfg MachineConfig) error { return cfg.Validate() }
 
 // TestKillNeuronAfterMigration is the satellite regression for the
 // migrate bookkeeping: post-migration reads and writes must resolve the

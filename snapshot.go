@@ -400,7 +400,10 @@ func (cfg *MachineConfig) snap(c *snap.Codec) {
 	c.String(&cfg.Partition)
 	c.String(&cfg.Boards)
 	c.String(&cfg.BoardLinkParams)
-	c.String(&cfg.Repartition)
+	// An unused string slot that keeps the v4 layout: written empty, read
+	// and discarded. The v5 format bump drops it.
+	var unused string
+	c.String(&unused)
 	c.String(&cfg.HostOrigin)
 	c.Bool(&cfg.DisableEmergencyRouting)
 	snap.Enum(c, &cfg.Placement, Random+1)

@@ -16,16 +16,12 @@ import (
 
 // workloadMachineConfig maps the declared machine onto MachineConfig.
 func workloadMachineConfig(m *workload.Machine, workers int, partition string) MachineConfig {
-	policy := ""
-	if m.Repartition {
-		policy = RepartitionAuto
-	}
 	return MachineConfig{
 		Width: m.Width, Height: m.Height, Seed: m.Seed,
 		Workers: workers, Partition: partition,
 		Boards: m.Boards, BoardLinkParams: m.BoardLink,
 		Cabinets: m.Cabinets, CabinetLinkParams: m.CabinetLink,
-		Repartition: policy, HostOrigin: m.HostOrigin,
+		HostOrigin:              m.HostOrigin,
 		MaxAppCoresPerChip:      m.MaxAppCoresPerChip,
 		MaxNeuronsPerCore:       m.MaxNeuronsPerCore,
 		FillRedundancy:          m.FillRedundancy,
