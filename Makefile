@@ -49,11 +49,14 @@ bench:
 # (seeded with the golden-workload image and corruptions of it; the
 # seeds are ~340 KB, so per-input minimisation is capped to leave the
 # ten seconds to execution), after ten seconds of random packet, DMA and
-# timer schedules held against the kernel's eager-completion oracle and
-# ten of push/pop streams held against the event queue's one-heap
-# reference (seeds in internal/sim/testdata/fuzz).
+# timer schedules held against the kernel's eager-completion oracle, ten
+# of row fetches folded into their core's dispatch held against the
+# eager DMA controller (seeds in internal/chip/testdata/fuzz) and ten of
+# push/pop streams held against the event queue's one-heap reference
+# (seeds in internal/sim/testdata/fuzz).
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzCoreCompletion' -fuzztime 10s ./internal/kernel/
+	$(GO) test -run '^$$' -fuzz 'FuzzRowFetch' -fuzztime 10s ./internal/chip/
 	$(GO) test -run '^$$' -fuzz 'FuzzQueueOrder' -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseWorkload' -fuzztime 10s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseCampaign' -fuzztime 10s ./internal/workload/

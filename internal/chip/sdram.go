@@ -3,6 +3,7 @@ package chip
 import (
 	"fmt"
 
+	"spinngo/internal/kernel"
 	"spinngo/internal/sim"
 	"spinngo/internal/snap"
 )
@@ -143,9 +144,9 @@ type DMARequest struct {
 // kernel enqueues a synaptic-data fetch per incoming spike and processes
 // rows on the completion interrupt.
 //
-// The fetch path is allocation-free: install OnDone once and enqueue
-// plain requests — the completion interrupt and the snapshot descriptor
-// are produced from the controller's own state.
+// The fetch path is allocation-free: Attach the core (or install OnDone)
+// once and enqueue plain requests — the completion interrupt and the
+// snapshot descriptor are produced from the controller's own state.
 type DMAController struct {
 	eng   sim.Scheduler
 	sdram *SDRAM
@@ -155,14 +156,19 @@ type DMAController struct {
 	cur   DMARequest // the in-flight request (valid while busy)
 	doneP dmaDoneEv  // cached completion payload (≤1 pending: FIFO server)
 
-	// A write-back with nothing queued behind it completes silently, so
-	// its completion is only a timestamp and a reserved key until a
-	// request arrives to wait for it (the rule kernel.Core follows):
-	// while elided is set busy may be stale and Completed one short;
-	// Sync settles it. None of the three reaches a snapshot.
+	// A transfer with nothing queued behind it may complete as only a
+	// timestamp and a reserved key (the rule kernel.Core follows): a
+	// write-back because it interrupts nobody, and — on a controller
+	// attached to its core — a row fetch a handler launched, because that
+	// core settles it (Fold). While lone is set busy may be stale and
+	// Completed one short; Sync settles it. None of the three reaches a
+	// snapshot.
 	doneAt  sim.Time
 	doneSeq uint64
-	elided  bool
+	lone    bool
+	// folds is set by Attach: reads come only from the core's handlers,
+	// and the core offers each lone one a place in its dispatch.
+	folds bool
 
 	// tag, when set, prefixes the snapshot descriptor of the in-flight
 	// completion so a restore can route it back to this controller.
@@ -202,13 +208,16 @@ const (
 // dmaDoneEv is the in-flight transfer's completion event.
 type dmaDoneEv struct{ d *DMAController }
 
-func (p *dmaDoneEv) Run() {
-	d := p.d
+func (p *dmaDoneEv) Run() { p.d.complete() }
+
+// complete is the in-flight transfer's whole effect: counted, the
+// interrupt for a read, and the next request launched.
+func (d *DMAController) complete() {
 	d.Completed++
 	if !d.cur.Write && d.OnDone != nil {
 		d.OnDone(d.cur.Tag)
 	}
-	d.next()
+	d.next(false)
 }
 
 func (p *dmaDoneEv) EventDesc() *sim.Desc {
@@ -251,18 +260,45 @@ func EventKinds(dmaOf func(tag []uint64) (*DMAController, error)) sim.Kinds {
 	return sim.Kinds{KindRowDone: entry(false), KindWriteBackDone: entry(true)}
 }
 
-// Sync settles an elided write-back completion: one whose instant has
-// passed is counted and leaves the controller idle, one still ahead
-// becomes the event it stands for. Enqueue does this for itself; a
-// snapshot syncs before it exports the event queue.
+// Attach makes c the core this controller interrupts: each finished row
+// fetch posts c's DMA-done interrupt, and a fetch one of c's handlers
+// launches with nothing queued behind it is left for c to fold into its
+// dispatch (kernel.Fetcher). From then on reads must be enqueued from
+// c's handlers only — outside a dispatch nobody would place them.
+func (d *DMAController) Attach(c *kernel.Core) {
+	d.OnDone = c.PostDMADone
+	d.folds = true
+	c.FoldFetches(d)
+}
+
+// Fold offers the row fetch the handler just launched to its core, busy
+// until until: a lone fetch landing no later stays a timestamp and the
+// core settles it (Sync), which Fold reports; one landing after becomes
+// its completion event under the key it reserved.
+func (d *DMAController) Fold(until sim.Time) bool {
+	if !d.lone || d.cur.Write {
+		return false
+	}
+	if d.doneAt <= until {
+		return true
+	}
+	d.lone = false
+	d.eng.AtReserved(d.doneAt, d.doneSeq, &d.doneP)
+	return false
+}
+
+// Sync settles a lone completion: one whose instant has passed takes
+// its whole effect now (complete), one still ahead becomes the event it
+// stands for. Enqueue and QueueLen do this for themselves, the attached
+// core for a folded fetch; a snapshot syncs before it exports the event
+// queue.
 func (d *DMAController) Sync() {
-	if !d.elided {
+	if !d.lone {
 		return
 	}
-	d.elided = false
+	d.lone = false
 	if d.eng.Passed(d.doneAt, d.doneSeq) {
-		d.Completed++
-		d.next()
+		d.complete()
 	} else {
 		d.eng.AtReserved(d.doneAt, d.doneSeq, &d.doneP)
 	}
@@ -270,7 +306,7 @@ func (d *DMAController) Sync() {
 
 // Enqueue adds a request; it is served after all earlier ones.
 func (d *DMAController) Enqueue(req DMARequest) {
-	if d.elided {
+	if d.lone {
 		d.Sync()
 	}
 	d.queue = append(d.queue, req)
@@ -282,7 +318,7 @@ func (d *DMAController) Enqueue(req DMARequest) {
 		d.MaxQueue = occupancy
 	}
 	if !d.busy {
-		d.next()
+		d.next(d.folds)
 	}
 }
 
@@ -296,7 +332,9 @@ func (d *DMAController) QueueLen() int {
 	return n
 }
 
-func (d *DMAController) next() {
+// next launches the next queued request. fold is set when a handler of
+// the attached core launched it (Enqueue), so the core's Fold follows.
+func (d *DMAController) next(fold bool) {
 	if d.head == len(d.queue) {
 		// Drained: rewind so the buffer's capacity is reused (a plain
 		// [1:] pop would strand it and re-grow on every burst).
@@ -306,16 +344,17 @@ func (d *DMAController) next() {
 		return
 	}
 	d.busy = true
-	req := d.queue[d.head]
+	d.cur = d.queue[d.head]
 	d.head++
-	if req.Write && d.head == len(d.queue) {
-		// Nobody waits for this one: admit the transfer and keep the key
-		// its completion would have drawn, but schedule nothing.
-		d.cur = req
-		d.doneAt, d.doneSeq, d.elided = d.sdram.admit(req.Size), d.eng.Reserve(), true
+	d.doneAt, d.doneSeq = d.sdram.admit(d.cur.Size), d.eng.Reserve()
+	if d.head == len(d.queue) && (d.cur.Write || fold) {
+		// Nobody waits for a lone write-back, and a lone fetch lands where
+		// its core's Fold puts it: keep the key the completion would have
+		// drawn, but schedule nothing yet.
+		d.lone = true
 		return
 	}
-	d.sdram.Transfer(req.Size, d.Completion(req))
+	d.eng.AtReserved(d.doneAt, d.doneSeq, &d.doneP)
 }
 
 // Snap codes the controller's dynamic state for snapshots: the queued
@@ -323,7 +362,7 @@ func (d *DMAController) next() {
 // a described event) and the busy flag as-is — when true, the matching
 // completion event is re-injected separately from the event queue.
 func (d *DMAController) Snap(c *snap.Codec) {
-	if d.elided {
+	if d.lone {
 		panic("chip: snapshot of a DMA controller with an unsettled completion; Sync before exporting events")
 	}
 	queue := d.queue[d.head:]

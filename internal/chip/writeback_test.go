@@ -8,7 +8,8 @@ import (
 	"spinngo/internal/sim"
 )
 
-// eagerDMA is the reference the elided write-back completion is held to:
+// eagerDMA is the reference the elided write-back completion — and,
+// posting to a core, the folded row fetch (fetch_test.go) — is held to:
 // the FIFO controller with every transfer's completion scheduled as an
 // event when the transfer is launched.
 type eagerDMA struct {

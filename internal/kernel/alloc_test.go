@@ -12,25 +12,27 @@ import (
 
 // TestCoreDeliveryZeroAlloc pins the delivery path's share of the
 // zero-allocation contract (the other gates live in internal/sim and
-// internal/router): Post, the handler, the row's DMA and its completion
-// interrupt allocate nothing in the steady state, whether the handler's
+// internal/router and internal/chip): Post, the handler, the row's DMA
+// and its completion interrupt allocate nothing in the steady state,
+// whether the handler's
 // own completion is elided (the core is asleep again before the next
 // packet) or armed (the next packet arrives while it is busy). Gated out
 // of -race runs like the others.
 func TestCoreDeliveryZeroAlloc(t *testing.T) {
-	// Events per packet: its arrival, plus for a hit the row's DMA
-	// completion and the packet handler's own completion, which the DMA
-	// completion always finds still running; a second packet arriving
-	// mid-handler arms one completion more per pair.
+	// Events per packet: its arrival, plus for a hit the packet handler's
+	// own completion, which the row's DMA completion always lands before
+	// and so waits for (the fetch itself folds into that completion's
+	// dispatch); a second packet arriving mid-handler arms one completion
+	// more per pair.
 	for name, tc := range map[string]struct {
 		hit    bool
 		gaps   [2]sim.Time
 		events float64
 	}{
 		"elided, miss": {false, oneByOne, 1},
-		"elided, hit":  {true, oneByOne, 3},
+		"elided, hit":  {true, oneByOne, 2},
 		"armed, miss":  {false, inPairs, 1.5},
-		"armed, hit":   {true, inPairs, 3.5},
+		"armed, hit":   {true, inPairs, 2.5},
 	} {
 		t.Run(name, func(t *testing.T) {
 			const packets = 256

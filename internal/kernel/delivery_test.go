@@ -14,9 +14,10 @@ import (
 
 // deliveryRig is the path a delivered multicast packet takes on one
 // application core, with the real parts: the Fig-7 kernel, a synaptic
-// matrix, and the DMA controller over the chip's SDRAM. The packet
-// handler sizes the row fetch from the matrix index (or finds no row
-// and drops the packet), and the DMA-done handler walks the row.
+// matrix, and the DMA controller over the chip's SDRAM, attached to the
+// core as the machine attaches it. The packet handler sizes the row
+// fetch from the matrix index (or finds no row and drops the packet),
+// and the DMA-done handler walks the row.
 type deliveryRig struct {
 	eng  *sim.Engine
 	dom  *sim.Domain
@@ -39,7 +40,7 @@ func newDeliveryRig(rows int, hit bool, gaps [2]sim.Time) *deliveryRig {
 	cfg.TimerPeriod = sim.Second // the benchmark is about packets
 	r.core = kernel.NewCore(r.dom, cfg)
 	dma := chip.NewDMAController(r.dom, chip.NewSDRAM(r.dom))
-	dma.OnDone = r.core.PostDMADone
+	dma.Attach(r.core)
 
 	m := neural.NewMatrix()
 	row := make(neural.Row, rowSynapses)

@@ -104,6 +104,16 @@ type Core struct {
 	doneSeq   uint64
 	elided    bool
 
+	// fetch is the core's DMA engine, if attached (FoldFetches). folded
+	// marks a row fetch one of this core's handlers launched that lands
+	// before that handler ends: it is a timestamp on the engine, settled
+	// by the dispatch the handler's completion runs or by a reader (land).
+	// No Post needs it earlier: until that dispatch pops, the backlog only
+	// grows, so the DMA-done's late push leaves MaxBacklog as the eager
+	// one would. A hint only — the engine may have settled it since.
+	fetch  Fetcher
+	folded bool
+
 	// tag, when set, prefixes the snapshot descriptors of the core's
 	// self-scheduled events (timer ticks, dispatch completions) so a
 	// restore can route them back to this core. Cores without a tag
@@ -238,6 +248,25 @@ func EventKinds(coreOf func(tag []uint64) (*Core, error)) sim.Kinds {
 // registration). Must be called before Start.
 func (c *Core) On(t EventType, h Handler) { c.handlers[t] = h }
 
+// A Fetcher is the core's DMA engine (chip.DMAController). A row fetch
+// a handler launches with nothing queued behind it is left unscheduled
+// until the handler ends; if it lands by then, its DMA-done interrupt
+// only ever waits for the handler's completion, so the core takes it
+// over instead of the fetch being an event of its own.
+type Fetcher interface {
+	// Fold offers the fetch the handler just launched, if any, to a core
+	// busy until until, and reports whether the core now owns it; one
+	// landing later is scheduled as its own event.
+	Fold(until sim.Time) bool
+	// Sync lands a fetch whose instant has passed, posting its DMA-done
+	// interrupt, and makes one still ahead its own event.
+	Sync()
+}
+
+// FoldFetches binds the core's DMA engine: from now on every dispatch
+// offers the engine's lone fetch a place in it (Fetcher).
+func (c *Core) FoldFetches(f Fetcher) { c.fetch = f }
+
 // SetSnapshotTag installs the descriptor prefix (the core's stable
 // identity, e.g. fragment index and generation) stamped on the core's
 // self-scheduled events so snapshots can re-create them.
@@ -332,16 +361,31 @@ func (c *Core) backlog() int {
 	return n
 }
 
-// Backlog reports currently queued events.
-func (c *Core) Backlog() int { return c.backlog() }
+// Backlog reports currently queued events, a folded fetch settled first.
+func (c *Core) Backlog() int {
+	c.land()
+	return c.backlog()
+}
+
+// land settles a folded fetch: at the dispatch its handler's completion
+// runs it has passed, and its DMA-done interrupt is posted; for a reader
+// it may still be ahead, and is armed.
+func (c *Core) land() {
+	if c.folded {
+		c.folded = false
+		c.fetch.Sync()
+	}
+}
 
 // Sync settles an elided completion: one whose instant has passed takes
 // its whole effect now — the core went to sleep at busyUntil — and one
 // still ahead is scheduled under its reserved key, because from here on
-// something waits for it. Post does this for itself; a caller about to
-// read the core's state from outside (a snapshot, which must also find
-// the pending completion in the event queue) syncs first.
+// something waits for it. A folded fetch is settled first: its key is
+// the earlier one. Post does this for itself; a caller about to read the
+// core's state from outside (a snapshot, which must also find the
+// pending completion in the event queue) syncs first.
 func (c *Core) Sync() {
+	c.land()
 	if !c.elided {
 		return
 	}
@@ -357,6 +401,7 @@ func (c *Core) Sync() {
 // dispatch pops the highest-priority pending event and models its
 // execution time; further events queue while the core is busy.
 func (c *Core) dispatch() {
+	c.land()
 	var ev Event
 	found := false
 	for t := EventType(0); t < numEventTypes; t++ {
@@ -387,9 +432,16 @@ func (c *Core) dispatch() {
 	// put the core to sleep (Fig 7 goto_Sleep), and Sync does that.
 	c.busyUntil = c.eng.Now() + dur
 	c.doneSeq = c.eng.Reserve()
-	if c.backlog() > 0 {
+	switch {
+	case c.fetch != nil && c.fetch.Fold(c.busyUntil):
+		// The handler's row fetch lands before it ends, and its DMA-done
+		// will be waiting: arm now what Sync would have armed then. The
+		// fetch drew its key first, so it wins a tie.
+		c.folded = true
 		c.eng.AtReserved(c.busyUntil, c.doneSeq, &c.dispatchP)
-	} else {
+	case c.backlog() > 0:
+		c.eng.AtReserved(c.busyUntil, c.doneSeq, &c.dispatchP)
+	default:
 		c.elided = true
 	}
 }

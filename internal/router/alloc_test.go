@@ -5,8 +5,86 @@ package router
 import (
 	"testing"
 
+	"spinngo/internal/packet"
+	"spinngo/internal/sim"
 	"spinngo/internal/topo"
 )
+
+// burst is one handler's tick on chip c: n spikes injected back to back,
+// keys key, key+1, ..., then — with split — one key drawn (the handler's
+// completion) and n more.
+type burst struct {
+	f     *Fabric
+	c     topo.Coord
+	key   uint32
+	n     int
+	split bool
+}
+
+func (b *burst) Run() {
+	for i := 0; i < b.n; i++ {
+		b.f.InjectMC(b.c, packet.NewMC(b.key+uint32(i)))
+	}
+	if b.split {
+		b.f.DomainAt(b.c).Reserve()
+		for i := b.n; i < 2*b.n; i++ {
+			b.f.InjectMC(b.c, packet.NewMC(b.key+uint32(i)))
+		}
+	}
+}
+func (b *burst) EventDesc() *sim.Desc { return nil }
+
+// TestInjectionBurstIsOneEvent pins the batched injection: one core
+// injecting N packets in one tick schedules one route event, the chip's
+// domain still draws N keys, the packets reach their core in injection
+// order, a key drawn in between starts a second batch, and steady-state
+// bursts allocate nothing. (In this file so that its allocation count
+// stays out of -race runs, like the gates.)
+func TestInjectionBurstIsOneEvent(t *testing.T) {
+	eng, f := newTestFabric(t, 4, 4)
+	c := topo.Coord{X: 1, Y: 2}
+	const n = 32
+	f.Node(c).Table.Add(Entry{packet.KeyMask{Key: 0x400, Mask: ^uint32(2*n - 1)}, CoreRoute(0)})
+	got := make([]uint32, 0, 2*n)
+	f.OnDeliverMC = func(_ *Node, _ int, pkt packet.Packet, _ sim.Time) { got = append(got, pkt.Key) }
+	dom := f.DomainAt(c)
+	for _, split := range []bool{false, true} {
+		b := &burst{f: f, c: c, key: 0x400, n: n, split: split}
+		dom.AfterP(sim.Microsecond, b)
+		at, keys := eng.Now()+sim.Microsecond, dom.Scheduled()
+		eng.RunUntil(at)
+		events, packets := 1, n
+		if split {
+			events, packets = 2, 2*n
+		}
+		if pending := eng.Pending(); pending != events {
+			t.Fatalf("split %v: %d route events pending, want %d", split, pending, events)
+		}
+		if drawn := dom.Scheduled() - keys; drawn != uint64(packets+events-1) {
+			t.Fatalf("split %v: the burst drew %d keys, want %d", split, drawn, packets+events-1)
+		}
+		got = got[:0]
+		eng.RunUntil(at + sim.Microsecond)
+		for i, key := range got {
+			if key != 0x400+uint32(i) {
+				t.Fatalf("split %v: delivery %d has key %#x, want %#x", split, i, key, 0x400+i)
+			}
+		}
+		if len(got) != packets {
+			t.Fatalf("split %v: delivered %d packets, want %d", split, len(got), packets)
+		}
+	}
+
+	b := &burst{f: f, c: c, key: 0x400, n: n}
+	cycle := func() {
+		dom.AfterP(sim.Microsecond, b)
+		eng.RunUntil(eng.Now() + 2*sim.Microsecond)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(20, cycle); allocs > 0 {
+		t.Fatalf("a %d-packet burst allocates %.1f times, want 0", n, allocs)
+	}
+}
 
 // TestCrossShardHopZeroAlloc pins the cut links' share of the
 // zero-allocation contract (the other gates live in internal/sim): a

@@ -3,6 +3,7 @@ package router
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -231,6 +232,12 @@ type Node struct {
 	arrivePool []*arriveEv
 	routePool  []*routeEv
 	retryPool  []*retryEv
+
+	// open is the route event the next local injection may join (see
+	// InjectMC); batches lists the pending route events holding more than
+	// one packet, which Sync splits before an export.
+	open    *routeEv
+	batches []*routeEv
 
 	// Monitor-visible fault notifications (section 5.3: "the local
 	// Monitor Processor can be informed").
@@ -801,6 +808,15 @@ func (f *Fabric) LinkTraversalCount(c topo.Coord, d topo.Dir) uint64 {
 }
 
 // InjectMC injects a multicast packet from a local core of chip c.
+//
+// A tick's spikes enter the router at one instant under consecutive keys
+// of the chip's domain, which the canonical order runs back to back, so
+// they ride one event: a packet joins the pending route event due at the
+// same instant when the domain has drawn no key since that event's last
+// packet, reserving the key its own event would have had. Whatever the
+// batch's packets schedule draws a later key, and the only keys inside
+// its range are its own, so the run — and every Passed answer — is the
+// one a route event per packet gives.
 func (f *Fabric) InjectMC(c topo.Coord, pkt packet.Packet) {
 	n := f.Node(c)
 	if n.dead {
@@ -808,7 +824,19 @@ func (f *Fabric) InjectMC(c topo.Coord, pkt packet.Packet) {
 		return
 	}
 	pkt.Timestamp = f.phaseAt(n)
-	n.dom.AfterP(f.p.RouterLatency, n.getRoute(flit{pkt: pkt, injectedAt: n.dom.Now()}))
+	fl := flit{pkt: pkt, injectedAt: n.dom.Now()}
+	at := n.dom.Now() + f.p.RouterLatency
+	if p := n.open; p != nil && p.at == at && n.dom.Scheduled() == p.last() {
+		if len(p.fls) == 1 {
+			n.batches = append(n.batches, p)
+		}
+		n.dom.Reserve()
+		p.fls = append(p.fls, fl)
+		return
+	}
+	p := n.getRoute(fl)
+	n.dom.AtP(at, p)
+	p.at, p.seq, n.open = at, n.dom.Scheduled(), p
 }
 
 // InjectP2P injects a point-to-point packet from chip src to chip dst.
@@ -1183,12 +1211,18 @@ func (p *arriveEv) Run() {
 }
 func (p *arriveEv) EventDesc() *sim.Desc { return descFlit(KindArrive, p.fl, uint64(p.d)) }
 
-// routeEv is a locally injected packet entering its own router after
-// the pipeline delay.
+// routeEv is locally injected packets entering their own router after
+// the pipeline delay: one packet, or a batch of multicast packets due at
+// at under the consecutive keys seq, seq+1, ... (see InjectMC).
 type routeEv struct {
-	n  *Node
-	fl flit
+	n   *Node
+	fls []flit
+	at  sim.Time
+	seq uint64
 }
+
+// last is the key of the batch's last packet.
+func (p *routeEv) last() uint64 { return p.seq + uint64(len(p.fls)) - 1 }
 
 // getRoute pops a recycled route event or allocates one. Injection and
 // routing both happen on n's own shard.
@@ -1196,27 +1230,62 @@ func (n *Node) getRoute(fl flit) *routeEv {
 	if k := len(n.routePool); k > 0 {
 		p := n.routePool[k-1]
 		n.routePool = n.routePool[:k-1]
-		p.fl = fl
+		p.fls = append(p.fls[:0], fl)
 		return p
 	}
-	return &routeEv{n: n, fl: fl}
+	return &routeEv{n: n, fls: []flit{fl}}
 }
 
 func (p *routeEv) Run() {
-	n, fl := p.n, p.fl
-	n.routePool = append(n.routePool, p)
-	if fl.pkt.Type == packet.P2P {
-		n.routeP2P(fl)
-		return
+	n := p.n
+	if n.open == p {
+		n.open = nil
 	}
-	n.routeMC(fl, -1)
+	if len(p.fls) > 1 {
+		i := slices.Index(n.batches, p)
+		n.batches = slices.Delete(n.batches, i, i+1)
+	}
+	for _, fl := range p.fls {
+		if fl.pkt.Type == packet.P2P {
+			n.routeP2P(fl)
+		} else {
+			n.routeMC(fl, -1)
+		}
+	}
+	n.routePool = append(n.routePool, p)
 }
 
+// EventDesc describes a single packet; a batch has no descriptor until
+// Sync splits it.
 func (p *routeEv) EventDesc() *sim.Desc {
-	if p.fl.pkt.Type == packet.P2P {
-		return descFlit(KindRouteP2P, p.fl)
+	if len(p.fls) != 1 {
+		return nil
 	}
-	return descFlit(KindRouteMC, p.fl, localTravel)
+	fl := p.fls[0]
+	if fl.pkt.Type == packet.P2P {
+		return descFlit(KindRouteP2P, fl)
+	}
+	return descFlit(KindRouteMC, fl, localTravel)
+}
+
+// Sync splits every pending batch back into one route event per packet
+// under the key it reserved — the events an export must list, as the run
+// without batching holds them. A snapshot syncs before it exports the
+// event queue.
+func (f *Fabric) Sync() {
+	for i := range f.nodes {
+		n := f.nodes[i].Load()
+		if n == nil {
+			continue
+		}
+		for _, p := range n.batches {
+			for k, fl := range p.fls[1:] {
+				n.dom.AtReserved(p.at, p.seq+1+uint64(k), n.getRoute(fl))
+			}
+			p.fls = p.fls[:1]
+		}
+		n.batches, n.open = n.batches[:0], nil
+	}
 }
 
 // localTravel is travel -1 (locally injected) riding the args as two's

@@ -97,11 +97,13 @@ type event struct {
 //
 // The last three calls serve a completion nobody may be waiting for (a
 // core going back to sleep, a write-back leaving the DMA controller
-// idle). Its owner reserves the key the event would have drawn, so every
-// later key is what it would have been, and schedules nothing: whoever
-// next needs the owner's state asks whether the instant has passed and
-// either applies the completion's effect on the spot or arms the event
-// under the reserved key.
+// idle, a row fetch landing while the handler that launched it runs).
+// Its owner reserves the key the event would have drawn, so every later
+// key is what it would have been, and schedules nothing: whoever next
+// needs the owner's state asks whether the instant has passed and either
+// applies the completion's effect on the spot or arms the event under
+// the reserved key. A packet riding another's route event (a batch of
+// same-instant injections) reserves its key the same way.
 type Scheduler interface {
 	Now() Time
 	AtP(t Time, p Payload)
@@ -381,12 +383,14 @@ func (d *Domain) Engine() *Engine { return d.eng }
 // ID reports the domain id.
 func (d *Domain) ID() int { return int(d.id) }
 
-// Scheduled reports how many domain-local events have ever been
-// scheduled here (the domain's sequence counter). It grows only with
-// the simulation trajectory — never with the shard layout — so callers
-// can difference snapshots of it as a per-component activity measure
-// that is identical for every worker count. Cross-domain deliveries are
-// keyed by their sender and are not counted.
+// Scheduled reports how many domain-local keys have ever been drawn here
+// (the domain's sequence counter: scheduled events and Reserve calls).
+// It grows only with the simulation trajectory — never with the shard
+// layout. A snapshot records it so a restored domain draws the keys the
+// straight run would (RestoreSeq), and the fabric's batched injection
+// reads it to tell that no key was drawn since a pending route event's
+// last packet. Cross-domain deliveries are keyed by their sender and are
+// not counted.
 func (d *Domain) Scheduled() uint64 { return d.seq }
 
 // Now reports the domain's engine clock.

@@ -986,9 +986,11 @@ func (m *Machine) buildUnitAt(f *mapping.Fragment, fragIdx, slot int, tickBase u
 	// unit on any partition geometry.
 	u.core.SetSnapshotTag(uint64(fragIdx), uint64(gen))
 	// The DMA controller carries the same identity, and its completions
-	// post the DMA-done interrupt by tag.
+	// post the DMA-done interrupt by tag; a row fetch that lands while the
+	// packet handler that launched it still runs folds into the core's
+	// dispatch instead of being an event.
 	u.dma.SetSnapshotTag(uint64(fragIdx), uint64(gen))
-	u.dma.OnDone = u.core.PostDMADone
+	u.dma.Attach(u.core)
 	cd := m.dplan.Cores[f.Chip][f.Core]
 
 	pop := f.Pop

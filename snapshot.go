@@ -108,14 +108,16 @@ func (m *Machine) Snapshot() ([]byte, error) {
 }
 
 // syncCompletions settles every completion nobody was waiting for — a
-// pair of timestamps on its core or DMA controller — into what an image
-// records: the pending event it stands for, or the idle flag it would
-// have left behind.
+// timestamp and a reserved key on its core or DMA controller — into what
+// an image records: the pending event it stands for, or the idle flag it
+// would have left behind. Batched injections split back into one route
+// event per packet.
 func (m *Machine) syncCompletions() {
 	m.eachUnit(func(u *unit) {
 		u.core.Sync()
 		u.dma.Sync()
 	})
+	m.fab.Sync()
 }
 
 // Restore rebuilds a machine from a Snapshot image, on the worker count
