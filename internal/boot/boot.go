@@ -10,9 +10,12 @@
 //     becomes (0,0) and coordinates flood outward over nn packets.
 //  4. Each node then configures its p2p routing, making it reachable
 //     from the host via node (0,0).
-//  5. The application is loaded by nn flood-fill, with a redundancy
-//     parameter trading load time against fault-tolerance; load time is
-//     almost independent of machine size (experiment E9).
+//  5. The image is loaded by nn flood-fill: the host's FillMem
+//     (internal/host), with a redundancy parameter trading load time
+//     against fault-tolerance; load time is almost independent of machine
+//     size (experiment E9). Run stops before this step. ImageBlocks,
+//     BlockBytes, BlockAddr and BlockContent describe what the fill
+//     stores, and VerifyImage checks it.
 package boot
 
 import (
@@ -31,7 +34,6 @@ const (
 	cmdPong
 	cmdReboot   // payload: forced monitor core
 	cmdCoord    // payload: packed claimed coordinate
-	cmdBlock    // payload: block index
 	cmdCoordReq // a late riser asking its rescuer to re-flood coordinates
 )
 
@@ -52,17 +54,6 @@ type Config struct {
 	ImageBlocks int
 	// BlockBytes is the size of each block (stored to SDRAM).
 	BlockBytes int
-	// Redundancy is how many copies of each block a node forwards
-	// before going quiet (the fault-tolerance/load-time trade-off).
-	Redundancy int
-	// HostGap is the interval between successive block injections at
-	// the origin.
-	HostGap sim.Time
-	// SkipLoad ends the boot after p2p configuration, leaving the image
-	// load (phase 5) to the caller — the machine loads the image through
-	// the host link's flood-fill batch instead, under parallel windows.
-	// Result.Loaded and LoadTime stay zero.
-	SkipLoad bool
 	// Seed decorrelates the per-chip rescue RNG streams. Rescue monitor
 	// elections draw from a chip-local stream (seeded from Seed and the
 	// chip index) rather than the controller's setup RNG, so event-time
@@ -78,8 +69,6 @@ func DefaultConfig() Config {
 		ProbeTimeout: 50 * sim.Microsecond,
 		ImageBlocks:  32,
 		BlockBytes:   256,
-		Redundancy:   1,
-		HostGap:      2 * sim.Microsecond,
 	}
 }
 
@@ -94,6 +83,7 @@ type nodeState struct {
 	monitor  int // elected monitor core, -1 until boot
 	hasCoord bool
 	derived  topo.Coord
+	coordAt  sim.Time // when the chip learned its coordinates
 	p2pReady bool
 	// pongSeen records, per outgoing link, that the probed neighbour
 	// answered — the chip-local fact the rescue timeout consults
@@ -110,12 +100,6 @@ type nodeState struct {
 	// draw — a healthy boot never touches it, so a healthy chip never
 	// pays for the stream state.
 	rescueRNG *sim.RNG
-	// blocks maps block index -> copies seen; created on the first
-	// arriving block, so a SkipLoad boot allocates no maps at all.
-	blocks     map[uint32]int
-	loadedAt   sim.Time
-	coordAt    sim.Time
-	everLoaded bool
 }
 
 // Result summarises a boot run.
@@ -134,11 +118,6 @@ type Result struct {
 	CoordTime sim.Time
 	// P2PReady chips configured point-to-point tables.
 	P2PReady int
-	// Loaded chips received the complete image.
-	Loaded int
-	// LoadTime is when the last chip completed loading (from load
-	// start).
-	LoadTime sim.Time
 	// NNPackets counts all nearest-neighbour traffic.
 	NNPackets uint64
 }
@@ -154,12 +133,7 @@ type Controller struct {
 	cfg   Config
 	torus topo.Torus
 	nodes map[topo.Coord]*nodeState
-	// blockCache holds each boot-image block exactly once, generated on
-	// the sequential phase setup and aliased into every chip's SDRAM.
-	blockCache [][]byte
-
-	loadStart sim.Time
-	res       Result
+	res   Result
 }
 
 // NewController builds the boot orchestrator for an existing fabric.
@@ -208,25 +182,17 @@ func (c *Controller) send(from topo.Coord, d topo.Dir, cmd, payload uint32) {
 	c.fab.SendNN(from, d, packet.NewNN(cmd, payload))
 }
 
-// Run executes the whole boot sequence and reports the result. The
-// engine is drained to quiescence between phases, under its normal
-// execution mode — parallel windows on a sharded engine.
-func (c *Controller) Run() (*Result, error) {
-	if c.cfg.Redundancy < 1 {
-		return nil, fmt.Errorf("boot: redundancy must be >= 1")
-	}
+// Run executes the boot sequence up to p2p configuration and reports
+// the result. The engine is drained to quiescence between phases, under
+// its normal execution mode — parallel windows on a sharded engine.
+func (c *Controller) Run() *Result {
 	c.phaseLocalBoot()
 	c.phaseProbeAndRescue()
 	c.run.Drain()
 	c.phaseCoordinates()
 	c.run.Drain()
-	if !c.cfg.SkipLoad {
-		c.primeBlocks()
-		c.phaseLoad()
-		c.run.Drain()
-	}
 	c.finalise()
-	return &c.res, nil
+	return &c.res
 }
 
 // phaseLocalBoot: self-test and monitor election on every healthy chip.
@@ -306,35 +272,6 @@ func (c *Controller) propagateCoord(from topo.Coord) {
 	}
 }
 
-// primeBlocks generates the boot image once, on the sequential phase
-// setup: receiveBlock runs under parallel windows and must not race a
-// lazily-filled shared cache.
-func (c *Controller) primeBlocks() {
-	if c.blockCache != nil {
-		return
-	}
-	c.blockCache = make([][]byte, c.cfg.ImageBlocks)
-	for b := range c.blockCache {
-		c.blockCache[b] = BlockContent(uint32(b), c.cfg.BlockBytes)
-	}
-}
-
-// phaseLoad: flood-fill the application image from the origin.
-func (c *Controller) phaseLoad() {
-	origin := topo.Coord{X: 0, Y: 0}
-	if !c.nodes[origin].alive {
-		return
-	}
-	dom := c.fab.DomainAt(origin)
-	c.loadStart = dom.Now()
-	for b := 0; b < c.cfg.ImageBlocks; b++ {
-		b := b
-		dom.AfterP(sim.Time(b)*c.cfg.HostGap, sim.Func(func() {
-			c.receiveBlock(origin, uint32(b))
-		}))
-	}
-}
-
 // handleNN is the fabric's nearest-neighbour delivery callback.
 func (c *Controller) handleNN(n *router.Node, from topo.Dir, pkt packet.Packet) {
 	st := c.nodes[n.Coord]
@@ -379,47 +316,11 @@ func (c *Controller) handleNN(n *router.Node, from topo.Dir, pkt packet.Packet) 
 		st.p2pReady = true
 		n.ConfigureP2P() // "only then can each node configure its p2p routing tables"
 		c.propagateCoord(n.Coord)
-	case cmdBlock:
-		if !st.alive {
-			return
-		}
-		c.receiveBlock(n.Coord, pkt.Payload)
 	}
 }
 
-// receiveBlock handles one flood-fill block arriving at a chip: store it
-// once, forward while the copy count is within the redundancy budget.
-func (c *Controller) receiveBlock(at topo.Coord, blockIdx uint32) {
-	if int(blockIdx) >= len(c.blockCache) {
-		return
-	}
-	st := c.nodes[at]
-	if st.blocks == nil {
-		st.blocks = make(map[uint32]int, c.cfg.ImageBlocks)
-	}
-	st.blocks[blockIdx]++
-	if st.blocks[blockIdx] == 1 {
-		// First copy: every chip's segment aliases the one machine-wide
-		// block (any sender's copy is identical) — a 64k-chip torus
-		// holds one image, not 64k of them.
-		if err := st.chip.SDRAM.StoreShared(BlockAddr(blockIdx), c.blockCache[blockIdx]); err == nil {
-			if len(st.blocks) == c.cfg.ImageBlocks && !st.everLoaded {
-				st.everLoaded = true
-				st.loadedAt = c.fab.DomainAt(at).Now()
-			}
-		}
-	}
-	if st.blocks[blockIdx] <= c.cfg.Redundancy {
-		for d := topo.Dir(0); int(d) < topo.NumDirs; d++ {
-			c.send(at, d, cmdBlock, blockIdx)
-		}
-	}
-}
-
-// BlockAddr maps a boot-image block index to its SDRAM load address.
-// Exported so a host-driven image load (Machine.Boot's flood-fill batch)
-// stores blocks exactly where the native flood would, keeping
-// VerifyImage valid for either path.
+// BlockAddr maps a boot-image block index to its SDRAM load address:
+// where the host's flood-fill stores each block and VerifyImage looks.
 func BlockAddr(idx uint32) uint32 { return 0x4000_0000 + idx*0x1000 }
 
 // BlockContent generates the deterministic content of a boot-image
@@ -443,7 +344,7 @@ func BlockContent(idx uint32, size int) []byte {
 func (c *Controller) finalise() {
 	c.res.Monitors = make(map[topo.Coord]int)
 	coordOK := true
-	var lastCoord, lastLoad sim.Time
+	var lastCoord sim.Time
 	for _, n := range c.fab.Nodes() {
 		coord := n.Coord
 		st := c.nodes[coord]
@@ -471,18 +372,9 @@ func (c *Controller) finalise() {
 		if st.p2pReady {
 			c.res.P2PReady++
 		}
-		if st.everLoaded {
-			c.res.Loaded++
-			if st.loadedAt > lastLoad {
-				lastLoad = st.loadedAt
-			}
-		}
 	}
 	c.res.CoordCorrect = coordOK
 	c.res.CoordTime = lastCoord
-	if lastLoad > c.loadStart {
-		c.res.LoadTime = lastLoad - c.loadStart
-	}
 }
 
 // VerifyImage checks a chip's SDRAM holds the full, correct image.

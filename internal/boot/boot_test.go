@@ -21,10 +21,7 @@ func newBoot(t *testing.T, w, h int, cfg Config) (*sim.Engine, *Controller) {
 
 func TestCleanBoot(t *testing.T) {
 	_, c := newBoot(t, 6, 6, DefaultConfig())
-	res, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := c.Run()
 	if res.BootedLocally != 36 {
 		t.Errorf("booted = %d, want 36", res.BootedLocally)
 	}
@@ -34,24 +31,8 @@ func TestCleanBoot(t *testing.T) {
 	if res.P2PReady != 36 {
 		t.Errorf("p2p ready = %d, want 36", res.P2PReady)
 	}
-	if res.Loaded != 36 {
-		t.Errorf("loaded = %d, want 36", res.Loaded)
-	}
 	if len(res.Monitors) != 36 {
 		t.Errorf("monitors = %d", len(res.Monitors))
-	}
-}
-
-func TestImageIntegrityEverywhere(t *testing.T) {
-	tr := topo.MustTorus(5, 5)
-	_, c := newBoot(t, 5, 5, DefaultConfig())
-	if _, err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < tr.Size(); i++ {
-		if err := c.VerifyImage(tr.CoordOf(i)); err != nil {
-			t.Error(err)
-		}
 	}
 }
 
@@ -60,10 +41,7 @@ func TestDeadChipRescue(t *testing.T) {
 	dead := topo.Coord{X: 2, Y: 2}
 	cfg.DeadChips = map[topo.Coord]bool{dead: true}
 	_, c := newBoot(t, 5, 5, cfg)
-	res, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := c.Run()
 	if !c.Alive(dead) {
 		t.Fatal("dead chip was not rescued by its neighbours")
 	}
@@ -72,12 +50,6 @@ func TestDeadChipRescue(t *testing.T) {
 	}
 	if res.Rescued != 1 {
 		t.Errorf("rescued = %d, want 1", res.Rescued)
-	}
-	if res.Loaded != 25 {
-		t.Errorf("loaded = %d, want all 25 including the rescued chip", res.Loaded)
-	}
-	if err := c.VerifyImage(dead); err != nil {
-		t.Errorf("rescued chip image: %v", err)
 	}
 	if !res.CoordCorrect {
 		t.Error("coordinates wrong after rescue")
@@ -89,20 +61,16 @@ func TestHardDeadChipStaysDown(t *testing.T) {
 	dead := topo.Coord{X: 1, Y: 1}
 	cfg.HardDeadChips = map[topo.Coord]bool{dead: true}
 	_, c := newBoot(t, 4, 4, cfg)
-	res, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := c.Run()
 	if c.Alive(dead) {
 		t.Error("hard-dead chip came alive")
 	}
 	if res.DeadForever != 1 {
 		t.Errorf("dead forever = %d, want 1", res.DeadForever)
 	}
-	// The rest of the machine still boots and loads: the flood routes
-	// around the hole.
-	if res.Loaded != 15 {
-		t.Errorf("loaded = %d, want 15", res.Loaded)
+	// The rest of the machine still boots around the hole.
+	if res.P2PReady != 15 {
+		t.Errorf("p2p ready = %d, want 15", res.P2PReady)
 	}
 }
 
@@ -110,10 +78,7 @@ func TestCoreFaultsToleratedInElection(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CoreFaultProb = 0.3
 	_, c := newBoot(t, 6, 6, cfg)
-	res, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := c.Run()
 	// With p=0.3 and 20 cores, P(all fail) ~ 3e-11: all chips boot.
 	if res.BootedLocally != 36 {
 		t.Errorf("booted = %d, want 36", res.BootedLocally)
@@ -127,96 +92,9 @@ func TestCoreFaultsToleratedInElection(t *testing.T) {
 	}
 }
 
-func TestLoadTimeNearlyIndependentOfMachineSize(t *testing.T) {
-	// E9 headline: flood-fill load time is almost independent of
-	// machine size. Compare 4x4 against 12x12 (9x the chips): load
-	// time may grow only modestly (pipeline depth), far below 9x.
-	loadTime := func(w, h int) sim.Time {
-		_, c := newBoot(t, w, h, DefaultConfig())
-		res, err := c.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Loaded != w*h {
-			t.Fatalf("%dx%d: loaded %d/%d", w, h, res.Loaded, w*h)
-		}
-		return res.LoadTime
-	}
-	small := loadTime(4, 4)
-	large := loadTime(12, 12)
-	ratio := float64(large) / float64(small)
-	if ratio > 2.5 {
-		t.Errorf("load time grew %.2fx from 4x4 to 12x12; paper says almost independent", ratio)
-	}
-}
-
-func TestRedundancyCostsTimeAndTraffic(t *testing.T) {
-	// The paper's trade-off: more copies per block buys fault
-	// tolerance at the price of load time (under link contention) and
-	// traffic. Use back-to-back host injection so links saturate.
-	run := func(r int) (sim.Time, uint64) {
-		cfg := DefaultConfig()
-		cfg.Redundancy = r
-		cfg.HostGap = 0
-		_, c := newBoot(t, 6, 6, cfg)
-		res, err := c.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Loaded != 36 {
-			t.Fatalf("redundancy %d: loaded %d", r, res.Loaded)
-		}
-		return res.LoadTime, res.NNPackets
-	}
-	t1, p1 := run(1)
-	t3, p3 := run(3)
-	if p3 <= p1 {
-		t.Errorf("redundancy 3 traffic (%d) not above redundancy 1 (%d)", p3, p1)
-	}
-	if t3 <= t1 {
-		t.Errorf("redundancy 3 load (%v) not slower than redundancy 1 (%v) under contention", t3, t1)
-	}
-}
-
-func TestRedundancySurvivesLinkFailures(t *testing.T) {
-	// The trade-off's other side: with failed links, higher redundancy
-	// still loads everything.
-	eng := sim.New(3)
-	fab, err := router.NewFabric(eng, router.DefaultParams(6, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fail a handful of link pairs.
-	fab.FailLinkPair(topo.Coord{X: 1, Y: 1}, topo.East)
-	fab.FailLinkPair(topo.Coord{X: 2, Y: 3}, topo.North)
-	fab.FailLinkPair(topo.Coord{X: 4, Y: 4}, topo.NorthEast)
-	cfg := DefaultConfig()
-	cfg.Redundancy = 2
-	c := NewController(eng, fab, cfg)
-	res, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Loaded != 36 {
-		t.Errorf("loaded = %d/36 with failed links at redundancy 2", res.Loaded)
-	}
-}
-
-func TestInvalidRedundancyRejected(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Redundancy = 0
-	_, c := newBoot(t, 2, 2, cfg)
-	if _, err := c.Run(); err == nil {
-		t.Error("redundancy 0 accepted")
-	}
-}
-
 func TestNNTrafficAccounted(t *testing.T) {
 	_, c := newBoot(t, 4, 4, DefaultConfig())
-	res, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := c.Run()
 	if res.NNPackets == 0 {
 		t.Error("no nn packets counted")
 	}
@@ -235,9 +113,7 @@ func TestBootConfiguresP2PTables(t *testing.T) {
 		}
 	}
 	c := NewController(eng, fab, DefaultConfig())
-	if _, err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
+	c.Run()
 	for _, n := range fab.Nodes() {
 		if !n.P2PConfigured() {
 			t.Errorf("node %v not p2p-configured after boot", n.Coord)

@@ -5,7 +5,8 @@ import (
 	"testing"
 )
 
-// requireMatch asserts an experiment's verdict confirms the paper claim.
+// requireMatch asserts an experiment's verdict confirms the paper claim
+// and logs its table (go test -v prints it).
 func requireMatch(t *testing.T, tbl *Table, err error) {
 	t.Helper()
 	if err != nil {
@@ -17,6 +18,7 @@ func requireMatch(t *testing.T, tbl *Table, err error) {
 	if len(tbl.Rows) == 0 {
 		t.Fatalf("%s: empty table", tbl.ID)
 	}
+	t.Log(tbl.Render())
 	if !strings.HasPrefix(tbl.Verdict, "MATCHES PAPER") {
 		t.Errorf("%s verdict: %s\n%s", tbl.ID, tbl.Verdict, tbl.Render())
 	}

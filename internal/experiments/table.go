@@ -1,9 +1,10 @@
 // Package experiments contains the reproduction harness: one runner per
-// quantitative claim of the paper (E1-E14 plus ablations A1-A2;
-// cmd/spinnbench lists them). Each runner builds its workload, executes it on the simulated
-// machine, and returns a Table whose rows mirror what the paper reports;
-// cmd/spinnbench prints them and this package's tests assert their
-// verdicts.
+// quantitative claim of the paper (E1-E14 plus ablations A1-A2). Each
+// runner builds its workload, executes it on the simulated machine, and
+// returns a Table whose rows mirror what the paper reports. This
+// package's tests assert every verdict and log every table:
+//
+//	go test -v -run 'TestE|TestAblations' ./internal/experiments
 package experiments
 
 import (

@@ -69,14 +69,8 @@ func (b *Batch) add(cmd *command) int {
 		cmd.chunk = b.chunk
 	}
 	b.h.register(cmd)
-	user := cmd.done
 	cmd.done = func(r Response) {
 		b.responses[idx] = r
-		if user != nil {
-			user(r)
-		}
-	}
-	cmd.onResolve = func() {
 		b.resolved++
 		b.launchNext()
 	}
@@ -109,7 +103,7 @@ func (b *Batch) Start(target topo.Coord) int {
 // FillMem appends a flood-fill write of data to every alive chip at
 // addr.
 func (b *Batch) FillMem(addr uint32, data []byte) (int, error) {
-	cmd, err := b.h.newFill(addr, data, nil, b.chunk)
+	cmd, err := b.h.newFill(addr, data, b.chunk)
 	if err != nil {
 		return 0, err
 	}

@@ -10,10 +10,11 @@
 // their timing reflects real fabric traffic; payload bytes ride an
 // out-of-band table keyed by sequence number, standing in for the SDP
 // protocol's payload framing. The multicast flood-fill write (FillMem)
-// instead propagates chip-to-chip over nearest-neighbour links exactly
-// like the boot image (section 5.2), reaching every chip for one
-// Ethernet transfer, with a single p2p acknowledgement per chip
-// converging back on the gateway.
+// instead propagates chip-to-chip over nearest-neighbour links — the
+// section-5.2 flood fill, which is also how the machine loads its boot
+// image — reaching every chip for one Ethernet transfer, with one
+// aggregated acknowledgement per tree link converging back on the
+// gateway. Every command is issued through a Batch.
 //
 // The package is built to run under the sharded parallel engine, not
 // just the sequential stepping mode: every command is registered in an
@@ -123,9 +124,9 @@ type Config struct {
 	// Timeout is the per-command deadline. Default DefaultTimeout.
 	Timeout sim.Time
 	// Redundancy is how many copies of each flood-fill chunk a chip
-	// forwards before going quiet — the same fault-tolerance/load-time
-	// trade-off as boot.Config.Redundancy. 1 (the default) forwards only
-	// the first copy; higher values keep bulk loads alive through
+	// forwards before going quiet — the fault-tolerance/load-time
+	// trade-off of paper section 5.2. 1 (the default) forwards only the
+	// first copy; higher values keep bulk loads alive through
 	// campaigns that kill chips or links on the primary flood path, at
 	// proportionally more flood traffic. Default 1.
 	Redundancy int
@@ -154,7 +155,9 @@ type command struct {
 	data   []byte // write/fill payload
 	length int    // read length
 	chunk  int    // payload bytes per fabric packet
-	done   func(Response)
+	// done is the owning batch's resolution hook, fired once on the
+	// gateway shard.
+	done func(Response)
 
 	// Target-shard-owned progress.
 	remaining int    // burst packets still to arrive at the target
@@ -176,7 +179,6 @@ type command struct {
 	// gateway; 0 means the header has not arrived yet (the header, which
 	// arrives first, announces the stream length).
 	respRemaining int
-	onResolve     func() // batch hook: fires after done, still on the gateway
 
 	// stripped marks a resolved command whose payload buffers were
 	// released at a later sequential quiescence point; straggler packets
@@ -746,7 +748,7 @@ func leadWord(data []byte, off int) uint32 {
 	return w
 }
 
-// complete fires the caller's callback and retires the command. Gateway
+// complete retires the command and fires its batch's hook. Gateway
 // shard only; idempotent, so a response racing the expiry event in the
 // canonical order resolves exactly once.
 func (h *Host) complete(cmd *command) {
@@ -782,9 +784,6 @@ func (h *Host) complete(cmd *command) {
 	if cmd.done != nil {
 		cmd.done(resp)
 	}
-	if cmd.onResolve != nil {
-		cmd.onResolve()
-	}
 }
 
 // newFill builds a flood-fill command chunked at chunk bytes per packet
@@ -793,7 +792,7 @@ func (h *Host) complete(cmd *command) {
 // no chip is reachable at all fails synchronously with ErrUnreachable;
 // a partially reachable one lets the command expire, reporting the
 // partial coverage in Response.Chips with ErrTimeout.
-func (h *Host) newFill(addr uint32, data []byte, done func(Response), chunk int) (*command, error) {
+func (h *Host) newFill(addr uint32, data []byte, chunk int) (*command, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("host: empty flood-fill payload")
 	}
@@ -813,7 +812,7 @@ func (h *Host) newFill(addr uint32, data []byte, done func(Response), chunk int)
 		return nil, fmt.Errorf("%w: flood-fill tree spans no chips", ErrUnreachable)
 	}
 	cmd := &command{op: OpFill, addr: addr, chunk: chunk,
-		data: append([]byte(nil), data...), done: done}
+		data: append([]byte(nil), data...)}
 	if cmd.chunks() > MaxFillChunks {
 		return nil, fmt.Errorf("host: flood-fill payload of %d bytes exceeds %d chunks of %d bytes",
 			len(data), MaxFillChunks, chunk)
@@ -825,52 +824,6 @@ func (h *Host) newFill(addr uint32, data []byte, done func(Response), chunk int)
 		return nil, fmt.Errorf("host: flood-fill sequence space exhausted after %d commands", len(h.cmds))
 	}
 	return cmd, nil
-}
-
-// Ping checks a chip is reachable and alive. Single-command convenience:
-// registers and launches immediately.
-func (h *Host) Ping(target topo.Coord, done func(Response)) uint32 {
-	cmd := &command{op: OpPing, target: target, done: done}
-	seq := h.register(cmd)
-	h.launch(cmd)
-	return seq
-}
-
-// WriteMem stores data at addr in the target chip's SDRAM.
-func (h *Host) WriteMem(target topo.Coord, addr uint32, data []byte, done func(Response)) uint32 {
-	cmd := &command{op: OpWrite, target: target, addr: addr,
-		data: append([]byte(nil), data...), done: done}
-	seq := h.register(cmd)
-	h.launch(cmd)
-	return seq
-}
-
-// ReadMem fetches length bytes from addr in the target chip's SDRAM.
-func (h *Host) ReadMem(target topo.Coord, addr uint32, length int, done func(Response)) uint32 {
-	cmd := &command{op: OpRead, target: target, addr: addr,
-		length: length, done: done}
-	seq := h.register(cmd)
-	h.launch(cmd)
-	return seq
-}
-
-// Start signals application start on the target chip.
-func (h *Host) Start(target topo.Coord, done func(Response)) uint32 {
-	cmd := &command{op: OpStart, target: target, done: done}
-	seq := h.register(cmd)
-	h.launch(cmd)
-	return seq
-}
-
-// FillMem flood-fills data to every alive chip's SDRAM at addr.
-func (h *Host) FillMem(addr uint32, data []byte, done func(Response)) (uint32, error) {
-	cmd, err := h.newFill(addr, data, done, 0)
-	if err != nil {
-		return 0, err
-	}
-	seq := h.register(cmd)
-	h.launch(cmd)
-	return seq, nil
 }
 
 // Started reports whether the chip has received a start signal.

@@ -11,35 +11,53 @@ import (
 	"spinngo/internal/topo"
 )
 
-// bootedMachine brings up a w x h fabric with a completed boot.
-func bootedMachine(t *testing.T, w, h int) (*sim.Engine, *router.Fabric, *boot.Controller) {
+// newFabric builds an unbooted w x h fabric.
+func newFabric(t *testing.T, seed uint64, w, h int) (*sim.Engine, *router.Fabric) {
 	t.Helper()
-	eng := sim.New(1)
+	eng := sim.New(seed)
 	fab, err := router.NewFabric(eng, router.DefaultParams(w, h))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return eng, fab
+}
+
+// bootedMachine brings up a w x h fabric with a completed boot.
+func bootedMachine(t *testing.T, w, h int) (*sim.Engine, *router.Fabric, *boot.Controller) {
+	t.Helper()
+	eng, fab := newFabric(t, 1, w, h)
 	ctl := boot.NewController(eng, fab, boot.DefaultConfig())
-	if _, err := ctl.Run(); err != nil {
-		t.Fatal(err)
-	}
+	ctl.Run()
 	return eng, fab, ctl
+}
+
+// issue launches a batch and steps the engine until every command has
+// resolved, returning the responses.
+func issue(t *testing.T, eng *sim.Engine, b *Batch) []Response {
+	t.Helper()
+	b.Launch()
+	for !b.Done() && eng.Step() {
+	}
+	if !b.Done() {
+		t.Fatal("batch never completed")
+	}
+	return b.Responses()
 }
 
 func TestPingEveryChip(t *testing.T) {
 	eng, fab, ctl := bootedMachine(t, 4, 4)
 	h := New(eng, fab, ctl, DefaultConfig())
-	got := map[topo.Coord]bool{}
+	b := h.NewBatch(16)
 	for i := 0; i < 16; i++ {
-		c := fab.Params().Torus.CoordOf(i)
-		h.Ping(c, func(r Response) {
-			if r.Err != nil {
-				t.Errorf("ping %v: %v", c, r.Err)
-			}
-			got[r.From] = true
-		})
+		b.Ping(fab.Params().Torus.CoordOf(i))
 	}
-	eng.Run()
+	got := map[topo.Coord]bool{}
+	for _, r := range issue(t, eng, b) {
+		if r.Err != nil {
+			t.Errorf("ping %v: %v", r.From, r.Err)
+		}
+		got[r.From] = true
+	}
 	if len(got) != 16 {
 		t.Errorf("pinged %d chips, want 16", len(got))
 	}
@@ -54,20 +72,17 @@ func TestWriteThenReadBack(t *testing.T) {
 	target := topo.Coord{X: 3, Y: 2}
 	payload := []byte("synaptic data block for core 7")
 
-	var read []byte
-	h.WriteMem(target, 0x7000_0000, payload, func(r Response) {
+	// Window 1: the read launches when the write resolves.
+	b := h.NewBatch(1)
+	b.WriteMem(target, 0x7000_0000, payload)
+	b.ReadMem(target, 0x7000_0000, len(payload))
+	resp := issue(t, eng, b)
+	for _, r := range resp {
 		if r.Err != nil {
-			t.Errorf("write: %v", r.Err)
+			t.Errorf("%v: %v", r.Op, r.Err)
 		}
-		h.ReadMem(target, 0x7000_0000, len(payload), func(r Response) {
-			if r.Err != nil {
-				t.Errorf("read: %v", r.Err)
-			}
-			read = r.Data
-		})
-	})
-	eng.Run()
-	if !bytes.Equal(read, payload) {
+	}
+	if read := resp[1].Data; !bytes.Equal(read, payload) {
 		t.Errorf("read back %q, want %q", read, payload)
 	}
 	// The data must actually live in the target chip's SDRAM.
@@ -80,10 +95,9 @@ func TestWriteThenReadBack(t *testing.T) {
 func TestReadMissingAddressFails(t *testing.T) {
 	eng, fab, ctl := bootedMachine(t, 2, 2)
 	h := New(eng, fab, ctl, DefaultConfig())
-	var gotErr error
-	h.ReadMem(topo.Coord{X: 1, Y: 1}, 0xdead0000, 16, func(r Response) { gotErr = r.Err })
-	eng.Run()
-	if gotErr == nil {
+	b := h.NewBatch(1)
+	b.ReadMem(topo.Coord{X: 1, Y: 1}, 0xdead0000, 16)
+	if issue(t, eng, b)[0].Err == nil {
 		t.Error("read of unwritten address succeeded")
 	}
 }
@@ -92,10 +106,9 @@ func TestStartSignal(t *testing.T) {
 	eng, fab, ctl := bootedMachine(t, 3, 3)
 	h := New(eng, fab, ctl, DefaultConfig())
 	target := topo.Coord{X: 2, Y: 2}
-	done := false
-	h.Start(target, func(r Response) { done = true })
-	eng.Run()
-	if !done || !h.Started(target) {
+	b := h.NewBatch(1)
+	b.Start(target)
+	if issue(t, eng, b)[0].Err != nil || !h.Started(target) {
 		t.Error("start signal not delivered")
 	}
 	if h.Started(topo.Coord{X: 0, Y: 1}) {
@@ -106,23 +119,21 @@ func TestStartSignal(t *testing.T) {
 func TestCommandToOriginItself(t *testing.T) {
 	eng, fab, ctl := bootedMachine(t, 2, 2)
 	h := New(eng, fab, ctl, DefaultConfig())
-	done := false
-	h.Ping(topo.Coord{X: 0, Y: 0}, func(r Response) { done = true })
-	eng.Run()
-	if !done {
-		t.Error("self-ping of the gateway never completed")
+	b := h.NewBatch(1)
+	b.Ping(topo.Coord{X: 0, Y: 0})
+	if r := issue(t, eng, b)[0]; r.Err != nil {
+		t.Errorf("self-ping of the gateway: %v", r.Err)
 	}
 }
 
 func TestLatencyGrowsWithDistanceButEthernetDominates(t *testing.T) {
 	eng, fab, ctl := bootedMachine(t, 8, 8)
 	h := New(eng, fab, ctl, DefaultConfig())
-	var near, far sim.Time
-	h.Ping(topo.Coord{X: 1, Y: 0}, func(r Response) { near = r.At })
-	eng.Run()
-	start := eng.Now()
-	h.Ping(topo.Coord{X: 4, Y: 4}, func(r Response) { far = r.At - start })
-	eng.Run()
+	b := h.NewBatch(1)
+	b.Ping(topo.Coord{X: 1, Y: 0})
+	b.Ping(topo.Coord{X: 4, Y: 4})
+	resp := issue(t, eng, b)
+	near, far := resp[0].RTT, resp[1].RTT
 	if far <= 0 || near <= 0 {
 		t.Fatal("pings missing")
 	}
@@ -136,8 +147,9 @@ func TestLatencyGrowsWithDistanceButEthernetDominates(t *testing.T) {
 func TestBurstAccounting(t *testing.T) {
 	eng, fab, ctl := bootedMachine(t, 2, 2)
 	h := New(eng, fab, ctl, DefaultConfig())
-	h.WriteMem(topo.Coord{X: 1, Y: 0}, 0x100, make([]byte, 64), nil)
-	eng.Run()
+	b := h.NewBatch(1)
+	b.WriteMem(topo.Coord{X: 1, Y: 0}, 0x100, make([]byte, 64))
+	issue(t, eng, b)
 	// 1 header + 16 data words.
 	if h.PacketsSent != 17 {
 		t.Errorf("packets sent = %d, want 17", h.PacketsSent)
@@ -148,11 +160,11 @@ func TestFillMemReachesEveryChip(t *testing.T) {
 	eng, fab, ctl := bootedMachine(t, 4, 4)
 	h := New(eng, fab, ctl, DefaultConfig())
 	payload := []byte("common runtime image, one Ethernet transfer")
-	var resp Response
-	if _, err := h.FillMem(0x5000_0000, payload, func(r Response) { resp = r }); err != nil {
+	b := h.NewBatch(1)
+	if _, err := b.FillMem(0x5000_0000, payload); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
+	resp := issue(t, eng, b)[0]
 	if resp.Err != nil {
 		t.Fatalf("fill failed: %v", resp.Err)
 	}
@@ -176,27 +188,21 @@ func TestFillMemReachesEveryChip(t *testing.T) {
 // swallows its neighbours' acknowledgements nor inflates the coverage
 // count.
 func TestFillMemSurvivesDeadChip(t *testing.T) {
-	eng := sim.New(1)
-	fab, err := router.NewFabric(eng, router.DefaultParams(4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, fab := newFabric(t, 1, 4, 4)
 	cfg := boot.DefaultConfig()
 	cfg.HardDeadChips = map[topo.Coord]bool{{X: 1, Y: 1}: true}
 	ctl := boot.NewController(eng, fab, cfg)
-	if _, err := ctl.Run(); err != nil {
-		t.Fatal(err)
-	}
+	ctl.Run()
 	h := New(eng, fab, ctl, DefaultConfig())
 	if got := h.FillAlive(); got != 15 {
 		t.Fatalf("ack tree spans %d chips, want 15 (one hard-dead)", got)
 	}
 	payload := []byte("routes around the corpse")
-	var resp Response
-	if _, err := h.FillMem(0x5300_0000, payload, func(r Response) { resp = r }); err != nil {
+	b := h.NewBatch(1)
+	if _, err := b.FillMem(0x5300_0000, payload); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
+	resp := issue(t, eng, b)[0]
 	if resp.Err != nil {
 		t.Fatalf("fill on a machine with a dead chip failed: %v", resp.Err)
 	}
@@ -221,11 +227,12 @@ func TestFillMemSurvivesDeadChip(t *testing.T) {
 func TestFillMemRejectsBadPayloads(t *testing.T) {
 	eng, fab, ctl := bootedMachine(t, 2, 2)
 	h := New(eng, fab, ctl, DefaultConfig())
-	if _, err := h.FillMem(0x100, nil, nil); err == nil {
+	b := h.NewBatch(1)
+	if _, err := b.FillMem(0x100, nil); err == nil {
 		t.Error("empty flood payload accepted")
 	}
 	// ChunkBytes=4 bounds a fill at MaxFillChunks words.
-	if _, err := h.FillMem(0x100, make([]byte, (MaxFillChunks+1)*4), nil); err == nil {
+	if _, err := b.FillMem(0x100, make([]byte, (MaxFillChunks+1)*4)); err == nil {
 		t.Error("oversized flood payload accepted")
 	}
 }
@@ -237,17 +244,9 @@ func TestBatchPipelinesCommands(t *testing.T) {
 	eng, fab, ctl := bootedMachine(t, 4, 4)
 	h := New(eng, fab, ctl, DefaultConfig())
 
-	// Serial reference: one ping at a time.
-	serialStart := eng.Now()
-	for i := 0; i < 8; i++ {
-		c := fab.Params().Torus.CoordOf(i)
-		h.Ping(c, nil)
-		eng.Run()
-	}
-	// Each serial command paid at least two Ethernet latencies; strip
-	// the stale-timeout tail the quiescence runs executed.
+	// Serial floor: one ping at a time pays at least two Ethernet
+	// latencies per command.
 	serialElapsed := 8 * 2 * DefaultConfig().EthLatency
-	_ = serialStart
 
 	b := h.NewBatch(8)
 	for i := 0; i < 8; i++ {
@@ -333,7 +332,7 @@ func TestAccessorsAndBounds(t *testing.T) {
 	if b.Timeout() != 3*sim.Millisecond {
 		t.Errorf("Timeout() = %v, want the 3ms override", b.Timeout())
 	}
-	// Batched fill validation mirrors the single-command path.
+	// An invalid fill is refused without joining the batch.
 	if _, err := b.FillMem(0x10, nil); err == nil {
 		t.Error("batched empty flood payload accepted")
 	}
@@ -381,18 +380,17 @@ func TestReadMemChunkSymmetry(t *testing.T) {
 	chunks := uint64((len(payload) + DefaultConfig().ChunkBytes - 1) / DefaultConfig().ChunkBytes)
 
 	s0, d0 := h.PacketsSent, fab.DeliveredP2P()
-	var wr Response
-	h.WriteMem(target, 0x900, payload, func(r Response) { wr = r })
-	eng.Run()
-	if wr.Err != nil {
+	b := h.NewBatch(1)
+	b.WriteMem(target, 0x900, payload)
+	if wr := issue(t, eng, b)[0]; wr.Err != nil {
 		t.Fatalf("write: %v", wr.Err)
 	}
 	s1, d1 := h.PacketsSent, fab.DeliveredP2P()
 	writeOut, writeBack := s1-s0, (d1-d0)-(s1-s0)
 
-	var rd Response
-	h.ReadMem(target, 0x900, len(payload), func(r Response) { rd = r })
-	eng.Run()
+	b = h.NewBatch(1)
+	b.ReadMem(target, 0x900, len(payload))
+	rd := issue(t, eng, b)[0]
 	if rd.Err != nil {
 		t.Fatalf("read: %v", rd.Err)
 	}
@@ -421,17 +419,11 @@ func TestReadMemChunkSymmetry(t *testing.T) {
 // that reaches some chips but not all resolves by deadline with
 // ErrTimeout and its partial coverage instead.)
 func TestFillMemUnreachableOrigin(t *testing.T) {
-	eng := sim.New(1)
-	fab, err := router.NewFabric(eng, router.DefaultParams(4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, fab := newFabric(t, 1, 4, 4)
 	cfg := boot.DefaultConfig()
 	cfg.HardDeadChips = map[topo.Coord]bool{{X: 2, Y: 2}: true}
 	ctl := boot.NewController(eng, fab, cfg)
-	if _, err := ctl.Run(); err != nil {
-		t.Fatal(err)
-	}
+	ctl.Run()
 	hcfg := DefaultConfig()
 	hcfg.Origin = topo.Coord{X: 2, Y: 2}
 	h := New(eng, fab, ctl, hcfg)
@@ -439,11 +431,117 @@ func TestFillMemUnreachableOrigin(t *testing.T) {
 		t.Fatalf("ack tree from a dead gateway spans %d chips, want 0", got)
 	}
 	start := eng.Now()
-	_, err = h.FillMem(0x100, []byte("never arrives"), nil)
+	_, err := h.NewBatch(1).FillMem(0x100, []byte("never arrives"))
 	if !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("fill from a dead gateway returned %v, want ErrUnreachable", err)
 	}
 	if eng.Now() != start {
 		t.Errorf("unreachable fill burned %v of simulated time, want 0", eng.Now()-start)
+	}
+}
+
+// imageLoad is one flood fill of the boot image: the per-block
+// responses, the time from launch to the last acknowledgement, and the
+// link traversals the fill cost once its redundant forwards drained.
+type imageLoad struct {
+	resp       []Response
+	time       sim.Time
+	traversals uint64
+}
+
+// loadImage boots fab under cfg and flood-fills the boot image's blocks
+// from (0,0) the way Machine.Boot does: one window-8 batch of 32-byte
+// chunks.
+func loadImage(t *testing.T, eng *sim.Engine, fab *router.Fabric, cfg boot.Config, redundancy int) (*boot.Controller, imageLoad) {
+	t.Helper()
+	ctl := boot.NewController(eng, fab, cfg)
+	ctl.Run()
+	hcfg := DefaultConfig()
+	hcfg.Redundancy = redundancy
+	h := New(eng, fab, ctl, hcfg)
+	b := h.NewBatch(8)
+	b.SetChunk(32)
+	for blk := 0; blk < cfg.ImageBlocks; blk++ {
+		if _, err := b.FillMem(boot.BlockAddr(uint32(blk)), boot.BlockContent(uint32(blk), cfg.BlockBytes)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start, before := eng.Now(), fab.LinkTraversals()
+	load := imageLoad{resp: issue(t, eng, b)}
+	for _, r := range load.resp {
+		if r.Err != nil {
+			t.Fatalf("image block: %v", r.Err)
+		}
+		load.time = max(load.time, r.At-start)
+	}
+	eng.Run()
+	load.traversals = fab.LinkTraversals() - before
+	return ctl, load
+}
+
+// TestImageIntegrityEverywhere: every chip, the one its neighbours
+// rescued at boot included, ends the image fill holding every block
+// intact.
+func TestImageIntegrityEverywhere(t *testing.T) {
+	eng, fab := newFabric(t, 1, 5, 5)
+	cfg := boot.DefaultConfig()
+	rescued := topo.Coord{X: 2, Y: 2}
+	cfg.DeadChips = map[topo.Coord]bool{rescued: true}
+	ctl, load := loadImage(t, eng, fab, cfg, 1)
+	if !ctl.Rescued(rescued) {
+		t.Fatal("the dead chip was not rescued")
+	}
+	for blk, r := range load.resp {
+		if r.Chips != 25 {
+			t.Errorf("block %d acknowledged by %d chips, want 25", blk, r.Chips)
+		}
+	}
+	for i := 0; i < 25; i++ {
+		if err := ctl.VerifyImage(fab.Params().Torus.CoordOf(i)); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestLoadTimeNearlyIndependentOfMachineSize is E9's headline: 12x12 has
+// 9x the chips of 4x4, and its image loads in little more time (the
+// flood's pipeline depth), far below 9x.
+func TestLoadTimeNearlyIndependentOfMachineSize(t *testing.T) {
+	loadTime := func(w, h int) sim.Time {
+		eng, fab := newFabric(t, 1, w, h)
+		_, load := loadImage(t, eng, fab, boot.DefaultConfig(), 1)
+		return load.time
+	}
+	small, large := loadTime(4, 4), loadTime(12, 12)
+	if ratio := float64(large) / float64(small); ratio > 2.5 {
+		t.Errorf("load time grew %.2fx from 4x4 to 12x12; paper says almost independent", ratio)
+	}
+}
+
+// TestRedundancyCostsTraffic: the paper's trade-off — more copies per
+// chunk buy fault tolerance at the price of flood traffic.
+func TestRedundancyCostsTraffic(t *testing.T) {
+	traffic := func(r int) uint64 {
+		eng, fab := newFabric(t, 1, 6, 6)
+		_, load := loadImage(t, eng, fab, boot.DefaultConfig(), r)
+		return load.traversals
+	}
+	if p1, p3 := traffic(1), traffic(3); p3 <= p1 {
+		t.Errorf("redundancy 3 traffic (%d) not above redundancy 1 (%d)", p3, p1)
+	}
+}
+
+// TestRedundancySurvivesLinkFailures: the trade-off's other side — with
+// failed links, a redundant flood still reaches every chip.
+func TestRedundancySurvivesLinkFailures(t *testing.T) {
+	eng, fab := newFabric(t, 3, 6, 6)
+	fab.FailLinkPair(topo.Coord{X: 1, Y: 1}, topo.East)
+	fab.FailLinkPair(topo.Coord{X: 2, Y: 3}, topo.North)
+	fab.FailLinkPair(topo.Coord{X: 4, Y: 4}, topo.NorthEast)
+	_, load := loadImage(t, eng, fab, boot.DefaultConfig(), 2)
+	for blk, r := range load.resp {
+		if r.Chips != 36 {
+			t.Errorf("block %d acknowledged by %d/36 chips with failed links at redundancy 2", blk, r.Chips)
+		}
 	}
 }

@@ -17,16 +17,18 @@ func busyHost(t *testing.T) *Host {
 	eng, fab, ctl := bootedMachine(t, 4, 4)
 	h := New(eng, fab, ctl, DefaultConfig())
 	far := topo.Coord{X: 3, Y: 2}
-	h.Ping(far, nil)
-	h.Start(topo.Coord{X: 1, Y: 1}, nil)
-	h.WriteMem(far, 0x7000, []byte("synaptic data block"), func(Response) {
-		h.ReadMem(far, 0x7000, 19, nil)
-	})
-	eng.Run()
-	if _, err := h.FillMem(0x9000, bytes.Repeat([]byte{0xA5}, 4096), nil); err != nil {
+	b := h.NewBatch(1)
+	b.Ping(far)
+	b.Start(topo.Coord{X: 1, Y: 1})
+	b.WriteMem(far, 0x7000, []byte("synaptic data block"))
+	b.ReadMem(far, 0x7000, 19)
+	issue(t, eng, b)
+	b = h.NewBatch(2)
+	if _, err := b.FillMem(0x9000, bytes.Repeat([]byte{0xA5}, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	h.Ping(topo.Coord{X: 2, Y: 3}, nil)
+	b.Ping(topo.Coord{X: 2, Y: 3})
+	b.Launch()
 	assembling := func() (n int) {
 		for _, m := range h.fills {
 			n += len(m)

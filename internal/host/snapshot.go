@@ -13,8 +13,8 @@ import (
 // debris: the deadline events of already-resolved commands, and the
 // response-chunk injections of commands that expired mid-stream. Both
 // are no-ops or stragglers against the restored command table.
-// Callbacks (done/onResolve) restore as nil — resolved commands never
-// invoke them again.
+// The batch hook (done) restores as nil — resolved commands never invoke
+// it again.
 
 // Event kinds of the host's snapshot-able events; args: command seq.
 const (

@@ -685,8 +685,10 @@ type BootReport struct {
 	Rescued       int
 	DeadForever   int
 	CoordCorrect  bool
-	LoadTimeMS    float64
-	AppCores      int
+	// LoadTimeMS is the simulated time from launching the system-image
+	// flood fill to its last block's acknowledgement.
+	LoadTimeMS float64
+	AppCores   int
 }
 
 // hostLoadChunkBytes is the payload each fabric packet carries during
@@ -737,6 +739,18 @@ func (m *Machine) runBatch(b *host.Batch) error {
 	return nil
 }
 
+// loadTime is how long a resolved load batch took from start: up to its
+// last command's resolution. The Drain after a load also runs every
+// command's no-op deadline event, so the clock after it would measure
+// the timeout, not the load.
+func loadTime(b *host.Batch, start sim.Time) sim.Time {
+	end := start
+	for _, r := range b.Responses() {
+		end = max(end, r.At)
+	}
+	return end - start
+}
+
 // Boot runs the section-5.2 sequence: self-test, monitor election,
 // neighbour rescue, coordinate flood, p2p configuration and flood-fill
 // load of the system image. The whole sequence — control phases and
@@ -751,12 +765,8 @@ func (m *Machine) Boot() (*BootReport, error) {
 	cfg.Cores = m.cfg.CoresPerChip
 	cfg.CoreFaultProb = m.cfg.CoreFaultProb
 	cfg.Seed = m.cfg.Seed
-	cfg.SkipLoad = true // the image loads through the host batch below
 	m.boot = boot.NewController(m.pe, m.fab, cfg)
-	res, err := m.boot.Run()
-	if err != nil {
-		return nil, err
-	}
+	res := m.boot.Run()
 	// The machine's Ethernet endpoint exists from here on: p2p routing
 	// is configured, so any chip is reachable through the gateway.
 	hcfg := host.DefaultConfig()
@@ -781,20 +791,18 @@ func (m *Machine) Boot() (*BootReport, error) {
 		if r.Err != nil {
 			return nil, fmt.Errorf("spinngo: boot image load: %w", r.Err)
 		}
-		// The old native flood tracked per-chip load completion; the
-		// batched flood certifies the same invariant through its
-		// convergecast count.
+		// Every block's convergecast count must cover the alive machine.
 		if r.Chips != m.host.FillAlive() {
 			return nil, fmt.Errorf("spinngo: boot image block %d reached %d of %d alive chips",
 				blk, r.Chips, m.host.FillAlive())
 		}
 	}
+	loadDur := loadTime(b, loadStart)
 	// The batch halts at the last acknowledgement, but redundant flood
 	// forwards are still draining; run them out (no tickers exist yet,
 	// so quiescence is finite) rather than let boot debris contend with
 	// the application load's link queues.
 	m.pe.Drain()
-	loadTime := m.pe.Now() - loadStart
 	appCores := 0
 	for _, n := range m.fab.Nodes() {
 		if m.boot.Alive(n.Coord) {
@@ -808,7 +816,7 @@ func (m *Machine) Boot() (*BootReport, error) {
 		Rescued:       res.Rescued,
 		DeadForever:   res.DeadForever,
 		CoordCorrect:  res.CoordCorrect,
-		LoadTimeMS:    loadTime.Millis(),
+		LoadTimeMS:    loadDur.Millis(),
 		AppCores:      appCores,
 	}, nil
 }
@@ -843,7 +851,8 @@ type LoadReport struct {
 	TreeLinks    int
 	// LoadTimeMS is the simulated time the host spent shipping the
 	// application data (synaptic images) into the machine as a
-	// pipelined batch of per-core SDRAM writes.
+	// pipelined batch of per-core SDRAM writes, up to the last write's
+	// acknowledgement.
 	LoadTimeMS float64
 }
 
@@ -918,10 +927,10 @@ func (m *Machine) Load(model *Model) (*LoadReport, error) {
 			return nil, fmt.Errorf("spinngo: application data load: %w", r.Err)
 		}
 	}
+	loadDur := loadTime(lb, loadStart)
 	// Drain straggler load traffic before the model starts (no tickers
 	// yet), so the run begins on a quiet fabric from a quiescent instant.
 	m.pe.Drain()
-	loadTime := m.pe.Now() - loadStart
 	// Model time starts here: spike ticks, rasters and InjectSpike times
 	// are measured from the end of loading.
 	m.epoch = m.pe.Now()
@@ -953,7 +962,7 @@ func (m *Machine) Load(model *Model) (*LoadReport, error) {
 		TableEntries: rplan.Stats.EntriesFinal,
 		MaxChipTable: rplan.Stats.MaxChipTable,
 		TreeLinks:    rplan.Stats.TreeLinks,
-		LoadTimeMS:   loadTime.Millis(),
+		LoadTimeMS:   loadDur.Millis(),
 	}, nil
 }
 

@@ -46,6 +46,48 @@ func TestBootProducesAppCores(t *testing.T) {
 	}
 }
 
+// TestLoadTimesMeasureTheLoad: boot and application load report the
+// time up to their last acknowledgement, not the 100 ms command
+// deadlines the post-load drain runs out. The image load is
+// Ethernet-paced, so 12x12 loads as fast as 4x4.
+func TestLoadTimesMeasureTheLoad(t *testing.T) {
+	bootLoad := func(side int) float64 {
+		m, err := NewMachine(MachineConfig{Width: side, Height: side, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		rep, err := m.Boot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.LoadTimeMS <= 0 || rep.LoadTimeMS >= 10 {
+			t.Errorf("%dx%d image load took %.3f ms, want (0, 10)", side, side, rep.LoadTimeMS)
+		}
+		return rep.LoadTimeMS
+	}
+	small, large := bootLoad(4), bootLoad(12)
+	if large > 1.05*small || small > 1.05*large {
+		t.Errorf("image load %.3f ms on 4x4 but %.3f ms on 12x12, want within 1.05x", small, large)
+	}
+
+	m := buildSmallMachine(t, MachineConfig{Width: 2, Height: 2, Seed: 1})
+	defer m.Close()
+	model := NewModel()
+	stim := model.AddPoisson("stim", 20, 10)
+	exc := model.AddLIF("exc", 50, DefaultLIFConfig())
+	if err := model.Connect(stim, exc, Conn{Rule: RandomRule, P: 0.2, WeightNA: 1, DelayMS: 1}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := m.Load(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.LoadTimeMS <= 0 || rep.LoadTimeMS >= 100 {
+		t.Errorf("application data load took %.3f ms, want (0, 100)", rep.LoadTimeMS)
+	}
+}
+
 func TestLoadRequiresBoot(t *testing.T) {
 	m, err := NewMachine(MachineConfig{Width: 2, Height: 2})
 	if err != nil {
