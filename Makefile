@@ -30,12 +30,12 @@ race:
 	$(GO) test -race ./internal/sim/ ./internal/router/ ./internal/workload/
 	$(GO) test -race -run 'TestDeterminism|TestDifferentSeeds|TestBoardLookahead|TestCabinetLookahead|TestRepartition|TestHostLoad|TestBatch|TestFillMem|TestHostOrigin|TestHostTimeout|TestSnapshot|TestCampaign|TestFailChip|TestFillRedundancy|TestWorkload' .
 
-# Tier-1 coverage of the engine + host + snapshot-codec packages, gated
-# in CI at the PR-10 baseline (93.2%).
+# Tier-1 coverage of the engine, host, snapshot-codec and neural
+# packages, gated in CI at the PR-10 baseline (93.2%).
 cover:
 	$(GO) test -coverprofile=cover.out -covermode=atomic \
-		-coverpkg=spinngo/internal/sim,spinngo/internal/host,spinngo/internal/snap \
-		./internal/sim/ ./internal/host/ ./internal/snap/ .
+		-coverpkg=spinngo/internal/sim,spinngo/internal/host,spinngo/internal/snap,spinngo/internal/neural \
+		./internal/sim/ ./internal/host/ ./internal/snap/ ./internal/neural/ .
 	$(GO) tool cover -func=cover.out | tail -1
 
 # The repo's one benchmark (BENCHMARK.json): every named workload end to
@@ -53,11 +53,14 @@ bench:
 # of row fetches folded into their core's dispatch held against the
 # eager DMA controller (seeds in internal/chip/testdata/fuzz) and ten of
 # push/pop streams held against the event queue's one-heap reference
-# (seeds in internal/sim/testdata/fuzz).
+# (seeds in internal/sim/testdata/fuzz), and ten of synaptic row stores
+# built, looked up and restored against a map of rows (seeds in
+# internal/neural/testdata/fuzz).
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzCoreCompletion' -fuzztime 10s ./internal/kernel/
 	$(GO) test -run '^$$' -fuzz 'FuzzRowFetch' -fuzztime 10s ./internal/chip/
 	$(GO) test -run '^$$' -fuzz 'FuzzQueueOrder' -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz 'FuzzMatrix' -fuzztime 10s ./internal/neural/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseWorkload' -fuzztime 10s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseCampaign' -fuzztime 10s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz 'FuzzRestore' -fuzztime 10s -fuzzminimizetime 1s .

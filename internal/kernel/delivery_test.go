@@ -50,7 +50,7 @@ func newDeliveryRig(rows int, hit bool, gaps [2]sim.Time) *deliveryRig {
 	r.keys = make([]uint32, rows)
 	for i := range r.keys {
 		key := uint32(i)<<11 | uint32(i*7)&0xff // fragment base | neuron, as routing keys are
-		m.AddRow(key, row)
+		m.AddRow(key, row, false)
 		if !hit {
 			key |= 1 << 10 // a neuron of the same fragment with no synapse here
 		}

@@ -1,7 +1,9 @@
 package mapping
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"spinngo/internal/neural"
 	"spinngo/internal/topo"
@@ -43,7 +45,7 @@ type dataBuilder struct {
 	plan    *DataPlan
 	rows    map[rowKey]neural.Row
 	plastic map[rowKey]*neural.STDPConfig
-	order   []rowKey // rows in first-synapse order
+	order   []rowKey // rows in first-synapse order until finish sorts them by key
 }
 
 func newDataBuilder(frags []*Fragment) *dataBuilder {
@@ -87,26 +89,18 @@ func (b *dataBuilder) add(pr *Projection, pre, post *Fragment, conn Conn) {
 	b.plan.TotalSynapses++
 }
 
-// finish sizes every core's matrix for the rows it will hold, then
-// moves the rows in, releasing each as it lands so set-up never holds
-// the whole connectivity twice.
+// finish moves the rows into the per-core matrices in ascending key
+// order (a core's matrix takes them no other way), releasing each as it
+// lands so set-up never holds the whole connectivity twice.
 func (b *dataBuilder) finish() (*DataPlan, error) {
-	type shape struct{ rows, words int }
-	shapes := make(map[*Fragment]shape)
-	for _, k := range b.order {
-		sh := shapes[k.frag]
-		shapes[k.frag] = shape{sh.rows + 1, sh.words + len(b.rows[k])}
-	}
-	for f, sh := range shapes {
-		b.coreData(f).Matrix.Reserve(sh.rows, sh.words)
-	}
+	slices.SortStableFunc(b.order, func(x, y rowKey) int { return cmp.Compare(x.preKey, y.preKey) })
 	for _, k := range b.order {
 		cd := b.coreData(k.frag)
-		cd.Matrix.AddRow(k.preKey, b.rows[k])
+		cfg := b.plastic[k]
+		cd.Matrix.AddRow(k.preKey, b.rows[k], cfg != nil)
 		b.plan.TotalBytes += b.rows[k].SizeBytes()
 		delete(b.rows, k)
-		if cfg := b.plastic[k]; cfg != nil {
-			cd.Matrix.SetPlastic(k.preKey)
+		if cfg != nil {
 			if cd.STDP != nil && *cd.STDP != *cfg {
 				return nil, fmt.Errorf("mapping: conflicting STDP rules target %q fragment %d",
 					k.frag.Pop.Name, k.frag.Index)

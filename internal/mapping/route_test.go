@@ -179,7 +179,7 @@ func TestBuildDataRowsAndKeys(t *testing.T) {
 	pre5, _ := FragmentForNeuron(preFrags, net.Pops[0], 5)
 	post5, _ := FragmentForNeuron(postFrags, net.Pops[1], 5)
 	cd := dplan.Cores[post5.Chip][post5.Core]
-	row, ok := cd.Matrix.Row(pre5.KeyFor(5))
+	row, _, ok := cd.Matrix.Lookup(pre5.KeyFor(5))
 	if !ok {
 		t.Fatal("row for pre neuron 5 missing")
 	}
@@ -255,10 +255,10 @@ func TestCompileMatchesTwoCallForm(t *testing.T) {
 	plasticRows := 0
 	for i, f := range rplan.Frags {
 		got, want := dplan.Cores[f.Chip][f.Core], dwant.Cores[frags[i].Chip][frags[i].Core]
-		if (got.STDP == nil) != (want.STDP == nil) || got.Matrix.Bytes != want.Matrix.Bytes ||
+		if (got.STDP == nil) != (want.STDP == nil) || got.Matrix.Bytes() != want.Matrix.Bytes() ||
 			!slices.Equal(got.Matrix.Keys(), want.Matrix.Keys()) {
 			t.Fatalf("fragment %d: matrix of %d rows / %d bytes, want %d / %d", i,
-				got.Matrix.NumRows(), got.Matrix.Bytes, want.Matrix.NumRows(), want.Matrix.Bytes)
+				got.Matrix.NumRows(), got.Matrix.Bytes(), want.Matrix.NumRows(), want.Matrix.Bytes())
 		}
 		for _, key := range want.Matrix.Keys() {
 			grow, gplastic, _ := got.Matrix.Lookup(key)

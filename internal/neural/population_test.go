@@ -34,8 +34,8 @@ func TestPopulationRowDelivery(t *testing.T) {
 	// the only one influenced, exactly 2 ticks later.
 	p := newLIFPopulation(8)
 	row := Row{MakeSynWord(65535, 2, false, 3)} // huge weight
-	p.Matrix.AddRow(0xabc, row)
-	r, ok := p.Matrix.Row(0xabc)
+	p.Matrix.AddRow(0xabc, row, false)
+	r, _, ok := p.Matrix.Lookup(0xabc)
 	if !ok {
 		t.Fatal("row missing")
 	}

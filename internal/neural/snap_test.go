@@ -36,9 +36,9 @@ func plasticState(n int) *STDPState {
 
 func plasticMatrix() *Matrix {
 	m := NewMatrix()
-	m.AddRow(0x900, Row{MakeSynWord(1, 1, false, 0), MakeSynWord(65535, 15, true, 3)})
-	m.AddRow(0x100, Row{})
-	m.AddRow(0x500, plasticRow(777))
+	m.AddRow(0x100, Row{}, false)
+	m.AddRow(0x500, plasticRow(777), true)
+	m.AddRow(0x900, Row{MakeSynWord(1, 1, false, 0), MakeSynWord(65535, 15, true, 3)}, false)
 	return m
 }
 
@@ -150,5 +150,40 @@ func TestSnapRejectsCorruptValues(t *testing.T) {
 	NewSTDPState(1, DefaultSTDP()).Snap(dec)
 	if dec.Err() == nil {
 		t.Error("post-spike history length 5 of 4 decoded without error")
+	}
+
+	// A matrix image's keys must strictly ascend; a rejected image leaves
+	// the rebuilt store as it was.
+	matrixImage := func(keys ...uint32) []byte {
+		enc := snap.NewEncoder()
+		enc.Len(len(keys))
+		for _, key := range keys {
+			word := uint32(MakeSynWord(1, 1, false, 0))
+			enc.U32(&key)
+			enc.Len(1)
+			enc.U32(&word)
+		}
+		return enc.Bytes()
+	}
+	want := encodeMatrix(plasticMatrix())
+	for _, row := range []struct {
+		name string
+		keys []uint32
+		ok   bool
+	}{
+		{"ascending", []uint32{0x100, 0x140, 0x900}, true},
+		{"swapped", []uint32{0x140, 0x100, 0x900}, false},
+		{"swapped at the end", []uint32{0x100, 0x900, 0x500}, false},
+		{"duplicate", []uint32{0x100, 0x100}, false},
+	} {
+		m := plasticMatrix()
+		dec := snap.NewDecoder(matrixImage(row.keys...))
+		m.Snap(dec, 4)
+		if (dec.Err() == nil) != row.ok {
+			t.Errorf("matrix keys %s %x: decode error %v", row.name, row.keys, dec.Err())
+		}
+		if !row.ok && !bytes.Equal(encodeMatrix(m), want) {
+			t.Errorf("matrix keys %s: the rejected image changed the store", row.name)
+		}
 	}
 }

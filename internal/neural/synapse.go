@@ -1,7 +1,9 @@
 package neural
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"spinngo/internal/snap"
@@ -82,171 +84,239 @@ type Row []SynWord
 func (r Row) SizeBytes() int { return 4 * len(r) }
 
 // Matrix is a core's synaptic store: row per presynaptic key. It models
-// the SDRAM-resident connectivity block of section 5.3: every row's
-// synapses sit back to back in one arena, and one packed open-addressed
-// table says where. A slot holds everything about its row but the
-// words — key, extent, plastic flag — so the packet handler, which only
-// needs the row's size to launch its DMA and finds no row at all for
-// most keys, reads one table line per packet and nothing else; the
-// DMA-done handler goes from the slot straight to the words.
+// the SDRAM-resident connectivity block of section 5.3: the rows sit back
+// to back in one arena in ascending key order, so a row is known by its
+// rank, and row r is words[offs[r]:offs[r+1]].
+//
+// The index is a small open-addressed table with one entry per 64-key
+// block that holds a row: the block's presence bits and the rank of its
+// first row. Routing is per fragment, so nearly every key a core hears
+// lands in a block it holds; the packet handler, which finds no row for
+// most keys, reads one bit of a table small enough to stay in cache
+// (a 16-byte entry covers up to 64 rows), and a hit's rank is the block's
+// base plus a popcount of the bits below the key's.
 type Matrix struct {
-	slots []rowSlot // linear probing; a power of two long, at most half full
-	shift uint8     // 32 - log2(len(slots)): the hash keeps the product's high bits
-	rows  int
-	words []SynWord // the rows' synapses, each row contiguous
-	// Bytes tracks total storage, checked against the SDRAM share.
-	Bytes int
+	blocks  []rowBlock // linear probing; a power of two long, at most ¾ full
+	mask    uint32     // len(blocks) - 1
+	shift   uint8      // 32 - log2(len(blocks)): the hash keeps the product's high bits
+	used    int        // non-empty blocks
+	offs    []uint32   // rows+1 arena offsets
+	words   []SynWord  // the rows' synapses in key order, each row contiguous
+	plastic []uint64   // bit r: row r is subject to STDP
+	last    uint32     // the highest key stored, valid once a row is
 }
 
-// rowSlot is one table entry: the row of key occupies words[off:off+n].
-// The zero slot is an empty one.
-type rowSlot struct {
-	key   uint32
-	off   uint32
-	n     uint32
-	flags uint32
+// rowBlock is one index entry: bit k of bits says key (hi-1)<<6|k has a
+// row, whose rank is base plus the set bits below k. The zero entry is an
+// empty one.
+type rowBlock struct {
+	hi   uint32 // key>>6 + 1
+	base uint32
+	bits uint64
 }
-
-const (
-	slotUsed    = 1 << iota // the slot holds a row (possibly an empty one)
-	slotPlastic             // the row is subject to STDP
-)
 
 // NewMatrix returns an empty synaptic store.
-func NewMatrix() *Matrix { return &Matrix{slots: make([]rowSlot, 8), shift: 32 - 3} }
+func NewMatrix() *Matrix {
+	return &Matrix{blocks: make([]rowBlock, 1), shift: 32, offs: []uint32{0}}
+}
 
-// slot returns the slot holding key, or the empty one it would take.
-func (m *Matrix) slot(key uint32) *rowSlot {
-	mask := uint32(len(m.slots) - 1)
-	for i := key * 0x9E3779B1 >> m.shift; ; i = (i + 1) & mask {
-		if s := &m.slots[i]; s.flags == 0 || s.key == key {
-			return s
+// block returns the entry of key's block, or the empty one it would take.
+func (m *Matrix) block(key uint32) *rowBlock {
+	i := key >> 6 * 0x9E3779B1 >> m.shift
+	for {
+		if b := &m.blocks[i]; b.hi == key>>6+1 || b.hi == 0 {
+			return b
 		}
+		i = (i + 1) & m.mask
 	}
 }
 
-// Reserve sizes the table for rows rows and the arena for words synapses
-// in one step, so a store whose final shape is known up front is built
-// without regrowth or slack.
-func (m *Matrix) Reserve(rows, words int) {
-	for 2*rows > len(m.slots) {
-		m.grow()
-	}
+// rank reports the rank of key's row, if it has one. An empty entry has
+// no bits set, so a key in no stored block misses on the same bit test.
+func (m *Matrix) rank(key uint32) (uint32, bool) {
+	b := m.block(key)
+	below := b.bits << (63 - key&63) // key's bit and the bits under it
+	return b.base + uint32(bits.OnesCount64(below)) - 1, below>>63 != 0
+}
+
+// reserve sizes the arena for rows rows of words synapses in all, so a
+// store whose final shape is known up front is built without regrowth or
+// slack.
+func (m *Matrix) reserve(rows, words int) {
+	m.offs = slices.Grow(m.offs, rows)
 	m.words = slices.Grow(m.words, words)
+	m.plastic = slices.Grow(m.plastic, (rows+63)/64)
 }
 
-// grow doubles the table and re-seats every row's slot.
+// grow doubles the index and re-seats every block.
 func (m *Matrix) grow() {
-	old := m.slots
-	m.slots = make([]rowSlot, 2*len(old))
+	old := m.blocks
+	m.blocks = make([]rowBlock, 2*len(old))
+	m.mask = 2*m.mask + 1
 	m.shift--
 	for _, o := range old {
-		if o.flags != 0 {
-			*m.slot(o.key) = o
+		if o.hi != 0 {
+			*m.block((o.hi - 1) << 6) = o
 		}
 	}
 }
 
-// resize makes room for n synapses under key and returns them for the
-// caller to fill. A key seen before keeps its flags; its row keeps its
-// place in the arena unless it grows, in which case it moves to the end
-// and the old extent is left behind (rows are resized when a snapshot
-// of a differently shaped build is overlaid, not in the steady state).
-func (m *Matrix) resize(key uint32, n int) Row {
-	s := m.slot(key)
-	if s.flags == 0 {
-		if 2*(m.rows+1) > len(m.slots) {
+// add appends a row of n synapses under key, which must be above every
+// key stored so far, and returns it for the caller to fill.
+func (m *Matrix) add(key uint32, n int, plastic bool) Row {
+	r := m.NumRows()
+	if r > 0 && key <= m.last {
+		panic(fmt.Sprintf("neural: row %#x added after row %#x", key, m.last))
+	}
+	b := m.block(key)
+	if b.hi == 0 {
+		if 4*(m.used+1) > 3*len(m.blocks) {
 			m.grow()
-			s = m.slot(key)
+			b = m.block(key)
 		}
-		m.rows++
-		*s = rowSlot{key: key, off: uint32(len(m.words)), flags: slotUsed}
+		*b = rowBlock{hi: key>>6 + 1, base: uint32(r)}
+		m.used++
 	}
-	if uint32(n) > s.n {
-		s.off = uint32(len(m.words))
-		m.words = append(m.words, make([]SynWord, n)...)
+	b.bits |= 1 << (key & 63)
+	m.last = key
+	if r%64 == 0 {
+		m.plastic = append(m.plastic, 0)
 	}
-	m.Bytes += 4 * (n - int(s.n))
-	s.n = uint32(n)
-	return m.words[s.off : s.off+s.n : s.off+s.n]
+	if plastic {
+		m.plastic[r/64] |= 1 << (r % 64)
+	}
+	off := len(m.words)
+	m.words = append(m.words, make([]SynWord, n)...)
+	m.offs = append(m.offs, uint32(off+n))
+	return m.words[off : off+n : off+n]
 }
 
-// AddRow installs a copy of row under a presynaptic routing key,
-// replacing any row already stored under it.
-func (m *Matrix) AddRow(key uint32, row Row) { copy(m.resize(key, len(row)), row) }
-
-// SetPlastic marks the row stored under key as subject to STDP; the
-// mark outlives any later replacement of the row.
-func (m *Matrix) SetPlastic(key uint32) {
-	if s := m.slot(key); s.flags != 0 {
-		s.flags |= slotPlastic
-	}
-}
+// AddRow stores a copy of row under a presynaptic routing key, marked
+// subject to STDP if plastic. Rows are added in ascending key order; a
+// key at or below one already stored is a toolchain bug and panics.
+func (m *Matrix) AddRow(key uint32, row Row, plastic bool) { copy(m.add(key, len(row), plastic), row) }
 
 // RowBytes reports the DMA transfer size of the row for a key — all the
-// packet handler needs, and all of it in the table slot.
+// packet handler needs.
 func (m *Matrix) RowBytes(key uint32) (int, bool) {
-	s := m.slot(key)
-	return 4 * int(s.n), s.flags != 0
+	r, ok := m.rank(key)
+	if !ok {
+		return 0, false
+	}
+	return 4 * int(m.offs[r+1]-m.offs[r]), true
 }
 
 // Lookup fetches the row for a key, aliasing the store (STDP updates the
 // weights in place), and whether it is plastic.
 func (m *Matrix) Lookup(key uint32) (row Row, plastic, ok bool) {
-	s := m.slot(key)
-	if s.flags == 0 {
+	r, ok := m.rank(key)
+	if !ok {
 		return nil, false, false
 	}
-	return m.words[s.off : s.off+s.n : s.off+s.n], s.flags&slotPlastic != 0, true
-}
-
-// Row is Lookup without the plastic flag.
-func (m *Matrix) Row(key uint32) (Row, bool) {
-	row, _, ok := m.Lookup(key)
-	return row, ok
+	return m.row(int(r)), m.isPlastic(int(r)), true
 }
 
 // NumRows reports the number of stored rows.
-func (m *Matrix) NumRows() int { return m.rows }
+func (m *Matrix) NumRows() int { return len(m.offs) - 1 }
 
-// Snap codes every stored row in ascending key order; decoding writes
-// each recorded row over the rebuilt one, in place when the shapes agree
-// (they do whenever the image and the rebuild come from the same
-// network), and rejects a synapse whose target is not one of the
-// population's neurons (row processing indexes per-neuron arrays by it).
-// The plastic marks are the rebuild's: they are a property of the
-// network, which the image carries separately.
+// Bytes reports the synapses' total storage, checked against the SDRAM
+// share.
+func (m *Matrix) Bytes() int { return 4 * len(m.words) }
+
+// Synapses returns every stored synapse, the rows back to back in
+// ascending key order, aliasing the store.
+func (m *Matrix) Synapses() Row { return m.words }
+
+// row returns the row of rank r.
+func (m *Matrix) row(r int) Row { return m.words[m.offs[r]:m.offs[r+1]:m.offs[r+1]] }
+
+// isPlastic reports the plastic mark of the row of rank r.
+func (m *Matrix) isPlastic(r int) bool { return m.plastic[r/64]&(1<<(r%64)) != 0 }
+
+// Snap codes every stored row in ascending key order. Decoding merges the
+// image into the rebuilt store in one pass: a recorded row replaces the
+// rebuilt one under its key, a rebuilt row the image does not record
+// stays, and the plastic marks are the rebuild's — they are a property
+// of the network, which the image carries separately. Keys that do not
+// strictly ascend, and a synapse whose target is not one of the
+// population's neurons (row processing indexes per-neuron arrays by it),
+// are decode errors; the store is left as it was.
 func (m *Matrix) Snap(c *snap.Codec, neurons int) {
 	keys := m.Keys()
+	if c.Decoding() {
+		m.decode(c, neurons, keys)
+		return
+	}
 	snap.Slice(c, &keys)
-	for i := 0; i < len(keys) && c.Err() == nil; i++ {
+	for i := range keys {
 		c.U32(&keys[i])
-		row, _ := m.Row(keys[i])
-		if n := c.Len(len(row)); c.Decoding() {
-			row = m.resize(keys[i], n)
-		}
+		row := m.row(i)
+		c.Len(len(row))
 		for j := range row {
 			c.U32((*uint32)(&row[j]))
-			if c.Decoding() && row[j].Target() >= neurons {
-				c.Fail(fmt.Errorf("neural: row %#x synapse %d targets neuron %d of %d", keys[i], j, row[j].Target(), neurons))
-			}
 		}
 	}
 }
 
-// Keys lists the stored presynaptic keys in ascending order. The order
-// is part of the determinism contract: callers fold floating-point
-// sums over it (mean weights), and table order would make those
-// observables depend on the table's size history.
-func (m *Matrix) Keys() []uint32 {
-	out := make([]uint32, 0, m.rows)
-	for _, s := range m.slots {
-		if s.flags != 0 {
-			out = append(out, s.key)
+// decode is Snap's decoding half; rebuilt lists m's keys. The merged
+// store is sized for the rebuild's shape, which is the image's whenever
+// both come from the same network.
+func (m *Matrix) decode(c *snap.Codec, neurons int, rebuilt []uint32) {
+	rows := c.Len(0)
+	out, next := NewMatrix(), 0
+	out.reserve(max(rows, len(rebuilt)), len(m.words))
+	keep := func(below uint64) { // carries over the rebuilt rows under below
+		for ; next < len(rebuilt) && uint64(rebuilt[next]) < below; next++ {
+			out.AddRow(rebuilt[next], m.row(next), m.isPlastic(next))
 		}
 	}
-	slices.Sort(out)
-	return out
+	for i := 0; i < rows; i++ {
+		var key uint32
+		if c.U32(&key); c.Err() != nil {
+			return
+		}
+		if i > 0 && key <= out.last {
+			c.Fail(fmt.Errorf("neural: row %#x follows row %#x", key, out.last))
+			return
+		}
+		keep(uint64(key))
+		plastic := false
+		if next < len(rebuilt) && rebuilt[next] == key {
+			plastic = m.isPlastic(next)
+			next++
+		}
+		row := out.add(key, c.Len(0), plastic)
+		for j := range row {
+			c.U32((*uint32)(&row[j]))
+			if row[j].Target() >= neurons {
+				c.Fail(fmt.Errorf("neural: row %#x synapse %d targets neuron %d of %d", key, j, row[j].Target(), neurons))
+			}
+		}
+		if c.Err() != nil {
+			return
+		}
+	}
+	keep(1 << 32)
+	*m = *out
+}
+
+// Keys lists the stored presynaptic keys in ascending order, which is
+// rank order.
+func (m *Matrix) Keys() []uint32 {
+	blocks := make([]rowBlock, 0, m.used)
+	for _, b := range m.blocks {
+		if b.hi != 0 {
+			blocks = append(blocks, b)
+		}
+	}
+	slices.SortFunc(blocks, func(a, b rowBlock) int { return cmp.Compare(a.hi, b.hi) })
+	keys := make([]uint32, 0, m.NumRows())
+	for _, b := range blocks {
+		for set := b.bits; set != 0; set &= set - 1 {
+			keys = append(keys, (b.hi-1)<<6|uint32(bits.TrailingZeros64(set)))
+		}
+	}
+	return keys
 }
 
 // InputRing is the deferred-event buffer (section 3.2): synaptic input

@@ -911,13 +911,13 @@ func (m *Machine) Load(model *Model) (*LoadReport, error) {
 	lb.SetChunk(hostLoadChunkBytes)
 	for _, f := range rplan.Frags {
 		cd := dplan.Cores[f.Chip][f.Core]
-		if cd == nil || cd.Matrix.Bytes == 0 {
+		if cd == nil || cd.Matrix.Bytes() == 0 {
 			continue
 		}
 		// The image content stands in for the serialised rows already
 		// held by the in-memory Matrix; what the transfer prices is the
 		// bytes moved and the time they take.
-		lb.WriteMem(f.Chip, synapseImageBase+uint32(f.Core)<<20, make([]byte, cd.Matrix.Bytes))
+		lb.WriteMem(f.Chip, synapseImageBase+uint32(f.Core)<<20, make([]byte, cd.Matrix.Bytes()))
 	}
 	if err := m.runBatch(lb); err != nil {
 		return nil, err
@@ -1188,7 +1188,7 @@ func (m *Machine) migrate(old *unit) {
 	}
 	// Re-reading the synaptic matrix from SDRAM takes real time; the
 	// fragment resumes only after the copy completes.
-	bytes := old.pop.Matrix.Bytes
+	bytes := old.pop.Matrix.Bytes()
 	m.boot.Chip(chipCoord).SDRAM.Transfer(bytes, migratedEv{m, old, spare})
 }
 
@@ -1520,13 +1520,11 @@ func (m *Machine) MeanWeightNA(p Pop) float64 {
 		if u.frag.Pop != pop || u.failed {
 			return
 		}
-		for _, key := range u.pop.Matrix.Keys() {
-			row, _ := u.pop.Matrix.Row(key)
-			for _, syn := range row {
-				sum += float64(syn.Weight()) / 256
-				n++
-			}
+		syns := u.pop.Matrix.Synapses()
+		for _, syn := range syns {
+			sum += float64(syn.Weight()) / 256
 		}
+		n += len(syns)
 	})
 	if n == 0 {
 		return 0

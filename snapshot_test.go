@@ -441,6 +441,46 @@ func TestSnapshotErrors(t *testing.T) {
 	if _, err := m.Run(5); err != nil {
 		t.Fatal(err)
 	}
+
+	// A synaptic matrix whose rows are out of key order.
+	golden := snapPrepare(t, 17, 1, PartitionBands, false)
+	defer golden.Close()
+	image, err := golden.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(swappedRowKeys(t, golden, image)); err == nil || !strings.Contains(err.Error(), "follows row") {
+		t.Errorf("Restore of an image with two row keys swapped: error %v, want an out-of-order error", err)
+	}
+}
+
+// swappedRowKeys returns image with the first two row keys of the first
+// plastic fragment's synaptic matrix swapped, so they descend. The
+// section is found by its bytes, re-encoded from m.
+func swappedRowKeys(t testing.TB, m *Machine, image []byte) []byte {
+	t.Helper()
+	for _, f := range m.rplan.Frags {
+		cd := m.dplan.Cores[f.Chip][f.Core]
+		if cd == nil || cd.STDP == nil || cd.Matrix.NumRows() < 2 {
+			continue
+		}
+		enc := snap.NewEncoder()
+		cd.Matrix.Snap(enc, f.Size())
+		at := bytes.Index(image, enc.Bytes())
+		if at < 0 {
+			t.Fatal("plastic matrix section not found in the image")
+		}
+		// The section is the row count, then per row its key, synapse
+		// count and synapses.
+		first := at + 4
+		second := first + 8 + 4*int(binary.LittleEndian.Uint32(image[first+4:]))
+		bad := bytes.Clone(image)
+		copy(bad[first:first+4], image[second:second+4])
+		copy(bad[second:second+4], image[first:first+4])
+		return bad
+	}
+	t.Fatal("no plastic fragment holds two rows")
+	return nil
 }
 
 // TestRestoreBoundsAllocation pins the hostile-image guard: a collection
@@ -694,8 +734,10 @@ func FuzzRestore(f *testing.F) {
 		f.Fatal(err)
 	}
 	cuts := sectionCuts(f, src, data)
+	swapped := swappedRowKeys(f, src, data)
 	src.Close()
 	f.Add(data)
+	f.Add(swapped)
 	for _, off := range []int{cuts[2], len(data) / 2, len(data) - 7} {
 		f.Add(data[:off:off])
 	}
