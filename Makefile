@@ -53,14 +53,17 @@ bench:
 # of row fetches folded into their core's dispatch held against the
 # eager DMA controller (seeds in internal/chip/testdata/fuzz) and ten of
 # push/pop streams held against the event queue's one-heap reference
-# (seeds in internal/sim/testdata/fuzz), and ten of synaptic row stores
+# (seeds in internal/sim/testdata/fuzz), ten of synaptic row stores
 # built, looked up and restored against a map of rows (seeds in
-# internal/neural/testdata/fuzz).
+# internal/neural/testdata/fuzz), and ten of small random networks
+# compiled by the mapper's streaming pass against its map-based oracle
+# (seeds in internal/mapping/testdata/fuzz).
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzCoreCompletion' -fuzztime 10s ./internal/kernel/
 	$(GO) test -run '^$$' -fuzz 'FuzzRowFetch' -fuzztime 10s ./internal/chip/
 	$(GO) test -run '^$$' -fuzz 'FuzzQueueOrder' -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz 'FuzzMatrix' -fuzztime 10s ./internal/neural/
+	$(GO) test -run '^$$' -fuzz 'FuzzCompile' -fuzztime 10s ./internal/mapping/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseWorkload' -fuzztime 10s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseCampaign' -fuzztime 10s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz 'FuzzRestore' -fuzztime 10s -fuzzminimizetime 1s .

@@ -92,9 +92,6 @@ type nodeState struct {
 	// nnSent counts nearest-neighbour packets this chip originated;
 	// summed into Result.NNPackets at finalise.
 	nnSent uint64
-	// idx is the chip's torus index, the per-chip term in the lazy
-	// rescue-RNG seed.
-	idx int
 	// rescueRNG drives this chip's rescue-path monitor election. It is
 	// deterministic in (Config.Seed, chip index) alone, created on first
 	// draw — a healthy boot never touches it, so a healthy chip never
@@ -132,7 +129,7 @@ type Controller struct {
 	fab   *router.Fabric
 	cfg   Config
 	torus topo.Torus
-	nodes map[topo.Coord]*nodeState
+	nodes []nodeState // by torus index
 	res   Result
 }
 
@@ -150,35 +147,43 @@ func NewController(run sim.Runner, fab *router.Fabric, cfg Config) *Controller {
 		fab:   fab,
 		cfg:   cfg,
 		torus: fab.Params().Torus,
-		nodes: make(map[topo.Coord]*nodeState, fab.Size()),
+		nodes: make([]nodeState, fab.Size()),
 	}
 	for _, n := range fab.Nodes() {
-		c.nodes[n.Coord] = &nodeState{
+		c.nodes[n.Index()] = nodeState{
 			chip:    chip.New(n.Domain(), n.Coord, cfg.Cores),
 			monitor: -1,
-			idx:     n.Index(),
 		}
 	}
 	fab.OnNN = c.handleNN
 	return c
 }
 
-// rescue returns the chip's rescue RNG, creating the stream on first
-// draw.
-func (st *nodeState) rescue(seed uint64) *sim.RNG {
+// rescue returns the rescue RNG of the chip at torus index idx, creating
+// the stream on first draw.
+func (st *nodeState) rescue(seed uint64, idx int) *sim.RNG {
 	if st.rescueRNG == nil {
-		st.rescueRNG = sim.NewRNG(seed ^ 0x9e3779b97f4a7c15*uint64(st.idx+1))
+		st.rescueRNG = sim.NewRNG(seed ^ 0x9e3779b97f4a7c15*uint64(idx+1))
 	}
 	return st.rescueRNG
 }
 
+// node returns a chip's boot state. A coordinate off the torus is a
+// caller's bug: it panics rather than alias the chip it would wrap to.
+func (c *Controller) node(at topo.Coord) *nodeState {
+	if !c.torus.Contains(at) {
+		panic(fmt.Sprintf("boot: chip %v is off the %dx%d torus", at, c.torus.W, c.torus.H))
+	}
+	return &c.nodes[at.Y*c.torus.W+at.X]
+}
+
 // Chip exposes a node's chip (for inspection in tests and the host).
-func (c *Controller) Chip(at topo.Coord) *chip.Chip { return c.nodes[at].chip }
+func (c *Controller) Chip(at topo.Coord) *chip.Chip { return c.node(at).chip }
 
 // send wraps fabric nn transmission with accounting. The tally lives on
 // the sending chip (shard-owned); finalise sums the machine-wide count.
 func (c *Controller) send(from topo.Coord, d topo.Dir, cmd, payload uint32) {
-	c.nodes[from].nnSent++
+	c.node(from).nnSent++
 	c.fab.SendNN(from, d, packet.NewNN(cmd, payload))
 }
 
@@ -202,7 +207,7 @@ func (c *Controller) Run() *Result {
 func (c *Controller) phaseLocalBoot() {
 	for _, n := range c.fab.Nodes() {
 		coord := n.Coord
-		st := c.nodes[coord]
+		st := &c.nodes[n.Index()]
 		if c.cfg.DeadChips[coord] || c.cfg.HardDeadChips[coord] {
 			continue
 		}
@@ -228,7 +233,7 @@ func (c *Controller) phaseLocalBoot() {
 func (c *Controller) phaseProbeAndRescue() {
 	for _, n := range c.fab.Nodes() {
 		coord := n.Coord
-		st := c.nodes[coord]
+		st := &c.nodes[n.Index()]
 		if !st.alive {
 			continue
 		}
@@ -252,7 +257,7 @@ func (c *Controller) phaseProbeAndRescue() {
 // phaseCoordinates: the origin claims (0,0) and floods coordinates.
 func (c *Controller) phaseCoordinates() {
 	origin := topo.Coord{X: 0, Y: 0}
-	st := c.nodes[origin]
+	st := c.node(origin)
 	if !st.alive {
 		return
 	}
@@ -265,7 +270,7 @@ func (c *Controller) phaseCoordinates() {
 }
 
 func (c *Controller) propagateCoord(from topo.Coord) {
-	st := c.nodes[from]
+	st := c.node(from)
 	for d := topo.Dir(0); int(d) < topo.NumDirs; d++ {
 		nb := c.torus.Neighbor(st.derived, d)
 		c.send(from, d, cmdCoord, uint32(packet.P2PAddr(nb.X, nb.Y)))
@@ -274,7 +279,7 @@ func (c *Controller) propagateCoord(from topo.Coord) {
 
 // handleNN is the fabric's nearest-neighbour delivery callback.
 func (c *Controller) handleNN(n *router.Node, from topo.Dir, pkt packet.Packet) {
-	st := c.nodes[n.Coord]
+	st := &c.nodes[n.Index()]
 	switch pkt.Key {
 	case cmdPing:
 		if st.alive {
@@ -292,7 +297,7 @@ func (c *Controller) handleNN(n *router.Node, from topo.Dir, pkt packet.Packet) 
 		// choice and the chip reboots. The election draws from this
 		// chip's own rescue stream — never the shared setup RNG, whose
 		// event-time draw order would depend on shard interleaving.
-		if id, err := st.chip.ElectMonitor(st.rescue(c.cfg.Seed)); err == nil {
+		if id, err := st.chip.ElectMonitor(st.rescue(c.cfg.Seed, n.Index())); err == nil {
 			st.alive = true
 			st.rescued = true
 			st.monitor = id
@@ -347,7 +352,7 @@ func (c *Controller) finalise() {
 	var lastCoord sim.Time
 	for _, n := range c.fab.Nodes() {
 		coord := n.Coord
-		st := c.nodes[coord]
+		st := &c.nodes[n.Index()]
 		c.res.NNPackets += st.nnSent
 		if !st.alive {
 			c.res.DeadForever++
@@ -379,7 +384,7 @@ func (c *Controller) finalise() {
 
 // VerifyImage checks a chip's SDRAM holds the full, correct image.
 func (c *Controller) VerifyImage(at topo.Coord) error {
-	st := c.nodes[at]
+	st := c.node(at)
 	for b := uint32(0); b < uint32(c.cfg.ImageBlocks); b++ {
 		data, ok := st.chip.SDRAM.Load(BlockAddr(b))
 		if !ok {
@@ -399,23 +404,23 @@ func (c *Controller) VerifyImage(at topo.Coord) error {
 }
 
 // Alive reports whether the chip ended the boot alive.
-func (c *Controller) Alive(at topo.Coord) bool { return c.nodes[at].alive }
+func (c *Controller) Alive(at topo.Coord) bool { return c.node(at).alive }
 
 // Rescued reports whether the chip was brought up by a neighbour.
-func (c *Controller) Rescued(at topo.Coord) bool { return c.nodes[at].rescued }
+func (c *Controller) Rescued(at topo.Coord) bool { return c.node(at).rescued }
 
 // KillChip records a post-boot chip death (a fault campaign's
 // FailChip): the chip drops out of aliveness checks, so host commands
 // targeting it fail and the flood-fill tree routes around it on its
 // next rebuild. Idempotent; call only at sequential quiescence — the
 // host reads aliveness from inside the event stream.
-func (c *Controller) KillChip(at topo.Coord) { c.nodes[at].alive = false }
+func (c *Controller) KillChip(at topo.Coord) { c.node(at).alive = false }
 
 // AliveChips counts chips currently alive.
 func (c *Controller) AliveChips() int {
 	n := 0
-	for _, st := range c.nodes {
-		if st.alive {
+	for i := range c.nodes {
+		if c.nodes[i].alive {
 			n++
 		}
 	}

@@ -128,3 +128,21 @@ func TestBootConfiguresP2PTables(t *testing.T) {
 		t.Errorf("p2p delivered %d, want 1", delivered)
 	}
 }
+
+// TestOffTorusChipPanics: per-chip state is indexed by torus index, so a
+// coordinate off the torus must fail loudly, not read the chip it would
+// wrap to.
+func TestOffTorusChipPanics(t *testing.T) {
+	_, c := newBoot(t, 3, 3, DefaultConfig())
+	c.Run()
+	for _, at := range []topo.Coord{{X: 3, Y: 0}, {X: 0, Y: 3}, {X: -1, Y: 1}, {X: 1, Y: -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Alive(%v) on a 3x3 torus did not panic", at)
+				}
+			}()
+			c.Alive(at)
+		}()
+	}
+}

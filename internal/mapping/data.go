@@ -32,101 +32,102 @@ type DataPlan struct {
 	TotalBytes int
 }
 
-// rowKey names one synaptic row: the core it lives on and the
-// presynaptic neuron's AER key.
-type rowKey struct {
-	frag   *Fragment
+// synapse is one expanded synapse as its post fragment holds it until
+// finish: the presynaptic neuron's AER key and the packed word.
+type synapse struct {
 	preKey uint32
+	word   neural.SynWord
 }
 
-// dataBuilder accumulates a DataPlan one synapse at a time; finish packs
-// the rows into the per-core matrices.
+// postRows collects the synapses one post fragment receives, in
+// expansion order.
+type postRows struct {
+	syn []synapse
+	// plastic lists the keys of the rows an STDP projection feeds, once
+	// per run of equal keys in arrival order.
+	plastic []uint32
+	// stdp is the first STDP rule to reach the fragment.
+	stdp *neural.STDPConfig
+}
+
+// dataBuilder accumulates a DataPlan one synapse at a time, each into
+// its post fragment's list; finish packs the lists into the per-core
+// matrices.
 type dataBuilder struct {
-	plan    *DataPlan
-	rows    map[rowKey]neural.Row
-	plastic map[rowKey]*neural.STDPConfig
-	order   []rowKey // rows in first-synapse order until finish sorts them by key
+	frags []*Fragment
+	post  []postRows // by fragment index
+	err   error      // the first conflicting STDP rule, reported by finish
 }
 
-func newDataBuilder(frags []*Fragment) *dataBuilder {
-	b := &dataBuilder{
-		plan:    &DataPlan{Cores: make(map[topo.Coord]map[int]*CoreData)},
-		rows:    make(map[rowKey]neural.Row),
-		plastic: make(map[rowKey]*neural.STDPConfig),
+// add appends one synapse of projection pr to its post fragment's list.
+func (b *dataBuilder) add(pr *Projection, post *Fragment, preKey uint32, word neural.SynWord) {
+	r := &b.post[post.Index]
+	r.syn = append(r.syn, synapse{preKey, word})
+	if pr.STDP == nil {
+		return
 	}
-	// Make sure every fragment has a (possibly empty) core image.
-	for _, f := range frags {
-		b.coreData(f)
+	if n := len(r.plastic); n == 0 || r.plastic[n-1] != preKey {
+		r.plastic = append(r.plastic, preKey)
 	}
-	return b
+	switch {
+	case r.stdp == nil:
+		r.stdp = pr.STDP
+	case r.stdp != pr.STDP && *r.stdp != *pr.STDP && b.err == nil:
+		b.err = fmt.Errorf("mapping: conflicting STDP rules target %q fragment %d",
+			post.Pop.Name, post.Index)
+	}
 }
 
-func (b *dataBuilder) coreData(f *Fragment) *CoreData {
-	chip := b.plan.Cores[f.Chip]
-	if chip == nil {
-		chip = make(map[int]*CoreData)
-		b.plan.Cores[f.Chip] = chip
-	}
-	cd := chip[f.Core]
-	if cd == nil {
-		cd = &CoreData{Frag: f, Matrix: neural.NewMatrix()}
-		chip[f.Core] = cd
-	}
-	return cd
-}
-
-// add appends one synapse of projection pr to its row.
-func (b *dataBuilder) add(pr *Projection, pre, post *Fragment, conn Conn) {
-	k := rowKey{post, pre.KeyFor(conn.PreIdx)}
-	if _, ok := b.rows[k]; !ok {
-		b.order = append(b.order, k)
-	}
-	b.rows[k] = append(b.rows[k], neural.MakeSynWord(
-		conn.Weight, conn.Delay, conn.Inhibitory, conn.PostIdx-post.Lo))
-	if pr.STDP != nil {
-		b.plastic[k] = pr.STDP
-	}
-	b.plan.TotalSynapses++
-}
-
-// finish moves the rows into the per-core matrices in ascending key
-// order (a core's matrix takes them no other way), releasing each as it
-// lands so set-up never holds the whole connectivity twice.
+// finish moves each fragment's synapses into its core's matrix, one row
+// per key in ascending key order (a matrix takes them no other way) and
+// words in expansion order, releasing each list as it lands so set-up
+// never holds the whole connectivity twice. One projection's keys
+// already ascend, so only a fragment several projections feed out of
+// key order is sorted.
 func (b *dataBuilder) finish() (*DataPlan, error) {
-	slices.SortStableFunc(b.order, func(x, y rowKey) int { return cmp.Compare(x.preKey, y.preKey) })
-	for _, k := range b.order {
-		cd := b.coreData(k.frag)
-		cfg := b.plastic[k]
-		cd.Matrix.AddRow(k.preKey, b.rows[k], cfg != nil)
-		b.plan.TotalBytes += b.rows[k].SizeBytes()
-		delete(b.rows, k)
-		if cfg != nil {
-			if cd.STDP != nil && *cd.STDP != *cfg {
-				return nil, fmt.Errorf("mapping: conflicting STDP rules target %q fragment %d",
-					k.frag.Pop.Name, k.frag.Index)
+	if b.err != nil {
+		return nil, b.err
+	}
+	plan := &DataPlan{Cores: make(map[topo.Coord]map[int]*CoreData)}
+	byKey := func(x, y synapse) int { return cmp.Compare(x.preKey, y.preKey) }
+	var row neural.Row
+	for _, f := range b.frags {
+		r := &b.post[f.Index]
+		cd := &CoreData{Frag: f, Matrix: neural.NewMatrix(), STDP: r.stdp}
+		chip := plan.Cores[f.Chip]
+		if chip == nil {
+			chip = make(map[int]*CoreData)
+			plan.Cores[f.Chip] = chip
+		}
+		chip[f.Core] = cd
+		if !slices.IsSortedFunc(r.syn, byKey) {
+			slices.SortStableFunc(r.syn, byKey)
+		}
+		slices.Sort(r.plastic)
+		p := 0
+		for lo := 0; lo < len(r.syn); {
+			key := r.syn[lo].preKey
+			row = row[:0]
+			for lo < len(r.syn) && r.syn[lo].preKey == key {
+				row = append(row, r.syn[lo].word)
+				lo++
 			}
-			cd.STDP = cfg
+			for p < len(r.plastic) && r.plastic[p] < key {
+				p++
+			}
+			cd.Matrix.AddRow(key, row, p < len(r.plastic) && r.plastic[p] == key)
+			plan.TotalBytes += row.SizeBytes()
 		}
+		plan.TotalSynapses += len(r.syn)
+		*r = postRows{}
 	}
-	return b.plan, nil
-}
-
-// BuildData expands every projection into per-core synaptic matrices
-// ("connectivity data constructed", section 5.3).
-func BuildData(net *Network, frags []*Fragment) (*DataPlan, error) {
-	b := newDataBuilder(frags)
-	for _, pr := range net.Projs {
-		if err := eachConn(frags, pr, func(pre, post *Fragment, conn Conn) { b.add(pr, pre, post, conn) }); err != nil {
-			return nil, err
-		}
-	}
-	return b.finish()
+	return plan, nil
 }
 
 // Compile runs the full pipeline: partition, place, route, build data,
 // validate. This is the one-call front end the public API uses. Routing
-// and data generation both read the expanded projections; they share
-// one expansion.
+// and data generation both read the one streaming expansion of every
+// projection.
 func Compile(net *Network, spec MachineSpec, strategy PlacementStrategy, opts RouteOptions, seed uint64) (*RoutingPlan, *DataPlan, error) {
 	frags, err := Partition(net, spec)
 	if err != nil {
@@ -135,15 +136,10 @@ func Compile(net *Network, spec MachineSpec, strategy PlacementStrategy, opts Ro
 	if err := Place(frags, spec, strategy, seed); err != nil {
 		return nil, nil, err
 	}
-	dests, data := newDestSets(frags), newDataBuilder(frags)
-	for _, pr := range net.Projs {
-		err := eachConn(frags, pr, func(pre, post *Fragment, conn Conn) {
-			dests.add(pre, post)
-			data.add(pr, pre, post, conn)
-		})
-		if err != nil {
-			return nil, nil, err
-		}
+	data := &dataBuilder{frags: frags, post: make([]postRows, len(frags))}
+	dests, err := expand(net, frags, data)
+	if err != nil {
+		return nil, nil, err
 	}
 	rplan, err := routeTo(dests, frags, spec, opts)
 	if err != nil {

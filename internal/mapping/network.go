@@ -169,14 +169,6 @@ func (n *Network) Validate() error {
 	return nil
 }
 
-// Conn is one expanded synapse.
-type Conn struct {
-	PreIdx, PostIdx int
-	Weight          uint16 // 1/256 nA units
-	Delay           int
-	Inhibitory      bool
-}
-
 // weightUnits converts nA to stored units, saturating at the field.
 func weightUnits(nA float64) uint16 {
 	u := nA * 256
@@ -189,42 +181,34 @@ func weightUnits(nA float64) uint16 {
 	return uint16(u + 0.5)
 }
 
-// Expand materialises the projection's synapse list deterministically.
-func (pr *Projection) Expand() []Conn {
+// each expands the projection deterministically, visiting every synapse
+// as a pair of population-relative neuron indices. The outer loop runs
+// over pre neurons in ascending order for every connector kind.
+func (pr *Projection) each(visit func(pre, post int)) {
 	rng := sim.NewRNG(pr.Seed ^ 0x9e3779b97f4a7c15)
-	w := weightUnits(pr.WeightNA)
-	mk := func(pre, post int) Conn {
-		return Conn{PreIdx: pre, PostIdx: post, Weight: w, Delay: pr.DelayMS, Inhibitory: pr.Inhibitory}
-	}
-	var out []Conn
 	switch pr.Kind {
 	case AllToAll:
 		for i := 0; i < pr.Pre.N; i++ {
 			for j := 0; j < pr.Post.N; j++ {
-				out = append(out, mk(i, j))
+				visit(i, j)
 			}
 		}
 	case OneToOne:
 		for i := 0; i < pr.Pre.N; i++ {
-			out = append(out, mk(i, i))
+			visit(i, i)
 		}
 	case FixedProbability:
 		for i := 0; i < pr.Pre.N; i++ {
 			for j := 0; j < pr.Post.N; j++ {
 				if rng.Bool(pr.P) {
-					out = append(out, mk(i, j))
+					visit(i, j)
 				}
 			}
 		}
 	case FixedFanout:
 		for i := 0; i < pr.Pre.N; i++ {
-			perm := rng.Perm(pr.Post.N)
-			k := pr.Fanout
-			if k > pr.Post.N {
-				k = pr.Post.N
-			}
-			for _, j := range perm[:k] {
-				out = append(out, mk(i, j))
+			for _, j := range rng.Perm(pr.Post.N)[:min(pr.Fanout, pr.Post.N)] {
+				visit(i, j)
 			}
 		}
 	case Shift:
@@ -233,8 +217,7 @@ func (pr *Projection) Expand() []Conn {
 			if j < 0 {
 				j += pr.Post.N
 			}
-			out = append(out, mk(i, j))
+			visit(i, j)
 		}
 	}
-	return out
 }

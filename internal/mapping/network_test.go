@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"strings"
 	"testing"
 
 	"spinngo/internal/neural"
@@ -47,18 +48,22 @@ func TestValidateOneToOneShapes(t *testing.T) {
 	}
 }
 
+// synapses collects a projection's streaming expansion.
+func synapses(pr *Projection) []Conn {
+	var out []Conn
+	pr.each(func(pre, post int) { out = append(out, Conn{PreIdx: pre, PostIdx: post}) })
+	return out
+}
+
 func TestExpandAllToAll(t *testing.T) {
 	_, proj := twoPopNet(3, 4, AllToAll)
-	conns := proj.Expand()
+	conns := synapses(proj)
 	if len(conns) != 12 {
 		t.Fatalf("all-to-all 3x4 = %d conns, want 12", len(conns))
 	}
 	seen := map[[2]int]bool{}
 	for _, c := range conns {
 		seen[[2]int{c.PreIdx, c.PostIdx}] = true
-		if c.Delay != 2 {
-			t.Errorf("delay = %d", c.Delay)
-		}
 	}
 	if len(seen) != 12 {
 		t.Error("duplicate pairs in all-to-all")
@@ -67,7 +72,7 @@ func TestExpandAllToAll(t *testing.T) {
 
 func TestExpandOneToOne(t *testing.T) {
 	_, proj := twoPopNet(5, 5, OneToOne)
-	conns := proj.Expand()
+	conns := synapses(proj)
 	if len(conns) != 5 {
 		t.Fatalf("one-to-one = %d conns, want 5", len(conns))
 	}
@@ -84,7 +89,7 @@ func TestExpandFixedProbabilityStatistics(t *testing.T) {
 	post := net.AddPopulation(&Population{Name: "b", N: 100, Kind: ModelLIF})
 	proj := net.Connect(&Projection{Pre: pre, Post: post, Kind: FixedProbability,
 		P: 0.1, WeightNA: 1, DelayMS: 1, Seed: 2})
-	n := len(proj.Expand())
+	n := len(synapses(proj))
 	// Expect ~1000 of 10000 possible.
 	if n < 800 || n > 1200 {
 		t.Errorf("expanded %d conns, want ~1000", n)
@@ -97,7 +102,7 @@ func TestExpandFixedFanoutExact(t *testing.T) {
 	post := net.AddPopulation(&Population{Name: "b", N: 50, Kind: ModelLIF})
 	proj := net.Connect(&Projection{Pre: pre, Post: post, Kind: FixedFanout,
 		Fanout: 7, WeightNA: 1, DelayMS: 1, Seed: 3})
-	conns := proj.Expand()
+	conns := synapses(proj)
 	if len(conns) != 140 {
 		t.Fatalf("fanout expansion = %d, want 140", len(conns))
 	}
@@ -121,7 +126,7 @@ func TestExpandFixedFanoutExact(t *testing.T) {
 func TestExpandDeterministic(t *testing.T) {
 	_, p1 := twoPopNet(50, 50, FixedProbability)
 	_, p2 := twoPopNet(50, 50, FixedProbability)
-	a, b := p1.Expand(), p2.Expand()
+	a, b := synapses(p1), synapses(p2)
 	if len(a) != len(b) {
 		t.Fatal("same seed, different expansion size")
 	}
@@ -168,7 +173,7 @@ func TestShiftConnector(t *testing.T) {
 	ring := net.AddPopulation(&Population{Name: "r", N: 10, Kind: ModelLIF})
 	proj := net.Connect(&Projection{Pre: ring, Post: ring, Kind: Shift, Offset: 3,
 		WeightNA: 1, DelayMS: 1})
-	conns := proj.Expand()
+	conns := synapses(proj)
 	if len(conns) != 10 {
 		t.Fatalf("shift expansion = %d", len(conns))
 	}
@@ -179,7 +184,7 @@ func TestShiftConnector(t *testing.T) {
 	}
 	// Negative offsets wrap too.
 	proj.Offset = -2
-	for _, c := range proj.Expand() {
+	for _, c := range synapses(proj) {
 		want := (c.PreIdx - 2 + 10) % 10
 		if c.PostIdx != want {
 			t.Errorf("conn %d->%d, want %d", c.PreIdx, c.PostIdx, want)
@@ -187,25 +192,30 @@ func TestShiftConnector(t *testing.T) {
 	}
 }
 
+// TestSTDPConflictDetected: two different STDP rules reaching one core
+// are an error, whether they feed different rows (two populations into
+// c) or the same rows (two all-to-all projections from a).
 func TestSTDPConflictDetected(t *testing.T) {
-	net := &Network{}
-	a := net.AddPopulation(&Population{Name: "a", N: 8, Kind: ModelLIF})
-	b := net.AddPopulation(&Population{Name: "b", N: 8, Kind: ModelLIF})
-	c := net.AddPopulation(&Population{Name: "c", N: 8, Kind: ModelLIF})
 	r1 := neural.DefaultSTDP()
 	r2 := neural.DefaultSTDP()
 	r2.APlus = 99
-	net.Connect(&Projection{Pre: a, Post: c, Kind: OneToOne, WeightNA: 1, DelayMS: 1, STDP: &r1})
-	net.Connect(&Projection{Pre: b, Post: c, Kind: OneToOne, WeightNA: 1, DelayMS: 1, STDP: &r2})
-	spec := DefaultMachineSpec(2, 2)
-	frags, err := Partition(net, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Place(frags, spec, PlaceSerpentine, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BuildData(net, frags); err == nil {
-		t.Error("conflicting STDP rules on one core accepted")
+	for _, c := range []struct {
+		name string
+		kind ConnectorKind
+		pre2 int // index of the second projection's pre population
+	}{
+		{"two populations", OneToOne, 1},
+		{"one row", AllToAll, 0},
+	} {
+		net := &Network{}
+		a := net.AddPopulation(&Population{Name: "a", N: 8, Kind: ModelLIF})
+		net.AddPopulation(&Population{Name: "b", N: 8, Kind: ModelLIF})
+		cpop := net.AddPopulation(&Population{Name: "c", N: 8, Kind: ModelLIF})
+		net.Connect(&Projection{Pre: a, Post: cpop, Kind: c.kind, WeightNA: 1, DelayMS: 1, STDP: &r1})
+		net.Connect(&Projection{Pre: net.Pops[c.pre2], Post: cpop, Kind: c.kind, WeightNA: 1, DelayMS: 1, STDP: &r2})
+		_, _, err := Compile(net, DefaultMachineSpec(2, 2), PlaceSerpentine, RouteOptions{}, 0)
+		if err == nil || !strings.Contains(err.Error(), "conflicting STDP rules target \"c\"") {
+			t.Errorf("%s: err %v, want a conflicting STDP rules error", c.name, err)
+		}
 	}
 }

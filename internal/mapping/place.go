@@ -171,17 +171,6 @@ func FragmentsByChip(frags []*Fragment) map[topo.Coord][]*Fragment {
 	return out
 }
 
-// FragmentsOf returns the fragments of one population in order.
-func FragmentsOf(frags []*Fragment, p *Population) []*Fragment {
-	var out []*Fragment
-	for _, f := range frags {
-		if f.Pop == p {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // FragmentForNeuron locates the fragment holding a population's neuron.
 func FragmentForNeuron(frags []*Fragment, p *Population, idx int) (*Fragment, error) {
 	for _, f := range frags {
@@ -190,4 +179,23 @@ func FragmentForNeuron(frags []*Fragment, p *Population, idx int) (*Fragment, er
 		}
 	}
 	return nil, fmt.Errorf("mapping: neuron %d of %q not in any fragment", idx, p.Name)
+}
+
+// neuronFrags indexes a population's fragments by neuron: entry i is the
+// fragment holding neuron i.
+func neuronFrags(frags []*Fragment, p *Population) ([]*Fragment, error) {
+	of := make([]*Fragment, p.N)
+	for _, f := range frags {
+		if f.Pop == p {
+			for i := f.Lo; i < f.Hi; i++ {
+				of[i] = f
+			}
+		}
+	}
+	for i, f := range of {
+		if f == nil {
+			return nil, fmt.Errorf("mapping: neuron %d of %q not in any fragment", i, p.Name)
+		}
+	}
+	return of, nil
 }

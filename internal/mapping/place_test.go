@@ -26,8 +26,10 @@ func TestPartitionSizes(t *testing.T) {
 	}
 	// Fragments tile the population exactly.
 	total := 0
-	for _, f := range FragmentsOf(frags, net.Pops[0]) {
-		total += f.Size()
+	for _, f := range frags {
+		if f.Pop == net.Pops[0] {
+			total += f.Size()
+		}
 	}
 	if total != 600 {
 		t.Errorf("pre fragments cover %d neurons, want 600", total)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"spinngo/internal/neural"
 	"spinngo/internal/packet"
 	"spinngo/internal/router"
 	"spinngo/internal/topo"
@@ -120,29 +121,44 @@ type RoutingPlan struct {
 	Stats  RoutingStats
 }
 
-// eachConn expands one projection and visits every synapse with the
-// fragments holding its two ends. Both consumers of the expansion — the
-// destination sets the router needs and the synaptic rows the cores
-// load — hang off this one walk, so a compile expands each projection
-// once, one projection at a time.
-func eachConn(frags []*Fragment, pr *Projection, visit func(pre, post *Fragment, conn Conn)) error {
-	preFrags := FragmentsOf(frags, pr.Pre)
-	postFrags := FragmentsOf(frags, pr.Post)
-	if len(preFrags) == 0 || len(postFrags) == 0 {
-		return fmt.Errorf("mapping: projection endpoints not partitioned")
-	}
-	for _, conn := range pr.Expand() {
-		pre, err := FragmentForNeuron(preFrags, pr.Pre, conn.PreIdx)
+// expand is the one streaming pass over every projection's synapses.
+// It derives the destination sets the router needs and, when rows is
+// non-nil, hands each synapse to the builder of the rows the cores
+// load. frags are as Partition returns them: fragment i has Index i.
+func expand(net *Network, frags []*Fragment, rows *dataBuilder) (destSets, error) {
+	dests := newDestSets(frags)
+	// seen[post.Index] == stamp once the current pre fragment's pair
+	// with post is in dests. A projection visits its pre neurons in
+	// ascending order, so each pre fragment's synapses come in one run.
+	seen := make([]int, len(frags))
+	stamp := 0
+	for _, pr := range net.Projs {
+		preOf, err := neuronFrags(frags, pr.Pre)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		post, err := FragmentForNeuron(postFrags, pr.Post, conn.PostIdx)
+		postOf, err := neuronFrags(frags, pr.Post)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		visit(pre, post, conn)
+		w := weightUnits(pr.WeightNA)
+		var pre *Fragment
+		pr.each(func(i, j int) {
+			if preOf[i] != pre {
+				pre = preOf[i]
+				stamp++
+			}
+			post := postOf[j]
+			if seen[post.Index] != stamp {
+				seen[post.Index] = stamp
+				dests.add(pre, post)
+			}
+			if rows != nil {
+				rows.add(pr, post, pre.KeyFor(i), neural.MakeSynWord(w, pr.DelayMS, pr.Inhibitory, j-post.Lo))
+			}
+		})
 	}
-	return nil
+	return dests, nil
 }
 
 // destSets is, for every fragment (by index), the chips and cores its
@@ -168,21 +184,9 @@ func (dests destSets) add(pre, post *Fragment) {
 	m[post.Chip] = append(m[post.Chip], post.Core)
 }
 
-// DestinationSets derives, for every fragment, the chips and cores its
-// spikes must reach, from the expanded projections.
-func DestinationSets(net *Network, frags []*Fragment) (map[int]map[topo.Coord][]int, error) {
-	dests := newDestSets(frags)
-	for _, pr := range net.Projs {
-		if err := eachConn(frags, pr, func(pre, post *Fragment, _ Conn) { dests.add(pre, post) }); err != nil {
-			return nil, err
-		}
-	}
-	return dests, nil
-}
-
 // Route generates trees and router tables for placed fragments.
 func Route(net *Network, frags []*Fragment, spec MachineSpec, opts RouteOptions) (*RoutingPlan, error) {
-	dests, err := DestinationSets(net, frags)
+	dests, err := expand(net, frags, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,6 @@
 package mapping
 
 import (
-	"reflect"
-	"slices"
 	"testing"
 
 	"spinngo/internal/neural"
@@ -158,14 +156,7 @@ func TestBuildDataRowsAndKeys(t *testing.T) {
 	net, _ := twoPopNet(10, 10, OneToOne)
 	spec := DefaultMachineSpec(2, 2)
 	spec.MaxNeuronsPerCore = 4
-	frags, err := Partition(net, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Place(frags, spec, PlaceSerpentine, 0); err != nil {
-		t.Fatal(err)
-	}
-	dplan, err := BuildData(net, frags)
+	rplan, dplan, err := Compile(net, spec, PlaceSerpentine, RouteOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,10 +165,8 @@ func TestBuildDataRowsAndKeys(t *testing.T) {
 	}
 	// Every pre neuron i connects to post neuron i: find the row for
 	// pre neuron 5 and check it targets the right local index.
-	preFrags := FragmentsOf(frags, net.Pops[0])
-	postFrags := FragmentsOf(frags, net.Pops[1])
-	pre5, _ := FragmentForNeuron(preFrags, net.Pops[0], 5)
-	post5, _ := FragmentForNeuron(postFrags, net.Pops[1], 5)
+	pre5, _ := FragmentForNeuron(rplan.Frags, net.Pops[0], 5)
+	post5, _ := FragmentForNeuron(rplan.Frags, net.Pops[1], 5)
 	cd := dplan.Cores[post5.Chip][post5.Core]
 	row, _, ok := cd.Matrix.Lookup(pre5.KeyFor(5))
 	if !ok {
@@ -208,71 +197,26 @@ func TestCompilePipeline(t *testing.T) {
 	}
 }
 
-// TestCompileMatchesTwoCallForm holds the one-expansion compile to the
-// two-call form it replaced — Route and BuildData each expanding every
-// projection for themselves — on a network with a static, a recurrent
-// plastic and an inhibitory projection: destination sets, trees'
-// link counts, routing tables and statistics, and every core's matrix
-// row for row, plastic marks and byte totals included.
-func TestCompileMatchesTwoCallForm(t *testing.T) {
+// TestCompileMatchesOracle holds the streaming compile to the oracle on
+// a network with a static, a recurrent plastic and an inhibitory
+// projection, the same pre population feeding one post population twice
+// (so post fragments receive keys out of order and are sorted), and a
+// static projection sharing the plastic one's rows.
+func TestCompileMatchesOracle(t *testing.T) {
 	net, _ := twoPopNet(300, 200, FixedProbability)
 	pre, post := net.Pops[0], net.Pops[1]
 	stdp := neural.DefaultSTDP()
 	net.Connect(&Projection{Pre: post, Post: post, Kind: FixedFanout, Fanout: 7, WeightNA: 0.2, DelayMS: 1, Seed: 2, STDP: &stdp})
 	net.Connect(&Projection{Pre: post, Post: pre, Kind: Shift, Offset: 5, WeightNA: 0.7, DelayMS: 3, Seed: 3, Inhibitory: true})
+	net.Connect(&Projection{Pre: pre, Post: post, Kind: FixedProbability, P: 0.05, WeightNA: 0.3, DelayMS: 4, Seed: 4})
+	net.Connect(&Projection{Pre: post, Post: post, Kind: OneToOne, WeightNA: 0.1, DelayMS: 5})
 	spec := DefaultMachineSpec(4, 4)
 	spec.MaxNeuronsPerCore = 32
 	spec.AppCoresPerChip = 4
-	opts := RouteOptions{ElideDefault: true, Minimise: true}
-
-	rplan, dplan, err := Compile(net, spec, PlaceSerpentine, opts, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frags, err := Partition(net, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Place(frags, spec, PlaceSerpentine, 7); err != nil {
-		t.Fatal(err)
-	}
-	rwant, err := Route(net, frags, spec, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dwant, err := BuildData(net, frags)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if rplan.Stats != rwant.Stats || !reflect.DeepEqual(rplan.Dests, rwant.Dests) || !reflect.DeepEqual(rplan.Tables, rwant.Tables) {
-		t.Errorf("routing differs:\n one expansion  %+v\n two expansions %+v", rplan.Stats, rwant.Stats)
-	}
-	if dplan.TotalSynapses != dwant.TotalSynapses || dplan.TotalBytes != dwant.TotalBytes || dplan.TotalSynapses == 0 {
-		t.Errorf("data totals %d synapses / %d bytes, want %d / %d",
-			dplan.TotalSynapses, dplan.TotalBytes, dwant.TotalSynapses, dwant.TotalBytes)
-	}
-	plasticRows := 0
-	for i, f := range rplan.Frags {
-		got, want := dplan.Cores[f.Chip][f.Core], dwant.Cores[frags[i].Chip][frags[i].Core]
-		if (got.STDP == nil) != (want.STDP == nil) || got.Matrix.Bytes() != want.Matrix.Bytes() ||
-			!slices.Equal(got.Matrix.Keys(), want.Matrix.Keys()) {
-			t.Fatalf("fragment %d: matrix of %d rows / %d bytes, want %d / %d", i,
-				got.Matrix.NumRows(), got.Matrix.Bytes(), want.Matrix.NumRows(), want.Matrix.Bytes())
+	for _, strategy := range []PlacementStrategy{PlaceSerpentine, PlaceRandom} {
+		if compileMatchesOracle(t, net, spec, strategy, RouteOptions{ElideDefault: true, Minimise: true}, 7) == 0 {
+			t.Errorf("%v: no plastic row compared; the network was meant to hold some", strategy)
 		}
-		for _, key := range want.Matrix.Keys() {
-			grow, gplastic, _ := got.Matrix.Lookup(key)
-			wrow, wplastic, _ := want.Matrix.Lookup(key)
-			if !slices.Equal(grow, wrow) || gplastic != wplastic {
-				t.Fatalf("fragment %d row %#x: %v (plastic %v), want %v (plastic %v)", i, key, grow, gplastic, wrow, wplastic)
-			}
-			if wplastic {
-				plasticRows++
-			}
-		}
-	}
-	if plasticRows == 0 {
-		t.Error("no plastic row compared; the network was meant to hold some")
 	}
 }
 
@@ -327,4 +271,37 @@ func TestNeuralMaxDelayMatchesSynWord(t *testing.T) {
 	if neural.MaxSynDelay != 15 {
 		t.Errorf("MaxSynDelay = %d; mapping assumes the 4-bit field", neural.MaxSynDelay)
 	}
+}
+
+// BenchmarkCompile compiles a network shaped like bench/'s plastic-8x8
+// workload (cortical-mix: thalamic drive, a plastic excitatory
+// recurrence, fast-spiking and chattering cells; 2 600 neurons in
+// 64-neuron fragments on an 8x8 machine, about 100 000 synapses): the
+// mapping share of that workload's set-up. It reports the cost per
+// expanded synapse and the allocations of one compile.
+func BenchmarkCompile(b *testing.B) {
+	net := &Network{}
+	thal := net.AddPopulation(&Population{Name: "thalamus", N: 400, Kind: ModelPoisson, RateHz: 80})
+	exc := net.AddPopulation(&Population{Name: "exc", N: 1600, Kind: ModelLIF, LIF: neural.DefaultLIF()})
+	fs := net.AddPopulation(&Population{Name: "fs", N: 400, Kind: ModelIzhikevich})
+	chat := net.AddPopulation(&Population{Name: "chat", N: 200, Kind: ModelIzhikevich})
+	stdp := neural.DefaultSTDP()
+	net.Connect(&Projection{Pre: thal, Post: exc, Kind: FixedProbability, P: 0.025, WeightNA: 1, DelayMS: 1, Seed: 1})
+	net.Connect(&Projection{Pre: exc, Post: exc, Kind: FixedProbability, P: 0.0125, WeightNA: 0.4, DelayMS: 2, Seed: 2, STDP: &stdp})
+	net.Connect(&Projection{Pre: exc, Post: fs, Kind: FixedProbability, P: 0.025, WeightNA: 0.6, DelayMS: 1, Seed: 3})
+	net.Connect(&Projection{Pre: fs, Post: exc, Kind: FixedProbability, P: 0.05, WeightNA: 0.8, DelayMS: 1, Seed: 4, Inhibitory: true})
+	net.Connect(&Projection{Pre: chat, Post: exc, Kind: FixedFanout, Fanout: 20, WeightNA: 0.3, DelayMS: 4, Seed: 5})
+	spec := DefaultMachineSpec(8, 8)
+	spec.MaxNeuronsPerCore = 64
+	opts := RouteOptions{ElideDefault: true, Minimise: true}
+	synapses := 0
+	b.ReportAllocs()
+	for b.Loop() {
+		_, dplan, err := Compile(net, spec, PlaceSerpentine, opts, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		synapses += dplan.TotalSynapses
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(synapses), "ns/synapse")
 }
