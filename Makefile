@@ -54,8 +54,9 @@ bench:
 # eager DMA controller (seeds in internal/chip/testdata/fuzz) and ten of
 # push/pop streams held against the event queue's one-heap reference
 # (seeds in internal/sim/testdata/fuzz), ten of synaptic row stores
-# built, looked up and restored against a map of rows (seeds in
-# internal/neural/testdata/fuzz), and ten of small random networks
+# built, looked up and restored against a map of rows and ten of spike
+# rasters recorded, read back and restored against a []Spike raster (seeds
+# for both in internal/neural/testdata/fuzz), and ten of small random networks
 # compiled by the mapper's streaming pass against its map-based oracle
 # (seeds in internal/mapping/testdata/fuzz).
 fuzz:
@@ -63,6 +64,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzRowFetch' -fuzztime 10s ./internal/chip/
 	$(GO) test -run '^$$' -fuzz 'FuzzQueueOrder' -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz 'FuzzMatrix' -fuzztime 10s ./internal/neural/
+	$(GO) test -run '^$$' -fuzz 'FuzzRecorder' -fuzztime 10s ./internal/neural/
 	$(GO) test -run '^$$' -fuzz 'FuzzCompile' -fuzztime 10s ./internal/mapping/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseWorkload' -fuzztime 10s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseCampaign' -fuzztime 10s ./internal/workload/

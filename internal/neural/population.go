@@ -1,8 +1,10 @@
 package neural
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"spinngo/internal/sim"
 	"spinngo/internal/snap"
@@ -14,26 +16,60 @@ type Spike struct {
 	Neuron int
 }
 
-// Recorder accumulates a spike raster.
+// Recorder accumulates a spike raster. Like the paper's AER events — a
+// spike is a key, its time is when it arrives — a recorded spike carries
+// little: the raster is one append-only byte stream holding, per spike,
+// the uvarint tick delta from the spike before it and then the uvarint
+// neuron index. That is under three bytes a spike on a busy core, where
+// a []Spike took sixteen, and the raster is the one structure that grows
+// with the length of a run.
 type Recorder struct {
-	Spikes []Spike
+	stream []byte
+	total  int
+	last   uint64 // the tick of the last spike recorded
 	counts []uint64
 }
 
 // NewRecorder returns a recorder for n neurons.
 func NewRecorder(n int) *Recorder { return &Recorder{counts: make([]uint64, n)} }
 
-// Record adds one spike.
+// Record adds one spike. Ticks must not decrease — a population records
+// its spikes as its clock advances — and a spike recorded before the
+// last one panics.
 func (r *Recorder) Record(tick uint64, neuron int) {
-	r.Spikes = append(r.Spikes, Spike{tick, neuron})
+	if tick < r.last {
+		panic(fmt.Sprintf("neural: spike recorded at tick %d after tick %d", tick, r.last))
+	}
 	r.counts[neuron]++
+	r.stream = binary.AppendUvarint(binary.AppendUvarint(r.stream, tick-r.last), uint64(neuron))
+	r.last = tick
+	r.total++
+}
+
+// Each calls f with every recorded spike, in the order recorded.
+func (r *Recorder) Each(f func(Spike)) {
+	var tick uint64
+	for b := r.stream; len(b) > 0; {
+		delta, n := binary.Uvarint(b)
+		neuron, m := binary.Uvarint(b[n:])
+		b = b[n+m:]
+		tick += delta
+		f(Spike{tick, int(neuron)})
+	}
+}
+
+// Spikes returns the raster as a fresh slice, in the order recorded.
+func (r *Recorder) Spikes() []Spike {
+	out := make([]Spike, 0, r.total)
+	r.Each(func(s Spike) { out = append(out, s) })
+	return out
 }
 
 // Count reports spikes for one neuron.
 func (r *Recorder) Count(neuron int) uint64 { return r.counts[neuron] }
 
 // Total reports all spikes.
-func (r *Recorder) Total() int { return len(r.Spikes) }
+func (r *Recorder) Total() int { return r.total }
 
 // Rate reports a neuron's mean firing rate in Hz over the given ticks
 // (1 ms ticks).
@@ -44,21 +80,82 @@ func (r *Recorder) Rate(neuron int, ticks uint64) float64 {
 	return float64(r.counts[neuron]) / (float64(ticks) / 1000.0)
 }
 
+// spikeImageBytes is one spike's width in an image: its tick as a
+// uint64, then its neuron as an int64.
+const spikeImageBytes = 16
+
 // Snap codes the recorded raster and the per-neuron counts of a recorder
-// of the same neuron count.
+// of the same neuron count: the spike count, each spike's tick and
+// neuron, the neuron count and each neuron's spike count. Both lists go
+// through the codec as one span each. Decoding builds a fresh stream and
+// installs it only if every spike is in tick order on one of the
+// recorder's neurons and the counts are the raster's; otherwise it fails
+// the codec and leaves the recorder as it was.
 func (r *Recorder) Snap(c *snap.Codec) {
-	snap.Slice(c, &r.Spikes)
-	for i := range r.Spikes {
-		c.U64(&r.Spikes[i].Tick)
-		c.Int(&r.Spikes[i].Neuron)
+	n := c.Len(r.total)
+	raster := c.Span(spikeImageBytes * n)
+	if c.Decoding() {
+		r.decode(c, raster)
+		return
 	}
+	at := 0
+	r.Each(func(s Spike) {
+		binary.LittleEndian.PutUint64(raster[at:], s.Tick)
+		binary.LittleEndian.PutUint64(raster[at+8:], uint64(s.Neuron))
+		at += spikeImageBytes
+	})
+	c.Len(len(r.counts))
+	counts := c.Span(8 * len(r.counts))
+	for i, k := range r.counts {
+		binary.LittleEndian.PutUint64(counts[8*i:], k)
+	}
+}
+
+// decode is Snap's decoding half, given the raster's image bytes.
+func (r *Recorder) decode(c *snap.Codec, raster []byte) {
 	if !c.FixedLen(len(r.counts), "recorder spike counts") {
 		return
 	}
-	for i := range r.counts {
-		c.U64(&r.counts[i])
+	recorded := c.Span(8 * len(r.counts))
+	if c.Err() != nil {
+		return
 	}
+	counts := make([]uint64, len(r.counts))
+	var last uint64
+	size := 0
+	for at := 0; at < len(raster); at += spikeImageBytes {
+		tick := binary.LittleEndian.Uint64(raster[at:])
+		neuron := binary.LittleEndian.Uint64(raster[at+8:])
+		if tick < last {
+			c.Fail(fmt.Errorf("neural: recorder: spike %d at tick %d follows tick %d", at/spikeImageBytes, tick, last))
+			return
+		}
+		if neuron >= uint64(len(counts)) {
+			c.Fail(fmt.Errorf("neural: recorder: spike %d on neuron %d of %d", at/spikeImageBytes, int64(neuron), len(counts)))
+			return
+		}
+		counts[neuron]++
+		size += uvarintLen(tick-last) + uvarintLen(neuron)
+		last = tick
+	}
+	for i, k := range counts {
+		if got := binary.LittleEndian.Uint64(recorded[8*i:]); got != k {
+			c.Fail(fmt.Errorf("neural: recorder: neuron %d counts %d spikes, the raster %d", i, got, k))
+			return
+		}
+	}
+	stream := make([]byte, 0, size)
+	last = 0
+	for at := 0; at < len(raster); at += spikeImageBytes {
+		tick := binary.LittleEndian.Uint64(raster[at:])
+		stream = binary.AppendUvarint(binary.AppendUvarint(stream, tick-last), binary.LittleEndian.Uint64(raster[at+8:]))
+		last = tick
+	}
+	r.stream, r.total, r.last, r.counts = stream, len(raster)/spikeImageBytes, last, counts
 }
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // popModel selects a population's stepping path.
 type popModel uint8

@@ -203,13 +203,13 @@ func TestChunkedSoAMatchesInterfaceAcrossSizes(t *testing.T) {
 						}
 					}
 				}
-				ss, rs := c.soa.Rec, c.ref.Rec
-				if len(ss.Spikes) != len(rs.Spikes) {
-					t.Fatalf("SoA recorded %d spikes, interface %d", len(ss.Spikes), len(rs.Spikes))
+				ss, rs := c.soa.Rec.Spikes(), c.ref.Rec.Spikes()
+				if len(ss) != len(rs) {
+					t.Fatalf("SoA recorded %d spikes, interface %d", len(ss), len(rs))
 				}
-				for i := range ss.Spikes {
-					if ss.Spikes[i] != rs.Spikes[i] {
-						t.Fatalf("spike %d: SoA %+v, interface %+v", i, ss.Spikes[i], rs.Spikes[i])
+				for i := range ss {
+					if ss[i] != rs[i] {
+						t.Fatalf("spike %d: SoA %+v, interface %+v", i, ss[i], rs[i])
 					}
 				}
 			})
@@ -270,13 +270,13 @@ func TestSoAMatchesInterfaceStepping(t *testing.T) {
 					}
 				}
 			}
-			ss, rs := c.soa.Rec, c.ref.Rec
-			if len(ss.Spikes) != len(rs.Spikes) {
-				t.Fatalf("SoA recorded %d spikes, interface %d", len(ss.Spikes), len(rs.Spikes))
+			ss, rs := c.soa.Rec.Spikes(), c.ref.Rec.Spikes()
+			if len(ss) != len(rs) {
+				t.Fatalf("SoA recorded %d spikes, interface %d", len(ss), len(rs))
 			}
-			for i := range ss.Spikes {
-				if ss.Spikes[i] != rs.Spikes[i] {
-					t.Fatalf("spike %d: SoA %+v, interface %+v", i, ss.Spikes[i], rs.Spikes[i])
+			for i := range ss {
+				if ss[i] != rs[i] {
+					t.Fatalf("spike %d: SoA %+v, interface %+v", i, ss[i], rs[i])
 				}
 			}
 			// The exported state words must be layout-blind too.

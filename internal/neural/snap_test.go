@@ -2,6 +2,7 @@ package neural
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"spinngo/internal/sim"
@@ -185,5 +186,30 @@ func TestSnapRejectsCorruptValues(t *testing.T) {
 		if !row.ok && !bytes.Equal(encodeMatrix(m), want) {
 			t.Errorf("matrix keys %s: the rejected image changed the store", row.name)
 		}
+	}
+
+	// A raster no run can produce — ticks out of order, a neuron outside
+	// the population, counts the raster does not add up to — is an error
+	// naming the fault, and leaves the recorder as it was.
+	counts := []uint64{1, 1, 0, 1}
+	for _, row := range []struct {
+		name   string
+		spikes []Spike
+		counts []uint64
+		err    string
+	}{
+		{"ticks out of order", []Spike{{2, 1}, {9, 3}, {2, 0}}, counts, "at tick 2 follows tick 9"},
+		{"neuron at the population size", []Spike{{2, 1}, {2, 4}, {9, 0}}, counts, "on neuron 4 of 4"},
+		{"negative neuron", []Spike{{2, 1}, {2, -1}, {9, 0}}, counts, "on neuron -1 of 4"},
+		{"counts off the raster", []Spike{{2, 1}, {2, 3}, {9, 0}}, []uint64{1, 1, 1, 0}, "neuron 2 counts 1 spikes, the raster 0"},
+	} {
+		r := NewRecorder(4)
+		r.Record(1, 2)
+		dec := snap.NewDecoder(rasterFieldImage(row.spikes, row.counts))
+		r.Snap(dec)
+		if err := dec.Err(); err == nil || !strings.Contains(err.Error(), row.err) {
+			t.Errorf("raster with %s: error %v, want one containing %q", row.name, err, row.err)
+		}
+		checkRecorder(t, r, 4, []Spike{{1, 2}}, "after a raster with "+row.name)
 	}
 }

@@ -154,6 +154,7 @@ type codecSample struct {
 	list []uint16
 	kind sampleKind
 	grid [3]uint8
+	span [4]byte
 }
 
 type sampleKind int
@@ -174,6 +175,11 @@ func (x *codecSample) code(c *Codec) {
 	c.F64(&x.f)
 	c.Bytes32(&x.raw)
 	c.String(&x.s)
+	if b := c.Span(len(x.span)); c.Decoding() {
+		copy(x.span[:], b)
+	} else {
+		copy(b, x.span[:])
+	}
 	Slice(c, &x.list)
 	for i := range x.list {
 		c.U16(&x.list[i])
@@ -192,6 +198,7 @@ func sample() codecSample {
 		tags: map[uint32]uint16{9: 1, 2: 7},
 		u8:   7, b: true, u16: 0xbeef, u32: 0xdeadbeef, i32: -5, u64: 1 << 63, i64: -42, n: -7,
 		f: math.Pi, raw: []byte{1, 2, 3}, s: "snap", list: []uint16{9, 8, 7}, kind: 3, grid: [3]uint8{4, 5, 6},
+		span: [4]byte{0xa, 0xb, 0xc, 0xd},
 	}
 }
 
@@ -223,6 +230,7 @@ func TestCodecBothDirections(t *testing.T) {
 	w.F64(math.Pi)
 	w.Bytes32([]byte{1, 2, 3})
 	w.String("snap")
+	copy(w.Span(4), []byte{0xa, 0xb, 0xc, 0xd})
 	w.Len(3)
 	w.U16(9)
 	w.U16(8)
@@ -294,7 +302,33 @@ func TestCodecDecodeErrors(t *testing.T) {
 	if dec.Err() != first {
 		t.Errorf("Err = %v, want the first failure", dec.Err())
 	}
-	if dst.u64 != 0 || dst.s != "" || len(dst.list) != 0 {
+	if dst.u64 != 0 || dst.s != "" || len(dst.list) != 0 || dst.span != [4]byte{} {
 		t.Errorf("fields decoded after a failure: %+v", dst)
+	}
+}
+
+// TestWriterGrowsByDoubling: each time the buffer grows its capacity at
+// least doubles, whether a field or a span outgrows it, so the buffers
+// an image is copied through and discards add up to less than the
+// capacity it ends in.
+func TestWriterGrowsByDoubling(t *testing.T) {
+	var w Writer
+	grown, last := 0, 0
+	for i := 0; len(w.Bytes()) < 1<<20; i++ {
+		if i%1000 == 999 {
+			w.Span(5000)
+		} else {
+			w.U64(uint64(i))
+		}
+		if c := cap(w.Bytes()); c != last {
+			if c < 2*last {
+				t.Fatalf("at %d bytes the buffer grew from %d to %d", len(w.Bytes()), last, c)
+			}
+			grown += last
+			last = c
+		}
+	}
+	if grown >= last {
+		t.Errorf("a %d-byte buffer grew through %d bytes of discarded ones", last, grown)
 	}
 }

@@ -1256,9 +1256,9 @@ func (m *Machine) Spikes(p Pop) []Spike {
 		if u.frag.Pop != pop {
 			return
 		}
-		for _, s := range u.pop.Rec.Spikes {
+		u.pop.Rec.Each(func(s neural.Spike) {
 			out = append(out, Spike{TimeMS: s.Tick, Neuron: u.frag.Lo + s.Neuron})
-		}
+		})
 	})
 	return out
 }
@@ -1273,7 +1273,7 @@ func (m *Machine) MeanRateHz(p Pop) float64 {
 	spikes := 0
 	m.eachUnit(func(u *unit) {
 		if u.frag.Pop == pop {
-			spikes += len(u.pop.Rec.Spikes)
+			spikes += u.pop.Rec.Total()
 		}
 	})
 	return float64(spikes) / float64(pop.N) / (float64(m.bioMS) / 1000)

@@ -452,6 +452,58 @@ func TestSnapshotErrors(t *testing.T) {
 	if _, err := Restore(swappedRowKeys(t, golden, image)); err == nil || !strings.Contains(err.Error(), "follows row") {
 		t.Errorf("Restore of an image with two row keys swapped: error %v, want an out-of-order error", err)
 	}
+
+	// A spike raster no run can produce: a spike on the neuron one past
+	// its population, and two spikes' ticks swapped.
+	for _, c := range []struct {
+		what, err string
+		edit      func(spikes []byte, size int)
+	}{
+		{"a spike's neuron set to its population size", "on neuron", func(spikes []byte, size int) {
+			binary.LittleEndian.PutUint64(spikes[8:], uint64(size))
+		}},
+		{"two spike ticks swapped", "follows tick", func(spikes []byte, _ int) {
+			first := binary.LittleEndian.Uint64(spikes)
+			for at := 16; ; at += 16 {
+				if tick := binary.LittleEndian.Uint64(spikes[at:]); tick != first {
+					binary.LittleEndian.PutUint64(spikes, tick)
+					binary.LittleEndian.PutUint64(spikes[at:], first)
+					return
+				}
+			}
+		}},
+	} {
+		if _, err := Restore(corruptRaster(t, golden, image, c.edit)); err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("Restore of an image with %s: error %v, want one containing %q", c.what, err, c.err)
+		}
+	}
+}
+
+// corruptRaster returns image with the raster of the first unit that
+// recorded spikes at two ticks passed to edit, as its spike records (a
+// tick and a neuron, eight bytes each, per spike) with its population
+// size. The section is found by its bytes, re-encoded from m.
+func corruptRaster(t testing.TB, m *Machine, image []byte, edit func(spikes []byte, size int)) []byte {
+	t.Helper()
+	var bad []byte
+	m.eachUnit(func(u *unit) {
+		spikes := u.pop.Rec.Spikes()
+		if bad != nil || len(spikes) < 2 || spikes[0].Tick == spikes[len(spikes)-1].Tick {
+			return
+		}
+		enc := snap.NewEncoder()
+		u.pop.Rec.Snap(enc)
+		at := bytes.Index(image, enc.Bytes())
+		if at < 0 {
+			t.Fatal("recorder section not found in the image")
+		}
+		bad = bytes.Clone(image)
+		edit(bad[at+4:at+4+16*len(spikes)], u.frag.Size())
+	})
+	if bad == nil {
+		t.Fatal("no unit recorded spikes at two ticks")
+	}
+	return bad
 }
 
 // swappedRowKeys returns image with the first two row keys of the first
