@@ -30,12 +30,12 @@ race:
 	$(GO) test -race ./internal/sim/ ./internal/router/ ./internal/workload/
 	$(GO) test -race -run 'TestDeterminism|TestDifferentSeeds|TestBoardLookahead|TestCabinetLookahead|TestRepartition|TestHostLoad|TestBatch|TestFillMem|TestHostOrigin|TestHostTimeout|TestSnapshot|TestCampaign|TestFailChip|TestFillRedundancy|TestWorkload' .
 
-# Tier-1 coverage of the engine, host, snapshot-codec and neural
+# Tier-1 coverage of the engine, router, host, snapshot-codec and neural
 # packages, gated in CI at the PR-10 baseline (93.2%).
 cover:
 	$(GO) test -coverprofile=cover.out -covermode=atomic \
-		-coverpkg=spinngo/internal/sim,spinngo/internal/host,spinngo/internal/snap,spinngo/internal/neural \
-		./internal/sim/ ./internal/host/ ./internal/snap/ ./internal/neural/ .
+		-coverpkg=spinngo/internal/sim,spinngo/internal/router,spinngo/internal/host,spinngo/internal/snap,spinngo/internal/neural \
+		./internal/sim/ ./internal/router/ ./internal/host/ ./internal/snap/ ./internal/neural/ .
 	$(GO) tool cover -func=cover.out | tail -1
 
 # The repo's one benchmark (BENCHMARK.json): every named workload end to
@@ -47,7 +47,7 @@ bench:
 # A short coverage-guided fuzz pass over the workload/campaign parsers
 # (seed corpora in internal/workload/testdata/fuzz) and over Restore
 # (seeded with the golden-workload image and corruptions of it; the
-# seeds are ~340 KB, so per-input minimisation is capped to leave the
+# seeds are ~300 KB, so per-input minimisation is capped to leave the
 # ten seconds to execution), after ten seconds of random packet, DMA and
 # timer schedules held against the kernel's eager-completion oracle, ten
 # of row fetches folded into their core's dispatch held against the

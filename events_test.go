@@ -120,9 +120,8 @@ func TestEventKindsTable(t *testing.T) {
 	fab.FailLink(topo.Coord{X: 2, Y: 2}, topo.East)
 	fab.InjectP2P(topo.Coord{X: 2, Y: 2}, topo.Coord{X: 3, Y: 2}, 0xFFFFFF)
 	n := fab.Node(topo.Coord{X: 1, Y: 3})
-	n.Dropped = append(n.Dropped, router.DroppedPacket{Pkt: packet.NewMC(1), Dir: topo.North})
-	if n.ReinjectDropped() != 1 {
-		t.Fatal("ReinjectDropped did not re-issue the planted packet")
+	if !n.Reinject(router.DroppedPacket{Pkt: packet.NewMC(1), Dir: topo.North}) {
+		t.Fatal("Reinject did not re-issue the planted packet")
 	}
 	samples.check(t, plastic)
 	samples.walk(t, plastic, 10*sim.Microsecond)

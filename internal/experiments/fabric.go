@@ -167,6 +167,12 @@ func E6EmergencyRouting(seed uint64) (*Table, error) {
 // will get into a state where it persistently refuses to accept incoming
 // packets" — under adversarial hotspot load with tiny queues, every
 // packet is either delivered or dropped (and recoverable), never stuck.
+// Congestion alone drops nothing at these depths, so a last row cuts the
+// hotspot's last link from the west and its emergency detour for the
+// burst: those packets wait, fail the detour and are dropped. Each
+// chip's monitor serves the drop interrupt by moving the router's one
+// dropped-packet register into a software queue, and once the links are
+// repaired re-issues the queue until nothing more drops.
 func E7DropPolicy(seed uint64) (*Table, error) {
 	t := &Table{
 		ID:    "E7",
@@ -176,13 +182,23 @@ func E7DropPolicy(seed uint64) (*Table, error) {
 			"recovered+redelivered"},
 	}
 	ok := true
-	for _, depth := range []int{1, 2, 8} {
+	for _, c := range []struct {
+		label string
+		depth int
+		cut   bool
+	}{{"1", 1, false}, {"2", 2, false}, {"8", 8, false}, {"8, cut link", 8, true}} {
 		eng := sim.New(seed)
 		p := router.DefaultParams(6, 6)
-		p.LinkQueueDepth = depth
+		p.LinkQueueDepth = c.depth
 		fab, err := router.NewFabric(eng, p)
 		if err != nil {
 			return nil, err
+		}
+		queued := map[*router.Node][]router.DroppedPacket{}
+		fab.OnDrop = func(n *router.Node) {
+			if dp, full := n.ReadDropped(); full {
+				queued[n] = append(queued[n], dp)
+			}
 		}
 		dst := topo.Coord{X: 3, Y: 3}
 		srcs := []topo.Coord{{X: 0, Y: 3}, {X: 3, Y: 0}, {X: 0, Y: 0}}
@@ -190,6 +206,12 @@ func E7DropPolicy(seed uint64) (*Table, error) {
 			if err := installTree(fab, uint32(i+1), src, map[topo.Coord][]int{dst: {0}}); err != nil {
 				return nil, err
 			}
+		}
+		last := topo.Coord{X: 2, Y: 3}
+		detour, _ := topo.East.Emergency()
+		if c.cut {
+			fab.FailLink(last, topo.East)
+			fab.FailLink(last, detour)
 		}
 		const perSrc = 120
 		for i, src := range srcs {
@@ -204,12 +226,22 @@ func E7DropPolicy(seed uint64) (*Table, error) {
 		firstDelivered := fab.DeliveredMC()
 		firstDropped := fab.DroppedPackets()
 		stuck := injected - firstDelivered - firstDropped
-		// Monitor recovery: re-issue everything dropped, repeatedly,
+		if c.cut {
+			fab.RepairLink(last, topo.East)
+			fab.RepairLink(last, detour)
+		}
+		// Monitor recovery: re-issue everything queued, repeatedly,
 		// until the hotspot drains.
 		for round := 0; round < 64; round++ {
 			re := 0
 			for _, node := range fab.Nodes() {
-				re += node.ReinjectDropped()
+				drops := queued[node]
+				delete(queued, node)
+				for _, dp := range drops {
+					if node.Reinject(dp) {
+						re++
+					}
+				}
 			}
 			if re == 0 {
 				break
@@ -223,7 +255,10 @@ func E7DropPolicy(seed uint64) (*Table, error) {
 		if recovered != injected {
 			ok = false
 		}
-		t.AddRow(d(depth), u(injected), u(firstDelivered), u(firstDropped),
+		if c.cut && firstDropped == 0 {
+			ok = false
+		}
+		t.AddRow(c.label, u(injected), u(firstDelivered), u(firstDropped),
 			u(stuck), u(recovered))
 	}
 	t.Verdict = verdict(ok,

@@ -1,6 +1,7 @@
 package neural
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -80,78 +81,75 @@ func (r *Recorder) Rate(neuron int, ticks uint64) float64 {
 	return float64(r.counts[neuron]) / (float64(ticks) / 1000.0)
 }
 
-// spikeImageBytes is one spike's width in an image: its tick as a
-// uint64, then its neuron as an int64.
-const spikeImageBytes = 16
-
-// Snap codes the recorded raster and the per-neuron counts of a recorder
-// of the same neuron count: the spike count, each spike's tick and
-// neuron, the neuron count and each neuron's spike count. Both lists go
-// through the codec as one span each. Decoding builds a fresh stream and
-// installs it only if every spike is in tick order on one of the
-// recorder's neurons and the counts are the raster's; otherwise it fails
-// the codec and leaves the recorder as it was.
+// Snap codes the recorded raster of a recorder of the same neuron count
+// as it holds it: the spike count, the stream's length, then the packed
+// stream as one span. The per-neuron counts are the raster's histogram
+// and are not written. Decoding reads the stream in one pass and
+// installs a copy of it, with the counts and last tick rebuilt, only if
+// every uvarint is whole and minimal, every tick fits in 64 bits, every
+// neuron is one of the recorder's and the spike count is the stream's;
+// otherwise it fails the codec and leaves the recorder as it was.
 func (r *Recorder) Snap(c *snap.Codec) {
-	n := c.Len(r.total)
-	raster := c.Span(spikeImageBytes * n)
+	total := c.Len(r.total)
+	stream := c.Span(c.Len(len(r.stream)))
 	if c.Decoding() {
-		r.decode(c, raster)
+		r.decode(c, total, stream)
 		return
 	}
-	at := 0
-	r.Each(func(s Spike) {
-		binary.LittleEndian.PutUint64(raster[at:], s.Tick)
-		binary.LittleEndian.PutUint64(raster[at+8:], uint64(s.Neuron))
-		at += spikeImageBytes
-	})
-	c.Len(len(r.counts))
-	counts := c.Span(8 * len(r.counts))
-	for i, k := range r.counts {
-		binary.LittleEndian.PutUint64(counts[8*i:], k)
-	}
+	copy(stream, r.stream)
 }
 
-// decode is Snap's decoding half, given the raster's image bytes.
-func (r *Recorder) decode(c *snap.Codec, raster []byte) {
-	if !c.FixedLen(len(r.counts), "recorder spike counts") {
-		return
-	}
-	recorded := c.Span(8 * len(r.counts))
+// decode is Snap's decoding half, given the image's spike count and
+// stream.
+func (r *Recorder) decode(c *snap.Codec, total int, stream []byte) {
 	if c.Err() != nil {
 		return
 	}
 	counts := make([]uint64, len(r.counts))
 	var last uint64
-	size := 0
-	for at := 0; at < len(raster); at += spikeImageBytes {
-		tick := binary.LittleEndian.Uint64(raster[at:])
-		neuron := binary.LittleEndian.Uint64(raster[at+8:])
-		if tick < last {
-			c.Fail(fmt.Errorf("neural: recorder: spike %d at tick %d follows tick %d", at/spikeImageBytes, tick, last))
+	spikes := 0
+	for at := 0; at < len(stream); spikes++ {
+		delta, next := readUvarint(stream, at)
+		if next < 0 {
+			c.Fail(fmt.Errorf("neural: recorder: spike %d: tick delta is not a whole minimal uvarint", spikes))
+			return
+		}
+		neuron, end := readUvarint(stream, next)
+		if end < 0 {
+			c.Fail(fmt.Errorf("neural: recorder: spike %d: neuron is not a whole minimal uvarint", spikes))
+			return
+		}
+		if delta > math.MaxUint64-last {
+			c.Fail(fmt.Errorf("neural: recorder: spike %d: tick %d plus %d passes 2^64", spikes, last, delta))
 			return
 		}
 		if neuron >= uint64(len(counts)) {
-			c.Fail(fmt.Errorf("neural: recorder: spike %d on neuron %d of %d", at/spikeImageBytes, int64(neuron), len(counts)))
+			c.Fail(fmt.Errorf("neural: recorder: spike %d on neuron %d of %d", spikes, int64(neuron), len(counts)))
 			return
 		}
 		counts[neuron]++
-		size += uvarintLen(tick-last) + uvarintLen(neuron)
-		last = tick
+		last += delta
+		at = end
 	}
-	for i, k := range counts {
-		if got := binary.LittleEndian.Uint64(recorded[8*i:]); got != k {
-			c.Fail(fmt.Errorf("neural: recorder: neuron %d counts %d spikes, the raster %d", i, got, k))
-			return
-		}
+	if spikes != total {
+		c.Fail(fmt.Errorf("neural: recorder: spike count %d, the stream holds %d", total, spikes))
+		return
 	}
-	stream := make([]byte, 0, size)
-	last = 0
-	for at := 0; at < len(raster); at += spikeImageBytes {
-		tick := binary.LittleEndian.Uint64(raster[at:])
-		stream = binary.AppendUvarint(binary.AppendUvarint(stream, tick-last), binary.LittleEndian.Uint64(raster[at+8:]))
-		last = tick
+	r.stream, r.total, r.last, r.counts = bytes.Clone(stream), total, last, counts
+}
+
+// readUvarint reads the minimal uvarint at b[at:] and returns it with
+// the offset just past it, or an offset of -1 if the bytes there are
+// not one. A single byte below 0x80, the common case, is one.
+func readUvarint(b []byte, at int) (uint64, int) {
+	if at < len(b) && b[at] < 0x80 {
+		return uint64(b[at]), at + 1
 	}
-	r.stream, r.total, r.last, r.counts = stream, len(raster)/spikeImageBytes, last, counts
+	x, n := binary.Uvarint(b[at:])
+	if n <= 0 || n != uvarintLen(x) {
+		return 0, -1
+	}
+	return x, at + n
 }
 
 // uvarintLen is the length of x's uvarint encoding.

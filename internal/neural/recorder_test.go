@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,21 +12,27 @@ import (
 	"spinngo/internal/snap"
 )
 
-// rasterFieldImage is the byte oracle for Recorder.Snap: the image a
-// []Spike raster and its counts make coded field by field, one codec
-// call per tick, neuron and count, as the recorder coded them when it
-// held its raster as a slice.
-func rasterFieldImage(spikes []Spike, counts []uint64) []byte {
+// packRaster is the byte oracle's stream: per spike of a []Spike raster
+// the uvarint tick delta from the spike before it, then the uvarint
+// neuron (a negative one as its two's complement).
+func packRaster(spikes []Spike) []byte {
+	var stream []byte
+	var last uint64
+	for _, s := range spikes {
+		stream = binary.AppendUvarint(stream, s.Tick-last)
+		stream = binary.AppendUvarint(stream, uint64(s.Neuron))
+		last = s.Tick
+	}
+	return stream
+}
+
+// rasterImage is the byte oracle for Recorder.Snap: the image of a
+// raster of total spikes packed as stream, coded field by field — the
+// spike count, the stream's length, then the stream.
+func rasterImage(total int, stream []byte) []byte {
 	c := snap.NewEncoder()
-	snap.Slice(c, &spikes)
-	for i := range spikes {
-		c.U64(&spikes[i].Tick)
-		c.Int(&spikes[i].Neuron)
-	}
-	c.FixedLen(len(counts), "recorder spike counts")
-	for i := range counts {
-		c.U64(&counts[i])
-	}
+	c.Len(total)
+	c.Bytes32(&stream)
 	return c.Bytes()
 }
 
@@ -72,7 +79,7 @@ func recorderCase(data []byte) (int, []Spike) {
 }
 
 // checkRecorder holds r to the raster want over n neurons: Each, Spikes,
-// Total, every Count, and the image, byte for byte the field oracle's.
+// Total, every Count, and the image, byte for byte the oracle's.
 func checkRecorder(t *testing.T, r *Recorder, n int, want []Spike, what string) {
 	t.Helper()
 	counts := make([]uint64, n)
@@ -92,7 +99,7 @@ func checkRecorder(t *testing.T, r *Recorder, n int, want []Spike, what string) 
 			t.Fatalf("%s: Count(%d) = %d, want %d", what, i, r.Count(i), k)
 		}
 	}
-	if !bytes.Equal(encodeRecorder(r), rasterFieldImage(want, counts)) {
+	if !bytes.Equal(encodeRecorder(r), rasterImage(len(want), packRaster(want))) {
 		t.Fatalf("%s: image differs from the field-by-field encoding", what)
 	}
 }
@@ -121,28 +128,27 @@ func recorderMatchesOracle(t *testing.T, data []byte) {
 	checkRecorder(t, restored, n, want, "restored")
 
 	// Each bad image is decoded over a recorder holding another raster.
-	bad := map[string][]byte{"truncated": image[:len(image)-1]}
-	corrupt := func(what string, edit func(b []byte)) {
-		b := bytes.Clone(image)
-		edit(b)
-		bad[what] = b
+	stream := packRaster(want)
+	more := func(b ...byte) []byte { return append(bytes.Clone(stream), b...) }
+	spike := func(b []byte, delta, neuron uint64) []byte {
+		return binary.AppendUvarint(binary.AppendUvarint(b, delta), neuron)
 	}
-	spike := func(b []byte, i int) []byte { return b[4+spikeImageBytes*i:] }
-	corrupt("a count one high", func(b []byte) {
-		at := len(b) - 8*n
-		binary.LittleEndian.PutUint64(b[at:], binary.LittleEndian.Uint64(b[at:])+1)
-	})
+	bad := map[string][]byte{
+		"truncated":                    image[:len(image)-1],
+		"a spike count one high":       rasterImage(len(want)+1, stream),
+		"a stream ending mid-spike":    rasterImage(len(want)+1, more(0)),
+		"an overlong uvarint":          rasterImage(len(want)+1, more(0x80, 0, 0)),
+		"a neuron past the population": rasterImage(len(want)+1, spike(more(), 0, uint64(n))),
+		"a tick past 2^64":             rasterImage(len(want)+2, spike(spike(more(), 1, 0), math.MaxUint64, 0)),
+	}
 	var last uint64
 	if len(want) > 0 {
-		first := want[0].Tick
 		last = want[len(want)-1].Tick
-		corrupt("a neuron past the population", func(b []byte) { binary.LittleEndian.PutUint64(spike(b, 0)[8:], uint64(n)) })
-		corrupt("a negative neuron", func(b []byte) { binary.LittleEndian.PutUint64(spike(b, 0)[8:], ^uint64(0)) })
-		if first != last {
-			corrupt("the first and last ticks swapped", func(b []byte) {
-				binary.LittleEndian.PutUint64(spike(b, 0), last)
-				binary.LittleEndian.PutUint64(spike(b, len(want)-1), first)
-			})
+		neg := slices.Clone(want)
+		neg[0].Neuron = -1
+		bad["a negative neuron"] = rasterImage(len(neg), packRaster(neg))
+		if len(want) > 1 {
+			bad["a spike count one low"] = rasterImage(len(want)-1, stream)
 		}
 	}
 	stale := []Spike{{3, 0}, {3, n - 1}, {7, 0}}

@@ -2,6 +2,8 @@ package neural
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 
@@ -76,7 +78,7 @@ func TestSnapRoundTrip(t *testing.T) {
 			func() codes { return NewInputRing(16, MaxSynDelay).Snap }},
 		{"recorder", steppedPop(lif(5)).Rec.Snap,
 			func() codes { return NewRecorder(5).Snap },
-			func() codes { return NewRecorder(6).Snap }},
+			func() codes { return NewRecorder(1).Snap }}, // the raster has spikes past neuron 0
 		{"stdp", plasticState(4).Snap,
 			func() codes { return NewSTDPState(4, DefaultSTDP()).Snap },
 			func() codes { return NewSTDPState(3, DefaultSTDP()).Snap }},
@@ -188,24 +190,28 @@ func TestSnapRejectsCorruptValues(t *testing.T) {
 		}
 	}
 
-	// A raster no run can produce — ticks out of order, a neuron outside
-	// the population, counts the raster does not add up to — is an error
-	// naming the fault, and leaves the recorder as it was.
-	counts := []uint64{1, 1, 0, 1}
+	// A raster no run can produce — a stream cut short or ending
+	// mid-spike, an overlong uvarint, a neuron outside the population, a
+	// spike count the stream does not hold, a tick past 2^64 — is an
+	// error naming the fault, and leaves the recorder as it was.
+	good := packRaster([]Spike{{2, 1}, {2, 3}, {9, 0}})
+	truncated := rasterImage(3, good)
 	for _, row := range []struct {
-		name   string
-		spikes []Spike
-		counts []uint64
-		err    string
+		name  string
+		image []byte
+		err   string
 	}{
-		{"ticks out of order", []Spike{{2, 1}, {9, 3}, {2, 0}}, counts, "at tick 2 follows tick 9"},
-		{"neuron at the population size", []Spike{{2, 1}, {2, 4}, {9, 0}}, counts, "on neuron 4 of 4"},
-		{"negative neuron", []Spike{{2, 1}, {2, -1}, {9, 0}}, counts, "on neuron -1 of 4"},
-		{"counts off the raster", []Spike{{2, 1}, {2, 3}, {9, 0}}, []uint64{1, 1, 1, 0}, "neuron 2 counts 1 spikes, the raster 0"},
+		{"a truncated stream", truncated[:len(truncated)-1], "exceeds the"},
+		{"an overlong uvarint", rasterImage(3, []byte{2, 1, 0x80, 0, 3, 7, 0}), "spike 1: tick delta is not a whole minimal uvarint"},
+		{"neuron at the population size", rasterImage(3, packRaster([]Spike{{2, 1}, {2, 4}, {9, 0}})), "spike 1 on neuron 4 of 4"},
+		{"negative neuron", rasterImage(3, packRaster([]Spike{{2, 1}, {2, -1}, {9, 0}})), "spike 1 on neuron -1 of 4"},
+		{"a spike count one high", rasterImage(4, good), "spike count 4, the stream holds 3"},
+		{"a stream ending mid-spike", rasterImage(4, append(bytes.Clone(good), 5)), "spike 3: neuron is not a whole minimal uvarint"},
+		{"a tick past 2^64", rasterImage(4, append(binary.AppendUvarint(bytes.Clone(good), math.MaxUint64-8), 0)), "spike 3: tick 9 plus"},
 	} {
 		r := NewRecorder(4)
 		r.Record(1, 2)
-		dec := snap.NewDecoder(rasterFieldImage(row.spikes, row.counts))
+		dec := snap.NewDecoder(row.image)
 		r.Snap(dec)
 		if err := dec.Err(); err == nil || !strings.Contains(err.Error(), row.err) {
 			t.Errorf("raster with %s: error %v, want one containing %q", row.name, err, row.err)

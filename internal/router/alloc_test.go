@@ -3,6 +3,7 @@
 package router
 
 import (
+	"runtime"
 	"testing"
 
 	"spinngo/internal/packet"
@@ -147,5 +148,27 @@ func TestBlockedLinkZeroAlloc(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("blocked-link traffic allocates %.1f times per %d packets (%d events), want 0",
 			allocs, packets, (eng.Processed()-polls)/21)
+	}
+}
+
+// TestDropRegisterBounded: a router that drops packets for ever holds
+// one of them, so a hundred thousand drops on one node allocate nothing
+// (the budget leaves room for runtime noise, not for a growing list).
+func TestDropRegisterBounded(t *testing.T) {
+	_, f := newTestFabric(t, 4, 4)
+	n := f.Node(topo.Coord{X: 2, Y: 1})
+	fl := flit{pkt: packet.NewMC(7)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100000; i++ {
+		fl.pkt.Key = uint32(i)
+		n.drop(fl, topo.Dir(i%int(topo.NumDirs)), i%3 == 0)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1024 {
+		t.Errorf("100000 drops allocated %d bytes, want at most 1 KiB", grew)
+	}
+	if dp, ok := n.ReadDropped(); !ok || dp.Pkt.Key != 0 || f.DroppedPackets() != 100000 {
+		t.Errorf("register holds key %d (full %v), fabric counts %d drops; want key 0 and 100000", dp.Pkt.Key, ok, f.DroppedPackets())
 	}
 }

@@ -243,8 +243,14 @@ type Node struct {
 	// Monitor Processor can be informed").
 	EmergencyNotices uint64
 	DropNotices      uint64
-	Dropped          []DroppedPacket // recoverable by the monitor
-	UnroutableMC     uint64          // locally injected mc with no table entry
+	UnroutableMC     uint64 // locally injected mc with no table entry
+
+	// dropReg is the router's one dropped-packet register, holding a
+	// packet while dropFull is set. The first drop into an empty register
+	// is kept for the monitor (ReadDropped); a drop while it is full is
+	// lost, as in hardware, and only counted.
+	dropReg  DroppedPacket
+	dropFull bool
 
 	// Shard-owned tallies, summed by the Fabric accessors. Keeping
 	// them per node lets shards run concurrently without shared
@@ -357,8 +363,11 @@ type Fabric struct {
 	// OnNN is invoked when a nearest-neighbour packet arrives, with the
 	// direction it came from.
 	OnNN func(n *Node, from topo.Dir, pkt packet.Packet)
-	// OnDrop is invoked when the router gives up on a packet.
-	OnDrop func(n *Node, pkt packet.Packet)
+	// OnDrop is the monitor's drop interrupt, invoked each time the
+	// router gives up on a packet; the handler reads the dropped-packet
+	// register itself (Node.ReadDropped), and a drop that found the
+	// register full left nothing there to read.
+	OnDrop func(n *Node)
 }
 
 // ConfigureAllP2P marks every node's p2p table as configured — the
@@ -1332,7 +1341,7 @@ func (p *retryEv) EventDesc() *sim.Desc {
 }
 
 // fwdEv is a recovered packet re-entering the blocked-link protocol on
-// link d (see ReinjectDropped).
+// link d (see Reinject).
 type fwdEv struct {
 	n  *Node
 	fl flit
@@ -1342,39 +1351,54 @@ type fwdEv struct {
 func (p *fwdEv) Run()                 { p.n.forward(p.fl, p.d) }
 func (p *fwdEv) EventDesc() *sim.Desc { return descFlit(KindFwd, p.fl, uint64(p.d)) }
 
-// drop abandons a packet, records it in the dropped-packet register for
-// the monitor, and notifies.
+// drop abandons a packet: it fills the dropped-packet register if that
+// is empty, counts the drop either way, and raises the monitor's
+// interrupt.
 func (n *Node) drop(fl flit, d topo.Dir, aged bool) {
 	f := n.fabric
 	n.dropped++
 	n.DropNotices++
-	n.Dropped = append(n.Dropped, DroppedPacket{Pkt: fl.pkt, Dir: d, Aged: aged})
+	if !n.dropFull {
+		n.dropReg, n.dropFull = DroppedPacket{Pkt: fl.pkt, Dir: d, Aged: aged}, true
+	}
 	if f.OnDrop != nil {
-		f.OnDrop(n, fl.pkt)
+		f.OnDrop(n)
 	}
 }
 
-// ReinjectDropped re-issues the monitor's recovered packets onto the
-// output links they were bound for (section 5.3: "the local Monitor
-// Processor is informed of the failure, and can recover the packet and
-// re-issue it if appropriate"). Aged packets are discarded. It reports
-// how many packets were re-issued.
-func (n *Node) ReinjectDropped() int {
-	dropped := n.Dropped
-	n.Dropped = nil
-	count := 0
-	for _, dp := range dropped {
-		if dp.Aged {
-			continue
-		}
-		pkt := dp.Pkt
-		pkt.Emergency = packet.EmNormal
-		pkt.Timestamp = n.fabric.phaseAt(n)
-		fl := flit{pkt: pkt, injectedAt: n.dom.Now()}
-		n.dom.AfterP(n.fabric.p.RouterLatency, &fwdEv{n: n, fl: fl, d: dp.Dir})
-		count++
+// ReadDropped is the monitor reading the dropped-packet register: it
+// returns the packet held there, if any, and clears the register for
+// the next drop.
+func (n *Node) ReadDropped() (DroppedPacket, bool) {
+	dp, ok := n.dropReg, n.dropFull
+	n.dropReg, n.dropFull = DroppedPacket{}, false
+	return dp, ok
+}
+
+// Reinject re-issues a recovered packet onto the output link it was
+// bound for (section 5.3: "the local Monitor Processor is informed of
+// the failure, and can recover the packet and re-issue it if
+// appropriate"). An aged packet is discarded instead; Reinject reports
+// whether the packet was re-issued.
+func (n *Node) Reinject(dp DroppedPacket) bool {
+	if dp.Aged {
+		return false
 	}
-	return count
+	pkt := dp.Pkt
+	pkt.Emergency = packet.EmNormal
+	pkt.Timestamp = n.fabric.phaseAt(n)
+	fl := flit{pkt: pkt, injectedAt: n.dom.Now()}
+	n.dom.AfterP(n.fabric.p.RouterLatency, &fwdEv{n: n, fl: fl, d: dp.Dir})
+	return true
+}
+
+// ReinjectDropped reads the dropped-packet register and re-issues what
+// it held, reporting how many packets (0 or 1) were re-issued.
+func (n *Node) ReinjectDropped() int {
+	if dp, ok := n.ReadDropped(); ok && n.Reinject(dp) {
+		return 1
+	}
+	return 0
 }
 
 // QueueLen reports the occupancy of the output queue on link d of chip c

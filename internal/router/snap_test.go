@@ -2,6 +2,7 @@ package router
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"spinngo/internal/packet"
@@ -12,7 +13,8 @@ import (
 
 // congestedNode floods one link through two-deep queues behind a failed
 // link and stops mid-storm: the returned node holds queued flits, a
-// failed and a draining link, drop records and non-zero tallies.
+// failed and a draining link, a full dropped-packet register and
+// non-zero tallies.
 func congestedNode(t *testing.T) *Node {
 	t.Helper()
 	eng := sim.New(1)
@@ -34,9 +36,9 @@ func congestedNode(t *testing.T) *Node {
 		f.InjectMC(at, packet.NewMC(5))
 	}
 	n := f.Node(at)
-	for step := 0; len(n.Dropped) == 0 || len(n.out[topo.East].queue) == 0; step++ {
+	for step := 0; !n.dropFull || len(n.out[topo.East].queue) == 0; step++ {
 		if step == 10000 {
-			t.Fatalf("no congestion: %d dropped, %d queued", len(n.Dropped), len(n.out[topo.East].queue))
+			t.Fatalf("no congestion: %d dropped, %d queued", n.dropped, len(n.out[topo.East].queue))
 		}
 		eng.RunUntil(eng.Now() + 100*sim.Nanosecond)
 	}
@@ -93,21 +95,37 @@ func TestNodeSnapRoundTrip(t *testing.T) {
 }
 
 // TestNodeSnapRejectsBadImage: a dropped-packet direction past the six
-// links (ReinjectDropped would index the output links by it) and a
-// truncated image are errors.
+// links (Reinject would index the output links by it) and an image cut
+// short anywhere — inside the register included — are errors, never
+// panics.
 func TestNodeSnapRejectsBadImage(t *testing.T) {
 	enc := snap.NewEncoder()
 	congestedNode(t).Snap(enc)
 	image := enc.Bytes()
-	// Four 8-byte counters, the register's length prefix and one 32-byte
-	// packet precede the first dropped packet's direction.
+	// Four 8-byte counters, the register's full flag and its 32-byte
+	// packet precede the register's direction.
+	const flag, dir = 4 * 8, 4*8 + 1 + 32
+	if image[flag] != 1 {
+		t.Fatalf("register flag byte reads %d, want a full register", image[flag])
+	}
 	bad := bytes.Clone(image)
-	bad[4*8+4+32] = uint8(topo.NumDirs)
-	for name, b := range map[string][]byte{"direction": bad, "truncated": image[:len(image)-5]} {
-		dec := snap.NewDecoder(b)
-		freshNode(t).Snap(dec)
-		if dec.Err() == nil {
-			t.Errorf("%s: decode succeeded", name)
-		}
+	bad[dir] = uint8(topo.NumDirs)
+	cases := map[string][]byte{"direction": bad}
+	for _, cut := range []int{flag + 1, flag + 9, dir, dir + 1, len(image) - 5} {
+		cases[fmt.Sprintf("cut at %d", cut)] = image[:cut:cut]
+	}
+	for name, b := range cases {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s: decode panicked: %v", name, p)
+				}
+			}()
+			dec := snap.NewDecoder(b)
+			freshNode(t).Snap(dec)
+			if dec.Err() == nil {
+				t.Errorf("%s: decode succeeded", name)
+			}
+		}()
 	}
 }

@@ -147,13 +147,14 @@ func (n *Node) Snap(c *snap.Codec) {
 	c.U64(&n.EmergencyNotices)
 	c.U64(&n.DropNotices)
 	c.U64(&n.UnroutableMC)
-	snap.Slice(c, &n.Dropped)
-	for i := range n.Dropped {
-		dp := &n.Dropped[i]
-		dp.Pkt.Snap(c)
-		// ReinjectDropped indexes the output links by the direction.
-		snap.Enum(c, &dp.Dir, topo.Dir(topo.NumDirs))
-		c.Bool(&dp.Aged)
+	// The dropped-packet register's contents follow its flag only when
+	// it is full.
+	c.Bool(&n.dropFull)
+	if n.dropFull {
+		n.dropReg.Pkt.Snap(c)
+		// Reinject indexes the output links by the direction.
+		snap.Enum(c, &n.dropReg.Dir, topo.Dir(topo.NumDirs))
+		c.Bool(&n.dropReg.Aged)
 	}
 	c.U64(&n.deliveredMC)
 	c.U64(&n.deliveredP2P)

@@ -26,12 +26,17 @@ const (
 	// host flood-fill assemblies count per-chunk copies (redundancy)
 	// instead of a seen bit, commands carry the gateway-unreachable
 	// flag, and the config block gains FillRedundancy.
-	SnapshotVersion = 4
+	// v5: a node's dropped packets become the router's one
+	// dropped-packet register (a full flag, then the packet when full),
+	// a recorder writes its packed uvarint raster as one span without
+	// the per-neuron counts, and the config block loses its unused
+	// string slot.
+	SnapshotVersion = 5
 
 	// Floors on what one booted chip and one loaded neuron occupy in an
 	// image: a chip's node state alone (counters, flags, six link records)
-	// is 218 bytes in v4 and its SDRAM record another 44; a neuron's
-	// sixteen input-ring accumulators alone are 64.
+	// is 215 bytes in v5 (218 in v4) and its SDRAM record another 44; a
+	// neuron's sixteen input-ring accumulators alone are 64.
 	minChipImageBytes   = 256
 	minNeuronImageBytes = 64
 )
@@ -402,10 +407,6 @@ func (cfg *MachineConfig) snap(c *snap.Codec) {
 	c.String(&cfg.Partition)
 	c.String(&cfg.Boards)
 	c.String(&cfg.BoardLinkParams)
-	// An unused string slot that keeps the v4 layout: written empty, read
-	// and discarded. The v5 format bump drops it.
-	var unused string
-	c.String(&unused)
 	c.String(&cfg.HostOrigin)
 	c.Bool(&cfg.DisableEmergencyRouting)
 	snap.Enum(c, &cfg.Placement, Random+1)

@@ -11,11 +11,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"spinngo/internal/neural"
 	"spinngo/internal/snap"
 )
 
@@ -434,6 +436,10 @@ func TestSnapshotErrors(t *testing.T) {
 	if _, err := Restore(skewed); err == nil {
 		t.Error("Restore of a version-skewed image succeeded")
 	}
+	skewed[16] = 4
+	if _, err := Restore(skewed); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("snapshot format v4, this build reads v%d", SnapshotVersion)) {
+		t.Errorf("Restore of a v4 image: error %v, want the version error", err)
+	}
 	if _, err := RestoreOn(data, 0, "spiral"); err == nil {
 		t.Error("RestoreOn with an unknown partition succeeded")
 	}
@@ -454,23 +460,21 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 
 	// A spike raster no run can produce: a spike on the neuron one past
-	// its population, and two spikes' ticks swapped.
+	// its population, a spike count one above the stream's, and a stream
+	// ending mid-spike.
 	for _, c := range []struct {
 		what, err string
-		edit      func(spikes []byte, size int)
+		edit      func(spikes []neural.Spike, size int) []byte
 	}{
-		{"a spike's neuron set to its population size", "on neuron", func(spikes []byte, size int) {
-			binary.LittleEndian.PutUint64(spikes[8:], uint64(size))
+		{"a spike's neuron set to its population size", "on neuron", func(spikes []neural.Spike, size int) []byte {
+			spikes[0].Neuron = size
+			return rasterSection(len(spikes), packSpikes(spikes))
 		}},
-		{"two spike ticks swapped", "follows tick", func(spikes []byte, _ int) {
-			first := binary.LittleEndian.Uint64(spikes)
-			for at := 16; ; at += 16 {
-				if tick := binary.LittleEndian.Uint64(spikes[at:]); tick != first {
-					binary.LittleEndian.PutUint64(spikes, tick)
-					binary.LittleEndian.PutUint64(spikes[at:], first)
-					return
-				}
-			}
+		{"a spike count one too high", "the stream holds", func(spikes []neural.Spike, _ int) []byte {
+			return rasterSection(len(spikes)+1, packSpikes(spikes))
+		}},
+		{"a stream ending mid-spike", "not a whole minimal uvarint", func(spikes []neural.Spike, _ int) []byte {
+			return rasterSection(len(spikes), append(packSpikes(spikes), 0))
 		}},
 	} {
 		if _, err := Restore(corruptRaster(t, golden, image, c.edit)); err == nil || !strings.Contains(err.Error(), c.err) {
@@ -479,11 +483,32 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 }
 
-// corruptRaster returns image with the raster of the first unit that
-// recorded spikes at two ticks passed to edit, as its spike records (a
-// tick and a neuron, eight bytes each, per spike) with its population
-// size. The section is found by its bytes, re-encoded from m.
-func corruptRaster(t testing.TB, m *Machine, image []byte, edit func(spikes []byte, size int)) []byte {
+// packSpikes packs a raster as the recorder streams it: per spike the
+// uvarint tick delta from the spike before it, then the uvarint neuron.
+func packSpikes(spikes []neural.Spike) []byte {
+	var stream []byte
+	var last uint64
+	for _, s := range spikes {
+		stream = binary.AppendUvarint(binary.AppendUvarint(stream, s.Tick-last), uint64(s.Neuron))
+		last = s.Tick
+	}
+	return stream
+}
+
+// rasterSection is a recorder's image section: the spike count, the
+// stream's length, then the stream.
+func rasterSection(total int, stream []byte) []byte {
+	c := snap.NewEncoder()
+	c.Len(total)
+	c.Bytes32(&stream)
+	return c.Bytes()
+}
+
+// corruptRaster returns image with the raster section of the first unit
+// that recorded spikes at two ticks replaced by the section edit builds
+// from the unit's spikes and population size. The section is found by
+// its bytes, re-encoded from m.
+func corruptRaster(t testing.TB, m *Machine, image []byte, edit func(spikes []neural.Spike, size int) []byte) []byte {
 	t.Helper()
 	var bad []byte
 	m.eachUnit(func(u *unit) {
@@ -493,12 +518,15 @@ func corruptRaster(t testing.TB, m *Machine, image []byte, edit func(spikes []by
 		}
 		enc := snap.NewEncoder()
 		u.pop.Rec.Snap(enc)
-		at := bytes.Index(image, enc.Bytes())
+		section := enc.Bytes()
+		if !bytes.Equal(section, rasterSection(len(spikes), packSpikes(spikes))) {
+			t.Fatal("recorder section differs from its packed raster")
+		}
+		at := bytes.Index(image, section)
 		if at < 0 {
 			t.Fatal("recorder section not found in the image")
 		}
-		bad = bytes.Clone(image)
-		edit(bad[at+4:at+4+16*len(spikes)], u.frag.Size())
+		bad = slices.Concat(image[:at], edit(spikes, u.frag.Size()), image[at+len(section):])
 	})
 	if bad == nil {
 		t.Fatal("no unit recorded spikes at two ticks")
@@ -787,9 +815,13 @@ func FuzzRestore(f *testing.F) {
 	}
 	cuts := sectionCuts(f, src, data)
 	swapped := swappedRowKeys(f, src, data)
+	midSpike := corruptRaster(f, src, data, func(spikes []neural.Spike, _ int) []byte {
+		return rasterSection(len(spikes), append(packSpikes(spikes), 0))
+	})
 	src.Close()
 	f.Add(data)
 	f.Add(swapped)
+	f.Add(midSpike)
 	for _, off := range []int{cuts[2], len(data) / 2, len(data) - 7} {
 		f.Add(data[:off:off])
 	}
