@@ -753,11 +753,30 @@ func loadTime(b *host.Batch, start sim.Time) sim.Time {
 
 // Boot runs the section-5.2 sequence: self-test, monitor election,
 // neighbour rescue, coordinate flood, p2p configuration and flood-fill
-// load of the system image. The whole sequence — control phases and
-// the image load alike — drains under the engine's normal parallel
-// lookahead windows; only the phase setup between drains runs on the
-// caller.
+// load of the system image. It runs in two halves: bootControl, whose
+// outcome (which chips and cores are alive) only a replay rebuilds,
+// then loadSystemImage, whose outcome a snapshot image records, so
+// Restore runs the first half alone. Both drain under the engine's
+// normal parallel lookahead windows; only the phase setup between
+// drains runs on the caller.
 func (m *Machine) Boot() (*BootReport, error) {
+	rep, err := m.bootControl()
+	if err != nil {
+		return nil, err
+	}
+	load, err := m.loadSystemImage()
+	if err != nil {
+		return nil, err
+	}
+	rep.LoadTimeMS = load.Millis()
+	return rep, nil
+}
+
+// bootControl runs the boot's control phases — self-test, monitor
+// election, probe and rescue, coordinate flood — then attaches the
+// host endpoint and assigns every alive chip's idle cores to
+// applications. It leaves the machine booted but its SDRAM empty.
+func (m *Machine) bootControl() (*BootReport, error) {
 	if m.booted {
 		return nil, fmt.Errorf("spinngo: already booted")
 	}
@@ -773,36 +792,6 @@ func (m *Machine) Boot() (*BootReport, error) {
 	hcfg.Origin = m.hostOrigin
 	hcfg.Redundancy = m.cfg.FillRedundancy
 	m.host = host.New(m.fab.DomainAt(m.hostOrigin), m.fab, m.boot, hcfg)
-	// Flood-fill the system image: one Ethernet transfer per block,
-	// every alive chip stores it (experiment E9: load time nearly
-	// independent of machine size).
-	b := m.host.NewBatch(hostLoadWindow)
-	b.SetChunk(hostLoadChunkBytes)
-	for blk := 0; blk < cfg.ImageBlocks; blk++ {
-		if _, err := b.FillMem(boot.BlockAddr(uint32(blk)), boot.BlockContent(uint32(blk), cfg.BlockBytes)); err != nil {
-			return nil, err
-		}
-	}
-	loadStart := m.pe.Now()
-	if err := m.runBatch(b); err != nil {
-		return nil, err
-	}
-	for blk, r := range b.Responses() {
-		if r.Err != nil {
-			return nil, fmt.Errorf("spinngo: boot image load: %w", r.Err)
-		}
-		// Every block's convergecast count must cover the alive machine.
-		if r.Chips != m.host.FillAlive() {
-			return nil, fmt.Errorf("spinngo: boot image block %d reached %d of %d alive chips",
-				blk, r.Chips, m.host.FillAlive())
-		}
-	}
-	loadDur := loadTime(b, loadStart)
-	// The batch halts at the last acknowledgement, but redundant flood
-	// forwards are still draining; run them out (no tickers exist yet,
-	// so quiescence is finite) rather than let boot debris contend with
-	// the application load's link queues.
-	m.pe.Drain()
 	appCores := 0
 	for _, n := range m.fab.Nodes() {
 		if m.boot.Alive(n.Coord) {
@@ -816,9 +805,42 @@ func (m *Machine) Boot() (*BootReport, error) {
 		Rescued:       res.Rescued,
 		DeadForever:   res.DeadForever,
 		CoordCorrect:  res.CoordCorrect,
-		LoadTimeMS:    loadDur.Millis(),
 		AppCores:      appCores,
 	}, nil
+}
+
+// loadSystemImage flood-fills the system image — one Ethernet transfer
+// per block, every alive chip stores it (experiment E9: load time nearly
+// independent of machine size) — and reports how long the load took.
+func (m *Machine) loadSystemImage() (sim.Time, error) {
+	cfg := boot.DefaultConfig()
+	b := m.host.NewBatch(hostLoadWindow)
+	b.SetChunk(hostLoadChunkBytes)
+	for blk := 0; blk < cfg.ImageBlocks; blk++ {
+		if _, err := b.FillMem(boot.BlockAddr(uint32(blk)), boot.BlockContent(uint32(blk), cfg.BlockBytes)); err != nil {
+			return 0, err
+		}
+	}
+	loadStart := m.pe.Now()
+	if err := m.runBatch(b); err != nil {
+		return 0, err
+	}
+	for blk, r := range b.Responses() {
+		if r.Err != nil {
+			return 0, fmt.Errorf("spinngo: boot image load: %w", r.Err)
+		}
+		// Every block's convergecast count must cover the alive machine.
+		if r.Chips != m.host.FillAlive() {
+			return 0, fmt.Errorf("spinngo: boot image block %d reached %d of %d alive chips",
+				blk, r.Chips, m.host.FillAlive())
+		}
+	}
+	// The batch halts at the last acknowledgement, but redundant flood
+	// forwards are still draining; run them out (no tickers exist yet,
+	// so quiescence is finite) rather than let boot debris contend with
+	// the application load's link queues.
+	m.pe.Drain()
+	return loadTime(b, loadStart), nil
 }
 
 // appCoreSlots returns the application cores of a chip in slot order.
@@ -861,14 +883,42 @@ type LoadReport struct {
 const synapseImageBase = 0x6000_0000
 
 // Load compiles the model (partition, place, route, generate data),
-// installs routing tables, and instantiates the event-driven runtime on
-// every application core used.
+// installs routing tables, ships the application data into the machine
+// and instantiates the event-driven runtime on every application core
+// used. Restore runs the two structural steps, compile and start,
+// without the data load between them, whose outcome the image records.
 func (m *Machine) Load(model *Model) (*LoadReport, error) {
+	if err := m.compile(model); err != nil {
+		return nil, err
+	}
+	loadDur, err := m.loadAppData()
+	if err != nil {
+		return nil, err
+	}
+	// Model time starts here: spike ticks, rasters and InjectSpike times
+	// are measured from the end of loading.
+	if err := m.start(m.pe.Now()); err != nil {
+		return nil, err
+	}
+	return &LoadReport{
+		Fragments:    len(m.rplan.Frags),
+		Synapses:     m.dplan.TotalSynapses,
+		SynapseBytes: m.dplan.TotalBytes,
+		TableEntries: m.rplan.Stats.EntriesFinal,
+		MaxChipTable: m.rplan.Stats.MaxChipTable,
+		TreeLinks:    m.rplan.Stats.TreeLinks,
+		LoadTimeMS:   loadDur.Millis(),
+	}, nil
+}
+
+// compile maps the model onto the booted machine and installs its
+// routing tables.
+func (m *Machine) compile(model *Model) error {
 	if !m.booted {
-		return nil, fmt.Errorf("spinngo: boot the machine before loading")
+		return fmt.Errorf("spinngo: boot the machine before loading")
 	}
 	if m.loaded {
-		return nil, fmt.Errorf("spinngo: a model is already loaded")
+		return fmt.Errorf("spinngo: a model is already loaded")
 	}
 	appCores := m.minAppCores()
 	if m.cfg.MaxAppCoresPerChip > 0 && m.cfg.MaxAppCoresPerChip < appCores {
@@ -881,7 +931,7 @@ func (m *Machine) Load(model *Model) (*LoadReport, error) {
 		TableSize:         router.DefaultTableSize,
 	}
 	if spec.AppCoresPerChip == 0 {
-		return nil, fmt.Errorf("spinngo: machine has dead chips; cannot map uniformly")
+		return fmt.Errorf("spinngo: machine has dead chips; cannot map uniformly")
 	}
 	strategy := mapping.PlaceSerpentine
 	if m.cfg.Placement == Random {
@@ -890,27 +940,30 @@ func (m *Machine) Load(model *Model) (*LoadReport, error) {
 	rplan, dplan, err := mapping.Compile(model.net, spec, strategy,
 		mapping.RouteOptions{ElideDefault: true, Minimise: true}, m.cfg.Seed)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := rplan.InstallTables(m.fab); err != nil {
-		return nil, err
+		return err
 	}
 	m.model = model
 	m.rplan = rplan
 	m.dplan = dplan
 	m.fragUnits = make([][]*unit, len(rplan.Frags))
 	m.units = make([]*unit, m.fab.Size()*router.MaxCores)
+	return nil
+}
 
-	// Application-data load: every core's synaptic image travels through
-	// the host link as one pipelined batch of SDRAM writes — the
-	// loading traffic (and its time) is simulated fabric traffic, not a
-	// free teleport. Fragments are visited in plan order, so the batch
-	// is identical for every worker count.
+// loadAppData ships every core's synaptic image through the host link
+// as one pipelined batch of SDRAM writes — the loading traffic (and its
+// time) is simulated fabric traffic, not a free teleport — and reports
+// how long it took. Fragments are visited in plan order, so the batch
+// is identical for every worker count.
+func (m *Machine) loadAppData() (sim.Time, error) {
 	loadStart := m.pe.Now()
 	lb := m.host.NewBatch(hostLoadWindow)
 	lb.SetChunk(hostLoadChunkBytes)
-	for _, f := range rplan.Frags {
-		cd := dplan.Cores[f.Chip][f.Core]
+	for _, f := range m.rplan.Frags {
+		cd := m.dplan.Cores[f.Chip][f.Core]
 		if cd == nil || cd.Matrix.Bytes() == 0 {
 			continue
 		}
@@ -920,28 +973,30 @@ func (m *Machine) Load(model *Model) (*LoadReport, error) {
 		lb.WriteMem(f.Chip, synapseImageBase+uint32(f.Core)<<20, make([]byte, cd.Matrix.Bytes()))
 	}
 	if err := m.runBatch(lb); err != nil {
-		return nil, err
+		return 0, err
 	}
 	for _, r := range lb.Responses() {
 		if r.Err != nil {
-			return nil, fmt.Errorf("spinngo: application data load: %w", r.Err)
+			return 0, fmt.Errorf("spinngo: application data load: %w", r.Err)
 		}
 	}
-	loadDur := loadTime(lb, loadStart)
 	// Drain straggler load traffic before the model starts (no tickers
 	// yet), so the run begins on a quiet fabric from a quiescent instant.
 	m.pe.Drain()
-	// Model time starts here: spike ticks, rasters and InjectSpike times
-	// are measured from the end of loading.
-	m.epoch = m.pe.Now()
+	return loadTime(lb, loadStart), nil
+}
 
-	for i, f := range rplan.Frags {
+// start begins model time at epoch: it builds every fragment's unit and
+// hooks multicast delivery to the units' kernels.
+func (m *Machine) start(epoch sim.Time) error {
+	m.epoch = epoch
+	for i, f := range m.rplan.Frags {
 		// Each fragment gets a private random stream forked from the
 		// control RNG in fragment order, so its draws (timer phase,
 		// Poisson stimulus, migration restarts) are identical for every
 		// worker count and never touch the control stream at run time.
 		if _, err := m.buildUnitAt(f, i, f.Core, 0, m.pe.RNG().Fork()); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
@@ -955,15 +1010,7 @@ func (m *Machine) Load(model *Model) (*LoadReport, error) {
 		}
 	}
 	m.loaded = true
-	return &LoadReport{
-		Fragments:    len(rplan.Frags),
-		Synapses:     dplan.TotalSynapses,
-		SynapseBytes: dplan.TotalBytes,
-		TableEntries: rplan.Stats.EntriesFinal,
-		MaxChipTable: rplan.Stats.MaxChipTable,
-		TreeLinks:    rplan.Stats.TreeLinks,
-		LoadTimeMS:   loadDur.Millis(),
-	}, nil
+	return nil
 }
 
 // buildUnitAt instantiates the Fig-7 runtime for one fragment on a given

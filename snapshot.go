@@ -163,10 +163,21 @@ func restore(data []byte, override func(*MachineConfig)) (*Machine, error) {
 		override(&cfg)
 	}
 
-	// Phase 1 — rebuild: boot the machine and load the embedded model
-	// from scratch. Boot and load are deterministic in the seed and
-	// independent of the execution strategy, so the rebuilt machine
-	// reaches the exact pre-run state the snapshotted one started from.
+	var at runPoint
+	at.snap(c)
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("spinngo: corrupt snapshot: %w", err)
+	}
+
+	// Phase 1 — rebuild the structure: run the boot control and compile
+	// the embedded model, both deterministic in the seed and independent
+	// of the execution strategy, then start the units at the recorded
+	// epoch. Everything the skipped system-image and application-data
+	// loads would have left behind — SDRAM contents, router and link
+	// state, host commands and flood-fill assemblies, domain sequences,
+	// tallies, the clock and the control RNG — is in the image and is
+	// overlaid below; the loads draw nothing from the control RNG, so
+	// the fragment streams fork exactly as they did.
 	m, err := NewMachine(cfg)
 	if err != nil {
 		return nil, err
@@ -177,20 +188,19 @@ func restore(data []byte, override func(*MachineConfig)) (*Machine, error) {
 			m.Close()
 		}
 	}()
-	if _, err := m.Boot(); err != nil {
+	if _, err := m.bootControl(); err != nil {
 		return nil, fmt.Errorf("spinngo: restore boot: %w", err)
 	}
-	if _, err := m.Load(&Model{net: net}); err != nil {
+	// The epoch is outside input: model time cannot start before the
+	// boot control ends, nor after the snapshot instant.
+	if booted := m.pe.Now(); at.epoch < booted || at.epoch > at.now {
+		return nil, fmt.Errorf("spinngo: corrupt snapshot: epoch %v is not between the boot control's end %v and the snapshot instant %v", at.epoch, booted, at.now)
+	}
+	if err := m.compile(&Model{net: net}); err != nil {
 		return nil, fmt.Errorf("spinngo: restore load: %w", err)
 	}
-
-	var at runPoint
-	at.snap(c)
-	if err := c.Err(); err != nil {
-		return nil, fmt.Errorf("spinngo: corrupt snapshot: %w", err)
-	}
-	if at.epoch != m.epoch {
-		return nil, fmt.Errorf("spinngo: restore rebuild diverged: load ended at %v, snapshot recorded %v (was the machine altered before loading?)", m.epoch, at.epoch)
+	if err := m.start(at.epoch); err != nil {
+		return nil, fmt.Errorf("spinngo: restore load: %w", err)
 	}
 
 	size := m.fab.Size()
@@ -270,9 +280,10 @@ func restore(data []byte, override func(*MachineConfig)) (*Machine, error) {
 		return nil, fmt.Errorf("spinngo: corrupt unit history: %w", err)
 	}
 
-	// Phase 3 — overlay fabric, memory and host state. A chip with
-	// recorded state materialises on demand if the rebuild left it
-	// untouched.
+	// Phase 3 — overlay fabric, memory and host state: the outcome of
+	// every load and run the rebuild skipped, from the system image in
+	// SDRAM to the host's flood-fill assemblies. A chip with recorded
+	// state materialises on demand if the rebuild left it untouched.
 	m.snapNodes(c, nil)
 	m.snapMemory(c, nil)
 	m.host.Snap(c)
@@ -291,7 +302,7 @@ func restore(data []byte, override func(*MachineConfig)) (*Machine, error) {
 	m.pe.SetLookahead(m.fab.LiveLookaheadFor(m.part))
 
 	// Phase 4 — swap the event future: wipe the rebuilt machine's own
-	// scheduled events (load stragglers, replayed start timers), move
+	// scheduled events (the replayed units' start timers), move
 	// every shard clock to the snapshot instant, and re-inject the
 	// recorded events with their canonical keys intact, each rebuilt by
 	// its kind's constructor.

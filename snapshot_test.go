@@ -352,33 +352,164 @@ func TestDeterminismSnapshotHostDebris(t *testing.T) {
 // TestSnapshotResnapshotByteIdentical pins the serialisation itself:
 // restoring an image and immediately snapshotting again reproduces the
 // identical bytes — every descriptor, counter and RNG stream survives
-// the round trip with nothing lost and nothing invented.
+// the round trip with nothing lost and nothing invented. Restore skips
+// the system-image and application-data loads and overlays their
+// outcome from the image, so the oracle runs over the images with the
+// most overlaid state: a plain one, one with failed links, one with
+// host-command debris, and one from a fault campaign past its chip
+// deaths and drops. Each must also restore onto a second geometry and finish
+// byte-identical to its straight run.
 func TestSnapshotResnapshotByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-machine determinism sweep")
 	}
+	for _, tc := range []struct {
+		name    string
+		prepare func(t *testing.T, workers int, partition string) *Machine
+		finish  func(t *testing.T, m *Machine) string
+	}{
+		{"plain", func(t *testing.T, workers int, partition string) *Machine {
+			return snapPrepare(t, 17, workers, partition, false)
+		}, snapFinish},
+		{"failed-links", func(t *testing.T, workers int, partition string) *Machine {
+			return snapPrepare(t, 23, workers, partition, true)
+		}, snapFinish},
+		{"host-debris", func(t *testing.T, workers int, partition string) *Machine {
+			return hostDebrisPrepare(t, 31, workers, partition)
+		}, snapFinish},
+		{"campaign", campaignPrepare, campaignFinish},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			straight := tc.prepare(t, 1, PartitionBands)
+			ref := tc.finish(t, straight)
+			straight.Close()
+
+			src := tc.prepare(t, 1, PartitionBands)
+			s1, err := src.Snapshot()
+			src.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := Restore(s1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s2, err := m.Snapshot()
+			m.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(s1, s2) {
+				i := 0
+				for i < len(s1) && i < len(s2) && s1[i] == s2[i] {
+					i++
+				}
+				t.Errorf("re-snapshot diverged: lengths %d vs %d, first difference at byte %d", len(s1), len(s2), i)
+			}
+
+			m, err = RestoreOn(s1, 2, PartitionBlocks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := tc.finish(t, m)
+			m.Close()
+			if got != ref {
+				t.Errorf("restore on blocks/2 diverged from the uninterrupted run:\n--- straight ---\n%s--- restored ---\n%s", ref, got)
+			}
+		})
+	}
+}
+
+// campaignPrepare runs the storm-campaign conformance workload through
+// its first two chunks: past the link wave, the chip-death storm and the
+// chip kill, with packets already dropped.
+func campaignPrepare(t *testing.T, workers int, partition string) *Machine {
+	t.Helper()
+	wl := campaignWorkload(t)
+	m, err := PrepareWorkloadOn(wl, workers, partition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep *RunReport
+	for _, n := range WorkloadChunks(wl)[:2] {
+		if rep, err = m.Run(n); err != nil {
+			m.Close()
+			t.Fatal(err)
+		}
+	}
+	if len(m.DeadChips()) == 0 || rep.PacketsDropped == 0 {
+		m.Close()
+		t.Fatalf("campaign image point has %d dead chips and %d drops, want both", len(m.DeadChips()), rep.PacketsDropped)
+	}
+	return m
+}
+
+// campaignFinish runs the rest of the storm-campaign schedule and
+// fingerprints the result.
+func campaignFinish(t *testing.T, m *Machine) string {
+	t.Helper()
+	wl := campaignWorkload(t)
+	var rep *RunReport
+	var err error
+	for _, n := range WorkloadChunks(wl)[2:] {
+		if rep, err = m.Run(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return workloadFingerprint(t, m, rep, wl)
+}
+
+// TestRestoreReplaysNoTraffic pins that Restore takes the system-image
+// and application-data loads from the image instead of re-simulating
+// them: restoring the golden-workload image executes under a tenth of
+// the events a fresh boot of the same machine does — only the boot
+// control's probe and coordinate flood run again.
+func TestRestoreReplaysNoTraffic(t *testing.T) {
 	src := snapPrepare(t, 17, 1, PartitionBands, false)
-	s1, err := src.Snapshot()
+	image, err := src.Snapshot()
 	src.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Restore(s1)
+	fresh, err := NewMachine(snapConfig(17, 1, PartitionBands))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := m.Snapshot()
-	m.Close()
+	defer fresh.Close()
+	if _, err := fresh.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Restore(image)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(s1, s2) {
-		i := 0
-		for i < len(s1) && i < len(s2) && s1[i] == s2[i] {
-			i++
+	defer m.Close()
+	booted, restored := fresh.SimStats().Events, m.SimStats().Events
+	if restored*10 >= booted {
+		t.Errorf("restore executed %d events, a fresh boot %d: want under a tenth", restored, booted)
+	}
+	t.Logf("restore executed %d events, a fresh boot %d", restored, booted)
+}
+
+// BenchmarkRestore restores the golden-workload image and reports the
+// events one restore executes.
+func BenchmarkRestore(b *testing.B) {
+	src := snapPrepare(b, 17, 1, PartitionBands, false)
+	image, err := src.Snapshot()
+	src.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var events uint64
+	for b.Loop() {
+		m, err := Restore(image)
+		if err != nil {
+			b.Fatal(err)
 		}
-		t.Errorf("re-snapshot diverged: lengths %d vs %d, first difference at byte %d", len(s1), len(s2), i)
+		events = m.SimStats().Events
+		m.Close()
 	}
+	b.ReportMetric(float64(events), "events/op")
 }
 
 // TestSnapshotErrors pins the failure modes: snapshots are illegal
@@ -480,6 +611,40 @@ func TestSnapshotErrors(t *testing.T) {
 		if _, err := Restore(corruptRaster(t, golden, image, c.edit)); err == nil || !strings.Contains(err.Error(), c.err) {
 			t.Errorf("Restore of an image with %s: error %v, want one containing %q", c.what, err, c.err)
 		}
+	}
+
+	// An epoch the run point cannot hold: after the snapshot instant, or
+	// before the rebuilt boot control ends (boot control takes simulated
+	// time, so epoch 0 precedes its end). The run point opens with the
+	// snapshot instant, then the epoch.
+	epochOff := sectionCuts(t, golden, image)[2] + 8
+	now := int64(binary.LittleEndian.Uint64(image[epochOff-8:]))
+	if now != int64(golden.pe.Now()) || int64(binary.LittleEndian.Uint64(image[epochOff:])) != int64(golden.epoch) {
+		t.Fatal("run point fields not where the test expects them")
+	}
+	for _, c := range []struct {
+		what  string
+		epoch int64
+	}{
+		{"after the snapshot instant", now + 1},
+		{"before the boot control ends", 0},
+	} {
+		bad := bytes.Clone(image)
+		binary.LittleEndian.PutUint64(bad[epochOff:], uint64(c.epoch))
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("Restore of an image with its epoch %s panicked: %v", c.what, p)
+				}
+			}()
+			m, err := Restore(bad)
+			if m != nil {
+				m.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), "corrupt snapshot: epoch") {
+				t.Errorf("Restore of an image with its epoch %s: error %v, want a corrupt-epoch error", c.what, err)
+			}
+		}()
 	}
 }
 
@@ -613,7 +778,7 @@ func TestRestoreBoundsAllocation(t *testing.T) {
 		if err == nil {
 			t.Errorf("%s of 0xFFFFFFFF: Restore succeeded", name)
 		}
-		// The rebuild (boot + load) allocates what a clean restore does;
+		// The rebuild (boot control + compile) allocates what a clean restore does;
 		// the corrupt length may add no more than a few image lengths.
 		if limit := clean + 4*uint64(len(data)); got > limit {
 			t.Errorf("%s of 0xFFFFFFFF: Restore allocated %d bytes, clean restore %d, image %d", name, got, clean, len(data))
