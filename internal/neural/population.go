@@ -19,17 +19,28 @@ type Spike struct {
 
 // Recorder accumulates a spike raster. Like the paper's AER events — a
 // spike is a key, its time is when it arrives — a recorded spike carries
-// little: the raster is one append-only byte stream holding, per spike,
+// little: the raster is an append-only byte stream holding, per spike,
 // the uvarint tick delta from the spike before it and then the uvarint
 // neuron index. That is under three bytes a spike on a busy core, where
 // a []Spike took sixteen, and the raster is the one structure that grows
 // with the length of a run.
+//
+// The stream is held in blocks, each of whole spikes. The first grows by
+// append, so a short raster costs what its bytes cost; once a block is
+// within two uvarints of rasterBlock it is sealed, and every later block
+// is allocated at rasterBlock and never copied again. A long run thus
+// allocates the raster it keeps, not the copies a growing slice leaves
+// behind.
 type Recorder struct {
-	stream []byte
+	blocks [][]byte
+	size   int // the stream's bytes, over all blocks
 	total  int
 	last   uint64 // the tick of the last spike recorded
 	counts []uint64
 }
+
+// rasterBlock is the size of a recorder's blocks after its first.
+const rasterBlock = 64 << 10
 
 // NewRecorder returns a recorder for n neurons.
 func NewRecorder(n int) *Recorder { return &Recorder{counts: make([]uint64, n)} }
@@ -42,7 +53,17 @@ func (r *Recorder) Record(tick uint64, neuron int) {
 		panic(fmt.Sprintf("neural: spike recorded at tick %d after tick %d", tick, r.last))
 	}
 	r.counts[neuron]++
-	r.stream = binary.AppendUvarint(binary.AppendUvarint(r.stream, tick-r.last), uint64(neuron))
+	k := len(r.blocks) - 1
+	if k < 0 {
+		r.blocks, k = append(r.blocks, nil), 0
+	} else if len(r.blocks[k]) > rasterBlock-2*binary.MaxVarintLen64 {
+		r.blocks, k = append(r.blocks, make([]byte, 0, rasterBlock)), k+1
+	}
+	b := r.blocks[k]
+	n := len(b)
+	b = binary.AppendUvarint(binary.AppendUvarint(b, tick-r.last), uint64(neuron))
+	r.blocks[k] = b
+	r.size += len(b) - n
 	r.last = tick
 	r.total++
 }
@@ -50,12 +71,14 @@ func (r *Recorder) Record(tick uint64, neuron int) {
 // Each calls f with every recorded spike, in the order recorded.
 func (r *Recorder) Each(f func(Spike)) {
 	var tick uint64
-	for b := r.stream; len(b) > 0; {
-		delta, n := binary.Uvarint(b)
-		neuron, m := binary.Uvarint(b[n:])
-		b = b[n+m:]
-		tick += delta
-		f(Spike{tick, int(neuron)})
+	for _, b := range r.blocks {
+		for len(b) > 0 {
+			delta, n := binary.Uvarint(b)
+			neuron, m := binary.Uvarint(b[n:])
+			b = b[n+m:]
+			tick += delta
+			f(Spike{tick, int(neuron)})
+		}
 	}
 }
 
@@ -83,24 +106,29 @@ func (r *Recorder) Rate(neuron int, ticks uint64) float64 {
 
 // Snap codes the recorded raster of a recorder of the same neuron count
 // as it holds it: the spike count, the stream's length, then the packed
-// stream as one span. The per-neuron counts are the raster's histogram
-// and are not written. Decoding reads the stream in one pass and
-// installs a copy of it, with the counts and last tick rebuilt, only if
-// every uvarint is whole and minimal, every tick fits in 64 bits, every
-// neuron is one of the recorder's and the spike count is the stream's;
-// otherwise it fails the codec and leaves the recorder as it was.
+// stream as one span, its blocks copied end to end. The per-neuron
+// counts are the raster's histogram and are not written. Decoding reads
+// the stream in one pass and installs a copy of it as a single block,
+// with the counts and last tick rebuilt, only if every uvarint is whole
+// and minimal, every tick fits in 64 bits, every neuron is one of the
+// recorder's and the spike count is the stream's; otherwise it fails the
+// codec and leaves the recorder as it was.
 func (r *Recorder) Snap(c *snap.Codec) {
 	total := c.Len(r.total)
-	stream := c.Span(c.Len(len(r.stream)))
+	stream := c.Span(c.Len(r.size))
 	if c.Decoding() {
 		r.decode(c, total, stream)
 		return
 	}
-	copy(stream, r.stream)
+	for _, b := range r.blocks {
+		stream = stream[copy(stream, b):]
+	}
 }
 
 // decode is Snap's decoding half, given the image's spike count and
-// stream.
+// stream. A spike whose delta takes one byte and whose neuron takes one,
+// or two with a last byte that is not zero, is read in place; any other
+// goes through readUvarint, which reports the faults.
 func (r *Recorder) decode(c *snap.Codec, total int, stream []byte) {
 	if c.Err() != nil {
 		return
@@ -109,15 +137,27 @@ func (r *Recorder) decode(c *snap.Codec, total int, stream []byte) {
 	var last uint64
 	spikes := 0
 	for at := 0; at < len(stream); spikes++ {
-		delta, next := readUvarint(stream, at)
-		if next < 0 {
-			c.Fail(fmt.Errorf("neural: recorder: spike %d: tick delta is not a whole minimal uvarint", spikes))
-			return
+		var delta, neuron uint64
+		end := -1
+		if s := stream[at:]; len(s) > 2 && s[0] < 0x80 {
+			delta = uint64(s[0])
+			switch lo, hi := s[1], s[2]; {
+			case lo < 0x80:
+				neuron, end = uint64(lo), at+2
+			case hi != 0 && hi < 0x80:
+				neuron, end = uint64(lo&0x7f)|uint64(hi)<<7, at+3
+			}
 		}
-		neuron, end := readUvarint(stream, next)
 		if end < 0 {
-			c.Fail(fmt.Errorf("neural: recorder: spike %d: neuron is not a whole minimal uvarint", spikes))
-			return
+			var next int
+			if delta, next = readUvarint(stream, at); next < 0 {
+				c.Fail(fmt.Errorf("neural: recorder: spike %d: tick delta is not a whole minimal uvarint", spikes))
+				return
+			}
+			if neuron, end = readUvarint(stream, next); end < 0 {
+				c.Fail(fmt.Errorf("neural: recorder: spike %d: neuron is not a whole minimal uvarint", spikes))
+				return
+			}
 		}
 		if delta > math.MaxUint64-last {
 			c.Fail(fmt.Errorf("neural: recorder: spike %d: tick %d plus %d passes 2^64", spikes, last, delta))
@@ -135,7 +175,8 @@ func (r *Recorder) decode(c *snap.Codec, total int, stream []byte) {
 		c.Fail(fmt.Errorf("neural: recorder: spike count %d, the stream holds %d", total, spikes))
 		return
 	}
-	r.stream, r.total, r.last, r.counts = bytes.Clone(stream), total, last, counts
+	r.blocks, r.size = [][]byte{bytes.Clone(stream)}, len(stream)
+	r.total, r.last, r.counts = total, last, counts
 }
 
 // readUvarint reads the minimal uvarint at b[at:] and returns it with
@@ -583,6 +624,7 @@ type PoissonSource struct {
 	rng  *sim.RNG
 	n    int
 	prob float64 // per-tick spike probability
+	buf  []int   // Tick's result, reused
 }
 
 // NewPoissonSource builds a source of n trains at rateHz (1 ms ticks).
@@ -593,13 +635,16 @@ func NewPoissonSource(rng *sim.RNG, n int, rateHz float64) *PoissonSource {
 // Snap codes the source's dynamic state: its generator stream.
 func (s *PoissonSource) Snap(c *snap.Codec) { s.rng.Snap(c) }
 
-// Tick returns the indices that spike this tick.
+// Tick returns the indices that spike this tick. The slice is the
+// source's own buffer, reused by every call: it is valid until the next
+// Tick.
 func (s *PoissonSource) Tick() []int {
-	var out []int
+	out := s.buf[:0]
 	for i := 0; i < s.n; i++ {
 		if s.rng.Bool(s.prob) {
 			out = append(out, i)
 		}
 	}
+	s.buf = out
 	return out
 }

@@ -127,6 +127,23 @@ func recorderMatchesOracle(t *testing.T, data []byte) {
 	}
 	checkRecorder(t, restored, n, want, "restored")
 
+	// A recorder restored mid-raster records the rest as the one that
+	// recorded it all, across whatever block boundaries the rest crosses.
+	mid := NewRecorder(n)
+	for _, s := range want[:len(want)/2] {
+		mid.Record(s.Tick, s.Neuron)
+	}
+	resumed := NewRecorder(n)
+	dec = snap.NewDecoder(encodeRecorder(mid))
+	resumed.Snap(dec)
+	if err := dec.Err(); err != nil {
+		t.Fatalf("restore mid-raster: %v", err)
+	}
+	for _, s := range want[len(want)/2:] {
+		resumed.Record(s.Tick, s.Neuron)
+	}
+	checkRecorder(t, resumed, n, want, "recorded on after a restore mid-raster")
+
 	// Each bad image is decoded over a recorder holding another raster.
 	stream := packRaster(want)
 	more := func(b ...byte) []byte { return append(bytes.Clone(stream), b...) }
@@ -172,8 +189,17 @@ func recorderMatchesOracle(t *testing.T, data []byte) {
 	checkRecorder(t, restored, n, want, "recorded on after a restore")
 }
 
+// longRecording is a recorderCase input of 60 000 random spikes, whose
+// stream spans at least three of the recorder's blocks.
+func longRecording() []byte {
+	data := make([]byte, 2+3*60000)
+	rand.New(rand.NewSource(11)).Read(data)
+	return data
+}
+
 // TestRecorderMatchesOracle runs recorderMatchesOracle over random
-// recordings, small populations to wide ones, dense ticks to long gaps.
+// recordings, small populations to wide ones, dense ticks to long gaps,
+// and over one long enough to span several blocks.
 func TestRecorderMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
@@ -181,12 +207,24 @@ func TestRecorderMatchesOracle(t *testing.T) {
 		rng.Read(data)
 		t.Run(fmt.Sprint(trial), func(t *testing.T) { recorderMatchesOracle(t, data) })
 	}
+	data := longRecording()
+	n, spikes := recorderCase(data)
+	r := NewRecorder(n)
+	for _, s := range spikes {
+		r.Record(s.Tick, s.Neuron)
+	}
+	if len(r.blocks) < 3 {
+		t.Fatalf("the long recording's %d bytes fill %d blocks; want at least 3", r.size, len(r.blocks))
+	}
+	t.Run("blocks", func(t *testing.T) { recorderMatchesOracle(t, data) })
 }
 
 // FuzzRecorder is recorderMatchesOracle over arbitrary recordings; the
 // seeds in testdata/fuzz/FuzzRecorder cover the empty raster, repeated
-// ticks, long gaps, neurons 0 and n-1, and a population wider than 256.
+// ticks, long gaps, neurons 0 and n-1, and a population wider than 256,
+// and the long recording adds a raster of several blocks.
 func FuzzRecorder(f *testing.F) {
+	f.Add(longRecording())
 	f.Fuzz(recorderMatchesOracle)
 }
 
@@ -230,10 +268,10 @@ func TestRecorderBytesPerSpike(t *testing.T) {
 		perTick float64
 	}{{"dense", 256, 50}, {"sparse", 16, 1}} {
 		r := recorderShape(c.n, c.perTick, 2000, 1)
-		perSpike := float64(len(r.stream)) / float64(r.Total())
+		perSpike := float64(r.size) / float64(r.Total())
 		t.Logf("%s: %d spikes, %.2f bytes a spike", c.name, r.Total(), perSpike)
 		if r.Total() < 1000 || perSpike > 3 {
-			t.Errorf("%s: %d spikes in %d bytes, %.2f a spike; want at most 3", c.name, r.Total(), len(r.stream), perSpike)
+			t.Errorf("%s: %d spikes in %d bytes, %.2f a spike; want at most 3", c.name, r.Total(), r.size, perSpike)
 		}
 	}
 }
@@ -259,4 +297,22 @@ func BenchmarkRecord(b *testing.B) {
 		next++
 		r.Record(base+s.Tick, s.Neuron)
 	}
+}
+
+// BenchmarkRecorderDecode is the restore of a dense core's raster (256
+// neurons, ~50 spikes a tick, about a million spikes) through snap.Codec:
+// the validating pass over the stream and the copy installed.
+func BenchmarkRecorderDecode(b *testing.B) {
+	r := recorderShape(256, 50, 20000, 1)
+	image := encodeRecorder(r)
+	into := NewRecorder(256)
+	b.ReportAllocs()
+	for b.Loop() {
+		dec := snap.NewDecoder(image)
+		into.Snap(dec)
+		if err := dec.Err(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(r.Total()), "ns/spike")
 }

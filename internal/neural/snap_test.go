@@ -193,8 +193,12 @@ func TestSnapRejectsCorruptValues(t *testing.T) {
 	// A raster no run can produce — a stream cut short or ending
 	// mid-spike, an overlong uvarint, a neuron outside the population, a
 	// spike count the stream does not hold, a tick past 2^64 — is an
-	// error naming the fault, and leaves the recorder as it was.
-	good := packRaster([]Spike{{2, 1}, {2, 3}, {9, 0}})
+	// error naming the fault, and leaves the recorder as it was; the rows
+	// whose fault sits three bytes or more from the stream's end are
+	// met on the decoder's in-place path. The good raster's last spike
+	// sits in its last two bytes, off that path, and decodes.
+	spikes := []Spike{{2, 1}, {2, 3}, {9, 0}}
+	good := packRaster(spikes)
 	truncated := rasterImage(3, good)
 	for _, row := range []struct {
 		name  string
@@ -208,11 +212,21 @@ func TestSnapRejectsCorruptValues(t *testing.T) {
 		{"a spike count one high", rasterImage(4, good), "spike count 4, the stream holds 3"},
 		{"a stream ending mid-spike", rasterImage(4, append(bytes.Clone(good), 5)), "spike 3: neuron is not a whole minimal uvarint"},
 		{"a tick past 2^64", rasterImage(4, append(binary.AppendUvarint(bytes.Clone(good), math.MaxUint64-8), 0)), "spike 3: tick 9 plus"},
+		{"a two-byte neuron ending in a zero byte", rasterImage(3, []byte{2, 1, 0, 0x83, 0, 7, 0}), "spike 1: neuron is not a whole minimal uvarint"},
+		{"a two-byte neuron past the population", rasterImage(3, []byte{2, 1, 0, 0xc8, 1, 7, 0}), "spike 1 on neuron 200 of 4"},
+		{"a last spike in the last two bytes", rasterImage(3, good), ""},
 	} {
 		r := NewRecorder(4)
 		r.Record(1, 2)
 		dec := snap.NewDecoder(row.image)
 		r.Snap(dec)
+		if row.err == "" {
+			if err := dec.Err(); err != nil {
+				t.Errorf("raster with %s: error %v", row.name, err)
+			}
+			checkRecorder(t, r, 4, spikes, "after a raster with "+row.name)
+			continue
+		}
 		if err := dec.Err(); err == nil || !strings.Contains(err.Error(), row.err) {
 			t.Errorf("raster with %s: error %v, want one containing %q", row.name, err, row.err)
 		}
