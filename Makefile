@@ -30,12 +30,12 @@ race:
 	$(GO) test -race ./internal/sim/ ./internal/router/ ./internal/workload/
 	$(GO) test -race -run 'TestDeterminism|TestDifferentSeeds|TestBoardLookahead|TestCabinetLookahead|TestRepartition|TestHostLoad|TestBatch|TestFillMem|TestHostOrigin|TestHostTimeout|TestSnapshot|TestCampaign|TestFailChip|TestFillRedundancy|TestWorkload' .
 
-# Tier-1 coverage of the engine, router, host, snapshot-codec and neural
-# packages, gated in CI at the PR-10 baseline (93.2%).
+# Tier-1 coverage of the engine, router, host, snapshot-codec, neural and
+# mapping packages, gated in CI at the PR-10 baseline (93.2%).
 cover:
 	$(GO) test -coverprofile=cover.out -covermode=atomic \
-		-coverpkg=spinngo/internal/sim,spinngo/internal/router,spinngo/internal/host,spinngo/internal/snap,spinngo/internal/neural \
-		./internal/sim/ ./internal/router/ ./internal/host/ ./internal/snap/ ./internal/neural/ .
+		-coverpkg=spinngo/internal/sim,spinngo/internal/router,spinngo/internal/host,spinngo/internal/snap,spinngo/internal/neural,spinngo/internal/mapping \
+		./internal/sim/ ./internal/router/ ./internal/host/ ./internal/snap/ ./internal/neural/ ./internal/mapping/ .
 	$(GO) tool cover -func=cover.out | tail -1
 
 # The repo's one benchmark (BENCHMARK.json): every named workload end to

@@ -8,6 +8,7 @@ package mapping
 
 import (
 	"fmt"
+	"math"
 
 	"spinngo/internal/neural"
 	"spinngo/internal/sim"
@@ -155,8 +156,13 @@ func (n *Network) Validate() error {
 			return fmt.Errorf("mapping: projection delay %d out of range 1..%d",
 				pr.DelayMS, neural.MaxSynDelay)
 		}
-		if pr.Kind == FixedProbability && (pr.P < 0 || pr.P > 1) {
-			return fmt.Errorf("mapping: probability %g out of range", pr.P)
+		if pr.Kind == FixedProbability && !(pr.P >= 0 && pr.P <= 1) { // NaN too
+			return fmt.Errorf("mapping: projection %s->%s: probability %g out of range",
+				pr.Pre.Name, pr.Post.Name, pr.P)
+		}
+		if math.IsNaN(pr.WeightNA) || math.IsInf(pr.WeightNA, 0) {
+			return fmt.Errorf("mapping: projection %s->%s: weight %g nA is not finite",
+				pr.Pre.Name, pr.Post.Name, pr.WeightNA)
 		}
 		if pr.Kind == FixedFanout && pr.Fanout <= 0 {
 			return fmt.Errorf("mapping: fanout %d invalid", pr.Fanout)
@@ -199,15 +205,13 @@ func (pr *Projection) each(visit func(pre, post int)) {
 		}
 	case FixedProbability:
 		for i := 0; i < pr.Pre.N; i++ {
-			for j := 0; j < pr.Post.N; j++ {
-				if rng.Bool(pr.P) {
-					visit(i, j)
-				}
-			}
+			rng.EachBool(pr.Post.N, pr.P, func(j int) { visit(i, j) })
 		}
 	case FixedFanout:
+		perm := make([]int, pr.Post.N)
 		for i := 0; i < pr.Pre.N; i++ {
-			for _, j := range rng.Perm(pr.Post.N)[:min(pr.Fanout, pr.Post.N)] {
+			rng.PermInto(perm)
+			for _, j := range perm[:min(pr.Fanout, pr.Post.N)] {
 				visit(i, j)
 			}
 		}

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -38,6 +39,19 @@ func TestValidateCatchesBadNetworks(t *testing.T) {
 	proj.P = 1.5
 	if net.Validate() == nil {
 		t.Error("probability > 1 accepted")
+	}
+	for _, p := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		proj.P = p
+		if err := net.Validate(); err == nil || !strings.Contains(err.Error(), "pre->post") {
+			t.Errorf("probability %g: got %v, want an error naming pre->post", p, err)
+		}
+	}
+	proj.P = 0.1
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		proj.WeightNA = w
+		if err := net.Validate(); err == nil || !strings.Contains(err.Error(), "pre->post") {
+			t.Errorf("weight %g: got %v, want an error naming pre->post", w, err)
+		}
 	}
 }
 

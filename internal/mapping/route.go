@@ -56,18 +56,7 @@ func BuildTree(t topo.Torus, src topo.Coord, dests map[topo.Coord][]int) *Tree {
 		}
 		return false
 	}
-	// Deterministic iteration order over destinations.
-	var chips []topo.Coord
-	for chip := range dests {
-		chips = append(chips, chip)
-	}
-	sort.Slice(chips, func(i, j int) bool {
-		if chips[i].Y != chips[j].Y {
-			return chips[i].Y < chips[j].Y
-		}
-		return chips[i].X < chips[j].X
-	})
-	for _, dst := range chips {
+	for _, dst := range sortedChips(dests) {
 		cur := src
 		for cur != dst {
 			d, ok := t.NextDir(cur, dst)
@@ -264,8 +253,10 @@ func routeTo(dests destSets, frags []*Fragment, spec MachineSpec, opts RouteOpti
 		}
 	}
 
-	// Emit tables, minimising per chip when requested.
-	for chip, a := range acc {
+	// Emit tables, minimising per chip when requested, in chip order so
+	// an overflow names the same chip every run.
+	for _, chip := range sortedChips(acc) {
+		a := acc[chip]
 		var entries []router.Entry
 		if opts.Minimise {
 			entries = minimiseChip(a.explicit, a.order, a.through)
@@ -289,6 +280,22 @@ func routeTo(dests destSets, frags []*Fragment, spec MachineSpec, opts RouteOpti
 		plan.Tables[chip] = entries
 	}
 	return plan, nil
+}
+
+// sortedChips returns m's chips in (Y, X) order, for iteration that does
+// not depend on map order.
+func sortedChips[V any](m map[topo.Coord]V) []topo.Coord {
+	chips := make([]topo.Coord, 0, len(m))
+	for chip := range m {
+		chips = append(chips, chip)
+	}
+	sort.Slice(chips, func(i, j int) bool {
+		if chips[i].Y != chips[j].Y {
+			return chips[i].Y < chips[j].Y
+		}
+		return chips[i].X < chips[j].X
+	})
+	return chips
 }
 
 // minimiseChip merges same-route sibling entries when the broader match

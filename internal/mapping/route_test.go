@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"strings"
 	"testing"
 
 	"spinngo/internal/neural"
@@ -235,6 +236,32 @@ func TestRouteRejectsTableOverflow(t *testing.T) {
 	}
 	if _, err := Route(net, frags, spec, RouteOptions{}); err == nil {
 		t.Error("table overflow not reported")
+	}
+}
+
+// TestRouteOverflowNamesFirstChip overflows a one-entry CAM on many chips
+// and expects the same error, naming the first chip in (Y, X) order,
+// from every compile.
+func TestRouteOverflowNamesFirstChip(t *testing.T) {
+	net, _ := twoPopNet(64, 64, AllToAll)
+	spec := DefaultMachineSpec(3, 3)
+	spec.MaxNeuronsPerCore = 16
+	spec.AppCoresPerChip = 2
+	spec.TableSize = 1
+	var first string
+	for i := range 20 {
+		_, _, err := Compile(net, spec, PlaceSerpentine, RouteOptions{}, 0)
+		if err == nil {
+			t.Fatal("table overflow not reported")
+		}
+		if i == 0 {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Fatalf("compile %d reported %q, compile 0 %q", i, err, first)
+		}
+	}
+	if !strings.Contains(first, "chip (0,0)") {
+		t.Errorf("overflow reported %q, want chip (0,0) first", first)
 	}
 }
 

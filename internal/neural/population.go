@@ -640,11 +640,7 @@ func (s *PoissonSource) Snap(c *snap.Codec) { s.rng.Snap(c) }
 // Tick.
 func (s *PoissonSource) Tick() []int {
 	out := s.buf[:0]
-	for i := 0; i < s.n; i++ {
-		if s.rng.Bool(s.prob) {
-			out = append(out, i)
-		}
-	}
+	s.rng.EachBool(s.n, s.prob, func(i int) { out = append(out, i) })
 	s.buf = out
 	return out
 }

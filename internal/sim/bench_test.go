@@ -177,3 +177,30 @@ func (p *windowBench) Run() {
 	p.pe.PostP(p.shard, p.peer.shard, p.peer.d, p.d.Now()+100, p.d.id, p.seq, p.peer)
 }
 func (p *windowBench) EventDesc() *Desc { return nil }
+
+// BenchmarkEachBool makes a million Bernoulli trials at the sparse
+// connectors' p = 0.0125, as a loop of Bool calls and as one EachBool
+// run: the same draws, so the difference is what each trial costs
+// beyond its generator step.
+func BenchmarkEachBool(b *testing.B) {
+	const trials, p = 1_000_000, 0.0125
+	var hits int
+	b.Run("Bool", func(b *testing.B) {
+		r := NewRNG(1)
+		for b.Loop() {
+			for range trials {
+				if r.Bool(p) {
+					hits++
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*trials), "ns/draw")
+	})
+	b.Run("EachBool", func(b *testing.B) {
+		r := NewRNG(1)
+		for b.Loop() {
+			r.EachBool(trials, p, func(int) { hits++ })
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*trials), "ns/draw")
+	})
+}

@@ -47,17 +47,24 @@ func (r *RNG) Snap(c *snap.Codec) {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// step is one xoshiro256** step on a state held in locals: it returns
+// the output and the new state.
+func step(s0, s1, s2, s3 uint64) (x, n0, n1, n2, n3 uint64) {
+	x = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return x, s0, s1, s2, rotl(s3, 45)
+}
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	x, s0, s1, s2, s3 := step(r.s[0], r.s[1], r.s[2], r.s[3])
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return x
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
@@ -75,6 +82,45 @@ func (r *RNG) Float64() float64 {
 
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
+
+// EachBool makes n Bernoulli trials of probability p, the same draws as
+// n calls of Bool(p) leaving the same state, and calls hit(j) for each
+// trial j that succeeds.
+func (r *RNG) EachBool(n int, p float64, hit func(j int)) {
+	t := boolThreshold(p)
+	for j := r.nextHit(0, n, t); j < n; j = r.nextHit(j+1, n, t) {
+		hit(j)
+	}
+}
+
+// boolThreshold is the integer form of Bool's test: Float64() < p is
+// exactly x>>11 < boolThreshold(p), since Float64 is x>>11 scaled by
+// 2^-53 and scaling p by 2^53 is exact.
+func boolThreshold(p float64) uint64 {
+	switch {
+	case p >= 1:
+		return 1 << 53
+	case p > 0:
+		return uint64(math.Ceil(p * (1 << 53)))
+	default: // p <= 0 or NaN: no draw succeeds
+		return 0
+	}
+}
+
+// nextHit runs trials j..n-1 against threshold t with the state in
+// locals, and returns the first that succeeds, or n.
+func (r *RNG) nextHit(j, n int, t uint64) int {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for ; j < n; j++ {
+		var x uint64
+		x, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		if x>>11 < t {
+			break
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return j
+}
 
 // Exp returns an exponentially distributed value with the given rate
 // (mean 1/rate). Used for Poisson event streams.
@@ -130,12 +176,18 @@ func (r *RNG) Poisson(mean float64) int {
 // Perm returns a random permutation of [0, n) (Fisher-Yates).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
+	r.PermInto(p)
+	return p
+}
+
+// PermInto fills p with a random permutation of [0, len(p)), making the
+// draws Perm(len(p)) makes.
+func (r *RNG) PermInto(p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	for i := n - 1; i > 0; i-- {
+	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
-	return p
 }

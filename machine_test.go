@@ -1,6 +1,8 @@
 package spinngo
 
 import (
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -302,6 +304,20 @@ func TestModelValidationSurfacesInConnect(t *testing.T) {
 	}
 	if err := model.Connect(a, b, Conn{Rule: RandomRule, P: 0.1, WeightNA: 1, DelayMS: 99}); err == nil {
 		t.Error("bad delay accepted")
+	}
+	// A failed Connect leaves its projection in the model, so each
+	// non-finite case gets a fresh one.
+	for _, c := range []Conn{
+		{Rule: RandomRule, P: math.NaN(), WeightNA: 1, DelayMS: 1},
+		{Rule: RandomRule, P: 0.1, WeightNA: math.NaN(), DelayMS: 1},
+		{Rule: AllToAllRule, WeightNA: math.Inf(1), DelayMS: 1},
+	} {
+		model := NewModel()
+		a := model.AddLIF("a", 10, DefaultLIFConfig())
+		b := model.AddLIF("b", 12, DefaultLIFConfig())
+		if err := model.Connect(a, b, c); err == nil || !strings.Contains(err.Error(), "a->b") {
+			t.Errorf("P %g, weight %g: got %v, want an error naming a->b", c.P, c.WeightNA, err)
+		}
 	}
 }
 
