@@ -28,7 +28,7 @@ vet:
 # the race detector on every change.
 race:
 	$(GO) test -race ./internal/sim/ ./internal/router/ ./internal/workload/
-	$(GO) test -race -run 'TestDeterminism|TestDifferentSeeds|TestBoardLookahead|TestCabinetLookahead|TestRepartition|TestHostLoad|TestBatch|TestFillMem|TestHostOrigin|TestHostTimeout|TestSnapshot|TestCampaign|TestFailChip|TestFillRedundancy|TestWorkload' .
+	$(GO) test -race -run 'TestDeterminism|TestDifferentSeeds|TestBoardLookahead|TestCabinetLookahead|TestRepartition|TestHostLoad|TestBatch|TestFillMem|TestHostOrigin|TestHostTimeout|TestSnapshot|TestCampaign|TestFailChip|TestFillRedundancy|TestWorkload|TestRepairWakesSleepers' .
 
 # Tier-1 coverage of the engine, router, host, snapshot-codec, neural and
 # mapping packages, gated in CI at the PR-10 baseline (93.2%).

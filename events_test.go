@@ -220,6 +220,14 @@ func TestEventKindsTable(t *testing.T) {
 		mutate(kind, "truncated flit", func(rec *sim.EventRecord) { rec.Desc.Blob = rec.Desc.Blob[:len(rec.Desc.Blob)-1] })
 		mutate(kind, "trailing flit bytes", func(rec *sim.EventRecord) { rec.Desc.Blob = append(rec.Desc.Blob, 0) })
 	}
+	// Retries no run can produce: the wait starts after the attempt, the
+	// attempt is off the wait's grid or past its drop, or the wait
+	// starts so far back that now - t0 overflows.
+	retryAt, grid := samples[router.KindRetry].At, plastic.fab.Params().RetryInterval
+	mutate(router.KindRetry, "waiting from after its attempt", arg(1, uint64(retryAt+grid)))
+	mutate(router.KindRetry, "off its attempt grid", arg(1, uint64(retryAt-grid-1)))
+	mutate(router.KindRetry, "past its drop", arg(1, uint64(retryAt-21*grid)))
+	mutate(router.KindRetry, "waiting since the dawn of time", arg(1, 1<<63))
 	mutate(router.KindRouteMC, "not locally injected", arg(0, 2))
 	mutate(router.KindRouteMC, "carrying a p2p packet", func(rec *sim.EventRecord) {
 		rec.Desc.Blob = samples[router.KindRouteP2P].Desc.Blob

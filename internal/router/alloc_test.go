@@ -117,37 +117,44 @@ func TestCrossShardHopZeroAlloc(t *testing.T) {
 }
 
 // TestBlockedLinkZeroAlloc pins the fault path's share: a packet bound
-// for a failed link polls it every RetryInterval until EmergencyWait has
-// passed and then detours over the emergency triangle. The poll re-arms
-// the one retry event the packet took from the chip's free list when it
-// first blocked, and the attempt that ends the wait puts it back, so a
-// steady stream of blocked packets — several waiting at once —
-// allocates nothing per poll and nothing per packet.
+// for a failed link sleeps in the one retry event it took from the
+// chip's free list when it blocked — to the first attempt in the
+// emergency window, where it detours over the emergency triangle, or,
+// with the detour's first leg failed too, to its drop — and the attempt
+// that ends the wait puts the event back. A steady stream of blocked
+// packets, several asleep at once, allocates nothing per packet either
+// way: the node's list of sleepers reuses its capacity.
 func TestBlockedLinkZeroAlloc(t *testing.T) {
-	eng, f := newTestFabric(t, 8, 8)
-	src, dst := topo.Coord{X: 0, Y: 0}, topo.Coord{X: 3, Y: 0}
-	installLine(f, 0xaa, src, dst, 0)
-	blocked := topo.Coord{X: 1, Y: 0}
-	f.FailLink(blocked, topo.East)
-	s := &stream{f: f, c: src, key: 0xaa}
-	const packets = 256
-	cycle := func() { eng.RunUntil(eng.Now() + s.start(packets)) }
-	cycle() // warm free lists and event heaps
-	before, polls := f.DeliveredMC(), eng.Processed()
-	allocs := testing.AllocsPerRun(20, cycle)
-	if got := f.DeliveredMC() - before; got != 21*packets || f.DroppedPackets() != 0 {
-		t.Fatalf("delivered %d packets and dropped %d, want %d and 0", got, f.DroppedPackets(), 21*packets)
-	}
-	if got := f.EmergencyInvocations(); got != 22*packets {
-		t.Fatalf("%d emergency reroutes, want one per packet (%d)", got, 22*packets)
-	}
-	if len(f.Node(blocked).retryPool) < 2 {
-		t.Fatalf("%d retry events on the blocked chip's free list; the stream was meant to keep several packets waiting at once",
-			len(f.Node(blocked).retryPool))
-	}
-	if allocs > 0 {
-		t.Fatalf("blocked-link traffic allocates %.1f times per %d packets (%d events), want 0",
-			allocs, packets, (eng.Processed()-polls)/21)
+	for _, detourFailed := range []bool{false, true} {
+		eng, f, n := blockedLine(t, DefaultParams(8, 8), detourFailed)
+		s := &stream{f: f, c: n.Coord, key: 0xaa}
+		const packets = 256
+		asleep := 0
+		cycle := func() {
+			s.start(packets)
+			for eng.Step() {
+				asleep = max(asleep, len(n.sleepers))
+			}
+		}
+		cycle() // warm free lists, the sleepers' list and event heaps
+		before := f.DeliveredMC() + f.DroppedPackets()
+		allocs := testing.AllocsPerRun(20, cycle)
+		delivered, dropped := f.DeliveredMC(), f.DroppedPackets()
+		if got := delivered + dropped - before; got != 21*packets || (dropped != 0) != detourFailed {
+			t.Fatalf("detour failed %v: delivered %d and dropped %d packets, want %d in all, dropped only behind a failed detour",
+				detourFailed, delivered, dropped, 21*packets)
+		}
+		if !detourFailed && f.EmergencyInvocations() != 22*packets {
+			t.Fatalf("%d emergency reroutes, want one per packet (%d)", f.EmergencyInvocations(), 22*packets)
+		}
+		if asleep < 2 {
+			t.Fatalf("detour failed %v: at most %d packets asleep at once; the stream was meant to keep several waiting",
+				detourFailed, asleep)
+		}
+		if allocs > 0 {
+			t.Fatalf("detour failed %v: blocked-link traffic allocates %.1f times per %d packets, want 0",
+				detourFailed, allocs, packets)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -38,7 +39,10 @@ type Params struct {
 	// EmergencyTry is the programmable time emergency routing is
 	// attempted before the packet is dropped.
 	EmergencyTry sim.Time
-	// RetryInterval is how often a waiting packet re-tests the link.
+	// RetryInterval spaces a waiting packet's attempts: they fall on the
+	// grid t0 + k*RetryInterval from the first attempt at t0, and the
+	// drop comes at the first grid point at least
+	// EmergencyWait+EmergencyTry after t0.
 	RetryInterval sim.Time
 	// EmergencyEnabled turns the Fig-8 mechanism on (the ablation for
 	// E6 turns it off).
@@ -232,6 +236,10 @@ type Node struct {
 	arrivePool []*arriveEv
 	routePool  []*routeEv
 	retryPool  []*retryEv
+	// sleepers are the node's pending retries that skip attempts on a
+	// failed link (see retryEv.attempt); a repair of any of the node's
+	// links moves them up (wake).
+	sleepers []*retryEv
 
 	// open is the route event the next local injection may join (see
 	// InjectMC); batches lists the pending route events holding more than
@@ -352,6 +360,11 @@ type Fabric struct {
 	deadDirty      atomic.Bool
 	pendingRepairs atomic.Int64
 
+	// detourAfter and dropAfter are the attempt grid's offsets from t0
+	// of the first attempt at or past EmergencyWait, where the detour
+	// opens, and of the drop, at or past EmergencyWait+EmergencyTry.
+	detourAfter, dropAfter sim.Time
+
 	// OnDeliverMC is invoked for each local core a multicast packet
 	// reaches. latency is injection-to-delivery simulated time. In
 	// sharded mode it runs on the destination node's shard goroutine;
@@ -415,6 +428,19 @@ func (f *Fabric) build(p Params, engOf func(i int) (*sim.Engine, int)) error {
 	if p.LinkQueueDepth <= 0 {
 		return fmt.Errorf("router: link queue depth must be positive")
 	}
+	switch {
+	case p.RetryInterval <= 0:
+		return fmt.Errorf("router: RetryInterval %v must be positive", p.RetryInterval)
+	case p.EmergencyWait < 0:
+		return fmt.Errorf("router: EmergencyWait %v is negative", p.EmergencyWait)
+	case p.EmergencyTry < 0:
+		return fmt.Errorf("router: EmergencyTry %v is negative", p.EmergencyTry)
+	case p.EmergencyWait > sim.Forever-p.EmergencyTry-p.RetryInterval:
+		return fmt.Errorf("router: EmergencyWait %v + EmergencyTry %v overflows the clock",
+			p.EmergencyWait, p.EmergencyTry)
+	}
+	grid := func(t sim.Time) sim.Time { return (t + p.RetryInterval - 1) / p.RetryInterval * p.RetryInterval }
+	f.detourAfter, f.dropAfter = grid(p.EmergencyWait), grid(p.EmergencyWait+p.EmergencyTry)
 	f.p = p
 	f.engOf = engOf
 	f.nodes = make([]atomic.Pointer[Node], p.Torus.Size())
@@ -677,18 +703,22 @@ func (f *Fabric) sum(get func(n *Node) uint64) uint64 {
 // FailLink marks the directed link out of c in direction d as failed.
 func (f *Fabric) FailLink(c topo.Coord, d topo.Dir) { f.Node(c).out[d].failed = true }
 
-// RepairLink clears a failure. On a sharded fabric whose engine
-// lookahead was priced over the live cut (failed links skipped), a
-// repaired boundary link may reintroduce a hop floor below the current
-// bound; the engine lookahead is tightened immediately so the window
-// protocol stays sound. Tightening at any quiescent instant is always
-// safe — it only narrows windows.
+// RepairLink clears a failure. Sequential quiescence only: the link's
+// chip wakes the packets sleeping on its failed links (wake), and on a
+// sharded fabric whose engine lookahead was priced over the live cut
+// (failed links skipped), a repaired boundary link may reintroduce a
+// hop floor below the current bound; the engine lookahead is tightened
+// immediately so the window protocol stays sound. Tightening at any
+// quiescent instant is always safe — it only narrows windows.
 func (f *Fabric) RepairLink(c topo.Coord, d topo.Dir) {
 	n := f.Node(c)
 	if n.dead {
 		return // dead chips' links never come back
 	}
-	n.out[d].failed = false
+	if n.out[d].failed {
+		n.out[d].failed = false
+		n.wake()
+	}
 	if f.pe == nil || f.part.Shards() == 0 {
 		return
 	}
@@ -770,7 +800,8 @@ func (f *Fabric) DeferRepairLink(c topo.Coord, d topo.Dir) {
 	f.pendingRepairs.Add(1)
 }
 
-// CommitRepairs applies every repair deferred by DeferRepairLink and
+// CommitRepairs applies every repair deferred by DeferRepairLink, waking
+// the packets sleeping on a repaired chip's failed links (wake), and
 // reports whether any link came back (the caller then re-prices the
 // engine lookahead over the new live cut). Sequential quiescence only.
 func (f *Fabric) CommitRepairs() bool {
@@ -783,6 +814,7 @@ func (f *Fabric) CommitRepairs() bool {
 		if n == nil {
 			continue
 		}
+		back := false
 		for d := range n.out {
 			l := &n.out[d]
 			if !l.pendingRepair {
@@ -791,8 +823,12 @@ func (f *Fabric) CommitRepairs() bool {
 			l.pendingRepair = false
 			if !n.dead { // the chip may have died after the repair was scheduled
 				l.failed = false
-				repaired = true
+				back = true
 			}
+		}
+		if back {
+			n.wake()
+			repaired = true
 		}
 	}
 	return repaired
@@ -996,49 +1032,121 @@ func (n *Node) forward(fl flit, d topo.Dir) {
 // snapshot: the attempt start time t0 travels in the event, so a pending
 // retry restores with its elapsed wait intact. A popped event is no
 // longer pending, so while the packet stays blocked the same event is
-// re-armed in place; only a packet's first block takes one from the
-// node's free list, and the attempt that ends the wait returns it.
+// re-armed in place, for the next grid point or, asleep, for a later
+// one; only a packet's first block takes one from the node's free list,
+// and the attempt that ends the wait returns it.
 func (p *retryEv) Run() {
 	n := p.n
-	if p.attempt() {
+	if p.slot != 0 {
+		n.unsleep(p)
+	}
+	next, done := p.attempt()
+	if done {
 		n.retryPool = append(n.retryPool, p)
-	} else {
-		n.dom.AfterP(n.fabric.p.RetryInterval, p)
+		return
+	}
+	n.dom.AtP(next, p)
+	// A wait of one step is a poll: no wake could bring it sooner.
+	if next != n.dom.Now()+n.fabric.p.RetryInterval {
+		n.sleep(p, next, n.dom.Scheduled())
 	}
 }
 
-// attempt tries the link once more and reports whether the wait is over:
-// the packet left, on the link or its emergency detour, or was dropped.
-func (p *retryEv) attempt() bool {
+// attempt tries the link once more. It reports done when the wait is
+// over — the packet left, on the link or its emergency detour, or was
+// dropped — and otherwise the grid point of the next attempt that can
+// end differently.
+//
+// A full queue frees a slot at its next drain, so a packet behind one
+// polls every RetryInterval. A failed link comes back only through a
+// repair, which lands at quiescence and wakes the node's sleepers, so
+// a packet behind one skips the attempts that must fail: before
+// EmergencyWait it sleeps to the first attempt in the emergency window,
+// and when it cannot take the detour (emergency routing off, not
+// multicast, already diverted, or the detour's first leg failed too) it
+// sleeps to the drop. A link failing mid-sleep only fails attempts that
+// were skipped anyway.
+func (p *retryEv) attempt() (next sim.Time, done bool) {
 	n, fl, d := p.n, p.fl, p.d
 	f := n.fabric
 	if n.canSend(d) {
 		n.transmit(fl, d)
-		return true
+		return 0, true
 	}
-	elapsed := n.dom.Now() - p.t0
+	now := n.dom.Now()
+	elapsed := now - p.t0
+	first, _ := d.Emergency()
+	detour := f.p.EmergencyEnabled && fl.pkt.Type == packet.MC && fl.pkt.Emergency == packet.EmNormal
 	switch {
 	case elapsed < f.p.EmergencyWait:
-	case f.p.EmergencyEnabled && fl.pkt.Type == packet.MC &&
-		fl.pkt.Emergency == packet.EmNormal &&
-		elapsed < f.p.EmergencyWait+f.p.EmergencyTry:
-		first, _ := d.Emergency()
-		if n.canSend(first) {
-			n.emergencies++
-			n.EmergencyNotices++ // monitor is informed (section 5.3)
-			fl.pkt.Emergency = packet.EmFirstLeg
-			n.transmit(fl, first)
-			return true
-		}
-	case elapsed < f.p.EmergencyWait+f.p.EmergencyTry:
-		// Emergency routing unavailable for this packet (disabled,
-		// non-mc, or already diverted): keep waiting out the try
-		// window, then drop.
-	default:
+	case elapsed >= f.p.EmergencyWait+f.p.EmergencyTry:
 		n.drop(fl, d, false)
-		return true
+		return 0, true
+	case detour && n.canSend(first):
+		n.emergencies++
+		n.EmergencyNotices++ // monitor is informed (section 5.3)
+		fl.pkt.Emergency = packet.EmFirstLeg
+		n.transmit(fl, first)
+		return 0, true
 	}
-	return false
+	switch {
+	case !n.out[d].failed:
+		return now + f.p.RetryInterval, false
+	case !detour || n.out[first].failed:
+		return p.t0 + f.dropAfter, false
+	case elapsed < f.p.EmergencyWait:
+		return p.t0 + f.detourAfter, false
+	}
+	return now + f.p.RetryInterval, false // the detour is only full
+}
+
+// sleep registers p, pending at at under the local key seq, as one of
+// the node's sleepers.
+func (n *Node) sleep(p *retryEv, at sim.Time, seq uint64) {
+	p.at, p.seq = at, seq
+	n.sleepers = append(n.sleepers, p)
+	p.slot = len(n.sleepers)
+}
+
+// unsleep takes p off the node's sleepers.
+func (n *Node) unsleep(p *retryEv) {
+	last := len(n.sleepers) - 1
+	moved := n.sleepers[last]
+	n.sleepers[p.slot-1], moved.slot = moved, p.slot
+	n.sleepers[last] = nil
+	n.sleepers = n.sleepers[:last]
+	p.slot = 0
+}
+
+// wake moves each of the node's sleepers to its first grid point after
+// now, a quiescent instant at which one of the node's links came back:
+// every attempt up to now ran or was skipped while the link was down,
+// and the next one may succeed. The sleepers draw their new keys in
+// pending key order, so a straight run and a restored one, which hold
+// the same pending keys, wake them identically. A sleeper due by then
+// keeps its key; one whose event was discarded (a constructor's payload
+// that was never scheduled) is no longer pending and only leaves the
+// list.
+func (n *Node) wake() {
+	r, now := n.fabric.p.RetryInterval, n.dom.Now()
+	slices.SortFunc(n.sleepers, func(a, b *retryEv) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
+	})
+	kept := n.sleepers[:0]
+	for _, p := range n.sleepers {
+		if next := p.t0 + ((now-p.t0)/r+1)*r; next < p.at {
+			if !n.dom.Cancel(p) {
+				p.slot = 0
+				continue
+			}
+			n.dom.AtP(next, p)
+			p.at, p.seq = next, n.dom.Scheduled()
+		}
+		kept = append(kept, p)
+		p.slot = len(kept)
+	}
+	clear(n.sleepers[len(kept):])
+	n.sleepers = kept
 }
 
 func (n *Node) canSend(d topo.Dir) bool {
@@ -1316,12 +1424,17 @@ func (p *drainEv) EventDesc() *sim.Desc {
 }
 
 // retryEv is a blocked packet's next attempt at link d, t0 being when
-// the first attempt started.
+// the first attempt started. A sleeper (see attempt) also keeps its
+// pending instant and key, and its place in the node's sleepers plus
+// one (0 while it is not asleep).
 type retryEv struct {
-	n  *Node
-	fl flit
-	d  topo.Dir
-	t0 sim.Time
+	n    *Node
+	fl   flit
+	d    topo.Dir
+	t0   sim.Time
+	at   sim.Time
+	seq  uint64
+	slot int
 }
 
 // getRetry pops a recycled retry event or allocates one. A packet blocks

@@ -124,7 +124,22 @@ func (f *Fabric) EventKinds() sim.Kinds {
 			if err != nil {
 				return nil, err
 			}
-			return n.getRetry(fl, d, sim.Time(int64(rec.Desc.Args[1]))), nil
+			// A wait starts by the instant it is restored at, attempts on
+			// the grid from t0 and drops by dropAfter. The difference is
+			// taken unsigned, which is exact once t0 is known not to be
+			// after the attempt.
+			t0 := sim.Time(int64(rec.Desc.Args[1]))
+			if since := uint64(rec.At) - uint64(t0); t0 > min(rec.At, n.dom.Now()) ||
+				since > uint64(f.dropAfter) || since%uint64(f.p.RetryInterval) != 0 {
+				return nil, fmt.Errorf("router: %s at %v is not an attempt of a wait from %v (every %v, drop after %v)",
+					rec.Desc.Kind, rec.At, t0, f.p.RetryInterval, f.dropAfter)
+			}
+			// The record cannot tell a sleeper from a packet that polls,
+			// and need not: a poll is always due by the first grid point
+			// after any quiescent instant, so wake never moves one.
+			p := n.getRetry(fl, d, t0)
+			n.sleep(p, rec.At, rec.K1)
+			return p, nil
 		},
 		KindFwd: func(rec *sim.EventRecord) (sim.Payload, error) {
 			n, fl, d, err := f.decodeEvent(rec, 1, true, true)

@@ -425,6 +425,13 @@ func (d *Domain) AtReserved(t Time, seq uint64, p Payload) { d.Inject(t, 0, seq,
 // by now.
 func (d *Domain) Passed(t Time, seq uint64) bool { return d.eng.passed(d, t, seq) }
 
+// Cancel withdraws the pending event whose payload is p and reports
+// whether there was one. It finds p by identity, so p must be
+// comparable (a pointer payload), and it scans the domain's pending
+// list: it is for the rare event that has to move to another instant
+// (cancel, then schedule it again), not for a hot path.
+func (d *Domain) Cancel(p Payload) bool { return d.eng.q.cancel(d, p) }
+
 // DeliverAtP schedules a cross-domain delivery (class 1) at absolute
 // time t, keyed by the sender's domain id and per-sender sequence
 // number. The key is supplied by the sender, not drawn from this

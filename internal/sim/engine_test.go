@@ -174,6 +174,8 @@ func TestTimeString(t *testing.T) {
 		{2 * Millisecond, "2ms"},
 		{3 * Second, "3s"},
 		{Forever, "forever"},
+		{-1500, "-1.5us"},
+		{-Forever - 1, "-9223372036854775808ns"},
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {

@@ -24,6 +24,17 @@ func (q *heapQueue) len() int      { return len(q.h) }
 func (q *heapQueue) push(ev event) { heap.Push(&q.h, ev) }
 func (q *heapQueue) pop() event    { return heap.Pop(&q.h).(event) }
 
+// cancel removes the event keyed k, reporting whether it was pending.
+func (q *heapQueue) cancel(k eventKey) bool {
+	for i := range q.h {
+		if q.h[i].key == k {
+			heap.Remove(&q.h, i)
+			return true
+		}
+	}
+	return false
+}
+
 type eventHeap []event
 
 func (h eventHeap) Len() int            { return len(h) }
@@ -308,13 +319,21 @@ func TestQueueMatchesHeap(t *testing.T) {
 	}
 }
 
-// FuzzQueueOrder drives the queue with fuzz-chosen pushes and pops and
-// checks the pop order against the reference heap. The first byte picks
-// the starting instant (up to a few ticks short of Forever); after it a
-// zero byte pops and any other byte pushes: the high nibble scales the
-// timestamp jump exponentially (0 keeps a burst at one instant), the
-// low bits and the push count spread the events over 64 domains and the
-// anonymous one.
+// tag is a comparable payload naming its event, so a cancel can find it.
+type tag struct{ key eventKey }
+
+func (*tag) Run()             {}
+func (*tag) EventDesc() *Desc { return nil }
+
+// FuzzQueueOrder drives the queue with fuzz-chosen pushes, pops and
+// cancels and checks the pop order against the reference heap. The
+// first byte picks the starting instant (up to a few ticks short of
+// Forever); after it a zero byte pops, 0xf0 cancels a pending event —
+// the newest and the oldest in turn, so both a buried event and one at
+// or near its domain's head go — and any other byte pushes: the high
+// nibble scales the timestamp jump exponentially (0 keeps a burst at one
+// instant), the low bits and the push count spread the events over 64
+// domains and the anonymous one.
 func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{0x00, 0x11, 0x22, 0x00, 0x7f, 0xff, 0x00, 0x00})
 	// One instant across many domains, drained, then the same again: a
@@ -334,11 +353,43 @@ func FuzzQueueOrder(f *testing.F) {
 		floor := anchors[data[0]&3]
 		h, ref := newQueueHarness(), &heapQueue{}
 		var seq uint64
+		var pushed []*tag // in push order, popped and cancelled ones included
+		gone := make(map[eventKey]bool)
+		cancels := 0
+		cancel := func() {
+			for len(pushed) > 0 {
+				var tg *tag
+				if cancels%2 == 0 {
+					tg, pushed = pushed[len(pushed)-1], pushed[:len(pushed)-1]
+				} else {
+					tg, pushed = pushed[0], pushed[1:]
+				}
+				d := h.doms[tg.key.domain]
+				if gone[tg.key] {
+					if h.q.cancel(d, tg) {
+						t.Fatalf("cancelled %+v, which is no longer pending", tg.key)
+					}
+					continue
+				}
+				gone[tg.key] = true
+				cancels++
+				if !h.q.cancel(d, tg) || !ref.cancel(tg.key) {
+					t.Fatalf("pending event %+v could not be cancelled", tg.key)
+				}
+				h.check(t)
+				return
+			}
+		}
 		for _, b := range data[1:] {
 			if b == 0 {
 				if h.q.len() > 0 {
-					floor = popBoth(t, h, ref).at
+					key := popBoth(t, h, ref)
+					floor, gone[key] = key.at, true
 				}
+				continue
+			}
+			if b == 0xf0 {
+				cancel()
 				continue
 			}
 			at := floor
@@ -350,8 +401,10 @@ func FuzzQueueOrder(f *testing.F) {
 			}
 			seq++
 			key := eventKey{at: at, domain: int32((uint64(b)*5+seq*7)%65) - 1, class: b & 1, k1: seq}
-			h.push(event{key: key})
-			ref.push(event{key: key})
+			tg := &tag{key}
+			pushed = append(pushed, tg)
+			h.push(event{key: key, payload: tg})
+			ref.push(event{key: key, payload: tg})
 		}
 		h.check(t)
 		for h.q.len() > 0 {

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // The pending-event structure behind one Engine is shaped like the
@@ -174,6 +175,59 @@ func (d *Domain) take() (Time, Payload) {
 	}
 	h[i] = last
 	return at, payload
+}
+
+// remove deletes the event at index i of the domain's list: last fills
+// the hole and moves up or down to where it belongs.
+func (d *Domain) remove(i int) {
+	h := d.pend
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // release the payload reference
+	h = h[:n]
+	d.pend = h
+	if i == n {
+		return
+	}
+	for i > 0 {
+		p := (i - 1) / 2
+		if !last.key.before(&h[p].key) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].key.before(&h[c].key) {
+			c++
+		}
+		if !h[c].key.before(&last.key) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
+}
+
+// cancel removes d's pending event carrying p, found by identity, and
+// reports whether there was one. The leaf is rebuilt from the list's
+// new head after every leaf is settled, so the walk reads exact
+// siblings.
+func (q *queue) cancel(d *Domain, p Payload) bool {
+	i := slices.IndexFunc(d.pend, func(ev event) bool { return ev.payload == p })
+	if i < 0 {
+		return false
+	}
+	q.settle()
+	d.remove(i)
+	q.n--
+	q.raise(d)
+	return true
 }
 
 func (q *queue) len() int { return q.n }

@@ -37,6 +37,8 @@ func (t Time) String() string {
 	switch {
 	case t == Forever:
 		return "forever"
+	case t < -Forever: // the one instant whose negation overflows
+		return fmt.Sprintf("%dns", int64(t))
 	case t < 0:
 		return "-" + (-t).String()
 	case t < Microsecond:

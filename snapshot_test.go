@@ -969,7 +969,9 @@ func TestRestoreBoundsRebuild(t *testing.T) {
 	}
 }
 
-// FuzzRestore feeds Restore mutated golden-workload images: whatever the
+// FuzzRestore feeds Restore mutated golden-workload images, and an image
+// holding packets asleep on a failed link with one retry record made
+// impossible: whatever the
 // bytes, it returns either a machine (closed here) or an error (having
 // closed what it built) — never both, never neither, never a panic.
 func FuzzRestore(f *testing.F) {
@@ -998,6 +1000,15 @@ func FuzzRestore(f *testing.F) {
 		binary.LittleEndian.PutUint32(bad[off:], 0xFFFFFFFF)
 		f.Add(bad)
 	}
+	// An image with packets asleep on a failed link, one of them waiting
+	// since the dawn of time.
+	sl, _ := sleepPrepare(f, 1, PartitionBands)
+	slept, err := sl.Snapshot()
+	sl.Close()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(corruptRetry(f, slept))
 	f.Fuzz(func(t *testing.T, image []byte) {
 		m, err := Restore(image)
 		if (m == nil) == (err == nil) {
