@@ -133,17 +133,6 @@ func New(eng sim.Scheduler, coord topo.Coord, n int) *Chip {
 // Monitor reports the elected monitor core ID, or -1.
 func (ch *Chip) Monitor() int { return ch.monitor }
 
-// HealthyCores reports cores that passed self-test.
-func (ch *Chip) HealthyCores() []*Core {
-	var out []*Core
-	for _, c := range ch.Cores {
-		if c.State != CoreFailed && c.State != CoreUntested {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // ElectMonitor runs the section-5.2 boot step: every core self-tests,
 // then the survivors bid for the Monitor role in an arbitrary order (the
 // free-running cores race; rng models the race) by reading the

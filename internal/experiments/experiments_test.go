@@ -1,12 +1,20 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// requireMatch asserts an experiment's verdict confirms the paper claim
-// and logs its table (go test -v prints it).
+var updateGolden = flag.Bool("update", false, "rewrite the golden experiment tables")
+
+// requireMatch asserts an experiment's verdict confirms the paper claim,
+// logs its table (go test -v prints it) and holds the rendered table to
+// its golden, testdata/<ID>.txt. A table is a function of its seed, so
+// any changed cell is a changed result: regenerate the goldens with
+// `go test ./internal/experiments -update` in the change that moves it.
 func requireMatch(t *testing.T, tbl *Table, err error) {
 	t.Helper()
 	if err != nil {
@@ -18,14 +26,28 @@ func requireMatch(t *testing.T, tbl *Table, err error) {
 	if len(tbl.Rows) == 0 {
 		t.Fatalf("%s: empty table", tbl.ID)
 	}
-	t.Log(tbl.Render())
-	if !strings.HasPrefix(tbl.Verdict, "MATCHES PAPER") {
-		t.Errorf("%s verdict: %s\n%s", tbl.ID, tbl.Verdict, tbl.Render())
-	}
-	// Render must not panic and must contain the claim.
 	out := tbl.Render()
-	if !strings.Contains(out, tbl.ID) || !strings.Contains(out, "paper claim") {
-		t.Errorf("%s render incomplete:\n%s", tbl.ID, out)
+	t.Log(out)
+	if !strings.HasPrefix(tbl.Verdict, "MATCHES PAPER") {
+		t.Errorf("%s verdict: %s\n%s", tbl.ID, tbl.Verdict, out)
+	}
+	golden := filepath.Join("testdata", tbl.ID+".txt")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%s: no golden table (%v); generate it with `go test ./internal/experiments -update`", tbl.ID, err)
+	}
+	if out != string(want) {
+		t.Errorf("%s table differs from %s (regenerate with -update if the change is intended):\n--- golden ---\n%s--- got ---\n%s",
+			tbl.ID, golden, want, out)
 	}
 }
 
@@ -89,13 +111,7 @@ func TestE13(t *testing.T) {
 	requireMatch(t, tbl, err)
 }
 
-func TestE14(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock goroutine experiment")
-	}
-	tbl, err := E14BoundedAsynchrony()
-	requireMatch(t, tbl, err)
-}
+func TestE14(t *testing.T) { requireMatch(t, E14BoundedAsynchrony(1), nil) }
 
 func TestAblations(t *testing.T) {
 	if testing.Short() {

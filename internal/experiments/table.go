@@ -1,10 +1,26 @@
 // Package experiments contains the reproduction harness: one runner per
 // quantitative claim of the paper (E1-E14 plus ablations A1-A2). Each
 // runner builds its workload, executes it on the simulated machine, and
-// returns a Table whose rows mirror what the paper reports. This
-// package's tests assert every verdict and log every table:
+// returns a Table whose rows mirror what the paper reports. Every table
+// is a function of its seed. This package's tests assert every verdict,
+// log every table and hold each rendered table to its golden,
+// testdata/<ID>.txt:
 //
 //	go test -v -run 'TestE|TestAblations' ./internal/experiments
+//	go test ./internal/experiments -update   # rewrite the goldens
+//
+// Every verdict needs a row where its claim could fail. That row, per
+// table: E1 "ratio NRZ/RTZ"; E2 "reduction factor"; E3 "inject-absorb"
+// (the naive rows must fail); E4 1200 spikes/ms (of the light rows only
+// one need hold real time); E5 none, no row nears 1 ms (the largest is
+// 2.2 us); E6 "false 1" and "true 2"; E7 "8, cut link"; E8 19 and 20
+// failed cores; E9 "load-time growth", but none for redundancy (1 and 2
+// load in identical time and no row has a fault); E10 "node/pc ratio";
+// E11 fanout 1000, where multicast equals broadcast; E12 5 and 10 % (the
+// "losses must show" bound starts at 50 %, past every row); E13 every
+// "exact" cell; E14 100000 ppm, which must leave the one-tick envelope;
+// A1 none for its title claim, as the verdict never reads "fits CAM";
+// A2 "random", which must need more tree links than "serpentine".
 package experiments
 
 import (

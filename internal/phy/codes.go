@@ -131,14 +131,6 @@ func (c Code) TransitionsPerSymbol() int {
 	return 2 + 1
 }
 
-// DataTransitionsPerSymbol reports transitions on the data wires only.
-func (c Code) DataTransitionsPerSymbol() int {
-	if c == RTZ3of6 {
-		return 6
-	}
-	return 2
-}
-
 // RoundTripsPerSymbol reports how many complete out-and-return signalling
 // loops the handshake needs per symbol: the RTZ protocol completes one
 // loop for the symbol and a second for the return-to-zero; NRZ completes

@@ -93,14 +93,6 @@ type GlitchResult struct {
 	Duration         sim.Time
 }
 
-// DeadlocksPerSecond reports the deadlock rate.
-func (r GlitchResult) DeadlocksPerSecond() float64 {
-	if r.Duration == 0 {
-		return 0
-	}
-	return float64(r.Deadlocks) / r.Duration.Seconds()
-}
-
 type converter struct {
 	cfg GlitchConfig
 	eng *sim.Engine

@@ -494,11 +494,6 @@ func (f *Fabric) materialise(i int) *Node {
 	return n
 }
 
-// ExistingAt returns the chip at torus index i, or nil if it has never
-// been touched — the non-materialising read the aggregate accessors and
-// snapshot extents use.
-func (f *Fabric) ExistingAt(i int) *Node { return f.nodes[i].Load() }
-
 // NodeAt returns the chip at torus index i, materialising it on demand
 // — the snapshot-restore dispatch point for recorded state and events.
 func (f *Fabric) NodeAt(i int) *Node { return f.node(i) }
@@ -761,13 +756,6 @@ func (f *Fabric) FailChip(c topo.Coord) {
 	f.deadDirty.Store(true)
 }
 
-// ChipDead reports whether c was killed by FailChip. Untouched chips
-// are alive by definition and are not materialised by asking.
-func (f *Fabric) ChipDead(c topo.Coord) bool {
-	n := f.Existing(c)
-	return n != nil && n.dead
-}
-
 // TakeDeadDirty reports and clears the "a chip died since last sync"
 // flag. Sequential quiescence only.
 func (f *Fabric) TakeDeadDirty() bool { return f.deadDirty.Swap(false) }
@@ -799,6 +787,10 @@ func (f *Fabric) DeferRepairLink(c topo.Coord, d topo.Dir) {
 	l.pendingRepair = true
 	f.pendingRepairs.Add(1)
 }
+
+// PendingRepairs counts the repairs DeferRepairLink marked that no
+// CommitRepairs has applied yet.
+func (f *Fabric) PendingRepairs() int { return int(f.pendingRepairs.Load()) }
 
 // CommitRepairs applies every repair deferred by DeferRepairLink, waking
 // the packets sleeping on a repaired chip's failed links (wake), and
@@ -841,15 +833,6 @@ func (f *Fabric) CommitRepairs() bool {
 func (f *Fabric) LinkFailed(c topo.Coord, d topo.Dir) bool {
 	n := f.Existing(c)
 	return n != nil && n.out[d].failed
-}
-
-// LinkTraversalCount reports how many packets crossed the directed link.
-func (f *Fabric) LinkTraversalCount(c topo.Coord, d topo.Dir) uint64 {
-	n := f.Existing(c)
-	if n == nil {
-		return 0
-	}
-	return n.out[d].Traversals
 }
 
 // InjectMC injects a multicast packet from a local core of chip c.

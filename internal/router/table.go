@@ -121,11 +121,6 @@ func (t *Table) Add(e Entry) error {
 	return nil
 }
 
-// Entries returns a copy of the installed entries in priority order.
-func (t *Table) Entries() []Entry {
-	return append([]Entry(nil), t.entries...)
-}
-
 // Lookup finds the highest-priority entry matching key.
 func (t *Table) Lookup(key uint32) (RouteMask, bool) {
 	t.Lookups++

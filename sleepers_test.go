@@ -113,12 +113,11 @@ func sleepPrepare(t testing.TB, workers int, partition string) (*Machine, topo.D
 	return m, d
 }
 
-// sleepFinish scripts the repair of the failed link at the next whole
-// millisecond and halts a second, longer read 2 ms in — after the repair
-// event, with its response asleep on the link that is still down. The
-// next batch commits the repair at that instant and wakes them; the run
-// then goes on for 40 ms and is fingerprinted.
-func sleepFinish(t *testing.T, m *Machine, d topo.Dir) string {
+// sleepRepairPending scripts the repair of the failed link at the next
+// whole millisecond and halts a second, longer read 2 ms in — after the
+// repair event, with its response asleep on the link that is still down
+// and the repair only marked, awaiting its commit.
+func sleepRepairPending(t *testing.T, m *Machine, d topo.Dir) *HostLink {
 	t.Helper()
 	hl, err := m.AttachHost()
 	if err != nil {
@@ -133,6 +132,15 @@ func sleepFinish(t *testing.T, m *Machine, d topo.Dir) string {
 		t.Fatalf("the repair commit finds %d sleepers on %v, link failed %v; want sleepers on a failed link",
 			n, sleepTarget, m.fab.LinkFailed(sleepTarget, d))
 	}
+	return hl
+}
+
+// sleepFinish leaves the repair pending as sleepRepairPending does; the
+// next batch commits it at that instant and wakes the sleepers, and the
+// run then goes on for 40 ms and is fingerprinted.
+func sleepFinish(t *testing.T, m *Machine, d topo.Dir) string {
+	t.Helper()
+	hl := sleepRepairPending(t, m, d)
 	p := hl.Batch(1)
 	p.Ping(m.hostOrigin.X, m.hostOrigin.Y)
 	if _, err := p.Run(); err != nil {
@@ -205,5 +213,45 @@ func TestRepairWakesSleepers(t *testing.T) {
 					partition, workers, ref, got)
 			}
 		}
+	}
+}
+
+// TestSnapshotRefusesPendingRepair: a repair_link event that fires inside
+// a host batch only marks its link, and the image has no field for the
+// mark, so a restored machine would never repair the link. Snapshot
+// refuses until a Run commits the repair; the image taken after that
+// restores to the straight run.
+func TestSnapshotRefusesPendingRepair(t *testing.T) {
+	m, d := sleepPrepare(t, 1, PartitionBands)
+	defer m.Close()
+	sleepRepairPending(t, m, d)
+	// The scripted repair marks the failed link and its reverse.
+	if n := m.fab.PendingRepairs(); n != 2 {
+		t.Fatalf("%d repairs pending after the batch, want 2", n)
+	}
+	if _, err := m.Snapshot(); err == nil || !strings.Contains(err.Error(), "2 deferred link repairs pending") {
+		t.Fatalf("Snapshot with a repair pending: %v, want a refusal naming it", err)
+	}
+	if _, err := m.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	if m.fab.LinkFailed(sleepTarget, d) {
+		t.Fatal("Run did not commit the pending repair")
+	}
+	image, err := m.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot after the commit: %v", err)
+	}
+	ref := snapFinish(t, m)
+	r, err := Restore(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := snapFinish(t, r); got != ref {
+		t.Errorf("restored run diverged from the straight run:\n--- straight ---\n%s--- restored ---\n%s", ref, got)
+	}
+	if r.fab.LinkFailed(sleepTarget, d) {
+		t.Error("the restored machine's link is still failed; the straight run repaired it")
 	}
 }

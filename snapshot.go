@@ -49,7 +49,9 @@ const (
 // configuration and the loaded network, so Restore needs nothing else.
 //
 // A snapshot is only legal at sequential quiescence with no host command
-// in flight: between Run calls, outside any Batch. Restoring the image
+// in flight and no deferred link repair awaiting its commit: between Run
+// calls, outside any Batch, and not after a batch inside which a
+// scheduled repair fired (Run commits it). Restoring the image
 // on ANY worker count and partition geometry and running to the same end
 // time yields byte-identical observables to the uninterrupted run — the
 // determinism contract extended through a save/load cycle.
@@ -62,6 +64,9 @@ func (m *Machine) Snapshot() ([]byte, error) {
 	}
 	if n := m.host.Inflight(); n != 0 {
 		return nil, fmt.Errorf("spinngo: snapshot with %d host commands in flight", n)
+	}
+	if n := m.fab.PendingRepairs(); n != 0 {
+		return nil, fmt.Errorf("spinngo: snapshot with %d deferred link repairs pending; Run first to commit them", n)
 	}
 	m.syncCompletions()
 	events, err := m.pe.ExportEvents()
