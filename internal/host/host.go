@@ -497,11 +497,41 @@ func (h *Host) launch(cmd *command) {
 	if cmd.op != OpFill {
 		h.eng.AtP(start+hdr, sim.Func(func() { h.injectBurst(cmd, -1) }))
 	}
-	for c := 0; c < n; c++ {
-		c := c
-		h.eng.AtP(start+hdr+sim.Time(c+1)*per, sim.Func(func() { h.injectBurst(cmd, c) }))
+	if n > 0 {
+		p := &chunkPump{h: h, cmd: cmd, first: start + hdr + per, per: per, seq: h.eng.Reserve(), n: n}
+		for c := 1; c < n; c++ {
+			h.eng.Reserve()
+		}
+		h.eng.AtReserved(p.first, p.seq, p)
 	}
 }
+
+// chunkPump streams a command's payload chunks onto the fabric with one
+// event pending at a time. Launch reserves every chunk's key, the
+// consecutive keys scheduling them all at once would have drawn, and
+// each chunk arms the next under its own: the order, the instants and
+// the gateway's key count are those of one event a chunk, but a load no
+// longer parks thousands of events in the gateway's queue. Like the
+// closures it replaces it has no descriptor: a snapshot waits for host
+// commands to finish.
+type chunkPump struct {
+	h          *Host
+	cmd        *command
+	first, per sim.Time // chunk c runs at first + c*per
+	seq        uint64   // chunk c's key is seq + c
+	next, n    int
+}
+
+func (p *chunkPump) Run() {
+	c := p.next
+	p.next++
+	if p.next < p.n {
+		p.h.eng.AtReserved(p.first+sim.Time(p.next)*p.per, p.seq+uint64(p.next), p)
+	}
+	p.h.injectBurst(p.cmd, c)
+}
+
+func (p *chunkPump) EventDesc() *sim.Desc { return nil }
 
 // injectBurst puts one command packet onto the fabric at the gateway:
 // chunk -1 is the burst header, others are payload chunks. Flood-fill

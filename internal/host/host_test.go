@@ -156,6 +156,27 @@ func TestBurstAccounting(t *testing.T) {
 	}
 }
 
+// TestChunkPumpKeepsQueueShallow: a command's payload chunks are pumped
+// one pending event at a time, so a long write never parks its chunks in
+// the queue, and every chunk still goes out.
+func TestChunkPumpKeepsQueueShallow(t *testing.T) {
+	eng, fab, ctl := bootedMachine(t, 2, 2)
+	h := New(eng, fab, ctl, DefaultConfig())
+	b := h.NewBatch(1)
+	b.WriteMem(topo.Coord{X: 1, Y: 1}, 0x100, make([]byte, 4096))
+	b.Launch()
+	deepest := eng.Pending()
+	for !b.Done() && eng.Step() {
+		deepest = max(deepest, eng.Pending())
+	}
+	if !b.Done() || h.PacketsSent != 1+1024 {
+		t.Fatalf("done %v after %d packets; want 1 header and 1024 chunks", b.Done(), h.PacketsSent)
+	}
+	if deepest > 32 {
+		t.Errorf("%d events pending at once during a 1024-chunk write; want the chunks pumped one at a time", deepest)
+	}
+}
+
 func TestFillMemReachesEveryChip(t *testing.T) {
 	eng, fab, ctl := bootedMachine(t, 4, 4)
 	h := New(eng, fab, ctl, DefaultConfig())

@@ -67,7 +67,7 @@ func newDeliveryRig(rows int, hit bool, gaps [2]sim.Time) *deliveryRig {
 		return 80
 	})
 	r.core.On(kernel.EvDMADone, func(ev kernel.Event) uint64 {
-		row, _, _ := m.Lookup(ev.Tag)
+		row, _, _, _ := m.Lookup(ev.Tag)
 		r.synapses += len(row)
 		return 20 + 5*uint64(len(row))
 	})

@@ -164,6 +164,11 @@ func (n *Network) Validate() error {
 			return fmt.Errorf("mapping: projection %s->%s: weight %g nA is not finite",
 				pr.Pre.Name, pr.Post.Name, pr.WeightNA)
 		}
+		if pr.STDP != nil {
+			if err := pr.STDP.Validate(); err != nil {
+				return fmt.Errorf("mapping: projection %s->%s: %w", pr.Pre.Name, pr.Post.Name, err)
+			}
+		}
 		if pr.Kind == FixedFanout && pr.Fanout <= 0 {
 			return fmt.Errorf("mapping: fanout %d invalid", pr.Fanout)
 		}

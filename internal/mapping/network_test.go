@@ -53,6 +53,35 @@ func TestValidateCatchesBadNetworks(t *testing.T) {
 			t.Errorf("weight %g: got %v, want an error naming pre->post", w, err)
 		}
 	}
+	proj.WeightNA = 1
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		bad  func(*neural.STDPConfig)
+	}{
+		{"APlus NaN", func(r *neural.STDPConfig) { r.APlus = nan }},
+		{"APlus +Inf", func(r *neural.STDPConfig) { r.APlus = inf }},
+		{"AMinus -Inf", func(r *neural.STDPConfig) { r.AMinus = -inf }},
+		{"TauPlusMS zero", func(r *neural.STDPConfig) { r.TauPlusMS = 0 }},
+		{"TauPlusMS negative", func(r *neural.STDPConfig) { r.TauPlusMS = -20 }},
+		{"TauPlusMS NaN", func(r *neural.STDPConfig) { r.TauPlusMS = nan }},
+		{"TauMinusMS zero", func(r *neural.STDPConfig) { r.TauMinusMS = 0 }},
+		{"TauMinusMS +Inf", func(r *neural.STDPConfig) { r.TauMinusMS = inf }},
+		{"WMin above WMax", func(r *neural.STDPConfig) { r.WMin, r.WMax = 100, 99 }},
+	} {
+		rule := neural.DefaultSTDP()
+		c.bad(&rule)
+		proj.STDP = &rule
+		if err := net.Validate(); err == nil || !strings.Contains(err.Error(), "pre->post") {
+			t.Errorf("STDP %s: got %v, want an error naming pre->post", c.name, err)
+		}
+	}
+	rule := neural.DefaultSTDP()
+	rule.WMin, rule.WMax = 7, 7
+	proj.STDP = &rule
+	if err := net.Validate(); err != nil {
+		t.Errorf("STDP with WMin = WMax rejected: %v", err)
+	}
 }
 
 func TestValidateOneToOneShapes(t *testing.T) {

@@ -229,8 +229,8 @@ func compileMatchesOracle(t *testing.T, net *Network, spec MachineSpec, strategy
 				got.Matrix.NumRows(), got.Matrix.Bytes(), want.Matrix.NumRows(), want.Matrix.Bytes())
 		}
 		for _, key := range want.Matrix.Keys() {
-			grow, gplastic, _ := got.Matrix.Lookup(key)
-			wrow, wplastic, _ := want.Matrix.Lookup(key)
+			grow, _, gplastic, _ := got.Matrix.Lookup(key)
+			wrow, _, wplastic, _ := want.Matrix.Lookup(key)
 			if !slices.Equal(grow, wrow) || gplastic != wplastic {
 				t.Fatalf("fragment %d row %#x: %v (plastic %v), oracle %v (plastic %v)", i, key, grow, gplastic, wrow, wplastic)
 			}

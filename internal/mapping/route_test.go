@@ -169,7 +169,7 @@ func TestBuildDataRowsAndKeys(t *testing.T) {
 	pre5, _ := FragmentForNeuron(rplan.Frags, net.Pops[0], 5)
 	post5, _ := FragmentForNeuron(rplan.Frags, net.Pops[1], 5)
 	cd := dplan.Cores[post5.Chip][post5.Core]
-	row, _, ok := cd.Matrix.Lookup(pre5.KeyFor(5))
+	row, _, _, ok := cd.Matrix.Lookup(pre5.KeyFor(5))
 	if !ok {
 		t.Fatal("row for pre neuron 5 missing")
 	}

@@ -40,3 +40,27 @@ func TestPoissonSourceTickZeroAlloc(t *testing.T) {
 		t.Errorf("Tick allocated %.2f times a call; want 0", allocs)
 	}
 }
+
+// TestSTDPProcessRowZeroAlloc pins the rule's per-row state in the slice
+// indexed by rank: once every row has been seen, ProcessRow allocates
+// nothing.
+func TestSTDPProcessRowZeroAlloc(t *testing.T) {
+	m := NewMatrix()
+	for key := uint32(0); key < 8; key++ {
+		m.AddRow(key<<6, Row{MakeSynWord(900, 1, false, 0), MakeSynWord(900, 2, false, 1)}, true)
+	}
+	s := NewSTDPState(2, DefaultSTDP())
+	tick := uint64(0)
+	fetch := func() {
+		tick++
+		s.RecordPost(int(tick%2), tick)
+		row, rank, _, _ := m.Lookup(uint32(tick%8) << 6)
+		s.ProcessRow(rank, row, tick)
+	}
+	for range 8 {
+		fetch()
+	}
+	if allocs := testing.AllocsPerRun(1000, fetch); allocs != 0 {
+		t.Errorf("ProcessRow allocated %.2f times a call; want 0", allocs)
+	}
+}

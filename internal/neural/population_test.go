@@ -35,7 +35,7 @@ func TestPopulationRowDelivery(t *testing.T) {
 	p := newLIFPopulation(8)
 	row := Row{MakeSynWord(65535, 2, false, 3)} // huge weight
 	p.Matrix.AddRow(0xabc, row, false)
-	r, _, ok := p.Matrix.Lookup(0xabc)
+	r, _, _, ok := p.Matrix.Lookup(0xabc)
 	if !ok {
 		t.Fatal("row missing")
 	}

@@ -26,15 +26,25 @@ func steppedPop(p *Population) *Population {
 	return p
 }
 
-func plasticState(n int) *STDPState {
+// plasticState returns STDP state for n neurons over a store of three
+// plastic rows, two of which have seen pre spikes, and that store.
+func plasticState(n int) (*STDPState, *Matrix) {
+	m := NewMatrix()
+	for _, key := range []uint32{0x08, 0x20, 0x40} {
+		m.AddRow(key, plasticRow(500), true)
+	}
 	s := NewSTDPState(n, DefaultSTDP())
 	for tick := uint64(1); tick < 9; tick++ {
 		s.RecordPost(int(tick)%n, tick*3)
 	}
-	s.ProcessRow(0x40, plasticRow(500), 11)
-	s.ProcessRow(0x08, plasticRow(500), 20)
-	s.ProcessRow(0x40, plasticRow(500), 25)
-	return s
+	spike := func(key uint32, tick uint64) {
+		row, rank, _, _ := m.Lookup(key)
+		s.ProcessRow(rank, row, tick)
+	}
+	spike(0x40, 11)
+	spike(0x08, 20)
+	spike(0x40, 25)
+	return s, m
 }
 
 func plasticMatrix() *Matrix {
@@ -65,6 +75,8 @@ func TestSnapRoundTrip(t *testing.T) {
 	}
 	type codes = func(*snap.Codec)
 	matrix := func(m *Matrix, neurons int) codes { return func(c *snap.Codec) { m.Snap(c, neurons) } }
+	stdp := func(s *STDPState, m *Matrix) codes { return func(c *snap.Codec) { s.Snap(c, m) } }
+	plastic, plasticRows := plasticState(4)
 	for _, row := range []struct {
 		name         string
 		src          codes
@@ -79,9 +91,9 @@ func TestSnapRoundTrip(t *testing.T) {
 		{"recorder", steppedPop(lif(5)).Rec.Snap,
 			func() codes { return NewRecorder(5).Snap },
 			func() codes { return NewRecorder(1).Snap }}, // the raster has spikes past neuron 0
-		{"stdp", plasticState(4).Snap,
-			func() codes { return NewSTDPState(4, DefaultSTDP()).Snap },
-			func() codes { return NewSTDPState(3, DefaultSTDP()).Snap }},
+		{"stdp", stdp(plastic, plasticRows),
+			func() codes { return stdp(NewSTDPState(4, DefaultSTDP()), plasticRows) },
+			func() codes { return stdp(NewSTDPState(3, DefaultSTDP()), plasticRows) }},
 		{"matrix", matrix(plasticMatrix(), 4),
 			func() codes { return matrix(NewMatrix(), 4) },
 			func() codes { return matrix(NewMatrix(), 3) }}, // a row targets neuron 3
@@ -146,11 +158,11 @@ func TestSnapRejectsCorruptValues(t *testing.T) {
 	}
 
 	enc = snap.NewEncoder()
-	NewSTDPState(1, DefaultSTDP()).Snap(enc)
+	NewSTDPState(1, DefaultSTDP()).Snap(enc, NewMatrix())
 	hist := bytes.Clone(enc.Bytes())
 	hist[4+4*8] = 5 // after the length prefix and four ticks: the history length
 	dec = snap.NewDecoder(hist)
-	NewSTDPState(1, DefaultSTDP()).Snap(dec)
+	NewSTDPState(1, DefaultSTDP()).Snap(dec, NewMatrix())
 	if dec.Err() == nil {
 		t.Error("post-spike history length 5 of 4 decoded without error")
 	}

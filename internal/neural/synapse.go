@@ -207,13 +207,14 @@ func (m *Matrix) RowBytes(key uint32) (int, bool) {
 }
 
 // Lookup fetches the row for a key, aliasing the store (STDP updates the
-// weights in place), and whether it is plastic.
-func (m *Matrix) Lookup(key uint32) (row Row, plastic, ok bool) {
+// weights in place), its rank (which indexes STDP's per-row state), and
+// whether it is plastic.
+func (m *Matrix) Lookup(key uint32) (row Row, rank uint32, plastic, ok bool) {
 	r, ok := m.rank(key)
 	if !ok {
-		return nil, false, false
+		return nil, 0, false, false
 	}
-	return m.row(int(r)), m.isPlastic(int(r)), true
+	return m.row(int(r)), r, m.isPlastic(int(r)), true
 }
 
 // NumRows reports the number of stored rows.

@@ -61,13 +61,13 @@ func TestMatrixStore(t *testing.T) {
 	if m.Bytes() != 12 {
 		t.Errorf("Bytes = %d, want 12", m.Bytes())
 	}
-	if got, plastic, ok := m.Lookup(0x10); !ok || plastic || !slices.Equal(got, row) {
+	if got, _, plastic, ok := m.Lookup(0x10); !ok || plastic || !slices.Equal(got, row) {
 		t.Fatalf("Lookup(0x10) = %v, plastic %v, %v", got, plastic, ok)
 	}
-	if _, plastic, ok := m.Lookup(0x11); !ok || !plastic {
+	if _, _, plastic, ok := m.Lookup(0x11); !ok || !plastic {
 		t.Error("plastic row lost its mark")
 	}
-	if _, _, ok := m.Lookup(0x12); ok {
+	if _, _, _, ok := m.Lookup(0x12); ok {
 		t.Error("missing row found")
 	}
 	if m.NumRows() != 2 {
@@ -160,13 +160,16 @@ func checkMatrix(t *testing.T, m *Matrix, want rowSet, what string) {
 	keys := slices.Sorted(maps.Keys(want.rows))
 	size := 0
 	probes := []uint32{0, 0xffffffff}
-	for _, key := range keys {
+	for i, key := range keys {
 		row := want.rows[key]
 		size += row.SizeBytes()
-		got, plastic, ok := m.Lookup(key)
+		got, rank, plastic, ok := m.Lookup(key)
 		if n, hit := m.RowBytes(key); !ok || !hit || !slices.Equal(got, row) || plastic != want.plastic[key] || n != row.SizeBytes() {
 			t.Fatalf("%s: Lookup(%#x) = %v, plastic %v, %v; RowBytes %d, %v; want %v, plastic %v",
 				what, key, got, plastic, ok, n, hit, row, want.plastic[key])
+		}
+		if int(rank) != i {
+			t.Fatalf("%s: Lookup(%#x) reports rank %d, want %d", what, key, rank, i)
 		}
 		probes = append(probes, key-1, key+1, key^32, key-64, key+64)
 	}
@@ -174,7 +177,7 @@ func checkMatrix(t *testing.T, m *Matrix, want rowSet, what string) {
 		if _, in := want.rows[key]; in {
 			continue
 		}
-		if row, plastic, ok := m.Lookup(key); ok || plastic || row != nil {
+		if row, _, plastic, ok := m.Lookup(key); ok || plastic || row != nil {
 			t.Fatalf("%s: Lookup(%#x) found a row never added", what, key)
 		}
 		if n, ok := m.RowBytes(key); ok || n != 0 {
@@ -300,7 +303,7 @@ func BenchmarkMatrixRow(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				key := probe[i%len(probe)]
 				if n, ok := m.RowBytes(key); ok {
-					row, _, _ := m.Lookup(key)
+					row, _, _, _ := m.Lookup(key)
 					found += n
 					synapses += len(row)
 				}

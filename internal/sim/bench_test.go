@@ -41,6 +41,43 @@ func BenchmarkQueueHold(b *testing.B) {
 	}
 }
 
+// domainHold is the hold model on one chip's domain: each executed event
+// schedules itself a pseudo-random delay ahead on the domain it ran on.
+type domainHold struct {
+	d   *Domain
+	rng uint64
+}
+
+func (p *domainHold) Run() {
+	p.rng = p.rng*6364136223846793005 + 1442695040888963407
+	p.d.AtP(p.d.Now()+Time(1+p.rng>>54), p)
+}
+func (p *domainHold) EventDesc() *Desc { return nil }
+
+// BenchmarkQueueReplaceHead keeps 40 events pending on one chip's domain,
+// beside three quiet chips, and every event reschedules itself there: each
+// pop is followed by a push into the hole it left, the deep-domain shape
+// of a plastic chip's cores.
+func BenchmarkQueueReplaceHead(b *testing.B) {
+	const pending = 40
+	eng := New(1)
+	for i := 1; i <= 3; i++ {
+		eng.Domain(i).AtP(Forever, Func(func() {}))
+	}
+	d := eng.Domain(0)
+	evs := make([]domainHold, pending)
+	for i := range evs {
+		evs[i] = domainHold{d: d, rng: uint64(i)*2654435761 + 1}
+		d.AtP(Time(1+i), &evs[i])
+	}
+	eng.RunUntil(1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+	}
+}
+
 // hopBench is a packet crossing the machine: each delivery schedules the
 // next one on the neighbouring domain a fixed latency ahead, so packets
 // launched together stay a same-instant burst across many domains.

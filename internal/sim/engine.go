@@ -363,7 +363,9 @@ type Domain struct {
 	// runClass and runK1 are the class and k1 of the domain's last
 	// executed event (see Engine.passed).
 	runClass uint8
-	runK1    uint64
+	// hole reports that pend[0] is the slot the last pop left (queue.go).
+	hole  bool
+	runK1 uint64
 }
 
 // Domain returns a new scheduling domain with the given id (>= 0) on

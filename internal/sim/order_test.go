@@ -173,13 +173,17 @@ func (h *queueHarness) push(ev event) {
 	h.q.push(d, ev)
 }
 
-// check verifies the two invariants queue.go states, plus the counters.
+// check verifies the two invariants queue.go states, that settle leaves
+// no hole behind, and the counters.
 func (h *queueHarness) check(t *testing.T) {
 	t.Helper()
 	q := &h.q
 	q.settle()
 	total := 0
 	for i, d := range q.doms {
+		if d.hole {
+			t.Fatalf("domain %d still holds a hole after settle", d.id)
+		}
 		want := idle
 		if len(d.pend) > 0 {
 			want = head{at: d.pend[0].key.at, id: d.id, leaf: int32(i)}
@@ -345,6 +349,15 @@ func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{0x01, 0xa1, 0xa2, 0xa3, 0xa4, 0x11, 0x12, 0x00, 0x13, 0x00, 0x00, 0x21, 0x00, 0x00, 0x00, 0x00})
 	// A chain of maximal jumps from the highest anchor saturates at Forever.
 	f.Add([]byte{0x03, 0xf1, 0x00, 0xf2, 0x00, 0xf3, 0xf4, 0xff, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00})
+	// Pushes land on domain 1 every fifth push: a pop from it, then four
+	// pushes elsewhere and one that fills the hole the pop left, three
+	// times over.
+	f.Add([]byte{0x00, 0x19, 0x50, 0x50, 0x50, 0x50, 0x2c, 0x00, 0x50, 0x50, 0x50, 0x50, 0x18,
+		0x00, 0x60, 0x60, 0x60, 0x60, 0x11, 0x00, 0x00, 0x00})
+	// Cancels while a hole is pending: of the holed domain's last event,
+	// then of an event on another domain.
+	f.Add([]byte{0x00, 0x19, 0x50, 0x50, 0x50, 0x50, 0x2c, 0x00, 0xf0, 0x50, 0x50, 0x50, 0x50, 0x25,
+		0x00, 0xf0, 0x00, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

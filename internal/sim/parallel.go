@@ -523,6 +523,7 @@ func (pe *ParallelEngine) Repartition(shards, workers int, owner func(domain int
 	ns[0].rng = pe.shards[0].rng
 	ns[0].seq = seqMax
 	for _, s := range pe.shards {
+		s.q.settle()
 		// A domain moves with its pending list: the canonical keys are
 		// untouched, and only its head enters the new shard's tournament.
 		// Anonymous events pin to the control shard, keys unchanged too.

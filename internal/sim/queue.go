@@ -27,7 +27,8 @@ import (
 //
 //  1. Per-domain heap: d.pend[0] is the least of d's events by
 //     (at, class, k1, k2), so with the domain fixed it is d's least
-//     canonical key.
+//     canonical key — for every domain but late, whose d.pend[0] may be
+//     the hole its last pop left, once settled for all.
 //  2. Tournament: every inner node is the lesser of its two children
 //     by (at, id), and leaf tree[leaves+d.slot] holds (d.pend[0].key.at,
 //     d.id), or idle while d has nothing pending — for every domain but
@@ -51,9 +52,11 @@ type queue struct {
 	leaves int       // a power of two >= len(doms)
 	n      int
 	// late is the domain last popped from, whose leaf still shows the
-	// popped event. Most events schedule their successor on their own
-	// chip, so its raise waits for that push and the two cost one walk;
-	// the winner is not read before settle has caught the leaf up.
+	// popped event and whose list may still hold its hole. Most events
+	// schedule their successor on their own chip, so the successor fills
+	// the hole and the leaf's raise waits for it: a pop and a push cost
+	// one walk down the list and one up the tree. Neither the winner nor
+	// late's list is read before settle has caught them up.
 	late *Domain
 }
 
@@ -125,24 +128,48 @@ func (d *Domain) add(ev event) bool {
 	return i == 0
 }
 
-// take removes the domain's head event and returns its instant and
-// payload (two registers' worth), keeping the rest of the key that
-// Passed needs.
+// take pops the domain's head event and returns its instant and payload
+// (two registers' worth), keeping the rest of the key that Passed needs.
+// The head's slot stays behind as a hole: most events schedule their
+// successor on their own domain, and fill drops that push straight into
+// the hole; settle removes a hole nothing filled.
 func (d *Domain) take() (Time, Payload) {
+	h := &d.pend[0]
+	at, payload := h.key.at, h.payload
+	d.runClass, d.runK1 = h.key.class, h.key.k1
+	h.payload = nil // release the payload reference
+	d.hole = true
+	return at, payload
+}
+
+// fill puts ev into the hole at the root of the domain's list, where a
+// pop and a push would each have walked the list.
+func (d *Domain) fill(ev event) {
+	d.hole = false
+	sink(d.pend, ev)
+}
+
+// unhole removes a hole nothing filled: the list's last event fills it.
+func (d *Domain) unhole() {
+	d.hole = false
 	h := d.pend
-	at, payload := h[0].key.at, h[0].payload
-	d.runClass, d.runK1 = h[0].key.class, h[0].key.k1
 	n := len(h) - 1
 	last := h[n]
 	h[n] = event{} // release the payload reference
 	h = h[:n]
 	d.pend = h
-	if n == 0 {
-		return at, payload
+	if n > 0 {
+		sink(h, last)
 	}
-	// Bottom-up: walk the hole down the lesser-child path to a leaf,
-	// then lift last from there; last came from the bottom and nearly
-	// always belongs near it, so this saves a comparison a level.
+}
+
+// sink puts ev into the hole at the root of h bottom-up: it walks the
+// hole down the lesser-child path to a leaf, then lifts ev from there.
+// ev nearly always belongs near the bottom — a successor is scheduled
+// past most of what is pending, and the last event came from there — so
+// this costs one comparison a level where a sift-down costs two.
+func sink(h []event, ev event) {
+	n := len(h)
 	i := 0
 	for {
 		c := 2*i + 1
@@ -167,14 +194,13 @@ func (d *Domain) take() (Time, Payload) {
 	}
 	for i > 0 {
 		p := (i - 1) / 2
-		if !last.key.before(&h[p].key) {
+		if !ev.key.before(&h[p].key) {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = last
-	return at, payload
+	h[i] = ev
 }
 
 // remove deletes the event at index i of the domain's list: last fills
@@ -219,11 +245,11 @@ func (d *Domain) remove(i int) {
 // new head after every leaf is settled, so the walk reads exact
 // siblings.
 func (q *queue) cancel(d *Domain, p Payload) bool {
+	q.settle()
 	i := slices.IndexFunc(d.pend, func(ev event) bool { return ev.payload == p })
 	if i < 0 {
 		return false
 	}
-	q.settle()
 	d.remove(i)
 	q.n--
 	q.raise(d)
@@ -233,7 +259,8 @@ func (q *queue) cancel(d *Domain, p Payload) bool {
 func (q *queue) len() int { return q.n }
 
 // bind gives d a leaf of this engine's tournament; a domain re-bound by
-// Repartition arrives with its pending list intact.
+// Repartition arrives with its pending list intact, its old engine
+// settled.
 func (q *queue) bind(d *Domain) {
 	d.slot = len(q.doms)
 	q.doms = append(q.doms, d)
@@ -286,17 +313,32 @@ func (q *queue) lower(d *Domain) {
 	}
 }
 
-// settle brings the late domain's leaf up to date.
+// settle removes the late domain's hole if nothing filled it and brings
+// its leaf up to date. Whatever reads a pending list settles first.
 func (q *queue) settle() {
 	if q.late != nil {
-		q.raise(q.late)
-		q.late = nil
+		q.catchUp()
 	}
 }
 
-// push schedules ev, whose key.domain must be d.id, on d's list.
+// catchUp is settle's work, out of line so that settle inlines.
+func (q *queue) catchUp() {
+	d := q.late
+	if d.hole {
+		d.unhole()
+	}
+	q.raise(d)
+	q.late = nil
+}
+
+// push schedules ev, whose key.domain must be d.id, on d's list. Only the
+// late domain has a hole, and its leaf waits for settle.
 func (q *queue) push(d *Domain, ev event) {
 	q.n++
+	if d.hole {
+		d.fill(ev)
+		return
+	}
 	if d.add(ev) && d != q.late {
 		q.lower(d)
 	}
@@ -337,6 +379,7 @@ func (q *queue) pop() (Time, Payload) {
 // snapshot export and ownership audits. The pointer is valid only
 // during the call.
 func (q *queue) forEach(fn func(*event)) {
+	q.settle()
 	for _, d := range q.doms {
 		for i := range d.pend {
 			fn(&d.pend[i])
@@ -346,6 +389,7 @@ func (q *queue) forEach(fn func(*event)) {
 
 // reset drops all pending events and releases their payloads.
 func (q *queue) reset() {
+	q.settle()
 	for _, d := range q.doms {
 		clear(d.pend)
 		d.pend = d.pend[:0]
@@ -354,5 +398,4 @@ func (q *queue) reset() {
 		q.tree[i] = idle
 	}
 	q.n = 0
-	q.late = nil
 }

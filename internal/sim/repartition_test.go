@@ -60,10 +60,11 @@ func (h *ringHarness) trace() []string {
 // pendingByDomain counts every shard's pending events per domain id,
 // reading the domain lists each shard's queue holds (cross-domain
 // deliveries count at their destination; the anonymous domain is
-// skipped).
+// skipped). Each queue settles first, so no list still holds a hole.
 func pendingByDomain(pe *ParallelEngine, n int) []uint64 {
 	counts := make([]uint64, n)
 	for _, s := range pe.shards {
+		s.q.settle()
 		for _, d := range s.q.doms {
 			if d.id >= 0 && int(d.id) < n {
 				counts[d.id] += uint64(len(d.pend))

@@ -1096,13 +1096,13 @@ func (m *Machine) buildUnitAt(f *mapping.Fragment, fragIdx, slot int, tickBase u
 	// connectivity data is modified, a DMA must be scheduled to write
 	// the changes back", section 5.3).
 	u.core.On(kernel.EvDMADone, func(ev kernel.Event) uint64 {
-		row, plastic, ok := u.pop.Matrix.Lookup(ev.Tag)
+		row, rank, plastic, ok := u.pop.Matrix.Lookup(ev.Tag)
 		if !ok {
 			return 20
 		}
 		var cost uint64
 		if plastic && u.stdp != nil {
-			dirty, c := u.stdp.ProcessRow(ev.Tag, row, u.pop.Tick())
+			dirty, c := u.stdp.ProcessRow(rank, row, u.pop.Tick())
 			cost += c
 			if dirty {
 				tally.writeBacks++

@@ -615,7 +615,7 @@ func (u *unit) snap(c *snap.Codec) {
 		u.source.Snap(c)
 	}
 	if snapPresent(c, u.stdp != nil, "STDP state") {
-		u.stdp.Snap(c)
+		u.stdp.Snap(c, u.pop.Matrix)
 	}
 }
 

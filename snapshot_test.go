@@ -8,6 +8,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -589,6 +590,11 @@ func TestSnapshotErrors(t *testing.T) {
 	if _, err := Restore(swappedRowKeys(t, golden, image)); err == nil || !strings.Contains(err.Error(), "follows row") {
 		t.Errorf("Restore of an image with two row keys swapped: error %v, want an out-of-order error", err)
 	}
+	// A plasticity rule whose potentiation window is zero: its decay
+	// terms would be NaN.
+	if _, err := Restore(zeroTau(t, golden, image)); err == nil || !strings.Contains(err.Error(), "STDP windows 0, 20 ms") {
+		t.Errorf("Restore of an image with a zero STDP window: error %v, want the rule's validation error", err)
+	}
 
 	// A spike raster no run can produce: a spike on the neuron one past
 	// its population, a spike count one above the stream's, and a stream
@@ -725,6 +731,30 @@ func swappedRowKeys(t testing.TB, m *Machine, image []byte) []byte {
 		return bad
 	}
 	t.Fatal("no plastic fragment holds two rows")
+	return nil
+}
+
+// zeroTau returns image with the window TauPlusMS of m's first plastic
+// projection coded as zero in the network section.
+func zeroTau(t testing.TB, m *Machine, image []byte) []byte {
+	t.Helper()
+	for _, pr := range m.model.net.Projs {
+		if pr.STDP == nil {
+			continue
+		}
+		var rule [32]byte // APlus, AMinus, TauPlusMS, TauMinusMS as the section codes them
+		for i, v := range []float64{pr.STDP.APlus, pr.STDP.AMinus, pr.STDP.TauPlusMS, pr.STDP.TauMinusMS} {
+			binary.LittleEndian.PutUint64(rule[8*i:], math.Float64bits(v))
+		}
+		at := bytes.Index(image, rule[:])
+		if at < 0 {
+			t.Fatal("plasticity rule not found in the image")
+		}
+		bad := bytes.Clone(image)
+		binary.LittleEndian.PutUint64(bad[at+16:], 0)
+		return bad
+	}
+	t.Fatal("no plastic projection")
 	return nil
 }
 
@@ -982,6 +1012,7 @@ func FuzzRestore(f *testing.F) {
 	}
 	cuts := sectionCuts(f, src, data)
 	swapped := swappedRowKeys(f, src, data)
+	noWindow := zeroTau(f, src, data)
 	midSpike := corruptRaster(f, src, data, func(spikes []neural.Spike, _ int) []byte {
 		return rasterSection(len(spikes), append(packSpikes(spikes), 0))
 	})
@@ -1009,6 +1040,8 @@ func FuzzRestore(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(corruptRetry(f, slept))
+	// A plasticity rule whose potentiation window is zero.
+	f.Add(noWindow)
 	f.Fuzz(func(t *testing.T, image []byte) {
 		m, err := Restore(image)
 		if (m == nil) == (err == nil) {
