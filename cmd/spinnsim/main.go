@@ -1,30 +1,27 @@
-// Command spinnsim builds a configurable stimulus-driven spiking network
-// on a simulated SpiNNaker machine and runs it in biological time,
-// printing the run report and an ASCII spike raster — the quickstart
-// workflow of the public API as a one-shot tool.
+// Command spinnsim runs a declared workload on a simulated SpiNNaker
+// machine, or resumes one from a checkpoint image, and prints the run
+// report, each population's mean rate, campaign damage and, on request,
+// an ASCII spike raster.
 //
 // Usage:
 //
-//	spinnsim [-w 4] [-h 4] [-neurons 400] [-stim 100] [-rate 150]
-//	         [-p 0.05] [-weight 0.8] [-delay 2] [-ms 500]
-//	         [-faillink "1,1,E"] [-raster] [-seed 1] [-workers 0]
-//	         [-partition auto] [-boards WxH] [-boardlink slow]
-//	         [-cabinets WxH] [-cabinetlink slow]
-//	         [-snapshot ckpt.snap] [-restore ckpt.snap]
-//	         [-workload storm-campaign] [-workloads]
-//	         [-cpuprofile run.cpu.pprof] [-memprofile run.mem.pprof]
+//	spinnsim -workload NAME|FILE [-workers N] [-partition P] [-snapshot FILE] [-raster]
+//	spinnsim -restore FILE [-ms 500] [-workers N] [-partition P] [-snapshot FILE] [-raster]
+//	spinnsim -workloads
 //
-// -snapshot writes a checkpoint image after the run; -restore resumes
-// from one instead of building a machine (only -ms, -workers, -partition,
-// -faillink, -raster and -snapshot apply then — the machine, model and
-// seed all come from the image, and any choice of workers/partition
-// yields byte-identical results).
+// Each form also takes -cpuprofile FILE and -memprofile FILE.
 //
-// -workload runs a declared workload document — a JSON file path, or
-// the name of a built-in registry entry (-workloads lists them). The
-// document pins the machine, network, stimuli, fault campaign and run
-// schedule; only -workers, -partition, -raster and -snapshot apply
-// alongside it, and the execution strategy never changes the results.
+// -workload runs a workload document — a JSON file path, or the name of
+// a built-in registry entry (-workloads lists them). The document pins
+// the machine, network, stimuli, fault campaign and run schedule.
+//
+// -restore resumes from an image written by -snapshot and runs -ms more
+// biological milliseconds; the machine, model and seed come from the
+// image.
+//
+// -workers and -partition pick the execution strategy only: any choice
+// yields byte-identical results. Given on the command line, they
+// override the document's.
 package main
 
 import (
@@ -41,31 +38,25 @@ import (
 )
 
 func main() {
-	w := flag.Int("w", 4, "mesh width in chips")
-	h := flag.Int("h", 4, "mesh height in chips")
-	neurons := flag.Int("neurons", 400, "excitatory LIF population size")
-	stim := flag.Int("stim", 100, "Poisson stimulus sources")
-	rate := flag.Float64("rate", 150, "stimulus rate, Hz")
-	p := flag.Float64("p", 0.05, "stimulus->exc connection probability")
-	weight := flag.Float64("weight", 0.8, "synaptic weight, nA")
-	delay := flag.Int("delay", 2, "synaptic delay, ms")
-	ms := flag.Int("ms", 500, "biological run time, ms")
-	failLink := flag.String("faillink", "", "fail a link, e.g. \"1,1,E\"")
-	raster := flag.Bool("raster", false, "print an ASCII spike raster")
-	seed := flag.Uint64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "simulation shards run in parallel (0 = automatic); any value yields the same results")
-	partition := flag.String("partition", "auto", "shard geometry: bands, blocks, boards, cabinets or auto; any value yields the same results")
-	boards := flag.String("boards", "", "board tiling in chips, e.g. \"8x2\" ('' = uniform fabric); board-crossing links use board-to-board PHY params")
-	boardlink := flag.String("boardlink", "", "board-to-board link preset: slow (default) or uniform; requires -boards")
-	cabinets := flag.String("cabinets", "", "cabinet tiling in boards, e.g. \"2x2\" ('' = no cabinet level); requires -boards; cabinet-crossing links use cabinet-to-cabinet PHY params")
-	cabinetlink := flag.String("cabinetlink", "", "cabinet-to-cabinet link preset: slow (default) or uniform; requires -cabinets")
 	workloadRef := flag.String("workload", "", "run a declared workload: a JSON file path or a registry name (see -workloads)")
 	listWorkloads := flag.Bool("workloads", false, "list the built-in workload registry and exit")
+	workers := flag.Int("workers", 0, "simulation shards run in parallel (0 = automatic); any value yields the same results")
+	partition := flag.String("partition", "auto", "shard geometry: bands, blocks, boards, cabinets or auto; any value yields the same results")
 	snapshotPath := flag.String("snapshot", "", "write a checkpoint image to this file after the run")
-	restorePath := flag.String("restore", "", "resume from a checkpoint image; -workers/-partition pick the execution strategy, everything else comes from the image")
+	restorePath := flag.String("restore", "", "resume from a checkpoint image; the machine, model and seed come from the image")
+	ms := flag.Int("ms", 500, "with -restore: biological ms to run past the image")
+	raster := flag.Bool("raster", false, "print an ASCII spike raster of the largest population")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	flag.Parse()
+
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if msg := usageError(set, flag.Args(), *ms); msg != "" {
+		fmt.Fprintf(flag.CommandLine.Output(), "spinnsim: %s\n", msg)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *memprofile != "" {
 		defer writeHeapProfile(*memprofile) // whichever path the run takes
@@ -81,145 +72,79 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if *listWorkloads {
-		for _, name := range workload.Names() {
-			wl, err := workload.Get(name)
-			if err != nil {
-				log.Fatalf("%s: %v", name, err)
-			}
-			campaign := ""
-			if wl.Campaign != nil {
-				campaign = fmt.Sprintf(" [campaign: %d events]", len(wl.Campaign.Events))
-			}
-			fmt.Printf("%-18s %dx%d, %dms%s\n    %s\n",
-				name, wl.Machine.Width, wl.Machine.Height, wl.Run.BioMS, campaign, wl.Description)
-		}
-		return
-	}
-	if *workloadRef != "" {
-		runWorkload(*workloadRef, *workers, *partition, *snapshotPath, *raster)
-		return
-	}
-
-	var machine *spinngo.Machine
-	var stimPop, excPop spinngo.Pop
-	havePops := false
-	if *restorePath != "" {
+	switch {
+	case *listWorkloads:
+		printRegistry()
+	case *restorePath != "":
 		image, err := os.ReadFile(*restorePath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		machine, err = spinngo.RestoreOn(image, *workers, *partition)
+		machine, err := spinngo.RestoreOn(image, *workers, *partition)
 		if err != nil {
 			log.Fatal(err)
 		}
+		defer machine.Close()
 		st := machine.SimStats()
 		fmt.Printf("restored %s (format v%d) onto %d %s shards\n",
 			*restorePath, spinngo.SnapshotVersion, st.Shards, st.Geometry)
-		// The quickstart model names its populations stim/exc; images
-		// from other programs still run, just without the rate summary.
-		var okStim, okExc bool
-		stimPop, okStim = machine.Pop("stim")
-		excPop, okExc = machine.Pop("exc")
-		havePops = okStim && okExc
-	} else {
-		var err error
-		machine, err = spinngo.NewMachine(spinngo.MachineConfig{
-			Width: *w, Height: *h, Seed: *seed, Workers: *workers, Partition: *partition,
-			Boards: *boards, BoardLinkParams: *boardlink,
-			Cabinets: *cabinets, CabinetLinkParams: *cabinetlink,
-		})
+		rep, err := machine.Run(*ms)
 		if err != nil {
 			log.Fatal(err)
 		}
-		st := machine.SimStats()
-		fmt.Printf("engine: %d %s shards, levels %s\n", st.Shards, st.Geometry, strings.Join(st.Levels, "/"))
-		fmt.Printf("cut:    %d links (%v by level)\n", st.CutLinks, st.CutLinksByLevel)
-		fmt.Printf("lookahead: %v (uniform-params bound %v)\n", st.Lookahead, st.UniformLookahead)
-		bootRep, err := machine.Boot()
+		report(machine, rep, *ms, *snapshotPath, *raster)
+	default:
+		wl := resolveWorkload(*workloadRef)
+		if !set["workers"] {
+			*workers = wl.Machine.Workers
+		}
+		if !set["partition"] && wl.Machine.Partition != "" {
+			*partition = wl.Machine.Partition
+		}
+		machine, rep := runWorkload(wl, *workers, *partition)
+		defer machine.Close()
+		report(machine, rep, wl.Run.BioMS, *snapshotPath, *raster)
+	}
+}
+
+// usageError names what is wrong with a command line, or returns "":
+// exactly one of -workload, -restore and -workloads, a positive -ms
+// only with -restore, and no positional arguments.
+func usageError(set map[string]bool, args []string, ms int) string {
+	modes := 0
+	for _, name := range []string{"workload", "restore", "workloads"} {
+		if set[name] {
+			modes++
+		}
+	}
+	switch {
+	case len(args) > 0:
+		return fmt.Sprintf("unexpected argument %q: a machine is given by -workload or -restore", args[0])
+	case modes == 0:
+		return "give -workload, -restore or -workloads"
+	case modes > 1:
+		return "-workload, -restore and -workloads exclude each other"
+	case set["ms"] && !set["restore"]:
+		return "-ms applies only with -restore; a workload document sets its own run length"
+	case ms <= 0:
+		return fmt.Sprintf("-ms %d: the run length must be positive", ms)
+	}
+	return ""
+}
+
+// printRegistry lists the built-in workload documents.
+func printRegistry() {
+	for _, name := range workload.Names() {
+		wl, err := workload.Get(name)
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("%s: %v", name, err)
 		}
-		fmt.Printf("booted %d chips, %d application cores (flood-fill load %.1f ms)\n",
-			bootRep.Chips, bootRep.AppCores, bootRep.LoadTimeMS)
-
-		model := spinngo.NewModel()
-		stimPop = model.AddPoisson("stim", *stim, *rate)
-		excPop = model.AddLIF("exc", *neurons, spinngo.DefaultLIFConfig())
-		havePops = true
-		if err := model.Connect(stimPop, excPop, spinngo.Conn{
-			Rule: spinngo.RandomRule, P: *p, WeightNA: *weight, DelayMS: *delay,
-		}); err != nil {
-			log.Fatal(err)
+		campaign := ""
+		if wl.Campaign != nil {
+			campaign = fmt.Sprintf(" [campaign: %d events]", len(wl.Campaign.Events))
 		}
-		loadRep, err := machine.Load(model)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("loaded %d fragments, %d synapses (%d B), %d router entries (max/chip %d)\n",
-			loadRep.Fragments, loadRep.Synapses, loadRep.SynapseBytes,
-			loadRep.TableEntries, loadRep.MaxChipTable)
-		fmt.Printf("host data load:  %.2f ms of simulated Ethernet+fabric time (pipelined batch)\n",
-			loadRep.LoadTimeMS)
-	}
-
-	if *failLink != "" {
-		var x, y int
-		var dir string
-		parts := strings.Split(*failLink, ",")
-		if len(parts) != 3 {
-			log.Fatalf("bad -faillink %q", *failLink)
-		}
-		if _, err := fmt.Sscanf(parts[0]+" "+parts[1], "%d %d", &x, &y); err != nil {
-			log.Fatalf("bad -faillink %q: %v", *failLink, err)
-		}
-		dir = strings.TrimSpace(parts[2])
-		if err := machine.FailLink(x, y, dir); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("failed link (%d,%d) %s\n", x, y, dir)
-	}
-
-	if *ms <= 0 {
-		log.Fatalf("non-positive run length %d ms", *ms)
-	}
-	rep, err := machine.Run(*ms)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println()
-	fmt.Print(rep)
-	if havePops {
-		fmt.Printf("stim rate:       %.1f Hz\n", machine.MeanRateHz(stimPop))
-		fmt.Printf("exc rate:        %.1f Hz\n", machine.MeanRateHz(excPop))
-	}
-	st := machine.SimStats()
-	fmt.Printf("engine:          %d windows (%d parallel, %.1f events/window)\n",
-		st.Windows, st.ParallelWindows, st.EventsPerWindow)
-	fmt.Printf("hand-offs:       %d (%d batched runs covering %d windows)\n",
-		st.Handoffs, st.BatchRuns, st.BatchedWindows)
-	fmt.Printf("partition:       %s/%d shards after %d repartitions (lookahead %v)\n",
-		st.Geometry, st.Shards, st.Repartitions, st.Lookahead)
-	fmt.Printf("host:            %d engine transitions (boot phases + batched loads)\n",
-		st.HostTransitions)
-	var mem runtime.MemStats
-	runtime.ReadMemStats(&mem)
-	fmt.Printf("memory:          %.1f MiB heap in use, %d of %d chips instantiated\n",
-		float64(mem.HeapInuse)/(1<<20), machine.InstantiatedChips(), machine.TorusChips())
-
-	if *snapshotPath != "" {
-		image, err := machine.Snapshot()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*snapshotPath, image, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("checkpoint:      %d bytes (format v%d) -> %s\n",
-			len(image), spinngo.SnapshotVersion, *snapshotPath)
-	}
-	if *raster && havePops {
-		printRaster(machine, excPop, *ms)
+		fmt.Printf("%-18s %dx%d, %dms%s\n    %s\n",
+			name, wl.Machine.Width, wl.Machine.Height, wl.Run.BioMS, campaign, wl.Description)
 	}
 }
 
@@ -239,36 +164,32 @@ func writeHeapProfile(path string) {
 	}
 }
 
-// runWorkload resolves, prepares and runs a declared workload document
-// on its own chunk schedule, printing the report, per-population rates,
-// and campaign damage.
-func runWorkload(ref string, workers int, partition, snapshotPath string, raster bool) {
-	var wl *workload.Workload
-	if data, readErr := os.ReadFile(ref); readErr == nil {
-		var err error
-		if wl, err = workload.Parse(data); err != nil {
+// resolveWorkload reads a workload document from a file, or else looks
+// the reference up in the registry.
+func resolveWorkload(ref string) *workload.Workload {
+	data, readErr := os.ReadFile(ref)
+	if readErr == nil {
+		wl, err := workload.Parse(data)
+		if err != nil {
 			log.Fatalf("%s: %v", ref, err)
 		}
-	} else {
-		var getErr error
-		if wl, getErr = workload.Get(ref); getErr != nil {
-			log.Fatalf("-workload %q: %v; %v (try -workloads)", ref, readErr, getErr)
-		}
+		return wl
 	}
-	// Flags override the document's execution strategy when given; the
-	// strategy never changes the results either way.
-	if workers == 0 {
-		workers = wl.Machine.Workers
+	wl, getErr := workload.Get(ref)
+	if getErr != nil {
+		log.Fatalf("-workload %q: %v; %v (try -workloads)", ref, readErr, getErr)
 	}
-	if partition == "auto" && wl.Machine.Partition != "" {
-		partition = wl.Machine.Partition
-	}
+	return wl
+}
+
+// runWorkload prepares a workload document and runs it on its own chunk
+// schedule, returning the machine and the last chunk's report.
+func runWorkload(wl *workload.Workload, workers int, partition string) (*spinngo.Machine, *spinngo.RunReport) {
 	fmt.Printf("workload %q: %s\n", wl.Name, wl.Description)
 	machine, err := spinngo.PrepareWorkloadOn(wl, workers, partition)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer machine.Close()
 	st := machine.SimStats()
 	fmt.Printf("engine: %d %s shards, levels %s\n", st.Shards, st.Geometry, strings.Join(st.Levels, "/"))
 	if wl.Campaign != nil {
@@ -280,25 +201,29 @@ func runWorkload(ref string, workers int, partition, snapshotPath string, raster
 			log.Fatal(err)
 		}
 	}
+	return machine, rep
+}
+
+// report prints what a run of ranMS biological milliseconds left: the
+// run report, each population's mean rate, campaign damage, the
+// checkpoint written to snapshotPath (if any) and, with raster, the
+// largest population's spikes over the span the run covered.
+func report(m *spinngo.Machine, rep *spinngo.RunReport, ranMS int, snapshotPath string, raster bool) {
 	fmt.Println()
 	fmt.Print(rep)
 	var biggest spinngo.Pop
 	biggestN := 0
-	for _, p := range wl.Populations {
-		pop, ok := machine.Pop(p.Name)
-		if !ok {
-			continue
-		}
-		fmt.Printf("%-16s %.1f Hz\n", p.Name+" rate:", machine.MeanRateHz(pop))
+	for _, pop := range m.Pops() {
+		fmt.Printf("%-16s %.1f Hz\n", pop.Name()+" rate:", m.MeanRateHz(pop))
 		if pop.Size() > biggestN {
 			biggest, biggestN = pop, pop.Size()
 		}
 	}
-	if dead := machine.DeadChips(); len(dead) > 0 {
-		fmt.Printf("campaign:        %d chips dead, %d alive\n", len(dead), machine.AliveChips())
+	if dead := m.DeadChips(); len(dead) > 0 {
+		fmt.Printf("campaign:        %d chips dead, %d alive\n", len(dead), m.AliveChips())
 	}
 	if snapshotPath != "" {
-		image, err := machine.Snapshot()
+		image, err := m.Snapshot()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -309,24 +234,21 @@ func runWorkload(ref string, workers int, partition, snapshotPath string, raster
 			len(image), spinngo.SnapshotVersion, snapshotPath)
 	}
 	if raster && biggestN > 0 {
-		printRaster(machine, biggest, wl.Run.BioMS)
+		printRaster(m, biggest, int(rep.BioTimeMS)-ranMS, ranMS)
 	}
 }
 
-// printRaster renders population spikes as a time-binned ASCII raster.
-func printRaster(m *spinngo.Machine, p spinngo.Pop, ms int) {
-	const cols = 80
-	rows := 20
+// printRaster renders a population's spikes in the ms biological
+// milliseconds from fromMS as a time-binned ASCII raster.
+func printRaster(m *spinngo.Machine, p spinngo.Pop, fromMS, ms int) {
+	const rows, cols = 20, 80
 	binMS := (ms + cols - 1) / cols
 	perRow := (p.Size() + rows - 1) / rows
-	grid := make([][]int, rows)
-	for i := range grid {
-		grid[i] = make([]int, cols)
-	}
+	var grid [rows][cols]int
 	for _, s := range m.Spikes(p) {
-		r := s.Neuron / perRow
-		c := int(s.TimeMS) / binMS
-		if r >= 0 && r < rows && c >= 0 && c < cols {
+		t := int(s.TimeMS) - fromMS
+		r, c := s.Neuron/perRow, t/binMS
+		if r >= 0 && r < rows && t >= 0 && c < cols {
 			grid[r][c]++
 		}
 	}

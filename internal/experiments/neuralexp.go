@@ -126,9 +126,11 @@ func E12Retina(killFracs []float64, seed uint64) (*Table, error) {
 
 // E13DeferredEvents reproduces the section-3.2 soft-delay claim: axonal
 // delays eliminated by (biologically) instantaneous electronic
-// communication are re-inserted algorithmically at the target neuron, so
-// a post spike follows its pre spike by exactly the programmed delay
-// (plus the one integration tick).
+// communication are re-inserted algorithmically at the target neuron.
+// A post spike follows its pre spike by the delay less one tick: the
+// receiving core ticks at a sub-millisecond phase past each ms, so a
+// spike sent at 10 ms lands after tick 9 and its delay counts from
+// there. The claim is in the differences: latency shifts as delay does.
 func E13DeferredEvents(seed uint64) (*Table, error) {
 	t := &Table{
 		ID:    "E13",

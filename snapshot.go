@@ -390,6 +390,19 @@ func (m *Machine) Pop(name string) (Pop, bool) {
 	return Pop{}, false
 }
 
+// Pops lists the loaded model's populations in the order they were
+// added; like Pop, it recovers handles on a machine rebuilt by Restore.
+func (m *Machine) Pops() []Pop {
+	if m.model == nil {
+		return nil
+	}
+	pops := make([]Pop, len(m.model.net.Pops))
+	for i := range pops {
+		pops[i] = Pop{model: m.model, idx: i}
+	}
+	return pops
+}
+
 // ---- section layouts ----
 //
 // Every section of the image is described once, by a function or method
