@@ -23,12 +23,12 @@ vet:
 	$(GO) vet ./...
 
 # The sharded engine's concurrency is exercised by the determinism suite
-# (Workers>1, every partition geometry, live repartition swaps, batched
-# host traffic) and the sim/router/workload packages; keep them under
-# the race detector on every change.
+# (Workers>1, every partition geometry, restores onto other layouts,
+# batched host traffic) and the sim/router/workload packages; keep them
+# under the race detector on every change.
 race:
 	$(GO) test -race ./internal/sim/ ./internal/router/ ./internal/workload/
-	$(GO) test -race -run 'TestDeterminism|TestDifferentSeeds|TestBoardLookahead|TestCabinetLookahead|TestRepartition|TestHostLoad|TestBatch|TestFillMem|TestHostOrigin|TestHostTimeout|TestSnapshot|TestCampaign|TestFailChip|TestFillRedundancy|TestWorkload|TestRepairWakesSleepers' .
+	$(GO) test -race -run 'TestDeterminism|TestDifferentSeeds|TestBoardLookahead|TestCabinetLookahead|TestFailLinkRepricesGuttedCut|TestHostLoad|TestBatch|TestFillMem|TestHostOrigin|TestHostTimeout|TestSnapshot|TestCampaign|TestFailChip|TestFillRedundancy|TestWorkload|TestRepairWakesSleepers' .
 
 # Tier-1 coverage of the engine, router, host, snapshot-codec, neural and
 # mapping packages, gated in CI at the PR-10 baseline (93.2%).

@@ -220,81 +220,6 @@ func TestFailChipIdempotent(t *testing.T) {
 	}
 }
 
-// TestFailChipStormRepartition pins the storm aftermath: after a storm
-// of chip deaths the machine swaps partitions live — to blocks/2 right
-// after the storm, to boards/4 before the last chunk — and keeps running
-// byte-identically to a twin that never swapped.
-func TestFailChipStormRepartition(t *testing.T) {
-	run := func(swap bool) (string, uint64, error) {
-		m, err := NewMachine(MachineConfig{
-			Width: 8, Height: 8, Seed: 21, Workers: 4,
-			Boards: "4x4", BoardLinkParams: BoardLinkSlow,
-			MaxAppCoresPerChip: 2, MaxNeuronsPerCore: 16,
-		})
-		if err != nil {
-			return "", 0, err
-		}
-		defer m.Close()
-		if _, err := m.Boot(); err != nil {
-			return "", 0, err
-		}
-		model := NewModel()
-		stim := model.AddPoisson("stim", 64, 120)
-		net := model.AddLIF("net", 256, DefaultLIFConfig())
-		if err := model.Connect(stim, net, Conn{Rule: RandomRule, P: 0.1, WeightNA: 1.1, DelayMS: 1}); err != nil {
-			return "", 0, err
-		}
-		if _, err := m.Load(model); err != nil {
-			return "", 0, err
-		}
-		if _, err := m.Run(10); err != nil {
-			return "", 0, err
-		}
-		for _, c := range [][2]int{{3, 3}, {4, 3}, {3, 4}} {
-			if err := m.FailChip(c[0], c[1]); err != nil {
-				return "", 0, err
-			}
-		}
-		var rep *RunReport
-		for _, sw := range []struct {
-			geometry string
-			workers  int
-		}{{PartitionBlocks, 2}, {PartitionBoards, 4}} {
-			if swap {
-				if err := m.Repartition(sw.geometry, sw.workers); err != nil {
-					return "", 0, err
-				}
-			}
-			if rep, err = m.Run(10); err != nil {
-				return "", 0, err
-			}
-		}
-		if len(m.DeadChips()) != 3 {
-			return "", 0, fmt.Errorf("dead set %v, want 3 chips", m.DeadChips())
-		}
-		var b strings.Builder
-		b.WriteString(rep.String())
-		for _, s := range m.Spikes(net) {
-			fmt.Fprintf(&b, " %d@%d", s.Neuron, s.TimeMS)
-		}
-		return b.String(), m.SimStats().Repartitions, nil
-	}
-	fixed, _, err := run(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	swapped, reps, err := run(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reps == 0 {
-		t.Error("the swapping run never repartitioned")
-	}
-	if swapped != fixed {
-		t.Errorf("post-storm swaps changed the run:\n--- fixed ---\n%s\n--- swapped ---\n%s", fixed, swapped)
-	}
-}
-
 // TestFillRedundancySurvivesDeadChips pins the redundant flood fill: a
 // storm of chip deaths re-routes the fill tree, and with redundancy 2
 // a post-storm bulk load still reaches every surviving chip.

@@ -21,7 +21,9 @@
 //
 // -workers and -partition pick the execution strategy only: any choice
 // yields byte-identical results. Given on the command line, they
-// override the document's.
+// override the document's. A restore keeps the image's recorded
+// strategy unless either flag is given; a flag then left out means
+// automatic.
 package main
 
 import (
@@ -80,7 +82,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		machine, err := spinngo.RestoreOn(image, *workers, *partition)
+		var machine *spinngo.Machine
+		if set["workers"] || set["partition"] {
+			machine, err = spinngo.RestoreOn(image, *workers, *partition)
+		} else {
+			machine, err = spinngo.Restore(image)
+		}
 		if err != nil {
 			log.Fatal(err)
 		}

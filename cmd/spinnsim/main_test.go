@@ -66,6 +66,42 @@ func TestProfilesWrittenOnBothPaths(t *testing.T) {
 	}
 }
 
+// TestRestoreKeepsImageLayout checks that -restore without -workers or
+// -partition resumes on the shard layout the image recorded, whatever
+// the host: under GOMAXPROCS=1 an automatic choice would pick one shard.
+func TestRestoreKeepsImageLayout(t *testing.T) {
+	bin, dir := buildTool(t)
+	doc := filepath.Join(dir, "two-bands.json")
+	if err := os.WriteFile(doc, []byte(`{
+  "schema": 1,
+  "name": "two-bands",
+  "machine": {"width": 4, "height": 4, "seed": 1, "workers": 2, "partition": "bands"},
+  "populations": [
+    {"name": "stim", "kind": "poisson", "size": 100, "rate_hz": 150},
+    {"name": "exc", "kind": "lif", "size": 400}
+  ],
+  "projections": [
+    {"from": "stim", "to": "exc", "rule": "prob", "p": 0.05, "weight_na": 0.8, "delay_ms": 2}
+  ],
+  "run": {"bio_ms": 10}
+}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	image := filepath.Join(dir, "two-bands.snap")
+	if out, err := exec.Command(bin, "-workload", doc, "-snapshot", image).CombinedOutput(); err != nil {
+		t.Fatalf("spinnsim -workload: %v\n%s", err, out)
+	}
+	restore := exec.Command(bin, "-restore", image, "-ms", "10")
+	restore.Env = append(os.Environ(), "GOMAXPROCS=1")
+	out, err := restore.CombinedOutput()
+	if err != nil {
+		t.Fatalf("spinnsim -restore: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "onto 2 bands shards\n") {
+		t.Errorf("restore left the image's 2 bands shards:\n%s", out)
+	}
+}
+
 // TestUsageErrors checks that every command line whose flags would be
 // ignored, or that names no machine, exits with status 2 before running
 // anything.

@@ -109,10 +109,8 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 // and cross-shard hops have class-dependent latencies. With failMidRun
 // the run is chunked around a link fault at 30 ms of biological time —
 // a board-edge cut link plus an on-board one — so the live cut changes
-// mid-run. With swap the machine also re-partitions at the chunk
-// boundaries: to blocks/2 right after the fault, and to boards/4 before
-// the last chunk.
-func congestedRun(t *testing.T, partition string, workers int, failMidRun, swap bool) (*RunReport, SimStats) {
+// mid-run.
+func congestedRun(t *testing.T, partition string, workers int, failMidRun bool) *RunReport {
 	t.Helper()
 	m, err := NewMachine(MachineConfig{
 		Width: 8, Height: 8, Seed: 1, Workers: workers, Partition: partition,
@@ -155,26 +153,16 @@ func congestedRun(t *testing.T, partition string, workers int, failMidRun, swap 
 		if err := m.FailLink(3, 3, "E"); err != nil {
 			t.Fatal(err)
 		}
-		swapTo := func(geometry string, workers int) {
-			if !swap {
-				return
-			}
-			if err := m.Repartition(geometry, workers); err != nil {
-				t.Fatalf("repartition to %s/%d: %v", geometry, workers, err)
-			}
-		}
-		swapTo(PartitionBlocks, 2)
 		if _, err := m.Run(30); err != nil {
 			t.Fatal(err)
 		}
-		swapTo(PartitionBoards, 4)
 		if rep, err = m.Run(40); err != nil {
 			t.Fatal(err)
 		}
 	} else if rep, err = m.Run(100); err != nil {
 		t.Fatal(err)
 	}
-	return rep, m.SimStats()
+	return rep
 }
 
 // TestDeterminismUnderCongestion pins the contract in the regime where
@@ -190,7 +178,7 @@ func TestDeterminismUnderCongestion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-machine determinism sweep")
 	}
-	ref, _ := congestedRun(t, PartitionBands, 1, false, false)
+	ref := congestedRun(t, PartitionBands, 1, false)
 	// The workload must actually be congested, or this test is not
 	// exercising what it claims to.
 	if ref.EmergencyInvocations == 0 || ref.PacketsDropped == 0 {
@@ -208,7 +196,7 @@ func TestDeterminismUnderCongestion(t *testing.T) {
 			if partition == PartitionBands && workers == 1 {
 				continue // the reference itself
 			}
-			got, _ := congestedRun(t, partition, workers, false, false)
+			got := congestedRun(t, partition, workers, false)
 			if !reflect.DeepEqual(got, ref) {
 				t.Errorf("congested 8x8: %s/%d diverged from bands/1:\nref: %+v\ngot: %+v",
 					partition, workers, *ref, *got)
@@ -217,33 +205,27 @@ func TestDeterminismUnderCongestion(t *testing.T) {
 	}
 }
 
-// TestDeterminismFailLinkRepartition extends the matrix with the
-// runtime-re-partitioning case: links die mid-run and the machine swaps
-// partitions live at its chunk boundaries, yet every (geometry, worker
-// count, swap) cell must produce the byte-identical report —
-// re-partitioning is execution strategy, not simulation.
-func TestDeterminismFailLinkRepartition(t *testing.T) {
+// TestDeterminismFailLink extends the matrix with mid-run link faults:
+// links die between chunks, the live cut re-prices the lookahead, and
+// every (geometry, worker count) cell must still produce the
+// byte-identical report.
+func TestDeterminismFailLink(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-machine determinism sweep")
 	}
-	ref, _ := congestedRun(t, PartitionBands, 1, true, false)
+	ref := congestedRun(t, PartitionBands, 1, true)
 	if ref.PacketsDropped == 0 {
 		t.Fatalf("mid-run link faults dropped nothing; the fault case is not being exercised")
 	}
 	for _, partition := range []string{PartitionBands, PartitionBlocks, PartitionBoards} {
 		for _, workers := range []int{1, 2, 4, 7} {
-			for _, swap := range []bool{false, true} {
-				if partition == PartitionBands && workers == 1 && !swap {
-					continue // the reference itself
-				}
-				got, st := congestedRun(t, partition, workers, true, swap)
-				if !reflect.DeepEqual(got, ref) {
-					t.Errorf("faillink 8x8: %s/%d swap=%v diverged from bands/1:\nref: %+v\ngot: %+v",
-						partition, workers, swap, *ref, *got)
-				}
-				if swap != (st.Repartitions > 0) {
-					t.Errorf("%s/%d swap=%v: %d repartitions", partition, workers, swap, st.Repartitions)
-				}
+			if partition == PartitionBands && workers == 1 {
+				continue // the reference itself
+			}
+			got := congestedRun(t, partition, workers, true)
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("faillink 8x8: %s/%d diverged from bands/1:\nref: %+v\ngot: %+v",
+					partition, workers, *ref, *got)
 			}
 		}
 	}

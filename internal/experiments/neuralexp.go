@@ -114,7 +114,7 @@ func E12Retina(killFracs []float64, seed uint64) (*Table, error) {
 		if frac <= 0.11 && info < 0.6 {
 			graceful = false
 		}
-		if frac >= 0.5 && info > 0.99 {
+		if frac >= 0.4 && info > 0.99 {
 			graceful = false // losses this big must be visible
 		}
 	}

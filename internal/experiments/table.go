@@ -16,8 +16,8 @@
 // 2.2 us); E6 "false 1" and "true 2"; E7 "8, cut link"; E8 19 and 20
 // failed cores; E9 "load-time growth", but none for redundancy (1 and 2
 // load in identical time and no row has a fault); E10 "node/pc ratio";
-// E11 fanout 1000, where multicast equals broadcast; E12 5 and 10 % (the
-// "losses must show" bound starts at 50 %, past every row); E13 every
+// E11 fanout 1000, where multicast equals broadcast; E12 5 and 10 %,
+// and 40 %, where losses must show; E13 every
 // "exact" cell; E14 100000 ppm, which must leave the one-tick envelope;
 // A1 none for its title claim, as the verdict never reads "fits CAM";
 // A2 "random", which must need more tree links than "serpentine".

@@ -288,13 +288,12 @@ type Node struct {
 // the chip's events carry one canonical identity.
 func (n *Node) Domain() *sim.Domain { return n.dom }
 
-// Shard reports the shard index owning this node. It changes when the
-// fabric is re-partitioned; state keyed by it must be re-derived after
-// Fabric.Repartition (or keyed by Index, which is stable).
+// Shard reports the shard index owning this node, fixed by the
+// partition the fabric was built with.
 func (n *Node) Shard() int { return n.shard }
 
-// Index reports the node's torus index — a stable identity that, unlike
-// Shard, survives re-partitioning.
+// Index reports the node's torus index — an identity that, unlike
+// Shard, is the same under every partition.
 func (n *Node) Index() int { return int(n.idx) }
 
 // ConfigureP2P installs the node's point-to-point routing table, as the
@@ -329,7 +328,7 @@ type DroppedPacket struct {
 type Fabric struct {
 	pe   *sim.ParallelEngine // nil in single-engine mode
 	p    Params
-	part topo.Partition // the active partition (zero in single-engine mode)
+	part topo.Partition // zero in single-engine mode
 
 	// nodes holds one atomic slot per torus index; nil means the chip
 	// has never been touched. Reads on the hot path are single atomic
@@ -337,9 +336,8 @@ type Fabric struct {
 	// a packet launched on one shard may materialise a neighbour owned
 	// by another shard mid-window.
 	nodes []atomic.Pointer[Node]
-	// engOf resolves a node index to its owning engine and shard under
-	// the *current* partition, so late-materialised chips bind
-	// correctly even after runtime re-partitions.
+	// engOf resolves a node index to its owning engine and shard, so a
+	// chip materialised late binds where the partition puts it.
 	engOf func(i int) (*sim.Engine, int)
 	// matMu serialises node materialisation (and the engine-side domain
 	// registration it performs).
@@ -546,11 +544,8 @@ func NewShardedFabric(pe *sim.ParallelEngine, part topo.Partition, p Params) (*F
 			la, pe.Lookahead())
 	}
 	f := &Fabric{pe: pe, part: part}
-	// engOf reads f.part (not the constructor argument): a chip that
-	// materialises after a runtime repartition must bind to the shard
-	// that owns it now.
 	if err := f.build(p, func(i int) (*sim.Engine, int) {
-		s := f.part.ShardOfIndex(i)
+		s := part.ShardOfIndex(i)
 		return pe.Shard(s), s
 	}); err != nil {
 		return nil, err
@@ -558,45 +553,11 @@ func NewShardedFabric(pe *sim.ParallelEngine, part topo.Partition, p Params) (*F
 	return f, nil
 }
 
-// Partition reports the active partition (zero in single-engine mode).
-func (f *Fabric) Partition() topo.Partition { return f.part }
-
-// LiveLookaheadFor prices the cross-shard lookahead of a candidate
-// partition over this fabric's live links: failed links drop out of the
-// cut, so a gutted fast cut re-prices to the surviving hop floor.
-func (f *Fabric) LiveLookaheadFor(part topo.Partition) sim.Time {
-	return f.p.LookaheadForLive(part, f.LinkFailed)
-}
-
-// Repartition re-binds every node to its owning shard under a new
-// partition of the same torus. The caller must already have re-bound
-// the node domains to their new shard engines
-// (ParallelEngine.Repartition) and set the engine lookahead no wider
-// than the new partition's live hop floor — both are verified here.
-// Legal only at sequential quiescence, like the engine call.
-func (f *Fabric) Repartition(part topo.Partition) error {
-	if f.pe == nil {
-		return fmt.Errorf("router: repartition on a single-engine fabric")
-	}
-	if part.Torus() != f.p.Torus {
-		return fmt.Errorf("router: partition torus %v does not match params torus %v",
-			part.Torus(), f.p.Torus)
-	}
-	if part.Shards() > f.pe.Shards() {
-		return fmt.Errorf("router: partition needs %d shards, engine has %d",
-			part.Shards(), f.pe.Shards())
-	}
-	if la := f.LiveLookaheadFor(part); la < f.pe.Lookahead() {
-		return fmt.Errorf("router: live cross-shard hop floor %v below engine lookahead %v",
-			la, f.pe.Lookahead())
-	}
-	for i := range f.nodes {
-		if n := f.nodes[i].Load(); n != nil {
-			n.shard = part.ShardOfIndex(i)
-		}
-	}
-	f.part = part
-	return nil
+// LiveLookahead prices the cross-shard lookahead of the fabric's
+// partition over its live links: failed links drop out of the cut, so
+// a gutted fast cut re-prices to the surviving hop floor.
+func (f *Fabric) LiveLookahead() sim.Time {
+	return f.p.LookaheadForLive(f.part, f.LinkFailed)
 }
 
 // DomainAt returns the scheduling domain of the chip at c.

@@ -140,10 +140,8 @@ var _ Scheduler = (*Domain)(nil)
 
 // New returns an Engine whose clock starts at 0 and whose random stream is
 // derived from seed.
-func New(seed uint64) *Engine { return newEngine(0, NewRNG(seed)) }
-
-func newEngine(now Time, rng *RNG) *Engine {
-	e := &Engine{now: now, rng: rng}
+func New(seed uint64) *Engine {
+	e := &Engine{rng: NewRNG(seed)}
 	e.anon.id = -1
 	return e
 }

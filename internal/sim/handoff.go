@@ -26,11 +26,9 @@ const (
 	maxJobs = 1<<16 - 1
 )
 
-// helperPool owns one generation of resident helper goroutines. The
-// engine swaps whole pools on Repartition (shard counts change) rather
-// than resizing one in place, and shutdown is a compare-and-swap on
-// closed so an explicit Close, a finalizer Close and a Repartition swap
-// can race without a double shutdown.
+// helperPool owns an engine's resident helper goroutines, started once
+// with the engine. Shutdown is a compare-and-swap on closed, so it
+// happens exactly once.
 //
 // Helpers hold the pool and nothing else, and the pool holds shard
 // engines but never the ParallelEngine — which is what lets an abandoned

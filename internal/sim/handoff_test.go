@@ -253,11 +253,6 @@ func TestEnginesLeaveNoHelperBehind(t *testing.T) {
 		pe := NewParallel(1, 4, 4)
 		pe.SetLookahead(100)
 		pingPong(pe, 100, 20*100, true)
-		if i%2 == 0 {
-			if err := pe.Repartition(3, 3, func(d int32) int { return int(d) % 3 }); err != nil {
-				t.Fatal(err)
-			}
-		}
 		pe.Close()
 	}
 	if !helpersGone(base) {

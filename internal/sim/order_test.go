@@ -433,8 +433,7 @@ func FuzzQueueOrder(f *testing.F) {
 // TestHeapMergePermutationInvariant pins the property the barrier
 // mailboxes depend on: a heap loaded with the same event set in any
 // insertion order — including split across two heaps that are then
-// merged, the shape of a re-partition migration — pops the identical
-// sequence.
+// merged — pops the identical sequence.
 func TestHeapMergePermutationInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	events := make([]event, 200)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"spinngo/internal/snap"
@@ -118,20 +117,9 @@ type ParallelEngine struct {
 
 	// Resident helpers: min(workers, GOMAXPROCS)-1 goroutines sharing
 	// each pooled window with the coordinator. Nil when the engine never
-	// runs windows concurrently. The pointer is atomic so RunUntil reads it without locking; poolMu
-	// serialises pool *transitions* (Close, the finalizer backstop, and
-	// Repartition's generation swap), so a Close racing a swap always
-	// retires the current generation and never strands a fresh pool
-	// with its finalizer cleared.
-	pool   atomic.Pointer[helperPool]
-	poolMu sync.Mutex
-
-	// processedBase carries the event counts of engines retired by
-	// Repartition, so Processed is cumulative across shard layouts.
-	processedBase uint64
-
-	// repartitions counts completed Repartition calls.
-	repartitions uint64
+	// runs windows concurrently, and after Close. The pointer is atomic
+	// so that concurrent Closes retire the pool exactly once.
+	pool atomic.Pointer[helperPool]
 
 	// transitions counts driver round-trips into the engine's bounded
 	// modes: one per Run (sequential quiescence) and one per
@@ -206,14 +194,12 @@ func NewParallel(seed uint64, shards, workers int) *ParallelEngine {
 }
 
 // Close stops the resident helpers. Idempotent and safe to call from
-// multiple goroutines (shutdown is a compare-and-swap on the pool);
+// multiple goroutines (shutdown is an atomic swap of the pool);
 // safe on an engine with no pool; must not be called concurrently with
 // RunUntil. A dropped engine is closed by its finalizer, so Close is an
 // optimisation for callers that churn through many engines, not an
 // obligation.
 func (pe *ParallelEngine) Close() {
-	pe.poolMu.Lock()
-	defer pe.poolMu.Unlock()
 	pe.pool.Swap(nil).close()
 	runtime.SetFinalizer(pe, nil)
 }
@@ -269,9 +255,6 @@ func (pe *ParallelEngine) EventsPerWindow() float64 {
 	return float64(pe.windowEvents) / float64(pe.windows)
 }
 
-// Repartitions counts completed Repartition calls.
-func (pe *ParallelEngine) Repartitions() uint64 { return pe.repartitions }
-
 // Transitions counts driver round-trips into the engine: sequential
 // quiescence runs plus RunUntilAnyOf waits. RunUntil spans (the bulk-run
 // hot path) are not counted — the figure isolates how often a driver
@@ -297,10 +280,9 @@ func (pe *ParallelEngine) Now() Time {
 	return now
 }
 
-// Processed reports events executed across all shards, cumulative
-// across re-partitionings.
+// Processed reports events executed across all shards.
 func (pe *ParallelEngine) Processed() uint64 {
-	n := pe.processedBase
+	var n uint64
 	for _, s := range pe.shards {
 		n += s.Processed()
 	}
@@ -451,128 +433,6 @@ func (pe *ParallelEngine) SyncClocks() {
 	for _, s := range pe.shards {
 		s.advanceTo(now)
 	}
-}
-
-// Repartition re-binds every domain — and every pending event — to a
-// new shard layout: owner maps a domain id to its new shard index.
-// Legal only at sequential quiescence (after Run/SyncClocks, or between
-// RunUntil deadlines), when every shard clock reads the same instant
-// and no window is in flight; it returns an error otherwise, touching
-// nothing.
-//
-// Pending events move with their domain's list, carrying their
-// canonical (time, domain, class, key) keys unchanged, the
-// control-plane RNG stream moves to the new shard 0 mid-stream, and
-// anonymous (engine-level) events pin to the control shard. The
-// envelope arenas and the resident helpers are rebuilt for the new
-// shard count.
-// Because the canonical keys — not the shard layout — define the event
-// order, a repartitioned run executes exactly the schedule the old
-// layout would have: re-partitioning is pure execution strategy.
-//
-// The lookahead bound is left untouched; callers whose cross-shard
-// latency floor changed with the cut must follow with SetLookahead.
-func (pe *ParallelEngine) Repartition(shards, workers int, owner func(domain int32) int) error {
-	if shards < 1 {
-		return fmt.Errorf("sim: repartition needs at least one shard, got %d", shards)
-	}
-	if pe.inWindow.Load() {
-		return fmt.Errorf("sim: repartition inside a lookahead window")
-	}
-	now := pe.shards[0].now
-	for _, s := range pe.shards[1:] {
-		if s.now != now {
-			return fmt.Errorf("sim: repartition away from quiescence: shard clocks %v and %v disagree",
-				now, s.now)
-		}
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > shards {
-		workers = shards
-	}
-	// Validate the whole owner map before mutating anything, so a bad
-	// mapping cannot leave domains half-rebound. Every pending event
-	// sits on its domain's list, so checking the domains covers them.
-	for _, s := range pe.shards {
-		for _, d := range s.q.doms {
-			if d.id < 0 {
-				continue // the anonymous domain pins to the control shard
-			}
-			if o := owner(d.id); o < 0 || o >= shards {
-				return fmt.Errorf("sim: repartition owner maps domain %d to shard %d of %d", d.id, o, shards)
-			}
-		}
-	}
-	// New shard engines, all at the common quiescent instant. The
-	// control shard inherits the control RNG mid-stream and the highest
-	// anonymous sequence counter (so future anonymous keys stay unique);
-	// the rest keep a nil RNG — the same poison NewParallel applies.
-	ns := make([]*Engine, shards)
-	for i := range ns {
-		ns[i] = newEngine(now, nil)
-	}
-	var seqMax uint64
-	for _, s := range pe.shards {
-		if s.seq > seqMax {
-			seqMax = s.seq
-		}
-		pe.processedBase += s.processed
-	}
-	ns[0].rng = pe.shards[0].rng
-	ns[0].seq = seqMax
-	for _, s := range pe.shards {
-		s.q.settle()
-		// A domain moves with its pending list: the canonical keys are
-		// untouched, and only its head enters the new shard's tournament.
-		// Anonymous events pin to the control shard, keys unchanged too.
-		for _, d := range s.q.doms {
-			if d.id < 0 {
-				for _, ev := range d.pend {
-					ns[0].q.push(ns[0].anonymous(), ev)
-				}
-				continue
-			}
-			d.eng = ns[owner(d.id)]
-			d.eng.q.bind(d)
-		}
-	}
-	pe.shards = ns
-	pe.workers = workers
-	// Reuse the lanes (and their arenas' capacity) when the old layout
-	// covers the new one — ms-granular drivers repartition often enough
-	// for the churn to show up in profiles.
-	pe.lanes = reuseLanes(pe.lanes, shards)
-	pe.activeScratch = pe.activeScratch[:0]
-	// Swap the pool generation: the old helpers exit, a fresh pool
-	// starts helpers for the new worker bound.
-	var next *helperPool
-	if helpers := helperCount(workers); helpers > 0 {
-		next = newHelperPool(helpers, shards)
-	}
-	pe.poolMu.Lock()
-	pe.pool.Swap(next).close()
-	runtime.SetFinalizer(pe, nil) // SetFinalizer refuses to replace one
-	if next != nil {
-		runtime.SetFinalizer(pe, (*ParallelEngine).Close)
-	}
-	pe.poolMu.Unlock()
-	pe.repartitions++
-	return nil
-}
-
-// reuseLanes returns n empty lanes, reusing the old backing array (and
-// each arena's capacity) when it is large enough.
-func reuseLanes(l []shardLane, n int) []shardLane {
-	if cap(l) < n {
-		return make([]shardLane, n)
-	}
-	l = l[:n]
-	for i := range l {
-		l[i] = shardLane{mail: l[i].mail[:0]}
-	}
-	return l
 }
 
 // noteWindow counts one window and its events. Called only at the
@@ -978,9 +838,8 @@ func (pe *ParallelEngine) RestoreClock(t Time) error {
 }
 
 // AnonSeq reports the highest anonymous (engine-domain) sequence counter
-// across shards; RestoreAnonSeq installs it on the control shard — the
-// same convention Repartition uses — so future anonymous keys stay
-// unique after a restore.
+// across shards; RestoreAnonSeq installs it on the control shard, so
+// future anonymous keys stay unique after a restore onto any layout.
 func (pe *ParallelEngine) AnonSeq() uint64 {
 	var max uint64
 	for _, s := range pe.shards {

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"unsafe"
 )
@@ -423,4 +425,55 @@ func TestTimeStatsMergeOrderIndependent(t *testing.T) {
 	if whole.MeanMicros() == 0 || whole.MaxMicros() != samples[4].Micros() {
 		t.Errorf("summary wrong: %+v", whole)
 	}
+}
+
+func TestSingleShardRunUntilAccountsWindows(t *testing.T) {
+	pe := NewParallel(1, 1, 1)
+	dom := pe.Shard(0).Domain(0)
+	for i := Time(1); i <= 8; i++ {
+		dom.AtP(i*10, Func(func() {}))
+	}
+	pe.RunUntil(100)
+	if pe.Windows() != 1 {
+		t.Errorf("Windows() = %d, want 1 (one barrier-free span)", pe.Windows())
+	}
+	if got := pe.EventsPerWindow(); got != 8 {
+		t.Errorf("EventsPerWindow() = %v, want 8", got)
+	}
+	// An empty span accounts nothing.
+	pe.RunUntil(200)
+	if pe.Windows() != 1 {
+		t.Errorf("empty span recorded a window: Windows() = %d", pe.Windows())
+	}
+}
+
+// TestCloseChurnRace exercises the shutdown paths under the race
+// detector: concurrent explicit Closes, and engines dropped without
+// Close so the finalizer backstop fires during GC churn.
+func TestCloseChurnRace(t *testing.T) {
+	for i := 0; i < 40; i++ {
+		pe := NewParallel(1, 4, 4)
+		pe.Shard(0).Domain(0).AtP(1, Func(func() {}))
+		pe.RunUntil(10)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				pe.Close()
+			}()
+		}
+		wg.Wait()
+		if i%8 == 0 {
+			runtime.GC()
+		}
+	}
+	// Finalizer path: drop engines that still own live pools.
+	for i := 0; i < 40; i++ {
+		pe := NewParallel(1, 4, 4)
+		pe.Shard(0).Domain(0).AtP(1, Func(func() {}))
+		pe.RunUntil(10)
+	}
+	runtime.GC()
+	runtime.GC()
 }

@@ -43,9 +43,7 @@ import (
 // settle raises it.
 //
 // Events are stored by value in their domain's list and the lists keep
-// their capacity, so a steady-state push/pop cycle allocates nothing,
-// and a domain that moves to another engine (Repartition) takes its
-// list with it.
+// their capacity, so a steady-state push/pop cycle allocates nothing.
 type queue struct {
 	doms   []*Domain // doms[i] plays on leaf i
 	tree   []head    // 2*leaves nodes: tree[1] the winner, tree[leaves+i] leaf i
@@ -258,15 +256,12 @@ func (q *queue) cancel(d *Domain, p Payload) bool {
 
 func (q *queue) len() int { return q.n }
 
-// bind gives d a leaf of this engine's tournament; a domain re-bound by
-// Repartition arrives with its pending list intact, its old engine
-// settled.
+// bind gives d, a new domain with nothing pending, a leaf of this
+// engine's tournament. A fresh leaf is idle, as d's head is.
 func (q *queue) bind(d *Domain) {
 	d.slot = len(q.doms)
 	q.doms = append(q.doms, d)
-	q.n += len(d.pend)
 	if len(q.doms) <= q.leaves {
-		q.lower(d) // from an idle leaf
 		return
 	}
 	// Out of leaves: double them and enter every head into an idle tree.

@@ -207,36 +207,6 @@ func (p Partition) BoundaryLinks() []BoundaryLink { return p.boundary }
 // NewTiled minimises.
 func (p Partition) CutLinks() int { return len(p.boundary) }
 
-// Equal reports whether two partitions assign every chip to the same
-// shard — the test a runtime re-partitioner uses to recognise a no-op
-// swap. Levels are ignored: a 4-band partition and a 4x1 block grid of
-// the same torus are equal if their chip->shard maps agree.
-func (p Partition) Equal(q Partition) bool {
-	if p.t != q.t || len(p.shardOf) != len(q.shardOf) {
-		return false
-	}
-	for i, s := range p.shardOf {
-		if q.shardOf[i] != s {
-			return false
-		}
-	}
-	return true
-}
-
-// Diff reports how a re-partition from p to q would move the machine:
-// moved counts chips whose owning shard index changes (the domains an
-// engine must re-bind and whose pending events must migrate), and
-// cutDelta is the change in directed cut links (q minus p). Both
-// partitions must decompose the same torus.
-func (p Partition) Diff(q Partition) (moved, cutDelta int) {
-	for i, s := range p.shardOf {
-		if q.shardOf[i] != s {
-			moved++
-		}
-	}
-	return moved, q.CutLinks() - p.CutLinks()
-}
-
 // CutComposition counts the boundary links per packaging level: levelOf
 // places each directed link in [0, levels) — the highest level whose
 // unit it leaves, as router.Params.ClassOf does — so the counts

@@ -358,9 +358,9 @@ type unit struct {
 // goroutines ever touch the same entry inside a window, and the
 // integer merges at report time (in chip-index order) are independent
 // of accumulation order — the heart of the determinism contract.
-// Keying by chip rather than by shard makes the tallies stable across
-// runtime re-partitioning: ownership of an entry moves with the chip's
-// domain, with nothing to migrate.
+// Keying by chip rather than by shard makes the tallies independent of
+// the partition, so a snapshot restored onto another layout finds them
+// where it left them.
 type chipTallies struct {
 	latencies         sim.TimeStats
 	writeBacks        uint64
@@ -517,7 +517,7 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 }
 
 // tallyAt returns chip c's slice of the run accounting. The index is
-// the chip's torus index — stable across re-partitioning.
+// the chip's torus index, the same under every partition.
 func (m *Machine) tallyAt(c topo.Coord) *chipTallies {
 	return m.tallies.at(m.part.Torus().Index(c))
 }
@@ -590,12 +590,11 @@ type SimStats struct {
 	Handoffs       uint64
 	BatchRuns      uint64
 	BatchedWindows uint64
-	// Events counts simulation events executed across all shards,
-	// cumulative across re-partitionings.
+	// Events counts simulation events executed across all shards.
 	Events uint64
-	// Repartitions counts completed Machine.Repartition swaps. Geometry,
-	// Shards, CutLinks and Lookahead above always describe the
-	// currently-active partition.
+	// Repartitions is always 0: a machine keeps the partition it was
+	// built or restored with. The field stays for the benchmark's
+	// sim.repartitions column.
 	Repartitions uint64
 	// HostTransitions counts engine stop/start round trips by
 	// sequential-mode drivers: boot-phase quiescence runs plus one per
@@ -627,52 +626,8 @@ func (m *Machine) SimStats() SimStats {
 		BatchRuns:        m.pe.BatchRuns(),
 		BatchedWindows:   m.pe.BatchedWindows(),
 		Events:           m.pe.Processed(),
-		Repartitions:     m.pe.Repartitions(),
 		HostTransitions:  m.pe.Transitions(),
 	}
-}
-
-// Repartition re-shapes the machine's shard decomposition at runtime:
-// every chip domain re-binds to its new owning shard engine, pending
-// events migrate heap-to-heap with their canonical keys intact, and the
-// engine lookahead re-prices over the new partition's *live* cut —
-// failed links drop out, so a cut whose fast links have died earns the
-// surviving (possibly wider) hop floor. Legal only at quiescence:
-// between Run calls, never from inside a running model. Workers 0 sizes
-// the shard count automatically. Re-partitioning is pure execution
-// strategy — reports are byte-identical with any sequence of
-// Repartition calls, or none. A swap to an identical chip->shard map at
-// an unchanged lookahead is a no-op.
-func (m *Machine) Repartition(geometry string, workers int) error {
-	torus := m.part.Torus()
-	if workers == 0 {
-		workers = autoWorkers(torus)
-	}
-	if workers < 0 || workers > torus.Size() {
-		return fmt.Errorf("spinngo: repartition workers %d outside 0..%d",
-			workers, torus.Size())
-	}
-	part, err := partitionFor(geometry, m.fab.Params(), workers)
-	if err != nil {
-		return err
-	}
-	la := m.fab.LiveLookaheadFor(part)
-	if part.Equal(m.part) && la == m.pe.Lookahead() {
-		return nil
-	}
-	// Engine first (domain re-binding and event migration), then the
-	// lookahead, then the fabric's shard ownership map.
-	if err := m.pe.Repartition(part.Shards(), part.Shards(), func(d int32) int {
-		return part.ShardOfIndex(int(d))
-	}); err != nil {
-		return err
-	}
-	m.pe.SetLookahead(la)
-	if err := m.fab.Repartition(part); err != nil {
-		return err
-	}
-	m.part = part
-	return nil
 }
 
 // domAt returns the scheduling domain of a chip.
@@ -1496,7 +1451,7 @@ func (m *Machine) commitFaults() {
 		// Failures widen the live cut's hop floor, repairs tighten it;
 		// either way this quiescent instant is the safe place to re-aim
 		// the window bound.
-		m.pe.SetLookahead(m.fab.LiveLookaheadFor(m.part))
+		m.pe.SetLookahead(m.fab.LiveLookahead())
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"spinngo/internal/topo"
 )
 
 // buildSmallMachine boots a w x h machine.
@@ -274,6 +276,45 @@ func TestFailLinkRejectsBadDirection(t *testing.T) {
 	}
 }
 
+// TestFailLinkRepricesGuttedCut is the FailLink story end to end on a
+// machine: a bands cut on a heterogeneous fabric mixes fast on-board
+// and slow board-to-board links, so its lookahead is pinned to the fast
+// floor — until every fast link in the cut dies. FailLink commits like
+// every other fault, so the bound re-prices to the surviving slow floor
+// at once.
+func TestFailLinkRepricesGuttedCut(t *testing.T) {
+	m := buildSmallMachine(t, MachineConfig{Width: 8, Height: 8, Seed: 5, Workers: 4,
+		Partition: PartitionBands, Boards: "4x4", BoardLinkParams: BoardLinkSlow,
+		MaxAppCoresPerChip: 2})
+	defer m.Close()
+	st := m.SimStats()
+	if st.CutLinksByLevel[0] == 0 || st.CutLinksByLevel[1] == 0 {
+		t.Fatalf("bands/4 on 4x4 boards should mix cut levels, got %d+%d",
+			st.CutLinksByLevel[0], st.CutLinksByLevel[1])
+	}
+	narrow := st.Lookahead
+
+	// Kill every fast link in the cut (FailLink fails both directions,
+	// which stays within the fast set: the reverse of an on-board cut
+	// link is an on-board cut link).
+	part := topo.NewBands(topo.MustTorus(8, 8), 4)
+	boards, err := topo.ParseTile("4x4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bl := range part.BoundaryLinks() {
+		if !boards.Crosses(bl.From, bl.Dir) {
+			if err := m.FailLink(bl.From.X, bl.From.Y, bl.Dir.String()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	wide := m.SimStats().Lookahead
+	if wide <= narrow {
+		t.Fatalf("gutted cut did not re-price at FailLink: lookahead %v, was %v", wide, narrow)
+	}
+}
+
 func TestRandomPlacementStillWorks(t *testing.T) {
 	// Virtualised topology (section 3.2): any neuron can live on any
 	// processor; random placement must be functionally identical.
@@ -453,6 +494,60 @@ func TestMigrationFailsWithoutSpareCore(t *testing.T) {
 	}
 	if rep.Migrations != 0 || rep.MigrationFailures != 1 {
 		t.Errorf("migrations=%d failures=%d, want 0/1", rep.Migrations, rep.MigrationFailures)
+	}
+}
+
+// TestKillNeuronAfterMigration is the satellite regression for the
+// migrate bookkeeping: post-migration reads and writes must resolve the
+// fragment's live unit, not the dead core's old slot (which used to
+// panic on a deleted map entry).
+func TestKillNeuronAfterMigration(t *testing.T) {
+	m := buildSmallMachine(t, MachineConfig{Width: 2, Height: 2, Seed: 13})
+	defer m.Close()
+	model := NewModel()
+	cfg := DefaultLIFConfig()
+	cfg.BiasNA = 1.5
+	p := model.AddLIF("p", 20, cfg)
+	if _, err := m.Load(model); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(20); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.FailCoreOf(p, 0); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := m.Run(50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Migrations != 1 {
+		t.Fatalf("migrations = %d, want 1", rep.Migrations)
+	}
+	// Post-migration reads work against the migrated core.
+	if m.MeanWeightNA(p) < 0 {
+		t.Error("MeanWeightNA failed post-migration")
+	}
+	before := len(m.Spikes(p))
+	if before == 0 {
+		t.Fatal("no spikes recorded post-migration")
+	}
+	// KillNeuron must resolve the live (migrated) unit — this call
+	// panicked before the fix.
+	if err := m.KillNeuron(p, 3); err != nil {
+		t.Fatalf("KillNeuron after migration: %v", err)
+	}
+	if _, err := m.Run(50); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range m.Spikes(p) {
+		if s.Neuron == 3 && s.TimeMS > 75 {
+			t.Fatalf("killed neuron fired at %d ms on the migrated core", s.TimeMS)
+		}
+	}
+	// And the rate observable keeps reading post-migration state.
+	if m.MeanRateHz(p) == 0 {
+		t.Error("MeanRateHz reads zero despite post-migration firing")
 	}
 }
 

@@ -67,8 +67,7 @@ type RunReport struct {
 
 // report assembles the cumulative RunReport. Chip tallies are merged
 // in chip-index order with integer arithmetic, so the result is
-// identical for every worker count and for any history of runtime
-// re-partitions.
+// identical for every worker count and partition geometry.
 func (m *Machine) report() *RunReport {
 	var lat sim.TimeStats
 	var writeBacks, migrations, migrationFailures uint64

@@ -304,7 +304,7 @@ func restore(data []byte, override func(*MachineConfig)) (*Machine, error) {
 
 	// Link failures restored with the node states re-shape the live cut;
 	// re-price the lookahead for the restore partition.
-	m.pe.SetLookahead(m.fab.LiveLookaheadFor(m.part))
+	m.pe.SetLookahead(m.fab.LiveLookahead())
 
 	// Phase 4 — swap the event future: wipe the rebuilt machine's own
 	// scheduled events (the replayed units' start timers), move

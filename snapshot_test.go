@@ -516,6 +516,46 @@ func BenchmarkRestore(b *testing.B) {
 // TestSnapshotErrors pins the failure modes: snapshots are illegal
 // before boot and load, and corrupt, truncated, version-skewed or
 // trailing-garbage images are rejected up front.
+// TestRepartitionValidation pins the refusals of a move onto another
+// layout: RestoreOn rejects an unknown geometry, a negative worker count,
+// more workers than the fabric has chips, and the boards geometry on a
+// uniform fabric, and the machine that produced the image runs on.
+func TestRepartitionValidation(t *testing.T) {
+	m := buildSmallMachine(t, MachineConfig{Width: 4, Height: 4})
+	defer m.Close()
+	model := NewModel()
+	stim := model.AddPoisson("stim", 4, 100)
+	exc := model.AddLIF("exc", 8, DefaultLIFConfig())
+	if err := model.Connect(stim, exc, Conn{Rule: AllToAllRule, WeightNA: 1, DelayMS: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Load(model); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(5); err != nil {
+		t.Fatal(err)
+	}
+	data, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreOn(data, 2, "spiral"); err == nil {
+		t.Error("unknown geometry accepted")
+	}
+	if _, err := RestoreOn(data, -1, PartitionBands); err == nil {
+		t.Error("negative workers accepted")
+	}
+	if _, err := RestoreOn(data, 17, PartitionBands); err == nil {
+		t.Error("workers beyond the chip count accepted")
+	}
+	if _, err := RestoreOn(data, 2, PartitionBoards); err == nil {
+		t.Error("boards geometry accepted on a uniform fabric")
+	}
+	if _, err := m.Run(5); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSnapshotErrors(t *testing.T) {
 	m, err := NewMachine(MachineConfig{Width: 2, Height: 2, Seed: 1})
 	if err != nil {
