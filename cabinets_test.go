@@ -339,7 +339,7 @@ func liveHeap() int64 {
 // 65536 chips instantiated, 1,132,920 B retained (17.3 B per torus
 // chip; go1.24 linux/amd64). The 4 MiB bound is 64 B per torus chip —
 // any dense per-chip structure on the construction path (a booted chip
-// holds ~22 KiB) exceeds it hundreds of times over.
+// holds ~5 KiB) exceeds it dozens of times over.
 func TestIdleTorusStaysSparse(t *testing.T) {
 	const heapBound = 4 << 20
 	before := liveHeap()
@@ -361,19 +361,22 @@ func TestIdleTorusStaysSparse(t *testing.T) {
 }
 
 // TestBootedTorusAliasesSystemImage pins the other half: a boot touches
-// every chip, so heap per chip is flat, and stays bounded because the
-// flood-filled 8 KiB system image is stored once per machine and
-// aliased into every chip's SDRAM. Measured on a booted 32x32 torus:
-// 22,030 B of live heap per chip; with a private image copy per chip
-// (SDRAM.Store in place of StoreShared on the fill path) the same
-// machine measures 30,217 B. The 26 KiB bound sits between the two, so
-// losing the aliasing — or growing booted per-chip state by a fifth —
-// fails here.
+// every chip, so heap per chip is flat, and stays bounded because a
+// booted chip holds only what it uses: the flood-filled 8 KiB system
+// image is stored once per machine (each chip holds one bit per block in
+// the machine's segment table), flood-fill state lives in dense
+// per-command arrays, and DMA controllers are built on first use.
+// Measured on a booted 32x32 torus (go1.24 linux/amd64): 5,096 B of live
+// heap per chip; with a private image copy per chip (SDRAM.Store in
+// place of StoreShared on the fill path) the same machine measures
+// 15,672 B. The 7 KiB bound sits between the two, so losing the
+// aliasing — or growing booted per-chip state by two fifths — fails
+// here.
 func TestBootedTorusAliasesSystemImage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots 1024 chips")
 	}
-	const perChipBound = 26 << 10
+	const perChipBound = 7 << 10
 	before := liveHeap()
 	m, err := NewMachine(sparseConfig(32))
 	if err != nil {
@@ -389,7 +392,7 @@ func TestBootedTorusAliasesSystemImage(t *testing.T) {
 		t.Errorf("boot instantiated %d of %d chips, want all", got, chips)
 	}
 	if perChip := heap / int64(chips); perChip > perChipBound {
-		t.Errorf("booted 32x32 torus retains %d B of live heap per chip, bound %d B (one private 8 KiB image copy per chip would read ~30 KiB)",
+		t.Errorf("booted 32x32 torus retains %d B of live heap per chip, bound %d B (one private 8 KiB image copy per chip would read ~15 KiB)",
 			perChip, perChipBound)
 	}
 	t.Logf("booted 32x32: %d B live heap, %d B/chip", heap, heap/int64(chips))

@@ -131,6 +131,7 @@ type Controller struct {
 	torus topo.Torus
 	nodes []nodeState // by torus index
 	res   Result
+	segs  chip.Segments // SDRAM payloads shared by the machine's chips
 }
 
 // NewController builds the boot orchestrator for an existing fabric.
@@ -151,7 +152,7 @@ func NewController(run sim.Runner, fab *router.Fabric, cfg Config) *Controller {
 	}
 	for _, n := range fab.Nodes() {
 		c.nodes[n.Index()] = nodeState{
-			chip:    chip.New(n.Domain(), n.Coord, cfg.Cores),
+			chip:    chip.New(n.Domain(), n.Coord, cfg.Cores, &c.segs),
 			monitor: -1,
 		}
 	}
@@ -179,6 +180,10 @@ func (c *Controller) node(at topo.Coord) *nodeState {
 
 // Chip exposes a node's chip (for inspection in tests and the host).
 func (c *Controller) Chip(at topo.Coord) *chip.Chip { return c.node(at).chip }
+
+// Segments returns the machine's table of shared SDRAM payloads, which
+// every chip's SDRAM.StoreShared draws from.
+func (c *Controller) Segments() *chip.Segments { return &c.segs }
 
 // send wraps fabric nn transmission with accounting. The tally lives on
 // the sending chip (shard-owned); finalise sums the machine-wide count.

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"spinngo/internal/sim"
+	"spinngo/internal/snap"
 	"spinngo/internal/topo"
 )
 
@@ -91,7 +92,33 @@ type Core struct {
 	State CoreState
 	// InjectedFault makes the power-on self-test fail (fault model).
 	InjectedFault bool
-	DMA           *DMAController
+
+	sdram *SDRAM         // the chip's shared SDRAM, which DMA serves
+	dma   *DMAController // nil until first use
+}
+
+// DMA returns the core's DMA controller, built on first use: a chip
+// boots all its cores, but only those that run an application unit ever
+// move data, so an idle or monitor core holds none.
+func (c *Core) DMA() *DMAController {
+	if c.dma == nil {
+		c.dma = NewDMAController(c.sdram.eng, c.sdram)
+	}
+	return c.dma
+}
+
+// SnapDMA codes the core's DMA controller. A core that never used one
+// codes the bytes of a fresh controller, and decoding keeps none unless
+// the recorded state differs from a fresh one.
+func (c *Core) SnapDMA(cd *snap.Codec) {
+	d := c.dma
+	if d == nil {
+		d = NewDMAController(c.sdram.eng, c.sdram)
+	}
+	d.Snap(cd)
+	if cd.Decoding() && c.dma == nil && !d.fresh() {
+		c.dma = d
+	}
 }
 
 // SelfTest runs the power-on self-test. A faulty core always fails;
@@ -116,16 +143,20 @@ type Chip struct {
 }
 
 // New builds a chip with n cores on the given scheduler (an Engine,
-// or the chip's fabric-node Domain in the sharded machine).
-func New(eng sim.Scheduler, coord topo.Coord, n int) *Chip {
+// or the chip's fabric-node Domain in the sharded machine). segs is the
+// machine's table of shared SDRAM payloads, nil for a chip that never
+// stores one.
+func New(eng sim.Scheduler, coord topo.Coord, n int, segs *Segments) *Chip {
 	if n <= 0 || n > CoresPerChip {
 		panic(fmt.Sprintf("chip: invalid core count %d", n))
 	}
 	ch := &Chip{Coord: coord, SDRAM: NewSDRAM(eng), monitor: -1}
-	for i := 0; i < n; i++ {
-		core := &Core{ID: i}
-		core.DMA = NewDMAController(eng, ch.SDRAM)
-		ch.Cores = append(ch.Cores, core)
+	ch.SDRAM.table = segs
+	cores := make([]Core, n) // one allocation for the chip's cores
+	ch.Cores = make([]*Core, n)
+	for i := range cores {
+		cores[i] = Core{ID: i, sdram: ch.SDRAM}
+		ch.Cores[i] = &cores[i]
 	}
 	return ch
 }

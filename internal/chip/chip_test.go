@@ -32,7 +32,7 @@ func TestElectMonitorUnique(t *testing.T) {
 	eng := sim.New(1)
 	rng := eng.RNG()
 	for trial := 0; trial < 200; trial++ {
-		ch := New(eng, topo.Coord{}, CoresPerChip)
+		ch := New(eng, topo.Coord{}, CoresPerChip, nil)
 		id, err := ch.ElectMonitor(rng)
 		if err != nil {
 			t.Fatal(err)
@@ -58,7 +58,7 @@ func TestElectMonitorWithFailedCores(t *testing.T) {
 	eng := sim.New(7)
 	rng := eng.RNG()
 	for failed := 0; failed < CoresPerChip; failed++ {
-		ch := New(eng, topo.Coord{}, CoresPerChip)
+		ch := New(eng, topo.Coord{}, CoresPerChip, nil)
 		for i := 0; i < failed; i++ {
 			ch.Cores[i].InjectedFault = true
 		}
@@ -74,7 +74,7 @@ func TestElectMonitorWithFailedCores(t *testing.T) {
 
 func TestElectMonitorAllFailed(t *testing.T) {
 	eng := sim.New(7)
-	ch := New(eng, topo.Coord{}, 4)
+	ch := New(eng, topo.Coord{}, 4, nil)
 	for _, c := range ch.Cores {
 		c.InjectedFault = true
 	}
@@ -90,7 +90,7 @@ func TestMonitorElectionIsUniform(t *testing.T) {
 	rng := eng.RNG()
 	wins := make([]int, 10)
 	for trial := 0; trial < 2000; trial++ {
-		ch := New(eng, topo.Coord{}, 10)
+		ch := New(eng, topo.Coord{}, 10, nil)
 		id, err := ch.ElectMonitor(rng)
 		if err != nil {
 			t.Fatal(err)
@@ -106,7 +106,7 @@ func TestMonitorElectionIsUniform(t *testing.T) {
 
 func TestForceMonitor(t *testing.T) {
 	eng := sim.New(1)
-	ch := New(eng, topo.Coord{}, 8)
+	ch := New(eng, topo.Coord{}, 8, nil)
 	if _, err := ch.ElectMonitor(eng.RNG()); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestForceMonitor(t *testing.T) {
 
 func TestForceMonitorRejectsFailedCore(t *testing.T) {
 	eng := sim.New(1)
-	ch := New(eng, topo.Coord{}, 4)
+	ch := New(eng, topo.Coord{}, 4, nil)
 	ch.Cores[2].InjectedFault = true
 	if _, err := ch.ElectMonitor(eng.RNG()); err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestForceMonitorRejectsFailedCore(t *testing.T) {
 
 func TestAssignApplications(t *testing.T) {
 	eng := sim.New(1)
-	ch := New(eng, topo.Coord{}, CoresPerChip)
+	ch := New(eng, topo.Coord{}, CoresPerChip, nil)
 	ch.Cores[3].InjectedFault = true
 	if _, err := ch.ElectMonitor(eng.RNG()); err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestAssignApplications(t *testing.T) {
 func TestElectionUniquenessProperty(t *testing.T) {
 	f := func(seed uint64, faultMask uint32) bool {
 		eng := sim.New(seed)
-		ch := New(eng, topo.Coord{}, CoresPerChip)
+		ch := New(eng, topo.Coord{}, CoresPerChip, nil)
 		healthy := 0
 		for i, c := range ch.Cores {
 			if faultMask&(1<<uint(i)) != 0 {
@@ -193,5 +193,5 @@ func TestNewPanicsOnBadCount(t *testing.T) {
 			t.Error("New with 0 cores did not panic")
 		}
 	}()
-	New(sim.New(1), topo.Coord{}, 0)
+	New(sim.New(1), topo.Coord{}, 0, nil)
 }

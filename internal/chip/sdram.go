@@ -2,6 +2,9 @@ package chip
 
 import (
 	"fmt"
+	"maps"
+	"math/bits"
+	"slices"
 
 	"spinngo/internal/kernel"
 	"spinngo/internal/sim"
@@ -16,7 +19,9 @@ import (
 // race the 1 ms real-time deadline.
 //
 // It also provides a small segment store so boot images and application
-// data can actually be written and read back in boot and host tests.
+// data can actually be written and read back in boot and host tests. A
+// segment is either private, stored by copy, or an entry of the
+// machine's Segments table that this chip holds.
 type SDRAM struct {
 	eng sim.Scheduler
 	// Latency is the fixed setup cost per transfer.
@@ -25,13 +30,39 @@ type SDRAM struct {
 	BytesPerUS float64
 
 	busyUntil sim.Time
-	segments  map[uint32][]byte
+	table     *Segments         // the machine's shared payloads (set by New)
+	shared    []uint64          // bit i set: this chip holds table entry i
+	private   map[uint32][]byte // nil until the first Store
 	used      int
 
 	// Counters for the energy model.
 	Transfers      uint64
 	BytesMoved     uint64
 	ContentionBusy sim.Time // cumulative time requests spent queued
+}
+
+// Segments is a machine's table of shared SDRAM payloads — the boot
+// image's flood-fill blocks and every other host fill — each held once
+// per machine however many chips store it: a chip's SDRAM records the
+// entries it holds as one bit each. That was the dominant heap term of
+// a booted machine when every chip kept its own map of aliases. Entries
+// are added only from sequential context (no window in flight) and are
+// immutable, so any shard may read them; the table keeps each payload
+// for the machine's lifetime.
+type Segments struct {
+	entries []segment
+}
+
+type segment struct {
+	addr uint32
+	data []byte
+}
+
+// Add registers data as a payload to be shared at addr and returns its
+// entry. The caller must not mutate data afterwards.
+func (t *Segments) Add(addr uint32, data []byte) int {
+	t.entries = append(t.entries, segment{addr, data})
+	return len(t.entries) - 1
 }
 
 // NewSDRAM returns a mobile-DDR-class SDRAM model: ~1 GB/s sustained,
@@ -41,7 +72,6 @@ func NewSDRAM(eng sim.Scheduler) *SDRAM {
 		eng:        eng,
 		Latency:    150 * sim.Nanosecond,
 		BytesPerUS: 1000, // 1 GB/s
-		segments:   make(map[uint32][]byte),
 	}
 }
 
@@ -76,38 +106,87 @@ func (s *SDRAM) admit(size int) sim.Time {
 	return end
 }
 
-// Store writes data at the given address in the segment store. It fails
-// when the SDRAM would overflow.
-func (s *SDRAM) Store(addr uint32, data []byte) error {
-	old := len(s.segments[addr])
-	if s.used-old+len(data) > SDRAMBytes {
-		return fmt.Errorf("chip: SDRAM overflow storing %d bytes at %#x", len(data), addr)
+// members yields the table entries this chip holds, in table order.
+func (s *SDRAM) members(yield func(int) bool) {
+	for w, word := range s.shared {
+		for ; word != 0; word &= word - 1 {
+			if !yield(w*64 + bits.TrailingZeros64(word)) {
+				return
+			}
+		}
 	}
-	s.used += len(data) - old
-	s.segments[addr] = append([]byte(nil), data...)
+}
+
+// member reports the table entry this chip holds at addr, or -1.
+func (s *SDRAM) member(addr uint32) int {
+	for i := range s.members {
+		if s.table.entries[i].addr == addr {
+			return i
+		}
+	}
+	return -1
+}
+
+// segment returns the segment stored at addr and, when it is shared,
+// its table entry (-1 otherwise).
+func (s *SDRAM) segment(addr uint32) (data []byte, entry int, ok bool) {
+	if data, ok := s.private[addr]; ok {
+		return data, -1, true
+	}
+	if i := s.member(addr); i >= 0 {
+		return s.table.entries[i].data, i, true
+	}
+	return nil, -1, false
+}
+
+// replace makes room for n bytes at addr, dropping whatever segment is
+// stored there; it fails, changing nothing, when the SDRAM would
+// overflow.
+func (s *SDRAM) replace(addr uint32, n int) error {
+	old, entry, _ := s.segment(addr)
+	if s.used-len(old)+n > SDRAMBytes {
+		return fmt.Errorf("chip: SDRAM overflow storing %d bytes at %#x", n, addr)
+	}
+	s.used += n - len(old)
+	delete(s.private, addr)
+	if entry >= 0 {
+		s.shared[entry/64] &^= 1 << (entry % 64)
+	}
 	return nil
 }
 
-// StoreShared is Store without the defensive copy: the segment aliases
-// the caller's slice. For machine-wide immutable payloads — the boot
-// image's flood-fill blocks, a host fill's data — this keeps one copy
-// per machine instead of one per chip, the dominant heap term when a
-// 64k-chip torus loads an image. The caller must not mutate data
-// afterwards; Load and Snap copy out, so readers never alias it
-// back.
-func (s *SDRAM) StoreShared(addr uint32, data []byte) error {
-	old := len(s.segments[addr])
-	if s.used-old+len(data) > SDRAMBytes {
-		return fmt.Errorf("chip: SDRAM overflow storing %d bytes at %#x", len(data), addr)
+// Store writes a private copy of data at the given address in the
+// segment store. It fails when the SDRAM would overflow.
+func (s *SDRAM) Store(addr uint32, data []byte) error {
+	if err := s.replace(addr, len(data)); err != nil {
+		return err
 	}
-	s.used += len(data) - old
-	s.segments[addr] = data
+	if s.private == nil {
+		s.private = make(map[uint32][]byte)
+	}
+	s.private[addr] = append([]byte(nil), data...)
+	return nil
+}
+
+// StoreShared stores entry i of the machine's Segments table at the
+// entry's address, as one bit in this chip's membership record instead
+// of a copy: a machine-size image load costs one image, not one per
+// chip. Load and Snap copy out, so readers never alias the payload.
+func (s *SDRAM) StoreShared(i int) error {
+	seg := s.table.entries[i]
+	if err := s.replace(seg.addr, len(seg.data)); err != nil {
+		return err
+	}
+	if w := i / 64; w >= len(s.shared) {
+		s.shared = append(s.shared, make([]uint64, w+1-len(s.shared))...)
+	}
+	s.shared[i/64] |= 1 << (i % 64)
 	return nil
 }
 
 // Load reads back a segment stored at addr.
 func (s *SDRAM) Load(addr uint32) ([]byte, bool) {
-	d, ok := s.segments[addr]
+	d, _, ok := s.segment(addr)
 	if !ok {
 		return nil, false
 	}
@@ -118,15 +197,38 @@ func (s *SDRAM) Load(addr uint32) ([]byte, bool) {
 func (s *SDRAM) Used() int { return s.used }
 
 // Snap codes the SDRAM's dynamic state for snapshots, the segment store
-// in ascending address order (deterministic bytes); decoding replaces
-// the store.
+// — private and shared segments alike — in ascending address order
+// (deterministic bytes); decoding replaces the store with private
+// copies.
 func (s *SDRAM) Snap(c *snap.Codec) {
 	c.I64((*int64)(&s.busyUntil))
 	c.Int(&s.used)
 	c.U64(&s.Transfers)
 	c.U64(&s.BytesMoved)
 	c.I64((*int64)(&s.ContentionBusy))
-	snap.Map(c, &s.segments, func(data *[]byte) { c.Bytes32(data) })
+	var addrs []uint32
+	if !c.Decoding() {
+		addrs = slices.AppendSeq(addrs, maps.Keys(s.private))
+		for i := range s.members {
+			addrs = append(addrs, s.table.entries[i].addr)
+		}
+		slices.Sort(addrs)
+	}
+	snap.Slice(c, &addrs)
+	if c.Decoding() {
+		s.private, s.shared = nil, nil
+		if len(addrs) > 0 {
+			s.private = make(map[uint32][]byte, len(addrs))
+		}
+	}
+	for i := 0; i < len(addrs) && c.Err() == nil; i++ {
+		c.U32(&addrs[i])
+		data, _, _ := s.segment(addrs[i])
+		c.Bytes32(&data)
+		if c.Decoding() {
+			s.private[addrs[i]] = data
+		}
+	}
 }
 
 // DMARequest is one queued DMA operation.
@@ -355,6 +457,13 @@ func (d *DMAController) next(fold bool) {
 		return
 	}
 	d.eng.AtReserved(d.doneAt, d.doneSeq, &d.doneP)
+}
+
+// fresh reports whether the controller holds exactly the state
+// NewDMAController gives it: nothing queued, idle, and no request ever
+// served.
+func (d *DMAController) fresh() bool {
+	return len(d.queue) == d.head && !d.busy && !d.lone && d.Completed == 0 && d.MaxQueue == 0
 }
 
 // Snap codes the controller's dynamic state for snapshots: the queued

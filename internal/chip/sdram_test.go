@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"spinngo/internal/sim"
+	"spinngo/internal/snap"
+	"spinngo/internal/topo"
 )
 
 func TestSDRAMTransferTiming(t *testing.T) {
@@ -78,6 +80,66 @@ func TestSDRAMOverflow(t *testing.T) {
 	}
 	if s.Used() != 2048 {
 		t.Errorf("Used = %d, want 2048", s.Used())
+	}
+}
+
+// TestSDRAMSharedSegments pins the machine-wide segment table: a chip
+// holding an entry sees it as a segment at the entry's address, a later
+// store at that address (shared or private) replaces it, usage and the
+// overflow check count it once, and the image is the one private copies
+// of the same segments would write.
+func TestSDRAMSharedSegments(t *testing.T) {
+	segs := &Segments{}
+	a := segs.Add(0x100, []byte("aaaa"))
+	b := segs.Add(0x100, []byte("bbbbbb"))
+	c := segs.Add(0x50, []byte("cc"))
+	huge := segs.Add(0x200, make([]byte, SDRAMBytes))
+	s := New(sim.New(1), topo.Coord{}, 1, segs).SDRAM
+	other := New(sim.New(1), topo.Coord{}, 1, segs).SDRAM
+	load := func(addr uint32) string {
+		got, ok := s.Load(addr)
+		if !ok {
+			return "<none>"
+		}
+		return string(got)
+	}
+	for _, step := range []struct {
+		store func() error
+		addr  uint32
+		want  string
+		used  int
+	}{
+		{func() error { return s.StoreShared(a) }, 0x100, "aaaa", 4},
+		{func() error { return s.StoreShared(b) }, 0x100, "bbbbbb", 6},
+		{func() error { return s.Store(0x100, []byte("p")) }, 0x100, "p", 1},
+		{func() error { return s.StoreShared(c) }, 0x50, "cc", 3},
+		{func() error { return s.StoreShared(a) }, 0x100, "aaaa", 6},
+	} {
+		if err := step.store(); err != nil {
+			t.Fatal(err)
+		}
+		if got := load(step.addr); got != step.want || s.Used() != step.used {
+			t.Fatalf("Load(%#x) = %q, Used %d; want %q, %d", step.addr, got, s.Used(), step.want, step.used)
+		}
+	}
+	if err := s.StoreShared(huge); err == nil {
+		t.Error("a shared segment overflowing the SDRAM was stored")
+	}
+	if got := load(0x200); got != "<none>" || s.Used() != 6 {
+		t.Errorf("a failed store left Load = %q, Used %d", got, s.Used())
+	}
+	if _, ok := other.Load(0x100); ok || other.Used() != 0 {
+		t.Error("a chip holding no entry sees one")
+	}
+
+	private := NewSDRAM(sim.New(1))
+	_ = private.Store(0x100, []byte("aaaa"))
+	_ = private.Store(0x50, []byte("cc"))
+	shared, copied := snap.NewEncoder(), snap.NewEncoder()
+	s.Snap(shared)
+	private.Snap(copied)
+	if !bytes.Equal(shared.Bytes(), copied.Bytes()) {
+		t.Error("shared segments code differently from private copies of them")
 	}
 }
 

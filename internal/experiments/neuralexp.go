@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"spinngo"
 	"spinngo/internal/mapping"
@@ -91,7 +92,9 @@ func E12Retina(killFracs []float64, seed uint64) (*Table, error) {
 	ref := r.Encode(im)
 	bits, _ := nofm.Capacity(r.Size(), r.Cfg.N, true)
 	rng := sim.NewRNG(seed)
-	graceful := true
+	// Each arm of the verdict names its own fault: small losses must not
+	// collapse the code, and large ones must show in it.
+	collapsed, unseen := false, false
 	// Kill cells cumulatively — the population only ever loses cells,
 	// as in the biological story — so the degradation curve is a single
 	// trajectory rather than independent samples.
@@ -112,15 +115,22 @@ func E12Retina(killFracs []float64, seed uint64) (*Table, error) {
 		ov := nofm.Overlap(ref, code)
 		t.AddRow(f1(frac*100), d(r.Size()-totalKilled), f3(info), f3(ident), f3(ov), f1(bits))
 		if frac <= 0.11 && info < 0.6 {
-			graceful = false
+			collapsed = true
 		}
 		if frac >= 0.4 && info > 0.99 {
-			graceful = false // losses this big must be visible
+			unseen = true
 		}
 	}
-	t.Verdict = verdict(graceful,
+	var faults []string
+	if collapsed {
+		faults = append(faults, "code collapsed under small losses")
+	}
+	if unseen {
+		faults = append(faults, "large losses left the code intact, so the measure cannot see cell death")
+	}
+	t.Verdict = verdict(len(faults) == 0,
 		"information similarity decays gracefully; neighbour takeover preserves the image content",
-		"code collapsed under small losses")
+		strings.Join(faults, "; "))
 	return t, nil
 }
 

@@ -93,7 +93,7 @@ func E8MonitorElection(trials int, seed uint64) *Table {
 	for _, failed := range []int{0, 1, 5, 10, 19, 20} {
 		unique, healthy, none := 0, 0, 0
 		for i := 0; i < trials; i++ {
-			ch := chip.New(eng, topo.Coord{}, chip.CoresPerChip)
+			ch := chip.New(eng, topo.Coord{}, chip.CoresPerChip, nil)
 			for k := 0; k < failed; k++ {
 				ch.Cores[k].InjectedFault = true
 			}

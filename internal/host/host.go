@@ -184,6 +184,9 @@ type command struct {
 	// released at a later sequential quiescence point; straggler packets
 	// of a stripped command must not store (nothing left to store).
 	stripped bool
+
+	// fill is an OpFill's per-chip state, allocated at registration.
+	fill *fillState
 }
 
 // chunks reports how many payload packets the command's data spans.
@@ -205,19 +208,51 @@ func (c *command) respChunks() int {
 	return (len(c.result) + c.chunk - 1) / c.chunk
 }
 
-// fillAssembly is one chip's reassembly and acknowledgement state for
-// one flood-fill command; owned by the chip's shard. It survives
-// completion as a tombstone so late duplicate chunks are absorbed
-// without re-storing or re-acknowledging.
-type fillAssembly struct {
-	// chunkCopies counts copies of each chunk accepted so far, saturating
-	// at the configured redundancy: a chip forwards each of the first
-	// Config.Redundancy copies on all six links, then absorbs the rest.
-	chunkCopies []uint8
-	chunksLeft  int
-	childAcks   int // acknowledged children in the convergecast tree
-	subtree     int // chips covered by the children's aggregated acks
-	acked       bool
+// fillChunks reports a fill's chunk count, which outlives its payload:
+// register sets the burst counter to 1 + chunks, and a fill's never
+// counts down, since fills complete over the convergecast.
+func (c *command) fillChunks() int { return c.remaining - 1 }
+
+// fillState is every chip's reassembly and acknowledgement state for
+// one flood-fill command, in dense arrays indexed by torus index and
+// allocated once, when the command registers: a machine-wide fill
+// touches every chip, and an allocation per chip per fill was the
+// largest term of a booted chip's heap. Each chip's entries are touched
+// only by its own shard. A chip's assembly survives completion as a
+// tombstone so late duplicate chunks are absorbed without re-storing or
+// re-acknowledging.
+type fillState struct {
+	seq    uint32
+	chunks int
+	seg    int // the payload's entry in the machine's SDRAM Segments
+	// copies[i*chunks+b] counts the copies of chunk b chip i accepted so
+	// far, saturating at the configured redundancy: a chip forwards each
+	// of the first Config.Redundancy copies on all six links, then
+	// absorbs the rest.
+	copies     []uint8
+	chunksLeft []int32
+	childAcks  []int32 // acknowledged children in the convergecast tree
+	subtree    []int32 // chips covered by the children's aggregated acks
+	flags      []uint8 // fillTouched: the chip holds an assembly; fillAcked
+}
+
+const (
+	fillTouched = 1 << iota
+	fillAcked
+)
+
+func newFillState(seq uint32, chips, chunks int) *fillState {
+	fs := &fillState{seq: seq, chunks: chunks, seg: -1,
+		copies:     make([]uint8, chips*chunks),
+		chunksLeft: make([]int32, chips),
+		childAcks:  make([]int32, chips),
+		subtree:    make([]int32, chips),
+		flags:      make([]uint8, chips),
+	}
+	for i := range fs.chunksLeft {
+		fs.chunksLeft[i] = int32(chunks)
+	}
+	return fs
 }
 
 // Flood-fill wire encoding. Fill chunks travel as nn packets whose key
@@ -273,7 +308,9 @@ type Host struct {
 	// Per-chip state, indexed by torus index; each entry is touched only
 	// by its chip's owning shard.
 	started []bool
-	fills   []map[uint32]*fillAssembly
+	// fills holds every flood-fill command's per-chip state, in sequence
+	// order.
+	fills []*fillState
 
 	// Convergecast tree for flood-fill acknowledgement aggregation,
 	// rooted at the gateway: fillParent is each chip's one-hop uplink
@@ -318,7 +355,6 @@ func New(eng sim.Scheduler, fab *router.Fabric, ctl *boot.Controller, cfg Config
 		eng: eng, fab: fab, ctl: ctl, cfg: cfg,
 		origin:  cfg.Origin,
 		started: make([]bool, size),
-		fills:   make([]map[uint32]*fillAssembly, size),
 	}
 	fab.OnDeliverP2P = h.onP2P
 	// Flood-fill traffic shares the nn fabric with the boot protocol;
@@ -432,6 +468,9 @@ func (h *Host) register(cmd *command) uint32 {
 		cmd.timeout = h.cfg.Timeout
 	}
 	h.cmds = append(h.cmds, cmd)
+	if cmd.op == OpFill {
+		h.addFillState(cmd)
+	}
 	return cmd.seq
 }
 
@@ -448,6 +487,17 @@ func (h *Host) StripResolved() {
 		c.data, c.result = nil, nil
 		h.strip++
 	}
+}
+
+// addFillState gives a registered fill command its per-chip state, and
+// an unstripped one's payload its entry in the machine's Segments table.
+// Sequential context only.
+func (h *Host) addFillState(cmd *command) {
+	cmd.fill = newFillState(cmd.seq, len(h.started), cmd.fillChunks())
+	if !cmd.stripped {
+		cmd.fill.seg = h.ctl.Segments().Add(cmd.addr, cmd.data)
+	}
+	h.fills = append(h.fills, cmd.fill)
 }
 
 // cmd resolves a sequence number against the table; nil for unknown.
@@ -564,12 +614,11 @@ func (h *Host) expire(cmd *command) {
 		// only acknowledge complete subtrees, so this is a lower bound on
 		// the chips actually holding the payload. The root assembly is
 		// gateway-chip state, owned by this (gateway) shard.
-		if m := h.fills[h.fab.Params().Torus.Index(h.origin)]; m != nil {
-			if fa := m[cmd.seq]; fa != nil {
-				cmd.chips = fa.subtree
-				if fa.chunksLeft == 0 {
-					cmd.chips++
-				}
+		root := h.fab.Params().Torus.Index(h.origin)
+		if fs := cmd.fill; fs != nil && fs.flags[root]&fillTouched != 0 {
+			cmd.chips = int(fs.subtree[root])
+			if fs.chunksLeft[root] == 0 {
+				cmd.chips++
 			}
 		}
 	}
@@ -675,24 +724,6 @@ func (h *Host) execute(cmd *command, at topo.Coord) []byte {
 	return cmd.result
 }
 
-// fillAssemblyFor resolves (creating on demand) a chip's reassembly
-// state for a fill. Chip-shard context; an assembly can be created by an
-// acknowledgement arriving before any chunk, since the chunk count is a
-// registered (immutable) property of the command.
-func (h *Host) fillAssemblyFor(idx int, seq uint32, cmd *command) *fillAssembly {
-	m := h.fills[idx]
-	if m == nil {
-		m = make(map[uint32]*fillAssembly)
-		h.fills[idx] = m
-	}
-	fa := m[seq]
-	if fa == nil {
-		fa = &fillAssembly{chunkCopies: make([]uint8, cmd.chunks()), chunksLeft: cmd.chunks()}
-		m[seq] = fa
-	}
-	return fa
-}
-
 // fillArrive handles one flood-fill chunk reaching a chip: record it,
 // forward each of the first Config.Redundancy copies on all six links
 // (like the boot image flood), and store the assembled payload when
@@ -701,49 +732,56 @@ func (h *Host) fillAssemblyFor(idx int, seq uint32, cmd *command) *fillAssembly 
 func (h *Host) fillArrive(n *router.Node, key uint32) {
 	seq, chunk := fillParts(key)
 	cmd := h.cmd(seq)
-	if cmd == nil || cmd.op != OpFill || !h.ctl.Alive(n.Coord) {
+	if cmd == nil || cmd.fill == nil || !h.ctl.Alive(n.Coord) {
 		return
 	}
-	fa := h.fillAssemblyFor(n.Index(), seq, cmd)
-	if chunk >= len(fa.chunkCopies) || int(fa.chunkCopies[chunk]) >= h.cfg.Redundancy {
+	fs, idx := cmd.fill, n.Index()
+	fs.flags[idx] |= fillTouched
+	if chunk >= fs.chunks {
+		return
+	}
+	copies := &fs.copies[idx*fs.chunks+chunk]
+	if int(*copies) >= h.cfg.Redundancy {
 		return // forward budget spent: absorbed, not re-forwarded
 	}
-	fa.chunkCopies[chunk]++
-	first := fa.chunkCopies[chunk] == 1
+	*copies++
+	first := *copies == 1
 	if first {
-		fa.chunksLeft--
+		fs.chunksLeft[idx]--
 	}
 	word := leadWord(cmd.data, chunk*cmd.chunk)
 	for d := topo.Dir(0); int(d) < topo.NumDirs; d++ {
 		h.fab.SendNN(n.Coord, d, packet.NewNN(key, word))
 	}
-	if first && fa.chunksLeft == 0 {
+	if first && fs.chunksLeft[idx] == 0 {
 		// Store failures (SDRAM overflow) still acknowledge: the monitor
 		// reports receipt; verification is the host's business. A
 		// straggler completing after the command was stripped has no
-		// payload left to store.
-		// StoreShared: every chip's segment aliases the command's one
-		// payload slice (immutable in flight) rather than copying it per
-		// chip — a machine-size image load costs one image, not n.
+		// payload left to store. Every chip stores the command's one
+		// payload, registered in the machine's Segments table, rather
+		// than a copy of it: a machine-size image load costs one image,
+		// not n.
 		if !cmd.stripped {
-			_ = h.ctl.Chip(n.Coord).SDRAM.StoreShared(cmd.addr, cmd.data)
+			_ = h.ctl.Chip(n.Coord).SDRAM.StoreShared(fs.seg)
 		}
-		h.fillMaybeAck(n, seq, cmd, fa)
+		h.fillMaybeAck(n, cmd)
 	}
 }
 
 // fillAckArrive handles an aggregated acknowledgement reaching a chip
-// from one of its convergecast children. Chip-shard context.
+// from one of its convergecast children. Chip-shard context; an
+// acknowledgement may reach a chip before any chunk does.
 func (h *Host) fillAckArrive(n *router.Node, key uint32, count int) {
 	seq, _ := fillParts(key)
 	cmd := h.cmd(seq)
-	if cmd == nil || cmd.op != OpFill || !h.ctl.Alive(n.Coord) {
+	if cmd == nil || cmd.fill == nil || !h.ctl.Alive(n.Coord) {
 		return
 	}
-	fa := h.fillAssemblyFor(n.Index(), seq, cmd)
-	fa.childAcks++
-	fa.subtree += count
-	h.fillMaybeAck(n, seq, cmd, fa)
+	fs, idx := cmd.fill, n.Index()
+	fs.flags[idx] |= fillTouched
+	fs.childAcks[idx]++
+	fs.subtree[idx] += int32(count)
+	h.fillMaybeAck(n, cmd)
 }
 
 // fillMaybeAck sends the chip's single aggregated acknowledgement — one
@@ -751,13 +789,13 @@ func (h *Host) fillAckArrive(n *router.Node, key uint32, count int) {
 // copy is stored and all children have reported. At the gateway root the
 // count is the machine-wide coverage and completes the command (the
 // root runs on the gateway shard, so touching command state is safe).
-func (h *Host) fillMaybeAck(n *router.Node, seq uint32, cmd *command, fa *fillAssembly) {
-	idx := n.Index()
-	if fa.acked || fa.chunksLeft != 0 || fa.childAcks < h.fillChildren[idx] {
+func (h *Host) fillMaybeAck(n *router.Node, cmd *command) {
+	fs, idx := cmd.fill, n.Index()
+	if fs.flags[idx]&fillAcked != 0 || fs.chunksLeft[idx] != 0 || int(fs.childAcks[idx]) < h.fillChildren[idx] {
 		return
 	}
-	fa.acked = true
-	count := fa.subtree + 1
+	fs.flags[idx] |= fillAcked
+	count := int(fs.subtree[idx]) + 1
 	if n.Coord == h.origin {
 		if cmd.resolved {
 			return
@@ -766,7 +804,7 @@ func (h *Host) fillMaybeAck(n *router.Node, seq uint32, cmd *command, fa *fillAs
 		h.eng.AfterP(h.ethTime(4), sim.Func(func() { h.complete(cmd) }))
 		return
 	}
-	h.fab.SendNN(n.Coord, h.fillParent[idx], packet.NewNN(fillAckKey(seq), uint32(count)))
+	h.fab.SendNN(n.Coord, h.fillParent[idx], packet.NewNN(fillAckKey(cmd.seq), uint32(count)))
 }
 
 // leadWord packs the first four payload bytes at off for the nn wire.

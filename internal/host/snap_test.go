@@ -30,8 +30,10 @@ func busyHost(t *testing.T) *Host {
 	b.Ping(topo.Coord{X: 2, Y: 3})
 	b.Launch()
 	assembling := func() (n int) {
-		for _, m := range h.fills {
-			n += len(m)
+		for _, fs := range h.fills {
+			for _, f := range fs.flags {
+				n += int(f & fillTouched)
+			}
 		}
 		return n
 	}

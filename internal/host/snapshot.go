@@ -108,24 +108,44 @@ func (h *Host) Snap(c *snap.Codec) {
 	for i := range h.started {
 		c.Bool(&h.started[i])
 	}
-	if !c.FixedLen(len(h.fills), "host fill assemblies") {
+	if !c.FixedLen(len(h.started), "host fill assemblies") {
 		return
 	}
-	for i := range h.fills {
-		snap.Map(c, &h.fills[i], func(p **fillAssembly) {
+	// Each chip's assemblies, in sequence order: the fill commands whose
+	// state the chip has touched.
+	var touched []*fillState
+	for i := 0; i < len(h.started) && c.Err() == nil; i++ {
+		if !c.Decoding() {
+			touched = touched[:0]
+			for _, fs := range h.fills {
+				if fs.flags[i]&fillTouched != 0 {
+					touched = append(touched, fs)
+				}
+			}
+		}
+		snap.Slice(c, &touched)
+		for k := 0; k < len(touched) && c.Err() == nil; k++ {
+			var seq uint32
+			if !c.Decoding() {
+				seq = touched[k].seq
+			}
+			c.U32(&seq)
 			if c.Decoding() {
-				*p = &fillAssembly{}
+				if touched[k] = h.decodedFill(c, seq); touched[k] == nil {
+					return
+				}
 			}
-			fa := *p
-			snap.Slice(c, &fa.chunkCopies)
-			for b := range fa.chunkCopies {
-				c.U8(&fa.chunkCopies[b])
+			touched[k].snap(c, i)
+		}
+	}
+	if c.Decoding() {
+		// Decoding gave fills their state in the order chips named them.
+		h.fills = h.fills[:0]
+		for _, cmd := range h.cmds {
+			if cmd.fill != nil {
+				h.fills = append(h.fills, cmd.fill)
 			}
-			c.Int(&fa.chunksLeft)
-			c.Int(&fa.childAcks)
-			c.Int(&fa.subtree)
-			c.Bool(&fa.acked)
-		})
+		}
 	}
 	if !c.FixedLen(len(h.fillParent), "host fill tree") {
 		return
@@ -142,5 +162,66 @@ func (h *Host) Snap(c *snap.Codec) {
 	c.U64(&h.PacketsSent)
 	if c.Decoding() && (h.strip < 0 || h.strip > len(h.cmds)) {
 		c.Fail(fmt.Errorf("host: strip cursor %d outside the %d-command table", h.strip, len(h.cmds)))
+	}
+}
+
+// decodedFill resolves the command a decoded fill assembly names,
+// giving it its per-chip state on first mention (a fill no chip touched
+// needs none: no packet of it can be in flight). It fails the codec,
+// returning nil, unless the command is a fill in the table whose chunk
+// count the dense state can hold.
+func (h *Host) decodedFill(c *snap.Codec, seq uint32) *fillState {
+	cmd := h.cmd(seq)
+	switch {
+	case cmd == nil:
+		c.Fail(fmt.Errorf("host: fill assembly names command %d outside the %d-command table", seq, len(h.cmds)))
+		return nil
+	case cmd.op != OpFill:
+		c.Fail(fmt.Errorf("host: fill assembly names %v command %d", cmd.op, seq))
+		return nil
+	case cmd.fill == nil:
+		if n := cmd.fillChunks(); n < 0 || n > MaxFillChunks {
+			c.Fail(fmt.Errorf("host: fill command %d records %d chunks, want 0..%d", seq, n, MaxFillChunks))
+			return nil
+		}
+		h.addFillState(cmd)
+	}
+	return cmd.fill
+}
+
+// snap codes chip i's assembly, the fields in the order of the
+// per-chip record the format has always had.
+func (fs *fillState) snap(c *snap.Codec, i int) {
+	if !c.FixedLen(fs.chunks, "fill assembly chunk copies") {
+		return
+	}
+	copies := fs.copies[i*fs.chunks : (i+1)*fs.chunks]
+	for b := range copies {
+		c.U8(&copies[b])
+	}
+	snapInt32(c, &fs.chunksLeft[i])
+	snapInt32(c, &fs.childAcks[i])
+	snapInt32(c, &fs.subtree[i])
+	acked := fs.flags[i]&fillAcked != 0
+	c.Bool(&acked)
+	if c.Decoding() {
+		fs.flags[i] = fillTouched
+		if acked {
+			fs.flags[i] |= fillAcked
+		}
+	}
+}
+
+// snapInt32 codes an int32 counter as the int64 the format records;
+// decoding fails on a value an int32 cannot hold.
+func snapInt32(c *snap.Codec, p *int32) {
+	v := int(*p)
+	c.Int(&v)
+	if c.Decoding() {
+		if v != int(int32(v)) {
+			c.Fail(fmt.Errorf("host: fill assembly count %d out of range", v))
+			return
+		}
+		*p = int32(v)
 	}
 }

@@ -900,6 +900,11 @@ func (m *Machine) compile(model *Model) error {
 	if err := rplan.InstallTables(m.fab); err != nil {
 		return err
 	}
+	// Only the install reads the multicast trees, the tables and the
+	// destination sets they were built from; the machine keeps the
+	// fragments and the statistics the load report, restore and
+	// neuron lookup read.
+	rplan.Dests, rplan.Trees, rplan.Tables = nil, nil, nil
 	m.model = model
 	m.rplan = rplan
 	m.dplan = dplan
@@ -987,7 +992,7 @@ func (m *Machine) buildUnitAt(f *mapping.Fragment, fragIdx, slot int, tickBase u
 		slot:     slot,
 		tickBase: tickBase,
 		rng:      rng,
-		dma:      hw.DMA,
+		dma:      hw.DMA(),
 		core: kernel.NewCore(dom, kernel.Config{
 			MIPS: m.cfg.CoreMIPS, TimerPeriod: sim.Millisecond, DispatchOverhead: 100,
 		}),

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"spinngo/internal/mapping"
+	"spinngo/internal/router"
 	"spinngo/internal/topo"
 )
 
@@ -849,5 +851,57 @@ func TestChatteringCellsBurst(t *testing.T) {
 	}
 	if short == 0 || long == 0 {
 		t.Errorf("no burst structure: %d short ISIs, %d long ISIs", short, long)
+	}
+}
+
+// TestLoadReleasesRoutePlan: once its tables are installed, a loaded
+// machine keeps of the routing plan only what the load report, restore
+// and neuron lookup read — the fragments and the statistics — and the
+// report and the installed tables are the ones the whole plan gives.
+func TestLoadReleasesRoutePlan(t *testing.T) {
+	cfg := MachineConfig{Width: 4, Height: 4, Seed: 1, MaxNeuronsPerCore: 16, MaxAppCoresPerChip: 2}
+	m := buildSmallMachine(t, cfg)
+	defer m.Close()
+	model := NewModel()
+	stim := model.AddPoisson("stim", 40, 10)
+	exc := model.AddLIF("exc", 200, DefaultLIFConfig())
+	if err := model.Connect(stim, exc, Conn{Rule: RandomRule, P: 0.2, WeightNA: 1, DelayMS: 1}); err != nil {
+		t.Fatal(err)
+	}
+	spec := mapping.MachineSpec{
+		Torus:             topo.MustTorus(cfg.Width, cfg.Height),
+		AppCoresPerChip:   cfg.MaxAppCoresPerChip,
+		MaxNeuronsPerCore: cfg.MaxNeuronsPerCore,
+		TableSize:         router.DefaultTableSize,
+	}
+	want, _, err := mapping.Compile(model.net, spec, mapping.PlaceSerpentine,
+		mapping.RouteOptions{ElideDefault: true, Minimise: true}, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := m.Load(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Stats.TreeLinks == 0 {
+		t.Fatal("no multicast tree leaves its chip: too small to be a test")
+	}
+	if p := m.rplan; p.Trees != nil || p.Tables != nil || p.Dests != nil {
+		t.Error("the loaded machine still holds its multicast trees, tables or destination sets")
+	}
+	if len(m.rplan.Frags) != len(want.Frags) || m.rplan.Stats != want.Stats {
+		t.Errorf("kept %d fragments and stats %+v, plan has %d and %+v",
+			len(m.rplan.Frags), m.rplan.Stats, len(want.Frags), want.Stats)
+	}
+	if rep.Fragments != len(want.Frags) || rep.TableEntries != want.Stats.EntriesFinal ||
+		rep.MaxChipTable != want.Stats.MaxChipTable || rep.TreeLinks != want.Stats.TreeLinks {
+		t.Errorf("load report %+v differs from the plan's stats %+v", *rep, want.Stats)
+	}
+	installed := 0
+	for _, n := range m.fab.Nodes() {
+		installed += n.Table.Len()
+	}
+	if installed != want.Stats.EntriesFinal {
+		t.Errorf("%d table entries installed, plan has %d", installed, want.Stats.EntriesFinal)
 	}
 }

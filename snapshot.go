@@ -659,7 +659,7 @@ func (m *Machine) snapMemory(c *snap.Codec, chips []int) {
 			return
 		}
 		for _, hw := range slots {
-			hw.DMA.Snap(c)
+			hw.SnapDMA(c)
 		}
 	})
 }

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"spinngo/internal/boot"
 	"spinngo/internal/neural"
 	"spinngo/internal/snap"
 )
@@ -692,6 +693,54 @@ func TestSnapshotErrors(t *testing.T) {
 			}
 		}()
 	}
+
+	// A flood-fill assembly the dense per-command fill state cannot hold:
+	// one naming command 0, a command past the table, a command that is
+	// not a fill, or a chunk count other than its command's.
+	nonFill := uint32(boot.DefaultConfig().ImageBlocks + 1) // the first application-data write
+	for _, c := range []struct {
+		what, err string
+		edit      func(rec []byte)
+	}{
+		{"naming command 0", "names command 0 outside the", func(rec []byte) { binary.LittleEndian.PutUint32(rec, 0) }},
+		{"naming a command past the table", "names command 1048576 outside the", func(rec []byte) { binary.LittleEndian.PutUint32(rec, 1<<20) }},
+		{"naming a write command", fmt.Sprintf("names write command %d", nonFill), func(rec []byte) { binary.LittleEndian.PutUint32(rec, nonFill) }},
+		{"one chunk short of its command's", "fill assembly chunk copies", func(rec []byte) { rec[4]-- }},
+	} {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("Restore of an image with a fill assembly %s panicked: %v", c.what, p)
+				}
+			}()
+			m, err := Restore(corruptFill(t, image, c.edit))
+			if m != nil {
+				m.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), c.err) {
+				t.Errorf("Restore of an image with a fill assembly %s: error %v, want one containing %q", c.what, err, c.err)
+			}
+		}()
+	}
+}
+
+// corruptFill returns image with its first flood-fill assembly record —
+// the gateway's assembly of command 1, the system image's first block,
+// found by its bytes — edited from its command sequence number on.
+func corruptFill(t testing.TB, image []byte, edit func(rec []byte)) []byte {
+	t.Helper()
+	chunks := boot.DefaultConfig().BlockBytes / hostLoadChunkBytes
+	rec := binary.LittleEndian.AppendUint32(nil, 1)
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(chunks))
+	rec = append(rec, bytes.Repeat([]byte{1}, chunks)...) // one copy of each chunk
+	rec = append(rec, make([]byte, 8)...)                 // no chunk left
+	at := bytes.Index(image, rec)
+	if at < 0 {
+		t.Fatal("no assembly of command 1 in the image")
+	}
+	bad := bytes.Clone(image)
+	edit(bad[at:])
+	return bad
 }
 
 // packSpikes packs a raster as the recorder streams it: per spike the
@@ -1053,6 +1102,7 @@ func FuzzRestore(f *testing.F) {
 	cuts := sectionCuts(f, src, data)
 	swapped := swappedRowKeys(f, src, data)
 	noWindow := zeroTau(f, src, data)
+	zeroFill := corruptFill(f, data, func(rec []byte) { binary.LittleEndian.PutUint32(rec, 0) })
 	midSpike := corruptRaster(f, src, data, func(spikes []neural.Spike, _ int) []byte {
 		return rasterSection(len(spikes), append(packSpikes(spikes), 0))
 	})
@@ -1082,6 +1132,8 @@ func FuzzRestore(f *testing.F) {
 	f.Add(corruptRetry(f, slept))
 	// A plasticity rule whose potentiation window is zero.
 	f.Add(noWindow)
+	// A flood-fill assembly naming command 0.
+	f.Add(zeroFill)
 	f.Fuzz(func(t *testing.T, image []byte) {
 		m, err := Restore(image)
 		if (m == nil) == (err == nil) {
