@@ -1,11 +1,11 @@
 # Tier-1 verification plus the race pass that continuously checks the
 # sharded parallel engine. CI runs `make check`, then `make cover`
-# (gated at 93.2%) and `make fuzz`, beside the allocation gates, the
-# golden snapshot and a campaign smoke run.
+# (gated at 93.2%), `make reach` and `make fuzz`, beside the allocation
+# gates, the golden snapshot and a campaign smoke run.
 
 GO ?= go
 
-.PHONY: build test test-bench race vet cover bench fuzz check
+.PHONY: build test test-bench race vet cover reach bench fuzz check
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,14 @@ cover:
 		-coverpkg=spinngo/internal/sim,spinngo/internal/router,spinngo/internal/host,spinngo/internal/snap,spinngo/internal/neural,spinngo/internal/mapping \
 		./internal/sim/ ./internal/router/ ./internal/host/ ./internal/snap/ ./internal/neural/ ./internal/mapping/ .
 	$(GO) tool cover -func=cover.out | tail -1
+
+# Reach census: a coverage-built spinnsim runs every registry workload
+# and two checkpoint round trips, the experiment tables run beside it,
+# and every function none of them reaches must be listed in
+# testdata/reach.allow with its reason. A new unreached function, or an
+# entry that is reached or gone, fails. See testdata/reach.sh.
+reach:
+	GO=$(GO) bash testdata/reach.sh
 
 # The repo's one benchmark (BENCHMARK.json): every named workload end to
 # end, one JSON result per workload. See bench/README.md for -workload,

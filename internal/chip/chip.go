@@ -18,10 +18,6 @@ import (
 const (
 	// CoresPerChip is the full complement of ARM968 cores.
 	CoresPerChip = 20
-	// ITCMBytes is each core's instruction tightly-coupled memory.
-	ITCMBytes = 32 * 1024
-	// DTCMBytes is each core's data tightly-coupled memory.
-	DTCMBytes = 64 * 1024
 	// SDRAMBytes is the 1 Gbit mobile DDR SDRAM per node.
 	SDRAMBytes = 128 * 1024 * 1024
 )
@@ -66,25 +62,16 @@ func (s CoreState) String() string {
 // only one processor is chosen as Monitor").
 type ArbiterRegister struct {
 	claimed bool
-	reads   int
 }
 
-// Read performs the destructive read: true exactly once per reset.
+// Read performs the destructive read: true exactly once.
 func (a *ArbiterRegister) Read() bool {
-	a.reads++
 	if a.claimed {
 		return false
 	}
 	a.claimed = true
 	return true
 }
-
-// Reads reports how many reads have occurred since reset.
-func (a *ArbiterRegister) Reads() int { return a.reads }
-
-// Reset re-arms the register (used when neighbours force a re-election
-// on a chip that failed to boot).
-func (a *ArbiterRegister) Reset() { a.claimed = false; a.reads = 0 }
 
 // Core is one ARM968 processor subsystem.
 type Core struct {
@@ -138,8 +125,6 @@ type Chip struct {
 	Cores   []*Core
 	SDRAM   *SDRAM
 	Arbiter ArbiterRegister
-
-	monitor int // elected monitor core ID, -1 before election
 }
 
 // New builds a chip with n cores on the given scheduler (an Engine,
@@ -150,7 +135,7 @@ func New(eng sim.Scheduler, coord topo.Coord, n int, segs *Segments) *Chip {
 	if n <= 0 || n > CoresPerChip {
 		panic(fmt.Sprintf("chip: invalid core count %d", n))
 	}
-	ch := &Chip{Coord: coord, SDRAM: NewSDRAM(eng), monitor: -1}
+	ch := &Chip{Coord: coord, SDRAM: NewSDRAM(eng)}
 	ch.SDRAM.table = segs
 	cores := make([]Core, n) // one allocation for the chip's cores
 	ch.Cores = make([]*Core, n)
@@ -160,9 +145,6 @@ func New(eng sim.Scheduler, coord topo.Coord, n int, segs *Segments) *Chip {
 	}
 	return ch
 }
-
-// Monitor reports the elected monitor core ID, or -1.
-func (ch *Chip) Monitor() int { return ch.monitor }
 
 // ElectMonitor runs the section-5.2 boot step: every core self-tests,
 // then the survivors bid for the Monitor role in an arbitrary order (the
@@ -190,28 +172,7 @@ func (ch *Chip) ElectMonitor(rng *sim.RNG) (int, error) {
 			bidders[i].State = CoreMonitor
 		}
 	}
-	ch.monitor = winner
 	return winner, nil
-}
-
-// ForceMonitor installs a specific core as monitor, as a neighbour chip
-// does over nn packets when rescuing a failed node ("they can change the
-// choice of Monitor Processor", section 5.2).
-func (ch *Chip) ForceMonitor(coreID int) error {
-	if coreID < 0 || coreID >= len(ch.Cores) {
-		return fmt.Errorf("chip %v: no core %d", ch.Coord, coreID)
-	}
-	if ch.Cores[coreID].State == CoreFailed {
-		return fmt.Errorf("chip %v: core %d failed self-test", ch.Coord, coreID)
-	}
-	if ch.monitor >= 0 {
-		ch.Cores[ch.monitor].State = CoreIdle
-	}
-	ch.Arbiter.Reset()
-	ch.Arbiter.Read() // the forced monitor claims the register
-	ch.monitor = coreID
-	ch.Cores[coreID].State = CoreMonitor
-	return nil
 }
 
 // AssignApplications marks all idle healthy cores as application cores

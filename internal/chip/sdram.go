@@ -193,9 +193,6 @@ func (s *SDRAM) Load(addr uint32) ([]byte, bool) {
 	return append([]byte(nil), d...), true
 }
 
-// Used reports the bytes held in the segment store.
-func (s *SDRAM) Used() int { return s.used }
-
 // Snap codes the SDRAM's dynamic state for snapshots, the segment store
 // — private and shared segments alike — in ascending address order
 // (deterministic bytes); decoding replaces the store with private
@@ -422,16 +419,6 @@ func (d *DMAController) Enqueue(req DMARequest) {
 	if !d.busy {
 		d.next(d.folds)
 	}
-}
-
-// QueueLen reports outstanding requests (including the active one).
-func (d *DMAController) QueueLen() int {
-	d.Sync()
-	n := len(d.queue) - d.head
-	if d.busy {
-		n++
-	}
-	return n
 }
 
 // next launches the next queued request. fold is set when a handler of

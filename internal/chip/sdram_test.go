@@ -208,3 +208,16 @@ func TestDMAKeepsDraining(t *testing.T) {
 		t.Errorf("chained completions = %d, want 10", count)
 	}
 }
+
+// Used reports the bytes held in the segment store.
+func (s *SDRAM) Used() int { return s.used }
+
+// QueueLen reports outstanding requests (including the active one).
+func (d *DMAController) QueueLen() int {
+	d.Sync()
+	n := len(d.queue) - d.head
+	if d.busy {
+		n++
+	}
+	return n
+}

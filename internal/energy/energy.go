@@ -7,11 +7,7 @@
 // transitions, SDRAM traffic).
 package energy
 
-import (
-	"fmt"
-
-	"spinngo/internal/sim"
-)
+import "spinngo/internal/sim"
 
 // DeviceModel characterises one compute device for the section-2/3.3
 // comparisons.
@@ -67,12 +63,6 @@ type OwnershipModel struct {
 
 // DefaultOwnership returns the paper's $1/W/year.
 func DefaultOwnership() OwnershipModel { return OwnershipModel{USDPerWattYear: 1} }
-
-// TotalUSD reports purchase plus energy cost after the given years of
-// continuous operation.
-func (o OwnershipModel) TotalUSD(d DeviceModel, years float64) float64 {
-	return d.CapitalUSD + d.ActiveW*o.USDPerWattYear*years
-}
 
 // CrossoverYears reports when cumulative energy spend equals the
 // purchase cost — the paper's "little more than three years" for a PC.
@@ -180,18 +170,4 @@ func (a Accounting) EffectiveMIPSPerWatt(act Activity) float64 {
 	}
 	mips := float64(act.Instructions) / act.Elapsed.Seconds() / 1e6
 	return mips / p
-}
-
-// Validate sanity-checks the accounting parameters.
-func (a Accounting) Validate() error {
-	for name, v := range map[string]float64{
-		"InstrPJ": a.InstrPJ, "WFIPowerW": a.WFIPowerW,
-		"BusyOverheadW": a.BusyOverheadW,
-		"SDRAMBytePJ":   a.SDRAMBytePJ, "ChipStaticW": a.ChipStaticW,
-	} {
-		if v < 0 {
-			return fmt.Errorf("energy: negative %s", name)
-		}
-	}
-	return nil
 }

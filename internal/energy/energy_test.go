@@ -1,6 +1,7 @@
 package energy
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -36,17 +37,6 @@ func TestPCCrossoverAboutThreeYears(t *testing.T) {
 	y := o.CrossoverYears(DesktopPC())
 	if y < 3 || y > 4 {
 		t.Errorf("PC crossover = %.2f years, paper says a little more than three", y)
-	}
-}
-
-func TestOwnershipTotals(t *testing.T) {
-	o := DefaultOwnership()
-	pc := DesktopPC()
-	if got := o.TotalUSD(pc, 0); got != 1000 {
-		t.Errorf("year-0 cost = %g", got)
-	}
-	if got := o.TotalUSD(pc, 10); got != 4000 {
-		t.Errorf("10-year cost = %g, want 4000", got)
 	}
 }
 
@@ -154,4 +144,18 @@ func TestZeroElapsedSafe(t *testing.T) {
 	if a.MeanPowerW(Activity{}) != 0 || a.EffectiveMIPSPerWatt(Activity{}) != 0 {
 		t.Error("zero-elapsed activity should report zero power")
 	}
+}
+
+// Validate sanity-checks the accounting parameters.
+func (a Accounting) Validate() error {
+	for name, v := range map[string]float64{
+		"InstrPJ": a.InstrPJ, "WFIPowerW": a.WFIPowerW,
+		"BusyOverheadW": a.BusyOverheadW,
+		"SDRAMBytePJ":   a.SDRAMBytePJ, "ChipStaticW": a.ChipStaticW,
+	} {
+		if v < 0 {
+			return fmt.Errorf("energy: negative %s", name)
+		}
+	}
+	return nil
 }

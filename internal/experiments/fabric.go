@@ -63,8 +63,7 @@ func E5DeliveryLatency(sizes []int, pairsPerSize int, seed uint64) (*Table, erro
 			return nil, err
 		}
 		torus := fab.Params().Torus
-		lat := sim.NewStats()
-		hops := sim.NewSummaryStats()
+		var lat, hops sim.Stats
 		fab.OnDeliverMC = func(_ *router.Node, _ int, pkt packet.Packet, l sim.Time) {
 			lat.Add(l.Micros())
 			hops.Add(float64(pkt.Hops))
@@ -123,7 +122,7 @@ func E6EmergencyRouting(seed uint64) (*Table, error) {
 			fab.FailLink(topo.Coord{X: 1 + 2*i, Y: 0}, topo.East)
 		}
 		baseHops := fab.Params().Torus.Distance(src, dst)
-		extra := sim.NewSummaryStats()
+		var extra sim.Stats
 		fab.OnDeliverMC = func(_ *router.Node, _ int, pkt packet.Packet, _ sim.Time) {
 			extra.Add(float64(pkt.Hops - baseHops))
 		}

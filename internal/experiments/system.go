@@ -33,8 +33,7 @@ func E4EventKernel(seed uint64) *Table {
 		sdram := chip.NewSDRAM(eng)
 		dma := chip.NewDMAController(eng, sdram)
 		core := kernel.NewCore(eng, kernel.DefaultConfig())
-		pop := neural.NewPopulation(256, neural.MaxSynDelay,
-			func(int) neural.Neuron { return neural.NewLIF(neural.DefaultLIF()) })
+		pop := neural.NewLIFPopulation(256, neural.MaxSynDelay, neural.DefaultLIF())
 		// A synthetic 100-synapse row for every source key.
 		row := make(neural.Row, 100)
 		for i := range row {

@@ -426,9 +426,6 @@ func (h *Host) rebuildFillTree() {
 // which is what a completed FillMem certifies as covered.
 func (h *Host) FillAlive() int { return h.fillAlive }
 
-// Origin reports the gateway chip.
-func (h *Host) Origin() topo.Coord { return h.origin }
-
 // ethTime is the Ethernet serialisation plus latency for n bytes.
 func (h *Host) ethTime(n int) sim.Time {
 	return h.cfg.EthLatency + sim.Time(float64(n)/h.cfg.EthBytesPerUS*float64(sim.Microsecond))
@@ -892,11 +889,6 @@ func (h *Host) newFill(addr uint32, data []byte, chunk int) (*command, error) {
 		return nil, fmt.Errorf("host: flood-fill sequence space exhausted after %d commands", len(h.cmds))
 	}
 	return cmd, nil
-}
-
-// Started reports whether the chip has received a start signal.
-func (h *Host) Started(at topo.Coord) bool {
-	return h.started[h.fab.Params().Torus.Index(at)]
 }
 
 // Inflight reports launched commands awaiting resolution.

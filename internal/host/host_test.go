@@ -566,3 +566,11 @@ func TestRedundancySurvivesLinkFailures(t *testing.T) {
 		}
 	}
 }
+
+// Started reports whether the chip has received a start signal.
+func (h *Host) Started(at topo.Coord) bool {
+	return h.started[h.fab.Params().Torus.Index(at)]
+}
+
+// Origin reports the gateway chip.
+func (h *Host) Origin() topo.Coord { return h.origin }

@@ -162,15 +162,6 @@ func Place(frags []*Fragment, spec MachineSpec, strategy PlacementStrategy, seed
 	return nil
 }
 
-// FragmentsByChip groups placed fragments per chip.
-func FragmentsByChip(frags []*Fragment) map[topo.Coord][]*Fragment {
-	out := make(map[topo.Coord][]*Fragment)
-	for _, f := range frags {
-		out[f.Chip] = append(out[f.Chip], f)
-	}
-	return out
-}
-
 // FragmentForNeuron locates the fragment holding a population's neuron.
 func FragmentForNeuron(frags []*Fragment, p *Population, idx int) (*Fragment, error) {
 	for _, f := range frags {

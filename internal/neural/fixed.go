@@ -28,19 +28,8 @@ func F(x float64) Fix {
 	}
 }
 
-// Float converts back to float64.
-func (f Fix) Float() float64 { return float64(f) / float64(One) }
-
 // Mul multiplies two fixed-point numbers with a 64-bit intermediate.
 func (a Fix) Mul(b Fix) Fix { return Fix(int64(a) * int64(b) >> 16) }
 
-// Div divides a by b in fixed point.
-func (a Fix) Div(b Fix) Fix {
-	if b == 0 {
-		panic("neural: fixed-point division by zero")
-	}
-	return Fix((int64(a) << 16) / int64(b))
-}
-
 // String renders the value as a decimal.
-func (f Fix) String() string { return fmt.Sprintf("%g", f.Float()) }
+func (f Fix) String() string { return fmt.Sprintf("%g", float64(f)/float64(One)) }

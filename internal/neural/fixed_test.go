@@ -72,3 +72,14 @@ func TestFixMulMatchesFloatProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Div divides a by b in fixed point.
+func (a Fix) Div(b Fix) Fix {
+	if b == 0 {
+		panic("neural: fixed-point division by zero")
+	}
+	return Fix((int64(a) << 16) / int64(b))
+}
+
+// Float converts back to float64.
+func (f Fix) Float() float64 { return float64(f) / float64(One) }

@@ -162,3 +162,6 @@ func TestIzhikevichRateIncreasesWithCurrent(t *testing.T) {
 		t.Errorf("rates not monotone: %d, %d, %d", r5, r10, r20)
 	}
 }
+
+// FastSpiking returns the canonical inhibitory fast-spiking cell.
+func FastSpiking() IzhikevichParams { return IzhikevichParams{A: 0.1, B: 0.2, C: -65, D: 2} }

@@ -36,14 +36,14 @@ type Recorder struct {
 	size   int // the stream's bytes, over all blocks
 	total  int
 	last   uint64 // the tick of the last spike recorded
-	counts []uint64
+	n      int    // the neurons it records
 }
 
 // rasterBlock is the size of a recorder's blocks after its first.
 const rasterBlock = 64 << 10
 
 // NewRecorder returns a recorder for n neurons.
-func NewRecorder(n int) *Recorder { return &Recorder{counts: make([]uint64, n)} }
+func NewRecorder(n int) *Recorder { return &Recorder{n: n} }
 
 // Record adds one spike. Ticks must not decrease — a population records
 // its spikes as its clock advances — and a spike recorded before the
@@ -52,7 +52,9 @@ func (r *Recorder) Record(tick uint64, neuron int) {
 	if tick < r.last {
 		panic(fmt.Sprintf("neural: spike recorded at tick %d after tick %d", tick, r.last))
 	}
-	r.counts[neuron]++
+	if uint(neuron) >= uint(r.n) {
+		panic(fmt.Sprintf("neural: spike recorded on neuron %d of %d", neuron, r.n))
+	}
 	k := len(r.blocks) - 1
 	if k < 0 {
 		r.blocks, k = append(r.blocks, nil), 0
@@ -89,27 +91,14 @@ func (r *Recorder) Spikes() []Spike {
 	return out
 }
 
-// Count reports spikes for one neuron.
-func (r *Recorder) Count(neuron int) uint64 { return r.counts[neuron] }
-
 // Total reports all spikes.
 func (r *Recorder) Total() int { return r.total }
 
-// Rate reports a neuron's mean firing rate in Hz over the given ticks
-// (1 ms ticks).
-func (r *Recorder) Rate(neuron int, ticks uint64) float64 {
-	if ticks == 0 {
-		return 0
-	}
-	return float64(r.counts[neuron]) / (float64(ticks) / 1000.0)
-}
-
 // Snap codes the recorded raster of a recorder of the same neuron count
 // as it holds it: the spike count, the stream's length, then the packed
-// stream as one span, its blocks copied end to end. The per-neuron
-// counts are the raster's histogram and are not written. Decoding reads
+// stream as one span, its blocks copied end to end. Decoding reads
 // the stream in one pass and installs a copy of it as a single block,
-// with the counts and last tick rebuilt, only if every uvarint is whole
+// with the last tick rebuilt, only if every uvarint is whole
 // and minimal, every tick fits in 64 bits, every neuron is one of the
 // recorder's and the spike count is the stream's; otherwise it fails the
 // codec and leaves the recorder as it was.
@@ -133,7 +122,6 @@ func (r *Recorder) decode(c *snap.Codec, total int, stream []byte) {
 	if c.Err() != nil {
 		return
 	}
-	counts := make([]uint64, len(r.counts))
 	var last uint64
 	spikes := 0
 	for at := 0; at < len(stream); spikes++ {
@@ -163,11 +151,10 @@ func (r *Recorder) decode(c *snap.Codec, total int, stream []byte) {
 			c.Fail(fmt.Errorf("neural: recorder: spike %d: tick %d plus %d passes 2^64", spikes, last, delta))
 			return
 		}
-		if neuron >= uint64(len(counts)) {
-			c.Fail(fmt.Errorf("neural: recorder: spike %d on neuron %d of %d", spikes, int64(neuron), len(counts)))
+		if neuron >= uint64(r.n) {
+			c.Fail(fmt.Errorf("neural: recorder: spike %d on neuron %d of %d", spikes, int64(neuron), r.n))
 			return
 		}
-		counts[neuron]++
 		last += delta
 		at = end
 	}
@@ -176,7 +163,7 @@ func (r *Recorder) decode(c *snap.Codec, total int, stream []byte) {
 		return
 	}
 	r.blocks, r.size = [][]byte{bytes.Clone(stream)}, len(stream)
-	r.total, r.last, r.counts = total, last, counts
+	r.total, r.last = total, last
 }
 
 // readUvarint reads the minimal uvarint at b[at:] and returns it with
@@ -200,10 +187,9 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 type popModel uint8
 
 const (
-	// modelGeneric steps each neuron through the Neuron interface — the
-	// fallback for factory-built (possibly heterogeneous) populations.
-	modelGeneric popModel = iota
-	// modelLIF and modelIzh step structure-of-arrays state inline.
+	// modelSource is a spike source's population: every slot is
+	// stateless, so stepping only pays the per-slot check.
+	modelSource popModel = iota
 	modelLIF
 	modelIzh
 )
@@ -213,29 +199,20 @@ const (
 // recorder. It provides the three Fig-7 task bodies; the machine layer
 // wires them to kernel events.
 //
-// Homogeneous populations built with NewLIFPopulation or
-// NewIzhikevichPopulation hold their dynamic state as parallel slices
-// (v/cooling for LIF, v/u for Izhikevich) and step them in one tight
-// loop: no interface dispatch, no per-neuron pointer chase, and the
-// shared parameters live once on the population. The Neurons slice is
-// still populated — with per-index views over the arrays — so
-// everything written against the Neuron interface (snapshot export,
-// KillNeuron's nil marking, tests) works identically on both layouts.
+// A population is homogeneous and holds its dynamic state as parallel
+// slices (v/cooling for LIF, v/u for Izhikevich), stepped in one tight
+// loop with the shared parameters held once on the population.
 type Population struct {
-	Neurons []Neuron
-	Ring    *InputRing
-	Matrix  *Matrix
-	Rec     *Recorder
+	Ring   *InputRing
+	Matrix *Matrix
+	Rec    *Recorder
 	// Bias is a constant background current per neuron.
 	Bias Fix
 	// WeightScale converts SynWord weights to currents.
 	WeightScale Fix
 
-	// Structure-of-arrays state and shared parameters for the
-	// homogeneous models. v is the membrane potential for both; cooling
-	// is LIF's refractory countdown, u is Izhikevich's recovery
-	// variable. A neuron is dead exactly when Neurons[i] is nil,
-	// keeping liveness in one place for every layout.
+	// v is the membrane potential for both models; cooling is LIF's
+	// refractory countdown, u is Izhikevich's recovery variable.
 	model   popModel
 	v       []Fix
 	cooling []int32
@@ -250,12 +227,13 @@ type Population struct {
 	izhB    Fix
 	izhC    Fix
 	izhD    Fix
-	// dead counts nil Neurons entries (killed neurons and stateless
-	// source slots). The chunked stepping paths are legal only when it
-	// is zero — they skip the per-neuron liveness check entirely — so
-	// every transition to nil must pass through KillNeuron to keep the
-	// counter an invariant of the slice.
-	dead int
+	// alive marks the slots that step; dead counts the others (killed
+	// neurons and a source's stateless slots). The chunked stepping
+	// paths are legal only when dead is zero — they skip the per-neuron
+	// liveness check entirely — so every slot leaves alive through
+	// KillNeuron, which keeps the count.
+	alive []bool
+	dead  int
 
 	tick uint64
 	// OnSpike is invoked for each local neuron that fires; the machine
@@ -263,40 +241,43 @@ type Population struct {
 	OnSpike func(neuron int)
 }
 
-func newPopulation(n, maxDelay int) *Population {
+func newPopulation(n, maxDelay int, model popModel) *Population {
 	if n <= 0 {
 		panic("neural: empty population")
 	}
-	return &Population{
+	p := &Population{
 		Ring:        NewInputRing(n, maxDelay),
 		Matrix:      NewMatrix(),
 		Rec:         NewRecorder(n),
 		WeightScale: F(1.0 / 256), // weights stored as 1/256 nA units
+		model:       model,
+		alive:       make([]bool, n),
 	}
-}
-
-// NewPopulation builds a population of n neurons from a factory,
-// stepping each through the Neuron interface. Homogeneous populations
-// should prefer NewLIFPopulation / NewIzhikevichPopulation, whose
-// structure-of-arrays stepping is substantially cheaper.
-func NewPopulation(n, maxDelay int, factory func(i int) Neuron) *Population {
-	p := newPopulation(n, maxDelay)
-	for i := 0; i < n; i++ {
-		nn := factory(i)
-		if nn == nil {
-			p.dead++ // stateless source slot
-		}
-		p.Neurons = append(p.Neurons, nn)
+	if model == modelSource {
+		p.dead = n
+		return p
 	}
+	for i := range p.alive {
+		p.alive[i] = true
+	}
+	p.v = make([]Fix, n)
 	return p
 }
 
+// NewSourcePopulation builds the population of a spike source's n
+// virtual neurons: every slot is stateless and never steps, and the
+// population only carries the ring, matrix and recorder its core
+// wiring expects.
+func NewSourcePopulation(n, maxDelay int) *Population {
+	return newPopulation(n, maxDelay, modelSource)
+}
+
 // NewLIFPopulation builds n identical leaky integrate-and-fire neurons
-// with their dynamic state in parallel slices.
+// using exact exponential integration per 1 ms step:
+//
+//	v <- v + (1 - exp(-dt/tau)) * (v_rest + R*I - v)
 func NewLIFPopulation(n, maxDelay int, params LIFParams) *Population {
-	p := newPopulation(n, maxDelay)
-	p.model = modelLIF
-	p.v = make([]Fix, n)
+	p := newPopulation(n, maxDelay, modelLIF)
 	p.cooling = make([]int32, n)
 	p.decay = F(1 - math.Exp(-1.0/params.TauM))
 	p.vRest = F(params.VRest)
@@ -304,40 +285,35 @@ func NewLIFPopulation(n, maxDelay int, params LIFParams) *Population {
 	p.vThresh = F(params.VThresh)
 	p.rMem = F(params.RMem)
 	p.refrac = int32(params.TRefrac)
-	refs := make([]lifRef, n)
-	p.Neurons = make([]Neuron, n)
-	for i := range refs {
+	for i := range p.v {
 		p.v[i] = p.vRest
-		refs[i] = lifRef{p: p, i: int32(i)}
-		p.Neurons[i] = &refs[i]
 	}
 	return p
 }
 
-// NewIzhikevichPopulation builds n identical Izhikevich neurons with
-// their dynamic state in parallel slices.
+// NewIzhikevichPopulation builds n identical Izhikevich neurons at
+// their resting point. Each tick integrates v with two 0.5 ms
+// half-steps for stability — the same scheme as the SpiNNaker reference
+// implementation:
+//
+//	v' = 0.04 v^2 + 5 v + 140 - u + I
+//	u' = a (b v - u)
+//	spike when v >= 30: v <- c, u <- u + d
 func NewIzhikevichPopulation(n, maxDelay int, params IzhikevichParams) *Population {
-	p := newPopulation(n, maxDelay)
-	p.model = modelIzh
-	p.v = make([]Fix, n)
+	p := newPopulation(n, maxDelay, modelIzh)
 	p.u = make([]Fix, n)
 	p.izhA, p.izhB, p.izhC, p.izhD = F(params.A), F(params.B), F(params.C), F(params.D)
-	refs := make([]izhRef, n)
-	p.Neurons = make([]Neuron, n)
-	for i := range refs {
+	for i := range p.v {
 		p.v[i] = p.izhC
 		p.u[i] = p.izhB.Mul(p.v[i])
-		refs[i] = izhRef{p: p, i: int32(i)}
-		p.Neurons[i] = &refs[i]
 	}
 	return p
 }
 
-// stepLIF advances neuron i one tick — the exact arithmetic of
-// LIF.Step, operating on the population arrays. The scalar fallback
-// loop and the interface view call it; stepLIFChunked repeats the same
-// expressions on hoisted parameters (integer fixed-point, identical
-// evaluation order, so bit-exact — pinned by the differential tests).
+// stepLIF advances neuron i one tick. The scalar loop calls it;
+// stepLIFChunked repeats the same expressions on hoisted parameters
+// (integer fixed-point, identical evaluation order, so bit-exact —
+// pinned by the differential tests against a per-neuron oracle).
 func (p *Population) stepLIF(i int, input Fix) bool {
 	if p.cooling[i] > 0 {
 		p.cooling[i]--
@@ -354,8 +330,7 @@ func (p *Population) stepLIF(i int, input Fix) bool {
 	return false
 }
 
-// stepIzh advances neuron i one tick — the exact arithmetic of
-// Izhikevich.Step (two 0.5 ms half-steps) on the population arrays.
+// stepIzh advances neuron i one tick: two 0.5 ms half-steps.
 func (p *Population) stepIzh(i int, input Fix) bool {
 	v, u := p.v[i], p.u[i]
 	for half := 0; half < 2; half++ {
@@ -462,33 +437,8 @@ func (p *Population) stepIzhChunked(inputs []Fix) (cost uint64) {
 	return cost
 }
 
-// lifRef is the Neuron-interface view of one slot of a LIF
-// structure-of-arrays population.
-type lifRef struct {
-	p *Population
-	i int32
-}
-
-func (n *lifRef) Step(input Fix) bool { return n.p.stepLIF(int(n.i), input) }
-func (n *lifRef) V() Fix              { return n.p.v[n.i] }
-func (n *lifRef) Reset()              { n.p.v[n.i] = n.p.vRest; n.p.cooling[n.i] = 0 }
-
-// izhRef is the Neuron-interface view of one slot of an Izhikevich
-// structure-of-arrays population.
-type izhRef struct {
-	p *Population
-	i int32
-}
-
-func (n *izhRef) Step(input Fix) bool { return n.p.stepIzh(int(n.i), input) }
-func (n *izhRef) V() Fix              { return n.p.v[n.i] }
-func (n *izhRef) Reset() {
-	n.p.v[n.i] = n.p.izhC
-	n.p.u[n.i] = n.p.izhB.Mul(n.p.v[n.i])
-}
-
 // Size reports the neuron count.
-func (p *Population) Size() int { return len(p.Neurons) }
+func (p *Population) Size() int { return len(p.alive) }
 
 // Tick reports the current tick number.
 func (p *Population) Tick() uint64 { return p.tick }
@@ -499,22 +449,31 @@ func (p *Population) SeedTick(t uint64) { p.tick = t }
 
 // Snap codes the population's dynamic state — tick, per-neuron liveness
 // and state words, input ring, recorder — overlaying it onto a freshly
-// built population of the same shape when decoding.
+// built population of the same shape when decoding. A live neuron's
+// state is two words: v, then LIF's cooling or Izhikevich's u.
 func (p *Population) Snap(c *snap.Codec) {
 	c.U64(&p.tick)
-	if !c.FixedLen(len(p.Neurons), "population neurons") {
+	if !c.FixedLen(len(p.alive), "population neurons") {
 		return
 	}
-	for i, nn := range p.Neurons {
-		alive := nn != nil
+	for i, was := range p.alive {
+		alive := was
 		c.Bool(&alive)
 		switch {
-		case alive && nn == nil:
+		case alive && !was:
 			c.Fail(fmt.Errorf("neural: neuron %d alive in image but stateless in rebuild", i))
 			return
 		case alive:
-			snapNeuron(c, nn)
-		case nn != nil:
+			if !c.FixedLen(2, "neuron state words") {
+				return
+			}
+			c.I32((*int32)(&p.v[i]))
+			if p.model == modelLIF {
+				c.I32(&p.cooling[i])
+			} else {
+				c.I32((*int32)(&p.u[i]))
+			}
+		case was:
 			// Killed before the snapshot. Routing through KillNeuron keeps
 			// the dead-slot counter — which gates the chunked stepping
 			// path — consistent.
@@ -539,47 +498,29 @@ func (p *Population) ProcessRow(row Row) (instructions uint64) {
 // StepTick advances all neurons one millisecond (Fig 7 update_Neurons):
 // consume the ring slot due now, integrate, fire. It reports the
 // instruction cost (~30 instructions per quiet neuron, ~100 extra per
-// spike, matching published SpiNNaker kernel budgets). Homogeneous
-// populations with every neuron alive step their state arrays in
-// SIMD-width chunks; populations carrying dead neurons fall back to the
-// scalar per-lane loop, and factory-built ones go through the Neuron
-// interface. All orders, costs and spike streams are identical.
+// spike, matching published SpiNNaker kernel budgets, 2 per dead slot).
+// With every neuron alive the state arrays step in SIMD-width chunks;
+// otherwise a scalar per-lane loop checks liveness. Orders, costs and
+// spike streams are identical.
 func (p *Population) StepTick() (instructions uint64) {
 	inputs := p.Ring.Advance()
 	p.tick++
 	var cost uint64 = 60
-	switch p.model {
-	case modelLIF:
-		if p.dead == 0 {
-			cost += p.stepLIFChunked(inputs)
-			break
-		}
-		for i := range p.v {
-			if p.Neurons[i] == nil { // dead neuron (fault-injection experiments)
-				cost += 2
-				continue
-			}
-			cost += p.fired(p.stepLIF(i, inputs[i]+p.Bias), i)
-		}
-	case modelIzh:
-		if p.dead == 0 {
-			cost += p.stepIzhChunked(inputs)
-			break
-		}
-		for i := range p.v {
-			if p.Neurons[i] == nil {
-				cost += 2
-				continue
-			}
-			cost += p.fired(p.stepIzh(i, inputs[i]+p.Bias), i)
-		}
+	switch {
+	case p.dead == 0 && p.model == modelLIF:
+		cost += p.stepLIFChunked(inputs)
+	case p.dead == 0 && p.model == modelIzh:
+		cost += p.stepIzhChunked(inputs)
 	default:
-		for i, n := range p.Neurons {
-			if n == nil {
+		for i, alive := range p.alive {
+			switch {
+			case !alive: // dead neuron (fault-injection experiments) or source slot
 				cost += 2
-				continue
+			case p.model == modelLIF:
+				cost += p.fired(p.stepLIF(i, inputs[i]+p.Bias), i)
+			default:
+				cost += p.fired(p.stepIzh(i, inputs[i]+p.Bias), i)
 			}
-			cost += p.fired(n.Step(inputs[i]+p.Bias), i)
 		}
 	}
 	p.Ring.ClearCurrent()
@@ -603,20 +544,15 @@ func (p *Population) fired(spiked bool, i int) uint64 {
 // experiments of section 5.4: "the average adult human loses a neuron
 // every second").
 func (p *Population) KillNeuron(i int) error {
-	if i < 0 || i >= len(p.Neurons) {
+	if i < 0 || i >= len(p.alive) {
 		return fmt.Errorf("neural: no neuron %d", i)
 	}
-	if p.Neurons[i] != nil {
-		p.Neurons[i] = nil
+	if p.alive[i] {
+		p.alive[i] = false
 		p.dead++
 	}
 	return nil
 }
-
-// Dead reports how many neuron slots are nil (killed or stateless);
-// while it is zero the homogeneous models step in bounds-check-free
-// chunks.
-func (p *Population) Dead() int { return p.dead }
 
 // PoissonSource emits independent Poisson spike trains for n virtual
 // neurons at the given rate; used as stimulus (Fig 7 update_Stimulus).

@@ -1,16 +1,14 @@
 package neural
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
 	"spinngo/internal/sim"
-	"spinngo/internal/snap"
 )
 
 func newLIFPopulation(n int) *Population {
-	return NewPopulation(n, MaxSynDelay, func(int) Neuron { return NewLIF(DefaultLIF()) })
+	return NewLIFPopulation(n, MaxSynDelay, DefaultLIF())
 }
 
 func TestPopulationBiasDrivesFiring(t *testing.T) {
@@ -79,6 +77,25 @@ func TestPopulationKillNeuron(t *testing.T) {
 	}
 }
 
+// TestSourcePopulationIsStateless: a spike source's population never
+// fires, whatever its input, and a tick costs the fixed 60 plus 2 a
+// slot.
+func TestSourcePopulationIsStateless(t *testing.T) {
+	const n = 9
+	p := NewSourcePopulation(n, MaxSynDelay)
+	p.Bias = F(5)
+	p.OnSpike = func(i int) { t.Fatalf("source slot %d fired", i) }
+	p.Ring.Deposit(1, 3, F(100))
+	for tick := 0; tick < 5; tick++ {
+		if got := p.StepTick(); got != 60+2*n {
+			t.Fatalf("tick %d costs %d, want %d", tick, got, 60+2*n)
+		}
+	}
+	if p.Size() != n || p.dead != n {
+		t.Errorf("Size %d, dead %d; want %d and %d", p.Size(), p.dead, n, n)
+	}
+}
+
 func TestPopulationCostAccounting(t *testing.T) {
 	p := newLIFPopulation(100)
 	quiet := p.StepTick()
@@ -139,162 +156,128 @@ func TestPopulationTickCounter(t *testing.T) {
 	}
 }
 
+// differential is one population and its per-neuron oracle, built
+// alike.
+type differential struct {
+	name string
+	soa  *Population
+	ref  *refPopulation
+}
+
+func differentials(n int) []differential {
+	return []differential{
+		{"lif", NewLIFPopulation(n, MaxSynDelay, DefaultLIF()),
+			newRefPopulation(n, func() neuron { return NewLIF(DefaultLIF()) })},
+		{"izh", NewIzhikevichPopulation(n, MaxSynDelay, RegularSpiking()),
+			newRefPopulation(n, func() neuron { return NewIzhikevich(RegularSpiking()) })},
+	}
+}
+
+// kill kills neuron i in both.
+func (c differential) kill(t *testing.T, i int) {
+	t.Helper()
+	if err := c.soa.KillNeuron(i); err != nil {
+		t.Fatal(err)
+	}
+	c.ref.neurons[i] = nil
+}
+
+// step deposits the same four pseudo-random inputs into both, steps
+// both one tick and compares their costs and live state words.
+func (c differential) step(t *testing.T, tick int, rng *sim.RNG) {
+	t.Helper()
+	n := c.soa.Size()
+	for dep := 0; dep < 4; dep++ {
+		tgt := rng.Intn(n)
+		delay := rng.Intn(MaxSynDelay)
+		w := Fix(rng.Intn(1 << 18))
+		c.soa.Ring.Deposit(delay, tgt, w)
+		c.ref.ring.Deposit(delay, tgt, w)
+	}
+	if cs, cr := c.soa.StepTick(), c.ref.stepTick(); cs != cr {
+		t.Fatalf("tick %d: SoA cost %d != oracle cost %d", tick, cs, cr)
+	}
+	for i := 0; i < n; i++ {
+		if c.soa.alive[i] != (c.ref.neurons[i] != nil) {
+			t.Fatalf("tick %d: neuron %d dead in one layout only", tick, i)
+		}
+		if !c.soa.alive[i] {
+			continue
+		}
+		if ws, wr := c.soa.stateWords(i), c.ref.stateWords(i); ws != wr {
+			t.Fatalf("tick %d neuron %d: SoA state %v, oracle state %v", tick, i, ws, wr)
+		}
+	}
+}
+
+// sameRaster compares the two rasters spike by spike.
+func (c differential) sameRaster(t *testing.T) {
+	t.Helper()
+	ss, rs := c.soa.Rec.Spikes(), c.ref.rec.Spikes()
+	if len(ss) != len(rs) {
+		t.Fatalf("SoA recorded %d spikes, oracle %d", len(ss), len(rs))
+	}
+	for i := range ss {
+		if ss[i] != rs[i] {
+			t.Fatalf("spike %d: SoA %+v, oracle %+v", i, ss[i], rs[i])
+		}
+	}
+}
+
 // TestChunkedSoAMatchesInterfaceAcrossSizes pins the SIMD-width chunked
-// stepping paths bit-exact against the interface models: population
+// stepping paths bit-exact against the per-neuron oracle: population
 // sizes off the 8-lane grid exercise the scalar tail, and a mid-run
 // KillNeuron flips the population from the chunked path to the scalar
-// dead-slot fallback at a tick boundary — costs, membrane trajectories
-// and rasters must be identical throughout.
+// dead-slot loop at a tick boundary — costs, membrane trajectories and
+// rasters must be identical throughout.
 func TestChunkedSoAMatchesInterfaceAcrossSizes(t *testing.T) {
 	const ticks = 240
 	for _, n := range []int{1, 7, 8, 9, 16, 33} {
-		build := []struct {
-			name     string
-			soa, ref *Population
-		}{
-			{"lif",
-				NewLIFPopulation(n, MaxSynDelay, DefaultLIF()),
-				NewPopulation(n, MaxSynDelay, func(int) Neuron { return NewLIF(DefaultLIF()) })},
-			{"izh",
-				NewIzhikevichPopulation(n, MaxSynDelay, RegularSpiking()),
-				NewPopulation(n, MaxSynDelay, func(int) Neuron { return NewIzhikevich(RegularSpiking()) })},
-		}
-		for _, c := range build {
+		for _, c := range differentials(n) {
 			t.Run(fmt.Sprintf("%s/n=%d", c.name, n), func(t *testing.T) {
 				c.soa.Bias = F(0.4)
-				c.ref.Bias = F(0.4)
-				if c.soa.Dead() != 0 {
-					t.Fatalf("fresh SoA population reports %d dead slots", c.soa.Dead())
+				c.ref.bias = F(0.4)
+				if c.soa.dead != 0 {
+					t.Fatalf("fresh SoA population reports %d dead slots", c.soa.dead)
 				}
-				dead := -1
 				rng := sim.NewRNG(7)
 				for tick := 0; tick < ticks; tick++ {
 					if tick == ticks/2 && n > 1 {
 						// Kill one neuron mid-run: the chunked fast path
-						// must hand over to the scalar fallback without a
+						// must hand over to the scalar loop without a
 						// trajectory blip on the survivors.
-						dead = n / 2
-						if err := c.soa.KillNeuron(dead); err != nil {
-							t.Fatal(err)
-						}
-						if err := c.ref.KillNeuron(dead); err != nil {
-							t.Fatal(err)
-						}
-						if c.soa.Dead() != 1 {
-							t.Fatalf("Dead() = %d after one kill", c.soa.Dead())
+						c.kill(t, n/2)
+						if c.soa.dead != 1 {
+							t.Fatalf("%d dead slots after one kill", c.soa.dead)
 						}
 					}
-					for dep := 0; dep < 4; dep++ {
-						tgt := rng.Intn(n)
-						delay := rng.Intn(MaxSynDelay)
-						w := Fix(rng.Intn(1 << 18))
-						c.soa.Ring.Deposit(delay, tgt, w)
-						c.ref.Ring.Deposit(delay, tgt, w)
-					}
-					if cs, cr := c.soa.StepTick(), c.ref.StepTick(); cs != cr {
-						t.Fatalf("tick %d: SoA cost %d != interface cost %d", tick, cs, cr)
-					}
-					for i := 0; i < n; i++ {
-						if i == dead {
-							continue
-						}
-						if vs, vr := c.soa.Neurons[i].V(), c.ref.Neurons[i].V(); vs != vr {
-							t.Fatalf("tick %d neuron %d: SoA v=%v, interface v=%v", tick, i, vs, vr)
-						}
-					}
+					c.step(t, tick, rng)
 				}
-				ss, rs := c.soa.Rec.Spikes(), c.ref.Rec.Spikes()
-				if len(ss) != len(rs) {
-					t.Fatalf("SoA recorded %d spikes, interface %d", len(ss), len(rs))
-				}
-				for i := range ss {
-					if ss[i] != rs[i] {
-						t.Fatalf("spike %d: SoA %+v, interface %+v", i, ss[i], rs[i])
-					}
-				}
+				c.sameRaster(t)
 			})
 		}
 	}
 }
 
 // TestSoAMatchesInterfaceStepping is the bit-exactness contract of the
-// structure-of-arrays layout: a LIF and an Izhikevich population built
-// through the SoA constructors must produce the identical spike raster,
-// membrane trajectories and instruction costs as the same neurons
-// stepped one by one through the Neuron interface, under a shared
-// pseudo-random input drive. (The up-front kill keeps this case on the
-// scalar dead-slot fallback; the chunked path has its own differential
-// test above.)
+// structure-of-arrays layout: a LIF and an Izhikevich population must
+// produce the identical spike raster, membrane trajectories, state
+// words and instruction costs as the same neurons stepped one by one by
+// the oracle, under a shared pseudo-random input drive. (The up-front
+// kill keeps this case on the scalar dead-slot loop; the chunked path
+// has its own differential test above.)
 func TestSoAMatchesInterfaceStepping(t *testing.T) {
 	const n, ticks = 32, 400
-	cases := []struct {
-		name     string
-		soa, ref *Population
-	}{
-		{"lif",
-			NewLIFPopulation(n, MaxSynDelay, DefaultLIF()),
-			NewPopulation(n, MaxSynDelay, func(int) Neuron { return NewLIF(DefaultLIF()) })},
-		{"izh",
-			NewIzhikevichPopulation(n, MaxSynDelay, RegularSpiking()),
-			NewPopulation(n, MaxSynDelay, func(int) Neuron { return NewIzhikevich(RegularSpiking()) })},
-	}
-	for _, c := range cases {
+	for _, c := range differentials(n) {
 		t.Run(c.name, func(t *testing.T) {
 			c.soa.Bias = F(0.4)
-			c.ref.Bias = F(0.4)
-			// A killed neuron exercises the dead-slot path on both layouts.
-			if err := c.soa.KillNeuron(5); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.ref.KillNeuron(5); err != nil {
-				t.Fatal(err)
-			}
+			c.ref.bias = F(0.4)
+			c.kill(t, 5)
 			rng := sim.NewRNG(99)
 			for tick := 0; tick < ticks; tick++ {
-				for dep := 0; dep < 4; dep++ {
-					tgt := rng.Intn(n)
-					delay := rng.Intn(MaxSynDelay)
-					w := Fix(rng.Intn(1 << 18))
-					c.soa.Ring.Deposit(delay, tgt, w)
-					c.ref.Ring.Deposit(delay, tgt, w)
-				}
-				if cs, cr := c.soa.StepTick(), c.ref.StepTick(); cs != cr {
-					t.Fatalf("tick %d: SoA cost %d != interface cost %d", tick, cs, cr)
-				}
-				for i := 0; i < n; i++ {
-					if i == 5 {
-						continue
-					}
-					if vs, vr := c.soa.Neurons[i].V(), c.ref.Neurons[i].V(); vs != vr {
-						t.Fatalf("tick %d neuron %d: SoA v=%v, interface v=%v", tick, i, vs, vr)
-					}
-				}
+				c.step(t, tick, rng)
 			}
-			ss, rs := c.soa.Rec.Spikes(), c.ref.Rec.Spikes()
-			if len(ss) != len(rs) {
-				t.Fatalf("SoA recorded %d spikes, interface %d", len(ss), len(rs))
-			}
-			for i := range ss {
-				if ss[i] != rs[i] {
-					t.Fatalf("spike %d: SoA %+v, interface %+v", i, ss[i], rs[i])
-				}
-			}
-			// The exported state words must be layout-blind too.
-			for i := 0; i < n; i++ {
-				sn, rn := c.soa.Neurons[i], c.ref.Neurons[i]
-				if sn == nil || rn == nil {
-					if (sn == nil) != (rn == nil) {
-						t.Fatalf("neuron %d dead in one layout only", i)
-					}
-					continue
-				}
-				sw, rw := snap.NewEncoder(), snap.NewEncoder()
-				snapNeuron(sw, sn)
-				snapNeuron(rw, rn)
-				if !bytes.Equal(sw.Bytes(), rw.Bytes()) {
-					t.Fatalf("neuron %d state words: SoA % x, interface % x", i, sw.Bytes(), rw.Bytes())
-				}
-			}
+			c.sameRaster(t)
 		})
 	}
 }

@@ -316,3 +316,23 @@ func BenchmarkRecorderDecode(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(r.Total()), "ns/spike")
 }
+
+// Count reports the spikes recorded for one neuron.
+func (r *Recorder) Count(neuron int) uint64 {
+	var n uint64
+	r.Each(func(s Spike) {
+		if s.Neuron == neuron {
+			n++
+		}
+	})
+	return n
+}
+
+// Rate reports a neuron's mean firing rate in Hz over the given ticks
+// (1 ms ticks).
+func (r *Recorder) Rate(neuron int, ticks uint64) float64 {
+	if ticks == 0 {
+		return 0
+	}
+	return float64(r.Count(neuron)) / (float64(ticks) / 1000.0)
+}

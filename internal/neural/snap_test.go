@@ -62,17 +62,7 @@ func plasticMatrix() *Matrix {
 func TestSnapRoundTrip(t *testing.T) {
 	lif := func(n int) *Population { return NewLIFPopulation(n, MaxSynDelay, DefaultLIF()) }
 	izh := func(n int) *Population { return NewIzhikevichPopulation(n, MaxSynDelay, RegularSpiking()) }
-	mixed := func(n int) *Population {
-		return NewPopulation(n, MaxSynDelay, func(i int) Neuron {
-			switch i % 3 {
-			case 0:
-				return NewLIF(DefaultLIF())
-			case 1:
-				return NewIzhikevich(Chattering())
-			}
-			return nil // stateless source slot
-		})
-	}
+	source := func(n int) *Population { return NewSourcePopulation(n, MaxSynDelay) }
 	type codes = func(*snap.Codec)
 	matrix := func(m *Matrix, neurons int) codes { return func(c *snap.Codec) { m.Snap(c, neurons) } }
 	stdp := func(s *STDPState, m *Matrix) codes { return func(c *snap.Codec) { s.Snap(c, m) } }
@@ -105,9 +95,12 @@ func TestSnapRoundTrip(t *testing.T) {
 		{"population izhikevich", steppedPop(izh(9)).Snap,
 			func() codes { return izh(9).Snap },
 			func() codes { return izh(8).Snap }},
-		{"population generic", steppedPop(mixed(7)).Snap,
-			func() codes { return mixed(7).Snap },
-			func() codes { return NewPopulation(7, MaxSynDelay, func(int) Neuron { return nil }).Snap }},
+		{"population source", steppedPop(source(7)).Snap,
+			func() codes { return source(7).Snap },
+			func() codes { return source(8).Snap }},
+		{"population lif into source", steppedPop(lif(7)).Snap,
+			func() codes { return lif(7).Snap },
+			func() codes { return source(7).Snap }}, // a live neuron where the rebuild has a stateless slot
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			enc := snap.NewEncoder()

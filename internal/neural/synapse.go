@@ -348,9 +348,6 @@ func NewInputRing(neurons, maxDelay int) *InputRing {
 	return r
 }
 
-// Slots reports the ring depth.
-func (r *InputRing) Slots() int { return len(r.slots) }
-
 // Deposit adds weight w to the accumulator of neuron due in delay ticks
 // (delay >= 1: input lands on a future tick, never the current one).
 func (r *InputRing) Deposit(delay, neuron int, w Fix) {

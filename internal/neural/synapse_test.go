@@ -413,3 +413,6 @@ func TestInputRingDelayPropertyQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Slots reports the ring depth.
+func (r *InputRing) Slots() int { return len(r.slots) }

@@ -34,9 +34,6 @@ func (im *Image) At(x, y int) float64 {
 	return im.Pix[y*im.W+x]
 }
 
-// Set writes a pixel (in-bounds only).
-func (im *Image) Set(x, y int, v float64) { im.Pix[y*im.W+x] = v }
-
 // GaussianBlob paints a normalised Gaussian at (cx, cy).
 func (im *Image) GaussianBlob(cx, cy, sigma, amp float64) {
 	for y := 0; y < im.H; y++ {
@@ -222,16 +219,6 @@ func (r *Retina) KillFraction(frac float64, rng *sim.RNG) int {
 	return killed
 }
 
-// KillCell disables one cell.
-func (r *Retina) KillCell(i int) { r.Cells[i].Dead = true }
-
-// Revive restores all cells.
-func (r *Retina) Revive() {
-	for i := range r.Cells {
-		r.Cells[i].Dead = false
-	}
-}
-
 // CodeField renders what a rank-order code *says about the image*: each
 // coded cell paints its receptive-field centre Gaussian (signed by
 // polarity) weighted by its rank significance. Two codes that use
@@ -289,23 +276,4 @@ func FieldCorrelation(a, b []float64) float64 {
 // carry (receptive-field aware), rather than by cell identity.
 func (r *Retina) InformationSimilarity(a, b Code) float64 {
 	return FieldCorrelation(r.CodeField(a), r.CodeField(b))
-}
-
-// NearestLiveNeighbor finds the closest live cell of the same scale and
-// polarity — the cell that takes over a dead cell's receptive field.
-func (r *Retina) NearestLiveNeighbor(i int) (int, bool) {
-	ci := r.Cells[i]
-	best, bestD := -1, math.MaxFloat64
-	for j := range r.Cells {
-		cj := r.Cells[j]
-		if j == i || cj.Dead || cj.Sigma != ci.Sigma || cj.OnCenter != ci.OnCenter {
-			continue
-		}
-		dx, dy := float64(cj.X-ci.X), float64(cj.Y-ci.Y)
-		if d := dx*dx + dy*dy; d < bestD {
-			bestD = d
-			best = j
-		}
-	}
-	return best, best >= 0
 }

@@ -1,6 +1,7 @@
 package nofm
 
 import (
+	"math"
 	"testing"
 
 	"spinngo/internal/sim"
@@ -287,4 +288,33 @@ func TestFieldCorrelationBounds(t *testing.T) {
 	if got := FieldCorrelation(a, []float64{0, 0, 0}); got != 0 {
 		t.Errorf("zero field correlation %g", got)
 	}
+}
+
+// KillCell disables one cell.
+func (r *Retina) KillCell(i int) { r.Cells[i].Dead = true }
+
+// Revive restores all cells.
+func (r *Retina) Revive() {
+	for i := range r.Cells {
+		r.Cells[i].Dead = false
+	}
+}
+
+// NearestLiveNeighbor finds the closest live cell of the same scale and
+// polarity — the cell that takes over a dead cell's receptive field.
+func (r *Retina) NearestLiveNeighbor(i int) (int, bool) {
+	ci := r.Cells[i]
+	best, bestD := -1, math.MaxFloat64
+	for j := range r.Cells {
+		cj := r.Cells[j]
+		if j == i || cj.Dead || cj.Sigma != ci.Sigma || cj.OnCenter != ci.OnCenter {
+			continue
+		}
+		dx, dy := float64(cj.X-ci.X), float64(cj.Y-ci.Y)
+		if d := dx*dx + dy*dy; d < bestD {
+			bestD = d
+			best = j
+		}
+	}
+	return best, best >= 0
 }

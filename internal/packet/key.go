@@ -7,10 +7,6 @@ package packet
 // the mapping layer; KeyMask captures a (key, mask) ternary pair as stored
 // in router entries.
 
-// Key composes an AER key from a core-identifying base and neuron index.
-// base must have its low indexBits clear.
-func Key(base uint32, neuron uint32) uint32 { return base | neuron }
-
 // KeyMask is a ternary routing match: an incoming key matches when
 // key&Mask == Key&Mask. Mask bits that are 0 are "don't care".
 type KeyMask struct {
@@ -20,27 +16,6 @@ type KeyMask struct {
 
 // Matches reports whether k matches this entry.
 func (km KeyMask) Matches(k uint32) bool { return k&km.Mask == km.Key&km.Mask }
-
-// Canonical returns the entry with don't-care key bits forced to zero, so
-// equal matchers compare equal.
-func (km KeyMask) Canonical() KeyMask {
-	return KeyMask{Key: km.Key & km.Mask, Mask: km.Mask}
-}
-
-// Overlaps reports whether some key matches both entries.
-func (km KeyMask) Overlaps(other KeyMask) bool {
-	common := km.Mask & other.Mask
-	return km.Key&common == other.Key&common
-}
-
-// Covers reports whether every key matching other also matches km.
-func (km KeyMask) Covers(other KeyMask) bool {
-	// km's cared-for bits must be a subset of other's, and agree on them.
-	if km.Mask&^other.Mask != 0 {
-		return false
-	}
-	return km.Key&km.Mask == other.Key&km.Mask
-}
 
 // MergeDistance counts the cared-for bit positions where the two entries
 // disagree. Entries with equal masks and distance 1 can be merged into a

@@ -15,51 +15,6 @@ func TestKeyMaskMatches(t *testing.T) {
 	}
 }
 
-func TestKeyMaskCanonical(t *testing.T) {
-	a := KeyMask{Key: 0x12ff, Mask: 0xff00}.Canonical()
-	b := KeyMask{Key: 0x1200, Mask: 0xff00}.Canonical()
-	if a != b {
-		t.Errorf("canonical forms differ: %+v vs %+v", a, b)
-	}
-}
-
-func TestKeyMaskOverlaps(t *testing.T) {
-	a := KeyMask{Key: 0x10, Mask: 0xf0}
-	b := KeyMask{Key: 0x13, Mask: 0xff}
-	if !a.Overlaps(b) {
-		t.Error("0x1?/0x13 should overlap")
-	}
-	c := KeyMask{Key: 0x20, Mask: 0xf0}
-	if a.Overlaps(c) {
-		t.Error("0x1? and 0x2? should not overlap")
-	}
-}
-
-func TestKeyMaskCovers(t *testing.T) {
-	broad := KeyMask{Key: 0x10, Mask: 0xf0}
-	narrow := KeyMask{Key: 0x13, Mask: 0xff}
-	if !broad.Covers(narrow) {
-		t.Error("broad should cover narrow")
-	}
-	if narrow.Covers(broad) {
-		t.Error("narrow should not cover broad")
-	}
-}
-
-func TestCoversImpliesOverlaps(t *testing.T) {
-	f := func(k1, m1, k2, m2 uint32) bool {
-		a := KeyMask{Key: k1, Mask: m1}
-		b := KeyMask{Key: k2, Mask: m2}
-		if a.Covers(b) && !a.Overlaps(b) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMerge(t *testing.T) {
 	a := KeyMask{Key: 0x10, Mask: 0xff}
 	b := KeyMask{Key: 0x11, Mask: 0xff}

@@ -13,9 +13,7 @@
 package packet
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math/bits"
 
 	"spinngo/internal/snap"
 )
@@ -45,17 +43,6 @@ func (t Type) String() string {
 		return fmt.Sprintf("type(%d)", uint8(t))
 	}
 }
-
-// Control-byte layout. The real chip packs parity, timestamp, payload
-// flag, emergency-routing state and type into the 8-bit header; we follow
-// that structure.
-const (
-	ctrlParity    uint8 = 1 << 0 // odd parity over the whole packet
-	ctrlTimestamp uint8 = 3 << 1 // 2-bit coarse timestamp phase
-	ctrlPayload   uint8 = 1 << 3 // 32-bit payload follows
-	ctrlEmergency uint8 = 3 << 4 // emergency-routing field (mc only)
-	ctrlTypeShift       = 6      // top two bits: packet type
-)
 
 // Emergency-routing field values for MC packets (paper Fig 8). A packet
 // diverted around a blocked link is marked so the next router knows to
@@ -136,20 +123,6 @@ func P2PAddr(x, y int) uint16 { return uint16(y&0xff)<<8 | uint16(x&0xff) }
 // P2PCoords unpacks a 16-bit p2p address into mesh coordinates.
 func P2PCoords(a uint16) (x, y int) { return int(a & 0xff), int(a >> 8) }
 
-// control assembles the 8-bit header (without the parity bit, which is
-// computed over the serialised packet).
-func (p Packet) control() uint8 {
-	c := uint8(p.Type) << ctrlTypeShift
-	c |= (p.Timestamp & 3) << 1
-	if p.HasPayload {
-		c |= ctrlPayload
-	}
-	if p.Type == MC {
-		c |= uint8(p.Emergency&3) << 4
-	}
-	return c
-}
-
 // MinWireSize is the smallest serialised packet (a payload-less 40-bit
 // multicast or nearest-neighbour packet). No frame can occupy a link
 // for less than the time this many bytes take to serialise, which is
@@ -167,88 +140,6 @@ func (p Packet) WireSize() int {
 		n += 4
 	}
 	return n
-}
-
-// MarshalBinary serialises the packet to its wire format: control byte,
-// 32-bit key (big-endian), then optional address and payload words. The
-// parity bit in the control byte is set so the whole packet has odd
-// parity, as on the real interconnect.
-func (p Packet) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, p.WireSize())
-	buf = append(buf, p.control())
-	var key uint32
-	switch p.Type {
-	case P2P:
-		key = uint32(p.DstAddr)<<16 | p.Key&0xffff
-	default:
-		key = p.Key
-	}
-	var w [4]byte
-	binary.BigEndian.PutUint32(w[:], key)
-	buf = append(buf, w[:]...)
-	if p.Type == P2P {
-		var s [2]byte
-		binary.BigEndian.PutUint16(s[:], p.SrcAddr)
-		buf = append(buf, s[:]...)
-	}
-	if p.HasPayload {
-		binary.BigEndian.PutUint32(w[:], p.Payload)
-		buf = append(buf, w[:]...)
-	}
-	// Set the parity bit so total ones count is odd.
-	ones := 0
-	for _, b := range buf {
-		ones += bits.OnesCount8(b)
-	}
-	if ones%2 == 0 {
-		buf[0] |= ctrlParity
-	}
-	return buf, nil
-}
-
-// UnmarshalBinary parses a packet from wire format, checking parity.
-func (p *Packet) UnmarshalBinary(data []byte) error {
-	if len(data) < 5 {
-		return fmt.Errorf("packet: short frame (%d bytes)", len(data))
-	}
-	ones := 0
-	for _, b := range data {
-		ones += bits.OnesCount8(b)
-	}
-	if ones%2 != 1 {
-		return fmt.Errorf("packet: parity error")
-	}
-	ctrl := data[0]
-	p.Type = Type(ctrl >> ctrlTypeShift)
-	p.Timestamp = (ctrl >> 1) & 3
-	p.HasPayload = ctrl&ctrlPayload != 0
-	p.Emergency = EmNormal
-	if p.Type == MC {
-		p.Emergency = EmergencyState((ctrl >> 4) & 3)
-	}
-	key := binary.BigEndian.Uint32(data[1:5])
-	rest := data[5:]
-	if p.Type == P2P {
-		if len(rest) < 2 {
-			return fmt.Errorf("packet: p2p frame missing source address")
-		}
-		p.DstAddr = uint16(key >> 16)
-		p.Key = key & 0xffff
-		p.SrcAddr = binary.BigEndian.Uint16(rest[:2])
-		rest = rest[2:]
-	} else {
-		p.Key = key
-		p.SrcAddr, p.DstAddr = 0, 0
-	}
-	if p.HasPayload {
-		if len(rest) < 4 {
-			return fmt.Errorf("packet: frame missing payload")
-		}
-		p.Payload = binary.BigEndian.Uint32(rest[:4])
-	} else {
-		p.Payload = 0
-	}
-	return nil
 }
 
 // String renders a compact human-readable description.

@@ -123,6 +123,20 @@ func TestTxTransitionAccounting(t *testing.T) {
 	if tx.Transitions != 30 { // 5 symbols x 3 wires x up+down
 		t.Errorf("RTZ transitions = %d, want 30", tx.Transitions)
 	}
+
+	// The analytic figures E1 reads are the encoder's data-wire
+	// transitions plus the acknowledge's: one toggle per NRZ symbol, a
+	// rise and a fall per RTZ symbol.
+	frame := []byte{0x00, 0xff, 0xa5, 0x3c, 0x01}
+	for code, ack := range map[Code]int{NRZ2of7: 1, RTZ3of6: 2} {
+		tx := NewTx(code)
+		tx.SendFrame(frame)
+		cost := LinkParams{Code: code}.FrameCost(len(frame))
+		if got := tx.Transitions + ack*tx.Symbols; got != cost.Transitions || tx.Symbols != cost.Symbols {
+			t.Errorf("%v: encoder made %d transitions in %d symbols, FrameCost says %d in %d",
+				code, got, tx.Symbols, cost.Transitions, cost.Symbols)
+		}
+	}
 }
 
 func TestNRZStateEvolution(t *testing.T) {

@@ -75,17 +75,6 @@ func LevelName(level int) (unit, links string) {
 	return levelDefaults[level].unit, levelDefaults[level].links
 }
 
-// DefaultOnChip returns parameters for the on-chip CHAIN interconnect
-// (3-of-6 RTZ).
-func DefaultOnChip() LinkParams {
-	return LinkParams{
-		Code:                RTZ3of6,
-		WireDelay:           1 * sim.Nanosecond, // short on-chip CHAIN segment
-		LogicDelay:          1 * sim.Nanosecond, // RTZ completion detection is simple
-		EnergyPerTransition: 0.15,               // pJ: on-chip wire
-	}
-}
-
 // SymbolPeriod reports the time to transfer one 4-bit symbol: each
 // handshake round trip costs an out-and-return wire flight plus logic
 // overhead, and the code determines how many round trips a symbol needs.
@@ -134,92 +123,6 @@ func (p LinkParams) FrameCost(nBytes int) TransferCost {
 // wider than the router latency alone.
 func (p LinkParams) SerialisationFloor(minBytes int) sim.Time {
 	return p.FrameCost(minBytes).Time
-}
-
-// Tx is a symbol-level transmitter feeding a wire bundle. It tracks the
-// NRZ wire state (for RTZ the state always returns to zero) and counts
-// transitions, so a byte stream can be replayed exactly.
-type Tx struct {
-	book        *Codebook
-	state       uint8 // current wire levels (NRZ)
-	Transitions int
-	Symbols     int
-}
-
-// NewTx returns a transmitter for the given code.
-func NewTx(code Code) *Tx { return &Tx{book: NewCodebook(code)} }
-
-// SendSymbol emits one symbol and returns the resulting wire state delta
-// (the mask of wires that changed).
-func (t *Tx) SendSymbol(symbol int) uint8 {
-	mask := t.book.Mask(symbol)
-	t.Symbols++
-	if t.book.code == RTZ3of6 {
-		// Wires pulse up then back down: 2 transitions per set wire.
-		t.Transitions += 2 * popcount8(mask)
-		return mask
-	}
-	// NRZ: the wires in the mask toggle.
-	t.state ^= mask
-	t.Transitions += popcount8(mask)
-	return mask
-}
-
-// SendByte emits the two nibbles of b, low nibble first (as on the wire).
-func (t *Tx) SendByte(b byte) {
-	t.SendSymbol(int(b & 0x0f))
-	t.SendSymbol(int(b >> 4))
-}
-
-// SendFrame emits a whole frame followed by EOP.
-func (t *Tx) SendFrame(frame []byte) {
-	for _, b := range frame {
-		t.SendByte(b)
-	}
-	t.SendSymbol(EOP)
-}
-
-// State reports the current NRZ wire levels.
-func (t *Tx) State() uint8 { return t.state }
-
-// Rx is the matching symbol-level receiver. Deliver wire-change masks to
-// Receive in order; completed frames are returned as byte slices.
-type Rx struct {
-	book    *Codebook
-	nibbles []byte
-	frames  [][]byte
-	Errors  int
-}
-
-// NewRx returns a receiver for the given code.
-func NewRx(code Code) *Rx { return &Rx{book: NewCodebook(code)} }
-
-// Receive consumes one wire-change mask. Invalid masks count as symbol
-// errors and are discarded (the paper's links pass data "albeit with
-// errors" under interference; upper layers use parity).
-func (r *Rx) Receive(mask uint8) {
-	sym, ok := r.book.Symbol(mask)
-	if !ok {
-		r.Errors++
-		return
-	}
-	if sym == EOP {
-		frame := make([]byte, 0, len(r.nibbles)/2)
-		for i := 0; i+1 < len(r.nibbles); i += 2 {
-			frame = append(frame, r.nibbles[i]|r.nibbles[i+1]<<4)
-		}
-		r.frames = append(r.frames, frame)
-		r.nibbles = r.nibbles[:0]
-		return
-	}
-	r.nibbles = append(r.nibbles, byte(sym))
-}
-
-// Frames returns and clears the completed frames.
-func (r *Rx) Frames() [][]byte {
-	f := r.frames
-	r.frames = nil
-	return f
 }
 
 // Validate sanity-checks link parameters.

@@ -64,14 +64,8 @@ func TestDefaultParamsValid(t *testing.T) {
 	if err := DefaultLink(0).Validate(); err != nil {
 		t.Error(err)
 	}
-	if err := DefaultOnChip().Validate(); err != nil {
-		t.Error(err)
-	}
 	if DefaultLink(0).Code != NRZ2of7 {
 		t.Error("inter-chip links use 2-of-7 NRZ in the paper")
-	}
-	if DefaultOnChip().Code != RTZ3of6 {
-		t.Error("on-chip fabric uses 3-of-6 RTZ in the paper")
 	}
 }
 
@@ -124,21 +118,6 @@ func TestValidateRejectsNegatives(t *testing.T) {
 	p.EnergyPerTransition = -1
 	if p.Validate() == nil {
 		t.Error("negative energy accepted")
-	}
-}
-
-func TestOffChipTradeoffReverses(t *testing.T) {
-	// Off chip, wire delay dominates: NRZ wins on time and energy. The
-	// decision reverses on chip because RTZ logic is simpler — model
-	// that as lower logic delay for RTZ on-chip and check the crossover
-	// logic is visible in the parameters.
-	on := DefaultOnChip()
-	off := DefaultLink(0)
-	if off.WireDelay <= on.WireDelay {
-		t.Error("off-chip wire delay should exceed on-chip")
-	}
-	if off.EnergyPerTransition <= on.EnergyPerTransition {
-		t.Error("off-chip transition energy should exceed on-chip")
 	}
 }
 

@@ -86,9 +86,6 @@ func (l *TokenLink) Tokens() int {
 	return n
 }
 
-// Live reports whether the link holds exactly one token.
-func (l *TokenLink) Live() bool { return l.Tokens() == 1 && l.Malfunctions == 0 }
-
 // Deadlocked reports whether the link has no token left.
 func (l *TokenLink) Deadlocked() bool { return l.Tokens() == 0 }
 

@@ -92,3 +92,6 @@ func TestTokenInvariantNeverExceedsTwoAfterSingleReset(t *testing.T) {
 		}
 	}
 }
+
+// Live reports whether the link holds exactly one token.
+func (l *TokenLink) Live() bool { return l.Tokens() == 1 && l.Malfunctions == 0 }

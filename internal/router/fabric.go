@@ -288,10 +288,6 @@ type Node struct {
 // the chip's events carry one canonical identity.
 func (n *Node) Domain() *sim.Domain { return n.dom }
 
-// Shard reports the shard index owning this node, fixed by the
-// partition the fabric was built with.
-func (n *Node) Shard() int { return n.shard }
-
 // Index reports the node's torus index — an identity that, unlike
 // Shard, is the same under every partition.
 func (n *Node) Index() int { return int(n.idx) }
@@ -595,14 +591,6 @@ func (f *Fabric) DeliveredP2P() uint64 { return f.sum(func(n *Node) uint64 { ret
 
 // DroppedPackets counts packets the routers gave up on machine-wide.
 func (f *Fabric) DroppedPackets() uint64 { return f.sum(func(n *Node) uint64 { return n.dropped }) }
-
-// AgedPackets counts packets killed by the timestamp-phase check.
-func (f *Fabric) AgedPackets() uint64 { return f.sum(func(n *Node) uint64 { return n.aged }) }
-
-// P2PUnroutable counts p2p packets that hit unconfigured nodes.
-func (f *Fabric) P2PUnroutable() uint64 {
-	return f.sum(func(n *Node) uint64 { return n.p2pUnroutable })
-}
 
 // EmergencyInvocations counts Fig-8 detours machine-wide.
 func (f *Fabric) EmergencyInvocations() uint64 {
@@ -1447,24 +1435,4 @@ func (n *Node) Reinject(dp DroppedPacket) bool {
 	fl := flit{pkt: pkt, injectedAt: n.dom.Now()}
 	n.dom.AfterP(n.fabric.p.RouterLatency, &fwdEv{n: n, fl: fl, d: dp.Dir})
 	return true
-}
-
-// ReinjectDropped reads the dropped-packet register and re-issues what
-// it held, reporting how many packets (0 or 1) were re-issued.
-func (n *Node) ReinjectDropped() int {
-	if dp, ok := n.ReadDropped(); ok && n.Reinject(dp) {
-		return 1
-	}
-	return 0
-}
-
-// QueueLen reports the occupancy of the output queue on link d of chip c
-// (useful to assert the lightly-loaded regime in tests). Untouched
-// chips have empty queues and are not materialised by asking.
-func (f *Fabric) QueueLen(c topo.Coord, d topo.Dir) int {
-	n := f.Existing(c)
-	if n == nil {
-		return 0
-	}
-	return len(n.out[d].queue)
 }

@@ -707,3 +707,20 @@ func TestShardedFabricDeliversAcrossBlockBoundaries(t *testing.T) {
 		t.Errorf("sharded delivery at %v, single-engine at %v", deliveredAt, refAt)
 	}
 }
+
+// AgedPackets counts packets killed by the timestamp-phase check.
+func (f *Fabric) AgedPackets() uint64 { return f.sum(func(n *Node) uint64 { return n.aged }) }
+
+// P2PUnroutable counts p2p packets that hit unconfigured nodes.
+func (f *Fabric) P2PUnroutable() uint64 {
+	return f.sum(func(n *Node) uint64 { return n.p2pUnroutable })
+}
+
+// ReinjectDropped reads the dropped-packet register and re-issues what
+// it held, reporting how many packets (0 or 1) were re-issued.
+func (n *Node) ReinjectDropped() int {
+	if dp, ok := n.ReadDropped(); ok && n.Reinject(dp) {
+		return 1
+	}
+	return 0
+}

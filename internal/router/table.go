@@ -108,9 +108,6 @@ func NewTable(capacity int) *Table {
 // Len reports the number of installed entries.
 func (t *Table) Len() int { return len(t.entries) }
 
-// Capacity reports the CAM capacity (0 = unlimited).
-func (t *Table) Capacity() int { return t.capacity }
-
 // Add appends an entry (lowest priority). It fails when the table is
 // full — the condition the mapping toolchain's minimiser exists to avoid.
 func (t *Table) Add(e Entry) error {

@@ -98,3 +98,6 @@ func TestRouteMaskRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Capacity reports the CAM capacity (0 = unlimited).
+func (t *Table) Capacity() int { return t.capacity }

@@ -238,21 +238,6 @@ func TestRNGPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestRNGPoissonMean(t *testing.T) {
-	r := NewRNG(7)
-	for _, mean := range []float64{0.5, 3, 20, 200} {
-		sum := 0
-		const n = 5000
-		for i := 0; i < n; i++ {
-			sum += r.Poisson(mean)
-		}
-		got := float64(sum) / n
-		if got < mean*0.9-0.2 || got > mean*1.1+0.2 {
-			t.Errorf("Poisson(%g) sample mean %g out of tolerance", mean, got)
-		}
-	}
-}
-
 func TestRNGExpMean(t *testing.T) {
 	r := NewRNG(9)
 	const rate = 4.0

@@ -135,44 +135,6 @@ func (r *RNG) Exp(rate float64) float64 {
 	return -math.Log(u) / rate
 }
 
-// Norm returns a normally distributed value with the given mean and
-// standard deviation (Box-Muller).
-func (r *RNG) Norm(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
-}
-
-// Poisson returns a Poisson-distributed count with the given mean,
-// using Knuth's method for small means and a normal approximation for
-// large ones.
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		n := int(r.Norm(mean, math.Sqrt(mean)) + 0.5)
-		if n < 0 {
-			return 0
-		}
-		return n
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Perm returns a random permutation of [0, n) (Fisher-Yates).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

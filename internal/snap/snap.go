@@ -18,9 +18,6 @@ type Writer struct {
 	buf []byte
 }
 
-// Bytes returns the encoded buffer.
-func (w *Writer) Bytes() []byte { return w.buf }
-
 // room makes space for n more bytes, at least doubling the capacity
 // when it grows: append's own policy grows a large slice by about a
 // quarter, which copied a 108 MB image through some 600 MB of discarded
@@ -103,12 +100,6 @@ type Reader struct {
 	off int
 	err error
 }
-
-// NewReader wraps an encoded buffer.
-func NewReader(b []byte) *Reader { return &Reader{buf: b} }
-
-// Err reports the first decoding error, if any.
-func (r *Reader) Err() error { return r.err }
 
 // Remaining reports how many bytes are left undecoded.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }

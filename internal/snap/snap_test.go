@@ -332,3 +332,12 @@ func TestWriterGrowsByDoubling(t *testing.T) {
 		t.Errorf("a %d-byte buffer grew through %d bytes of discarded ones", last, grown)
 	}
 }
+
+// NewReader wraps an encoded buffer.
+func NewReader(b []byte) *Reader { return &Reader{buf: b} }
+
+// Bytes returns the encoded buffer.
+func (w *Writer) Bytes() []byte { return w.buf }
+
+// Err reports the first decoding error, if any.
+func (r *Reader) Err() error { return r.err }

@@ -197,22 +197,6 @@ func (t Torus) NextDir(a, b Coord) (d Dir, ok bool) {
 	}
 }
 
-// Path reports a shortest path from a to b as a direction sequence.
-func (t Torus) Path(a, b Coord) []Dir {
-	var path []Dir
-	cur := t.Wrap(a)
-	b = t.Wrap(b)
-	for cur != b {
-		d, ok := t.NextDir(cur, b)
-		if !ok {
-			break
-		}
-		path = append(path, d)
-		cur = t.Neighbor(cur, d)
-	}
-	return path
-}
-
 // MaxDistance reports the network diameter (worst-case Distance). The
 // torus is vertex-transitive, so scanning distances from the origin
 // suffices; for a square n x n triangular torus the diameter is ~2n/3.

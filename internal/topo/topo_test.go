@@ -132,16 +132,16 @@ func TestPathLengthEqualsDistance(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		a := Coord{rng.Intn(16), rng.Intn(16)}
 		b := Coord{rng.Intn(16), rng.Intn(16)}
-		p := tr.Path(a, b)
-		if len(p) != tr.Distance(a, b) {
-			t.Fatalf("path length %d != distance %d for %v->%v", len(p), tr.Distance(a, b), a, b)
-		}
-		cur := a
-		for _, d := range p {
+		// Following NextDir from a reaches b in exactly Distance steps.
+		steps, cur := 0, tr.Wrap(a)
+		for d, ok := tr.NextDir(cur, tr.Wrap(b)); ok; d, ok = tr.NextDir(cur, tr.Wrap(b)) {
 			cur = tr.Neighbor(cur, d)
+			if steps++; steps > tr.Distance(a, b) {
+				break
+			}
 		}
-		if cur != tr.Wrap(b) {
-			t.Fatalf("path from %v ends at %v, want %v", a, cur, b)
+		if steps != tr.Distance(a, b) || cur != tr.Wrap(b) {
+			t.Fatalf("path from %v: %d steps to %v, want %d to %v", a, steps, cur, tr.Distance(a, b), tr.Wrap(b))
 		}
 	}
 }

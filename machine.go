@@ -1013,8 +1013,7 @@ func (m *Machine) buildUnitAt(f *mapping.Fragment, fragIdx, slot int, tickBase u
 	switch pop.Kind {
 	case mapping.ModelPoisson:
 		u.source = neural.NewPoissonSource(rng.Fork(), f.Size(), pop.RateHz)
-		u.pop = neural.NewPopulation(f.Size(), neural.MaxSynDelay,
-			func(int) neural.Neuron { return nil })
+		u.pop = neural.NewSourcePopulation(f.Size(), neural.MaxSynDelay)
 	case mapping.ModelIzhikevich:
 		u.pop = neural.NewIzhikevichPopulation(f.Size(), neural.MaxSynDelay, pop.Izh)
 	default:
@@ -1238,11 +1237,6 @@ func (m *Machine) Run(ms int) (*RunReport, error) {
 	// the lookahead re-prices.
 	m.commitFaults()
 	return m.report(), nil
-}
-
-// Stop halts all application cores (their timers stop ticking).
-func (m *Machine) Stop() {
-	m.eachUnit(func(u *unit) { u.core.Stop() })
 }
 
 // Spike is one recorded firing, in population-global coordinates.
@@ -1548,6 +1542,9 @@ func (m *Machine) KillNeuron(p Pop, idx int) error {
 	pop, err := m.popOf(p)
 	if err != nil {
 		return err
+	}
+	if pop.Kind == mapping.ModelPoisson {
+		return fmt.Errorf("spinngo: %q is a spike source; its neurons cannot be killed", pop.Name)
 	}
 	frag, err := mapping.FragmentForNeuron(m.rplan.Frags, pop, idx)
 	if err != nil {

@@ -234,6 +234,18 @@ func TestKillNeuronSilences(t *testing.T) {
 	if len(m.Spikes(p)) == 0 {
 		t.Error("survivors did not fire")
 	}
+
+	// A spike source's neurons are stateless trains: killing one would
+	// leave it firing, so the call is refused.
+	m = buildSmallMachine(t, MachineConfig{Width: 2, Height: 2, Seed: 4})
+	model = NewModel()
+	stim := model.AddPoisson("stim", 10, 200)
+	if _, err := m.Load(model); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.KillNeuron(stim, 3); err == nil || !strings.Contains(err.Error(), "spike source") {
+		t.Errorf("KillNeuron on a Poisson population: %v, want a spike-source error", err)
+	}
 }
 
 func TestEmergencyRoutingEndToEnd(t *testing.T) {

@@ -231,15 +231,3 @@ func (m *Model) Connect(pre, post Pop, c Conn) error {
 	})
 	return m.net.Validate()
 }
-
-// Populations reports the number of populations.
-func (m *Model) Populations() int { return len(m.net.Pops) }
-
-// Neurons reports the total neuron count.
-func (m *Model) Neurons() int {
-	n := 0
-	for _, p := range m.net.Pops {
-		n += p.N
-	}
-	return n
-}
