@@ -372,7 +372,11 @@ func (p *RoutingPlan) InstallTables(f *router.Fabric) error {
 
 // Validate walks every fragment's key through the generated tables
 // (including default routing) and confirms it reaches exactly the
-// intended cores with no loops.
+// intended cores with no loops. The walk is depth first, a route's
+// links taken in direction order, on one reused stack; a chip reached
+// twice in the same direction is a loop. What a fragment delivers is one
+// core mask per chip, and the walk's marks are stamped with the
+// fragment's turn, so no fragment allocates.
 func (p *RoutingPlan) Validate() error {
 	lookup := func(chip topo.Coord, key uint32) (router.RouteMask, bool) {
 		for _, e := range p.Tables[chip] {
@@ -382,67 +386,74 @@ func (p *RoutingPlan) Validate() error {
 		}
 		return 0, false
 	}
-	for _, f := range p.Frags {
+	var links router.RouteMask
+	for d := topo.Dir(0); int(d) < topo.NumDirs; d++ {
+		links = links.WithLink(d)
+	}
+	torus := p.Spec.Torus
+	type hop struct {
+		chip   topo.Coord
+		travel int // -1 at injection
+	}
+	var stack []hop
+	var touched []int
+	// visited[chip index*(NumDirs+1) + travel+1] is the turn of the last
+	// fragment whose walk reached that chip travelling that way.
+	visited := make([]int, torus.Size()*(topo.NumDirs+1))
+	got := make([]router.RouteMask, torus.Size())
+	for turn, f := range p.Frags {
 		want := p.Dests[f.Index]
-		got := make(map[topo.Coord]map[int]bool)
-		type state struct {
-			chip   topo.Coord
-			travel int // -1 at injection
-		}
-		visited := make(map[state]bool)
-		var walk func(chip topo.Coord, travel int) error
-		walk = func(chip topo.Coord, travel int) error {
-			s := state{chip, travel}
-			if visited[s] {
-				return fmt.Errorf("mapping: fragment %d loops at %v", f.Index, chip)
-			}
-			visited[s] = true
-			rm, ok := lookup(chip, f.Key())
-			if !ok {
-				if travel < 0 {
-					return fmt.Errorf("mapping: fragment %d unroutable at source %v", f.Index, chip)
-				}
-				// Default routing: straight through.
-				d := topo.Dir(travel)
-				return walk(p.Spec.Torus.Neighbor(chip, d), int(d))
-			}
-			for _, core := range rm.Cores() {
-				if got[chip] == nil {
-					got[chip] = make(map[int]bool)
-				}
-				got[chip][core] = true
-			}
-			for _, d := range rm.Links() {
-				if err := walk(p.Spec.Torus.Neighbor(chip, d), int(d)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
 		if len(want) == 0 {
 			continue // fragment has no targets (e.g. output-only population)
 		}
-		if err := walk(f.Chip, -1); err != nil {
-			return err
-		}
-		for chip, cores := range want {
-			for _, core := range cores {
-				if !got[chip][core] {
-					return fmt.Errorf("mapping: fragment %d missed %v core %d", f.Index, chip, core)
+		stack, touched = append(stack[:0], hop{f.Chip, -1}), touched[:0]
+		for len(stack) > 0 {
+			h := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			i := torus.Index(h.chip)
+			v := &visited[i*(topo.NumDirs+1)+h.travel+1]
+			if *v == turn+1 {
+				return fmt.Errorf("mapping: fragment %d loops at %v", f.Index, h.chip)
+			}
+			*v = turn + 1
+			rm, ok := lookup(h.chip, f.Key())
+			if !ok {
+				if h.travel < 0 {
+					return fmt.Errorf("mapping: fragment %d unroutable at source %v", f.Index, h.chip)
+				}
+				// Default routing: straight through.
+				d := topo.Dir(h.travel)
+				stack = append(stack, hop{torus.Neighbor(h.chip, d), h.travel})
+				continue
+			}
+			if cores := rm &^ links; cores != 0 {
+				if got[i] == 0 {
+					touched = append(touched, i)
+				}
+				got[i] |= cores
+			}
+			// Pushed last first, so the lowest direction is walked first.
+			for d := topo.Dir(topo.NumDirs - 1); d >= 0; d-- {
+				if rm.HasLink(d) {
+					stack = append(stack, hop{torus.Neighbor(h.chip, d), int(d)})
 				}
 			}
 		}
-		for chip, cores := range got {
-			for core := range cores {
-				found := false
-				for _, c := range want[chip] {
-					if c == core {
-						found = true
-						break
-					}
+		// Each wanted core is cleared once found (a fragment's targets
+		// are distinct cores), so what is left is over-delivery.
+		for chip, cores := range want {
+			i := torus.Index(chip)
+			for _, core := range cores {
+				if uint(core) >= router.MaxCores || !got[i].HasCore(core) {
+					return fmt.Errorf("mapping: fragment %d missed %v core %d", f.Index, chip, core)
 				}
-				if !found {
-					return fmt.Errorf("mapping: fragment %d over-delivered to %v core %d", f.Index, chip, core)
+				got[i] &^= router.CoreRoute(core)
+			}
+		}
+		for _, i := range touched {
+			for core := 0; got[i] != 0; core++ {
+				if got[i].HasCore(core) {
+					return fmt.Errorf("mapping: fragment %d over-delivered to %v core %d", f.Index, torus.CoordOf(i), core)
 				}
 			}
 		}

@@ -332,3 +332,47 @@ func BenchmarkCompile(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(synapses), "ns/synapse")
 }
+
+// TestValidateRejectsBadPlans hand-builds one fragment's plan on a 4x4
+// torus — injected at (0,0), bound for core 2 of (2,0) — and holds
+// Validate to each fault it names: a route that loops, a source with no
+// entry, a core the key never reaches and a core it reaches unasked.
+// The good plan sends the key east from (0,0) and lets (1,0), which has
+// no entry, default-route it on to (2,0).
+func TestValidateRejectsBadPlans(t *testing.T) {
+	frag := &Fragment{Index: 1, Chip: topo.Coord{}}
+	at := func(x int) topo.Coord { return topo.Coord{X: x} }
+	entry := func(rm router.RouteMask) []router.Entry {
+		return []router.Entry{{Match: packet.KeyMask{Key: frag.Key(), Mask: FragmentMask}, Route: rm}}
+	}
+	east := router.LinkRoute(topo.East)
+	for _, c := range []struct {
+		name   string
+		tables map[topo.Coord][]router.Entry
+		err    string
+	}{
+		{"a good plan", map[topo.Coord][]router.Entry{at(0): entry(east), at(2): entry(router.CoreRoute(2))}, ""},
+		{"a loop", map[topo.Coord][]router.Entry{at(0): entry(east), at(1): entry(router.LinkRoute(topo.West))}, "fragment 1 loops at (1,0)"},
+		{"no entry at the source", map[topo.Coord][]router.Entry{at(2): entry(router.CoreRoute(2))}, "fragment 1 unroutable at source (0,0)"},
+		{"a missed core", map[topo.Coord][]router.Entry{at(0): entry(east), at(2): entry(router.CoreRoute(3))}, "fragment 1 missed (2,0) core 2"},
+		{"an over-delivery", map[topo.Coord][]router.Entry{at(0): entry(east), at(2): entry(router.CoreRoute(2).WithCore(5))}, "fragment 1 over-delivered to (2,0) core 5"},
+		{"an over-delivery on the way", map[topo.Coord][]router.Entry{at(0): entry(east.WithCore(4)), at(2): entry(router.CoreRoute(2))}, "fragment 1 over-delivered to (0,0) core 4"},
+	} {
+		plan := &RoutingPlan{
+			Spec:   MachineSpec{Torus: topo.MustTorus(4, 4)},
+			Frags:  []*Fragment{{Index: 0}, frag},
+			Dests:  map[int]map[topo.Coord][]int{1: {at(2): {2}}},
+			Tables: c.tables,
+		}
+		err := plan.Validate()
+		if c.err == "" {
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			}
+			continue
+		}
+		if err == nil || err.Error() != "mapping: "+c.err {
+			t.Errorf("%s: error %v, want %q", c.name, err, "mapping: "+c.err)
+		}
+	}
+}

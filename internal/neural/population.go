@@ -19,10 +19,14 @@ type Spike struct {
 
 // Recorder accumulates a spike raster. Like the paper's AER events — a
 // spike is a key, its time is when it arrives — a recorded spike carries
-// little: the raster is an append-only byte stream holding, per spike,
-// the uvarint tick delta from the spike before it and then the uvarint
-// neuron index. That is under three bytes a spike on a busy core, where
-// a []Spike took sixteen, and the raster is the one structure that grows
+// little: the raster is an append-only byte stream of records, each
+// coding a spike by where it falls in its tick. A spike in the same tick
+// as the one before it is one uvarint, zigzag(neuron − previous neuron)
+// shifted left once; the stream's first spike, and one that opens a
+// later tick, is uvarint(neuron<<1 | 1) followed by the uvarint tick
+// delta from the spike before it. A population steps its neurons in
+// index order, so a spike on a busy core takes about a byte, where a
+// []Spike took sixteen, and the raster is the one structure that grows
 // with the length of a run.
 //
 // The stream is held in blocks, each of whole spikes. The first grows by
@@ -36,6 +40,7 @@ type Recorder struct {
 	size   int // the stream's bytes, over all blocks
 	total  int
 	last   uint64 // the tick of the last spike recorded
+	prev   int    // the neuron of the last spike recorded
 	n      int    // the neurons it records
 }
 
@@ -63,26 +68,40 @@ func (r *Recorder) Record(tick uint64, neuron int) {
 	}
 	b := r.blocks[k]
 	n := len(b)
-	b = binary.AppendUvarint(binary.AppendUvarint(b, tick-r.last), uint64(neuron))
+	if r.total > 0 && tick == r.last {
+		gap := int64(neuron - r.prev)
+		b = binary.AppendUvarint(b, uint64(gap<<1^gap>>63)<<1)
+	} else {
+		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(neuron)<<1|1), tick-r.last)
+	}
 	r.blocks[k] = b
 	r.size += len(b) - n
-	r.last = tick
+	r.last, r.prev = tick, neuron
 	r.total++
 }
 
 // Each calls f with every recorded spike, in the order recorded.
 func (r *Recorder) Each(f func(Spike)) {
 	var tick uint64
+	var neuron int64
 	for _, b := range r.blocks {
-		for len(b) > 0 {
-			delta, n := binary.Uvarint(b)
-			neuron, m := binary.Uvarint(b[n:])
-			b = b[n+m:]
-			tick += delta
+		for at := 0; at < len(b); {
+			v, n := binary.Uvarint(b[at:])
+			at += n
+			if v&1 == 0 {
+				neuron += unzigzag(v >> 1)
+			} else {
+				delta, m := binary.Uvarint(b[at:])
+				at += m
+				neuron, tick = int64(v>>1), tick+delta
+			}
 			f(Spike{tick, int(neuron)})
 		}
 	}
 }
+
+// unzigzag is the signed gap a zigzag-coded g holds.
+func unzigzag(g uint64) int64 { return int64(g>>1) ^ -int64(g&1) }
 
 // Spikes returns the raster as a fresh slice, in the order recorded.
 func (r *Recorder) Spikes() []Spike {
@@ -96,12 +115,14 @@ func (r *Recorder) Total() int { return r.total }
 
 // Snap codes the recorded raster of a recorder of the same neuron count
 // as it holds it: the spike count, the stream's length, then the packed
-// stream as one span, its blocks copied end to end. Decoding reads
-// the stream in one pass and installs a copy of it as a single block,
-// with the last tick rebuilt, only if every uvarint is whole
-// and minimal, every tick fits in 64 bits, every neuron is one of the
-// recorder's and the spike count is the stream's; otherwise it fails the
-// codec and leaves the recorder as it was.
+// stream as one span, its blocks copied end to end. Decoding reads the
+// stream in one pass and installs a copy of it as a single block, with
+// the last tick and neuron rebuilt, only if it is a stream Record
+// writes: every uvarint whole and minimal, the first record opening a
+// tick and every later tick-opener a positive delta, every tick within
+// 64 bits, every neuron one of the recorder's, and the spike count the
+// stream's. Otherwise it fails the codec, naming the spike, and leaves
+// the recorder as it was.
 func (r *Recorder) Snap(c *snap.Codec) {
 	total := c.Len(r.total)
 	stream := c.Span(c.Len(r.size))
@@ -115,55 +136,122 @@ func (r *Recorder) Snap(c *snap.Codec) {
 }
 
 // decode is Snap's decoding half, given the image's spike count and
-// stream. A spike whose delta takes one byte and whose neuron takes one,
-// or two with a last byte that is not zero, is read in place; any other
-// goes through readUvarint, which reports the faults.
+// stream. Records after the first whose fields are one byte each — a
+// gap, or an opener with a positive delta — are read in place by a
+// fast loop; any other record, or one that lands outside the
+// population, takes the general step, which reports the faults. Which
+// fast loop depends on the stream's bytes a spike: under 1.25, most
+// records are gaps in long runs, as on a busy core, and skimRuns's
+// branch on a record's kind predicts well; otherwise openers and gaps
+// mix, as on a sparse core, and skim's branch-free select wins.
 func (r *Recorder) decode(c *snap.Codec, total int, stream []byte) {
 	if c.Err() != nil {
 		return
 	}
-	var last uint64
+	fast := skim
+	if 4*len(stream) < 5*total {
+		fast = skimRuns
+	}
+	var last, neuron uint64
 	spikes := 0
 	for at := 0; at < len(stream); spikes++ {
-		var delta, neuron uint64
-		end := -1
-		if s := stream[at:]; len(s) > 2 && s[0] < 0x80 {
-			delta = uint64(s[0])
-			switch lo, hi := s[1], s[2]; {
-			case lo < 0x80:
-				neuron, end = uint64(lo), at+2
-			case hi != 0 && hi < 0x80:
-				neuron, end = uint64(lo&0x7f)|uint64(hi)<<7, at+3
+		if spikes > 0 {
+			var k int
+			at, neuron, last, k = fast(stream, at, neuron, last, uint64(r.n))
+			if spikes += k; at == len(stream) {
+				break
 			}
 		}
-		if end < 0 {
-			var next int
-			if delta, next = readUvarint(stream, at); next < 0 {
+		v, next := readUvarint(stream, at)
+		if next < 0 {
+			c.Fail(fmt.Errorf("neural: recorder: spike %d: neuron is not a whole minimal uvarint", spikes))
+			return
+		}
+		if v&1 == 0 {
+			if spikes == 0 {
+				c.Fail(fmt.Errorf("neural: recorder: spike %d: the stream opens with a gap, not a tick", spikes))
+				return
+			}
+			neuron += uint64(unzigzag(v >> 1))
+		} else {
+			var delta uint64
+			if delta, next = readUvarint(stream, next); next < 0 {
 				c.Fail(fmt.Errorf("neural: recorder: spike %d: tick delta is not a whole minimal uvarint", spikes))
 				return
 			}
-			if neuron, end = readUvarint(stream, next); end < 0 {
-				c.Fail(fmt.Errorf("neural: recorder: spike %d: neuron is not a whole minimal uvarint", spikes))
+			if delta == 0 && spikes > 0 {
+				c.Fail(fmt.Errorf("neural: recorder: spike %d opens tick %d again", spikes, last))
 				return
 			}
+			if delta > math.MaxUint64-last {
+				c.Fail(fmt.Errorf("neural: recorder: spike %d: tick %d plus %d passes 2^64", spikes, last, delta))
+				return
+			}
+			neuron, last = v>>1, last+delta
 		}
-		if delta > math.MaxUint64-last {
-			c.Fail(fmt.Errorf("neural: recorder: spike %d: tick %d plus %d passes 2^64", spikes, last, delta))
-			return
-		}
+		// A gap wraps modulo 2^64; from a neuron in [0, n) no gap can
+		// wrap back into [0, n), so this one test catches both ends.
 		if neuron >= uint64(r.n) {
 			c.Fail(fmt.Errorf("neural: recorder: spike %d on neuron %d of %d", spikes, int64(neuron), r.n))
 			return
 		}
-		last += delta
-		at = end
+		at = next
 	}
 	if spikes != total {
 		c.Fail(fmt.Errorf("neural: recorder: spike count %d, the stream holds %d", total, spikes))
 		return
 	}
 	r.blocks, r.size = [][]byte{bytes.Clone(stream)}, len(stream)
-	r.total, r.last = total, last
+	r.total, r.last, r.prev = total, last, int(neuron)
+}
+
+// skim is a fast loop of decode's: from stream[at:], after the
+// stream's first record, it reads each record whose fields are one byte
+// and whose neuron is below n — a gap, or an opener with a positive
+// delta — and returns where it stopped, the neuron and tick it reached
+// and the spikes it read. The stream's last byte, and every record once
+// the tick is within 0x80 of 2^64, it leaves to the general step. It
+// does not branch on which kind a record is, so a stream that mixes
+// them costs no mispredictions, and it calls nothing, so its state
+// stays in registers.
+func skim(stream []byte, at int, neuron, last, n uint64) (int, uint64, uint64, int) {
+	k := 0
+	for ; at+1 < len(stream) && last < math.MaxUint64-0x80; k++ {
+		v, delta := uint64(stream[at]), uint64(stream[at+1])
+		odd := v & 1
+		open := -odd // all ones for an opener
+		next := v>>1&open | (neuron+uint64(unzigzag(v>>1)))&^open
+		if v|delta&open >= 0x80 || delta|^open == 0 || next >= n {
+			break
+		}
+		neuron, last, at = next, last+delta&open, at+1+int(odd)
+	}
+	return at, neuron, last, k
+}
+
+// skimRuns reads the records skim reads, and stops where skim stops,
+// branching on each record's kind: on a stream of long runs of gaps the
+// branch predicts, and the next record's read need not wait for this
+// one's kind.
+func skimRuns(stream []byte, at int, neuron, last, n uint64) (int, uint64, uint64, int) {
+	k := 0
+	for ; at+1 < len(stream) && last < math.MaxUint64-0x80; k++ {
+		v := uint64(stream[at])
+		if v&1 == 0 {
+			next := neuron + uint64(unzigzag(v>>1))
+			if v >= 0x80 || next >= n {
+				break
+			}
+			neuron, at = next, at+1
+			continue
+		}
+		delta := uint64(stream[at+1])
+		if v >= 0x80 || delta-1 >= 0x7f || v>>1 >= n {
+			break
+		}
+		neuron, last, at = v>>1, last+delta, at+2
+	}
+	return at, neuron, last, k
 }
 
 // readUvarint reads the minimal uvarint at b[at:] and returns it with

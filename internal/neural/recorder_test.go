@@ -12,18 +12,35 @@ import (
 	"spinngo/internal/snap"
 )
 
-// packRaster is the byte oracle's stream: per spike of a []Spike raster
-// the uvarint tick delta from the spike before it, then the uvarint
-// neuron (a negative one as its two's complement).
+// packRaster is the byte oracle's stream. Per spike of a []Spike
+// raster: one in the same tick as the spike before it is the uvarint of
+// twice its zigzagged neuron gap (a gap g ≥ 0 zigzags to 2g, g < 0 to
+// −2g − 1); any other is the uvarint of twice its neuron plus one (a
+// negative neuron as its two's complement), then the uvarint tick delta
+// from the spike before it.
 func packRaster(spikes []Spike) []byte {
 	var stream []byte
-	var last uint64
-	for _, s := range spikes {
+	for i, s := range spikes {
+		if i > 0 && s.Tick == spikes[i-1].Tick {
+			stream = binary.AppendUvarint(stream, 2*zigzag(s.Neuron-spikes[i-1].Neuron))
+			continue
+		}
+		var last uint64
+		if i > 0 {
+			last = spikes[i-1].Tick
+		}
+		stream = binary.AppendUvarint(stream, 2*uint64(s.Neuron)+1)
 		stream = binary.AppendUvarint(stream, s.Tick-last)
-		stream = binary.AppendUvarint(stream, uint64(s.Neuron))
-		last = s.Tick
 	}
 	return stream
+}
+
+// zigzag is the oracle's zigzag code of a neuron gap.
+func zigzag(gap int) uint64 {
+	if gap < 0 {
+		return 2*uint64(-gap) - 1
+	}
+	return 2 * uint64(gap)
 }
 
 // rasterImage is the byte oracle for Recorder.Snap: the image of a
@@ -44,10 +61,11 @@ func encodeRecorder(r *Recorder) []byte {
 }
 
 // recorderCase decodes a fuzz input into a population size and a
-// recording. The first two bytes pick the size (1 to 600 neurons, so
-// indices past 255 take two-byte varints); every three bytes after them
-// are one spike: a gap selector (the same tick, the next, a short gap or
-// a long one) and a neuron selector (neuron 0, neuron n-1 or any).
+// recording. The first two bytes pick the size (1 to 600 neurons, so a
+// spike opening a tick past neuron 63 takes a two-byte uvarint); every
+// three bytes after them are one spike: a gap selector (the same tick,
+// the next, a short gap or a long one) and a neuron selector (neuron 0,
+// neuron n-1 or any).
 func recorderCase(data []byte) (int, []Spike) {
 	if len(data) < 2 {
 		return 1, nil
@@ -147,23 +165,29 @@ func recorderMatchesOracle(t *testing.T, data []byte) {
 	// Each bad image is decoded over a recorder holding another raster.
 	stream := packRaster(want)
 	more := func(b ...byte) []byte { return append(bytes.Clone(stream), b...) }
-	spike := func(b []byte, delta, neuron uint64) []byte {
-		return binary.AppendUvarint(binary.AppendUvarint(b, delta), neuron)
+	opener := func(b []byte, neuron, delta uint64) []byte {
+		return binary.AppendUvarint(binary.AppendUvarint(b, neuron<<1|1), delta)
 	}
 	bad := map[string][]byte{
 		"truncated":                    image[:len(image)-1],
 		"a spike count one high":       rasterImage(len(want)+1, stream),
-		"a stream ending mid-spike":    rasterImage(len(want)+1, more(0)),
-		"an overlong uvarint":          rasterImage(len(want)+1, more(0x80, 0, 0)),
-		"a neuron past the population": rasterImage(len(want)+1, spike(more(), 0, uint64(n))),
-		"a tick past 2^64":             rasterImage(len(want)+2, spike(spike(more(), 1, 0), math.MaxUint64, 0)),
+		"a stream opening with a gap":  rasterImage(len(want)+1, append([]byte{0}, stream...)),
+		"a stream ending mid-spike":    rasterImage(len(want)+1, more(1)),
+		"an overlong uvarint":          rasterImage(len(want)+1, more(0x80, 0, 1)),
+		"an overlong tick delta":       rasterImage(len(want)+1, more(1, 0x81, 0)),
+		"a neuron past the population": rasterImage(len(want)+1, opener(more(), uint64(n), 1)),
+		"a tick past 2^64":             rasterImage(len(want)+2, opener(opener(more(), 0, 1), 0, math.MaxUint64)),
 	}
 	var last uint64
 	if len(want) > 0 {
 		last = want[len(want)-1].Tick
+		prev := want[len(want)-1].Neuron
 		neg := slices.Clone(want)
 		neg[0].Neuron = -1
 		bad["a negative neuron"] = rasterImage(len(neg), packRaster(neg))
+		bad["a tick opened again"] = rasterImage(len(want)+1, opener(more(), 0, 0))
+		bad["a gap below neuron 0"] = rasterImage(len(want)+1, binary.AppendUvarint(more(), 2*zigzag(-prev-1)))
+		bad["a gap to the population size"] = rasterImage(len(want)+1, binary.AppendUvarint(more(), 2*zigzag(n-prev)))
 		if len(want) > 1 {
 			bad["a spike count one low"] = rasterImage(len(want)-1, stream)
 		}
@@ -257,22 +281,54 @@ func recorderShape(n int, perTick float64, ticks int, seed int64) *Recorder {
 	return r
 }
 
-// TestRecorderBytesPerSpike pins the raster's footprint: under three
-// bytes a spike on a dense core (256 neurons, ~50 spikes a tick: most
-// deltas are zero, half the neuron indices take two bytes) and on a
-// sparse one (16 neurons, ~1 spike a tick).
+// TestRecorderBytesPerSpike pins the raster's footprint: at most 1.25
+// bytes a spike on a dense core (256 neurons, ~50 spikes a tick: all but
+// a tick's first spike are one-byte gaps) and at most 2 on a sparse one
+// (16 neurons, ~1 spike a tick: most spikes open a tick, in two bytes).
 func TestRecorderBytesPerSpike(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		n       int
 		perTick float64
-	}{{"dense", 256, 50}, {"sparse", 16, 1}} {
+		most    float64
+	}{{"dense", 256, 50, 1.25}, {"sparse", 16, 1, 2}} {
 		r := recorderShape(c.n, c.perTick, 2000, 1)
 		perSpike := float64(r.size) / float64(r.Total())
 		t.Logf("%s: %d spikes, %.2f bytes a spike", c.name, r.Total(), perSpike)
-		if r.Total() < 1000 || perSpike > 3 {
-			t.Errorf("%s: %d spikes in %d bytes, %.2f a spike; want at most 3", c.name, r.Total(), r.size, perSpike)
+		if r.Total() < 1000 || perSpike > c.most {
+			t.Errorf("%s: %d spikes in %d bytes, %.2f a spike; want at most %g", c.name, r.Total(), r.size, perSpike, c.most)
 		}
+	}
+}
+
+// TestRecorderShapesRoundTrip restores the dense and the sparse shape
+// of TestRecorderBytesPerSpike, whose streams go through decode's two
+// fast loops (skimRuns and skim), and a dense shape whose ticks open on
+// neuron 100, in two bytes; each restored recorder must match the one
+// recorded, and go on recording as it does.
+func TestRecorderShapesRoundTrip(t *testing.T) {
+	late := NewRecorder(256)
+	for tick := uint64(1); tick <= 500; tick++ {
+		for i := 100; i < 150; i++ {
+			late.Record(tick, i)
+		}
+	}
+	for name, r := range map[string]*Recorder{
+		"dense":  recorderShape(256, 50, 500, 2),
+		"sparse": recorderShape(16, 1, 500, 2),
+		"late":   late,
+	} {
+		restored := NewRecorder(r.n)
+		dec := snap.NewDecoder(encodeRecorder(r))
+		restored.Snap(dec)
+		if err := dec.Err(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkRecorder(t, restored, r.n, r.Spikes(), name+" restored")
+		for _, rec := range []*Recorder{r, restored} {
+			rec.Record(r.last, r.n-1)
+		}
+		checkRecorder(t, restored, r.n, r.Spikes(), name+" restored, then recorded on")
 	}
 }
 
@@ -299,22 +355,33 @@ func BenchmarkRecord(b *testing.B) {
 	}
 }
 
-// BenchmarkRecorderDecode is the restore of a dense core's raster (256
-// neurons, ~50 spikes a tick, about a million spikes) through snap.Codec:
-// the validating pass over the stream and the copy installed.
+// BenchmarkRecorderDecode is the restore of a core's raster through
+// snap.Codec — the validating pass over the stream and the copy
+// installed — on a dense core (256 neurons, ~50 spikes a tick: nearly
+// all one-byte gaps) and a sparse one (16 neurons, ~1 spike a tick:
+// openers and gaps mixed), each about a million spikes.
 func BenchmarkRecorderDecode(b *testing.B) {
-	r := recorderShape(256, 50, 20000, 1)
-	image := encodeRecorder(r)
-	into := NewRecorder(256)
-	b.ReportAllocs()
-	for b.Loop() {
-		dec := snap.NewDecoder(image)
-		into.Snap(dec)
-		if err := dec.Err(); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name    string
+		n       int
+		perTick float64
+		ticks   int
+	}{{"dense", 256, 50, 20000}, {"sparse", 16, 1, 1000000}} {
+		b.Run(c.name, func(b *testing.B) {
+			r := recorderShape(c.n, c.perTick, c.ticks, 1)
+			image := encodeRecorder(r)
+			into := NewRecorder(c.n)
+			b.ReportAllocs()
+			for b.Loop() {
+				dec := snap.NewDecoder(image)
+				into.Snap(dec)
+				if err := dec.Err(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(r.Total()), "ns/spike")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(r.Total()), "ns/spike")
 }
 
 // Count reports the spikes recorded for one neuron.

@@ -3,7 +3,9 @@ package neural
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -195,15 +197,18 @@ func TestSnapRejectsCorruptValues(t *testing.T) {
 		}
 	}
 
-	// A raster no run can produce — a stream cut short or ending
-	// mid-spike, an overlong uvarint, a neuron outside the population, a
-	// spike count the stream does not hold, a tick past 2^64 — is an
-	// error naming the fault, and leaves the recorder as it was; the rows
-	// whose fault sits three bytes or more from the stream's end are
-	// met on the decoder's in-place path. The good raster's last spike
-	// sits in its last two bytes, off that path, and decodes.
+	// A raster no run can produce — a stream cut short, opening with a
+	// gap, or ending mid-record; an overlong uvarint in either field; a
+	// gap or an opener outside the population; a tick opened twice; a
+	// spike count the stream does not hold; a tick past 2^64 — is an
+	// error naming the spike, and leaves the recorder as it was. The
+	// good raster is {2, 1} opening tick 2 (bytes 3, 2), {2, 3} a gap of
+	// +2 (byte 8) and {9, 0} opening tick 9 (bytes 1, 7).
 	spikes := []Spike{{2, 1}, {2, 3}, {9, 0}}
 	good := packRaster(spikes)
+	if !bytes.Equal(good, []byte{3, 2, 8, 1, 7}) {
+		t.Fatalf("the good raster packs as %v", good)
+	}
 	truncated := rasterImage(3, good)
 	for _, row := range []struct {
 		name  string
@@ -211,30 +216,78 @@ func TestSnapRejectsCorruptValues(t *testing.T) {
 		err   string
 	}{
 		{"a truncated stream", truncated[:len(truncated)-1], "exceeds the"},
-		{"an overlong uvarint", rasterImage(3, []byte{2, 1, 0x80, 0, 3, 7, 0}), "spike 1: tick delta is not a whole minimal uvarint"},
-		{"neuron at the population size", rasterImage(3, packRaster([]Spike{{2, 1}, {2, 4}, {9, 0}})), "spike 1 on neuron 4 of 4"},
-		{"negative neuron", rasterImage(3, packRaster([]Spike{{2, 1}, {2, -1}, {9, 0}})), "spike 1 on neuron -1 of 4"},
+		{"a stream opening with a gap", rasterImage(3, []byte{8, 1, 7, 1, 2}), "spike 0: the stream opens with a gap"},
+		{"a gap below neuron 0", rasterImage(3, packRaster([]Spike{{2, 1}, {2, -1}, {9, 0}})), "spike 1 on neuron -1 of 4"},
+		{"a gap to the population size", rasterImage(3, packRaster([]Spike{{2, 1}, {2, 4}, {9, 0}})), "spike 1 on neuron 4 of 4"},
+		{"a two-byte gap past the population", rasterImage(3, packRaster([]Spike{{2, 1}, {2, 200}, {9, 0}})), "spike 1 on neuron 200 of 4"},
+		{"an opener at the population size", rasterImage(3, packRaster([]Spike{{2, 1}, {2, 3}, {9, 4}})), "spike 2 on neuron 4 of 4"},
+		{"a later tick opened with delta 0", rasterImage(3, []byte{3, 2, 8, 1, 0}), "spike 2 opens tick 2 again"},
+		{"an overlong gap", rasterImage(3, []byte{3, 2, 0x88, 0, 1, 7}), "spike 1: neuron is not a whole minimal uvarint"},
+		{"an overlong opener", rasterImage(3, []byte{3, 2, 8, 0x81, 0, 7}), "spike 2: neuron is not a whole minimal uvarint"},
+		{"an overlong tick delta", rasterImage(3, []byte{3, 2, 8, 1, 0x87, 0}), "spike 2: tick delta is not a whole minimal uvarint"},
+		{"a stream ending mid-uvarint", rasterImage(3, []byte{3, 2, 8, 0x81}), "spike 2: neuron is not a whole minimal uvarint"},
+		{"an opener without its tick delta", rasterImage(3, []byte{3, 2, 8, 1}), "spike 2: tick delta is not a whole minimal uvarint"},
 		{"a spike count one high", rasterImage(4, good), "spike count 4, the stream holds 3"},
-		{"a stream ending mid-spike", rasterImage(4, append(bytes.Clone(good), 5)), "spike 3: neuron is not a whole minimal uvarint"},
-		{"a tick past 2^64", rasterImage(4, append(binary.AppendUvarint(bytes.Clone(good), math.MaxUint64-8), 0)), "spike 3: tick 9 plus"},
-		{"a two-byte neuron ending in a zero byte", rasterImage(3, []byte{2, 1, 0, 0x83, 0, 7, 0}), "spike 1: neuron is not a whole minimal uvarint"},
-		{"a two-byte neuron past the population", rasterImage(3, []byte{2, 1, 0, 0xc8, 1, 7, 0}), "spike 1 on neuron 200 of 4"},
-		{"a last spike in the last two bytes", rasterImage(3, good), ""},
+		{"a spike count one low", rasterImage(2, good), "spike count 2, the stream holds 3"},
+		{"a tick past 2^64", rasterImage(4, binary.AppendUvarint(append(bytes.Clone(good), 1), math.MaxUint64-8)), "spike 3: tick 9 plus"},
+		{"the good raster", rasterImage(3, good), ""},
 	} {
-		r := NewRecorder(4)
-		r.Record(1, 2)
-		dec := snap.NewDecoder(row.image)
-		r.Snap(dec)
-		if row.err == "" {
-			if err := dec.Err(); err != nil {
-				t.Errorf("raster with %s: error %v", row.name, err)
-			}
-			checkRecorder(t, r, 4, spikes, "after a raster with "+row.name)
-			continue
-		}
-		if err := dec.Err(); err == nil || !strings.Contains(err.Error(), row.err) {
-			t.Errorf("raster with %s: error %v, want one containing %q", row.name, err, row.err)
-		}
-		checkRecorder(t, r, 4, []Spike{{1, 2}}, "after a raster with "+row.name)
+		decodeRaster(t, row.name, row.image, spikes, row.err)
 	}
+
+	// Each fault again, after a prefix that sends decode down each of its
+	// fast loops: the good raster (1.67 bytes a spike: skim) and a dense
+	// one, every tick neurons 0 to 3 and then neuron 3 four times more
+	// (1.125 bytes a spike: skimRuns). A good opener follows the fault,
+	// so the fault is not the stream's last byte, which both loops leave
+	// to the general step.
+	var dense []Spike
+	for tick := uint64(1); tick <= 50; tick++ {
+		for _, i := range []int{0, 1, 2, 3, 3, 3, 3, 3} {
+			dense = append(dense, Spike{tick, i})
+		}
+	}
+	decodeRaster(t, "a dense raster", rasterImage(len(dense), packRaster(dense)), dense, "")
+	for _, prefix := range [][]Spike{spikes, dense} {
+		last := prefix[len(prefix)-1]
+		at := fmt.Sprintf("spike %d", len(prefix))
+		for _, row := range []struct {
+			name  string
+			fault []byte
+			err   string
+		}{
+			{"a gap below neuron 0", binary.AppendUvarint(nil, 2*zigzag(-last.Neuron-1)), at + " on neuron -1 of 4"},
+			{"a gap to the population size", binary.AppendUvarint(nil, 2*zigzag(4-last.Neuron)), at + " on neuron 4 of 4"},
+			{"an opener at the population size", []byte{9, 1}, at + " on neuron 4 of 4"},
+			{"a tick opened again", []byte{1, 0}, at + " opens tick"},
+			{"an overlong gap", []byte{0x80, 0}, at + ": neuron is not a whole minimal uvarint"},
+			{"an overlong opener", []byte{0x81, 0, 1}, at + ": neuron is not a whole minimal uvarint"},
+			{"an overlong tick delta", []byte{1, 0x81, 0}, at + ": tick delta is not a whole minimal uvarint"},
+		} {
+			stream := slices.Concat(packRaster(prefix), row.fault, []byte{1, 1})
+			decodeRaster(t, fmt.Sprintf("%s after %d spikes", row.name, len(prefix)), rasterImage(len(prefix)+2, stream), nil, row.err)
+		}
+	}
+}
+
+// decodeRaster decodes image into a recorder of 4 neurons holding one
+// spike, and holds it to want if err is empty, or else to an error
+// containing err that leaves the recorder as it was.
+func decodeRaster(t *testing.T, name string, image []byte, want []Spike, err string) {
+	t.Helper()
+	r := NewRecorder(4)
+	r.Record(1, 2)
+	dec := snap.NewDecoder(image)
+	r.Snap(dec)
+	if err == "" {
+		if got := dec.Err(); got != nil {
+			t.Errorf("raster with %s: error %v", name, got)
+		}
+		checkRecorder(t, r, 4, want, "after a raster with "+name)
+		return
+	}
+	if got := dec.Err(); got == nil || !strings.Contains(got.Error(), err) {
+		t.Errorf("raster with %s: error %v, want one containing %q", name, got, err)
+	}
+	checkRecorder(t, r, 4, []Spike{{1, 2}}, "after a raster with "+name)
 }

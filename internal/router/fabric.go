@@ -906,8 +906,7 @@ func (n *Node) routeMC(fl flit, travel int) {
 	// queue behind its single drain event. A packet reaching N cores and
 	// M links therefore costs the M arrival events at the neighbours and
 	// nothing else — O(links), not O(targets).
-	// Only the set bits are visited, lowest first: the order of
-	// RouteMask.Cores, then Links, without materialising the slices.
+	// Only the set bits are visited, lowest first: cores, then links.
 	for m := uint32(route) >> coreBit0; m != 0; m &= m - 1 {
 		n.deliverMC(fl, bits.TrailingZeros32(m))
 	}

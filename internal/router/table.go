@@ -55,28 +55,6 @@ func (m RouteMask) HasLink(d topo.Dir) bool { return m&LinkRoute(d) != 0 }
 // HasCore reports whether the set includes the local core.
 func (m RouteMask) HasCore(core int) bool { return m&CoreRoute(core) != 0 }
 
-// Links iterates the selected link directions.
-func (m RouteMask) Links() []topo.Dir {
-	var out []topo.Dir
-	for d := topo.Dir(0); int(d) < topo.NumDirs; d++ {
-		if m.HasLink(d) {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// Cores iterates the selected local cores.
-func (m RouteMask) Cores() []int {
-	var out []int
-	for c := 0; c < MaxCores; c++ {
-		if m.HasCore(c) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // IsEmpty reports whether the set selects nothing.
 func (m RouteMask) IsEmpty() bool { return m == 0 }
 

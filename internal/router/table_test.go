@@ -8,6 +8,28 @@ import (
 	"spinngo/internal/topo"
 )
 
+// Links lists the selected link directions, lowest first.
+func (m RouteMask) Links() []topo.Dir {
+	var out []topo.Dir
+	for d := topo.Dir(0); int(d) < topo.NumDirs; d++ {
+		if m.HasLink(d) {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// Cores lists the selected local cores, lowest first.
+func (m RouteMask) Cores() []int {
+	var out []int
+	for c := 0; c < MaxCores; c++ {
+		if m.HasCore(c) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 func TestRouteMaskLinksAndCores(t *testing.T) {
 	m := LinkRoute(topo.East).WithLink(topo.South).WithCore(0).WithCore(17)
 	if !m.HasLink(topo.East) || !m.HasLink(topo.South) || m.HasLink(topo.North) {

@@ -31,12 +31,17 @@ const (
 	// a recorder writes its packed uvarint raster as one span without
 	// the per-neuron counts, and the config block loses its unused
 	// string slot.
-	SnapshotVersion = 5
+	// v6: a recorder's raster codes each spike by where it falls in its
+	// tick — a spike in the same tick as the one before it is the
+	// uvarint of its zigzagged neuron gap shifted left once, any other
+	// is uvarint(neuron<<1 | 1) then the uvarint tick delta — the same
+	// stream the recorder holds in memory.
+	SnapshotVersion = 6
 
 	// Floors on what one booted chip and one loaded neuron occupy in an
 	// image: a chip's node state alone (counters, flags, six link records)
-	// is 215 bytes in v5 (218 in v4) and its SDRAM record another 44; a
-	// neuron's sixteen input-ring accumulators alone are 64.
+	// is 215 bytes since v5 (218 in v4) and its SDRAM record another 44;
+	// a neuron's sixteen input-ring accumulators alone are 64.
 	minChipImageBytes   = 256
 	minNeuronImageBytes = 64
 )

@@ -609,9 +609,14 @@ func TestSnapshotErrors(t *testing.T) {
 	if _, err := Restore(skewed); err == nil {
 		t.Error("Restore of a version-skewed image succeeded")
 	}
-	skewed[16] = 4
-	if _, err := Restore(skewed); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("snapshot format v4, this build reads v%d", SnapshotVersion)) {
-		t.Errorf("Restore of a v4 image: error %v, want the version error", err)
+	// Images of earlier formats are refused by name: no build reads
+	// another version's image.
+	for _, v := range []byte{4, 5} {
+		skewed[16] = v
+		want := fmt.Sprintf("snapshot format v%d, this build reads v%d", v, SnapshotVersion)
+		if _, err := Restore(skewed); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Restore of a v%d image: error %v, want %q", v, err, want)
+		}
 	}
 	if _, err := RestoreOn(data, 0, "spiral"); err == nil {
 		t.Error("RestoreOn with an unknown partition succeeded")
@@ -637,24 +642,8 @@ func TestSnapshotErrors(t *testing.T) {
 		t.Errorf("Restore of an image with a zero STDP window: error %v, want the rule's validation error", err)
 	}
 
-	// A spike raster no run can produce: a spike on the neuron one past
-	// its population, a spike count one above the stream's, and a stream
-	// ending mid-spike.
-	for _, c := range []struct {
-		what, err string
-		edit      func(spikes []neural.Spike, size int) []byte
-	}{
-		{"a spike's neuron set to its population size", "on neuron", func(spikes []neural.Spike, size int) []byte {
-			spikes[0].Neuron = size
-			return rasterSection(len(spikes), packSpikes(spikes))
-		}},
-		{"a spike count one too high", "the stream holds", func(spikes []neural.Spike, _ int) []byte {
-			return rasterSection(len(spikes)+1, packSpikes(spikes))
-		}},
-		{"a stream ending mid-spike", "not a whole minimal uvarint", func(spikes []neural.Spike, _ int) []byte {
-			return rasterSection(len(spikes), append(packSpikes(spikes), 0))
-		}},
-	} {
+	// A spike raster no run can produce.
+	for _, c := range rasterFaults() {
 		if _, err := Restore(corruptRaster(t, golden, image, c.edit)); err == nil || !strings.Contains(err.Error(), c.err) {
 			t.Errorf("Restore of an image with %s: error %v, want one containing %q", c.what, err, c.err)
 		}
@@ -743,16 +732,78 @@ func corruptFill(t testing.TB, image []byte, edit func(rec []byte)) []byte {
 	return bad
 }
 
-// packSpikes packs a raster as the recorder streams it: per spike the
-// uvarint tick delta from the spike before it, then the uvarint neuron.
+// packSpikes packs a raster as the recorder streams it. A spike in the
+// same tick as the spike before it is the uvarint of twice its zigzagged
+// neuron gap; any other is the uvarint of twice its neuron plus one,
+// then the uvarint tick delta from the spike before it.
 func packSpikes(spikes []neural.Spike) []byte {
 	var stream []byte
-	var last uint64
-	for _, s := range spikes {
-		stream = binary.AppendUvarint(binary.AppendUvarint(stream, s.Tick-last), uint64(s.Neuron))
-		last = s.Tick
+	for i, s := range spikes {
+		if i == 0 || s.Tick != spikes[i-1].Tick {
+			var last uint64
+			if i > 0 {
+				last = spikes[i-1].Tick
+			}
+			stream = binary.AppendUvarint(binary.AppendUvarint(stream, 2*uint64(s.Neuron)+1), s.Tick-last)
+			continue
+		}
+		stream = binary.AppendUvarint(stream, 2*zigzag(s.Neuron-spikes[i-1].Neuron))
 	}
 	return stream
+}
+
+// zigzag is the zigzag code of a neuron gap: g ≥ 0 as 2g, g < 0 as −2g − 1.
+func zigzag(gap int) uint64 {
+	if gap < 0 {
+		return 2*uint64(-gap) - 1
+	}
+	return 2 * uint64(gap)
+}
+
+// rasterFault is one way a restored raster can be wrong: the section
+// edit builds from a unit's spikes and population size, and the error
+// it must raise.
+type rasterFault struct {
+	what, err string
+	edit      func(spikes []neural.Spike, size int) []byte
+}
+
+// rasterFaults lists the streams no recorder writes: one opening with a
+// gap, a gap or an opener outside the population, a later tick opened
+// with delta 0, an overlong uvarint in either field, a record cut short,
+// and a spike count the stream does not hold. Each edit appends to or
+// rewrites the unit's stream, whose spikes cover at least two ticks.
+func rasterFaults() []rasterFault {
+	// plus is the unit's stream with more bytes, holding one more spike.
+	plus := func(spikes []neural.Spike, more ...byte) []byte {
+		return rasterSection(len(spikes)+1, append(packSpikes(spikes), more...))
+	}
+	// gapTo appends a gap record taking the last spike's neuron to neuron.
+	gapTo := func(spikes []neural.Spike, neuron int) []byte {
+		last := spikes[len(spikes)-1]
+		return plus(spikes, binary.AppendUvarint(nil, 2*zigzag(neuron-last.Neuron))...)
+	}
+	return []rasterFault{
+		{"a stream opening with a gap", "spike 0: the stream opens with a gap", func(spikes []neural.Spike, _ int) []byte {
+			return rasterSection(len(spikes)+1, append([]byte{0}, packSpikes(spikes)...))
+		}},
+		{"a spike's neuron set to its population size", "on neuron", func(spikes []neural.Spike, size int) []byte {
+			spikes[0].Neuron = size
+			return rasterSection(len(spikes), packSpikes(spikes))
+		}},
+		{"a gap below neuron 0", "on neuron -1 of", func(spikes []neural.Spike, _ int) []byte { return gapTo(spikes, -1) }},
+		{"a gap to the population size", "on neuron", func(spikes []neural.Spike, size int) []byte { return gapTo(spikes, size) }},
+		{"a later tick opened with delta 0", "opens tick", func(spikes []neural.Spike, _ int) []byte { return plus(spikes, 1, 0) }},
+		{"an overlong neuron uvarint", "neuron is not a whole minimal uvarint", func(spikes []neural.Spike, _ int) []byte { return plus(spikes, 0x81, 0, 1) }},
+		{"an overlong tick delta", "tick delta is not a whole minimal uvarint", func(spikes []neural.Spike, _ int) []byte { return plus(spikes, 1, 0x81, 0) }},
+		{"a stream ending mid-spike", "tick delta is not a whole minimal uvarint", func(spikes []neural.Spike, _ int) []byte { return plus(spikes, 1) }},
+		{"a spike count one too high", "the stream holds", func(spikes []neural.Spike, _ int) []byte {
+			return rasterSection(len(spikes)+1, packSpikes(spikes))
+		}},
+		{"a spike count one too low", "the stream holds", func(spikes []neural.Spike, _ int) []byte {
+			return rasterSection(len(spikes)-1, packSpikes(spikes))
+		}},
+	}
 }
 
 // rasterSection is a recorder's image section: the spike count, the
@@ -1103,13 +1154,17 @@ func FuzzRestore(f *testing.F) {
 	swapped := swappedRowKeys(f, src, data)
 	noWindow := zeroTau(f, src, data)
 	zeroFill := corruptFill(f, data, func(rec []byte) { binary.LittleEndian.PutUint32(rec, 0) })
-	midSpike := corruptRaster(f, src, data, func(spikes []neural.Spike, _ int) []byte {
-		return rasterSection(len(spikes), append(packSpikes(spikes), 0))
-	})
+	var rasters [][]byte
+	for _, c := range rasterFaults() {
+		rasters = append(rasters, corruptRaster(f, src, data, c.edit))
+	}
 	src.Close()
 	f.Add(data)
 	f.Add(swapped)
-	f.Add(midSpike)
+	// Each stream no recorder writes.
+	for _, bad := range rasters {
+		f.Add(bad)
+	}
 	for _, off := range []int{cuts[2], len(data) / 2, len(data) - 7} {
 		f.Add(data[:off:off])
 	}
