@@ -343,9 +343,6 @@ type Fabric struct {
 	// object each.
 	arena        []Node
 	instantiated atomic.Int64
-	// allP2P records that ConfigureAllP2P ran, so chips materialised
-	// afterwards come up with their p2p tables configured too.
-	allP2P bool
 
 	// deadDirty flags that FailChip ran since the driver's last
 	// quiescence sync; pendingRepairs counts links awaiting a
@@ -375,21 +372,6 @@ type Fabric struct {
 	// register itself (Node.ReadDropped), and a drop that found the
 	// register full left nothing there to read.
 	OnDrop func(n *Node)
-}
-
-// ConfigureAllP2P marks every node's p2p table as configured — the
-// state a fully booted machine is in. Standalone fabric users (tests,
-// experiments without a boot phase) call this once; the boot package
-// configures nodes one by one as the coordinate flood reaches them.
-// Chips materialised later inherit the configured state, so the call
-// covers the whole torus without instantiating it.
-func (f *Fabric) ConfigureAllP2P() {
-	f.allP2P = true
-	for i := range f.nodes {
-		if n := f.nodes[i].Load(); n != nil {
-			n.ConfigureP2P()
-		}
-	}
 }
 
 // phaseAt reports the 2-bit timestamp phase by the node's local clock.
@@ -476,7 +458,6 @@ func (f *Fabric) materialise(i int) *Node {
 	n.idx = int32(i)
 	n.Coord = f.p.Torus.CoordOf(i)
 	n.Table = NewTable(f.p.TableSize)
-	n.p2pReady = f.allP2P
 	for d := topo.Dir(0); int(d) < topo.NumDirs; d++ {
 		n.out[d].dir = d
 		n.out[d].link = f.p.LinkFor(n.Coord, d)

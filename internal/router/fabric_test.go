@@ -21,6 +21,15 @@ func newTestFabric(t *testing.T, w, h int) (*sim.Engine, *Fabric) {
 	return eng, f
 }
 
+// configureAllP2P materialises every chip and configures its p2p table:
+// the state a booted machine's boot phase leaves, for tests without one.
+func configureAllP2P(f *Fabric) {
+	f.MaterialiseAll()
+	for _, n := range f.Nodes() {
+		n.ConfigureP2P()
+	}
+}
+
 // installLine installs table entries steering key along the straight
 // east line from src, delivering to core at dst. Intermediate chips get
 // no entry, exercising default routing.
@@ -230,7 +239,7 @@ func TestDropAfterEmergencyFails(t *testing.T) {
 
 func TestP2PDelivery(t *testing.T) {
 	eng, f := newTestFabric(t, 8, 8)
-	f.ConfigureAllP2P()
+	configureAllP2P(f)
 	src := topo.Coord{X: 1, Y: 2}
 	dst := topo.Coord{X: 6, Y: 7}
 	var deliveredTo topo.Coord
@@ -255,7 +264,7 @@ func TestP2PDelivery(t *testing.T) {
 
 func TestP2PToSelf(t *testing.T) {
 	eng, f := newTestFabric(t, 4, 4)
-	f.ConfigureAllP2P()
+	configureAllP2P(f)
 	n := 0
 	f.OnDeliverP2P = func(*Node, packet.Packet, sim.Time) { n++ }
 	c := topo.Coord{X: 2, Y: 2}
@@ -423,7 +432,7 @@ func TestP2PRequiresConfiguration(t *testing.T) {
 		t.Errorf("P2PUnroutable = %d, want 1", f.P2PUnroutable())
 	}
 	// Configure and retry: now it works.
-	f.ConfigureAllP2P()
+	configureAllP2P(f)
 	f.InjectP2P(topo.Coord{X: 0, Y: 0}, topo.Coord{X: 2, Y: 2}, 1)
 	eng.Run()
 	if delivered != 1 {
@@ -464,7 +473,7 @@ func TestSystemTrafficPriorityOverMC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.ConfigureAllP2P()
+	configureAllP2P(f)
 	src := topo.Coord{X: 0, Y: 0}
 	dst := topo.Coord{X: 1, Y: 0}
 	installLine(f, 1, src, dst, 0)

@@ -840,10 +840,27 @@ const synapseImageBase = 0x6000_0000
 // Load compiles the model (partition, place, route, generate data),
 // installs routing tables, ships the application data into the machine
 // and instantiates the event-driven runtime on every application core
-// used. Restore runs the two structural steps, compile and start,
-// without the data load between them, whose outcome the image records.
+// used. Set-up is one sequence of steps — mapSpec, compileNet, install,
+// loadAppData, start — that Load, PrepareWorkloadOn and Restore compose
+// inline: PrepareWorkloadOn runs compileNet beside the system-image
+// flood, and Restore skips the data load, whose outcome the image
+// records.
 func (m *Machine) Load(model *Model) (*LoadReport, error) {
-	if err := m.compile(model); err != nil {
+	spec, err := m.mapSpec()
+	if err != nil {
+		return nil, err
+	}
+	rplan, dplan, err := m.compileNet(model.net, spec)
+	if err != nil {
+		return nil, err
+	}
+	return m.loadCompiled(model, rplan, dplan)
+}
+
+// loadCompiled installs a compiled model, ships its application data
+// and starts model time.
+func (m *Machine) loadCompiled(model *Model, rplan *mapping.RoutingPlan, dplan *mapping.DataPlan) (*LoadReport, error) {
+	if err := m.install(model, rplan, dplan); err != nil {
 		return nil, err
 	}
 	loadDur, err := m.loadAppData()
@@ -866,37 +883,48 @@ func (m *Machine) Load(model *Model) (*LoadReport, error) {
 	}, nil
 }
 
-// compile maps the model onto the booted machine and installs its
-// routing tables.
-func (m *Machine) compile(model *Model) error {
+// mapSpec works out what the mapper may use of the booted machine: the
+// smallest application-core count across alive chips, capped by
+// MaxAppCoresPerChip. It reads boot state, so it runs on the driver
+// before anything else drives the engine.
+func (m *Machine) mapSpec() (mapping.MachineSpec, error) {
 	if !m.booted {
-		return fmt.Errorf("spinngo: boot the machine before loading")
+		return mapping.MachineSpec{}, fmt.Errorf("spinngo: boot the machine before loading")
 	}
 	if m.loaded {
-		return fmt.Errorf("spinngo: a model is already loaded")
+		return mapping.MachineSpec{}, fmt.Errorf("spinngo: a model is already loaded")
 	}
 	appCores := m.minAppCores()
 	if m.cfg.MaxAppCoresPerChip > 0 && m.cfg.MaxAppCoresPerChip < appCores {
 		appCores = m.cfg.MaxAppCoresPerChip
 	}
-	spec := mapping.MachineSpec{
+	if appCores == 0 {
+		return mapping.MachineSpec{}, fmt.Errorf("spinngo: machine has dead chips; cannot map uniformly")
+	}
+	return mapping.MachineSpec{
 		Torus:             topo.MustTorus(m.cfg.Width, m.cfg.Height),
 		AppCoresPerChip:   appCores,
 		MaxNeuronsPerCore: m.cfg.MaxNeuronsPerCore,
 		TableSize:         router.DefaultTableSize,
-	}
-	if spec.AppCoresPerChip == 0 {
-		return fmt.Errorf("spinngo: machine has dead chips; cannot map uniformly")
-	}
+	}, nil
+}
+
+// compileNet maps a network onto spec: partition, place, route and
+// generate the synaptic data. It reads only the network, the spec and
+// the machine's configuration — no engine, fabric or host state — so it
+// may run on its own goroutine while the engine drives the fabric.
+func (m *Machine) compileNet(net *mapping.Network, spec mapping.MachineSpec) (*mapping.RoutingPlan, *mapping.DataPlan, error) {
 	strategy := mapping.PlaceSerpentine
 	if m.cfg.Placement == Random {
 		strategy = mapping.PlaceRandom
 	}
-	rplan, dplan, err := mapping.Compile(model.net, spec, strategy,
+	return mapping.Compile(net, spec, strategy,
 		mapping.RouteOptions{ElideDefault: true, Minimise: true}, m.cfg.Seed)
-	if err != nil {
-		return err
-	}
+}
+
+// install loads a compiled model's routing tables into the fabric and
+// makes it the machine's model.
+func (m *Machine) install(model *Model, rplan *mapping.RoutingPlan, dplan *mapping.DataPlan) error {
 	if err := rplan.InstallTables(m.fab); err != nil {
 		return err
 	}

@@ -206,7 +206,17 @@ func restore(data []byte, override func(*MachineConfig)) (*Machine, error) {
 	if booted := m.pe.Now(); at.epoch < booted || at.epoch > at.now {
 		return nil, fmt.Errorf("spinngo: corrupt snapshot: epoch %v is not between the boot control's end %v and the snapshot instant %v", at.epoch, booted, at.now)
 	}
-	if err := m.compile(&Model{net: net}); err != nil {
+	// No flood runs here for the compile to hide behind, so it runs
+	// inline.
+	spec, err := m.mapSpec()
+	if err != nil {
+		return nil, fmt.Errorf("spinngo: restore load: %w", err)
+	}
+	rplan, dplan, err := m.compileNet(net, spec)
+	if err != nil {
+		return nil, fmt.Errorf("spinngo: restore load: %w", err)
+	}
+	if err := m.install(&Model{net: net}, rplan, dplan); err != nil {
 		return nil, fmt.Errorf("spinngo: restore load: %w", err)
 	}
 	if err := m.start(at.epoch); err != nil {

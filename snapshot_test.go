@@ -21,6 +21,7 @@ import (
 	"spinngo/internal/boot"
 	"spinngo/internal/neural"
 	"spinngo/internal/snap"
+	"spinngo/internal/workload"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden snapshot hash")
@@ -512,6 +513,27 @@ func BenchmarkRestore(b *testing.B) {
 		m.Close()
 	}
 	b.ReportMetric(float64(events), "events/op")
+}
+
+// BenchmarkPrepareWorkload times a whole set-up — boot, the system-image
+// flood with the network compile beside it, the application-data load
+// and the arming — of a plastic document and of the campaign one.
+func BenchmarkPrepareWorkload(b *testing.B) {
+	for _, name := range []string{"cortical-mix", "storm-campaign"} {
+		wl, err := workload.Get(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			for b.Loop() {
+				m, err := PrepareWorkload(wl)
+				if err != nil {
+					b.Fatal(err)
+				}
+				m.Close()
+			}
+		})
+	}
 }
 
 // TestSnapshotErrors pins the failure modes: snapshots are illegal

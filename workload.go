@@ -3,6 +3,7 @@ package spinngo
 import (
 	"fmt"
 
+	"spinngo/internal/mapping"
 	"spinngo/internal/workload"
 )
 
@@ -162,14 +163,46 @@ func PrepareWorkloadOn(wl *workload.Workload, workers int, partition string) (*M
 			machine.Close()
 		}
 	}()
-	if _, err := machine.Boot(); err != nil {
+	// Set-up is Boot then Load with the network compile moved beside the
+	// system-image flood: the compile reads only the network, the
+	// mapping spec and the seed, so it runs on a second core while the
+	// engine floods the image, and every trajectory is the sequential
+	// one. The spec reads boot state, so it is worked out before the
+	// flood starts. Errors keep the sequential order: a flood failure
+	// wins over a model or load failure.
+	if _, err := machine.bootControl(); err != nil {
 		return nil, fmt.Errorf("spinngo: workload boot: %w", err)
 	}
 	model, _, err := workloadModel(wl)
+	var spec mapping.MachineSpec
+	if err == nil {
+		if spec, err = machine.mapSpec(); err != nil {
+			err = fmt.Errorf("spinngo: workload load: %w", err)
+		}
+	}
+	var (
+		rplan *mapping.RoutingPlan
+		dplan *mapping.DataPlan
+	)
+	compiled := make(chan struct{})
+	go func() {
+		defer close(compiled)
+		if err != nil {
+			return
+		}
+		if rplan, dplan, err = machine.compileNet(model.net, spec); err != nil {
+			err = fmt.Errorf("spinngo: workload load: %w", err)
+		}
+	}()
+	_, floodErr := machine.loadSystemImage()
+	<-compiled
+	if floodErr != nil {
+		return nil, fmt.Errorf("spinngo: workload boot: %w", floodErr)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if _, err := machine.Load(model); err != nil {
+	if _, err := machine.loadCompiled(model, rplan, dplan); err != nil {
 		return nil, fmt.Errorf("spinngo: workload load: %w", err)
 	}
 	if err := machine.armWorkload(wl); err != nil {
