@@ -28,7 +28,7 @@ vet:
 # under the race detector on every change.
 race:
 	$(GO) test -race ./internal/sim/ ./internal/router/ ./internal/workload/
-	$(GO) test -race -run 'TestDeterminism|TestDifferentSeeds|TestBoardLookahead|TestCabinetLookahead|TestFailLinkRepricesGuttedCut|TestHostLoad|TestBatch|TestFillMem|TestHostOrigin|TestHostTimeout|TestSnapshot|TestCampaign|TestFailChip|TestFillRedundancy|TestWorkload|TestRepairWakesSleepers' .
+	$(GO) test -race -run 'TestDeterminism|TestDifferentSeeds|TestBoardLookahead|TestCabinetLookahead|TestFailLinkRepricesGuttedCut|TestHostLoad|TestBatch|TestFillMem|TestHostOrigin|TestHostTimeout|TestSnapshot|TestCampaign|TestFailChip|TestFillRedundancy|TestWorkload|TestRegistryDocuments|TestRepairWakesSleepers' .
 
 # Tier-1 coverage of the engine, router, host, snapshot-codec, neural and
 # mapping packages, gated in CI at the PR-10 baseline (93.2%).

@@ -66,6 +66,17 @@ func (s kindSamples) check(t *testing.T, m *Machine) {
 	}
 }
 
+// nextEventAt reports the earliest pending timestamp across pe's shards.
+func nextEventAt(pe *sim.ParallelEngine) (sim.Time, bool) {
+	next, found := sim.Forever, false
+	for i := 0; i < pe.Shards(); i++ {
+		if t, ok := pe.Shard(i).NextAt(); ok && t < next {
+			next, found = t, true
+		}
+	}
+	return next, found
+}
+
 // walk advances m one event instant at a time for span, checking the
 // pending set after each: every event is pending right after the instant
 // that scheduled it, so no kind occurring in the span escapes.
@@ -73,7 +84,7 @@ func (s kindSamples) walk(t *testing.T, m *Machine, span sim.Time) {
 	t.Helper()
 	end := m.pe.Now() + span
 	for {
-		next, ok := m.pe.NextEventAt()
+		next, ok := nextEventAt(m.pe)
 		if !ok || next > end {
 			break
 		}

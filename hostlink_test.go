@@ -50,7 +50,7 @@ func TestHostTimeoutStopsAtDeadline(t *testing.T) {
 	}
 	// Every shard agrees (the clocks were re-synchronised), and the far
 	// event is still pending for the next run phase.
-	next, ok := m.pe.NextEventAt()
+	next, ok := nextEventAt(m.pe)
 	if !ok || next != far {
 		t.Errorf("pending event at %v, want the far tick at %v", next, far)
 	}

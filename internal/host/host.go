@@ -16,8 +16,8 @@
 // aggregated acknowledgement per tree link converging back on the
 // gateway. Every command is issued through a Batch.
 //
-// The package is built to run under the sharded parallel engine, not
-// just the sequential stepping mode: every command is registered in an
+// The package is built to run under the sharded parallel engine's
+// lookahead windows: every command is registered in an
 // append-only table before it launches, its registered fields (target,
 // address, payload) are immutable from then on and safe to read from any
 // shard, and each mutable progress field is owned by exactly one shard —

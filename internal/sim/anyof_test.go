@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // runUntilAnyOf's contract: halt at the exact event that flips the
 // condition, leave every clock at that instant and everything later
@@ -46,8 +49,8 @@ func TestRunUntilAnyOfHaltsAtExactEvent(t *testing.T) {
 				t.Errorf("shards=%d: shard %d clock %v, want 1000 (synchronised)", shards, i, pe.Shard(i).Now())
 			}
 		}
-		if next, ok := pe.NextEventAt(); !ok || next != 1000 && next != 5000 {
-			t.Errorf("shards=%d: pending events lost (next=%v ok=%v)", shards, next, ok)
+		if keys := pendingKeys(pe); len(keys) != shards+1 || keys[0].at != 1000 {
+			t.Errorf("shards=%d: pending events lost (%d pending)", shards, len(pendingKeys(pe)))
 		}
 	}
 }
@@ -77,8 +80,8 @@ func TestRunUntilAnyOfDeadline(t *testing.T) {
 
 // TestRunUntilAnyOfMatchesSequentialStepping pins the equivalence the
 // host link depends on: halting on a condition under parallel windows
-// leaves the machine in the state a sequential Step-until-condition
-// driver reaches, including cross-shard traffic in flight.
+// leaves the machine in the state global-order stepping (stepGlobal)
+// until the condition reaches, including cross-shard traffic in flight.
 func TestRunUntilAnyOfMatchesSequentialStepping(t *testing.T) {
 	build := func(shards int) (*ParallelEngine, []*Domain, *int) {
 		pe := NewParallel(9, shards, shards)
@@ -89,7 +92,7 @@ func TestRunUntilAnyOfMatchesSequentialStepping(t *testing.T) {
 		}
 		// A relay chain bouncing between domains, counting hops. Posts
 		// route through the engine like fabric traffic: mailboxed inside
-		// a window, delivered directly in sequential mode.
+		// a window, delivered directly when stepped outside one.
 		hops := new(int)
 		var bounce func(i int)
 		bounce = func(i int) {
@@ -106,30 +109,104 @@ func TestRunUntilAnyOfMatchesSequentialStepping(t *testing.T) {
 		return pe, doms, hops
 	}
 
-	// Reference: sequential stepping until the fifth hop.
+	// Reference: global-order stepping until the fifth hop.
 	ref, _, refHops := build(1)
 	defer ref.Close()
 	for *refHops < 5 {
-		if !ref.Step() {
+		if !stepGlobal(ref) {
 			t.Fatal("reference drained early")
 		}
 	}
-	ref.SyncClocks()
+	ref.syncClocks()
 	refNow, refPending := ref.Now(), ref.Pending()
 
 	for _, shards := range []int{1, 2, 4} {
 		pe, _, hops := build(shards)
-		// Cross-shard posts outside a window need sequential delivery
-		// mode; RunUntilAnyOf runs them inside windows.
 		halted := pe.RunUntilAnyOf(Forever, pe.Shard(0).q.doms[0], func() bool { return *hops >= 5 })
 		if !halted || *hops != 5 {
 			t.Fatalf("shards=%d: halted=%v hops=%d, want halt at hop 5", shards, halted, *hops)
 		}
 		if pe.Now() != refNow {
-			t.Errorf("shards=%d: Now()=%v, want %v (sequential reference)", shards, pe.Now(), refNow)
+			t.Errorf("shards=%d: Now()=%v, want %v (global-order reference)", shards, pe.Now(), refNow)
 		}
 		if pe.Pending() != refPending {
 			t.Errorf("shards=%d: %d pending, want %d", shards, pe.Pending(), refPending)
+		}
+		pe.Close()
+	}
+}
+
+// pendingKeys lists the canonical keys of every pending event of pe, in
+// canonical order: the pending set, independent of the shard layout.
+func pendingKeys(pe *ParallelEngine) []eventKey {
+	var keys []eventKey
+	for _, s := range pe.shards {
+		s.q.forEach(func(ev *event) { keys = append(keys, ev.key) })
+	}
+	slices.SortFunc(keys, func(a, b eventKey) int {
+		if a.less(b) {
+			return -1
+		}
+		if b.less(a) {
+			return 1
+		}
+		return 0
+	})
+	return keys
+}
+
+// TestRunUntilAnyOfHaltsInsideSoloBatch pins the halt on the batch path:
+// the watch shard runs a dense chain alone for many windows while every
+// peer waits far more than a lookahead ahead, so the windows batch under
+// one hand-off, and the condition flips mid-batch. The halt instant,
+// every shard's clock and the pending set must be what global-order
+// stepping (stepGlobal) reaches, for every shard count.
+func TestRunUntilAnyOfHaltsInsideSoloBatch(t *testing.T) {
+	const period, flip = 10, 537 // the 537th link runs at 5360, mid-window
+	build := func(shards int) (*ParallelEngine, *Domain, *int) {
+		pe := NewParallel(3, shards, shards)
+		pe.SetLookahead(100)
+		doms := make([]*Domain, 4)
+		for i := range doms {
+			doms[i] = pe.Shard(i % shards).Domain(i)
+		}
+		n := new(int)
+		var link func()
+		link = func() {
+			*n++
+			doms[0].AfterP(period, Func(link))
+		}
+		doms[0].AtP(0, Func(link))
+		for i, d := range doms[1:] {
+			d.AtP(Time(50000+i), Func(func() {}))
+		}
+		return pe, doms[0], n
+	}
+	for _, shards := range []int{1, 2, 4} {
+		ref, _, refN := build(shards)
+		for *refN < flip {
+			stepGlobal(ref)
+		}
+		ref.syncClocks()
+		ref.Close()
+
+		pe, watch, n := build(shards)
+		if !pe.RunUntilAnyOf(Forever, watch, func() bool { return *n >= flip }) || *n != flip {
+			t.Fatalf("shards=%d: ran %d links, want a halt at link %d", shards, *n, flip)
+		}
+		if pe.Now() != ref.Now() || pe.Now() != (flip-1)*period {
+			t.Errorf("shards=%d: halted at %v, want %v", shards, pe.Now(), ref.Now())
+		}
+		for i := range shards {
+			if got := pe.Shard(i).Now(); got != ref.Shard(i).Now() {
+				t.Errorf("shards=%d: shard %d clock %v, want %v", shards, i, got, ref.Shard(i).Now())
+			}
+		}
+		if got, want := pendingKeys(pe), pendingKeys(ref); !slices.Equal(got, want) {
+			t.Errorf("shards=%d: pending %+v, want %+v", shards, got, want)
+		}
+		if shards > 1 && pe.BatchRuns() == 0 {
+			t.Errorf("shards=%d: no solo batch ran; the halt was not tested on the batch path", shards)
 		}
 		pe.Close()
 	}

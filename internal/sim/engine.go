@@ -132,7 +132,6 @@ type Engine struct {
 	anon      Domain // owns the engine-level (domain -1) events
 	rng       *RNG
 	processed uint64
-	stopped   bool
 }
 
 var _ Scheduler = (*Engine)(nil)
@@ -169,13 +168,6 @@ func (e *Engine) Pending() int { return e.q.len() }
 
 // NextAt reports the timestamp of the earliest pending event, if any.
 func (e *Engine) NextAt() (Time, bool) { return e.q.peekAt() }
-
-// nextKey reports the full canonical key of the earliest pending event,
-// used by the ParallelEngine's sequential mode to pick the globally
-// least event across shards.
-func (e *Engine) nextKey() (eventKey, bool) {
-	return e.q.peekKey()
-}
 
 // anonymous returns the domain that owns the engine-level events. It
 // enters the queue on first use, so an engine that only ever schedules
@@ -261,12 +253,8 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until the queue is empty or Stop is called.
-func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
-	}
-}
+// Run executes events until the queue is empty.
+func (e *Engine) Run() { e.RunThrough(Forever, nil) }
 
 // Drain is Run on a single event stream (see Runner.Drain).
 func (e *Engine) Drain() { e.Run() }
@@ -275,55 +263,35 @@ func (e *Engine) Drain() { e.Run() }
 // clock to exactly deadline when the queue drains early or only later
 // events remain.
 func (e *Engine) RunUntil(deadline Time) {
-	e.stopped = false
-	for !e.stopped {
-		if at, ok := e.q.peekAt(); !ok || at > deadline {
-			break
-		}
-		e.Step()
-	}
+	e.RunThrough(deadline, nil)
 	if e.now < deadline {
 		e.now = deadline
 	}
-	if !e.stopped {
-		e.cur = nil // everything at or before the deadline has run
-	}
+	e.cur = nil // everything at or before the deadline has run
 }
 
-// RunBefore executes events with timestamps strictly below limit. Unlike
-// RunUntil it does not advance the clock when the queue drains early, so
-// later events (or cross-shard deliveries) keep their exact ordering.
-// It is the per-window primitive of the sharded ParallelEngine.
-func (e *Engine) RunBefore(limit Time) {
-	e.stopped = false
-	for !e.stopped {
-		if at, ok := e.q.peekAt(); !ok || at >= limit {
-			break
-		}
-		e.Step()
-	}
-}
-
-// RunBeforeCond is RunBefore with a halt condition: halt is re-checked
-// after every event, and execution stops — clock left exactly at the
-// halting event's timestamp, later events (even at the same instant)
-// still pending — as soon as it reports true. It reports whether halt
-// fired. This is the per-window primitive behind the ParallelEngine's
-// RunUntilAnyOf: because the halting event's time is a property of the
+// RunThrough executes events with timestamps <= last, in canonical
+// order, and is the one event loop every driver runs: a window of the
+// sharded ParallelEngine is a RunThrough to its last instant. It never
+// moves the clock past the last executed event, so later events (or
+// cross-shard deliveries) keep their exact ordering. halt, when non-nil,
+// is re-checked after every event; as soon as it reports true execution
+// stops — clock left exactly at the halting event's timestamp, later
+// events (even at the same instant) still pending — and RunThrough
+// reports true. Because the halting event's time is a property of the
 // simulation trajectory, not of the window layout, drivers that stop
 // here resume from an instant that is identical for every shard count.
-func (e *Engine) RunBeforeCond(limit Time, halt func() bool) bool {
-	e.stopped = false
-	for !e.stopped {
-		if at, ok := e.q.peekAt(); !ok || at >= limit {
-			break
+// The bound is inclusive, so a run to Forever needs no end past it.
+func (e *Engine) RunThrough(last Time, halt func() bool) bool {
+	for {
+		if at, ok := e.q.peekAt(); !ok || at > last {
+			return false
 		}
 		e.Step()
-		if halt() {
+		if halt != nil && halt() {
 			return true
 		}
 	}
-	return false
 }
 
 // advanceTo moves the clock forward to t without executing anything.
@@ -338,10 +306,6 @@ func (e *Engine) advanceTo(t Time) {
 	}
 	e.now, e.cur = t, nil
 }
-
-// Stop makes the current Run/RunUntil return after the executing event
-// completes. Pending events remain queued.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Domain is one model component's (one chip's) scheduling identity on
 // an engine. All of a chip's events go through its single Domain, which

@@ -130,21 +130,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := New(1)
-	ran := 0
-	e.AtP(10, Func(func() { ran++; e.Stop() }))
-	e.AtP(20, Func(func() { ran++ }))
-	e.Run()
-	if ran != 1 {
-		t.Errorf("ran = %d, want 1 (Stop should halt Run)", ran)
-	}
-	e.Run() // resumes
-	if ran != 2 {
-		t.Errorf("ran = %d, want 2 after resume", ran)
-	}
-}
-
 func TestEngineDeterminism(t *testing.T) {
 	run := func(seed uint64) []float64 {
 		e := New(seed)
@@ -282,42 +267,27 @@ func TestRunUntilEmptyQueueAdvancesClock(t *testing.T) {
 	}
 }
 
-func TestStopLeavesPendingEventsQueued(t *testing.T) {
+// TestRunThroughIsInclusiveAndKeepsClock pins the one event loop: its
+// bound is inclusive, it never moves the clock past the last executed
+// event, and a halt stops at the exact event that raised it with later
+// events of the same instant still pending.
+func TestRunThroughIsInclusiveAndKeepsClock(t *testing.T) {
 	e := New(1)
 	ran := 0
-	e.AtP(10, Func(func() { ran++; e.Stop() }))
-	e.AtP(20, Func(func() { ran++ }))
-	e.AtP(30, Func(func() { ran++ }))
-	e.Run()
-	if ran != 1 {
-		t.Fatalf("ran = %d, want 1 (Stop should halt after the current event)", ran)
+	for _, at := range []Time{10, 20, 20, 30} {
+		e.AtP(at, Func(func() { ran++ }))
 	}
-	if e.Pending() != 2 {
-		t.Errorf("Pending() = %d after Stop, want 2 (events must stay queued)", e.Pending())
+	if e.RunThrough(15, nil) || ran != 1 || e.Now() != 10 {
+		t.Errorf("RunThrough(15) ran %d to %v, want 1 to 10 (clock kept at the last event)", ran, e.Now())
 	}
-	if e.Now() != 10 {
-		t.Errorf("Now() = %v after Stop, want 10", e.Now())
+	if !e.RunThrough(Forever, func() bool { return ran == 2 }) || ran != 2 || e.Now() != 20 || e.Pending() != 2 {
+		t.Errorf("halted run ran %d to %v with %d pending, want 2 to 20 with 2", ran, e.Now(), e.Pending())
 	}
-	e.Run()
-	if ran != 3 || e.Pending() != 0 {
-		t.Errorf("resume ran %d events with %d pending, want 3 and 0", ran, e.Pending())
+	if e.RunThrough(20, nil) || ran != 3 {
+		t.Errorf("RunThrough(20) ran %d, want 3 (an event at the bound runs)", ran)
 	}
-}
-
-func TestRunBeforeIsStrictAndKeepsClock(t *testing.T) {
-	e := New(1)
-	ran := 0
-	e.AtP(10, Func(func() { ran++ }))
-	e.AtP(20, Func(func() { ran++ }))
-	e.RunBefore(20)
-	if ran != 1 {
-		t.Errorf("ran = %d, want 1 (event at the limit must not run)", ran)
-	}
-	if e.Now() != 10 {
-		t.Errorf("Now() = %v, want 10 (RunBefore must not advance past the last event)", e.Now())
-	}
-	if at, ok := e.NextAt(); !ok || at != 20 {
-		t.Errorf("NextAt() = %v,%v, want 20,true", at, ok)
+	if at, ok := e.NextAt(); !ok || at != 30 {
+		t.Errorf("NextAt() = %v,%v, want 30,true", at, ok)
 	}
 }
 

@@ -35,7 +35,7 @@ const (
 // ParallelEngine be collected and its finalizer stop the helpers.
 //
 // Protocol. ticket packs {epoch:32, hi:16, lo:16}: jobs[lo:hi] are
-// unclaimed. The coordinator fills jobs and limit, stores the countdown,
+// unclaimed. The coordinator fills jobs and last, stores the countdown,
 // then stores the ticket {epoch+1, n, 0} — that one store publishes the
 // window, and the countdown must already be in place: a helper may
 // claim, run and count down the instant the ticket lands. A job is
@@ -44,7 +44,7 @@ const (
 // meeting the same shards and their working sets stay in its cache.
 // Every claim is a swap on the very word that published the window, so
 // it can only succeed against the current window, and the coordinator
-// does not touch jobs or limit again until every claimed job has counted
+// does not touch jobs or last again until every claimed job has counted
 // down: a claimant reads them only while they are immutable, however
 // late it arrives, and a straggler from an earlier window finds either
 // nothing to claim or a job that is legitimately its own. (The epoch
@@ -53,7 +53,7 @@ const (
 // even if no helper ever turns up.
 type helperPool struct {
 	jobs    []*Engine
-	limit   Time
+	last    Time
 	epoch   uint32 // coordinator-owned; the published copy lives in ticket
 	helpers int
 
@@ -94,16 +94,16 @@ func (p *helperPool) close() {
 	}
 }
 
-// run executes one window — every active shard but skip, up to limit —
+// run executes one window — every active shard but skip, through last —
 // across the coordinator (the caller) and whichever helpers turn up,
 // and returns when all of it is done.
-func (p *helperPool) run(shards []*Engine, active []int, skip int, limit Time) {
+func (p *helperPool) run(shards []*Engine, active []int, skip int, last Time) {
 	for _, i := range active {
 		if i != skip {
 			p.jobs = append(p.jobs, shards[i])
 		}
 	}
-	p.limit = limit
+	p.last = last
 	n := len(p.jobs)
 	p.epoch++
 	p.remain.Store(int64(n))
@@ -143,7 +143,7 @@ func (p *helperPool) work(front bool) (ran bool) {
 			job, claimed = t>>16&maxJobs-1, t-1<<16
 		}
 		if p.ticket.CompareAndSwap(t, claimed) {
-			p.jobs[job].RunBefore(p.limit)
+			p.jobs[job].RunThrough(p.last, nil)
 			p.remain.Add(-1)
 			ran = true
 		}

@@ -140,7 +140,7 @@ func (p *lockstep) Run() {
 	if !p.busy.CompareAndSwap(0, 1) {
 		p.bad.Add(1)
 	}
-	if Time(p.pe.curLimit.Load()) != p.d.Now()+p.pe.lookahead {
+	if Time(p.pe.curLast.Load()) != p.d.Now()+p.pe.lookahead-1 {
 		p.bad.Add(1)
 	}
 	p.rng = p.rng*6364136223846793005 + 1442695040888963407

@@ -215,11 +215,21 @@ func (h *queueHarness) check(t *testing.T) {
 	}
 }
 
+// peekKey reports the canonical key of q's least pending event: what
+// peekAt reports the instant of, and what stepGlobal orders shards by.
+func peekKey(q *queue) (eventKey, bool) {
+	if q.len() == 0 {
+		return eventKey{}, false
+	}
+	q.settle()
+	return q.doms[q.tree[1].leaf].pend[0].key, true
+}
+
 // popBoth pops the queue and the reference heap and requires the same
 // key, as peekKey and peekAt announced it beforehand.
 func popBoth(t *testing.T, h *queueHarness, ref *heapQueue) eventKey {
 	t.Helper()
-	peek, ok := h.q.peekKey()
+	peek, ok := peekKey(&h.q)
 	next, _ := h.q.peekAt()
 	at, _ := h.q.pop()
 	want := ref.pop().key
@@ -317,7 +327,7 @@ func TestQueueMatchesHeap(t *testing.T) {
 		push(Forever, 63, 1)
 		push(Forever-1, 0, 0)
 		run(200)
-		if _, ok := h.q.peekKey(); ok || ref.len() != 0 {
+		if _, ok := peekKey(&h.q); ok || ref.len() != 0 {
 			t.Fatalf("trial %d: queues not empty after drain: queue %d, heap %d", trial, h.q.len(), ref.len())
 		}
 	}
@@ -453,7 +463,7 @@ func TestHeapMergePermutationInvariant(t *testing.T) {
 
 	drain := func(hs ...*eventHeap) []eventKey {
 		// Merge by repeatedly popping the least head — exactly how the
-		// parallel engine's sequential mode consumes shard heaps.
+		// global-order oracle (stepGlobal) consumes shard queues.
 		var out []eventKey
 		for {
 			best := -1

@@ -9,35 +9,23 @@ import (
 	"spinngo/internal/snap"
 )
 
-// Runner is the clock-and-execution interface shared by Engine (a single
-// event stream) and ParallelEngine (a sharded one). Components that
-// orchestrate a simulation — the boot controller, the host link, the
-// machine — program against Runner so the same code drives either.
+// Runner is what the boot controller drives: Engine (a single event
+// stream) and ParallelEngine (a sharded one) both satisfy it, so the
+// same controller boots either.
 type Runner interface {
-	// Now reports the global simulated high-water mark: the timestamp
-	// of the latest event executed so far.
-	Now() Time
 	// RNG returns the deterministic control-plane random stream. All
 	// sequential (non-event) randomness must come from here so that
 	// results do not depend on the shard count.
 	RNG() *RNG
-	// Run executes events to quiescence in a deterministic global order.
-	Run()
-	// Drain executes events to quiescence like Run, but a sharded
-	// engine is free to use parallel lookahead windows: callers must
-	// only depend on the quiescent end state, not on observing events
-	// in global order along the way. Control phases whose handlers
-	// respect the PDES contract (chip-local state, lookahead-priced
-	// cross-chip traffic) drain here and parallelise for free.
+	// Drain executes events to quiescence and leaves every clock at the
+	// last executed event. A sharded engine runs parallel lookahead
+	// windows, so callers may depend only on the quiescent end state:
+	// control phases whose handlers respect the PDES contract
+	// (chip-local state, lookahead-priced cross-chip traffic) drain
+	// here and parallelise for free.
 	Drain()
-	// Step executes the single globally-earliest event, if any.
-	Step() bool
-	// RunUntil executes events with timestamps <= deadline and advances
-	// all clocks to exactly deadline.
-	RunUntil(deadline Time)
 }
 
-// Engine implements Runner directly.
 var _ Runner = (*Engine)(nil)
 var _ Runner = (*ParallelEngine)(nil)
 
@@ -90,13 +78,10 @@ type shardLane struct {
 // once at construction that spin on the window ticket while windows
 // keep coming and park when they stop, so neither a ms-granular stepping
 // loop (Machine.Run's per-tick loop) nor a single window pays a
-// goroutine spawn or a wake-up. Two execution modes share the shard
-// state:
-//
-//   - RunUntil executes windows across the helpers (the hot path);
-//   - Run and Step execute one globally-earliest event at a time on the
-//     calling goroutine (used by boot and host-command phases, whose
-//     controllers keep cross-shard state and must not race).
+// goroutine spawn or a wake-up. There is one way to run: Drain (boot's
+// quiescence phases), RunUntil (the model run) and RunUntilAnyOf (host
+// waits) all drive the same window loop (advance) and differ only in
+// where it stops and where they leave the clocks.
 //
 // With a single shard every method degenerates to the plain Engine,
 // bit-for-bit. Whether a given window is shared with the helpers or runs
@@ -110,9 +95,10 @@ type ParallelEngine struct {
 	// lanes[i] is shard i's mail arena.
 	lanes []shardLane
 
-	// curLimit/inWindow let Post assert the lookahead contract from any
-	// goroutine while a parallel window is executing.
-	curLimit atomic.Int64
+	// curLast/inWindow let PostP assert the lookahead contract from any
+	// goroutine while a window is executing: curLast is the window's
+	// last instant.
+	curLast  atomic.Int64
 	inWindow atomic.Bool
 
 	// Resident helpers: min(workers, GOMAXPROCS)-1 goroutines sharing
@@ -121,11 +107,11 @@ type ParallelEngine struct {
 	// so that concurrent Closes retire the pool exactly once.
 	pool atomic.Pointer[helperPool]
 
-	// transitions counts driver round-trips into the engine's bounded
-	// modes: one per Run (sequential quiescence) and one per
-	// RunUntilAnyOf call. It is the "engine stop/start" figure host-side
-	// batching amortises: a driver that waits on N responses one at a
-	// time pays N transitions, a batch pays one.
+	// transitions counts driver round-trips into the engine: one per
+	// Drain and one per RunUntilAnyOf call. It is the "engine
+	// stop/start" figure host-side batching amortises: a driver that
+	// waits on N responses one at a time pays N transitions, a batch
+	// pays one.
 	transitions uint64
 
 	// Window statistics, updated only at barriers (quiescence points of
@@ -255,8 +241,8 @@ func (pe *ParallelEngine) EventsPerWindow() float64 {
 	return float64(pe.windowEvents) / float64(pe.windows)
 }
 
-// Transitions counts driver round-trips into the engine: sequential
-// quiescence runs plus RunUntilAnyOf waits. RunUntil spans (the bulk-run
+// Transitions counts driver round-trips into the engine: Drains to
+// quiescence plus RunUntilAnyOf waits. RunUntil spans (the bulk-run
 // hot path) are not counted — the figure isolates how often a driver
 // stopped the machine to look at it.
 func (pe *ParallelEngine) Transitions() uint64 { return pe.transitions }
@@ -301,38 +287,23 @@ func (pe *ParallelEngine) Pending() int {
 // PostP schedules a delivery into domain dstDom (owned by shard dst) at
 // absolute time at, on behalf of an event executing on shard src. The
 // (srcID, srcSeq) pair is the sender's canonical key — see
-// Domain.DeliverAtP. During a parallel window the timestamp must respect
-// the lookahead bound (at >= window end); violating it is a causality
-// bug in the model, not a recoverable condition. Outside a window
-// (sequential mode) the delivery is inserted immediately. dst is
-// retained for the caller's addressing symmetry; routing needs only
-// dstDom, so the envelope lands in shard src's arena.
+// Domain.DeliverAtP. During a window the timestamp must respect the
+// lookahead bound (at past the window's last instant); violating it is a
+// causality bug in the model, not a recoverable condition. Outside a
+// window (a single shard runs windowless) the delivery is inserted
+// immediately. dst is retained for the caller's addressing symmetry;
+// routing needs only dstDom, so the envelope lands in shard src's arena.
 func (pe *ParallelEngine) PostP(src, dst int, dstDom *Domain, at Time, srcID int32, srcSeq uint64, p Payload) {
 	if !pe.inWindow.Load() {
 		dstDom.DeliverAtP(at, srcID, srcSeq, p)
 		return
 	}
-	if at < Time(pe.curLimit.Load()) {
-		panic(fmt.Sprintf("sim: cross-shard post at %v violates lookahead window ending %v",
-			at, Time(pe.curLimit.Load())))
+	if at <= Time(pe.curLast.Load()) {
+		panic(fmt.Sprintf("sim: cross-shard post at %v violates lookahead window through %v",
+			at, Time(pe.curLast.Load())))
 	}
 	l := &pe.lanes[src]
 	l.mail = append(l.mail, mailMsg{at: at, dst: dstDom, src: srcID, srcSeq: srcSeq, payload: p})
-}
-
-// NextEventAt reports the earliest pending timestamp across shards.
-// Sequential-mode drivers (the host link) peek it to decide whether the
-// next event lies beyond their deadline before executing it.
-func (pe *ParallelEngine) NextEventAt() (Time, bool) {
-	best := Forever
-	found := false
-	for _, s := range pe.shards {
-		if t, ok := s.NextAt(); ok && t < best {
-			best = t
-			found = true
-		}
-	}
-	return best, found
 }
 
 // drainMail moves the per-source envelope arenas into the destination
@@ -357,78 +328,23 @@ func (pe *ParallelEngine) drainMail() {
 	}
 }
 
-// Step executes the single globally-earliest event — least by the full
-// canonical (time, domain, class, key) order across every shard, so the
-// sequential schedule is exactly the one a single merged engine would
-// produce — and delivers any cross-shard events it generated. This is
-// the deterministic sequential mode used by boot and host phases.
-func (pe *ParallelEngine) Step() bool {
-	best := -1
-	var bk eventKey
-	for i, s := range pe.shards {
-		if k, ok := s.nextKey(); ok && (best < 0 || k.less(bk)) {
-			best, bk = i, k
-		}
-	}
-	if best < 0 {
-		return false
-	}
-	pe.shards[best].Step()
-	return true
-}
-
-// Run executes events to quiescence in deterministic global order
-// (sequential mode), then synchronises every shard clock to the global
-// last-event time — exactly what a single merged engine's clock would
-// read. Without this, relative scheduling done between phases (boot
-// floods, model loading) would start from each shard's own last event
-// and the trajectory would depend on the shard count.
-func (pe *ParallelEngine) Run() {
-	pe.transitions++
-	for pe.Step() {
-	}
-	pe.SyncClocks()
-}
-
 // Drain executes events to quiescence under parallel lookahead windows
 // and synchronises every shard clock to the global last-event time —
-// the same end state Run reaches, minus the promise of observing
-// events in global order along the way. Control phases whose handlers
-// keep to the PDES contract (chip-local state, cross-chip influence
-// only through lookahead-priced fabric traffic) use it to parallelise
-// their drains.
+// exactly what a single merged engine's clock would read. Without the
+// synchronisation, relative scheduling done between phases (boot floods,
+// model loading) would start from each shard's own last event and the
+// trajectory would depend on the shard count.
 func (pe *ParallelEngine) Drain() {
 	pe.transitions++
-	if len(pe.shards) == 1 {
-		s := pe.shards[0]
-		before := s.Processed()
-		s.Run()
-		if ev := s.Processed() - before; ev > 0 {
-			pe.noteWindow(ev)
-		}
-		return
-	}
-	for {
-		next, solo, n2, ok := pe.nextHorizons()
-		if !ok {
-			break
-		}
-		if next+pe.lookahead <= n2 {
-			pe.runSoloBatch(solo, n2, Forever)
-			continue
-		}
-		pe.runWindow(next+pe.lookahead, nil)
-	}
-	pe.SyncClocks()
+	pe.advance(Forever, -1, nil)
+	pe.syncClocks()
 }
 
-// SyncClocks advances every shard clock to the global high-water mark.
-// Safe whenever events have been executed in global order (sequential
-// mode): min-first stepping guarantees no pending event is older than
-// the last executed one. Callers that Step() without reaching
-// quiescence (host commands) use this so that subsequent relative
-// scheduling starts from the same instant for every shard count.
-func (pe *ParallelEngine) SyncClocks() {
+// syncClocks advances every shard clock to the global high-water mark.
+// Safe only when no pending event is older than it: at quiescence, or
+// after a halt, where every shard stopped at or before the halting
+// instant and everything earlier has run.
+func (pe *ParallelEngine) syncClocks() {
 	now := pe.Now()
 	for _, s := range pe.shards {
 		s.advanceTo(now)
@@ -442,30 +358,36 @@ func (pe *ParallelEngine) noteWindow(events uint64) {
 	pe.windowEvents += events
 }
 
-// runWindow executes one lookahead window ending at end: every shard
+// runWindow executes one lookahead window through last: every shard
 // with events inside it runs, shared with the resident helpers whenever
 // more than one shard has work and a pool exists (the coordinator
-// always takes part itself). pre, when non-nil,
-// runs first on the coordinator — before any peer commits work — and
-// may truncate the window by returning a shard to exclude (it already
-// ran) and a lower limit for everyone else; RunUntilAnyOf uses it to
-// stop the whole window at a condition-flipping event. Window
-// statistics and barrier mailboxes are settled identically either way.
-func (pe *ParallelEngine) runWindow(end Time, pre func() (skip int, limit Time)) {
+// always takes part itself). With a halt test (cond non-nil), shard
+// watch runs first, alone on the coordinator, with cond re-checked
+// after every event, so the halting event — if this window holds one —
+// is found before any other shard commits work past it; the rest of the
+// window is then cut at the halting instant. The lookahead contract
+// makes that order safe: nothing a peer executes inside the window can
+// reach the watch shard within it, and vice versa. It reports whether
+// cond fired. Window statistics and barrier mailboxes are settled
+// identically either way.
+func (pe *ParallelEngine) runWindow(last Time, watch int, cond func() bool) bool {
 	active := pe.activeScratch[:0]
 	var before uint64
 	for i, s := range pe.shards {
-		if t, ok := s.NextAt(); ok && t < end {
+		if t, ok := s.NextAt(); ok && t <= last {
 			active = append(active, i)
 			before += s.Processed()
 		}
 	}
 	pe.activeScratch = active
-	pe.curLimit.Store(int64(end))
+	pe.curLast.Store(int64(last))
 	pe.inWindow.Store(true)
-	skip, limit := -1, end
-	if pre != nil {
-		skip, limit = pre()
+	skip, halted := -1, false
+	if cond != nil {
+		skip = watch
+		if halted = pe.shards[watch].RunThrough(last, cond); halted {
+			last = pe.shards[watch].now
+		}
 	}
 	rest := 0
 	for _, i := range active {
@@ -475,12 +397,12 @@ func (pe *ParallelEngine) runWindow(end Time, pre func() (skip int, limit Time))
 	}
 	pool := pe.pool.Load()
 	if rest > 1 && rest <= maxJobs && pool != nil {
-		pool.run(pe.shards, active, skip, limit)
+		pool.run(pe.shards, active, skip, last)
 		pe.parWindows++
 	} else {
 		for _, i := range active {
 			if i != skip {
-				pe.shards[i].RunBefore(limit)
+				pe.shards[i].RunThrough(last, nil)
 			}
 		}
 	}
@@ -492,6 +414,7 @@ func (pe *ParallelEngine) runWindow(end Time, pre func() (skip int, limit Time))
 	pe.noteWindow(after - before)
 	pe.handoffs++
 	pe.drainMail()
+	return halted
 }
 
 // nextHorizons scans the shard queues once and reports the global
@@ -524,37 +447,41 @@ func (pe *ParallelEngine) nextHorizons() (next Time, solo int, n2 Time, ok bool)
 // entirely by shard solo under a single hand-off + barrier cycle. The
 // caller proved the first window sound (next + lookahead <= n2, the
 // other shards' horizon); each further window re-proves it before
-// running. Three things end the batch: a window that would reach n2 (a
+// running. Four things end the batch: a window that would reach n2 (a
 // peer becomes active — fall back to the ordinary protocol), the solo
 // shard posting cross-shard mail (deliveries may move n2, so the batch
-// settles at the barrier exactly as an unbatched window would), or the
-// deadline. n2 itself cannot move inside the batch — only mail
-// deliveries change a peer's queue, and mail sits in the arena until
-// the barrier.
+// settles at the barrier exactly as an unbatched window would), the
+// deadline, or — when solo is the watch shard — cond firing, which
+// leaves the clock at the halting event as runWindow would. n2 itself
+// cannot move inside the batch — only mail deliveries change a peer's
+// queue, and mail sits in the arena until the barrier. It reports
+// whether cond fired.
 //
-// Every conceptual window runs the same RunBefore span with the same
-// end the unbatched loop would use and is accounted through the same
-// noteWindow, so Windows and EventsPerWindow are identical with
-// batching on or off: the batch elides coordination, never trajectory.
-func (pe *ParallelEngine) runSoloBatch(solo int, n2, deadline Time) {
+// Every conceptual window runs the same RunThrough span with the same
+// last instant the unbatched loop would use and is accounted through
+// the same noteWindow, so Windows and EventsPerWindow are identical
+// with batching on or off: the batch elides coordination, never
+// trajectory.
+func (pe *ParallelEngine) runSoloBatch(solo int, n2, deadline Time, watch int, cond func() bool) bool {
 	s := pe.shards[solo]
+	if solo != watch {
+		cond = nil // only the watch shard's events can flip it
+	}
 	pe.inWindow.Store(true)
 	var batched uint64
-	for {
+	halted := false
+	for !halted {
 		t, ok := s.NextAt()
 		if !ok || t > deadline {
 			break
 		}
-		end := t + pe.lookahead
-		if end > deadline {
-			end = deadline + 1 // final window: include events at the deadline
-		}
-		if end > n2 {
+		last := min(t+pe.lookahead-1, deadline)
+		if last >= n2 {
 			break
 		}
-		pe.curLimit.Store(int64(end))
+		pe.curLast.Store(int64(last))
 		before := s.Processed()
-		s.RunBefore(end)
+		halted = s.RunThrough(last, cond)
 		pe.noteWindow(s.Processed() - before)
 		batched++
 		if len(pe.lanes[solo].mail) > 0 {
@@ -566,44 +493,53 @@ func (pe *ParallelEngine) runSoloBatch(solo int, n2, deadline Time) {
 	pe.batchRuns++
 	pe.batchedWindows += batched
 	pe.drainMail()
+	return halted
 }
 
-// RunUntil executes events with timestamps <= deadline using parallel
-// lookahead windows, then advances every shard clock to exactly
-// deadline. Shards with events inside the current window run
-// concurrently across the coordinator and the resident helpers;
-// single-shard windows run on the coordinator and cost no handoff, and
-// runs of provably single-shard windows batch under one hand-off (see
-// runSoloBatch).
-func (pe *ParallelEngine) RunUntil(deadline Time) {
+// advance is the engine's one window loop: it executes events with
+// timestamps <= deadline under lookahead windows and reports whether
+// cond (nil for none) fired on an event of shard watch. Shards with
+// events inside the current window run concurrently across the
+// coordinator and the resident helpers; single-shard windows run on the
+// coordinator, and runs of provably single-shard windows batch under one
+// hand-off (see runSoloBatch). It leaves every clock at its shard's last
+// executed event; the drivers decide where the clocks go from there.
+func (pe *ParallelEngine) advance(deadline Time, watch int, cond func() bool) bool {
 	if len(pe.shards) == 1 {
-		// Sequential execution: the whole span runs as one barrier-free
-		// window, accounted so window statistics stay comparable across
-		// shard counts (a single shard synchronises zero times, not an
-		// unknown number of times).
+		// The whole span runs as one barrier-free window, accounted so
+		// window statistics stay comparable across shard counts (a
+		// single shard synchronises zero times, not an unknown number
+		// of times).
 		s := pe.shards[0]
 		before := s.Processed()
-		s.RunUntil(deadline)
+		halted := s.RunThrough(deadline, cond)
 		if ev := s.Processed() - before; ev > 0 {
 			pe.noteWindow(ev)
 		}
-		return
+		return halted
 	}
 	for {
 		next, solo, n2, ok := pe.nextHorizons()
 		if !ok || next > deadline {
-			break
+			return false
 		}
+		var halted bool
 		if next+pe.lookahead <= n2 {
-			pe.runSoloBatch(solo, n2, deadline)
-			continue
+			halted = pe.runSoloBatch(solo, n2, deadline, watch, cond)
+		} else {
+			halted = pe.runWindow(min(next+pe.lookahead-1, deadline), watch, cond)
 		}
-		end := next + pe.lookahead
-		if end > deadline {
-			end = deadline + 1 // final window: include events at the deadline
+		if halted {
+			return true
 		}
-		pe.runWindow(end, nil)
 	}
+}
+
+// RunUntil executes events with timestamps <= deadline using parallel
+// lookahead windows, then advances every shard clock to exactly
+// deadline.
+func (pe *ParallelEngine) RunUntil(deadline Time) {
+	pe.advance(deadline, -1, nil)
 	for _, s := range pe.shards {
 		s.RunUntil(deadline)
 	}
@@ -616,16 +552,13 @@ func (pe *ParallelEngine) RunUntil(deadline Time) {
 //
 // cond may only change state from events executing on the shard owning
 // watch (the host gateway chip's domain): that shard runs first in every
-// window, one event at a time on the coordinator, and when cond flips at
-// an event at time t the rest of the window is truncated so no other
-// shard executes past t. The machine is then left exactly as a
-// sequential driver stepping to the same event would leave it — every
-// clock at t, everything later still pending — so the state a driver
-// resumes from is a property of the simulation trajectory, never of the
-// window layout or the shard count. This is what lets host-command
-// waits ("k responses arrived or deadline") run under normal PDES
-// windows without breaking the determinism contract, where the old
-// sequential await loop stepped the whole machine one event at a time.
+// window it shares (see runWindow), and when cond flips at an event at
+// time t no other shard executes past t. Every clock is then
+// synchronised to t with everything later still pending, so the state a
+// driver resumes from is a property of the simulation trajectory, never
+// of the window layout or the shard count. This is what lets
+// host-command waits ("k responses arrived or deadline") run under
+// normal PDES windows without breaking the determinism contract.
 //
 // Window statistics account every window executed here exactly as
 // RunUntil would. When cond does not fire, clocks advance to exactly
@@ -635,69 +568,18 @@ func (pe *ParallelEngine) RunUntilAnyOf(deadline Time, watch *Domain, cond func(
 	if cond() {
 		return true
 	}
-	halt := watch.Engine()
-	if len(pe.shards) == 1 {
-		// Sequential execution, accounted as one barrier-free window
-		// (matching RunUntil's single-shard path).
-		s := pe.shards[0]
-		before := s.Processed()
-		halted := false
-		for {
-			if at, ok := s.q.peekAt(); !ok || at > deadline {
-				break
-			}
-			s.Step()
-			if cond() {
-				halted = true
-				break
-			}
-		}
-		if ev := s.Processed() - before; ev > 0 {
-			pe.noteWindow(ev)
-		}
-		if !halted && deadline < Forever {
-			s.advanceTo(deadline)
-		}
-		return halted
-	}
-	haltIdx := -1
+	idx := -1
 	for i, s := range pe.shards {
-		if s == halt {
-			haltIdx = i
+		if s == watch.Engine() {
+			idx = i
 			break
 		}
 	}
-	if haltIdx < 0 {
+	if idx < 0 {
 		panic("sim: RunUntilAnyOf watch domain is not on this engine")
 	}
-	halted := false
-	for !halted {
-		next, ok := pe.NextEventAt()
-		if !ok || next > deadline {
-			break
-		}
-		end := next + pe.lookahead
-		if end > deadline {
-			end = deadline + 1 // final window: include events at the deadline
-		}
-		// The watch shard runs first, on the coordinator, so the halting
-		// event — if this window holds one — is found before any other
-		// shard commits work past it. The lookahead contract makes the
-		// order safe: nothing a peer executes inside the window can
-		// reach the watch shard within it, and vice versa.
-		pe.runWindow(end, func() (int, Time) {
-			if pe.shards[haltIdx].RunBeforeCond(end, cond) {
-				halted = true
-				return haltIdx, pe.shards[haltIdx].now + 1
-			}
-			return haltIdx, end
-		})
-	}
-	if halted {
-		// Every shard stopped at or before the halting event's instant;
-		// synchronise the clocks to it, exactly as a sequential stepping
-		// driver would have left them.
-		pe.SyncClocks()
+	if pe.advance(deadline, idx, cond) {
+		pe.syncClocks()
 		return true
 	}
 	if deadline < Forever {
@@ -705,7 +587,7 @@ func (pe *ParallelEngine) RunUntilAnyOf(deadline Time, watch *Domain, cond func(
 			s.RunUntil(deadline)
 		}
 	} else {
-		pe.SyncClocks()
+		pe.syncClocks()
 	}
 	return cond()
 }
@@ -755,8 +637,9 @@ func (k Kinds) Add(more Kinds) {
 	}
 }
 
-// Quiescent reports nil when the engine sits at sequential quiescence —
-// no window in flight and every shard clock reading the same instant —
+// Quiescent reports nil when the engine sits at quiescence — no window
+// in flight and every shard clock reading the same instant, as every
+// driver leaves it —
 // the only state snapshots may be taken in or restored into.
 func (pe *ParallelEngine) Quiescent() error {
 	if pe.inWindow.Load() {
@@ -772,7 +655,7 @@ func (pe *ParallelEngine) Quiescent() error {
 }
 
 // ExportEvents returns every pending event across all shards in
-// canonical key order. It requires sequential quiescence, and it is an
+// canonical key order. It requires quiescence, and it is an
 // audit: any pending event without a descriptor — or scheduled in the
 // anonymous engine domain, whose keys are shard-local — cannot be
 // restored and is reported as an error naming the offender.

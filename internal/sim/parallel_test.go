@@ -8,6 +8,35 @@ import (
 	"unsafe"
 )
 
+// stepGlobal is the global-order oracle the windowed engine is held
+// against: it executes the single globally-earliest event — least by the
+// full canonical (time, domain, class, key) order across every shard, so
+// the schedule is exactly the one a single merged engine would produce —
+// and reports whether there was one. It runs outside any window, so a
+// cross-shard post it makes is inserted into its destination at once.
+func stepGlobal(pe *ParallelEngine) bool {
+	best := -1
+	var bk eventKey
+	for i, s := range pe.shards {
+		if k, ok := peekKey(&s.q); ok && (best < 0 || k.less(bk)) {
+			best, bk = i, k
+		}
+	}
+	if best < 0 {
+		return false
+	}
+	pe.shards[best].Step()
+	return true
+}
+
+// runGlobal steps pe to quiescence in global order and synchronises the
+// clocks, the end state Drain reaches by windows.
+func runGlobal(pe *ParallelEngine) {
+	for stepGlobal(pe) {
+	}
+	pe.syncClocks()
+}
+
 // pingPong builds a 2-shard model where each shard's events post events
 // back to the other with latency la, recording a trace of (shard, time)
 // pairs. It returns the trace after running to the deadline.
@@ -42,7 +71,7 @@ func pingPongOn(pe *ParallelEngine, a, b int, la, deadline Time, parallel bool) 
 	if parallel {
 		pe.RunUntil(deadline)
 	} else {
-		pe.Run()
+		runGlobal(pe)
 	}
 	// Merge per-shard traces deterministically for comparison.
 	return append(per[0], per[1]...)
@@ -128,7 +157,7 @@ func TestSequentialStepGlobalOrder(t *testing.T) {
 	pe.Shard(1).AtP(5, Func(func() { got = append(got, 15) }))
 	pe.Shard(0).AtP(5, Func(func() { got = append(got, 5) }))
 	pe.Shard(1).AtP(3, Func(func() { got = append(got, 13) }))
-	pe.Run()
+	runGlobal(pe)
 	want := []int{13, 5, 15} // time order, shard index breaking the tie
 	if len(got) != len(want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -243,8 +272,9 @@ func TestWiderLookaheadReducesWindows(t *testing.T) {
 // every 2000 ticks; each shard 1 wake posts a cross-shard event back to
 // shard 0, and every 100th shard 0 step posts one to shard 1. Between
 // those exchanges the horizons prove shard 0 is alone, so the engine
-// may batch its windows under one hand-off.
-func quietCut(pe *ParallelEngine, deadline Time) []string {
+// may batch its windows under one hand-off. parallel false runs it
+// under the global-order oracle instead.
+func quietCut(pe *ParallelEngine, deadline Time, parallel bool) []string {
 	const period, wake, la = 10, 2000, 100
 	per := make([][]string, pe.Shards())
 	doms := []*Domain{pe.Shard(0).Domain(0), pe.Shard(1).Domain(1)}
@@ -282,24 +312,23 @@ func quietCut(pe *ParallelEngine, deadline Time) []string {
 	}
 	pe.Shard(0).AtP(0, Func(rearm0))
 	pe.Shard(1).AtP(5, Func(rearm1))
-	pe.RunUntil(deadline)
+	if parallel {
+		pe.RunUntil(deadline)
+	} else {
+		runGlobal(pe)
+	}
 	return append(per[0], per[1]...)
 }
 
 func TestBatchedSoloMatchesSequential(t *testing.T) {
 	// The batched hand-off path is pure execution strategy: the quiet-cut
 	// workload must yield the identical per-shard trace whether windows
-	// run one-per-hand-off (sequential reference) or batched.
+	// run in global order (stepGlobal, no windows at all) or batched.
 	const deadline = 20000
 	run := func(parallel bool) (*ParallelEngine, []string) {
 		pe := NewParallel(1, 2, 2)
 		pe.SetLookahead(100)
-		if !parallel {
-			// Sequential global-order reference: no windows at all.
-			per := quietCutSequential(pe, deadline)
-			return pe, per
-		}
-		return pe, quietCut(pe, deadline)
+		return pe, quietCut(pe, deadline, parallel)
 	}
 	peSeq, seq := run(false)
 	pePar, par := run(true)
@@ -327,49 +356,6 @@ func TestBatchedSoloMatchesSequential(t *testing.T) {
 	}
 }
 
-// quietCutSequential replays the quietCut workload under Run()'s global
-// event order (the ground-truth trajectory, no windows or batching).
-func quietCutSequential(pe *ParallelEngine, deadline Time) []string {
-	const period, wake, la = 10, 2000, 100
-	per := make([][]string, pe.Shards())
-	doms := []*Domain{pe.Shard(0).Domain(0), pe.Shard(1).Domain(1)}
-	var seq [2]uint64
-	var n0 int
-	var rearm0 func()
-	rearm0 = func() {
-		eng := pe.Shard(0)
-		per[0] = append(per[0], fmt.Sprintf("s0@%d", eng.Now()))
-		n0++
-		if n0%100 == 0 && eng.Now()+la <= deadline {
-			seq[0]++
-			pe.PostP(0, 1, doms[1], eng.Now()+la, 0, seq[0], Func(func() {
-				per[1] = append(per[1], fmt.Sprintf("s1m@%d", pe.Shard(1).Now()))
-			}))
-		}
-		if eng.Now()+period <= deadline {
-			eng.AtP(eng.Now()+period, Func(rearm0))
-		}
-	}
-	var rearm1 func()
-	rearm1 = func() {
-		eng := pe.Shard(1)
-		per[1] = append(per[1], fmt.Sprintf("s1@%d", eng.Now()))
-		if eng.Now()+la <= deadline {
-			seq[1]++
-			pe.PostP(1, 0, doms[0], eng.Now()+la, 1, seq[1], Func(func() {
-				per[0] = append(per[0], fmt.Sprintf("s0m@%d", pe.Shard(0).Now()))
-			}))
-		}
-		if eng.Now()+wake <= deadline {
-			eng.AtP(eng.Now()+wake, Func(rearm1))
-		}
-	}
-	pe.Shard(0).AtP(0, Func(rearm0))
-	pe.Shard(1).AtP(5, Func(rearm1))
-	pe.Run()
-	return append(per[0], per[1]...)
-}
-
 func TestBatchAccountingInvariant(t *testing.T) {
 	// Every conceptual window pays exactly one hand-off unless it ran
 	// inside a batch: windows - batchedWindows == handoffs - batchRuns,
@@ -377,7 +363,7 @@ func TestBatchAccountingInvariant(t *testing.T) {
 	pe := NewParallel(1, 2, 2)
 	defer pe.Close()
 	pe.SetLookahead(100)
-	quietCut(pe, 20000)
+	quietCut(pe, 20000, true)
 	w, bw := pe.Windows(), pe.BatchedWindows()
 	h, br := pe.Handoffs(), pe.BatchRuns()
 	if w-bw != h-br {

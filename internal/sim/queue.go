@@ -348,15 +348,6 @@ func (q *queue) peekAt() (Time, bool) {
 	return q.tree[1].at, true
 }
 
-// peekKey reports the canonical key of the least pending event.
-func (q *queue) peekKey() (eventKey, bool) {
-	if q.n == 0 {
-		return eventKey{}, false
-	}
-	q.settle()
-	return q.doms[q.tree[1].leaf].pend[0].key, true
-}
-
 // pop removes the least pending event and returns its instant and
 // payload. It panics when the queue is empty.
 func (q *queue) pop() (Time, Payload) {

@@ -577,7 +577,7 @@ type SimStats struct {
 	// dispatched to the worker pool; EventsPerWindow the mean events per
 	// window. A single-shard engine runs each RunUntil span as one
 	// barrier-free window, so its counts stay comparable (near-zero, as
-	// sequential execution synchronises nothing) instead of reading zero
+	// one shard synchronises nothing) instead of reading zero
 	// events per window.
 	Windows         uint64
 	ParallelWindows uint64
@@ -596,10 +596,11 @@ type SimStats struct {
 	// built or restored with. The field stays for the benchmark's
 	// sim.repartitions column.
 	Repartitions uint64
-	// HostTransitions counts engine stop/start round trips by
-	// sequential-mode drivers: boot-phase quiescence runs plus one per
-	// host wait. Batching amortises these — N serial host commands pay N
-	// transitions where one batch pays one.
+	// HostTransitions counts the times a driver stopped the machine to
+	// look at it: one per Drain to quiescence (boot and load phases) and
+	// one per host wait. RunUntil spans do not count. Batching amortises
+	// these — N serial host commands pay N transitions where one batch
+	// pays one.
 	HostTransitions uint64
 }
 

@@ -536,9 +536,6 @@ func BenchmarkPrepareWorkload(b *testing.B) {
 	}
 }
 
-// TestSnapshotErrors pins the failure modes: snapshots are illegal
-// before boot and load, and corrupt, truncated, version-skewed or
-// trailing-garbage images are rejected up front.
 // TestRepartitionValidation pins the refusals of a move onto another
 // layout: RestoreOn rejects an unknown geometry, a negative worker count,
 // more workers than the fabric has chips, and the boards geometry on a
@@ -579,6 +576,9 @@ func TestRepartitionValidation(t *testing.T) {
 	}
 }
 
+// TestSnapshotErrors pins the failure modes: snapshots are illegal
+// before boot and load, and corrupt, truncated, version-skewed or
+// trailing-garbage images are rejected up front.
 func TestSnapshotErrors(t *testing.T) {
 	m, err := NewMachine(MachineConfig{Width: 2, Height: 2, Seed: 1})
 	if err != nil {

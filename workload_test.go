@@ -3,7 +3,9 @@ package spinngo
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"spinngo/internal/workload"
@@ -44,6 +46,43 @@ func TestWorkloadRegistryRuns(t *testing.T) {
 	}
 	if rep.TotalSpikes == 0 {
 		t.Fatal("retina workload produced no spikes")
+	}
+}
+
+// TestRegistryDocumentsAcrossWorkers holds every registry document to
+// the determinism contract: run on one worker and on four, each must
+// give an equal run report and equal recorded rasters for every
+// population. Multi-shard runs take every host wait, boot drain and
+// campaign through the engine's window loop, so this is the check that
+// the loop's one way to run serves every document.
+func TestRegistryDocumentsAcrossWorkers(t *testing.T) {
+	for _, name := range workload.Names() {
+		t.Run(name, func(t *testing.T) {
+			wl, err := workload.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			one, oneRep, err := RunWorkloadOn(wl, 1, wl.Machine.Partition)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer one.Close()
+			four, fourRep, err := RunWorkloadOn(wl, 4, wl.Machine.Partition)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer four.Close()
+			if !reflect.DeepEqual(oneRep, fourRep) {
+				t.Errorf("run report on 4 workers differs from 1:\n%+v\n%+v", fourRep, oneRep)
+			}
+			onePops, fourPops := one.Pops(), four.Pops()
+			for i, p := range onePops {
+				a, b := one.Spikes(p), four.Spikes(fourPops[i])
+				if !slices.Equal(a, b) {
+					t.Errorf("population %d: %d spikes on 4 workers, %d on 1, rasters differ", i, len(b), len(a))
+				}
+			}
+		})
 	}
 }
 
