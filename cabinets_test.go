@@ -365,18 +365,20 @@ func TestIdleTorusStaysSparse(t *testing.T) {
 // booted chip holds only what it uses: the flood-filled 8 KiB system
 // image is stored once per machine (each chip holds one bit per block in
 // the machine's segment table), flood-fill state lives in dense
-// per-command arrays, and DMA controllers are built on first use.
-// Measured on a booted 32x32 torus (go1.24 linux/amd64): 5,096 B of live
-// heap per chip; with a private image copy per chip (SDRAM.Store in
-// place of StoreShared on the fill path) the same machine measures
-// 15,672 B. The 7 KiB bound sits between the two, so losing the
-// aliasing — or growing booted per-chip state by two fifths — fails
-// here.
+// per-command arrays that are dropped once the boot's flood has
+// drained, and DMA controllers are built on first use. Measured on a
+// booted 32x32 torus (go1.24 linux/amd64): 4,419 B of live heap per
+// chip; keeping every fill's per-chip state for life, as the machine
+// did before, measures 5,080 B, and a private image copy per chip
+// (SDRAM.Store in place of StoreShared on the fill path) 15,672 B. The
+// 4,864 B bound sits between the first two, so losing the aliasing,
+// keeping the fill state, or growing booted per-chip state by a tenth
+// fails here.
 func TestBootedTorusAliasesSystemImage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots 1024 chips")
 	}
-	const perChipBound = 7 << 10
+	const perChipBound = 4864
 	before := liveHeap()
 	m, err := NewMachine(sparseConfig(32))
 	if err != nil {
@@ -396,4 +398,63 @@ func TestBootedTorusAliasesSystemImage(t *testing.T) {
 			perChip, perChipBound)
 	}
 	t.Logf("booted 32x32: %d B live heap, %d B/chip", heap, heap/int64(chips))
+}
+
+// TestRestoredTorusKeepsAliasing pins the checkpoint side of the same
+// aliasing: an image codes the machine's segment table once and each
+// chip's share of it as bits, and a restore aliases the table again
+// instead of decoding a private copy per chip. Measured on a 32x32
+// torus loaded with a 4->8 all-to-all model and run 5 ms (go1.24
+// linux/amd64): a 707 B image and 4,326 B of restored live heap per
+// chip, where images holding every chip's copy measured 10,449 B and
+// 15,582 B. The bounds, 2 KiB and 7 KiB, sit between.
+func TestRestoredTorusKeepsAliasing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots and restores 1024 chips")
+	}
+	const imageBound, heapBound = 2 << 10, 7 << 10
+	m, err := NewMachine(sparseConfig(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Boot(); err != nil {
+		m.Close()
+		t.Fatal(err)
+	}
+	model := NewModel()
+	stim := model.AddPoisson("stim", 4, 100)
+	exc := model.AddLIF("exc", 8, DefaultLIFConfig())
+	if err := model.Connect(stim, exc, Conn{Rule: AllToAllRule, WeightNA: 1, DelayMS: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Load(model); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(5); err != nil {
+		t.Fatal(err)
+	}
+	image, err := m.Snapshot()
+	m.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	chips := int64(m.TorusChips())
+	m = nil
+
+	before := liveHeap()
+	r, err := Restore(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	heap := liveHeap() - before
+	runtime.KeepAlive(image) // counted in before, so it must stay live
+	if perChip := int64(len(image)) / chips; perChip > imageBound {
+		t.Errorf("32x32 image holds %d B per chip, bound %d B (a copy of the system image per chip would read ~10 KiB)", perChip, imageBound)
+	}
+	if perChip := heap / chips; perChip > heapBound {
+		t.Errorf("restored 32x32 torus retains %d B of live heap per chip, bound %d B (a private system image copy per chip would read ~15 KiB)", perChip, heapBound)
+	}
+	t.Logf("32x32: %d B image (%d B/chip), restored %d B live heap (%d B/chip)",
+		len(image), int64(len(image))/chips, heap, heap/chips)
 }

@@ -313,6 +313,58 @@ func TestFillMemBulkLoad(t *testing.T) {
 	}
 }
 
+// TestFillMemReleasesReplacedPayloads: every chip replaces a fill's
+// segment with the next fill's at the same address, so after 50 fills of
+// 4 KiB at one address the machine's segment table holds that one
+// payload beside the system image, not 50, and a checkpoint's segment
+// table grows by no more than the one payload across them.
+func TestFillMemReleasesReplacedPayloads(t *testing.T) {
+	const fills, size, addr = 50, 4 << 10, 0x5200_0000
+	m := buildSmallMachine(t, MachineConfig{Width: 4, Height: 4, Seed: 13})
+	defer m.Close()
+	model := NewModel()
+	stim := model.AddPoisson("stim", 4, 100)
+	exc := model.AddLIF("exc", 8, DefaultLIFConfig())
+	if err := model.Connect(stim, exc, Conn{Rule: AllToAllRule, WeightNA: 1, DelayMS: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Load(model); err != nil {
+		t.Fatal(err)
+	}
+	table := func() int {
+		image, err := m.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		table, memory, _ := memoryCuts(t, m, image)
+		return memory - table
+	}
+	segs := m.boot.Segments()
+	booted, bootTable := segs.Bytes(), table()
+	hl, err := m.AttachHost()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, size)
+	for i := 0; i < fills; i++ {
+		payload[0] = byte(i + 1) // no two payloads alike
+		if chips, err := hl.FillMem(addr, payload); err != nil || chips != 16 {
+			t.Fatalf("fill %d reached %d chips: %v", i, chips, err)
+		}
+	}
+	if got := segs.Bytes() - booted; got != size {
+		t.Errorf("after %d fills of %d B at one address the segment table holds %d B beside the system image, want %d",
+			fills, size, got, size)
+	}
+	if got := table() - bootTable; got > size+8 {
+		t.Errorf("the image's segment table grew by %d B across the fills, want at most one payload and its entry header (%d B)", got, size+8)
+	}
+	back, err := hl.ReadMem(3, 2, addr, size)
+	if err != nil || !bytes.Equal(back, payload) {
+		t.Errorf("the last fill's payload not readable back: %v", err)
+	}
+}
+
 // TestFillMemPartialCoverage pins the flood-fill coverage report: a fill
 // whose acknowledgement tree was built while the whole machine was
 // reachable, but whose chunks can no longer reach an islanded chip,

@@ -20,8 +20,9 @@ import (
 //
 // It also provides a small segment store so boot images and application
 // data can actually be written and read back in boot and host tests. A
-// segment is either private, stored by copy, or an entry of the
-// machine's Segments table that this chip holds.
+// segment is private — stored by copy, or by its length alone when
+// every byte is zero — or an entry of the machine's Segments table that
+// this chip holds.
 type SDRAM struct {
 	eng sim.Scheduler
 	// Latency is the fixed setup cost per transfer.
@@ -33,6 +34,7 @@ type SDRAM struct {
 	table     *Segments         // the machine's shared payloads (set by New)
 	shared    []uint64          // bit i set: this chip holds table entry i
 	private   map[uint32][]byte // nil until the first Store
+	zeros     map[uint32]int    // all-zero private segments, by length
 	used      int
 
 	// Counters for the energy model.
@@ -46,9 +48,8 @@ type SDRAM struct {
 // per machine however many chips store it: a chip's SDRAM records the
 // entries it holds as one bit each. That was the dominant heap term of
 // a booted machine when every chip kept its own map of aliases. Entries
-// are added only from sequential context (no window in flight) and are
-// immutable, so any shard may read them; the table keeps each payload
-// for the machine's lifetime.
+// are added and released only from sequential context (no window in
+// flight) and are immutable while held, so any shard may read them.
 type Segments struct {
 	entries []segment
 }
@@ -63,6 +64,88 @@ type segment struct {
 func (t *Segments) Add(addr uint32, data []byte) int {
 	t.entries = append(t.entries, segment{addr, data})
 	return len(t.entries) - 1
+}
+
+// Release drops the payload of every entry not in keep — one no chip
+// holds and no pending store will — so a table fed by repeated fills
+// keeps only the payloads chips hold. The entry keeps its index, so
+// membership records stay valid. Sequential context only.
+func (t *Segments) Release(keep []uint64) {
+	for i := range t.entries {
+		if !has(keep, i) {
+			t.entries[i].data = nil
+		}
+	}
+}
+
+// Bytes reports the payload bytes the table holds.
+func (t *Segments) Bytes() int {
+	n := 0
+	for _, e := range t.entries {
+		n += len(e.data)
+	}
+	return n
+}
+
+// Snap codes the image's segment table: encoding, the entries in held,
+// once, in table order; decoding, it replaces the table with the
+// image's entries, which the chips' membership records then index.
+func (t *Segments) Snap(c *snap.Codec, held []uint64) {
+	n := 0
+	for _, w := range held {
+		n += bits.OnesCount64(w)
+	}
+	n = c.Len(n)
+	if !c.Decoding() {
+		for i := range eachBit(held) {
+			c.U32(&t.entries[i].addr)
+			c.Bytes32(&t.entries[i].data)
+		}
+		return
+	}
+	t.entries = nil
+	for k := 0; k < n && c.Err() == nil; k++ {
+		var e segment
+		c.U32(&e.addr)
+		c.Bytes32(&e.data)
+		t.entries = append(t.entries, e)
+	}
+}
+
+// Mark adds entry i to the set, growing it as needed.
+func Mark(set []uint64, i int) []uint64 {
+	if w := i / 64; w >= len(set) {
+		set = append(set, make([]uint64, w+1-len(set))...)
+	}
+	set[i/64] |= 1 << (i % 64)
+	return set
+}
+
+// has reports whether entry i is in the set.
+func has(set []uint64, i int) bool {
+	return i/64 < len(set) && set[i/64]&(1<<(i%64)) != 0
+}
+
+// eachBit yields the entries in set, in ascending order.
+func eachBit(set []uint64) func(yield func(int) bool) {
+	return func(yield func(int) bool) {
+		for w, word := range set {
+			for ; word != 0; word &= word - 1 {
+				if !yield(w*64 + bits.TrailingZeros64(word)) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// rank reports entry i's position among the entries in set.
+func rank(set []uint64, i int) int {
+	n := bits.OnesCount64(set[i/64] & (1<<(i%64) - 1))
+	for _, w := range set[:i/64] {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // NewSDRAM returns a mobile-DDR-class SDRAM model: ~1 GB/s sustained,
@@ -106,20 +189,9 @@ func (s *SDRAM) admit(size int) sim.Time {
 	return end
 }
 
-// members yields the table entries this chip holds, in table order.
-func (s *SDRAM) members(yield func(int) bool) {
-	for w, word := range s.shared {
-		for ; word != 0; word &= word - 1 {
-			if !yield(w*64 + bits.TrailingZeros64(word)) {
-				return
-			}
-		}
-	}
-}
-
 // member reports the table entry this chip holds at addr, or -1.
 func (s *SDRAM) member(addr uint32) int {
-	for i := range s.members {
+	for i := range eachBit(s.shared) {
 		if s.table.entries[i].addr == addr {
 			return i
 		}
@@ -127,28 +199,35 @@ func (s *SDRAM) member(addr uint32) int {
 	return -1
 }
 
-// segment returns the segment stored at addr and, when it is shared,
-// its table entry (-1 otherwise).
-func (s *SDRAM) segment(addr uint32) (data []byte, entry int, ok bool) {
-	if data, ok := s.private[addr]; ok {
-		return data, -1, true
+// Held adds the table entries this chip holds to set and returns it.
+func (s *SDRAM) Held(set []uint64) []uint64 {
+	if len(set) < len(s.shared) {
+		set = append(set, make([]uint64, len(s.shared)-len(set))...)
 	}
-	if i := s.member(addr); i >= 0 {
-		return s.table.entries[i].data, i, true
+	for w, word := range s.shared {
+		set[w] |= word
 	}
-	return nil, -1, false
+	return set
 }
 
 // replace makes room for n bytes at addr, dropping whatever segment is
 // stored there; it fails, changing nothing, when the SDRAM would
 // overflow.
 func (s *SDRAM) replace(addr uint32, n int) error {
-	old, entry, _ := s.segment(addr)
-	if s.used-len(old)+n > SDRAMBytes {
+	old, entry := 0, -1
+	if d, ok := s.private[addr]; ok {
+		old = len(d)
+	} else if z, ok := s.zeros[addr]; ok {
+		old = z
+	} else if entry = s.member(addr); entry >= 0 {
+		old = len(s.table.entries[entry].data)
+	}
+	if s.used-old+n > SDRAMBytes {
 		return fmt.Errorf("chip: SDRAM overflow storing %d bytes at %#x", n, addr)
 	}
-	s.used += n - len(old)
+	s.used += n - old
 	delete(s.private, addr)
+	delete(s.zeros, addr)
 	if entry >= 0 {
 		s.shared[entry/64] &^= 1 << (entry % 64)
 	}
@@ -156,8 +235,13 @@ func (s *SDRAM) replace(addr uint32, n int) error {
 }
 
 // Store writes a private copy of data at the given address in the
-// segment store. It fails when the SDRAM would overflow.
+// segment store — its length alone when every byte is zero, as the
+// stand-in synaptic images the application load writes are. It fails
+// when the SDRAM would overflow.
 func (s *SDRAM) Store(addr uint32, data []byte) error {
+	if !slices.ContainsFunc(data, func(b byte) bool { return b != 0 }) {
+		return s.storeZeros(addr, len(data))
+	}
 	if err := s.replace(addr, len(data)); err != nil {
 		return err
 	}
@@ -165,6 +249,18 @@ func (s *SDRAM) Store(addr uint32, data []byte) error {
 		s.private = make(map[uint32][]byte)
 	}
 	s.private[addr] = append([]byte(nil), data...)
+	return nil
+}
+
+// storeZeros stores n zero bytes at addr as their length.
+func (s *SDRAM) storeZeros(addr uint32, n int) error {
+	if err := s.replace(addr, n); err != nil {
+		return err
+	}
+	if s.zeros == nil {
+		s.zeros = make(map[uint32]int)
+	}
+	s.zeros[addr] = n
 	return nil
 }
 
@@ -177,53 +273,92 @@ func (s *SDRAM) StoreShared(i int) error {
 	if err := s.replace(seg.addr, len(seg.data)); err != nil {
 		return err
 	}
-	if w := i / 64; w >= len(s.shared) {
-		s.shared = append(s.shared, make([]uint64, w+1-len(s.shared))...)
-	}
-	s.shared[i/64] |= 1 << (i % 64)
+	s.shared = Mark(s.shared, i)
 	return nil
 }
 
 // Load reads back a segment stored at addr.
 func (s *SDRAM) Load(addr uint32) ([]byte, bool) {
-	d, _, ok := s.segment(addr)
-	if !ok {
-		return nil, false
+	if d, ok := s.private[addr]; ok {
+		return append([]byte(nil), d...), true
 	}
-	return append([]byte(nil), d...), true
+	if n, ok := s.zeros[addr]; ok {
+		return make([]byte, n), true
+	}
+	if i := s.member(addr); i >= 0 {
+		return append([]byte(nil), s.table.entries[i].data...), true
+	}
+	return nil, false
 }
 
-// Snap codes the SDRAM's dynamic state for snapshots, the segment store
-// — private and shared segments alike — in ascending address order
-// (deterministic bytes); decoding replaces the store with private
-// copies.
-func (s *SDRAM) Snap(c *snap.Codec) {
+// Snap codes the SDRAM's dynamic state for snapshots: the counters, the
+// table entries this chip holds as one bit each at their positions in
+// the image's segment table (held, encoding, is the set of entries that
+// table codes; decoding, the table is the image's), then the private
+// segments in ascending address order, an all-zero one by its length.
+// Decoding stores each segment as Store and StoreShared would, so the
+// restored chip aliases the table, usage is recounted and a segment
+// that would overflow the SDRAM fails the codec.
+func (s *SDRAM) Snap(c *snap.Codec, held []uint64) {
 	c.I64((*int64)(&s.busyUntil))
-	c.Int(&s.used)
 	c.U64(&s.Transfers)
 	c.U64(&s.BytesMoved)
 	c.I64((*int64)(&s.ContentionBusy))
+	var members []uint64
 	var addrs []uint32
 	if !c.Decoding() {
-		addrs = slices.AppendSeq(addrs, maps.Keys(s.private))
-		for i := range s.members {
-			addrs = append(addrs, s.table.entries[i].addr)
+		for i := range eachBit(s.shared) {
+			members = Mark(members, rank(held, i))
 		}
+		addrs = slices.AppendSeq(addrs, maps.Keys(s.private))
+		addrs = slices.AppendSeq(addrs, maps.Keys(s.zeros))
 		slices.Sort(addrs)
 	}
-	snap.Slice(c, &addrs)
+	snap.Slice(c, &members)
+	for w := range members {
+		c.U64(&members[w])
+	}
 	if c.Decoding() {
-		s.private, s.shared = nil, nil
-		if len(addrs) > 0 {
-			s.private = make(map[uint32][]byte, len(addrs))
+		s.shared, s.private, s.zeros, s.used = nil, nil, nil, 0
+		for i := range eachBit(members) {
+			if i >= len(s.table.entries) {
+				c.Fail(fmt.Errorf("chip: SDRAM holds segment %d past the %d-entry segment table", i, len(s.table.entries)))
+				return
+			}
+			if err := s.StoreShared(i); err != nil {
+				c.Fail(err)
+				return
+			}
 		}
 	}
-	for i := 0; i < len(addrs) && c.Err() == nil; i++ {
-		c.U32(&addrs[i])
-		data, _, _ := s.segment(addrs[i])
-		c.Bytes32(&data)
-		if c.Decoding() {
-			s.private[addrs[i]] = data
+	snap.Slice(c, &addrs)
+	for k := 0; k < len(addrs) && c.Err() == nil; k++ {
+		c.U32(&addrs[k])
+		var data []byte
+		n, zero := 0, false
+		if !c.Decoding() {
+			data = s.private[addrs[k]]
+			n, zero = s.zeros[addrs[k]]
+		}
+		c.Bool(&zero)
+		if zero {
+			u := uint32(n)
+			c.U32(&u)
+			n = int(u)
+		} else {
+			c.Bytes32(&data)
+		}
+		if !c.Decoding() || c.Err() != nil {
+			continue
+		}
+		var err error
+		if zero {
+			err = s.storeZeros(addrs[k], n)
+		} else {
+			err = s.Store(addrs[k], data)
+		}
+		if err != nil {
+			c.Fail(err)
 		}
 	}
 }

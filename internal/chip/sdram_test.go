@@ -2,6 +2,7 @@ package chip
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"spinngo/internal/sim"
@@ -86,8 +87,8 @@ func TestSDRAMOverflow(t *testing.T) {
 // TestSDRAMSharedSegments pins the machine-wide segment table: a chip
 // holding an entry sees it as a segment at the entry's address, a later
 // store at that address (shared or private) replaces it, usage and the
-// overflow check count it once, and the image is the one private copies
-// of the same segments would write.
+// overflow check count it once, and an image codes it as one bit against
+// the image's table, which a restored chip aliases in turn.
 func TestSDRAMSharedSegments(t *testing.T) {
 	segs := &Segments{}
 	a := segs.Add(0x100, []byte("aaaa"))
@@ -132,14 +133,65 @@ func TestSDRAMSharedSegments(t *testing.T) {
 		t.Error("a chip holding no entry sees one")
 	}
 
-	private := NewSDRAM(sim.New(1))
-	_ = private.Store(0x100, []byte("aaaa"))
-	_ = private.Store(0x50, []byte("cc"))
-	shared, copied := snap.NewEncoder(), snap.NewEncoder()
-	s.Snap(shared)
-	private.Snap(copied)
-	if !bytes.Equal(shared.Bytes(), copied.Bytes()) {
-		t.Error("shared segments code differently from private copies of them")
+	// The image's table holds the two entries s holds, a then c; s codes
+	// them as the bits of positions 0 and 1.
+	held := s.Held(nil)
+	enc := snap.NewEncoder()
+	segs.Snap(enc, held)
+	s.Snap(enc, held)
+	table := &Segments{}
+	r := New(sim.New(1), topo.Coord{}, 1, table).SDRAM
+	dec := snap.NewDecoder(enc.Bytes())
+	table.Snap(dec, nil)
+	r.Snap(dec, nil)
+	if err := dec.Err(); err != nil || dec.Remaining() != 0 {
+		t.Fatalf("decode: %v, %d bytes left", err, dec.Remaining())
+	}
+	if len(table.entries) != 2 || table.Bytes() != 6 {
+		t.Errorf("image table holds %d entries of %d B, want the 2 held, 6 B", len(table.entries), table.Bytes())
+	}
+	if len(r.private) != 0 || r.Used() != 6 {
+		t.Errorf("restored chip holds %d private copies, Used %d; want none, 6", len(r.private), r.Used())
+	}
+	for addr, want := range map[uint32]string{0x100: "aaaa", 0x50: "cc"} {
+		if got, ok := r.Load(addr); !ok || string(got) != want {
+			t.Errorf("restored Load(%#x) = %q, %v; want %q", addr, got, ok, want)
+		}
+	}
+}
+
+// TestSDRAMZeroSegments pins a segment of zeros as its length: stored
+// without a copy, loaded back as fresh zeros, counted in usage and the
+// overflow check like any other, and coded in an image as its length.
+func TestSDRAMZeroSegments(t *testing.T) {
+	s := NewSDRAM(sim.New(1))
+	if err := s.Store(0x7000, make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.private) != 0 || s.zeros[0x7000] != 4096 || s.Used() != 4096 {
+		t.Fatalf("a zero segment is held as %d private copies, length %d, Used %d", len(s.private), s.zeros[0x7000], s.Used())
+	}
+	got, ok := s.Load(0x7000)
+	if !ok || len(got) != 4096 || slices.ContainsFunc(got, func(b byte) bool { return b != 0 }) {
+		t.Fatalf("Load of a zero segment = %d bytes, %v", len(got), ok)
+	}
+	got[0] = 1
+	if again, _ := s.Load(0x7000); again[0] != 0 {
+		t.Error("Load of a zero segment returned shared storage")
+	}
+	if err := s.Store(0x7000, []byte{0, 9}); err != nil || s.Used() != 2 || len(s.zeros) != 0 {
+		t.Errorf("a private store over a zero segment: %v, Used %d, %d zero segments", err, s.Used(), len(s.zeros))
+	}
+	if err := s.Store(0x8000, make([]byte, SDRAMBytes)); err == nil {
+		t.Error("a zero segment overflowing the SDRAM was stored")
+	}
+	_ = s.Store(0x9000, make([]byte, 100))
+	enc := snap.NewEncoder()
+	s.Snap(enc, nil)
+	// Counters, no membership, two segments: 0x7000 with its two bytes,
+	// 0x9000 as its length.
+	if want := 32 + 4 + 4 + (4 + 1 + 4 + 2) + (4 + 1 + 4); len(enc.Bytes()) != want {
+		t.Errorf("image codes the segments in %d B, want %d", len(enc.Bytes()), want)
 	}
 }
 

@@ -11,6 +11,11 @@ import (
 
 type snapper interface{ Snap(*snap.Codec) }
 
+// sdramSnap codes an SDRAM against the table of the entries it holds.
+type sdramSnap struct{ *SDRAM }
+
+func (s sdramSnap) Snap(c *snap.Codec) { s.SDRAM.Snap(c, s.Held(nil)) }
+
 // TestMemorySnapRoundTrip pins the one-description contract for the
 // chip's memory system: encode(x) decoded into a freshly built y
 // re-encodes to the same bytes, consuming the image exactly; the image
@@ -38,11 +43,11 @@ func TestMemorySnapRoundTrip(t *testing.T) {
 		src   snapper
 		fresh func() snapper
 	}{
-		{"sdram", mem, func() snapper { return NewSDRAM(sim.New(1)) }},
-		{"sdram empty", NewSDRAM(eng), func() snapper {
+		{"sdram", sdramSnap{mem}, func() snapper { return sdramSnap{New(sim.New(1), topo.Coord{}, 1, mem.table).SDRAM} }},
+		{"sdram empty", sdramSnap{NewSDRAM(eng)}, func() snapper {
 			s := NewSDRAM(sim.New(1))
 			_ = s.Store(1, []byte{1}) // replaced by the overlay
-			return s
+			return sdramSnap{s}
 		}},
 		{"dma", dma, func() snapper { return NewDMAController(sim.New(1), NewSDRAM(sim.New(1))) }},
 		{"dma idle", NewDMAController(eng, mem), func() snapper { return NewDMAController(sim.New(1), NewSDRAM(sim.New(1))) }},
@@ -75,9 +80,9 @@ func TestMemorySnapRoundTrip(t *testing.T) {
 		t.Fatalf("source state too thin to be a test: queue %d, used %d", dma.QueueLen(), mem.Used())
 	}
 	enc := snap.NewEncoder()
-	mem.Snap(enc)
-	dst := NewSDRAM(sim.New(1))
-	dst.Snap(snap.NewDecoder(enc.Bytes()))
+	sdramSnap{mem}.Snap(enc)
+	dst := New(sim.New(1), topo.Coord{}, 1, mem.table).SDRAM
+	dst.Snap(snap.NewDecoder(enc.Bytes()), nil)
 	if got, ok := dst.Load(0x7000); !ok || string(got) != "synaptic block" {
 		t.Fatalf("restored segment = %q, %v", got, ok)
 	}

@@ -34,6 +34,7 @@ import (
 	"fmt"
 
 	"spinngo/internal/boot"
+	"spinngo/internal/chip"
 	"spinngo/internal/packet"
 	"spinngo/internal/router"
 	"spinngo/internal/sim"
@@ -476,14 +477,54 @@ func (h *Host) register(cmd *command) uint32 {
 // shard can be reading them, and a straggler packet of a stripped
 // command finds the mark and stores nothing. Called on registration and
 // after a batch completes, so bulk loads do not pin their images for
-// the machine's lifetime.
+// the machine's lifetime. A stripped fill no longer stores its entry of
+// the machine's Segments table, so the table then drops every payload
+// no chip holds either.
 func (h *Host) StripResolved() {
+	fills := false
 	for h.strip < len(h.cmds) && h.cmds[h.strip].resolved {
 		c := h.cmds[h.strip]
 		c.stripped = true
 		c.data, c.result = nil, nil
+		fills = fills || c.op == OpFill
 		h.strip++
 	}
+	if fills {
+		h.releaseSegments()
+	}
+}
+
+// releaseSegments releases the payloads of the Segments entries that no
+// chip holds and no unstripped fill will store. Sequential context only.
+func (h *Host) releaseSegments() {
+	var keep []uint64
+	for _, n := range h.fab.Nodes() {
+		keep = h.ctl.Chip(n.Coord).SDRAM.Held(keep)
+	}
+	for _, cmd := range h.cmds[h.strip:] {
+		if cmd.fill != nil && cmd.fill.seg >= 0 {
+			keep = chip.Mark(keep, cmd.fill.seg)
+		}
+	}
+	h.ctl.Segments().Release(keep)
+}
+
+// DropResolvedFills drops the per-chip state of every resolved
+// flood-fill. Only where no packet of a fill can be in flight — after a
+// drain, as the system-image load ends: a straggler chunk finds no
+// state and is ignored, where with its state it might still have been
+// forwarded. Sequential context only.
+func (h *Host) DropResolvedFills() {
+	kept := h.fills[:0]
+	for _, fs := range h.fills {
+		if cmd := h.cmd(fs.seq); cmd.resolved {
+			cmd.fill = nil
+		} else {
+			kept = append(kept, fs)
+		}
+	}
+	clear(h.fills[len(kept):])
+	h.fills = kept
 }
 
 // addFillState gives a registered fill command its per-chip state, and

@@ -195,8 +195,9 @@ type outLink struct {
 	// stream (a fault campaign) to the next sequential quiescence:
 	// clearing failed mid-window could tighten the true cross-shard
 	// latency below the engine's committed lookahead, so the link stays
-	// down until CommitRepairs runs between windows. Never set in a
-	// snapshot (commits precede every legal snapshot instant).
+	// down until CommitRepairs runs between windows. A snapshot taken
+	// before that commit records the mark, and the restored machine's
+	// first commit applies it.
 	pendingRepair bool
 	queue         []flit
 	freeAt        sim.Time

@@ -154,9 +154,10 @@ func (f *Fabric) EventKinds() sim.Kinds {
 // Snap codes the node's dynamic state (everything except the routing
 // table and pending events): the canonical send sequence, the
 // dropped-packet register, the shard-owned tallies, and output link
-// queues and health — overlaying it onto a freshly built node when
-// decoding. Link failures restored here do not re-price the engine
-// lookahead; the machine layer recomputes it for the restore partition.
+// queues, health and deferred repairs — overlaying it onto a freshly
+// built node when decoding. Link failures restored here do not re-price
+// the engine lookahead; the machine layer recomputes it for the restore
+// partition.
 func (n *Node) Snap(c *snap.Codec) {
 	c.U64(&n.sendSeq)
 	c.U64(&n.EmergencyNotices)
@@ -182,6 +183,9 @@ func (n *Node) Snap(c *snap.Codec) {
 	for d := range n.out {
 		l := &n.out[d]
 		c.Bool(&l.failed)
+		if c.Bool(&l.pendingRepair); c.Decoding() && l.pendingRepair {
+			n.fabric.pendingRepairs.Add(1) // onto a fresh node, which had none
+		}
 		c.I64((*int64)(&l.freeAt))
 		c.Bool(&l.draining)
 		c.U64(&l.Traversals)

@@ -794,8 +794,10 @@ func (m *Machine) loadSystemImage() (sim.Time, error) {
 	// The batch halts at the last acknowledgement, but redundant flood
 	// forwards are still draining; run them out (no tickers exist yet,
 	// so quiescence is finite) rather than let boot debris contend with
-	// the application load's link queues.
+	// the application load's link queues. Nothing of the fills is in
+	// flight after it, so their per-chip state goes.
 	m.pe.Drain()
+	m.host.DropResolvedFills()
 	return loadTime(b, loadStart), nil
 }
 

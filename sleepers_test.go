@@ -216,12 +216,12 @@ func TestRepairWakesSleepers(t *testing.T) {
 	}
 }
 
-// TestSnapshotRefusesPendingRepair: a repair_link event that fires inside
-// a host batch only marks its link, and the image has no field for the
-// mark, so a restored machine would never repair the link. Snapshot
-// refuses until a Run commits the repair; the image taken after that
-// restores to the straight run.
-func TestSnapshotRefusesPendingRepair(t *testing.T) {
+// TestSnapshotCarriesPendingRepair: a repair_link event that fires
+// inside a host batch only marks its link, which comes back at the next
+// Run's commit. An image taken with the two marks pending records them,
+// and restores of it onto bands and blocks x {1, 2} workers commit them
+// at their first Run as the straight run does, and finish equal to it.
+func TestSnapshotCarriesPendingRepair(t *testing.T) {
 	m, d := sleepPrepare(t, 1, PartitionBands)
 	defer m.Close()
 	sleepRepairPending(t, m, d)
@@ -229,29 +229,33 @@ func TestSnapshotRefusesPendingRepair(t *testing.T) {
 	if n := m.fab.PendingRepairs(); n != 2 {
 		t.Fatalf("%d repairs pending after the batch, want 2", n)
 	}
-	if _, err := m.Snapshot(); err == nil || !strings.Contains(err.Error(), "2 deferred link repairs pending") {
-		t.Fatalf("Snapshot with a repair pending: %v, want a refusal naming it", err)
+	image, err := m.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot with the repairs pending: %v", err)
 	}
-	if _, err := m.Run(1); err != nil {
-		t.Fatal(err)
-	}
+	ref := snapFinish(t, m)
 	if m.fab.LinkFailed(sleepTarget, d) {
 		t.Fatal("Run did not commit the pending repair")
 	}
-	image, err := m.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot after the commit: %v", err)
-	}
-	ref := snapFinish(t, m)
-	r, err := Restore(image)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if got := snapFinish(t, r); got != ref {
-		t.Errorf("restored run diverged from the straight run:\n--- straight ---\n%s--- restored ---\n%s", ref, got)
-	}
-	if r.fab.LinkFailed(sleepTarget, d) {
-		t.Error("the restored machine's link is still failed; the straight run repaired it")
+	for _, partition := range []string{PartitionBands, PartitionBlocks} {
+		for _, workers := range []int{1, 2} {
+			r, err := RestoreOn(image, workers, partition)
+			if err != nil {
+				t.Fatalf("restore onto %s/%d: %v", partition, workers, err)
+			}
+			if n := r.fab.PendingRepairs(); n != 2 || !r.fab.LinkFailed(sleepTarget, d) {
+				t.Errorf("restore onto %s/%d: %d repairs pending, link failed %v; want 2 on a failed link",
+					partition, workers, n, r.fab.LinkFailed(sleepTarget, d))
+			}
+			if got := snapFinish(t, r); got != ref {
+				t.Errorf("restore onto %s/%d diverged from the straight run:\n--- straight ---\n%s--- restored ---\n%s",
+					partition, workers, ref, got)
+			}
+			if r.fab.LinkFailed(sleepTarget, d) || r.fab.PendingRepairs() != 0 {
+				t.Errorf("restore onto %s/%d: the first Run left the link failed %v, %d repairs pending",
+					partition, workers, r.fab.LinkFailed(sleepTarget, d), r.fab.PendingRepairs())
+			}
+			r.Close()
+		}
 	}
 }

@@ -36,12 +36,19 @@ const (
 	// uvarint of its zigzagged neuron gap shifted left once, any other
 	// is uvarint(neuron<<1 | 1) then the uvarint tick delta — the same
 	// stream the recorder holds in memory.
-	SnapshotVersion = 6
+	// v7: a checkpoint holds each shared payload once — one section codes
+	// the SDRAM segment table entries some chip holds, and each chip's
+	// SDRAM record codes its membership as bits against that section, its
+	// private segments after them, an all-zero one by its length; the
+	// record loses its usage count, which restore recounts. Each link
+	// records its deferred repair.
+	SnapshotVersion = 7
 
 	// Floors on what one booted chip and one loaded neuron occupy in an
 	// image: a chip's node state alone (counters, flags, six link records)
-	// is 215 bytes since v5 (218 in v4) and its SDRAM record another 44;
-	// a neuron's sixteen input-ring accumulators alone are 64.
+	// is 221 bytes since v7 (215 in v5 and v6) and its SDRAM record, with
+	// no segment at all, another 40 (44 in v6); a neuron's sixteen
+	// input-ring accumulators alone are 64.
 	minChipImageBytes   = 256
 	minNeuronImageBytes = 64
 )
@@ -54,9 +61,10 @@ const (
 // configuration and the loaded network, so Restore needs nothing else.
 //
 // A snapshot is only legal at sequential quiescence with no host command
-// in flight and no deferred link repair awaiting its commit: between Run
-// calls, outside any Batch, and not after a batch inside which a
-// scheduled repair fired (Run commits it). Restoring the image
+// in flight: between Run calls and outside any Batch. A link repair a
+// campaign scheduled inside a batch may still await its commit; the
+// image records the mark, and the restored machine's first Run commits
+// it where the original's does. Restoring the image
 // on ANY worker count and partition geometry and running to the same end
 // time yields byte-identical observables to the uninterrupted run — the
 // determinism contract extended through a save/load cycle.
@@ -69,9 +77,6 @@ func (m *Machine) Snapshot() ([]byte, error) {
 	}
 	if n := m.host.Inflight(); n != 0 {
 		return nil, fmt.Errorf("spinngo: snapshot with %d host commands in flight", n)
-	}
-	if n := m.fab.PendingRepairs(); n != 0 {
-		return nil, fmt.Errorf("spinngo: snapshot with %d deferred link repairs pending; Run first to commit them", n)
 	}
 	m.syncCompletions()
 	events, err := m.pe.ExportEvents()
@@ -112,7 +117,7 @@ func (m *Machine) Snapshot() ([]byte, error) {
 	}
 
 	m.snapNodes(c, chips)
-	m.snapMemory(c, chips)
+	m.snapMemory(c, chips, m.snapSegments(c, chips))
 	m.host.Snap(c)
 
 	c.Len(len(events))
@@ -305,7 +310,7 @@ func restore(data []byte, override func(*MachineConfig)) (*Machine, error) {
 	// SDRAM to the host's flood-fill assemblies. A chip with recorded
 	// state materialises on demand if the rebuild left it untouched.
 	m.snapNodes(c, nil)
-	m.snapMemory(c, nil)
+	m.snapMemory(c, nil, m.snapSegments(c, nil))
 	m.host.Snap(c)
 	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("spinngo: fabric, memory and host state: %w", err)
@@ -664,11 +669,26 @@ func (m *Machine) snapNodes(c *snap.Codec, chips []int) {
 	snapExtents(c, chips, m.fab.Size(), func(i int) { m.fab.NodeAt(i).Snap(c) })
 }
 
-// snapMemory codes each chip's SDRAM and per-slot DMA controllers.
-func (m *Machine) snapMemory(c *snap.Codec, chips []int) {
+// snapSegments codes the machine's segment table (v7): the entries
+// some instantiated chip holds, once, in table order. Encoding, it
+// returns that set, which the chips' memory records code their
+// membership against; decoding, the image's entries become the rebuilt
+// machine's table.
+func (m *Machine) snapSegments(c *snap.Codec, chips []int) []uint64 {
+	var held []uint64
+	for _, i := range chips {
+		held = m.boot.Chip(m.fab.NodeAt(i).Coord).SDRAM.Held(held)
+	}
+	m.boot.Segments().Snap(c, held)
+	return held
+}
+
+// snapMemory codes each chip's SDRAM and per-slot DMA controllers;
+// held is what snapSegments returned.
+func (m *Machine) snapMemory(c *snap.Codec, chips []int, held []uint64) {
 	snapExtents(c, chips, m.fab.Size(), func(i int) {
 		at := m.fab.NodeAt(i).Coord
-		m.boot.Chip(at).SDRAM.Snap(c)
+		m.boot.Chip(at).SDRAM.Snap(c, held)
 		slots := m.appCoreSlots(at)
 		if !c.FixedLen(len(slots), "application core slots") {
 			return

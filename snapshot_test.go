@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"spinngo/internal/boot"
+	"spinngo/internal/chip"
 	"spinngo/internal/neural"
 	"spinngo/internal/snap"
 	"spinngo/internal/workload"
@@ -633,7 +634,7 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 	// Images of earlier formats are refused by name: no build reads
 	// another version's image.
-	for _, v := range []byte{4, 5} {
+	for _, v := range []byte{4, 5, 6} {
 		skewed[16] = v
 		want := fmt.Sprintf("snapshot format v%d, this build reads v%d", v, SnapshotVersion)
 		if _, err := Restore(skewed); err == nil || !strings.Contains(err.Error(), want) {
@@ -705,9 +706,17 @@ func TestSnapshotErrors(t *testing.T) {
 		}()
 	}
 
+	// Memory records no snapshot writes: a chip holding a segment past the
+	// image's table, a table longer than the image, a zero segment longer
+	// than the SDRAM.
+	for _, c := range memoryFaults(t, golden, image) {
+		wantRestoreError(t, c.what, c.image, c.err)
+	}
+
 	// A flood-fill assembly the dense per-command fill state cannot hold:
 	// one naming command 0, a command past the table, a command that is
 	// not a fill, or a chunk count other than its command's.
+	filled := fillImage(t, golden)
 	nonFill := uint32(boot.DefaultConfig().ImageBlocks + 1) // the first application-data write
 	for _, c := range []struct {
 		what, err string
@@ -718,40 +727,128 @@ func TestSnapshotErrors(t *testing.T) {
 		{"naming a write command", fmt.Sprintf("names write command %d", nonFill), func(rec []byte) { binary.LittleEndian.PutUint32(rec, nonFill) }},
 		{"one chunk short of its command's", "fill assembly chunk copies", func(rec []byte) { rec[4]-- }},
 	} {
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					t.Errorf("Restore of an image with a fill assembly %s panicked: %v", c.what, p)
-				}
-			}()
-			m, err := Restore(corruptFill(t, image, c.edit))
-			if m != nil {
-				m.Close()
-			}
-			if err == nil || !strings.Contains(err.Error(), c.err) {
-				t.Errorf("Restore of an image with a fill assembly %s: error %v, want one containing %q", c.what, err, c.err)
-			}
-		}()
+		wantRestoreError(t, "a fill assembly "+c.what, corruptFill(t, filled, c.edit), c.err)
 	}
 }
 
-// corruptFill returns image with its first flood-fill assembly record —
-// the gateway's assembly of command 1, the system image's first block,
+// wantRestoreError restores a corrupt image and wants an error
+// containing want: never a machine, never a panic.
+func wantRestoreError(t *testing.T, what string, image []byte, want string) {
+	t.Helper()
+	defer func() {
+		if p := recover(); p != nil {
+			t.Errorf("Restore of an image with %s panicked: %v", what, p)
+		}
+	}()
+	m, err := Restore(image)
+	if m != nil {
+		m.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Restore of an image with %s: error %v, want one containing %q", what, err, want)
+	}
+}
+
+// fillProbeChunks is the chunk count of the probe fill fillImage adds: a
+// 64-byte payload at the host link's 4-byte chunk.
+const fillProbeChunks = 16
+
+// fillImage flood-fills a probe payload through m's host link and
+// snapshots m. A user fill keeps its per-chip assemblies, where the
+// system image's are dropped once the boot's flood has drained, so the
+// image holds one assembly of it per chip.
+func fillImage(t testing.TB, m *Machine) []byte {
+	t.Helper()
+	hl, err := m.AttachHost()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hl.FillMem(0x7000_0000, bytes.Repeat([]byte{0xA5}, 4*fillProbeChunks)); err != nil {
+		t.Fatal(err)
+	}
+	image, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return image
+}
+
+// corruptFill returns image, written by fillImage, with its first
+// flood-fill assembly record — a chip's assembly of the probe fill,
 // found by its bytes — edited from its command sequence number on.
 func corruptFill(t testing.TB, image []byte, edit func(rec []byte)) []byte {
 	t.Helper()
-	chunks := boot.DefaultConfig().BlockBytes / hostLoadChunkBytes
-	rec := binary.LittleEndian.AppendUint32(nil, 1)
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(chunks))
-	rec = append(rec, bytes.Repeat([]byte{1}, chunks)...) // one copy of each chunk
-	rec = append(rec, make([]byte, 8)...)                 // no chunk left
-	at := bytes.Index(image, rec)
+	rec := binary.LittleEndian.AppendUint32(nil, fillProbeChunks)
+	rec = append(rec, bytes.Repeat([]byte{1}, fillProbeChunks)...) // one copy of each chunk
+	rec = append(rec, make([]byte, 8)...)                          // no chunk left
+	at := bytes.Index(image, rec) - 4
 	if at < 0 {
-		t.Fatal("no assembly of command 1 in the image")
+		t.Fatal("no assembly of the probe fill in the image")
 	}
 	bad := bytes.Clone(image)
 	edit(bad[at:])
 	return bad
+}
+
+// memoryCuts returns where m's image opens its segment table section,
+// its memory section, and the host section after them.
+func memoryCuts(t testing.TB, m *Machine, image []byte) (table, memory, host int) {
+	t.Helper()
+	events, err := m.pe.ExportEvents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// From the end: a cut before each event, then the cuts after the
+	// host section, memory, the table and the nodes.
+	cuts := sectionCuts(t, m, image)
+	end := len(cuts) - len(events)
+	return cuts[end-4], cuts[end-3], cuts[end-2]
+}
+
+// memoryFault is an image of m with one memory record no snapshot
+// writes, and the error Restore must name.
+type memoryFault struct {
+	what, err string
+	image     []byte
+}
+
+// memoryFaults edits image, m's snapshot, in the segment table section
+// and the memory records after it: the first chip holding a segment
+// past the table, a table entry count past the image's end, and a
+// synaptic image's zero segment one byte longer than the SDRAM.
+func memoryFaults(t testing.TB, m *Machine, image []byte) []memoryFault {
+	t.Helper()
+	table, memory, memEnd := memoryCuts(t, m, image)
+	edit := func(off int, fn func(b []byte)) []byte {
+		bad := bytes.Clone(image)
+		fn(bad[off:])
+		return bad
+	}
+	// The memory section's one extent opens with the extent count, its
+	// start and its length; the first chip's record then has four
+	// counters before its membership words.
+	members := memory + 4 + 8 + 4 + 32
+	if binary.LittleEndian.Uint32(image[members:]) == 0 {
+		t.Fatal("the first chip holds no segment of the table")
+	}
+	var zero []byte
+	for _, f := range m.rplan.Frags {
+		if cd := m.dplan.Cores[f.Chip][f.Core]; cd != nil && cd.Matrix.Bytes() > 0 {
+			zero = binary.LittleEndian.AppendUint32(nil, synapseImageBase+uint32(f.Core)<<20)
+			zero = append(zero, 1)
+			zero = binary.LittleEndian.AppendUint32(zero, uint32(cd.Matrix.Bytes()))
+			break
+		}
+	}
+	at := bytes.Index(image[memory:memEnd], zero)
+	if zero == nil || at < 0 {
+		t.Fatal("no synaptic image's zero segment in the memory section")
+	}
+	return []memoryFault{
+		{"a chip holding a segment past the table", "past the", edit(members+4, func(b []byte) { b[7] |= 0x80 })},
+		{"a segment table longer than the image", "exceeds the", edit(table, func(b []byte) { binary.LittleEndian.PutUint32(b, 0xFFFFFFF0) })},
+		{"a zero segment longer than the SDRAM", "SDRAM overflow", edit(memory+at+5, func(b []byte) { binary.LittleEndian.PutUint32(b, chip.SDRAMBytes+1) })},
+	}
 }
 
 // packSpikes packs a raster as the recorder streams it. A spike in the
@@ -978,6 +1075,32 @@ func TestRestoreBoundsAllocation(t *testing.T) {
 	}
 }
 
+// TestChipImageFloor holds minChipImageBytes, the floor fitsImage sizes
+// a torus by, below what a real chip writes: the smallest node state and
+// SDRAM record any chip of the reference workload's image codes. Were
+// the floor above it, fitsImage could refuse a valid image.
+func TestChipImageFloor(t *testing.T) {
+	m := snapPrepare(t, 17, 1, PartitionBands, false)
+	defer m.Close()
+	m.syncCompletions()
+	var held []uint64
+	for _, n := range m.fab.Nodes() {
+		held = m.boot.Chip(n.Coord).SDRAM.Held(held)
+	}
+	smallest := math.MaxInt
+	for _, n := range m.fab.Nodes() {
+		c := snap.NewEncoder()
+		n.Snap(c)
+		m.boot.Chip(n.Coord).SDRAM.Snap(c, held)
+		smallest = min(smallest, len(c.Bytes()))
+	}
+	if smallest < minChipImageBytes {
+		t.Errorf("a chip codes its node state and SDRAM record in %d B, below the %d B floor fitsImage sizes a torus by",
+			smallest, minChipImageBytes)
+	}
+	t.Logf("smallest chip record: %d B, floor %d B", smallest, minChipImageBytes)
+}
+
 // TestSnapshotGolden pins the on-disk format: the reference workload's
 // snapshot must hash to the checked-in golden value for the current
 // SnapshotVersion. Any change to what is serialised (or its order)
@@ -1021,7 +1144,8 @@ func TestSnapshotGolden(t *testing.T) {
 // Snapshot calls and returns the image offset after each one — header,
 // config, network, run point, domain sequences, tallies, then per
 // fragment its shared part and each generation's place and state, then
-// nodes, memory, host, the event count and every event record. It fails
+// nodes, the segment table, memory, host, the event count and every
+// event record. It fails
 // the test unless the pieces concatenate to exactly image.
 func sectionCuts(t testing.TB, m *Machine, image []byte) []int {
 	t.Helper()
@@ -1066,7 +1190,9 @@ func sectionCuts(t testing.TB, m *Machine, image []byte) []int {
 	}
 	m.snapNodes(c, chips)
 	cut()
-	m.snapMemory(c, chips)
+	held := m.snapSegments(c, chips)
+	cut()
+	m.snapMemory(c, chips, held)
 	cut()
 	m.host.Snap(c)
 	cut()
@@ -1175,11 +1301,12 @@ func FuzzRestore(f *testing.F) {
 	cuts := sectionCuts(f, src, data)
 	swapped := swappedRowKeys(f, src, data)
 	noWindow := zeroTau(f, src, data)
-	zeroFill := corruptFill(f, data, func(rec []byte) { binary.LittleEndian.PutUint32(rec, 0) })
 	var rasters [][]byte
 	for _, c := range rasterFaults() {
 		rasters = append(rasters, corruptRaster(f, src, data, c.edit))
 	}
+	memory := memoryFaults(f, src, data)
+	zeroFill := corruptFill(f, fillImage(f, src), func(rec []byte) { binary.LittleEndian.PutUint32(rec, 0) })
 	src.Close()
 	f.Add(data)
 	f.Add(swapped)
@@ -1211,6 +1338,10 @@ func FuzzRestore(f *testing.F) {
 	f.Add(noWindow)
 	// A flood-fill assembly naming command 0.
 	f.Add(zeroFill)
+	// Memory records no snapshot writes, in and after the segment table.
+	for _, c := range memory {
+		f.Add(c.image)
+	}
 	f.Fuzz(func(t *testing.T, image []byte) {
 		m, err := Restore(image)
 		if (m == nil) == (err == nil) {
